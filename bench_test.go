@@ -6,6 +6,7 @@
 package svard
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -192,7 +193,7 @@ func benchFig12(b *testing.B, defense string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := sim.RunFig12(opt)
+		cells, err := sim.RunFig12Ctx(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,13 +250,13 @@ func benchFig12Sweep(b *testing.B, workers int, noSkip bool, backend string, tsp
 	// Warm the module cache (and the run-state pool) so the timed region
 	// measures the simulation fan-out, not the one-off module
 	// calibration or the first-cell arena growth.
-	if _, err := sim.RunFig12(opt); err != nil {
+	if _, err := sim.RunFig12Ctx(context.Background(), opt); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := sim.RunFig12(opt)
+		cells, err := sim.RunFig12Ctx(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func BenchmarkPopulationSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := sim.RunPopulation(opt)
+		cells, err := sim.RunPopulationCtx(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,7 +356,7 @@ func BenchmarkFig13Adversarial(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := sim.RunFig13(opt)
+		cells, err := sim.RunFig13Ctx(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,7 +41,6 @@ import (
 	"svard/internal/campaign"
 	"svard/internal/fabric"
 	"svard/internal/report"
-	"svard/internal/sim"
 )
 
 func main() {
@@ -138,23 +137,8 @@ func main() {
 		fatal(err)
 	}
 
-	if res.Fig12 != nil {
-		names := spec.Defenses
-		if len(names) == 0 {
-			names = sim.DefenseNames
-		}
-		for _, d := range names {
-			fmt.Println(report.Fig12(d, res.Fig12))
-		}
-	}
-	if res.Fig13 != nil {
-		fmt.Println(report.Fig13(res.Fig13))
-	}
-	fmt.Printf("campaign: %d cells, %d computed, %d served from cache", res.Total, res.Computed, res.Served)
-	if res.Resumed > 0 {
-		fmt.Printf(", %d resumed from a previous run's journal", res.Resumed)
-	}
-	fmt.Printf("\ndispatch: %s\n", res.Dispatch)
+	report.Outcome(os.Stdout, spec.Defenses, res.Outcome)
+	fmt.Printf("dispatch: %s\n", res.Dispatch)
 
 	if *outFile != "" {
 		b, err := json.MarshalIndent(res, "", "  ")

@@ -26,6 +26,7 @@ import (
 	"syscall"
 
 	"svard/internal/cache"
+	"svard/internal/campaign"
 	"svard/internal/dram"
 	"svard/internal/obs"
 	"svard/internal/report"
@@ -154,7 +155,11 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		runner = func(cfg sim.Config) (sim.Result, error) { return store.GetOrCompute(cfg, sim.PooledRun) }
+		cell := campaign.Cell{Store: store}
+		runner = func(cfg sim.Config) (sim.Result, error) {
+			res, _, err := cell.Run(ctx, cfg, nil)
+			return res, err
+		}
 	}
 
 	if be.HBM {

@@ -205,7 +205,7 @@ func main() {
 	// Population and temporal campaigns only sweep the Fig. 12 grid; when
 	// the figure flags are silent, pin Fig. 12 rather than letting the
 	// default (both figures) fail validation.
-	if (spec.Population != nil || spec.Temporal != nil) && len(spec.Figures) == 0 {
+	if (set["population"] || set["population-seed"] || set["temporal"]) && len(spec.Figures) == 0 {
 		spec.Figures = []string{campaign.Fig12}
 	}
 
@@ -286,48 +286,20 @@ func main() {
 		fatal(err)
 	}
 
-	if out.Fig12 != nil {
-		names := spec.Defenses
-		if len(names) == 0 {
-			names = sim.DefenseNames
+	report.Outcome(os.Stdout, spec.Defenses, out)
+	fmt.Printf("cache: %s\n", out.Stats)
+	if *bandsOut != "" && out.Bands != nil {
+		b, err := report.BandsJSON(out.Bands)
+		if err != nil {
+			fatal(err)
 		}
-		for _, d := range names {
-			fmt.Println(report.Fig12(d, out.Fig12))
+		if err := os.WriteFile(*bandsOut, append(b, '\n'), 0o644); err != nil {
+			fatal(err)
 		}
-	}
-	if out.Bands != nil {
-		names := spec.Defenses
-		if len(names) == 0 {
-			names = sim.DefenseNames
-		}
-		for _, d := range names {
-			fmt.Println(report.Bands(d, out.Bands))
-		}
-		if *bandsOut != "" {
-			b, err := report.BandsJSON(out.Bands)
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*bandsOut, append(b, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "bands written to %s\n", *bandsOut)
-			}
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "bands written to %s\n", *bandsOut)
 		}
 	}
-	if out.Erosion != nil {
-		fmt.Println(report.Erosion(out.Erosion))
-	}
-	if out.Fig13 != nil {
-		fmt.Println(report.Fig13(out.Fig13))
-	}
-
-	fmt.Printf("campaign: %d jobs, %d computed, %d served from cache", out.Total, out.Computed, out.Served)
-	if out.Resumed > 0 {
-		fmt.Printf(", %d resumed from a previous run's journal", out.Resumed)
-	}
-	fmt.Printf("\ncache: %s\n", out.Stats)
 }
 
 func fatal(err error) {

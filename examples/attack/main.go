@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	base.InstrPerCore = 60_000
 	base.WarmupPerCore = 10_000
 
-	cells, err := sim.RunFig13(sim.Fig13Options{
+	cells, err := sim.RunFig13Ctx(context.Background(), sim.Fig13Options{
 		Base:   base,
 		NRH:    64,
 		Benign: []string{"mcf06", "lbm06", "ycsb-a"},

@@ -15,7 +15,7 @@
 // ones; any mismatch exits non-zero. That makes this example double as
 // the CI smoke test for the service's determinism guarantee: cells
 // computed behind the scheduler, the shared worker pool, and the cache
-// are bit-identical to a direct serial sim.RunFig12 call.
+// are bit-identical to a direct serial sim.RunFig12Ctx call.
 package main
 
 import (
@@ -138,21 +138,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	names := spec.Defenses
-	if len(names) == 0 {
-		names = sim.DefenseNames
-	}
-	for _, d := range names {
-		fmt.Println(report.Fig12(d, res.Fig12))
-	}
-	if len(res.Fig13) > 0 {
-		fmt.Println(report.Fig13(res.Fig13))
-	}
-	fmt.Printf("job %s: %d cells, %d computed, %d served from cache", final.ID, res.Total, res.Computed, res.Served)
-	if res.Resumed > 0 {
-		fmt.Printf(" (%d resumed from an earlier journal)", res.Resumed)
-	}
-	fmt.Printf("\nserver cache totals: %s\n", res.Stats)
+	report.Outcome(os.Stdout, spec.Defenses, &res.Outcome)
+	fmt.Printf("server cache totals: %s\n", res.Stats)
 
 	if *golden != "" {
 		if !reflect.DeepEqual(res.Fig12, wantCells) {

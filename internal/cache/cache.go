@@ -525,7 +525,7 @@ func (s *Store) path(key string) string {
 // exported lookups like Get and Contains) is a plain miss before any
 // filesystem access.
 func (s *Store) read(key string) (sim.Result, error) {
-	if s.dir == "" || !wellFormedKey(key) {
+	if s.dir == "" || !WellFormedKey(key) {
 		return sim.Result{}, os.ErrNotExist
 	}
 	b, err := os.ReadFile(s.path(key))
@@ -600,7 +600,7 @@ func (s *Store) persist(key string, res sim.Result) {
 // best-effort (same swallowed-write policy as persist). Only the exact
 // key shape Key produces is accepted.
 func (s *Store) Put(key string, res sim.Result) error {
-	if !wellFormedKey(key) {
+	if !WellFormedKey(key) {
 		return fmt.Errorf("cache: malformed key %q: want 64 lowercase hex chars", key)
 	}
 	s.mu.Lock()
@@ -610,8 +610,12 @@ func (s *Store) Put(key string, res sim.Result) error {
 	return nil
 }
 
-// wellFormedKey reports whether key is 64 lowercase hex chars.
-func wellFormedKey(key string) bool {
+// WellFormedKey reports whether key has the exact shape Key produces: 64
+// lowercase hex characters, nothing else. Every layer that turns an
+// externally supplied key into a store lookup (the service's cells
+// endpoint, the fabric's object store) checks it first — an unvalidated
+// key could otherwise traverse out of the cache directory.
+func WellFormedKey(key string) bool {
 	if len(key) != 64 {
 		return false
 	}

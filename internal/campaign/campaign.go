@@ -3,7 +3,8 @@
 // declarative description of which figures to regenerate and which
 // defenses, thresholds, profiles, and workload mixes to sweep; the
 // engine expands it to the flat simulation job list, routes every job
-// through cache-then-sim.Run, journals completed jobs, and picks an
+// through the one cell path (Cell.Run: cache, then a worker slot, then
+// the pooled simulator), journals completed jobs, and picks an
 // interrupted campaign back up exactly where it stopped.
 //
 // Correctness never depends on the journal: the cache is keyed by the
@@ -19,6 +20,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -65,7 +67,7 @@ type Spec struct {
 	Population *PopulationSpec `json:"population,omitempty"`
 
 	// Temporal, when set, turns the Fig. 12 sweep into a margin-erosion
-	// sweep (sim.RunErosion): the same (defense, nRH, Svärd) grid is
+	// sweep (sim.RunErosionCtx): the same (defense, nRH, Svärd) grid is
 	// evaluated under the calibration-time truth and under a live truth
 	// aged by each re-calibration interval, and the outcome carries
 	// Erosion cells instead of Fig12 cells. Like Population, the field
@@ -134,14 +136,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, d := range s.Defenses {
-		ok := false
-		for _, known := range sim.DefenseNames {
-			if d == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(sim.DefenseNames, d) {
 			return fmt.Errorf("campaign: unknown defense %q (have %s)", d, strings.Join(sim.DefenseNames, ", "))
 		}
 	}
@@ -226,40 +221,7 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-func (s Spec) has(figure string) bool {
-	for _, f := range s.Figures {
-		if f == figure {
-			return true
-		}
-	}
-	return false
-}
-
-// fig12Options expands the (normalized) spec for the Fig. 12 sweep.
-func (s Spec) fig12Options() sim.Fig12Options {
-	return sim.Fig12Options{
-		Base:     s.Base,
-		Mixes:    s.Mixes,
-		NRHs:     s.NRHs,
-		Defenses: s.Defenses,
-		Profiles: s.Profiles,
-		Backends: s.Backends,
-	}
-}
-
-// populationOptions expands the (normalized) spec for the Monte Carlo
-// band sweep. chunk is the engine's module-residency knob (0: default);
-// it never reaches the spec, so it cannot shape the fingerprint.
-func (s Spec) populationOptions(chunk int) sim.PopulationOptions {
-	return sim.PopulationOptions{
-		Base:       s.Base,
-		Population: population.Ref{Seed: s.Population.Seed, Size: s.Population.Size},
-		Mixes:      s.Mixes,
-		NRHs:       s.NRHs,
-		Defenses:   s.Defenses,
-		Chunk:      chunk,
-	}
-}
+func (s Spec) has(figure string) bool { return slices.Contains(s.Figures, figure) }
 
 // erosionOptions expands the (normalized) spec for the margin-erosion
 // sweep. A single Profiles entry overrides the base module label; the
@@ -291,6 +253,84 @@ func (s Spec) fig13Options() sim.Fig13Options {
 	}
 }
 
+// experiment is one figure of a campaign: how to enumerate its cells and
+// how to run them and fold the figure into the Outcome. Everything that
+// walks a campaign iterates the experiment list and never asks which
+// kind of campaign it is.
+type experiment struct {
+	jobs func() ([]sim.Job, error)
+	run  func(context.Context, *Outcome) error
+}
+
+// experiments maps the (normalized, validated) spec to its ordered
+// experiment list: the Fig. 12 grid in exactly one of its three forms —
+// point cells, population bands, or margin erosion — then Fig. 13. e and
+// runner are the execution knobs the sweeps run under; they shape
+// neither the job list nor the fingerprint, so Jobs passes none.
+func (s Spec) experiments(e *Engine, runner sim.Runner) []experiment {
+	var xs []experiment
+	if s.has(Fig12) {
+		switch {
+		case s.Population != nil:
+			opt := sim.PopulationOptions{
+				Base:       s.Base,
+				Population: population.Ref{Seed: s.Population.Seed, Size: s.Population.Size},
+				Mixes:      s.Mixes,
+				NRHs:       s.NRHs,
+				Defenses:   s.Defenses,
+				Chunk:      e.PopulationChunk,
+			}
+			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
+			xs = append(xs, experiment{
+				func() ([]sim.Job, error) { return sim.PopulationJobs(opt) },
+				func(ctx context.Context, out *Outcome) (err error) {
+					out.Bands, err = sim.RunPopulationCtx(ctx, opt)
+					return err
+				},
+			})
+		case s.Temporal != nil:
+			opt := s.erosionOptions()
+			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
+			xs = append(xs, experiment{
+				func() ([]sim.Job, error) { return sim.ErosionJobs(opt) },
+				func(ctx context.Context, out *Outcome) (err error) {
+					out.Erosion, err = sim.RunErosionCtx(ctx, opt)
+					return err
+				},
+			})
+		default:
+			opt := sim.Fig12Options{
+				Base:     s.Base,
+				Mixes:    s.Mixes,
+				NRHs:     s.NRHs,
+				Defenses: s.Defenses,
+				Profiles: s.Profiles,
+				Backends: s.Backends,
+			}
+			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
+			xs = append(xs, experiment{
+				func() ([]sim.Job, error) { return sim.Fig12Jobs(opt), nil },
+				func(ctx context.Context, out *Outcome) (err error) {
+					out.Fig12, err = sim.RunFig12Ctx(ctx, opt)
+					return err
+				},
+			})
+		}
+	}
+	if s.has(Fig13) {
+		opt := s.fig13Options()
+		opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
+		xs = append(xs, experiment{
+			func() ([]sim.Job, error) { return sim.Fig13Jobs(opt) },
+			func(ctx context.Context, out *Outcome) (err error) {
+				out.Fig13, err = sim.RunFig13Ctx(ctx, opt)
+				return err
+			},
+		})
+	}
+	return xs
+}
+
 // Jobs returns the campaign's full flat job list across its figures, the
 // same expansion the engine executes. Callers use it to size a campaign
 // (and the checkpoint journal) before running it.
@@ -300,26 +340,8 @@ func (s Spec) Jobs() ([]sim.Job, error) {
 		return nil, err
 	}
 	var jobs []sim.Job
-	if s.has(Fig12) {
-		switch {
-		case s.Population != nil:
-			pj, err := sim.PopulationJobs(s.populationOptions(0))
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, pj...)
-		case s.Temporal != nil:
-			ej, err := sim.ErosionJobs(s.erosionOptions())
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, ej...)
-		default:
-			jobs = append(jobs, sim.Fig12Jobs(s.fig12Options())...)
-		}
-	}
-	if s.has(Fig13) {
-		j, err := sim.Fig13Jobs(s.fig13Options())
+	for _, x := range s.experiments(&Engine{}, nil) {
+		j, err := x.jobs()
 		if err != nil {
 			return nil, err
 		}
@@ -344,38 +366,40 @@ func (s Spec) Fingerprint() string {
 }
 
 // Outcome is a completed campaign: the folded figure cells plus the
-// run's accounting.
+// run's accounting. It is also the wire form of a result: svard-served's
+// result endpoint embeds it whole, so a figure added here reaches every
+// route without a second field list.
 type Outcome struct {
-	Fig12 []sim.Fig12Cell
-	Fig13 []sim.Fig13Cell
+	Fig12 []sim.Fig12Cell `json:"fig12,omitempty"`
+	Fig13 []sim.Fig13Cell `json:"fig13,omitempty"`
 
 	// Bands carries the Monte Carlo confidence bands of a population
 	// campaign (Spec.Population set), in place of Fig12 point cells.
-	Bands []sim.BandCell `json:",omitempty"`
+	Bands []sim.BandCell `json:"bands,omitempty"`
 
 	// Erosion carries the margin-erosion cells of a temporal campaign
 	// (Spec.Temporal set), in place of Fig12 point cells.
-	Erosion []sim.ErosionCell `json:",omitempty"`
+	Erosion []sim.ErosionCell `json:"erosion,omitempty"`
 
-	Total   int // simulation jobs in the campaign
-	Resumed int // jobs already journaled as complete when the run started
+	Total   int `json:"total"`   // simulation jobs in the campaign
+	Resumed int `json:"resumed"` // jobs already journaled as complete when the run started
 
 	// Computed counts the cells THIS campaign actually simulated: its
 	// compute callback ran (exactly-once attribution — a cell another
 	// concurrent campaign computed, or that any cache layer served, is
 	// not counted here). Served is the rest: Total - Computed.
-	Computed int
-	Served   int
+	Computed int `json:"computed"`
+	Served   int `json:"served"`
 
 	// Stats is the shared store's counter snapshot when the run
 	// finished. The store may be shared with concurrent campaigns (the
 	// svard-served scheduler runs several engines over one store), so
 	// these are global totals, not this campaign's share — Computed and
 	// Served carry the per-campaign attribution.
-	Stats cache.Stats
+	Stats cache.Stats `json:"stats"`
 }
 
-// Engine executes campaigns. Fields are read-only during Run.
+// Engine executes campaigns. Fields are read-only during RunCtx.
 type Engine struct {
 	Store   *cache.Store // result cache (required)
 	Workers int          // max concurrent simulations (<= 0: GOMAXPROCS)
@@ -393,25 +417,21 @@ type Engine struct {
 	// cache keys.
 	PopulationChunk int
 
-	// Sim is the base executor a cache miss falls back to (nil: sim.Run).
-	// Tests inject failing or counting runners here.
-	Sim sim.Runner
+	// Sim and Slots are the engine's Cell: the injected executor a cache
+	// miss falls back to (nil: the pooled simulator; tests inject failing
+	// or counting runners) and the worker-slot channel simulations — not
+	// lookups — are gated on (nil: ungated; the svard-served scheduler
+	// shares one channel across every job's engine).
+	Sim   sim.Runner
+	Slots chan struct{}
 
 	// Trace, when set, turns on the flight recorder: every cell gets a
 	// per-run obs.Recorder, its phase spans (queue wait, cache lookup,
 	// build, warmup, run, fold) and counters are collected into Trace,
 	// and the cache outcome (computed vs served) is attributed per cell.
-	// nil costs nothing — the untraced runner is byte-for-byte the
-	// pre-observability path. Results are bit-identical either way; the
-	// recorder observes, it never steers.
+	// Results are bit-identical either way; the recorder observes, it
+	// never steers.
 	Trace *obs.Trace
-
-	// SimRecorded, when set alongside Trace, is the recorded base
-	// executor a traced cache miss falls back to — the scheduler injects
-	// its worker-slot-gated recorded runner here. nil falls back to Sim
-	// (phases still recorded around it, sim-internal counters absent) or,
-	// when both are nil, to sim.PooledRunRecorded.
-	SimRecorded RecordedRunner
 
 	Progress func(string)
 
@@ -421,11 +441,6 @@ type Engine struct {
 	// It must not block for long: it runs on the sweep's critical path.
 	Observe func(sim.Config)
 }
-
-// RecordedRunner executes one cell while folding its counters and phase
-// stamps into rec (which may be nil: run unrecorded). sim.RunRecorded
-// and sim.PooledRunRecorded satisfy it.
-type RecordedRunner func(sim.Config, *obs.Recorder) (sim.Result, error)
 
 // CellLabel renders a human-oriented label from a cell's config — used
 // by the server's progress events and the flight-recorder trace. The
@@ -441,20 +456,17 @@ func CellLabel(cfg sim.Config) string {
 		cfg.Defense, cfg.NRH, cfg.ModuleLabel, svard, strings.Join(cfg.Mix, ","))
 }
 
-// Run executes the campaign, reusing every cached cell and journaling
+// RunCtx executes the campaign, reusing every cached cell and journaling
 // each completed job so an interrupted run can be resumed. On error
 // (including an interruption injected through Sim), everything completed
 // so far remains in the cache and the journal.
-func (e *Engine) Run(spec Spec) (*Outcome, error) {
-	return e.RunCtx(context.Background(), spec)
-}
-
-// RunCtx is Run with cancellation: once ctx is done, no new simulation
-// starts, cells already running finish (and are cached and journaled),
-// and the call returns ctx's cause within one cell's latency. The
-// journal stays intact, so the cancelled campaign resumes exactly like
-// an interrupted one — re-run with Resume (svard-sweep -resume) and
-// only the never-computed cells simulate.
+//
+// Once ctx is done, no new simulation starts, cells already running
+// finish (and are cached and journaled), and the call returns ctx's
+// cause within one cell's latency. The journal stays intact, so the
+// cancelled campaign resumes exactly like an interrupted one — re-run
+// with Resume (svard-sweep -resume) and only the never-computed cells
+// simulate.
 func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 	if e.Store == nil {
 		return nil, fmt.Errorf("campaign: engine has no result store")
@@ -465,73 +477,56 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 		return nil, err
 	}
 
-	j, err := openJournal(e.Store.Dir(), spec.Fingerprint(), len(jobs), e.Resume)
+	j, err := OpenJournal(e.Store.Dir(), spec.Fingerprint(), len(jobs), e.Resume)
 	if err != nil {
 		return nil, err
 	}
-	defer j.close()
+	defer j.Close()
 
-	out := &Outcome{Total: len(jobs), Resumed: j.resumed()}
+	out := &Outcome{Total: len(jobs), Resumed: j.Resumed()}
 
-	base := e.Sim
-	if base == nil {
-		base = sim.PooledRun // bit-identical to sim.Run, allocation-flat
-	}
-	// computed counts only the cells whose compute callback actually ran
-	// for THIS campaign: a lookup that coalesces onto another campaign's
-	// in-flight computation, or hits any cache layer, never invokes it.
+	// The engine's share of a cell, around the one cell path: journal and
+	// Observe on success, and — with the flight recorder on — a per-cell
+	// Recorder whose wait phase runs from the trace anchor to the cell's
+	// execution start and whose spans and counters land in e.Trace.
+	cell := Cell{Store: e.Store, Sim: e.Sim, Slots: e.Slots}
 	var computed atomic.Int64
-	compute := func(cfg sim.Config) (sim.Result, error) {
-		res, err := base(cfg)
-		if err == nil {
-			computed.Add(1)
-		}
-		return res, err
-	}
 	runner := func(cfg sim.Config) (sim.Result, error) {
-		res, err := e.Store.GetOrCompute(cfg, compute)
+		var rec *obs.Recorder
+		var start time.Time
+		if e.Trace != nil {
+			start = time.Now()
+			rec = &obs.Recorder{}
+			rec.Stamp(obs.PhaseWait, e.Trace.Start(), start)
+		}
+		res, ran, err := cell.Run(ctx, cfg, rec)
+		key := cache.Key(cfg)
 		if err == nil {
-			j.done(cache.Key(cfg))
+			if ran {
+				computed.Add(1)
+			}
+			j.Done(key)
 			if e.Observe != nil {
 				e.Observe(cfg)
 			}
 		}
+		if e.Trace != nil {
+			outcome := "served"
+			if ran {
+				outcome = "computed"
+			}
+			c := obs.CellFromRecorder(CellLabel(cfg), key, outcome, rec, start, time.Now())
+			if err != nil {
+				c.Err = err.Error()
+			}
+			e.Trace.Add(c)
+		}
 		return res, err
 	}
-	if e.Trace != nil {
-		runner = e.tracedRunner(j, &computed)
-	}
 
-	for _, figure := range spec.Figures {
-		switch figure {
-		case Fig12:
-			if spec.Population != nil {
-				opt := spec.populationOptions(e.PopulationChunk)
-				opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-				if out.Bands, err = sim.RunPopulationCtx(ctx, opt); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if spec.Temporal != nil {
-				opt := spec.erosionOptions()
-				opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-				if out.Erosion, err = sim.RunErosionCtx(ctx, opt); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			opt := spec.fig12Options()
-			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-			if out.Fig12, err = sim.RunFig12Ctx(ctx, opt); err != nil {
-				return nil, err
-			}
-		case Fig13:
-			opt := spec.fig13Options()
-			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-			if out.Fig13, err = sim.RunFig13Ctx(ctx, opt); err != nil {
-				return nil, err
-			}
+	for _, x := range spec.experiments(e, runner) {
+		if err := x.run(ctx, out); err != nil {
+			return nil, err
 		}
 	}
 
@@ -539,62 +534,4 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 	out.Served = out.Total - out.Computed
 	out.Stats = e.Store.Stats()
 	return out, nil
-}
-
-// tracedRunner is the flight-recorded variant of RunCtx's cell runner:
-// identical cache/journal/Observe behavior, plus a per-cell Recorder
-// whose phase spans and counters land in e.Trace. The wait phase runs
-// from the trace anchor to the cell's execution start; the lookup phase
-// ends either when the compute callback takes over (miss) or when
-// GetOrCompute returns (hit/dedup — the lookup WAS the cell).
-func (e *Engine) tracedRunner(j *journal, computed *atomic.Int64) sim.Runner {
-	baseRec := e.SimRecorded
-	if baseRec == nil {
-		if e.Sim != nil {
-			s := e.Sim
-			baseRec = func(cfg sim.Config, _ *obs.Recorder) (sim.Result, error) { return s(cfg) }
-		} else {
-			baseRec = sim.PooledRunRecorded
-		}
-	}
-	return func(cfg sim.Config) (sim.Result, error) {
-		start := time.Now()
-		rec := &obs.Recorder{}
-		rec.Stamp(obs.PhaseWait, e.Trace.Start(), start)
-		rec.Begin(obs.PhaseLookup)
-		ran := false
-		res, err := e.Store.GetOrCompute(cfg, func(c sim.Config) (sim.Result, error) {
-			ran = true
-			rec.End(obs.PhaseLookup)
-			r, cerr := baseRec(c, rec)
-			if cerr == nil {
-				computed.Add(1)
-			}
-			return r, cerr
-		})
-		if !ran {
-			rec.End(obs.PhaseLookup)
-		}
-		end := time.Now()
-		outcome := "served"
-		if ran {
-			outcome = "computed"
-			rec.Counters.CellsComputed = 1
-		} else {
-			rec.Counters.CellsServed = 1
-		}
-		key := cache.Key(cfg)
-		if err == nil {
-			j.done(key)
-			if e.Observe != nil {
-				e.Observe(cfg)
-			}
-		}
-		cell := obs.CellFromRecorder(CellLabel(cfg), key, outcome, rec, start, end)
-		if err != nil {
-			cell.Err = err.Error()
-		}
-		e.Trace.Add(cell)
-		return res, err
-	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -91,7 +92,7 @@ func TestCampaignColdThenWarmMatchesGolden(t *testing.T) {
 
 	var calls atomic.Int64
 	eng := &Engine{Store: store, Workers: 4, Sim: countingSim(&calls)}
-	cold, err := eng.Run(spec)
+	cold, err := eng.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestCampaignColdThenWarmMatchesGolden(t *testing.T) {
 		t.Errorf("cold stats = %v", cold.Stats)
 	}
 
-	warm, err := eng.Run(spec)
+	warm, err := eng.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCampaignInterruptedThenResumed(t *testing.T) {
 	// First run: killed after 5 completed simulations.
 	var calls1 atomic.Int64
 	eng1 := &Engine{Store: newStore(t, dir), Workers: 2, Sim: failAfter(interruptAt, &calls1)}
-	if _, err := eng1.Run(spec); err == nil {
+	if _, err := eng1.RunCtx(context.Background(), spec); err == nil {
 		t.Fatal("interrupted campaign reported success")
 	} else if !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("unexpected error: %v", err)
@@ -154,7 +155,7 @@ func TestCampaignInterruptedThenResumed(t *testing.T) {
 	// Restart in a fresh store (fresh process, in effect), resuming.
 	var calls2 atomic.Int64
 	eng2 := &Engine{Store: newStore(t, dir), Workers: 2, Resume: true, Sim: countingSim(&calls2)}
-	out, err := eng2.Run(spec)
+	out, err := eng2.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func tinySpec() Spec {
 func TestEngineMemoryOnlyStore(t *testing.T) {
 	store := newStore(t, "") // no disk: still deduplicates and folds
 	eng := &Engine{Store: store, Workers: 2, Sim: fakeSim}
-	out, err := eng.Run(tinySpec())
+	out, err := eng.RunCtx(context.Background(), tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,15 +321,15 @@ func TestSpecBackendsAxis(t *testing.T) {
 
 func TestJournalTornLineAndResume(t *testing.T) {
 	dir := t.TempDir()
-	j, err := openJournal(dir, strings.Repeat("ab", 32), 10, false)
+	j, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k1, k2 := strings.Repeat("11", 32), strings.Repeat("22", 32)
-	j.done(k1)
-	j.done(k2)
-	j.done(k2) // idempotent
-	j.close()
+	j.Done(k1)
+	j.Done(k2)
+	j.Done(k2) // idempotent
+	j.Close()
 
 	// Simulate a crash mid-append: a torn half-written key.
 	path := journalPath(dir, strings.Repeat("ab", 32))
@@ -336,35 +337,35 @@ func TestJournalTornLineAndResume(t *testing.T) {
 	f.WriteString(strings.Repeat("33", 10))
 	f.Close()
 
-	r, err := openJournal(dir, strings.Repeat("ab", 32), 10, true)
+	r, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.resumed() != 2 {
-		t.Errorf("resumed = %d, want 2 (torn line must be dropped)", r.resumed())
+	if r.Resumed() != 2 {
+		t.Errorf("resumed = %d, want 2 (torn line must be dropped)", r.Resumed())
 	}
 	// A key appended right after the torn line must not be glued onto it:
 	// the next resume still sees it.
 	k3 := strings.Repeat("44", 32)
-	r.done(k3)
-	r.close()
-	r2, err := openJournal(dir, strings.Repeat("ab", 32), 10, true)
+	r.Done(k3)
+	r.Close()
+	r2, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r2.close()
-	if r2.resumed() != 3 {
-		t.Errorf("resumed = %d, want 3 (key after torn line must survive)", r2.resumed())
+	defer r2.Close()
+	if r2.Resumed() != 3 {
+		t.Errorf("resumed = %d, want 3 (key after torn line must survive)", r2.Resumed())
 	}
 
 	// Without resume, the journal restarts from zero.
-	fresh, err := openJournal(dir, strings.Repeat("ab", 32), 10, false)
+	fresh, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.close()
-	if fresh.resumed() != 0 {
-		t.Errorf("fresh journal resumed %d", fresh.resumed())
+	defer fresh.Close()
+	if fresh.Resumed() != 0 {
+		t.Errorf("fresh journal resumed %d", fresh.Resumed())
 	}
 }
 
@@ -463,7 +464,7 @@ func TestPopulationCampaignInterruptedThenResumed(t *testing.T) {
 	}
 
 	// Reference: one uninterrupted cold run in its own store.
-	ref, err := (&Engine{Store: newStore(t, t.TempDir()), Workers: 2, PopulationChunk: 2}).Run(spec)
+	ref, err := (&Engine{Store: newStore(t, t.TempDir()), Workers: 2, PopulationChunk: 2}).RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +482,7 @@ func TestPopulationCampaignInterruptedThenResumed(t *testing.T) {
 	const interruptAt = 4
 	var calls1 atomic.Int64
 	eng1 := &Engine{Store: newStore(t, dir), Workers: 2, Sim: failAfter(interruptAt, &calls1)}
-	if _, err := eng1.Run(spec); err == nil {
+	if _, err := eng1.RunCtx(context.Background(), spec); err == nil {
 		t.Fatal("interrupted population campaign reported success")
 	}
 
@@ -489,7 +490,7 @@ func TestPopulationCampaignInterruptedThenResumed(t *testing.T) {
 	// chunk size: results must not notice either.
 	var calls2 atomic.Int64
 	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Resume: true, PopulationChunk: 1, Sim: countingSim(&calls2)}
-	out, err := eng2.Run(spec)
+	out, err := eng2.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +617,7 @@ func TestErosionCampaignInterruptedThenResumed(t *testing.T) {
 	}
 
 	// Reference: one uninterrupted cold run in its own store.
-	ref, err := (&Engine{Store: newStore(t, t.TempDir()), Workers: 2}).Run(spec)
+	ref, err := (&Engine{Store: newStore(t, t.TempDir()), Workers: 2}).RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +630,7 @@ func TestErosionCampaignInterruptedThenResumed(t *testing.T) {
 	const interruptAt = 4
 	var calls1 atomic.Int64
 	eng1 := &Engine{Store: newStore(t, dir), Workers: 2, Sim: failAfter(interruptAt, &calls1)}
-	if _, err := eng1.Run(spec); err == nil {
+	if _, err := eng1.RunCtx(context.Background(), spec); err == nil {
 		t.Fatal("interrupted temporal campaign reported success")
 	}
 
@@ -637,7 +638,7 @@ func TestErosionCampaignInterruptedThenResumed(t *testing.T) {
 	// worker count: the erosion table must not notice either.
 	var calls2 atomic.Int64
 	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Resume: true, Sim: countingSim(&calls2)}
-	out, err := eng2.Run(spec)
+	out, err := eng2.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,18 @@ import (
 // journal stores only accounting, never results.
 const journalHeader = "svard-campaign v1"
 
-// journal is the campaign checkpoint: an append-only file of completed
+// Journal is the campaign checkpoint: an append-only file of completed
 // job keys, named by the campaign fingerprint under the cache directory.
 // It exists for accounting and observability (how far did the
 // interrupted run get), not correctness — the result cache alone makes a
 // restart skip completed work. A torn final line from a crash is
 // skipped on resume, and the corresponding cell simply replays as a
 // cache hit.
-type journal struct {
+//
+// The engine and the distributed fabric's dispatch plane journal through
+// the same type, format, and path scheme, so a campaign interrupted under
+// the fabric resumes under a local engine run and vice versa.
+type Journal struct {
 	mu           sync.Mutex
 	f            *os.File // nil: memory-only store, accounting is per-process
 	seen         map[string]bool
@@ -30,11 +34,12 @@ func journalPath(dir, fingerprint string) string {
 	return filepath.Join(dir, "campaign-"+fingerprint[:16]+".journal")
 }
 
-// openJournal opens the campaign's journal. With resume set and an
-// existing journal for the same fingerprint, previously completed keys
-// are loaded; otherwise a fresh journal replaces whatever was there.
-func openJournal(dir, fingerprint string, total int, resume bool) (*journal, error) {
-	j := &journal{seen: make(map[string]bool)}
+// OpenJournal opens the campaign's journal under the cache directory (an
+// empty dir keeps it in memory only). With resume set and an existing
+// journal for the same fingerprint, previously completed keys are
+// loaded; otherwise a fresh journal replaces whatever was there.
+func OpenJournal(dir, fingerprint string, total int, resume bool) (*Journal, error) {
+	j := &Journal{seen: make(map[string]bool)}
 	if dir == "" {
 		return j, nil
 	}
@@ -81,13 +86,13 @@ func openJournal(dir, fingerprint string, total int, resume bool) (*journal, err
 	return j, nil
 }
 
-// resumed returns how many jobs were already journaled when the run
+// Resumed returns how many jobs were already journaled when the run
 // started.
-func (j *journal) resumed() int { return j.resumedCount }
+func (j *Journal) Resumed() int { return j.resumedCount }
 
-// done records one completed job (idempotent across restarts, so a
+// Done records one completed job (idempotent across restarts, so a
 // resumed run's cache hits do not duplicate lines).
-func (j *journal) done(key string) {
+func (j *Journal) Done(key string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.seen[key] {
@@ -100,7 +105,9 @@ func (j *journal) done(key string) {
 	}
 }
 
-func (j *journal) close() {
+// Close releases the journal file; the record stays on disk for the next
+// resume.
+func (j *Journal) Close() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f != nil {
@@ -109,41 +116,9 @@ func (j *journal) close() {
 	}
 }
 
-// has reports whether key is already journaled.
-func (j *journal) has(key string) bool {
+// Seen reports whether key is already journaled.
+func (j *Journal) Seen(key string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seen[key]
 }
-
-// Journal is the exported view of a campaign checkpoint, for layers
-// above the engine: the distributed fabric journals its dispatch-phase
-// completions through it, so a restarted coordinator resumes a
-// campaign instead of re-dispatching finished cells. It shares the
-// engine's on-disk format and path scheme — a campaign interrupted
-// under the fabric resumes under a local engine run and vice versa.
-type Journal struct{ j *journal }
-
-// OpenJournal opens (resume) or creates the journal for a campaign
-// fingerprint under the cache directory. An empty dir keeps the
-// journal in memory only.
-func OpenJournal(dir, fingerprint string, total int, resume bool) (*Journal, error) {
-	j, err := openJournal(dir, fingerprint, total, resume)
-	if err != nil {
-		return nil, err
-	}
-	return &Journal{j: j}, nil
-}
-
-// Done records one completed cell key (idempotent).
-func (j *Journal) Done(key string) { j.j.done(key) }
-
-// Seen reports whether key is recorded as completed.
-func (j *Journal) Seen(key string) bool { return j.j.has(key) }
-
-// Resumed returns how many cells were already journaled at open.
-func (j *Journal) Resumed() int { return j.j.resumed() }
-
-// Close releases the journal file; the record stays on disk for the
-// next resume.
-func (j *Journal) Close() { j.j.close() }

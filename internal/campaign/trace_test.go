@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestCampaignTraceRidesAlong(t *testing.T) {
 
 	cold := obs.NewTrace()
 	eng := &Engine{Store: store, Workers: 4, Trace: cold}
-	out, err := eng.Run(spec)
+	out, err := eng.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCampaignTraceRidesAlong(t *testing.T) {
 	// and the serve path stamps a lookup-only timeline.
 	warm := obs.NewTrace()
 	eng.Trace = warm
-	out, err = eng.Run(spec)
+	out, err = eng.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,11 @@ type Config struct {
 	// journal's home (required).
 	Store *cache.Store
 
-	// Sim is the local fallback executor for cells no worker managed to
-	// deliver within MaxCellAttempts lease generations (nil: sim.Run).
-	// Tests inject counting runners.
+	// Sim replaces the executor behind the coordinator's own cell path —
+	// the local fallback for cells no worker managed to deliver within
+	// MaxCellAttempts lease generations. nil means the one default every
+	// route shares: the pooled simulator (see campaign.Cell). Tests inject
+	// counting runners.
 	Sim sim.Runner
 
 	// Workers bounds local parallelism (fallback computes and the final
@@ -124,6 +126,11 @@ type Coordinator struct {
 	cfg Config
 	mux *http.ServeMux
 
+	// cell is the coordinator's own cell path (store, executor, and
+	// Workers local slots): the last resort for cells the fleet could not
+	// deliver.
+	cell campaign.Cell
+
 	mu         sync.Mutex
 	workers    map[string]*worker
 	nextWorker int64
@@ -171,8 +178,6 @@ type runState struct {
 	served    int
 	stats     DispatchStats
 
-	localSem chan struct{}
-
 	failErr  error
 	finished chan struct{}
 	ended    bool
@@ -206,7 +211,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	c := &Coordinator{cfg: cfg, workers: make(map[string]*worker), mux: http.NewServeMux()}
+	c := &Coordinator{
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		cell:    campaign.Cell{Store: cfg.Store, Sim: cfg.Sim, Slots: make(chan struct{}, max(1, cfg.Workers))},
+		workers: make(map[string]*worker),
+	}
 	c.mux.HandleFunc("POST /api/v1/workers", c.handleRegister)
 	c.mux.HandleFunc("POST /api/v1/heartbeat", c.handleHeartbeat)
 	c.mux.HandleFunc("GET /api/v1/objects/{key}", c.handleObjectGet)
@@ -261,7 +271,6 @@ func (c *Coordinator) RunCtx(ctx context.Context, spec campaign.Spec) (*Result, 
 		done:     make([]bool, len(jobs)),
 		attempts: make([]int, len(jobs)),
 		journal:  journal,
-		localSem: make(chan struct{}, maxInt(1, c.cfg.Workers)),
 		finished: make(chan struct{}),
 	}
 	for i, j := range jobs {
@@ -308,7 +317,7 @@ func (c *Coordinator) RunCtx(ctx context.Context, spec campaign.Spec) (*Result, 
 		if err := c.waitForWorkers(ctx, run); err != nil {
 			return nil, err
 		}
-		tick := time.NewTicker(maxDur(c.cfg.LeaseTTL/4, 10*time.Millisecond))
+		tick := time.NewTicker(max(c.cfg.LeaseTTL/4, 10*time.Millisecond))
 		defer tick.Stop()
 		c.mu.Lock()
 		c.dispatchLocked(run)
@@ -575,24 +584,9 @@ func (c *Coordinator) completeLocked(run *runState, idx int, computed bool) {
 }
 
 // computeLocal is the last-resort path: the coordinator runs the cell
-// through its own store and simulator.
+// on its own cell path.
 func (c *Coordinator) computeLocal(run *runState, idx int) {
-	select {
-	case run.localSem <- struct{}{}:
-	case <-run.ctx.Done():
-		return
-	}
-	defer func() { <-run.localSem }()
-
-	base := c.cfg.Sim
-	if base == nil {
-		base = sim.Run
-	}
-	computed := false
-	_, err := c.cfg.Store.GetOrCompute(run.jobs[idx].Config, func(cfg sim.Config) (sim.Result, error) {
-		computed = true
-		return base(cfg)
-	})
+	_, computed, err := c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -604,6 +598,9 @@ func (c *Coordinator) computeLocal(run *runState, idx int) {
 		return
 	}
 	if err != nil {
+		if run.ctx.Err() != nil {
+			return // cancelled, not failed: RunCtx reports the cause itself
+		}
 		// Local compute was the end of the line for this cell: the
 		// campaign fails rather than silently losing a cell.
 		run.failErr = fmt.Errorf("fabric: cell %s failed after %d dispatch attempts and a local compute: %w",
@@ -613,20 +610,6 @@ func (c *Coordinator) computeLocal(run *runState, idx int) {
 		return
 	}
 	c.completeLocked(run, idx, computed)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- HTTP surface -----------------------------------------------------
@@ -737,7 +720,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !wellFormedKey(key) {
+	if !cache.WellFormedKey(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed object key %q", key))
 		return
 	}
@@ -758,7 +741,7 @@ func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !wellFormedKey(key) {
+	if !cache.WellFormedKey(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed object key %q", key))
 		return
 	}
@@ -801,18 +784,4 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"objects_served":  c.objectsServed.Load(),
 		"objects_stored":  c.objectsStored.Load(),
 	})
-}
-
-// wellFormedKey matches the exact shape cache.Key produces: 64
-// lowercase hex characters.
-func wellFormedKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for _, ch := range key {
-		if (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
-			return false
-		}
-	}
-	return true
 }

@@ -189,7 +189,7 @@ func localReference(t *testing.T, spec campaign.Spec, runner sim.Runner) *campai
 		t.Fatal(err)
 	}
 	eng := &campaign.Engine{Store: store, Workers: 2, Sim: runner}
-	out, err := eng.Run(spec)
+	out, err := eng.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,5 +529,99 @@ func BenchmarkFabricDispatch(b *testing.B) {
 		if _, err := coord.RunCtx(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRouteParity: one tiny real-simulator spec through every route that
+// can run a cell — a local engine, a svard-served job, a compute batch
+// folded afterwards, and a fabric run whose only worker fails every cell
+// so all of them take the coordinator's local fallback. Every route
+// executes on campaign.Cell with the default executor, so the folded
+// cells must be identical and each route's attribution must add up.
+func TestRouteParity(t *testing.T) {
+	base := sim.DefaultConfig()
+	base.Cores = 2
+	base.RowsPerBank = 2048
+	base.CellsPerRow = 2048
+	base.InstrPerCore = 8_000
+	base.WarmupPerCore = 1_000
+	spec := campaign.Spec{
+		Figures:  []string{campaign.Fig12},
+		Base:     base,
+		Mixes:    [][]string{{"mcf06", "lbm06"}},
+		NRHs:     []float64{256, 64},
+		Defenses: []string{"para"},
+		Profiles: []string{"S0"},
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := localReference(t, spec, nil)
+
+	check := func(route string, cells []sim.Fig12Cell, total, computed, served, resumed int) {
+		t.Helper()
+		if !bytes.Equal(mustJSON(t, cells), mustJSON(t, want.Fig12)) {
+			t.Errorf("%s: folded cells differ from the local engine's:\ngot  %s\nwant %s", route, mustJSON(t, cells), mustJSON(t, want.Fig12))
+		}
+		if total != len(jobs) || computed+served+resumed != total {
+			t.Errorf("%s: computed %d + served %d + resumed %d != total %d (spec has %d cells)",
+				route, computed, served, resumed, total, len(jobs))
+		}
+	}
+	check("engine", want.Fig12, want.Total, want.Computed, want.Served, want.Resumed)
+	if want.Computed != len(jobs) {
+		t.Errorf("engine over a fresh store computed %d of %d cells", want.Computed, len(jobs))
+	}
+
+	// A svard-served job, submit → wait → result over HTTP.
+	ts, _, _ := newWorker(t, nil, nil)
+	c := client.New(ts.URL)
+	info, err := c.Submit(ctx, spec, "parity", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, info.ID, nil); err != nil || final.State != server.StateDone {
+		t.Fatalf("served job ended %+v, err %v", final, err)
+	}
+	res, err := c.Result(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("served job", res.Fig12, res.Total, res.Computed, res.Served, res.Resumed)
+
+	// A compute batch on a fresh worker, then a fold over its store.
+	ts2, _, store2 := newWorker(t, nil, nil)
+	cfgs := make([]sim.Config, len(jobs))
+	for i, j := range jobs {
+		cfgs[i] = j.Config
+	}
+	batch, err := client.New(ts2.URL).Compute(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, err := (&campaign.Engine{Store: store2, Workers: 2}).RunCtx(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("compute batch", folded.Fig12, len(batch.Cells), batch.Computed, batch.Served, batch.Failed)
+	if batch.Computed != len(jobs) || folded.Computed != 0 {
+		t.Errorf("compute batch computed %d cells and its fold %d; want %d and 0", batch.Computed, folded.Computed, len(jobs))
+	}
+
+	// The fabric with a worker that never delivers: every cell exhausts
+	// its one dispatch attempt and runs on the coordinator's own cell path.
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{Workers: 2, BatchSize: 2, MaxCellAttempts: 1})
+	broken, _, _ := newWorker(t, func(sim.Config) (sim.Result, error) { return sim.Result{}, os.ErrDeadlineExceeded }, nil)
+	register(t, coordURL, "broken", broken.URL)
+	out, err := coord.RunCtx(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fabric local fallback", out.Fig12, out.Total, out.Computed, out.Served, out.Resumed)
+	if out.Dispatch.LocalCells != len(jobs) || out.Computed != len(jobs) {
+		t.Errorf("fabric: %d local cells, %d computed; want all %d on the local fallback (%s)",
+			out.Dispatch.LocalCells, out.Computed, len(jobs), out.Dispatch)
 	}
 }

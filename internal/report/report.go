@@ -5,9 +5,11 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
+	"svard/internal/campaign"
 	"svard/internal/charz"
 	"svard/internal/sim"
 )
@@ -314,4 +316,33 @@ func Fig13(cells []sim.Fig13Cell) string {
 		t.Add(c.Defense, c.Config, fmt.Sprintf("%.3f", c.Slowdown), fmt.Sprintf("%.3f", c.RelToNoSvard))
 	}
 	return t.String()
+}
+
+// Outcome prints a completed campaign, whichever route ran it: every
+// figure the outcome carries — Fig. 12 points, population bands (one
+// table per defense, in the order given; empty means all five), margin
+// erosion, Fig. 13 — then the exactly-once accounting line.
+func Outcome(w io.Writer, defenses []string, out *campaign.Outcome) {
+	if len(defenses) == 0 {
+		defenses = sim.DefenseNames
+	}
+	for _, d := range defenses {
+		if out.Fig12 != nil {
+			fmt.Fprintln(w, Fig12(d, out.Fig12))
+		}
+		if out.Bands != nil {
+			fmt.Fprintln(w, Bands(d, out.Bands))
+		}
+	}
+	if out.Erosion != nil {
+		fmt.Fprintln(w, Erosion(out.Erosion))
+	}
+	if out.Fig13 != nil {
+		fmt.Fprintln(w, Fig13(out.Fig13))
+	}
+	fmt.Fprintf(w, "campaign: %d cells, %d computed, %d served from cache", out.Total, out.Computed, out.Served)
+	if out.Resumed > 0 {
+		fmt.Fprintf(w, ", %d resumed from a previous run's journal", out.Resumed)
+	}
+	fmt.Fprintln(w)
 }

@@ -60,26 +60,10 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
 	}
-	base := s.sim
-	if base == nil {
-		base = sim.Run
-	}
 	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (ComputeCell, error) {
 		cfg := cfgs[i]
 		cell := ComputeCell{Key: cache.Key(cfg), Label: campaign.CellLabel(cfg)}
-		computed := false
-		// The worker slot is taken inside the compute callback only, so
-		// cache hits and deduplicated cells never occupy a slot.
-		_, err := s.store.GetOrCompute(cfg, func(c sim.Config) (sim.Result, error) {
-			select {
-			case s.slots <- struct{}{}:
-			case <-ctx.Done():
-				return sim.Result{}, context.Cause(ctx)
-			}
-			defer func() { <-s.slots }()
-			computed = true
-			return base(c)
-		})
+		_, computed, err := s.cell.Run(ctx, cfg, nil)
 		if err != nil {
 			if ctx.Err() != nil {
 				return cell, context.Cause(ctx)

@@ -6,7 +6,7 @@
 //
 // Determinism is the contract the whole stack inherits from the sweep
 // engine: a job's folded cells are bit-identical to a direct
-// sim.RunFig12/13 call — the scheduler only changes when and where
+// sim.RunFig12Ctx/RunFig13Ctx call — the scheduler only changes when and where
 // cells compute, never what they compute — and the end-to-end tests
 // assert it against internal/sim's golden fixtures.
 package server
@@ -183,12 +183,13 @@ func (j *job) compactLocked() {
 // deduplicate shared cells through the cache's singleflight — two
 // clients sweeping intersecting specs compute each shared cell once.
 type Scheduler struct {
-	store     *cache.Store
-	sim       sim.Runner
+	// cell is the one cell path every job's engine and every compute
+	// batch executes on: the shared store, the injected executor, and one
+	// token per global worker slot.
+	cell      campaign.Cell
 	workers   int
 	maxActive int
-	retain    int           // max jobs kept in the table (terminal ones evicted oldest-first beyond it)
-	slots     chan struct{} // one token per global worker slot
+	retain    int // max jobs kept in the table (terminal ones evicted oldest-first beyond it)
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -207,9 +208,7 @@ type Scheduler struct {
 // admitted jobs (queued jobs beyond it wait their turn); retain bounds
 // the job table (see pruneLocked).
 func newScheduler(store *cache.Store, run sim.Runner, workers, maxActive, retain int) *Scheduler {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
+	workers = exec.Workers(workers) // <= 0: GOMAXPROCS, like the sweep engine
 	if maxActive <= 0 {
 		maxActive = 4
 	}
@@ -217,12 +216,10 @@ func newScheduler(store *cache.Store, run sim.Runner, workers, maxActive, retain
 		retain = 256
 	}
 	return &Scheduler{
-		store:     store,
-		sim:       run,
+		cell:      campaign.Cell{Store: store, Sim: run, Slots: make(chan struct{}, workers)},
 		workers:   workers,
 		maxActive: maxActive,
 		retain:    retain,
-		slots:     make(chan struct{}, workers),
 		jobs:      make(map[string]*job),
 	}
 }
@@ -381,50 +378,17 @@ func (s *Scheduler) run(j *job) {
 	j.append(Event{Type: "state", State: StateRunning})
 	j.mu.Unlock()
 
-	base := s.sim
-	if base == nil {
-		base = sim.Run
-	}
-	// Cells contend for the shared worker slots only when they actually
-	// compute: the slot is taken inside the cache's compute callback, so
-	// cache hits (and cells deduplicated onto another job's computation)
-	// never occupy a worker.
-	slotted := func(cfg sim.Config) (sim.Result, error) {
-		select {
-		case s.slots <- struct{}{}:
-		case <-j.ctx.Done():
-			return sim.Result{}, context.Cause(j.ctx)
-		}
-		defer func() { <-s.slots }()
-		return base(cfg)
-	}
-	// The recorded variant: same slot gating, but a cache miss runs with
-	// the cell's flight recorder attached so the job's trace carries
-	// sim-internal counters and phases. An injected test runner (s.sim)
-	// runs unrecorded — the campaign engine still stamps the cell's
-	// spans around it.
-	slottedRec := func(cfg sim.Config, rec *obs.Recorder) (sim.Result, error) {
-		select {
-		case s.slots <- struct{}{}:
-		case <-j.ctx.Done():
-			return sim.Result{}, context.Cause(j.ctx)
-		}
-		defer func() { <-s.slots }()
-		if s.sim != nil {
-			return s.sim(cfg)
-		}
-		return sim.RunRecorded(cfg, rec)
-	}
-
 	eng := &campaign.Engine{
-		Store: s.store,
-		// The engine's pool may outnumber the global slots; excess
-		// goroutines just block in slotted, and the shared bound holds.
-		Workers:     s.workers,
-		Resume:      true, // re-submitted specs report prior progress
-		Sim:         slotted,
-		Trace:       j.trace,
-		SimRecorded: slottedRec,
+		Store: s.cell.Store,
+		Sim:   s.cell.Sim,
+		// Cells contend for the shared worker slots only when they
+		// actually compute. The engine's pool may outnumber the global
+		// slots; excess goroutines just queue for one, and the shared
+		// bound holds.
+		Slots:   s.cell.Slots,
+		Workers: s.workers,
+		Resume:  true, // re-submitted specs report prior progress
+		Trace:   j.trace,
 		Observe: func(cfg sim.Config) {
 			s.cellsDone.Add(1)
 			key := cache.Key(cfg)
@@ -592,7 +556,7 @@ func (s *Scheduler) stateCounts() map[State]int {
 }
 
 // busyWorkers is the number of worker slots currently computing cells.
-func (s *Scheduler) busyWorkers() int { return len(s.slots) }
+func (s *Scheduler) busyWorkers() int { return len(s.cell.Slots) }
 
 // Shutdown stops admission, cancels every non-terminal job (each
 // returns within one cell's latency, journal intact for resume), and
@@ -630,9 +594,6 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 		return fmt.Errorf("server: shutdown timed out: %w", context.Cause(ctx))
 	}
 }
-
-// defaultWorkers mirrors the sweep engine's worker default.
-func defaultWorkers() int { return exec.Workers(0) }
 
 var errNotFound = errors.New("server: no such job")
 

@@ -30,8 +30,9 @@ type Config struct {
 	MaxActiveJobs int
 	RetainJobs    int
 
-	// Sim replaces sim.Run as the base executor (tests inject counting
-	// or failing runners; nil means the real simulator).
+	// Sim replaces the executor a cache miss falls back to (tests inject
+	// counting or failing runners). nil means the one default every route
+	// shares: the pooled simulator (see campaign.Cell).
 	Sim sim.Runner
 }
 
@@ -91,23 +92,14 @@ type SubmitRequest struct {
 	Spec     campaign.Spec `json:"spec"`
 }
 
-// ResultResponse is the body of GET /api/v1/jobs/{id}/result.
+// ResultResponse is the body of GET /api/v1/jobs/{id}/result: the job
+// plus its whole campaign.Outcome — every figure (Fig12, Fig13, a
+// population campaign's Bands, a temporal campaign's Erosion) and the
+// exactly-once Computed/Served attribution. Stats is the shared store's
+// global counter snapshot (the whole daemon, not just this job).
 type ResultResponse struct {
-	Job   JobInfo         `json:"job"`
-	Fig12 []sim.Fig12Cell `json:"fig12,omitempty"`
-	Fig13 []sim.Fig13Cell `json:"fig13,omitempty"`
-	// Bands carries a population campaign's Monte Carlo confidence
-	// bands, in place of Fig12 point cells.
-	Bands   []sim.BandCell `json:"bands,omitempty"`
-	Total   int            `json:"total"`
-	Resumed int            `json:"resumed"`
-	// Computed/Served attribute this job's cells exactly: Computed were
-	// simulated by this job, Served came from the cache or another
-	// job's in-flight computation. Stats is the shared store's global
-	// counter snapshot (the whole daemon, not just this job).
-	Computed int         `json:"computed"`
-	Served   int         `json:"served"`
-	Stats    cache.Stats `json:"stats"`
+	Job JobInfo `json:"job"`
+	campaign.Outcome
 }
 
 // CellResponse is the body of GET /api/v1/cells/{key}.
@@ -230,17 +222,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job %s is %s; results exist only for %s jobs", info.ID, info.State, StateDone))
 		return
 	}
-	writeJSON(w, http.StatusOK, ResultResponse{
-		Job:      info,
-		Fig12:    out.Fig12,
-		Fig13:    out.Fig13,
-		Bands:    out.Bands,
-		Total:    out.Total,
-		Resumed:  out.Resumed,
-		Computed: out.Computed,
-		Served:   out.Served,
-		Stats:    out.Stats,
-	})
+	writeJSON(w, http.StatusOK, ResultResponse{Job: info, Outcome: *out})
 }
 
 // handleTrace serves a job's flight-recorder timeline as Chrome
@@ -268,7 +250,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // "key" could otherwise traverse out of the cache directory.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !cache.WellFormedKey(key) {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("malformed cell key %q: want 64 lowercase hex chars (a cache.Key)", key))
 		return
@@ -279,20 +261,6 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, CellResponse{Key: key, Result: res})
-}
-
-// validKey reports whether key has the exact shape cache.Key produces:
-// 64 lowercase hex characters, nothing else.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for _, c := range key {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // handleKey maps a posted sim.Config to its content-addressed cache

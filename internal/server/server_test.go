@@ -911,6 +911,69 @@ func TestPopulationCampaignOverHTTP(t *testing.T) {
 	}
 }
 
+// TestTemporalCampaignOverHTTP: a margin-erosion campaign rides the same
+// submit/schedule/result path, and the result endpoint returns its
+// erosion cells — bit-identical to a direct sim.RunErosionCtx — rather
+// than a done job with no figure at all.
+func TestTemporalCampaignOverHTTP(t *testing.T) {
+	base := sim.DefaultConfig()
+	base.Cores = 2
+	base.RowsPerBank = 2048
+	base.CellsPerRow = 2048
+	base.InstrPerCore = 8_000
+	base.WarmupPerCore = 1_000
+	spec := campaign.Spec{
+		Figures:  []string{campaign.Fig12},
+		Base:     base,
+		Mixes:    [][]string{{"mcf06", "lbm06"}},
+		NRHs:     []float64{256, 64},
+		Defenses: []string{"para"},
+		Temporal: &campaign.TemporalSpec{
+			Process:   temporal.Spec{EpochCycles: 65536, Drift: -0.03, Sigma: 0.05},
+			Intervals: []uint64{0, 16},
+		},
+	}
+	ctx := context.Background()
+	want, err := sim.RunErosionCtx(ctx, sim.ErosionOptions{
+		Base:      spec.Base,
+		Process:   spec.Temporal.Process,
+		Intervals: spec.Temporal.Intervals,
+		Mixes:     spec.Mixes,
+		NRHs:      spec.NRHs,
+		Defenses:  spec.Defenses,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 2})
+	info, err := c.Submit(ctx, spec, "temporal", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, info.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != server.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	res, err := c.Result(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Fig12) != 0 || len(res.Bands) != 0 {
+		t.Errorf("temporal campaign served %d Fig12 cells and %d bands", len(res.Fig12), len(res.Bands))
+	}
+	if !reflect.DeepEqual(res.Erosion, want) {
+		t.Fatalf("erosion cells over HTTP differ from a direct sim.RunErosionCtx:\ngot  %+v\nwant %+v", res.Erosion, want)
+	}
+	if res.Computed+res.Served+res.Resumed != res.Total || res.Total != info.Total {
+		t.Errorf("attribution: computed %d + served %d + resumed %d != total %d (job sized %d)",
+			res.Computed, res.Served, res.Resumed, res.Total, info.Total)
+	}
+}
+
 // TestHealthzAndMetrics: the observability endpoints expose the
 // scheduler and cache counters the ISSUE names.
 func TestHealthzAndMetrics(t *testing.T) {

@@ -3,9 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"svard/internal/temporal"
-	"svard/internal/trace"
 )
 
 // The margin-erosion sweep quantifies the gap between the two views of
@@ -49,15 +49,7 @@ type ErosionOptions struct {
 
 // fill applies the sweep defaults (idempotent, like Fig12Options.fill).
 func (opt ErosionOptions) fill() ErosionOptions {
-	if len(opt.Mixes) == 0 {
-		opt.Mixes = trace.Mixes(4, opt.Base.Cores, opt.Base.Seed)
-	}
-	if len(opt.NRHs) == 0 {
-		opt.NRHs = DefaultNRHs()
-	}
-	if len(opt.Defenses) == 0 {
-		opt.Defenses = DefenseNames
-	}
+	fillGrid(opt.Base, &opt.Mixes, &opt.NRHs, &opt.Defenses)
 	if len(opt.Intervals) == 0 {
 		opt.Intervals = DefaultErosionIntervals()
 	}
@@ -150,15 +142,10 @@ func ErosionJobs(opt ErosionOptions) ([]Job, error) {
 	return jobs, nil
 }
 
-// RunErosion executes the margin-erosion sweep and returns cells in
-// (defense, config, interval) order.
-func RunErosion(opt ErosionOptions) ([]ErosionCell, error) {
-	return RunErosionCtx(context.Background(), opt)
-}
-
-// RunErosionCtx is RunErosion with cancellation, with the same contract
-// as RunFig12Ctx: results are bit-identical for any Workers value and
-// any Runner faithful to Run, and a cancelled sweep returns no cells.
+// RunErosionCtx executes the margin-erosion sweep and returns cells in
+// (defense, config, interval) order, with the same contract as
+// RunFig12Ctx: results are bit-identical for any Workers value and any
+// Runner faithful to Run, and a cancelled sweep returns no cells.
 func RunErosionCtx(ctx context.Context, opt ErosionOptions) ([]ErosionCell, error) {
 	opt = opt.fill()
 	jobs, err := ErosionJobs(opt)
@@ -196,15 +183,6 @@ func RunErosionCtx(ctx context.Context, opt ErosionOptions) ([]ErosionCell, erro
 		}
 		return best
 	}
-	nrhIndex := func(nrh float64) int {
-		for i, v := range opt.NRHs {
-			if v == nrh {
-				return i
-			}
-		}
-		return -1
-	}
-
 	var cells []ErosionCell
 	for defIdx, defense := range opt.Defenses {
 		for svIdx, name := range []string{"NoSvard", "Svard-" + opt.Base.ModuleLabel} {
@@ -219,7 +197,7 @@ func RunErosionCtx(ctx context.Context, opt ErosionOptions) ([]ErosionCell, erro
 				}
 				if calib > 0 {
 					cell.Shift = cell.LiveNRH / calib
-					cell.Violations = violations(1+si, defIdx, svIdx, nrhIndex(calib))
+					cell.Violations = violations(1+si, defIdx, svIdx, slices.Index(opt.NRHs, calib))
 				}
 				cells = append(cells, cell)
 			}

@@ -15,13 +15,13 @@ import (
 	"svard/internal/trace"
 )
 
-// Runner executes one simulation of a sweep. RunFig12 and RunFig13 route
-// every job through their options' Runner, so a caller can interpose on
-// the unit of work — the campaign engine (internal/campaign) injects a
-// runner that consults the content-addressed result cache before falling
-// back to the simulator. A nil Runner means PooledRun (bit-identical to
-// Run, on the process-wide state pool). A Runner must be deterministic
-// in its Config (Run and PooledRun are) and safe for concurrent use.
+// Runner executes one simulation of a sweep. Every sweep routes each job
+// through its options' Runner, so a caller can interpose on the unit of
+// work — the campaign engine (internal/campaign) injects a runner that
+// consults the content-addressed result cache before falling back to the
+// simulator. A nil Runner means PooledRun (bit-identical to Run, on the
+// process-wide state pool). A Runner must be deterministic in its Config
+// (Run and PooledRun are) and safe for concurrent use.
 type Runner func(Config) (Result, error)
 
 // Job is one simulation of a sweep's flat job list: the full Config it
@@ -32,7 +32,7 @@ type Job struct {
 }
 
 // runJobs fans the job list out over the deterministic worker pool,
-// routing each job through run (nil: Run). Results come back in job
+// routing each job through run (nil: PooledRun). Results come back in job
 // order, bit-identical for any worker count. Cancelling ctx stops
 // dispatching new jobs; jobs already running finish, so the sweep
 // returns within one simulation's latency.
@@ -40,28 +40,25 @@ func runJobs(ctx context.Context, workers int, run Runner, progress func(string)
 	if run == nil {
 		run = PooledRun
 	}
-	report := exec.Progress(progress)
 	if obs.ProfilingLabelsEnabled() {
 		// Attach cell-identity pprof labels around each job so CPU
 		// profiles (svard-perf -cpuprofile, svard-served -pprof)
 		// attribute samples to the cell that burned them. Off by default:
 		// pprof.Do allocates per call, which would break the
 		// allocation-flat sweep budget.
-		return exec.MapCtx(ctx, workers, len(jobs), func(i int) (res Result, err error) {
-			report(jobs[i].Label)
-			cfg := &jobs[i].Config
+		unlabeled := run
+		run = func(cfg Config) (res Result, err error) {
 			labels := pprof.Labels(
 				"defense", cfg.Defense,
 				"nrh", strconv.FormatFloat(cfg.NRH, 'g', -1, 64),
 				"module", cfg.ModuleLabel,
 				"backend", backendLabel(cfg.Backend),
 			)
-			pprof.Do(ctx, labels, func(context.Context) {
-				res, err = run(jobs[i].Config)
-			})
+			pprof.Do(ctx, labels, func(context.Context) { res, err = unlabeled(cfg) })
 			return res, err
-		})
+		}
 	}
+	report := exec.Progress(progress)
 	return exec.MapCtx(ctx, workers, len(jobs), func(i int) (Result, error) {
 		report(jobs[i].Label)
 		return run(jobs[i].Config)
@@ -84,27 +81,19 @@ type Fig12Options struct {
 	// Profiles unset, they become the population's labels
 	// (pop:<seed>:<index>), one Svärd configuration per sampled chip.
 	// This point-estimate path holds every module's tables resident —
-	// for confidence bands over large populations use RunPopulation,
+	// for confidence bands over large populations use RunPopulationCtx,
 	// which streams.
 	Population population.Ref
 
 	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
-	Runner   Runner // per-job executor (nil: Run); see Runner
+	Runner   Runner // per-job executor (nil: PooledRun); see Runner
 	Progress func(string)
 }
 
-// fill applies the sweep defaults; it is idempotent, so RunFig12 and
+// fill applies the sweep defaults; it is idempotent, so RunFig12Ctx and
 // Fig12Jobs agree on the expansion no matter which is called first.
 func (opt Fig12Options) fill() Fig12Options {
-	if len(opt.Mixes) == 0 {
-		opt.Mixes = trace.Mixes(4, opt.Base.Cores, opt.Base.Seed)
-	}
-	if len(opt.NRHs) == 0 {
-		opt.NRHs = DefaultNRHs()
-	}
-	if len(opt.Defenses) == 0 {
-		opt.Defenses = DefenseNames
-	}
+	fillGrid(opt.Base, &opt.Mixes, &opt.NRHs, &opt.Defenses)
 	if len(opt.Profiles) == 0 {
 		if opt.Population.Size >= 1 {
 			opt.Profiles = opt.Population.Labels()
@@ -116,6 +105,20 @@ func (opt Fig12Options) fill() Fig12Options {
 		opt.Backends = []string{opt.Base.Backend}
 	}
 	return opt
+}
+
+// fillGrid applies the defaults every (defense, nRH, mix) grid shares:
+// four drawn mixes, the paper's threshold sweep, all five defenses.
+func fillGrid(base Config, mixes *[][]string, nrhs *[]float64, defenses *[]string) {
+	if len(*mixes) == 0 {
+		*mixes = trace.Mixes(4, base.Cores, base.Seed)
+	}
+	if len(*nrhs) == 0 {
+		*nrhs = DefaultNRHs()
+	}
+	if len(*defenses) == 0 {
+		*defenses = DefenseNames
+	}
 }
 
 // DefaultNRHs returns the paper's swept worst-case HCfirst values.
@@ -207,27 +210,23 @@ func backendLabel(be string) string {
 	return be
 }
 
-// RunFig12 executes the sweep and returns cells in (defense, nRH,
+// RunFig12Ctx executes the sweep and returns cells in (defense, nRH,
 // config) order.
 //
 // The sweep's cells are fully independent simulations: Fig12Jobs
 // enumerates them as one flat list (baselines, then every
 // (defense, nRH, module, svard, mix) cell), each job flows through
-// opt.Runner (default Run) on the deterministic worker pool, and the
-// results fold back into cells by walking the same enumeration. Cells
-// are bit-identical for any Workers value and for any Runner that is
-// faithful to Run — in particular with the campaign engine's result
-// cache cold, warm, or mixed.
-func RunFig12(opt Fig12Options) ([]Fig12Cell, error) {
-	return RunFig12Ctx(context.Background(), opt)
-}
-
-// RunFig12Ctx is RunFig12 with cancellation: once ctx is done no new
-// cell starts, in-flight cells finish, and the call returns ctx's cause
-// within one cell's latency. A cancelled sweep returns no cells —
-// partial figures would silently misrepresent the sweep — but every
-// completed cell already flowed through opt.Runner, so a caching runner
-// (the campaign engine's) keeps them for the next run.
+// opt.Runner on the deterministic worker pool, and the results fold back
+// into cells by walking the same enumeration. Cells are bit-identical
+// for any Workers value and for any Runner that is faithful to Run — in
+// particular with the campaign engine's result cache cold, warm, or
+// mixed.
+//
+// Once ctx is done no new cell starts, in-flight cells finish, and the
+// call returns ctx's cause within one cell's latency. A cancelled sweep
+// returns no cells — partial figures would silently misrepresent the
+// sweep — but every completed cell already flowed through opt.Runner, so
+// a caching runner (the campaign engine's) keeps them for the next run.
 func RunFig12Ctx(ctx context.Context, opt Fig12Options) ([]Fig12Cell, error) {
 	opt = opt.fill()
 	jobs := Fig12Jobs(opt)
@@ -246,33 +245,14 @@ func RunFig12Ctx(ctx context.Context, opt Fig12Options) ([]Fig12Cell, error) {
 	var cells []Fig12Cell
 	for bi, be := range opt.Backends {
 		off := bi * perBackend
-		baseline := func(modIdx, mixIdx int) []float64 {
-			return results[off+modIdx*nMix+mixIdx].IPC
-		}
 		next := off + len(opt.Profiles)*nMix
 
 		// Fold the per-run results back into cells, walking the job list
 		// in its (deterministic) enumeration order.
 		foldCell := func(defense string, nrh float64, modIdx int) Fig12Cell {
-			cell := Fig12Cell{Defense: defense, NRH: nrh, Backend: be}
-			var wss, hss, mss []float64
-			for mi := 0; mi < nMix; mi++ {
-				res := results[next]
-				next++
-				base := baseline(modIdx, mi)
-				cores := make([]metrics.PerCore, len(res.IPC))
-				for c := range cores {
-					cores[c] = metrics.PerCore{BaselineIPC: base[c], IPC: res.IPC[c]}
-				}
-				cell.Violations += res.Violations
-				wss = append(wss, metrics.WeightedSpeedup(cores))
-				hss = append(hss, metrics.HarmonicSpeedup(cores))
-				mss = append(mss, metrics.MaxSlowdown(cores))
-			}
-			cell.WS = mean(wss)
-			cell.HS = mean(hss)
-			cell.MS = mean(mss)
-			cell.WSMin, cell.WSMax = minMax(wss)
+			cell := foldMixes(results[next:next+nMix], results[off+modIdx*nMix:][:nMix])
+			next += nMix
+			cell.Defense, cell.NRH, cell.Backend = defense, nrh, be
 			return cell
 		}
 
@@ -296,6 +276,32 @@ func RunFig12Ctx(ctx context.Context, opt Fig12Options) ([]Fig12Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// foldMixes folds one grid point — one result per mix — against the same
+// module's per-mix no-defense baselines: the three Fig. 12 metrics
+// averaged over mixes, the weighted-speedup span, and the summed
+// violations, as a Fig12Cell without its coordinates. The Fig. 12 point
+// fold and the population band fold are both this fold; they differ
+// only in what they do with the cell.
+func foldMixes(results, baselines []Result) (cell Fig12Cell) {
+	wss := make([]float64, len(results))
+	hss := make([]float64, len(results))
+	mss := make([]float64, len(results))
+	for mi, res := range results {
+		base := baselines[mi].IPC
+		cores := make([]metrics.PerCore, len(res.IPC))
+		for c := range cores {
+			cores[c] = metrics.PerCore{BaselineIPC: base[c], IPC: res.IPC[c]}
+		}
+		cell.Violations += res.Violations
+		wss[mi] = metrics.WeightedSpeedup(cores)
+		hss[mi] = metrics.HarmonicSpeedup(cores)
+		mss[mi] = metrics.MaxSlowdown(cores)
+	}
+	cell.WS, cell.HS, cell.MS = mean(wss), mean(hss), mean(mss)
+	cell.WSMin, cell.WSMax = minMax(wss)
+	return cell
 }
 
 func mergeCells(defense string, nrh float64, config string, cs []Fig12Cell) Fig12Cell {
@@ -349,7 +355,7 @@ type Fig13Options struct {
 	Population population.Ref
 
 	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
-	Runner   Runner // per-job executor (nil: Run); see Runner
+	Runner   Runner // per-job executor (nil: PooledRun); see Runner
 	Progress func(string)
 }
 
@@ -439,16 +445,11 @@ func Fig13Jobs(opt Fig13Options) ([]Job, error) {
 	return jobs, nil
 }
 
-// RunFig13 evaluates Hydra's and RRS's adversarial access patterns.
-// Like RunFig12, the independent runs flow as a flat job list through
-// opt.Runner over the exec pool, and the cells are identical for any
-// Workers value and any Runner faithful to Run.
-func RunFig13(opt Fig13Options) ([]Fig13Cell, error) {
-	return RunFig13Ctx(context.Background(), opt)
-}
-
-// RunFig13Ctx is RunFig13 with cancellation, with the same contract as
-// RunFig12Ctx.
+// RunFig13Ctx evaluates Hydra's and RRS's adversarial access patterns.
+// Like RunFig12Ctx, the independent runs flow as a flat job list through
+// opt.Runner over the exec pool, the cells are identical for any Workers
+// value and any Runner faithful to Run, and cancellation follows the
+// same contract.
 func RunFig13Ctx(ctx context.Context, opt Fig13Options) ([]Fig13Cell, error) {
 	opt = opt.fill()
 	jobs, err := Fig13Jobs(opt)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -19,12 +20,12 @@ func TestRunFig12ParallelMatchesSerial(t *testing.T) {
 		Profiles: []string{"S0"},
 	}
 	opt.Workers = 1
-	serial, err := RunFig12(opt)
+	serial, err := RunFig12Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 4
-	parallel, err := RunFig12(opt)
+	parallel, err := RunFig12Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +42,12 @@ func TestRunFig13ParallelMatchesSerial(t *testing.T) {
 		Profiles: []string{"S0"},
 	}
 	opt.Workers = 1
-	serial, err := RunFig13(opt)
+	serial, err := RunFig13Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 4
-	parallel, err := RunFig13(opt)
+	parallel, err := RunFig13Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestRunFig13ParallelMatchesSerial(t *testing.T) {
 // TestRunFig12PropagatesRunErrors checks a failing cell surfaces as an
 // error (not a panic or a silent zero cell) through the pool.
 func TestRunFig12PropagatesRunErrors(t *testing.T) {
-	_, err := RunFig12(Fig12Options{
+	_, err := RunFig12Ctx(context.Background(), Fig12Options{
 		Base:     tinyBase(),
 		Mixes:    [][]string{{"no-such-workload", "ycsb-a"}},
 		NRHs:     []float64{64},
@@ -80,19 +81,19 @@ func TestRunFig12PropagatesRunErrors(t *testing.T) {
 func TestRunFig13CoreValidation(t *testing.T) {
 	base := tinyBase()
 	base.Cores = 12
-	if _, err := RunFig13(Fig13Options{Base: base}); err == nil {
+	if _, err := RunFig13Ctx(context.Background(), Fig13Options{Base: base}); err == nil {
 		t.Error("Cores=12 with 7 benign workloads: expected error, got nil")
 	} else if !strings.Contains(err.Error(), "12 cores") {
 		t.Errorf("error %q does not describe the core count", err)
 	}
 
 	base.Cores = 1
-	if _, err := RunFig13(Fig13Options{Base: base}); err == nil {
+	if _, err := RunFig13Ctx(context.Background(), Fig13Options{Base: base}); err == nil {
 		t.Error("Cores=1: expected error, got nil")
 	}
 
 	base.Cores = 0
-	if _, err := RunFig13(Fig13Options{Base: base}); err == nil {
+	if _, err := RunFig13Ctx(context.Background(), Fig13Options{Base: base}); err == nil {
 		t.Error("Cores=0: expected error, got nil")
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func tinyBase() Config {
 	base := DefaultConfig()
@@ -13,7 +16,7 @@ func tinyBase() Config {
 }
 
 func TestRunFig12ShapesHold(t *testing.T) {
-	cells, err := RunFig12(Fig12Options{
+	cells, err := RunFig12Ctx(context.Background(), Fig12Options{
 		Base:     tinyBase(),
 		Mixes:    [][]string{{"mcf06", "ycsb-a"}},
 		NRHs:     []float64{2048, 64},
@@ -52,7 +55,7 @@ func TestRunFig12ShapesHold(t *testing.T) {
 }
 
 func TestRunFig13Shapes(t *testing.T) {
-	cells, err := RunFig13(Fig13Options{
+	cells, err := RunFig13Ctx(context.Background(), Fig13Options{
 		Base:     tinyBase(),
 		NRH:      64,
 		Benign:   []string{"mcf06"},

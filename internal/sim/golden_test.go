@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -128,7 +129,7 @@ func compareCells[T any](t *testing.T, got, want []T) {
 
 func TestGoldenFig12(t *testing.T) {
 	opt := goldenFig12Options()
-	cells, err := RunFig12(opt)
+	cells, err := RunFig12Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestGoldenFig12(t *testing.T) {
 // DDR4 regressions are — by fixture, not by eye.
 func TestGoldenFig12HBM2(t *testing.T) {
 	opt := goldenFig12HBM2Options()
-	cells, err := RunFig12(opt)
+	cells, err := RunFig12Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestGoldenFig12HBM2(t *testing.T) {
 
 func TestGoldenFig13(t *testing.T) {
 	opt := goldenFig13Options()
-	cells, err := RunFig13(opt)
+	cells, err := RunFig13Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

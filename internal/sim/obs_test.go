@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -182,7 +183,7 @@ func TestGoldenSweepBitIdenticalRecorded(t *testing.T) {
 		t.Skip("golden sweep is seconds-scale")
 	}
 	opt := goldenFig12Options()
-	plain, err := RunFig12(opt)
+	plain, err := RunFig12Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestGoldenSweepBitIdenticalRecorded(t *testing.T) {
 	recorded.Runner = func(cfg Config) (Result, error) {
 		return PooledRunRecorded(cfg, &obs.Recorder{})
 	}
-	cells, err := RunFig12(recorded)
+	cells, err := RunFig12Ctx(context.Background(), recorded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"svard/internal/metrics"
 	"svard/internal/population"
-	"svard/internal/trace"
 )
 
 // PopulationOptions parameterizes the Monte Carlo Fig. 12-style sweep:
@@ -31,21 +29,13 @@ type PopulationOptions struct {
 	Chunk int
 
 	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
-	Runner   Runner // per-job executor (nil: Run); see Runner
+	Runner   Runner // per-job executor (nil: PooledRun); see Runner
 	Progress func(string)
 }
 
 // fill applies the sweep defaults (idempotent).
 func (opt PopulationOptions) fill() PopulationOptions {
-	if len(opt.Mixes) == 0 {
-		opt.Mixes = trace.Mixes(4, opt.Base.Cores, opt.Base.Seed)
-	}
-	if len(opt.NRHs) == 0 {
-		opt.NRHs = DefaultNRHs()
-	}
-	if len(opt.Defenses) == 0 {
-		opt.Defenses = DefenseNames
-	}
+	fillGrid(opt.Base, &opt.Mixes, &opt.NRHs, &opt.Defenses)
 	if opt.Chunk <= 0 {
 		opt.Chunk = 16
 	}
@@ -79,49 +69,23 @@ type BandCell struct {
 	Violations uint64
 }
 
-// populationModuleJobs enumerates one module's flat job list: the
-// defense-free baseline per mix, then one job per (defense, nRH, svard,
-// mix) in the exact order foldModule consumes results.
+// populationModuleJobs enumerates one module's flat job list. A sampled
+// chip is just one more profile label, so this IS the single-profile
+// Fig. 12 expansion: the defense-free baseline per mix, then one job per
+// (defense, nRH, svard, mix) — the order RunPopulationCtx's foldModule
+// consumes results in.
 func populationModuleJobs(opt PopulationOptions, index int) []Job {
-	label := population.Label(opt.Population.Seed, index)
-	var jobs []Job
-	for mi := range opt.Mixes {
-		cfg := opt.Base
-		cfg.ModuleLabel = label
-		cfg.Mix = opt.Mixes[mi]
-		cfg.Defense = "none"
-		jobs = append(jobs, Job{
-			Label:  fmt.Sprintf("baseline %s mix %d", label, mi),
-			Config: cfg,
-		})
-	}
-	for _, defense := range opt.Defenses {
-		for _, nrh := range opt.NRHs {
-			for _, svard := range []bool{false, true} {
-				for mi := range opt.Mixes {
-					cfg := opt.Base
-					cfg.ModuleLabel = label
-					cfg.Mix = opt.Mixes[mi]
-					cfg.Defense = defense
-					cfg.NRH = nrh
-					cfg.Svard = svard
-					name := BandNoSvard
-					if svard {
-						name = BandSvard
-					}
-					jobs = append(jobs, Job{
-						Label:  fmt.Sprintf("%s nRH=%v %s %s mix %d", defense, nrh, name, label, mi),
-						Config: cfg,
-					})
-				}
-			}
-		}
-	}
-	return jobs
+	return Fig12Jobs(Fig12Options{
+		Base:     opt.Base,
+		Mixes:    opt.Mixes,
+		NRHs:     opt.NRHs,
+		Defenses: opt.Defenses,
+		Profiles: []string{population.Label(opt.Population.Seed, index)},
+	})
 }
 
 // PopulationJobs expands the sweep into its flat, module-major job
-// list — the enumeration RunPopulation executes chunk by chunk, and the
+// list — the enumeration RunPopulationCtx executes chunk by chunk, and the
 // campaign engine uses to size and checkpoint a population campaign
 // before running it.
 func PopulationJobs(opt PopulationOptions) ([]Job, error) {
@@ -154,9 +118,9 @@ func newBandAcc() bandAcc {
 	}
 }
 
-// RunPopulation executes the Monte Carlo sweep and returns band cells
-// in (defense, nRH, config) order — the population analogue of
-// RunFig12's point estimates.
+// RunPopulationCtx executes the Monte Carlo sweep and returns band
+// cells in (defense, nRH, config) order — the population analogue of
+// RunFig12Ctx's point estimates.
 //
 // The sweep streams: modules are evaluated Chunk at a time, each
 // module's per-mix results fold into its three per-config metrics
@@ -168,14 +132,10 @@ func newBandAcc() bandAcc {
 // Bands are bit-identical for any Workers and Chunk value, and for any
 // Runner faithful to Run — in particular the campaign engine's caching
 // runner, cold, warm, or mid-resume.
-func RunPopulation(opt PopulationOptions) ([]BandCell, error) {
-	return RunPopulationCtx(context.Background(), opt)
-}
-
-// RunPopulationCtx is RunPopulation with cancellation, under the same
-// contract as RunFig12Ctx: a cancelled sweep returns no cells, but
-// every completed cell already flowed through opt.Runner, so a caching
-// runner keeps them for the resume.
+//
+// Cancellation follows RunFig12Ctx's contract: a cancelled sweep returns
+// no cells, but every completed cell already flowed through opt.Runner,
+// so a caching runner keeps them for the resume.
 func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, error) {
 	opt = opt.fill()
 	if err := opt.validate(); err != nil {
@@ -193,30 +153,13 @@ func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, e
 	// order: baselines first, then (defense, nRH, svard, mix).
 	foldModule := func(results []Result) {
 		next := nMix
-		acc := 0
-		for range opt.Defenses {
-			for range opt.NRHs {
-				for cfgIdx := 0; cfgIdx < nCfg; cfgIdx++ {
-					var wss, hss, mss []float64
-					for mi := 0; mi < nMix; mi++ {
-						res := results[next]
-						next++
-						base := results[mi].IPC
-						cores := make([]metrics.PerCore, len(res.IPC))
-						for c := range cores {
-							cores[c] = metrics.PerCore{BaselineIPC: base[c], IPC: res.IPC[c]}
-						}
-						accs[acc+cfgIdx].violations += res.Violations
-						wss = append(wss, metrics.WeightedSpeedup(cores))
-						hss = append(hss, metrics.HarmonicSpeedup(cores))
-						mss = append(mss, metrics.MaxSlowdown(cores))
-					}
-					accs[acc+cfgIdx].ws.Add(mean(wss))
-					accs[acc+cfgIdx].hs.Add(mean(hss))
-					accs[acc+cfgIdx].ms.Add(mean(mss))
-				}
-				acc += nCfg
-			}
+		for i := range accs {
+			cell := foldMixes(results[next:next+nMix], results[:nMix])
+			next += nMix
+			accs[i].violations += cell.Violations
+			accs[i].ws.Add(cell.WS)
+			accs[i].hs.Add(cell.HS)
+			accs[i].ms.Add(cell.MS)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -48,7 +49,7 @@ func TestPopulationJobsShape(t *testing.T) {
 
 func TestPopulationBandShapes(t *testing.T) {
 	opt := tinyPopulationOptions(4)
-	cells, err := RunPopulation(opt)
+	cells, err := RunPopulationCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestPopulationBandShapes(t *testing.T) {
 // TestPopulationBandsOrderIndependent is the tentpole invariant: the
 // confidence bands are bit-identical for any Workers and Chunk value.
 func TestPopulationBandsOrderIndependent(t *testing.T) {
-	want, err := RunPopulation(tinyPopulationOptions(5))
+	want, err := RunPopulationCtx(context.Background(), tinyPopulationOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestPopulationBandsOrderIndependent(t *testing.T) {
 		opt := tinyPopulationOptions(5)
 		opt.Workers = alt.workers
 		opt.Chunk = alt.chunk
-		got, err := RunPopulation(opt)
+		got, err := RunPopulationCtx(context.Background(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestPopulationBandsOrderIndependent(t *testing.T) {
 func TestPopulationSweepEvictsModules(t *testing.T) {
 	opt := tinyPopulationOptions(3)
 	opt.Chunk = 2
-	if _, err := RunPopulation(opt); err != nil {
+	if _, err := RunPopulationCtx(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
 	// The sweep's synthetic modules must not stay resident: 10K chips
@@ -137,7 +138,7 @@ func TestPopulationSweepParallelSmoke(t *testing.T) {
 	var mu sync.Mutex
 	seen := 0
 	opt.Progress = func(string) { mu.Lock(); seen++; mu.Unlock() }
-	cells, err := RunPopulation(opt)
+	cells, err := RunPopulationCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

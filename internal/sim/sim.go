@@ -782,23 +782,14 @@ func (m *machine) run(cfg Config) Result {
 	return res
 }
 
-// Run executes one simulation from fresh allocations.
-func Run(cfg Config) (Result, error) {
-	m, err := newMachine(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.run(cfg), nil
-}
-
-// RunRecorded is Run with a flight recorder attached: the run's engine
-// and controller counters fold into rec.Counters, and the build,
-// warmup, run, and fold phases are stamped onto rec. The Result is
-// bit-identical to Run's — the recorder observes, it never steers —
-// and a nil rec makes this exactly Run.
-func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
+// runOn is the one body behind every entry point below: build the
+// machine (on arena st, or from fresh allocations when st is nil), drive
+// it to completion, fold the Result. rec may be nil — every Recorder
+// method is nil-receiver safe — and the Result is bit-identical either
+// way: the recorder observes, it never steers.
+func runOn(st *poolState, cfg Config, rec *obs.Recorder) (Result, error) {
 	rec.Begin(obs.PhaseBuild)
-	m, err := newMachine(cfg)
+	m, err := buildMachine(cfg, st)
 	rec.End(obs.PhaseBuild)
 	if err != nil {
 		return Result{}, err
@@ -806,6 +797,15 @@ func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
 	m.rec = rec
 	return m.run(cfg), nil
 }
+
+// Run executes one simulation from fresh allocations.
+func Run(cfg Config) (Result, error) { return runOn(nil, cfg, nil) }
+
+// RunRecorded is Run with a flight recorder attached: the run's engine
+// and controller counters fold into rec.Counters, and the build,
+// warmup, run, and fold phases are stamped onto rec. A nil rec makes
+// this exactly Run.
+func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) { return runOn(nil, cfg, rec) }
 
 // Pool executes simulations on reusable state arenas. A paper-scale
 // sweep rebuilds its multi-megabyte simulator (LLC arrays, tracker
@@ -829,46 +829,20 @@ func NewPool() *Pool { return &Pool{} }
 
 // Run executes one simulation on a pooled arena, bit-identical to
 // sim.Run(cfg).
-func (p *Pool) Run(cfg Config) (Result, error) {
-	st, _ := p.p.Get().(*poolState)
-	if st == nil {
-		st = &poolState{defenses: make(map[string]mitigation.Defense)}
-	}
-	m, err := buildMachine(cfg, st)
-	if err != nil {
-		// The arena stays reusable: every Reset fully reinitializes,
-		// regardless of how far a failed build got.
-		p.p.Put(st)
-		return Result{}, err
-	}
-	res := m.run(cfg)
-	p.p.Put(st)
-	return res, nil
-}
+func (p *Pool) Run(cfg Config) (Result, error) { return p.RunRecorded(cfg, nil) }
 
-// RunRecorded is Run on a pooled arena with a flight recorder attached
-// (see RunRecorded). Allocation-flat like Run: the recorder is caller-
-// owned, the counters are plain fields, and the phase stamps write into
-// a fixed array. A nil rec is exactly Run.
+// RunRecorded is RunRecorded on a pooled arena. Allocation-flat: the
+// recorder is caller-owned, the counters are plain fields, and the
+// phase stamps write into a fixed array.
 func (p *Pool) RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
-	if rec == nil {
-		return p.Run(cfg)
-	}
 	st, _ := p.p.Get().(*poolState)
 	if st == nil {
 		st = &poolState{defenses: make(map[string]mitigation.Defense)}
 	}
-	rec.Begin(obs.PhaseBuild)
-	m, err := buildMachine(cfg, st)
-	rec.End(obs.PhaseBuild)
-	if err != nil {
-		p.p.Put(st)
-		return Result{}, err
-	}
-	m.rec = rec
-	res := m.run(cfg)
-	p.p.Put(st)
-	return res, nil
+	// The arena stays reusable after a failed build: every Reset fully
+	// reinitializes, regardless of how far the build got.
+	defer p.p.Put(st)
+	return runOn(st, cfg, rec)
 }
 
 // defaultPool backs PooledRun: one process-wide arena pool shared by
@@ -876,10 +850,10 @@ func (p *Pool) RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
 // warm.
 var defaultPool = NewPool()
 
-// PooledRun is Run on the process-wide state pool — the executor the
-// sweep paths (RunFig12/RunFig13, the campaign engine, svard-perf's
-// cache fallback) use. Bit-identical to Run.
-func PooledRun(cfg Config) (Result, error) { return defaultPool.Run(cfg) }
+// PooledRun is Run on the process-wide state pool — the default
+// executor of every sweep and of the campaign cell path
+// (campaign.Cell). Bit-identical to Run.
+func PooledRun(cfg Config) (Result, error) { return defaultPool.RunRecorded(cfg, nil) }
 
 // PooledRunRecorded is RunRecorded on the process-wide state pool.
 func PooledRunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {

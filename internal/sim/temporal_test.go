@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -157,7 +158,7 @@ func TestErosionMarginShifts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("erosion sweep is seconds-scale")
 	}
-	cells, err := RunErosion(erosionTestOptions())
+	cells, err := RunErosionCtx(context.Background(), erosionTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +197,12 @@ func TestErosionDeterministicAcrossWorkers(t *testing.T) {
 	}
 	opt := erosionTestOptions()
 	opt.Workers = 1
-	serial, err := RunErosion(opt)
+	serial, err := RunErosionCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 7
-	parallel, err := RunErosion(opt)
+	parallel, err := RunErosionCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
