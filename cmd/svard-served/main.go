@@ -25,12 +25,12 @@
 //	POST   /api/v1/jobs               submit a campaign.Spec as an async job
 //	GET    /api/v1/jobs               list jobs
 //	GET    /api/v1/jobs/{id}          inspect one job
-//	POST   /api/v1/jobs/{id}/cancel   cancel (also DELETE /api/v1/jobs/{id})
+//	POST   /api/v1/jobs/{id}/cancel   cancel
 //	GET    /api/v1/jobs/{id}/events   stream NDJSON per-cell progress
 //	GET    /api/v1/jobs/{id}/result   folded Fig. 12/13 cells
 //	GET    /api/v1/jobs/{id}/trace    flight-recorder timeline (Chrome trace JSON)
 //	GET    /api/v1/cells/{key}        raw cached cell by config key
-//	POST   /api/v1/key                config -> content-addressed key
+//	POST   /api/v1/compute            run one leased batch of raw cells (fabric dispatch)
 //	GET    /healthz                   liveness + scheduler summary
 //	GET    /metrics                   Prometheus text exposition
 //

@@ -1,4 +1,7 @@
-// svard-sweep runs the performance-evaluation sweeps (Fig. 12, Fig. 13)
+// svard-sweep regenerates the paper's performance evaluation — Fig. 12
+// (five defenses with and without Svärd across worst-case HCfirst
+// values), Obsv. 15's residual overheads, and Fig. 13 (adversarial
+// access patterns) — and is the only binary that does. The sweeps run
 // as resumable campaigns over the content-addressed result cache: every
 // simulation cell persists under -cache-dir keyed by its full
 // configuration, so re-running a campaign — after a crash, or with one
@@ -17,15 +20,24 @@
 //	            [-bands-json FILE]
 //	            [-temporal epoch=65536,drift=-0.05,sigma=0.1] [-temporal-intervals 0,16,64]
 //	            [-spec campaign.json] [-print-spec] [-q]
+//	            [-noskip] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE]
+//
+// With neither -fig12 nor -fig13, both figures run. Defaults are scaled
+// for minutes-scale runs; raise -mixes/-instr toward the paper's 120
+// mixes x 200M instructions as budget allows (see EXPERIMENTS.md).
+// An empty -cache-dir is the uncached one-shot: nothing persists,
+// nothing resumes.
 //
 // A campaign can also be declared as a JSON file (-spec); explicit
 // flags override the file's fields. -print-spec prints the normalized
 // campaign (suitable as a -spec file) without running anything. After a
-// run, the campaign's figures print to stdout followed by the cache
-// statistics (hits, misses, corrupt entries recomputed).
+// run, the campaign's figures print to stdout — the Fig. 12 tables are
+// followed by the Obsv. 15 overheads at the smallest swept nRH — then
+// the cache statistics (hits, misses, corrupt entries recomputed).
 //
 // Examples:
 //
+//	svard-sweep -mixes 3 -instr 120000 -cache-dir ''      # Fig. 12 + Obsv. 15 + Fig. 13, one shot
 //	svard-sweep -fig12 -nrhs 1024,64 -defenses para,rrs   # small sweep, cache cold
 //	svard-sweep -fig12 -nrhs 1024,64 -defenses para,rrs   # same again: all cache hits
 //	svard-sweep -fig12 -mixes 120 -instr 200000000        # paper scale; Ctrl-C it...
@@ -41,6 +53,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -56,6 +70,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
 		specFile  = flag.String("spec", "", "campaign spec JSON file (flags override its fields)")
 		printSpec = flag.Bool("print-spec", false, "print the normalized campaign spec as JSON and exit")
@@ -79,6 +100,7 @@ func main() {
 		profiles = flag.String("profiles", "", "comma-separated module profiles (default S0,M0,H1)")
 		benign   = flag.String("benign", "", "comma-separated Fig. 13 benign workloads")
 		nrh13    = flag.Float64("nrh13", 0, "Fig. 13 HCfirst (default 64)")
+		noSkip   = flag.Bool("noskip", false, "drive every simulation through the per-cycle reference loop instead of the event-driven engine (bit-identical, ~2x slower; see EXPERIMENTS.md)")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 
 		popSize  = flag.Int("population", 0, "sweep a synthetic module population of this size (Fig. 12 confidence bands instead of per-profile points)")
@@ -90,6 +112,8 @@ func main() {
 		temporalIntervals = flag.String("temporal-intervals", "", "comma-separated re-calibration intervals in epochs (default 0,16,64)")
 
 		traceOut = flag.String("trace", "", "write a flight-recorder timeline of the campaign (Chrome trace_event JSON for chrome://tracing / Perfetto / svard-trace) to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
 	)
 	var explicitMixes [][]string
 	flag.Func("mix", "one explicit workload mix, comma-separated (repeatable; overrides -mixes)", func(s string) error {
@@ -101,6 +125,12 @@ func main() {
 		return nil
 	})
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 
 	// Seed the sizing knobs from the flag defaults before loading any spec
 	// file, so a file that omits them declares the same campaign (and hits
@@ -116,10 +146,10 @@ func main() {
 	if *specFile != "" {
 		b, err := os.ReadFile(*specFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := json.Unmarshal(b, &spec); err != nil {
-			fatal(fmt.Errorf("%s: %w", *specFile, err))
+			return fmt.Errorf("%s: %w", *specFile, err)
 		}
 	}
 
@@ -131,7 +161,7 @@ func main() {
 	// sweeping the pinned mixes while the user asked for N drawn ones
 	// would misreport the campaign.
 	if set["mixes"] && (len(explicitMixes) > 0 || len(spec.Mixes) > 0) {
-		fatal(fmt.Errorf("-mixes conflicts with explicitly pinned mixes (from -mix or the spec file); drop one"))
+		return fmt.Errorf("-mixes conflicts with explicitly pinned mixes (from -mix or the spec file); drop one")
 	}
 	applyIf := func(name string, apply func()) {
 		if set[name] || !fromSpecFile {
@@ -145,6 +175,7 @@ func main() {
 	applyIf("rows", func() { spec.Base.RowsPerBank = *rows })
 	applyIf("seed", func() { spec.Base.Seed = *seed })
 	applyIf("nrh13", func() { spec.NRH13 = *nrh13 })
+	applyIf("noskip", func() { spec.Base.NoSkip = *noSkip })
 	if len(explicitMixes) > 0 {
 		spec.Mixes = explicitMixes
 	}
@@ -165,7 +196,7 @@ func main() {
 		for _, s := range splitList(*nrhs) {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			spec.NRHs = append(spec.NRHs, v)
 		}
@@ -185,19 +216,19 @@ func main() {
 	if set["temporal"] {
 		proc, err := temporal.ParseSpec(*temporalSpec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		spec.Temporal = &campaign.TemporalSpec{Process: proc}
 	}
 	if set["temporal-intervals"] {
 		if spec.Temporal == nil {
-			fatal(fmt.Errorf("-temporal-intervals requires -temporal (or a spec file with a temporal block)"))
+			return fmt.Errorf("-temporal-intervals requires -temporal (or a spec file with a temporal block)")
 		}
 		spec.Temporal.Intervals = nil
 		for _, s := range splitList(*temporalIntervals) {
 			v, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			spec.Temporal.Intervals = append(spec.Temporal.Intervals, v)
 		}
@@ -210,7 +241,7 @@ func main() {
 	}
 
 	if err := spec.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if *printSpec {
 		// Print the normalized campaign: with the figures and the drawn
@@ -218,20 +249,20 @@ func main() {
 		// if the drawing defaults ever change.
 		b, err := json.MarshalIndent(spec.Normalized(), "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println(string(b))
-		return
+		return nil
 	}
 
 	store, err := cache.Open(*cacheDir, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if !*quiet {
 		jobs, err := spec.Jobs()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		where := *cacheDir
 		if where == "" {
@@ -283,7 +314,7 @@ func main() {
 		if *cacheDir != "" {
 			fmt.Fprintf(os.Stderr, "campaign interrupted (cache %s; re-run with -resume to continue): ", *cacheDir)
 		}
-		fatal(err)
+		return err
 	}
 
 	report.Outcome(os.Stdout, spec.Defenses, out)
@@ -291,20 +322,62 @@ func main() {
 	if *bandsOut != "" && out.Bands != nil {
 		b, err := report.BandsJSON(out.Bands)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*bandsOut, append(b, '\n'), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "bands written to %s\n", *bandsOut)
 		}
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+// startProfiles begins -cpuprofile and arms -memprofile; run defers the
+// returned stop, so every exit path — errors and interrupts included —
+// leaves complete profiles. The CPU profile file is closed inside stop,
+// after StopCPUProfile's final flush: closing it any earlier truncates
+// short profiles to zero bytes.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+		// Tag each cell's samples with its sweep coordinates so
+		// `go tool pprof -tags` splits the profile by defense/nRH/module.
+		// Off unless profiling: pprof.Do costs allocations per cell.
+		obs.EnableProfilingLabels()
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return
+		}
+		runtime.GC() // materialize the steady-state heap before the snapshot
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}, nil
 }
 
 func splitList(s string) []string {

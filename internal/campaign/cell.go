@@ -10,8 +10,8 @@ import (
 
 // Cell is the one way a simulation cell executes, whichever route asked
 // for it (a local campaign, a svard-served job, a fabric compute batch,
-// the coordinator's local fallback, svard-perf -cache-dir): result-cache
-// lookup, then — on a miss only — a worker slot, then the simulator.
+// the coordinator's local fallback): result-cache lookup, then — on a
+// miss only — a worker slot, then the simulator.
 type Cell struct {
 	Store *cache.Store // result cache (required)
 

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"svard/internal/cache"
 )
 
 // journalHeader's version is independent of cache.SchemaVersion: the
@@ -51,7 +53,7 @@ func OpenJournal(dir, fingerprint string, total int, resume bool) (*Journal, err
 			if len(lines) > 0 && strings.HasPrefix(lines[0], journalHeader+" "+fingerprint) {
 				for _, line := range lines[1:] {
 					line = strings.TrimSpace(line)
-					if len(line) == 64 { // a full hex SHA-256; shorter = torn write
+					if cache.WellFormedKey(line) { // anything else: torn write or foreign bytes
 						j.seen[line] = true
 					}
 				}

@@ -89,6 +89,9 @@ func TestFig4NormalizedAndPeriodic(t *testing.T) {
 func TestFig5FractionsSumToOne(t *testing.T) {
 	m := buildModule(t, "S0")
 	levels := Fig5(m, 2)
+	if len(levels) != 14 { // the paper's 14 tested hammer counts
+		t.Fatalf("levels = %d, want 14", len(levels))
+	}
 	sum := 0.0
 	for _, l := range levels {
 		sum += l.Frac
@@ -110,6 +113,9 @@ func TestFig5FractionsSumToOne(t *testing.T) {
 func TestFig6NormalizedScatter(t *testing.T) {
 	m := buildModule(t, "H0")
 	pts := Fig6(m, 256)
+	if len(pts) == 0 {
+		t.Fatal("no points")
+	}
 	for _, p := range pts {
 		if p.Y < 1 {
 			t.Fatalf("normalized HCfirst %v below 1", p.Y)
@@ -167,7 +173,10 @@ func TestFig9Table3Membership(t *testing.T) {
 		if d.MaxF1 > maxF1 {
 			maxF1 = d.MaxF1
 		}
-		// The Fig. 9 curve is monotone non-increasing.
+		// The Fig. 9 curve is non-empty and monotone non-increasing.
+		if len(d.Fraction) == 0 {
+			t.Errorf("%s: empty fraction curve", label)
+		}
 		for i := 1; i < len(d.Fraction); i++ {
 			if d.Fraction[i] > d.Fraction[i-1]+1e-12 {
 				t.Errorf("%s: fraction curve not monotone", label)

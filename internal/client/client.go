@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"svard/internal/cache"
 	"svard/internal/campaign"
 	"svard/internal/server"
 	"svard/internal/sim"
@@ -112,26 +111,13 @@ func (c *Client) Result(ctx context.Context, id string) (server.ResultResponse, 
 	return res, err
 }
 
-// Cell fetches one raw cached simulation result by its cache key (use
-// cache.Key(cfg) to derive it, or Key for the server's view).
+// Cell fetches one raw cached simulation result by its cache key
+// (cache.Key(cfg) derives it).
 func (c *Client) Cell(ctx context.Context, key string) (sim.Result, error) {
 	var res server.CellResponse
 	err := c.call(ctx, http.MethodGet, "/api/v1/cells/"+url.PathEscape(key), nil, &res)
 	return res.Result, err
 }
-
-// Key asks the server for a config's content-addressed key and whether
-// the cell is already cached. Go clients can compute the key locally
-// with cache.Key; the round-trip buys the Cached bit and keeps non-Go
-// clients honest about the canonical hash.
-func (c *Client) Key(ctx context.Context, cfg sim.Config) (server.KeyResponse, error) {
-	var res server.KeyResponse
-	err := c.call(ctx, http.MethodPost, "/api/v1/key", cfg, &res)
-	return res, err
-}
-
-// LocalKey derives a config's cache key without a round-trip.
-func LocalKey(cfg sim.Config) string { return cache.Key(cfg) }
 
 // Compute runs a batch of raw cells synchronously on the worker and
 // reports per-cell outcomes — the fabric coordinator's dispatch call.

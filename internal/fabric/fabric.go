@@ -41,6 +41,7 @@ import (
 	"svard/internal/cache"
 	"svard/internal/campaign"
 	"svard/internal/client"
+	"svard/internal/server"
 	"svard/internal/sim"
 )
 
@@ -506,21 +507,34 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 	// BEFORE any accounting: a cell is only ever journaled as done once
 	// its bytes are local truth. Workers publish through the remote
 	// cache as they compute, so most of these are already present.
+	//
+	// The reply is untrusted input: entry i answers leased cell
+	// l.cells[i] only if it carries the coordinator's own key for that
+	// cell. A missing, failed or differently keyed entry leaves the cell
+	// undelivered, and every lookup, fetch and store goes by run.keys
+	// (immutable after RunCtx builds it), never by the reported key.
+	reply := func(i int) server.ComputeCell {
+		if i < len(resp.Cells) {
+			return resp.Cells[i]
+		}
+		return server.ComputeCell{}
+	}
 	delivered := make([]bool, len(l.cells))
-	for i, cell := range resp.Cells {
-		if i >= len(l.cells) || cell.Error != "" {
+	for i, idx := range l.cells {
+		key := run.keys[idx]
+		if cell := reply(i); cell.Error != "" || cell.Key != key {
 			continue
 		}
-		if c.cfg.Store.Contains(cell.Key) {
+		if c.cfg.Store.Contains(key) {
 			delivered[i] = true
 			continue
 		}
-		res, err := l.w.client.Cell(run.ctx, cell.Key)
+		res, err := l.w.client.Cell(run.ctx, key)
 		if err != nil {
-			c.cfg.Logf("fabric: lease %d: fetching cell %s from %s: %v", l.id, cell.Key[:8], l.w.name, err)
+			c.cfg.Logf("fabric: lease %d: fetching cell %s from %s: %v", l.id, key[:8], l.w.name, err)
 			continue
 		}
-		if c.cfg.Store.Put(cell.Key, res) == nil {
+		if c.cfg.Store.Put(key, res) == nil {
 			delivered[i] = true
 		}
 	}
@@ -537,11 +551,8 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 	if !stale {
 		delete(l.w.leases, l.id)
 	}
-	for i, cell := range resp.Cells {
-		if i >= len(l.cells) {
-			break
-		}
-		idx := l.cells[i]
+	for i, idx := range l.cells {
+		cell := reply(i)
 		switch {
 		case run.done[idx]:
 			// First completion won; this one changes nothing.
@@ -550,8 +561,8 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 			c.cfg.Logf("fabric: cell %s failed on %s: %s", run.keys[idx][:8], l.w.name, cell.Error)
 			c.requeueLocked(run, idx)
 		case !delivered[i]:
-			// The worker claims completion but the result never became
-			// local truth; treat as undone.
+			// No entry for this cell, one under another key, or a claimed
+			// completion whose result never became local truth: undone.
 			c.requeueLocked(run, idx)
 		case stale:
 			// Completion under an expired lease: the cell may have been

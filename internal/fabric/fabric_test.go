@@ -10,10 +10,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -483,52 +487,88 @@ func TestChaosGoldenByteIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkFabricDispatch measures the fabric's per-campaign dispatch
-// overhead: a 5-cell campaign sharded over two loopback workers with a
-// free simulator, so the time is leases, HTTP, and fold.
-func BenchmarkFabricDispatch(b *testing.B) {
-	store, err := cache.Open(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	newBenchWorker := func() *httptest.Server {
-		ws, err := cache.Open(b.TempDir(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := server.New(server.Config{Store: ws, Workers: 4, Sim: fakeSim})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(svc.Handler())
-		b.Cleanup(ts.Close)
-		return ts
-	}
-	coord, err := fabric.New(fabric.Config{
-		Store: store, BatchSize: 2, LeaseTTL: 10 * time.Minute, MinWorkers: 2, Retry: fastRetry(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(coord.Handler())
-	b.Cleanup(ts.Close)
-	for i, w := range []*httptest.Server{newBenchWorker(), newBenchWorker()} {
-		body, _ := json.Marshal(fabric.RegisterRequest{Name: "bench", URL: w.URL})
-		resp, err := http.Post(ts.URL+"/api/v1/workers", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatalf("register worker %d: %v", i, err)
-		}
-		resp.Body.Close()
-	}
+// TestMisKeyedReplyRequeues: a compute reply is untrusted input. A fake
+// worker (a proxy in front of a real one) answers its first batch with
+// the last cell's key replaced — by "" (too short to name a cell), then
+// by a sibling's well-formed key the coordinator already stores. Either
+// way the coordinator must go by its own key for the leased cell: treat
+// the entry as undelivered, requeue it, and finish with every cell's
+// result in its store — never index the reported key, and never journal
+// a cell with no result behind it (which the fold would then have to
+// recompute on the coordinator's own executor).
+func TestMisKeyedReplyRequeues(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		badKey func(sibling string) string
+	}{
+		{"empty", func(string) string { return "" }},
+		{"sibling", func(sibling string) string { return sibling }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			real, _, _ := newWorker(t, fakeSim, nil)
+			target, err := url.Parse(real.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tampered atomic.Bool
+			proxy := httputil.NewSingleHostReverseProxy(target)
+			proxy.ModifyResponse = func(resp *http.Response) error {
+				if resp.Request.URL.Path != "/api/v1/compute" || tampered.Swap(true) {
+					return nil
+				}
+				var cr server.ComputeResponse
+				if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+					return err
+				}
+				resp.Body.Close()
+				last := len(cr.Cells) - 1
+				cr.Cells[last].Key = tc.badKey(cr.Cells[0].Key)
+				b, err := json.Marshal(cr)
+				if err != nil {
+					return err
+				}
+				resp.Body = io.NopCloser(bytes.NewReader(b))
+				resp.ContentLength = int64(len(b))
+				resp.Header.Set("Content-Length", strconv.Itoa(len(b)))
+				return nil
+			}
+			fake := httptest.NewServer(proxy)
+			t.Cleanup(fake.Close)
 
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A distinct spec per iteration: every campaign dispatches fresh
-		// cells instead of replaying the cache.
-		spec := tinySpec(float64(1000+i), float64(100000+i))
-		if _, err := coord.RunCtx(context.Background(), spec); err != nil {
-			b.Fatal(err)
-		}
+			var localComputes atomic.Int64
+			coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{
+				BatchSize: 16, LeaseTTL: 10 * time.Second, Logf: t.Logf,
+				Sim: func(cfg sim.Config) (sim.Result, error) {
+					localComputes.Add(1)
+					return fakeSim(cfg)
+				},
+			})
+			register(t, coordURL, "fake", fake.URL)
+
+			spec := tinySpec()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			out, err := coord.RunCtx(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tampered.Load() {
+				t.Fatal("no reply was tampered with; the test proved nothing")
+			}
+			if out.Dispatch.Redispatched == 0 {
+				t.Errorf("mis-keyed cell was not requeued (%s)", out.Dispatch)
+			}
+			if n := localComputes.Load(); n != 0 {
+				t.Errorf("coordinator simulated %d cell(s) itself: a cell was journaled with no result in the store", n)
+			}
+			if out.Computed+out.Served != out.Total {
+				t.Errorf("attribution computed=%d served=%d does not add up to %d", out.Computed, out.Served, out.Total)
+			}
+			ref := localReference(t, spec, fakeSim)
+			if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, ref.Fig12)) {
+				t.Error("fold differs from the local reference")
+			}
+		})
 	}
 }
 

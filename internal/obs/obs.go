@@ -256,7 +256,7 @@ func (r *Recorder) Dur(p Phase) time.Duration {
 // profilingLabels gates the pprof cell labels the exec pool attaches
 // around per-cell execution. Off by default: pprof.Do allocates per
 // call, which would break the allocation-flat sweep budget, so only
-// the profiling entry points (svard-perf -cpuprofile, svard-served
+// the profiling entry points (svard-sweep -cpuprofile, svard-served
 // -pprof) switch it on.
 var profilingLabels atomic.Bool
 

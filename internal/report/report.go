@@ -320,8 +320,10 @@ func Fig13(cells []sim.Fig13Cell) string {
 
 // Outcome prints a completed campaign, whichever route ran it: every
 // figure the outcome carries — Fig. 12 points, population bands (one
-// table per defense, in the order given; empty means all five), margin
-// erosion, Fig. 13 — then the exactly-once accounting line.
+// table per defense, in the order given; empty means all five), the
+// Obsv. 15 overheads at the smallest swept nRH whenever there are
+// Fig. 12 points, margin erosion, Fig. 13 — then the exactly-once
+// accounting line.
 func Outcome(w io.Writer, defenses []string, out *campaign.Outcome) {
 	if len(defenses) == 0 {
 		defenses = sim.DefenseNames
@@ -333,6 +335,13 @@ func Outcome(w io.Writer, defenses []string, out *campaign.Outcome) {
 		if out.Bands != nil {
 			fmt.Fprintln(w, Bands(d, out.Bands))
 		}
+	}
+	if len(out.Fig12) > 0 {
+		low := out.Fig12[0].NRH
+		for _, c := range out.Fig12 {
+			low = min(low, c.NRH)
+		}
+		fmt.Fprintln(w, Obsv15(out.Fig12, low))
 	}
 	if out.Erosion != nil {
 		fmt.Fprintln(w, Erosion(out.Erosion))

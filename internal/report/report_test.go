@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"svard/internal/campaign"
 	"svard/internal/charz"
 	"svard/internal/sim"
 	"svard/internal/stats"
@@ -94,6 +95,43 @@ func TestRenderersProduceAllRows(t *testing.T) {
 	for _, want := range []string{"64 ep", "1.00x", "16.00x", "1757", "none", "-"} {
 		if !strings.Contains(ero, want) {
 			t.Errorf("Erosion output missing %q:\n%s", want, ero)
+		}
+	}
+}
+
+// TestOutcomeObsv15: the one campaign printer follows the Fig. 12 tables
+// with the Obsv. 15 overheads at the smallest swept nRH, whatever order
+// the sweep listed its thresholds in, and prints no Obsv. 15 table for
+// outcomes that carry no Fig. 12 points.
+func TestOutcomeObsv15(t *testing.T) {
+	fig12 := []sim.Fig12Cell{
+		{Defense: "rrs", NRH: 64, Config: "NoSvard", WS: 0.5},
+		{Defense: "rrs", NRH: 64, Config: "Svard-S0", WS: 0.9},
+		{Defense: "rrs", NRH: 1024, Config: "NoSvard", WS: 0.97},
+	}
+	var b strings.Builder
+	Outcome(&b, []string{"rrs"}, &campaign.Outcome{Fig12: fig12, Total: 3, Computed: 3})
+	got := b.String()
+	fig12At, obsvAt := strings.Index(got, "Fig. 12 (rrs)"), strings.Index(got, "Obsv. 15")
+	if fig12At < 0 || obsvAt < fig12At {
+		t.Fatalf("Obsv. 15 must follow the Fig. 12 tables:\n%s", got)
+	}
+	if !strings.Contains(got, Obsv15(fig12, 64)) {
+		t.Errorf("Obsv. 15 table not printed at the minimum nRH (64):\n%s", got)
+	}
+	if strings.Contains(got, "3.00%") {
+		t.Errorf("Obsv. 15 lists an overhead from nRH=1024:\n%s", got)
+	}
+
+	for name, out := range map[string]*campaign.Outcome{
+		"bands":   {Bands: []sim.BandCell{{Defense: "rrs", NRH: 64, Config: "NoSvard", Modules: 4}}},
+		"erosion": {Erosion: []sim.ErosionCell{{Defense: "rrs", Config: "NoSvard", CalibNRH: 64, LiveNRH: 64, Shift: 1}}},
+		"fig13":   {Fig13: []sim.Fig13Cell{{Defense: "rrs", Config: "NoSvard", Slowdown: 2.5, RelToNoSvard: 1}}},
+	} {
+		b.Reset()
+		Outcome(&b, []string{"rrs"}, out)
+		if strings.Contains(b.String(), "Obsv. 15") {
+			t.Errorf("%s-only outcome prints an Obsv. 15 table:\n%s", name, b.String())
 		}
 	}
 }

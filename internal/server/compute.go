@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -80,8 +79,7 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 // handleCompute serves POST /api/v1/compute.
 func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 	var req ComputeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode compute request: %w", err))
+	if !decodeBody(w, r, "compute request", &req) {
 		return
 	}
 	if len(req.Configs) == 0 {

@@ -61,12 +61,10 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /api/v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
-	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /api/v1/cells/{key}", s.handleCell)
-	s.mux.HandleFunc("POST /api/v1/key", s.handleKey)
 	s.mux.HandleFunc("POST /api/v1/compute", s.handleCompute)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -108,21 +106,34 @@ type CellResponse struct {
 	Result sim.Result `json:"result"`
 }
 
-// KeyResponse is the body of POST /api/v1/key.
-type KeyResponse struct {
-	Key    string `json:"key"`
-	Cached bool   `json:"cached"`
-}
-
 // errorBody is every non-2xx JSON payload.
 type errorBody struct {
 	Error string `json:"error"`
 }
 
+// maxRequestBody caps the JSON bodies of the submit and compute routes:
+// 4 MiB admits a paper-scale 120-mix spec and a 1024-cell batch.
+const maxRequestBody = 4 << 20
+
+// decodeBody decodes r's size-capped JSON body into v. On failure it
+// answers 413 (body over maxRequestBody) or 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decode %s: %w", what, err))
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode submit request: %w", err))
+	if !decodeBody(w, r, "submit request", &req) {
 		return
 	}
 	info, err := s.sched.Submit(req.Spec, req.Name, req.Priority)
@@ -243,11 +254,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCell serves one raw cached simulation result by its
-// content-addressed key (see POST /api/v1/key, or cache.Key for Go
-// clients). 404 means the cell has never been computed and persisted.
-// The key is strictly validated before it goes anywhere near the
-// store's filesystem paths: PathValue decodes %2F, so an unvalidated
-// "key" could otherwise traverse out of the cache directory.
+// content-addressed key (every cell event carries it; Go clients
+// derive it with cache.Key). 404 means the cell has never been computed
+// and persisted. The key is strictly validated before it goes anywhere
+// near the store's filesystem paths: PathValue decodes %2F, so an
+// unvalidated "key" could otherwise traverse out of the cache directory.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !cache.WellFormedKey(key) {
@@ -261,19 +272,6 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, CellResponse{Key: key, Result: res})
-}
-
-// handleKey maps a posted sim.Config to its content-addressed cache
-// key, so non-Go clients can look up raw cells without reimplementing
-// the canonical hash.
-func (s *Server) handleKey(w http.ResponseWriter, r *http.Request) {
-	var cfg sim.Config
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode config: %w", err))
-		return
-	}
-	key := cache.Key(cfg)
-	writeJSON(w, http.StatusOK, KeyResponse{Key: key, Cached: s.store.Contains(key)})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -193,17 +193,7 @@ func TestServiceGoldenDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := jobs[0].Config
-	keyResp, err := c.Key(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keyResp.Key != client.LocalKey(cfg) {
-		t.Errorf("server key %s != local key %s", keyResp.Key, client.LocalKey(cfg))
-	}
-	if !keyResp.Cached {
-		t.Error("completed campaign's cell not reported cached")
-	}
-	cell, err := c.Cell(ctx, keyResp.Key)
+	cell, err := c.Cell(ctx, cache.Key(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +519,7 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 	// The evicted job's cells still serve from the cache.
 	specJobs, _ := tinySpec(64).Jobs()
-	if _, err := c.Cell(ctx, client.LocalKey(specJobs[0].Config)); err != nil {
+	if _, err := c.Cell(ctx, cache.Key(specJobs[0].Config)); err != nil {
 		t.Errorf("evicted job's cell no longer served: %v", err)
 	}
 }
@@ -787,6 +777,54 @@ func TestAPIErrors(t *testing.T) {
 	close(gate)
 	if _, err := c2.Wait(ctx, info.ID, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetiredRoutes: the DELETE alias of cancel and the key route are
+// gone — the mux answers 405 (the path still serves GET) and 404.
+func TestRetiredRoutes(t *testing.T) {
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: fakeSim})
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodDelete, "/api/v1/jobs/job-1", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/api/v1/key", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.method, c.BaseURL+tc.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestRequestBodyLimit: the two routes that decode a JSON body refuse
+// one over the 4 MiB cap with 413 and the usual JSON error body instead
+// of buffering whatever a client sends.
+func TestRequestBodyLimit(t *testing.T) {
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: fakeSim})
+	// Valid JSON all the way to the cap: only the size can be at fault.
+	body := `{"name":"` + strings.Repeat("a", 4<<20) + `"}`
+	for _, path := range []string{"/api/v1/jobs", "/api/v1/compute"} {
+		resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || e.Error == "" {
+			t.Errorf("POST %s with a %d-byte body = %d (error %q, decode %v), want 413 with a JSON error",
+				path, len(body), resp.StatusCode, e.Error, derr)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func runJobs(ctx context.Context, workers int, run Runner, progress func(string)
 	}
 	if obs.ProfilingLabelsEnabled() {
 		// Attach cell-identity pprof labels around each job so CPU
-		// profiles (svard-perf -cpuprofile, svard-served -pprof)
+		// profiles (svard-sweep -cpuprofile, svard-served -pprof)
 		// attribute samples to the cell that burned them. Off by default:
 		// pprof.Do allocates per call, which would break the
 		// allocation-flat sweep budget.
