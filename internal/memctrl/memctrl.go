@@ -7,6 +7,8 @@
 package memctrl
 
 import (
+	"math/bits"
+
 	"svard/internal/dram"
 	"svard/internal/mem"
 	"svard/internal/mitigation"
@@ -161,17 +163,15 @@ type Controller struct {
 	physToLog *rowtab.Table[int32]
 	remapped  bool
 
-	// hitCntR/hitCntW track, per bank, how many queued requests of each
-	// queue target the bank's open row (hit-class membership, regardless
-	// of any defense retry time); hitSumR/hitSumW are their totals. The
-	// counts change only at the command choke points (enqueue, column
-	// completion, issuePRE, issueACTRaw, row-swap repair), and a zero
-	// sum lets the FR-FCFS scan stop at the first eligible ACT: with no
-	// hit-class entry in the queue there can be no column or
-	// cap-rotation candidate, and every conflict PRE is trivially
-	// unsuppressed — exactly what the full scan would conclude.
-	hitCntR []int32
-	hitCntW []int32
+	// banks is the per-bank index of the queues and pending the bitset
+	// of banks with anything queued (see bankQueued). hitSumR/hitSumW
+	// total the banks' hit counts: a zero sum lets the FR-FCFS scan stop
+	// at the first eligible ACT — with no hit-class entry in the queue
+	// there can be no column or cap-rotation candidate, and every
+	// conflict PRE is trivially unsuppressed — exactly what the full scan
+	// would conclude.
+	banks   []bankQueued
+	pending []uint64
 	hitSumR int
 	hitSumW int
 
@@ -182,20 +182,15 @@ type Controller struct {
 	idleUntil    uint64 // Tick fast path: no-op until this cycle
 
 	// Per-tick bank memos for the scheduling passes (scanTag packs
-	// epoch<<16|flags, one load validates and reads a bank's memo) and
-	// per-call bank memos for NextEvent (neBank), all epoch-tagged so
-	// neither path pays an O(banks) reset. The scan epoch advances once
-	// per TickFull: within one tick no command separates the victim,
+	// epoch<<16|flags, one load validates and reads a bank's memo),
+	// epoch-tagged so no O(banks) reset is paid. The scan epoch advances
+	// once per TickFull: within one tick no command separates the victim,
 	// write, and read passes, so CanPRE/CanACT answers carry across all
-	// of them (column and hit flags are kept per direction). The epochs
-	// are monotone across pooled reuse, so a stale tag can never
-	// collide.
+	// of them (column and hit flags are kept per direction). The epoch is
+	// monotone across pooled reuse, so a stale tag can never collide.
 	scanTag     []uint64
 	scanEpoch   uint64
-	neBank      []neScratch
-	actEpoch    uint64
-	suppEpoch   uint64
-	confScratch []int32 // conflict-PRE queue indices/banks (schedule, NextEvent)
+	confScratch []int32 // conflict-PRE banks (schedule)
 
 	// mutated records command-free state changes within one Tick (a
 	// defense throttle stamping retryAt, a victim op adopting an
@@ -205,22 +200,22 @@ type Controller struct {
 	mutated bool
 }
 
-// neScratch is NextEvent's per-bank memo line: the ActEarliest bound
-// (valid when actEpoch matches) and the open-row suppression bound
-// (valid when suppEpoch matches). One struct keeps a bank's NextEvent
-// state on a single cache line instead of four parallel arrays.
-type neScratch struct {
-	actEpoch  uint64
-	act       uint64
-	suppEpoch uint64
-	supp      uint64
-	// seen dedupes identical queue candidates within one queue pass
-	// (tagged by seenEpoch): requests of the same class on the same
-	// bank with no retry gate produce the same earliest-actionable
-	// cycle, so only the first is considered. Bit 0 = hit-class seen,
-	// bit 1 = conflict-class seen.
-	seenEpoch uint64
-	seen      uint8
+// bankQueued is one bank's line of the queue index: everything the
+// controller needs to know about the requests queued for the bank
+// without walking the queues, on one cache line.
+type bankQueued struct {
+	// reqR/reqW count the bank's queued reads and writes. They change
+	// only at enqueue and column completion: a request's bank is fixed.
+	reqR, reqW int32
+	// hitR/hitW count those that target the bank's open row (hit-class
+	// membership, regardless of any defense retry time). They change at
+	// the same two points and when the open row or the requests' physical
+	// rows do (issueACTRaw, issuePRE, row-swap repair).
+	hitR, hitW int32
+	// retryUntil bounds from above every retryAt stamped on a request
+	// queued for the bank: once it has passed, no stamp can still gate
+	// anything and the four counts say all NextEvent needs.
+	retryUntil uint64
 }
 
 // New builds a controller over timing t, defense def (nil = none), and
@@ -295,19 +290,15 @@ func (c *Controller) Reset(cfg Config, t mem.Timing, def mitigation.Defense, tr 
 	} else {
 		c.scanTag = make([]uint64, banks)
 	}
-	if cap(c.neBank) >= banks {
-		c.neBank = c.neBank[:banks]
+	words := (banks + 63) / 64
+	if cap(c.banks) >= banks {
+		c.banks = c.banks[:banks]
+		c.pending = c.pending[:words]
+		clear(c.banks)
+		clear(c.pending)
 	} else {
-		c.neBank = make([]neScratch, banks)
-	}
-	if cap(c.hitCntR) >= banks {
-		c.hitCntR = c.hitCntR[:banks]
-		c.hitCntW = c.hitCntW[:banks]
-		clear(c.hitCntR)
-		clear(c.hitCntW)
-	} else {
-		c.hitCntR = make([]int32, banks)
-		c.hitCntW = make([]int32, banks)
+		c.banks = make([]bankQueued, banks)
+		c.pending = make([]uint64, words)
 	}
 	c.hitSumR, c.hitSumW = 0, 0
 }
@@ -315,25 +306,33 @@ func (c *Controller) Reset(cfg Config, t mem.Timing, def mitigation.Defense, tr 
 // recountHits recomputes bank's hit-class counts after its open row
 // changed (ACT) or its queued requests' physical rows were remapped
 // (swap repair). Runs once per such command; the scans it lets schedule
-// skip repay it many times over.
+// skip repay it many times over. Each scan stops at the bank's last
+// queued request (the index says how many there are), so an ACT to a bank
+// nothing is queued for — a victim refresh, typically — scans nothing.
 func (c *Controller) recountHits(bank int) {
 	row := c.Sys.Banks[bank].OpenRow
+	bq := &c.banks[bank]
+	n := countHits(c.readQ, bank, row, bq.reqR)
+	c.hitSumR += int(n - bq.hitR)
+	bq.hitR = n
+	n = countHits(c.writeQ, bank, row, bq.reqW)
+	c.hitSumW += int(n - bq.hitW)
+	bq.hitW = n
+}
+
+// countHits counts q's requests to (bank, row), given that exactly
+// queued of q's requests target bank.
+func countHits(q []Request, bank, row int, queued int32) int32 {
 	n := int32(0)
-	for i := range c.readQ {
-		if int(c.readQ[i].bank) == bank && int(c.readQ[i].phys) == row {
-			n++
+	for i := 0; queued > 0; i++ {
+		if int(q[i].bank) == bank {
+			queued--
+			if int(q[i].phys) == row {
+				n++
+			}
 		}
 	}
-	c.hitSumR += int(n - c.hitCntR[bank])
-	c.hitCntR[bank] = n
-	n = 0
-	for i := range c.writeQ {
-		if int(c.writeQ[i].bank) == bank && int(c.writeQ[i].phys) == row {
-			n++
-		}
-	}
-	c.hitSumW += int(n - c.hitCntW[bank])
-	c.hitCntW[bank] = n
+	return n
 }
 
 // rowKey flattens (bank, row) for the controller's per-row tables.
@@ -367,9 +366,7 @@ func (c *Controller) Decode(addr uint64) (bank, row int) {
 	block /= uint64(c.Cfg.BanksPerGroup)
 	rank := int(block % uint64(c.Cfg.Ranks))
 	block /= uint64(c.Cfg.Ranks)
-	colHigh := block % uint64(c.blocksPerRow/c.Cfg.MOPWidth)
-	block /= uint64(c.blocksPerRow / c.Cfg.MOPWidth)
-	_ = colHigh
+	block /= uint64(c.blocksPerRow / c.Cfg.MOPWidth) // column-high bits
 	row = int(block % uint64(c.Cfg.RowsPerBank))
 	bank = rank*c.Cfg.BankGroups*c.Cfg.BanksPerGroup + bg*c.Cfg.BanksPerGroup + bk
 	return bank, row
@@ -426,8 +423,10 @@ func (c *Controller) EnqueueRead(r *Request, cycle uint64) bool {
 	r.phys = int32(c.physOf(bank, row))
 	r.Write = false
 	c.readQ = append(c.readQ, *r)
+	c.banks[bank].reqR++
+	c.pending[bank>>6] |= 1 << (bank & 63)
 	if c.Sys.Banks[bank].OpenRow == int(r.phys) {
-		c.hitCntR[r.bank]++
+		c.banks[bank].hitR++
 		c.hitSumR++
 	}
 	c.noteEnqueued(r, cycle)
@@ -446,8 +445,10 @@ func (c *Controller) EnqueueWrite(r *Request, cycle uint64) bool {
 	r.phys = int32(c.physOf(bank, row))
 	r.Write = true
 	c.writeQ = append(c.writeQ, *r)
+	c.banks[bank].reqW++
+	c.pending[bank>>6] |= 1 << (bank & 63)
 	if c.Sys.Banks[bank].OpenRow == int(r.phys) {
-		c.hitCntW[r.bank]++
+		c.banks[bank].hitW++
 		c.hitSumW++
 	}
 	c.noteEnqueued(r, cycle)
@@ -612,10 +613,132 @@ func (c *Controller) NextEvent(cycle uint64) uint64 {
 	if cycle < c.idleUntil {
 		return c.idleUntil // computed by the idle Tick that got us here
 	}
+	c.Obs.NextEventCalls++
 	// floor is the lowest value NextEvent can return: the moment any
 	// candidate reaches it the minimum is decided, so every loop below
 	// bails out (the remaining candidates could only tie).
 	floor := cycle + 1
+	next := c.maintenanceEvent(floor)
+	if next == floor {
+		return floor
+	}
+	// Demand and write queues: one candidate per pending bank. A closed
+	// bank waits for its ACT. An open bank offers each queue that has a
+	// hit on it the column command (read and write latencies differ) —
+	// or, at the column cap, the rotating PRE — while the open-row policy
+	// suppresses that queue's conflicts: schedule never closes a bank
+	// while a same-queue request still hits its open row, and the hits
+	// draining is an active tick that reschedules everything. A queue
+	// with only conflicts offers the PRE. The index holds exactly these
+	// facts, so no queue is walked unless a retry stamp on the bank may
+	// still be live.
+	scanned := false
+	for w, word := range c.pending {
+		for ; word != 0; word &= word - 1 {
+			bank := w<<6 | bits.TrailingZeros64(word)
+			b := &c.Sys.Banks[bank]
+			bq := &c.banks[bank]
+			var at uint64
+			switch {
+			case bq.retryUntil > floor:
+				if !scanned {
+					scanned = true
+					c.Obs.NextEventScans++
+				}
+				at = c.bankEventByRequest(bank, floor)
+			case b.OpenRow < 0:
+				at = c.Sys.ActEarliest(bank)
+			case b.HitStreak >= c.Cfg.ColumnCap:
+				at = c.Sys.PreEarliest(bank) // rotation or conflict: a PRE either way
+			default:
+				at = ^uint64(0)
+				if bq.hitR > 0 {
+					at = c.Sys.ColumnEarliest(bank, false)
+				}
+				if bq.hitW > 0 {
+					at = min(at, c.Sys.ColumnEarliest(bank, true))
+				}
+				if (bq.hitR == 0 && bq.reqR > 0) || (bq.hitW == 0 && bq.reqW > 0) {
+					at = min(at, c.Sys.PreEarliest(bank))
+				}
+			}
+			if at < next {
+				if at <= floor {
+					return floor
+				}
+				next = at
+			}
+		}
+	}
+	return next
+}
+
+// bankEventByRequest is one bank's candidate for NextEvent while a
+// defense retry may still gate some of its requests. A stamp at or below
+// floor is the same as no stamp — NextEvent clamps to floor from below,
+// so max(at, retryAt) and max(at, 0) agree, and a hit with
+// retryAt <= floor suppresses every conflict candidate (all >= floor)
+// exactly as an unstamped one does — which is why the index alone
+// decides every other bank. Here the stamps matter, but only the
+// earliest of each class: the hits of a queue share one device time, so
+// the earliest-stamped one acts first, and it is also the one whose
+// stamp starts the suppression of that queue's conflicts; a conflict
+// wake-up is real only if it lands strictly before that, and the
+// earliest-stamped conflict is the one that can.
+func (c *Controller) bankEventByRequest(bank int, floor uint64) uint64 {
+	b := &c.Sys.Banks[bank]
+	bq := &c.banks[bank]
+	const none = ^uint64(0)
+	at, latest := none, uint64(0)
+	for write, q := range [2][]Request{c.readQ, c.writeQ} {
+		left := bq.reqR
+		if write == 1 {
+			left = bq.reqW
+		}
+		hit, other := none, none // earliest stamp among the open row's requests, and the rest
+		for i := 0; left > 0; i++ {
+			r := &q[i]
+			if int(r.bank) != bank {
+				continue
+			}
+			left--
+			latest = max(latest, r.retryAt)
+			if int(r.phys) == b.OpenRow {
+				hit = min(hit, r.retryAt)
+			} else {
+				other = min(other, r.retryAt)
+			}
+		}
+		if b.OpenRow < 0 {
+			if other != none {
+				at = min(at, max(c.Sys.ActEarliest(bank), other))
+			}
+			continue
+		}
+		if hit != none {
+			ready := c.Sys.PreEarliest(bank) // column-cap rotation
+			if b.HitStreak < c.Cfg.ColumnCap {
+				ready = c.Sys.ColumnEarliest(bank, write == 1)
+			}
+			at = min(at, max(ready, hit))
+		}
+		if other != none {
+			if pre := max(c.Sys.PreEarliest(bank), other, floor); pre < hit {
+				at = min(at, pre)
+			}
+		}
+	}
+	// Every request of the bank was seen, so the true latest stamp is
+	// known: once it passes the bank goes by the index again.
+	bq.retryUntil = latest
+	return at
+}
+
+// maintenanceEvent is NextEvent's bound over refresh and the preventive
+// refresh backlog. Like the demand bounds it returns floor as soon as a
+// candidate reaches it, never less.
+func (c *Controller) maintenanceEvent(floor uint64) uint64 {
+	cycle := floor - 1
 	next := ^uint64(0)
 	consider := func(at uint64) bool {
 		if at < next {
@@ -688,110 +811,6 @@ func (c *Controller) NextEvent(cycle uint64) uint64 {
 			// row again, so the wake-up is the next ACT to this bank —
 			// an active tick — not a time this victim can name.
 		}
-	}
-	// Demand and write queues: each request's earliest actionable cycle
-	// under the frozen bank state (column to its open row, PRE of a
-	// conflicting or cap-rotated row, or ACT of a closed bank), gated by
-	// any defense-imposed retry time. ActEarliest walks rank state, so
-	// memoize it per bank across the scan; the memos are epoch-tagged so
-	// no O(banks) reset is paid per call.
-	c.actEpoch++
-	actEarliest := func(bank int) uint64 {
-		nb := &c.neBank[bank]
-		if nb.actEpoch != c.actEpoch {
-			nb.actEpoch = c.actEpoch
-			nb.act = c.Sys.ActEarliest(bank)
-		}
-		return nb.act
-	}
-	for _, q := range [2][]Request{c.readQ, c.writeQ} {
-		// Open-row suppression: schedule never closes a bank while a
-		// same-queue request still hits its open row, so a conflicting
-		// request only gets its PRE once every hit has drained — an
-		// active tick that reschedules everything. suppScratch[bank] is
-		// the first cycle some hit request suppresses the bank (its
-		// defense retry time; usually 0 = suppressed throughout): a
-		// conflict wake-up is only real if it lands strictly before it.
-		// Hits and closed-bank requests resolve in the same pass that
-		// records the suppression; conflict PREs are deferred to a
-		// second pass over just the conflicted requests, which runs once
-		// every hit in the queue has been seen.
-		c.suppEpoch++
-		conf := c.confScratch[:0]
-		for i := range q {
-			r := &q[i]
-			bank := int(r.bank)
-			b := &c.Sys.Banks[bank]
-			var at uint64
-			switch {
-			case b.OpenRow == int(r.phys):
-				nb := &c.neBank[bank]
-				if nb.suppEpoch != c.suppEpoch || r.retryAt < nb.supp {
-					nb.suppEpoch = c.suppEpoch
-					nb.supp = r.retryAt
-				}
-				if r.retryAt == 0 {
-					if nb.seenEpoch == c.suppEpoch && nb.seen&1 != 0 {
-						continue // identical candidate already considered
-					}
-					if nb.seenEpoch != c.suppEpoch {
-						nb.seenEpoch = c.suppEpoch
-						nb.seen = 0
-					}
-					nb.seen |= 1
-				}
-				if b.HitStreak < c.Cfg.ColumnCap {
-					at = c.Sys.ColumnEarliest(bank, r.Write)
-				} else {
-					at = c.Sys.PreEarliest(bank) // column-cap rotation
-				}
-			case b.OpenRow >= 0:
-				conf = append(conf, int32(i))
-				continue
-			default:
-				at = actEarliest(bank)
-			}
-			if r.retryAt > at {
-				at = r.retryAt
-			}
-			if consider(at) {
-				c.confScratch = conf
-				return floor
-			}
-		}
-		for _, i := range conf {
-			r := &q[i]
-			bank := int(r.bank)
-			nb := &c.neBank[bank]
-			if r.retryAt == 0 {
-				if nb.seenEpoch == c.suppEpoch && nb.seen&2 != 0 {
-					continue // identical candidate already handled
-				}
-				if nb.seenEpoch != c.suppEpoch {
-					nb.seenEpoch = c.suppEpoch
-					nb.seen = 0
-				}
-				nb.seen |= 2
-			}
-			at := c.Sys.PreEarliest(bank)
-			if r.retryAt > at {
-				at = r.retryAt
-			}
-			if at <= cycle {
-				at = cycle + 1
-			}
-			if nb.suppEpoch == c.suppEpoch && at >= nb.supp {
-				continue // suppressed until an active tick intervenes
-			}
-			if consider(at) {
-				c.confScratch = conf
-				return floor
-			}
-		}
-		c.confScratch = conf
-	}
-	if next <= cycle {
-		next = cycle + 1
 	}
 	return next
 }
@@ -958,19 +977,7 @@ func (c *Controller) schedule(q []Request, cycle uint64, writes bool) bool {
 		}
 		c.confScratch = confBanks[:0]
 		if actCand >= 0 {
-			r := &q[actCand]
-			ok, retry := c.Def.CanActivate(int(r.bank), int(r.phys), cycle)
-			if ok {
-				c.issueACT(int(r.bank), int(r.phys), cycle)
-				return true
-			}
-			if retry <= cycle {
-				retry = cycle + 1
-			}
-			r.retryAt = retry
-			c.Stats.ThrottleStalls++
-			c.mutated = true
-			return false
+			return c.tryACT(&q[actCand], cycle)
 		}
 		if len(confBanks) > 0 {
 			c.issuePRE(int(confBanks[0]), cycle)
@@ -1053,19 +1060,7 @@ func (c *Controller) schedule(q []Request, cycle uint64, writes bool) bool {
 		return true
 	}
 	if actCand >= 0 {
-		r := &q[actCand]
-		ok, retry := c.Def.CanActivate(int(r.bank), int(r.phys), cycle)
-		if ok {
-			c.issueACT(int(r.bank), int(r.phys), cycle)
-			return true
-		}
-		if retry <= cycle {
-			retry = cycle + 1
-		}
-		r.retryAt = retry
-		c.Stats.ThrottleStalls++
-		c.mutated = true
-		return false
+		return c.tryACT(&q[actCand], cycle)
 	}
 	for _, bank := range confBanks {
 		if c.scanTag[bank]&hitBit == 0 {
@@ -1077,6 +1072,26 @@ func (c *Controller) schedule(q []Request, cycle uint64, writes bool) bool {
 		c.issuePRE(int(q[capCand].bank), cycle)
 		return true
 	}
+	return false
+}
+
+// tryACT opens the row of r, schedule's ACT candidate, unless the
+// defense throttles it: then the request is stamped with the cycle it
+// may next be considered and no command issues.
+func (c *Controller) tryACT(r *Request, cycle uint64) bool {
+	ok, retry := c.Def.CanActivate(int(r.bank), int(r.phys), cycle)
+	if ok {
+		c.issueACT(int(r.bank), int(r.phys), cycle)
+		return true
+	}
+	if retry <= cycle {
+		retry = cycle + 1
+	}
+	r.retryAt = retry
+	bq := &c.banks[r.bank]
+	bq.retryUntil = max(bq.retryUntil, retry)
+	c.Stats.ThrottleStalls++
+	c.mutated = true
 	return false
 }
 
@@ -1094,10 +1109,10 @@ func (c *Controller) canPREMemo(bank int, f uint64, cycle uint64) (uint64, bool)
 
 func (c *Controller) issuePRE(bank int, cycle uint64) {
 	row, on := c.Sys.PRE(bank, cycle)
-	c.hitSumR -= int(c.hitCntR[bank])
-	c.hitCntR[bank] = 0
-	c.hitSumW -= int(c.hitCntW[bank])
-	c.hitCntW[bank] = 0
+	bq := &c.banks[bank]
+	c.hitSumR -= int(bq.hitR)
+	c.hitSumW -= int(bq.hitW)
+	bq.hitR, bq.hitW = 0, 0
 	c.Track.OnPre(bank, row, on)
 	c.Stats.Pres++
 }
@@ -1159,19 +1174,19 @@ func (c *Controller) execute(dir mitigation.Directive, cycle uint64) {
 func (c *Controller) metaAddr(bank, row, salt int) uint64 {
 	metaBank := (bank + 1 + salt) % c.Sys.TotalBanks()
 	metaRow := c.Cfg.RowsPerBank - 1 - (row % (c.Cfg.RowsPerBank / 16))
-	// Invert Decode approximately: choose an address that decodes into
-	// (metaBank, metaRow). Decode is onto, so compose the fields.
-	rank := metaBank / (c.Cfg.BankGroups * c.Cfg.BanksPerGroup)
-	rem := metaBank % (c.Cfg.BankGroups * c.Cfg.BanksPerGroup)
-	bg := rem / c.Cfg.BanksPerGroup
-	bk := rem % c.Cfg.BanksPerGroup
-	colHigh := 0
-	block := uint64(metaRow)
-	block = block*uint64(c.blocksPerRow/c.Cfg.MOPWidth) + uint64(colHigh)
+	return c.encode(metaBank, metaRow, 0)
+}
+
+// encode inverts Decode: the address of cache block col of (bank, row).
+func (c *Controller) encode(bank, row, col int) uint64 {
+	perRank := c.Cfg.BankGroups * c.Cfg.BanksPerGroup
+	rank, bg, bk := bank/perRank, bank%perRank/c.Cfg.BanksPerGroup, bank%c.Cfg.BanksPerGroup
+	block := uint64(row)
+	block = block*uint64(c.blocksPerRow/c.Cfg.MOPWidth) + uint64(col/c.Cfg.MOPWidth)
 	block = block*uint64(c.Cfg.Ranks) + uint64(rank)
 	block = block*uint64(c.Cfg.BanksPerGroup) + uint64(bk)
 	block = block*uint64(c.Cfg.BankGroups) + uint64(bg)
-	block = block * uint64(c.Cfg.MOPWidth)
+	block = block*uint64(c.Cfg.MOPWidth) + uint64(col%c.Cfg.MOPWidth)
 	return block << 6
 }
 
@@ -1182,16 +1197,14 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 		r := &c.writeQ[idx]
 		c.Sys.Column(int(r.bank), true, cycle)
 		c.Stats.Writes++
-		c.hitCntW[r.bank]-- // a column target is hit-class by definition
-		c.hitSumW--
+		c.noteDequeued(int(r.bank), true)
 		c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
 		return
 	}
 	r := &c.readQ[idx]
 	dataEnd := c.Sys.Column(int(r.bank), false, cycle)
 	c.Stats.Reads++
-	c.hitCntR[r.bank]--
-	c.hitSumR--
+	c.noteDequeued(int(r.bank), false)
 	if c.Sys.Banks[r.bank].HitStreak > 1 {
 		c.Stats.RowHits++
 	} else {
@@ -1203,6 +1216,24 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 	c.readQ = append(c.readQ[:idx], c.readQ[idx+1:]...)
 	if done != nil {
 		done(dataEnd)
+	}
+}
+
+// noteDequeued takes a completed column command's request out of the
+// index; a column target is hit-class by definition.
+func (c *Controller) noteDequeued(bank int, write bool) {
+	bq := &c.banks[bank]
+	if write {
+		bq.reqW--
+		bq.hitW--
+		c.hitSumW--
+	} else {
+		bq.reqR--
+		bq.hitR--
+		c.hitSumR--
+	}
+	if bq.reqR|bq.reqW == 0 {
+		c.pending[bank>>6] &^= 1 << (bank & 63)
 	}
 }
 

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"svard/internal/dram"
@@ -395,4 +396,292 @@ func TestExtraMemGeneratesTraffic(t *testing.T) {
 	if !c.Idle() {
 		t.Error("metadata traffic never drained")
 	}
+}
+
+// nextEventByRequest is the reference for NextEvent: the demand bound
+// taken request by request, with the open-row suppression looked up by a
+// second walk of the queue — no index, no retry horizon, no per-class
+// minima. NextEvent must equal it in every controller state.
+func nextEventByRequest(c *Controller, cycle uint64) uint64 {
+	floor := cycle + 1
+	next := c.maintenanceEvent(floor)
+	for _, q := range [2][]Request{c.readQ, c.writeQ} {
+		for i := range q {
+			r := &q[i]
+			bank := int(r.bank)
+			b := &c.Sys.Banks[bank]
+			var at uint64
+			switch {
+			case b.OpenRow == int(r.phys) && b.HitStreak < c.Cfg.ColumnCap:
+				at = max(c.Sys.ColumnEarliest(bank, r.Write), r.retryAt)
+			case b.OpenRow == int(r.phys):
+				at = max(c.Sys.PreEarliest(bank), r.retryAt)
+			case b.OpenRow >= 0:
+				at = max(c.Sys.PreEarliest(bank), r.retryAt, floor)
+				// A hit of the same queue keeps the row open from its
+				// retry time on.
+				suppressed := false
+				for j := range q {
+					if q[j].bank == r.bank && int(q[j].phys) == b.OpenRow && at >= q[j].retryAt {
+						suppressed = true
+					}
+				}
+				if suppressed {
+					continue
+				}
+			default:
+				at = max(c.Sys.ActEarliest(bank), r.retryAt)
+			}
+			next = min(next, at)
+		}
+	}
+	return max(next, floor)
+}
+
+// checkBankIndex recounts the per-bank index from the queues.
+func checkBankIndex(t testing.TB, c *Controller) {
+	t.Helper()
+	banks := c.Sys.TotalBanks()
+	if len(c.banks) != banks || len(c.pending) != (banks+63)/64 {
+		t.Fatalf("index sized %d banks, %d pending words for %d banks", len(c.banks), len(c.pending), banks)
+	}
+	want := make([]bankQueued, banks)
+	sumR, sumW := 0, 0
+	for i := range c.readQ {
+		r := &c.readQ[i]
+		want[r.bank].reqR++
+		if c.Sys.Banks[r.bank].OpenRow == int(r.phys) {
+			want[r.bank].hitR++
+			sumR++
+		}
+	}
+	for i := range c.writeQ {
+		r := &c.writeQ[i]
+		want[r.bank].reqW++
+		if c.Sys.Banks[r.bank].OpenRow == int(r.phys) {
+			want[r.bank].hitW++
+			sumW++
+		}
+	}
+	for _, q := range [2][]Request{c.readQ, c.writeQ} {
+		for i := range q {
+			if q[i].retryAt > c.banks[q[i].bank].retryUntil {
+				t.Fatalf("bank %d: a queued request is stamped %d, past retryUntil %d",
+					q[i].bank, q[i].retryAt, c.banks[q[i].bank].retryUntil)
+			}
+		}
+	}
+	for b := range want {
+		got := c.banks[b]
+		got.retryUntil = 0
+		if got != want[b] {
+			t.Fatalf("bank %d: index %+v, queues hold %+v", b, got, want[b])
+		}
+		if got, want := c.pending[b>>6]>>(b&63)&1 != 0, want[b] != (bankQueued{}); got != want {
+			t.Fatalf("bank %d: pending bit %v, index %+v", b, got, c.banks[b])
+		}
+	}
+	if c.hitSumR != sumR || c.hitSumW != sumW {
+		t.Fatalf("hitSum R/W = %d/%d, queues hold %d/%d", c.hitSumR, c.hitSumW, sumR, sumW)
+	}
+}
+
+// fuzzDefense exercises every defense hook at random: it throttles ACTs
+// with retry times from "already passed" to thousands of cycles out, and
+// answers activations with victim refreshes, row swaps and metadata
+// traffic.
+type fuzzDefense struct {
+	rng  *rand.Rand
+	rows int
+}
+
+func (d *fuzzDefense) Name() string { return "fuzz" }
+
+func (d *fuzzDefense) CanActivate(bank, row int, cycle uint64) (bool, uint64) {
+	switch d.rng.Intn(12) {
+	case 0:
+		return false, cycle // clamped to cycle+1 by the controller
+	case 1:
+		return false, cycle + 1 + uint64(d.rng.Intn(3))
+	case 2:
+		return false, cycle + 10 + uint64(d.rng.Intn(80))
+	case 3:
+		return false, cycle + 500 + uint64(d.rng.Intn(3000))
+	}
+	return true, 0
+}
+
+func (d *fuzzDefense) OnActivate(bank, row int, cycle uint64) []mitigation.Directive {
+	switch d.rng.Intn(10) {
+	case 0, 1:
+		return []mitigation.Directive{{Kind: mitigation.RefreshVictim, Bank: bank, Row: (row + 1) % d.rows}}
+	case 2:
+		// Swap with a row the traffic also targets, so queued requests
+		// change class under the repair.
+		return []mitigation.Directive{{Kind: mitigation.SwapRows, Bank: bank, Row: row,
+			DstRow: (row + 1 + d.rng.Intn(3)) % d.rows, BusyCycles: 50 + uint64(d.rng.Intn(400))}}
+	case 3:
+		return []mitigation.Directive{{Kind: mitigation.ExtraMem, Bank: bank, Row: row, MemReads: 1, MemWrites: 1}}
+	}
+	return nil
+}
+
+// driveNextEvent runs a seeded random workload — reads and writes over a
+// few banks and rows (hits, conflicts, cap rotations and closed banks
+// all occur), in bursts and lulls so the queues fill and drain, under
+// fuzzDefense and a short refresh interval — and after every Tick
+// requires NextEvent to equal nextEventByRequest and the bank index to
+// equal a recount. The clock advances like the engine's: cycle by cycle
+// or straight to the controller's own wake-up bound.
+func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(seed)))
+	const rows = 4
+	tm := c.Sys.T
+	tm.REFI, tm.REFW = 4000, 4000*64
+	c.Reset(c.Cfg, tm, &fuzzDefense{rng: rng, rows: rows}, nil)
+
+	// Five banks spread over the geometry, the last one included so the
+	// top pending word and bit are exercised.
+	total := c.Sys.TotalBanks()
+	banks := []int{0, 1, total / 2, total - 2, total - 1}
+
+	cycle := uint64(0)
+	rate := 0
+	for step := 0; step < steps; step++ {
+		if step%64 == 0 {
+			rate = rng.Intn(4) // 0 = lull: the queues drain and banks empty
+		}
+		for n := rng.Intn(rate + 1); n > 0; n-- {
+			// Skewed toward row 0 so one row collects enough hits to reach
+			// the column cap while conflicts wait behind it.
+			row := 0
+			if rng.Intn(3) == 0 {
+				row = rng.Intn(rows)
+			}
+			bank := banks[rng.Intn(len(banks))]
+			a := c.encode(bank, row, rng.Intn(c.blocksPerRow))
+			if b, r := c.Decode(a); b != bank || r != row {
+				t.Fatalf("encode(%d, %d) decodes to %d/%d", bank, row, b, r)
+			}
+			if rng.Intn(3) == 0 {
+				c.Write(a, 0, cycle)
+			} else {
+				c.Read(a, 0, nil, cycle)
+			}
+		}
+		c.Tick(cycle)
+		checkBankIndex(t, c)
+		// Tick leaves its own evaluation in idleUntil; drop it so this one
+		// is made in full, then put it back.
+		idleUntil := c.idleUntil
+		c.idleUntil = 0
+		got := c.NextEvent(cycle)
+		c.idleUntil = idleUntil
+		if want := nextEventByRequest(c, cycle); got != want {
+			t.Fatalf("seed %d step %d cycle %d: NextEvent = %d, by request = %d (queues %d/%d)",
+				seed, step, cycle, got, want, len(c.readQ), len(c.writeQ))
+		}
+		if c.idleUntil > cycle+1 && rng.Intn(2) == 0 {
+			cycle = min(c.idleUntil, cycle+1+uint64(rng.Intn(300)))
+		} else {
+			cycle++
+		}
+	}
+}
+
+func TestNextEventMatchesReference(t *testing.T) {
+	var stats Stats
+	var calls, scans uint64
+	for seed := uint64(1); seed <= 6; seed++ {
+		c := newMC(nil, nil)
+		driveNextEvent(t, c, seed, 20_000)
+		stats.Add(c.Stats)
+		calls += c.Obs.NextEventCalls
+		scans += c.Obs.NextEventScans
+	}
+	// The comparison is only worth what the driver reached.
+	if stats.RowHits == 0 || stats.RowMisses == 0 || stats.Writes == 0 || stats.ThrottleStalls == 0 ||
+		stats.VictimRefreshes == 0 || stats.Migrations == 0 || stats.MetaReads == 0 || stats.Refreshes == 0 {
+		t.Errorf("driver missed a behavior: %+v", stats)
+	}
+	if scans == 0 || scans == calls {
+		t.Errorf("driver stayed on one side of the retry horizons: %d of %d evaluations walked a queue", scans, calls)
+	}
+}
+
+// TestNextEventRetryEdges walks the coincidences the random driver
+// rarely lands on: a hit's retry stamp, a conflict's stamp, the bank's
+// precharge time and the current cycle all within a few cycles of each
+// other, where the suppression comparison is strict and the floor clamp
+// decides. The column is held off by the data bus so the PRE candidate
+// is what separates the outcomes.
+func TestNextEventRetryEdges(t *testing.T) {
+	c := newMC1Rank(nil)
+	c.Read(0, 0, nil, 0)     // bank 0, row 0: the hit
+	c.Read(1<<20, 0, nil, 0) // bank 0, another row: the conflict
+	if c.readQ[0].bank != c.readQ[1].bank || c.readQ[0].row == c.readQ[1].row {
+		t.Fatalf("setup: requests at %d/%d and %d/%d", c.readQ[0].bank, c.readQ[0].row, c.readQ[1].bank, c.readQ[1].row)
+	}
+	bank := int(c.readQ[0].bank)
+	c.Sys.ACT(bank, int(c.readQ[0].phys), 0)
+	c.recountHits(bank)
+	checkBankIndex(t, c)
+	pre := c.Sys.PreEarliest(bank)
+	c.Sys.Chan.DataFree = pre + 1000
+	for hit := pre - 2; hit <= pre+2; hit++ {
+		for _, conflict := range []uint64{0, pre - 1, pre, pre + 1} {
+			for cycle := pre - 3; cycle <= pre+2; cycle++ {
+				c.readQ[0].retryAt, c.readQ[1].retryAt = hit, conflict
+				c.banks[bank].retryUntil = pre + 5000 // an upper bound is all it has to be
+				c.idleUntil = 0
+				if got, want := c.NextEvent(cycle), nextEventByRequest(c, cycle); got != want {
+					t.Errorf("hit stamped %+d, conflict %+d, cycle %+d (relative to PreEarliest): NextEvent = %d, by request = %d",
+						int64(hit-pre), int64(conflict-pre), int64(cycle-pre), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestResetClearsBankIndex is the truncated-run pooled path: Reset of a
+// controller whose queues are still full leaves a zero index, across a
+// geometry change in either direction too, and the reused controller
+// keeps the index exact.
+func TestResetClearsBankIndex(t *testing.T) {
+	c := newMC(nil, nil)
+	tm := c.Sys.T
+	dirty := func() {
+		for i := 0; i < 200; i++ {
+			c.Read(uint64(i)*64*4, 0, nil, 0)
+			c.Write(uint64(i)*64*4, 0, 0)
+		}
+		c.tryACT(&c.readQ[0], 0) // throttled: stamps a retry
+		if rd, wr := c.QueueLens(); rd == 0 || wr == 0 || c.banks[c.readQ[0].bank].retryUntil == 0 {
+			t.Fatalf("setup left nothing to clear: queues %d/%d, index %+v", rd, wr, c.banks[c.readQ[0].bank])
+		}
+	}
+	for _, ranks := range []int{2, 8, 1} { // same, grown past one pending word, shrunk
+		c.Def = &throttleDefense{}
+		dirty()
+		cfg := DefaultConfig(4096)
+		cfg.Ranks = ranks
+		c.Reset(cfg, tm, nil, nil)
+		checkBankIndex(t, c)
+		for b, bq := range c.banks {
+			if bq != (bankQueued{}) {
+				t.Fatalf("ranks=%d: bank %d index = %+v after Reset", ranks, b, bq)
+			}
+		}
+		driveNextEvent(t, c, uint64(ranks), 3000)
+	}
+}
+
+// FuzzNextEventByBank hands the differential driver to the fuzzer.
+func FuzzNextEventByBank(f *testing.F) {
+	f.Add(uint64(1), uint16(2000))
+	f.Add(uint64(0xdecaf), uint16(500))
+	f.Fuzz(func(t *testing.T, seed uint64, steps uint16) {
+		driveNextEvent(t, newMC(nil, nil), seed, int(steps))
+	})
 }

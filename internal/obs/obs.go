@@ -95,6 +95,12 @@ type ControllerCounters struct {
 	ScanPasses  uint64 // FR-FCFS scheduler passes over a non-empty queue
 	ScanEntries uint64 // queue entries examined across all passes
 
+	// Wake-up bound evaluations (memctrl.Controller.NextEvent). Scans over
+	// calls is the share the per-bank index alone could not answer
+	// because a defense throttle was still pending on some queued request.
+	NextEventCalls uint64 // full evaluations (cached answers not counted)
+	NextEventScans uint64 // evaluations that walked the queues for some bank
+
 	RefreshStalls  uint64 // precharges forced to unblock a due refresh
 	ThrottleStalls uint64 // issue slots lost to a defense throttle
 
@@ -109,6 +115,8 @@ type ControllerCounters struct {
 func (c *ControllerCounters) Add(o ControllerCounters) {
 	c.ScanPasses += o.ScanPasses
 	c.ScanEntries += o.ScanEntries
+	c.NextEventCalls += o.NextEventCalls
+	c.NextEventScans += o.NextEventScans
 	c.RefreshStalls += o.RefreshStalls
 	c.ThrottleStalls += o.ThrottleStalls
 	c.DirRefreshVictim += o.DirRefreshVictim
@@ -163,6 +171,8 @@ func Glossary() []CounterInfo {
 		{"epoch_advances", "temporal epoch edges crossed by the live threshold view", func(c *Counters) uint64 { return c.EpochAdvances }},
 		{"scan_passes", "FR-FCFS scheduler passes over a non-empty queue", func(c *Counters) uint64 { return c.ScanPasses }},
 		{"scan_entries", "queue entries examined across all scheduler passes", func(c *Counters) uint64 { return c.ScanEntries }},
+		{"next_event_calls", "controller wake-up bounds evaluated in full (cached answers not counted)", func(c *Counters) uint64 { return c.NextEventCalls }},
+		{"next_event_scans", "wake-up bound evaluations that walked the queues for some bank because a throttle retry was pending on it", func(c *Counters) uint64 { return c.NextEventScans }},
 		{"refresh_stalls", "precharges forced to unblock a due refresh", func(c *Counters) uint64 { return c.RefreshStalls }},
 		{"throttle_stalls", "issue slots lost to a defense throttle", func(c *Counters) uint64 { return c.ThrottleStalls }},
 		{"dir_refresh_victim", "neighbor-refresh directives carried out", func(c *Counters) uint64 { return c.DirRefreshVictim }},

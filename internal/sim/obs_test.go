@@ -77,11 +77,15 @@ func TestRecorderCounterInvariants(t *testing.T) {
 	}
 	// Both loops execute the identical schedule, so the behavioral
 	// controller counters (stalls, directives) agree exactly. The scan
-	// counters measure simulator effort, not behavior: the naive loop
-	// ticks the controller every cycle and legitimately scans far more.
+	// and wake-up-bound counters measure simulator effort, not behavior:
+	// the naive loop ticks the controller every cycle and legitimately
+	// scans far more, and it never asks for a wake-up bound.
 	sb, nb := s.ControllerCounters, n.ControllerCounters
-	sb.ScanPasses, sb.ScanEntries = 0, 0
+	sb.ScanPasses, sb.ScanEntries, sb.NextEventCalls, sb.NextEventScans = 0, 0, 0, 0
 	nb.ScanPasses, nb.ScanEntries = 0, 0
+	if nb.NextEventCalls != 0 || nb.NextEventScans != 0 {
+		t.Errorf("naive loop evaluated wake-up bounds: %+v", nb)
+	}
 	if !reflect.DeepEqual(sb, nb) {
 		t.Errorf("behavioral controller counters diverge between loops:\nskip:  %+v\nnaive: %+v", sb, nb)
 	}
@@ -90,6 +94,10 @@ func TestRecorderCounterInvariants(t *testing.T) {
 	}
 	if s.ScanPasses == 0 || s.ScanEntries < s.ScanPasses {
 		t.Errorf("scheduler scan counters implausible: %+v", s.ControllerCounters)
+	}
+	// para never throttles, so no evaluation may have needed the scan.
+	if s.NextEventCalls == 0 || s.NextEventScans != 0 {
+		t.Errorf("wake-up bound counters implausible: %+v", s.ControllerCounters)
 	}
 	// para under attack mixes issues neighbor refreshes.
 	if s.DirRefreshVictim == 0 {
