@@ -196,10 +196,8 @@ func (s *System) CanColumn(bank, row int, write bool, cycle uint64) bool {
 // at which the data transfer completes.
 func (s *System) Column(bank int, write bool, cycle uint64) uint64 {
 	b := &s.Banks[bank]
-	ccd := s.T.CCDS
-	// Same-bank back-to-back columns use the long CCD; cross-bank-group
-	// pairs the short one. Approximated per bank group via ColReady.
-	_ = ccd
+	// Back-to-back columns are spaced by the long CCD on the bank's own
+	// ColReady; cross-bank pairs only share the data bus.
 	var dataStart, dataEnd uint64
 	if write {
 		dataStart = cycle + s.T.CWL
@@ -247,12 +245,15 @@ func (s *System) REF(rank int, cycle uint64) {
 	}
 }
 
-// EndRefreshIfDone clears the refreshing flag once RFC has elapsed.
-func (s *System) EndRefreshIfDone(rank int, cycle uint64) {
+// EndRefreshIfDone clears the refreshing flag once RFC has elapsed and
+// reports whether it did (RankActEarliest drops its refresh term then).
+func (s *System) EndRefreshIfDone(rank int, cycle uint64) bool {
 	r := &s.Ranks[rank]
 	if r.Refreshing && cycle >= r.RefUntil {
 		r.Refreshing = false
+		return true
 	}
+	return false
 }
 
 // The earliest-issue methods below are the timing exposure the
@@ -269,20 +270,30 @@ func (s *System) EndRefreshIfDone(rank int, cycle uint64) {
 // bank ready times, refresh occupancy, tRRD, and tFAW.
 func (s *System) ActEarliest(bank int) uint64 {
 	b := &s.Banks[bank]
-	t := maxU(b.ActReady, b.BusyUntil)
-	r := &s.Ranks[s.RankOf(bank)]
+	return max(b.ActReady, b.BusyUntil, s.RankActEarliest(s.RankOf(bank), s.GroupOf(bank)))
+}
+
+// RankActEarliest is the part of ActEarliest that no single bank owns:
+// the earliest cycle the rank admits an ACT to any bank of group —
+// refresh occupancy, tRRD_S or tRRD_L against the last ACT, and tFAW. It
+// moves only when the rank activates or starts or ends a refresh, so a
+// scheduler can hold it once per (rank, group) next to per-bank ready
+// times instead of re-deriving it per bank.
+func (s *System) RankActEarliest(rank, group int) uint64 {
+	r := &s.Ranks[rank]
+	var t uint64
 	if r.Refreshing {
-		t = maxU(t, r.RefUntil)
+		t = r.RefUntil
 	}
 	if r.anyAct {
 		rrd := s.T.RRDS
-		if s.GroupOf(bank) == r.lastBG {
+		if group == r.lastBG {
 			rrd = s.T.RRDL
 		}
-		t = maxU(t, r.lastAct+rrd)
+		t = max(t, r.lastAct+rrd)
 	}
 	if r.actCount >= 4 {
-		t = maxU(t, r.actTimes[r.actIdx]+s.T.FAW)
+		t = max(t, r.actTimes[r.actIdx]+s.T.FAW)
 	}
 	return t
 }

@@ -79,9 +79,9 @@ func (nopTracker) OnRefresh(int, int, int)     {}
 func (nopTracker) OnRowsSwapped(int, int, int) {}
 
 // Request is one memory transaction. Enqueueing copies the request into
-// the controller's queues (which store values contiguously — the
-// FR-FCFS scan is the hot loop of the whole simulator), so callers must
-// not expect post-enqueue mutations to be observed.
+// the controller's queues (which store values contiguously: the FR-FCFS
+// pick walks them in arrival order), so callers must not expect
+// post-enqueue mutations to be observed.
 type Request struct {
 	Addr    uint64
 	Done    func(cycle uint64) // read completion callback (may be nil)
@@ -92,8 +92,8 @@ type Request struct {
 	row     int32 // MC-visible row (pre-remap)
 	phys    int32 // physical row after migration indirection
 	Write   bool
-	// The layout keeps a Request at 56 bytes, within one cache line
-	// per scanned queue entry in the FR-FCFS hot loop.
+	// The layout keeps a Request at 56 bytes, within one cache line per
+	// queue entry the FR-FCFS walk examines.
 }
 
 // victimOp is an in-flight preventive refresh (ACT+PRE of one row).
@@ -163,34 +163,21 @@ type Controller struct {
 	physToLog *rowtab.Table[int32]
 	remapped  bool
 
-	// banks is the per-bank index of the queues and pending the bitset
-	// of banks with anything queued (see bankQueued). hitSumR/hitSumW
-	// total the banks' hit counts: a zero sum lets the FR-FCFS scan stop
-	// at the first eligible ACT — with no hit-class entry in the queue
-	// there can be no column or cap-rotation candidate, and every
-	// conflict PRE is trivially unsuppressed — exactly what the full scan
-	// would conclude.
+	// banks is the per-bank index of the queues — counts and what the
+	// bank offers each queue (see bankQueued, offer) — and pending the
+	// bitset of banks with anything queued. terms holds the device-wide
+	// parts of the offers' ready times (see the term* indices); ready is
+	// pick's scratch, the kind each pending bank has ready.
 	banks   []bankQueued
 	pending []uint64
-	hitSumR int
-	hitSumW int
+	terms   []uint64
+	ready   []offerKind
 
 	blocksPerRow int
 	writeMode    bool
 	refSlice     []int // per-rank next refresh slice row
 	rowsPerREF   int
 	idleUntil    uint64 // Tick fast path: no-op until this cycle
-
-	// Per-tick bank memos for the scheduling passes (scanTag packs
-	// epoch<<16|flags, one load validates and reads a bank's memo),
-	// epoch-tagged so no O(banks) reset is paid. The scan epoch advances
-	// once per TickFull: within one tick no command separates the victim,
-	// write, and read passes, so CanPRE/CanACT answers carry across all
-	// of them (column and hit flags are kept per direction). The epoch is
-	// monotone across pooled reuse, so a stale tag can never collide.
-	scanTag     []uint64
-	scanEpoch   uint64
-	confScratch []int32 // conflict-PRE banks (schedule)
 
 	// mutated records command-free state changes within one Tick (a
 	// defense throttle stamping retryAt, a victim op adopting an
@@ -202,21 +189,63 @@ type Controller struct {
 
 // bankQueued is one bank's line of the queue index: everything the
 // controller needs to know about the requests queued for the bank
-// without walking the queues, on one cache line.
+// without walking the queues, on one cache line. The arrays are indexed
+// by queue: 0 the read queue, 1 the write queue.
 type bankQueued struct {
-	// reqR/reqW count the bank's queued reads and writes. They change
-	// only at enqueue and column completion: a request's bank is fixed.
-	reqR, reqW int32
-	// hitR/hitW count those that target the bank's open row (hit-class
-	// membership, regardless of any defense retry time). They change at
+	// req counts the bank's queued requests. It changes only at enqueue
+	// and column completion: a request's bank is fixed.
+	req [2]int32
+	// hit counts those that target the bank's open row (hit-class
+	// membership, regardless of any defense retry time). It changes at
 	// the same two points and when the open row or the requests' physical
 	// rows do (issueACTRaw, issuePRE, row-swap repair).
-	hitR, hitW int32
+	hit [2]int32
 	// retryUntil bounds from above every retryAt stamped on a request
 	// queued for the bank: once it has passed, no stamp can still gate
-	// anything and the four counts say all NextEvent needs.
+	// anything and offer says all schedule and NextEvent need.
 	retryUntil uint64
+	// offer is what the bank offers each queue, kept by reoffer.
+	offer [2]offer
 }
+
+// offerKind is the one command a bank offers a queue, in FR-FCFS
+// priority order: the scheduler issues the oldest request of the lowest
+// kind any bank has ready.
+type offerKind uint8
+
+const (
+	offerNone        offerKind = iota // nothing queued
+	offerColumn                       // RD/WR of a request to the open row
+	offerACT                          // closed bank: open a request's row
+	offerConflictPRE                  // open on a row no request of the queue targets
+	offerCapPRE                       // hits queued but the column cap is reached: rotate
+	offerKinds
+)
+
+// offer is a bank's standing answer to "what can this queue do here, and
+// from when": a function of the bank's device state and the queue's
+// req/hit counts only, so it is re-derived (reoffer) by the commands and
+// enqueues that touch this bank and read everywhere else. The ready time
+// is split: at is the bank's own part, terms[term] the part shared
+// device-wide, which the one command that moves it refreshes for every
+// bank at once. The command is ready at cycle iff both are <= cycle —
+// mem.System's *Earliest bounds are exact (they mirror the Can*
+// predicates term by term), so "earliest <= cycle" is the predicate.
+type offer struct {
+	at   uint64
+	term int32
+	kind offerKind
+}
+
+// Indices into Controller.terms.
+const (
+	termNone = 0 // always zero: a PRE waits on nothing but its bank
+	termBus  = 1 // +queue: Chan.DataFree less the read / write latency
+	termACT  = 3 // +rank*BankGroups+group: mem.System.RankActEarliest
+)
+
+// never is later than any cycle: the ready time of an offer of nothing.
+const never = ^uint64(0)
 
 // New builds a controller over timing t, defense def (nil = none), and
 // tracker tr (nil = none).
@@ -229,9 +258,7 @@ func New(cfg Config, t mem.Timing, def mitigation.Defense, tr Tracker) *Controll
 // Reset reinitializes the controller in place to the state
 // New(cfg, t, def, tr) produces, retaining queue, table, and scratch
 // allocations — the pooled-reuse path between sweep cells. Requests
-// still queued from a truncated run are recycled; the epoch counters
-// deliberately keep counting (their values never affect scheduling,
-// only whether a memo slot is current).
+// still queued from a truncated run are recycled.
 func (c *Controller) Reset(cfg Config, t mem.Timing, def mitigation.Defense, tr Tracker) {
 	if def == nil {
 		def = mitigation.Nop{}
@@ -273,51 +300,83 @@ func (c *Controller) Reset(cfg Config, t mem.Timing, def mitigation.Defense, tr 
 	c.remapped = false
 	c.blocksPerRow = cfg.RowBytes / 64
 	c.writeMode = false
-	if cap(c.refSlice) >= cfg.Ranks {
-		c.refSlice = c.refSlice[:cfg.Ranks]
-		clear(c.refSlice)
-	} else {
-		c.refSlice = make([]int, cfg.Ranks)
-	}
+	c.refSlice = regrow(c.refSlice, cfg.Ranks)
 	c.rowsPerREF = (cfg.RowsPerBank + refs - 1) / refs
 	c.idleUntil = 0
 	c.mutated = false
-	// Epoch-tagged scratch: zeroed only on growth (fresh zeros read as
-	// "never current" because the epoch counters start above 0 and only
-	// increment, across pooled reuse too).
-	if cap(c.scanTag) >= banks {
-		c.scanTag = c.scanTag[:banks]
-	} else {
-		c.scanTag = make([]uint64, banks)
+	// The index, zeroed: nothing pending, and every device-wide term of a
+	// fresh mem.System is zero too.
+	c.banks = regrow(c.banks, banks)
+	c.pending = regrow(c.pending, (banks+63)/64)
+	c.terms = regrow(c.terms, termACT+cfg.Ranks*cfg.BankGroups)
+	c.ready = regrow(c.ready, banks)
+}
+
+// regrow returns s resized to n zeroed elements, in place when its
+// backing array fits (the pooled-reuse path allocates nothing).
+func regrow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	words := (banks + 63) / 64
-	if cap(c.banks) >= banks {
-		c.banks = c.banks[:banks]
-		c.pending = c.pending[:words]
-		clear(c.banks)
-		clear(c.pending)
-	} else {
-		c.banks = make([]bankQueued, banks)
-		c.pending = make([]uint64, words)
-	}
-	c.hitSumR, c.hitSumW = 0, 0
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // recountHits recomputes bank's hit-class counts after its open row
 // changed (ACT) or its queued requests' physical rows were remapped
-// (swap repair). Runs once per such command; the scans it lets schedule
-// skip repay it many times over. Each scan stops at the bank's last
-// queued request (the index says how many there are), so an ACT to a bank
-// nothing is queued for — a victim refresh, typically — scans nothing.
+// (swap repair). Each scan stops at the bank's last queued request (the
+// index says how many there are), so an ACT to a bank nothing is queued
+// for — a victim refresh, typically — scans nothing.
 func (c *Controller) recountHits(bank int) {
 	row := c.Sys.Banks[bank].OpenRow
 	bq := &c.banks[bank]
-	n := countHits(c.readQ, bank, row, bq.reqR)
-	c.hitSumR += int(n - bq.hitR)
-	bq.hitR = n
-	n = countHits(c.writeQ, bank, row, bq.reqW)
-	c.hitSumW += int(n - bq.hitW)
-	bq.hitW = n
+	bq.hit[0] = countHits(c.readQ, bank, row, bq.req[0])
+	bq.hit[1] = countHits(c.writeQ, bank, row, bq.req[1])
+}
+
+// reoffer re-derives what bank offers each queue. It is the only writer
+// of bankQueued.offer and runs wherever an input moves: the bank's
+// counts (enqueue, column completion), its open row or hit streak (ACT,
+// column, PRE, swap repair), its ready times (the same commands, REF for
+// every bank of the rank, BlockBank).
+func (c *Controller) reoffer(bank int) {
+	b := &c.Sys.Banks[bank]
+	bq := &c.banks[bank]
+	for dir := range bq.offer {
+		o := offer{at: never}
+		switch {
+		case bq.req[dir] == 0:
+		case b.OpenRow < 0:
+			o = offer{kind: offerACT, at: max(b.ActReady, b.BusyUntil), term: int32(termACT + bank/c.Cfg.BanksPerGroup)}
+		case bq.hit[dir] == 0:
+			o = offer{kind: offerConflictPRE, at: max(b.PreReady, b.BusyUntil)}
+		case b.HitStreak >= c.Cfg.ColumnCap:
+			o = offer{kind: offerCapPRE, at: max(b.PreReady, b.BusyUntil)}
+		default:
+			o = offer{kind: offerColumn, at: max(b.ColReady, b.BusyUntil), term: int32(termBus + dir)}
+		}
+		bq.offer[dir] = o
+	}
+}
+
+// rankTerms refreshes the ACT terms of rank's bank groups: after an ACT
+// to the rank (tRRD, tFAW) and when it starts or ends a refresh.
+func (c *Controller) rankTerms(rank int) {
+	for g := 0; g < c.Cfg.BankGroups; g++ {
+		c.terms[termACT+rank*c.Cfg.BankGroups+g] = c.Sys.RankActEarliest(rank, g)
+	}
+}
+
+// readyAt is the earliest cycle o's command can issue.
+func (c *Controller) readyAt(o offer) uint64 { return max(o.at, c.terms[o.term]) }
+
+// queue returns the read (0) or write (1) queue.
+func (c *Controller) queue(dir int) []Request {
+	if dir == 0 {
+		return c.readQ
+	}
+	return c.writeQ
 }
 
 // countHits counts q's requests to (bank, row), given that exactly
@@ -414,76 +473,51 @@ func (c *Controller) swapRows(bank, physA, physB int) {
 // EnqueueRead adds a copy of the read to the queue; false when the
 // queue is full.
 func (c *Controller) EnqueueRead(r *Request, cycle uint64) bool {
-	if len(c.readQ) >= c.Cfg.ReadQ {
-		return false
-	}
-	r.arrive = cycle
-	bank, row := c.Decode(r.Addr)
-	r.bank, r.row = int32(bank), int32(row)
-	r.phys = int32(c.physOf(bank, row))
-	r.Write = false
-	c.readQ = append(c.readQ, *r)
-	c.banks[bank].reqR++
-	c.pending[bank>>6] |= 1 << (bank & 63)
-	if c.Sys.Banks[bank].OpenRow == int(r.phys) {
-		c.banks[bank].hitR++
-		c.hitSumR++
-	}
-	c.noteEnqueued(r, cycle)
-	return true
+	return c.enqueue(r, false, cycle)
 }
 
 // EnqueueWrite adds a copy of the write to the queue; false when the
 // queue is full. Writes are posted: the issuer never waits for them.
 func (c *Controller) EnqueueWrite(r *Request, cycle uint64) bool {
-	if len(c.writeQ) >= c.Cfg.WriteQ {
+	return c.enqueue(r, true, cycle)
+}
+
+func (c *Controller) enqueue(r *Request, write bool, cycle uint64) bool {
+	q, limit, dir := &c.readQ, c.Cfg.ReadQ, 0
+	if write {
+		q, limit, dir = &c.writeQ, c.Cfg.WriteQ, 1
+	}
+	if len(*q) >= limit {
 		return false
 	}
 	r.arrive = cycle
 	bank, row := c.Decode(r.Addr)
 	r.bank, r.row = int32(bank), int32(row)
 	r.phys = int32(c.physOf(bank, row))
-	r.Write = true
-	c.writeQ = append(c.writeQ, *r)
-	c.banks[bank].reqW++
+	r.Write = write
+	*q = append(*q, *r)
+	bq := &c.banks[bank]
+	bq.req[dir]++
 	c.pending[bank>>6] |= 1 << (bank & 63)
 	if c.Sys.Banks[bank].OpenRow == int(r.phys) {
-		c.banks[bank].hitW++
-		c.hitSumW++
+		bq.hit[dir]++
 	}
-	c.noteEnqueued(r, cycle)
+	c.reoffer(bank)
+	// A dormant controller (the next Tick runs a full pass otherwise)
+	// tightens its cached idle bound instead of discarding it: the new
+	// request only adds to what its own bank can do — every other bank's
+	// state is frozen, the write-drain mode flip is covered because the
+	// bound considers both queues regardless of mode, and a new row hit
+	// can only *suppress* (delay) a conflict PRE — so the bank's
+	// candidate, from this cycle on, is all that can precede the bound.
+	if c.idleUntil > cycle {
+		at := c.readyAt(bq.offer[dir])
+		if bq.retryUntil > cycle {
+			at = c.bankEventByRequest(bank, cycle)
+		}
+		c.idleUntil = min(c.idleUntil, at)
+	}
 	return true
-}
-
-// noteEnqueued tightens the cached idle bound for a newly queued
-// request instead of discarding it: the controller stays dormant until
-// min(previous bound, the request's own earliest actionable cycle).
-// That bound is exact — a new request only adds candidate actions
-// (bounded below by its device timing with retryAt still zero), the
-// other requests' earliest times depend only on frozen bank state, the
-// write-drain mode flip is covered because the idle bound already
-// considers both queues regardless of mode, and a new row hit can only
-// *suppress* (delay) a conflict PRE, where waking early is a wasted
-// no-op tick, never a missed action. Bursty cores therefore no longer
-// force a full scheduling rescan per enqueued miss.
-func (c *Controller) noteEnqueued(r *Request, cycle uint64) {
-	if c.idleUntil <= cycle {
-		return // not dormant: the next Tick runs a full pass anyway
-	}
-	bank := int(r.bank)
-	b := &c.Sys.Banks[bank]
-	var at uint64
-	switch {
-	case b.OpenRow == int(r.phys) && b.HitStreak < c.Cfg.ColumnCap:
-		at = c.Sys.ColumnEarliest(bank, r.Write)
-	case b.OpenRow >= 0:
-		at = c.Sys.PreEarliest(bank)
-	default:
-		at = c.Sys.ActEarliest(bank)
-	}
-	if at < c.idleUntil {
-		c.idleUntil = at
-	}
 }
 
 // QueueLens returns the current read and write queue depths.
@@ -503,10 +537,10 @@ func (c *Controller) Idle() bool {
 //
 // Tick exploits its own guarantee: after an idle cycle it caches the
 // NextEvent bound and answers every Tick before it with an immediate
-// false, skipping the scheduling scan entirely. The cache is dropped on
-// any enqueue (a new request can be actionable at once); every other
+// false, skipping the scheduling pass entirely. An enqueue tightens the
+// cache to the new request's bank's candidate (see enqueue); every other
 // state change happens inside an active tick, which recomputes the
-// bound at the next idle one.
+// bound.
 func (c *Controller) Tick(cycle uint64) bool {
 	if cycle < c.idleUntil {
 		return false
@@ -516,9 +550,9 @@ func (c *Controller) Tick(cycle uint64) bool {
 	// idle ones: once this tick's command (or mutation) has landed, the
 	// controller's state is frozen until the bound — by the same
 	// argument that makes the bound exact after an idle tick — and any
-	// enqueue in between re-tightens it through noteEnqueued. This
-	// spares the full scheduling rescan that otherwise trails every
-	// issued command on the next cycle, discovering nothing is ready.
+	// enqueue in between re-tightens it. This spares the scheduling pass
+	// that otherwise trails every issued command on the next cycle,
+	// discovering nothing is ready.
 	c.idleUntil = c.NextEvent(cycle)
 	return active
 }
@@ -527,13 +561,10 @@ func (c *Controller) Tick(cycle uint64) bool {
 // full per-cycle scheduling pass. The per-cycle reference loop
 // (sim.Config.NoSkip) drives the controller through TickFull so the
 // baseline the differential tests compare against contains none of the
-// event machinery.
+// event machinery (the offers are kept by the commands themselves, not
+// by it).
 func (c *Controller) TickFull(cycle uint64) bool {
 	c.mutated = false
-	// One memo epoch per tick: no command separates the victim, write,
-	// and read passes within a tick, so bank-level CanPRE/CanACT/
-	// CanColumn answers carry across all of them.
-	c.scanEpoch++
 	issued := c.tick(cycle)
 	return issued || c.mutated
 }
@@ -542,10 +573,16 @@ func (c *Controller) TickFull(cycle uint64) bool {
 func (c *Controller) tick(cycle uint64) bool {
 	// Refresh management.
 	for rank := 0; rank < c.Cfg.Ranks; rank++ {
-		c.Sys.EndRefreshIfDone(rank, cycle)
+		if c.Sys.EndRefreshIfDone(rank, cycle) {
+			c.rankTerms(rank)
+		}
 		if c.Sys.RefreshDue(rank, cycle) && !c.Sys.Ranks[rank].Refreshing {
 			if c.Sys.AllPrecharged(rank) {
 				c.Sys.REF(rank, cycle)
+				c.rankTerms(rank)
+				for b := rank * c.Sys.BanksPerRank(); b < (rank+1)*c.Sys.BanksPerRank(); b++ {
+					c.reoffer(b)
+				}
 				c.Track.OnRefresh(rank, c.refSlice[rank], c.rowsPerREF)
 				c.refSlice[rank] = (c.refSlice[rank] + c.rowsPerREF) % c.Cfg.RowsPerBank
 				c.Stats.Refreshes++
@@ -578,17 +615,14 @@ func (c *Controller) tick(cycle uint64) bool {
 		c.writeMode = true
 	}
 
-	if c.writeMode && c.schedule(c.writeQ, cycle, true) {
+	if c.writeMode && c.schedule(1, cycle) {
 		return true
 	}
-	if c.schedule(c.readQ, cycle, false) {
+	if c.schedule(0, cycle) {
 		return true
 	}
-	if !c.writeMode && len(c.writeQ) > 0 {
-		// Opportunistically drain writes when reads have nothing to do.
-		return c.schedule(c.writeQ, cycle, true)
-	}
-	return false
+	// Opportunistically drain writes when reads have nothing to do.
+	return !c.writeMode && c.schedule(1, cycle)
 }
 
 // NextEvent returns the earliest cycle after cycle at which an idle
@@ -622,45 +656,22 @@ func (c *Controller) NextEvent(cycle uint64) uint64 {
 	if next == floor {
 		return floor
 	}
-	// Demand and write queues: one candidate per pending bank. A closed
-	// bank waits for its ACT. An open bank offers each queue that has a
-	// hit on it the column command (read and write latencies differ) —
-	// or, at the column cap, the rotating PRE — while the open-row policy
-	// suppresses that queue's conflicts: schedule never closes a bank
-	// while a same-queue request still hits its open row, and the hits
-	// draining is an active tick that reschedules everything. A queue
-	// with only conflicts offers the PRE. The index holds exactly these
-	// facts, so no queue is walked unless a retry stamp on the bank may
-	// still be live.
+	// Demand and write queues: one candidate per pending bank, the
+	// earlier of what it offers the two queues (both regardless of the
+	// drain mode, see above). No queue is walked unless a retry stamp on
+	// the bank may still be live.
 	scanned := false
 	for w, word := range c.pending {
 		for ; word != 0; word &= word - 1 {
 			bank := w<<6 | bits.TrailingZeros64(word)
-			b := &c.Sys.Banks[bank]
 			bq := &c.banks[bank]
-			var at uint64
-			switch {
-			case bq.retryUntil > floor:
+			at := min(c.readyAt(bq.offer[0]), c.readyAt(bq.offer[1]))
+			if bq.retryUntil > floor {
 				if !scanned {
 					scanned = true
 					c.Obs.NextEventScans++
 				}
 				at = c.bankEventByRequest(bank, floor)
-			case b.OpenRow < 0:
-				at = c.Sys.ActEarliest(bank)
-			case b.HitStreak >= c.Cfg.ColumnCap:
-				at = c.Sys.PreEarliest(bank) // rotation or conflict: a PRE either way
-			default:
-				at = ^uint64(0)
-				if bq.hitR > 0 {
-					at = c.Sys.ColumnEarliest(bank, false)
-				}
-				if bq.hitW > 0 {
-					at = min(at, c.Sys.ColumnEarliest(bank, true))
-				}
-				if (bq.hitR == 0 && bq.reqR > 0) || (bq.hitW == 0 && bq.reqW > 0) {
-					at = min(at, c.Sys.PreEarliest(bank))
-				}
 			}
 			if at < next {
 				if at <= floor {
@@ -678,8 +689,8 @@ func (c *Controller) NextEvent(cycle uint64) uint64 {
 // floor is the same as no stamp — NextEvent clamps to floor from below,
 // so max(at, retryAt) and max(at, 0) agree, and a hit with
 // retryAt <= floor suppresses every conflict candidate (all >= floor)
-// exactly as an unstamped one does — which is why the index alone
-// decides every other bank. Here the stamps matter, but only the
+// exactly as an unstamped one does — which is why the offers alone
+// decide every other bank. Here the stamps matter, but only the
 // earliest of each class: the hits of a queue share one device time, so
 // the earliest-stamped one acts first, and it is also the one whose
 // stamp starts the suppression of that queue's conflicts; a conflict
@@ -688,15 +699,10 @@ func (c *Controller) NextEvent(cycle uint64) uint64 {
 func (c *Controller) bankEventByRequest(bank int, floor uint64) uint64 {
 	b := &c.Sys.Banks[bank]
 	bq := &c.banks[bank]
-	const none = ^uint64(0)
-	at, latest := none, uint64(0)
+	at, latest := never, uint64(0)
 	for write, q := range [2][]Request{c.readQ, c.writeQ} {
-		left := bq.reqR
-		if write == 1 {
-			left = bq.reqW
-		}
-		hit, other := none, none // earliest stamp among the open row's requests, and the rest
-		for i := 0; left > 0; i++ {
+		hit, other := never, never // earliest stamp among the open row's requests, and the rest
+		for i, left := 0, bq.req[write]; left > 0; i++ {
 			r := &q[i]
 			if int(r.bank) != bank {
 				continue
@@ -710,19 +716,19 @@ func (c *Controller) bankEventByRequest(bank int, floor uint64) uint64 {
 			}
 		}
 		if b.OpenRow < 0 {
-			if other != none {
+			if other != never {
 				at = min(at, max(c.Sys.ActEarliest(bank), other))
 			}
 			continue
 		}
-		if hit != none {
+		if hit != never {
 			ready := c.Sys.PreEarliest(bank) // column-cap rotation
 			if b.HitStreak < c.Cfg.ColumnCap {
 				ready = c.Sys.ColumnEarliest(bank, write == 1)
 			}
 			at = min(at, max(ready, hit))
 		}
-		if other != none {
+		if other != never {
 			if pre := max(c.Sys.PreEarliest(bank), other, floor); pre < hit {
 				at = min(at, pre)
 			}
@@ -802,7 +808,7 @@ func (c *Controller) maintenanceEvent(floor uint64) uint64 {
 				return floor
 			}
 		case b.OpenRow >= 0:
-			if consider(maxU64(v.preAt, c.Sys.PreEarliest(v.bank))) {
+			if consider(max(v.preAt, c.Sys.PreEarliest(v.bank))) {
 				return floor
 			}
 		default:
@@ -837,22 +843,18 @@ func (c *Controller) tickVictims(cycle uint64) bool {
 				// count as activity or a skipping driver could stamp it
 				// later than a per-cycle one.
 				v.opened = true
-				v.preAt = maxU64(cycle, b.PreReady)
+				v.preAt = max(cycle, b.PreReady)
 				c.mutated = true
 				continue
 			}
 			if b.OpenRow >= 0 {
-				f, ok := c.canPREMemo(v.bank, c.tickTag(v.bank), cycle)
-				c.scanTag[v.bank] = f
-				if ok {
+				if c.Sys.CanPRE(v.bank, cycle) {
 					c.issuePRE(v.bank, cycle)
 					return true
 				}
 				continue
 			}
-			f, ok := c.canACTMemo(v.bank, c.tickTag(v.bank), cycle)
-			c.scanTag[v.bank] = f
-			if ok {
+			if c.Sys.CanACT(v.bank, cycle) {
 				c.issueACTRaw(v.bank, v.row, cycle)
 				v.opened = true
 				v.preAt = cycle + c.Sys.T.RAS
@@ -861,9 +863,7 @@ func (c *Controller) tickVictims(cycle uint64) bool {
 			continue
 		}
 		if cycle >= v.preAt {
-			f, ok := c.canPREMemo(v.bank, c.tickTag(v.bank), cycle)
-			c.scanTag[v.bank] = f
-			if ok {
+			if c.Sys.CanPRE(v.bank, cycle) {
 				c.issuePRE(v.bank, cycle)
 				c.Stats.VictimRefreshes++
 				c.victimSet.Unset(c.rowKey(v.bank, v.row))
@@ -875,204 +875,113 @@ func (c *Controller) tickVictims(cycle uint64) bool {
 	return false
 }
 
-// Per-tick bank memo flags: within one tick no command separates the
-// scheduling passes, so CanColumn/CanPRE/CanACT answer identically for
-// every visitor of the same bank. Hit and column flags are kept per
-// queue direction (the hit set defines each queue's open-row policy;
-// CanColumn depends on read-vs-write latency). The flags live in the
-// low 16 bits of scanTag, whose high bits hold the tick epoch the flags
-// belong to — one load validates and reads a bank's memo, and bumping
-// scanEpoch lazily resets every bank.
-const (
-	scanHitR uint64 = 1 << iota
-	scanHitW
-	scanColRChecked
-	scanColROK
-	scanColWChecked
-	scanColWOK
-	scanPreChecked
-	scanPreOK
-	scanActChecked
-	scanActOK
-)
-
-const scanFlagBits = 16
-
-// tickTag returns bank's memo word for the current tick epoch.
-func (c *Controller) tickTag(bank int) uint64 {
-	f := c.scanTag[bank]
-	if f>>scanFlagBits != c.scanEpoch {
-		f = c.scanEpoch << scanFlagBits
-	}
-	return f
-}
-
-// canACTMemo is CanACT with the per-tick bank memo; it returns the
-// updated flag word.
-func (c *Controller) canACTMemo(bank int, f uint64, cycle uint64) (uint64, bool) {
-	if f&scanActChecked == 0 {
-		f |= scanActChecked
-		if c.Sys.CanACT(bank, cycle) {
-			f |= scanActOK
-		}
-	}
-	return f, f&scanActOK != 0
-}
-
-// schedule applies FR-FCFS to one queue in a single pass: it finds the
-// oldest ready row-hit column command, and failing that, the oldest
-// request needing an ACT, a cap-rotation PRE, or a conflict PRE — where
-// a conflicting bank is only closed if no queued request still targets
-// its open row (open-row policy).
-func (c *Controller) schedule(q []Request, cycle uint64, writes bool) bool {
+// schedule applies FR-FCFS to queue dir: it issues what pick chose. An
+// ACT goes through the defense, so it may end in a throttle instead.
+func (c *Controller) schedule(dir int, cycle uint64) bool {
+	q := c.queue(dir)
 	if len(q) == 0 {
 		return false
 	}
 	c.Obs.ScanPasses++
-	epoch := c.scanEpoch << scanFlagBits
-	hitSum := c.hitSumR
-	if writes {
-		hitSum = c.hitSumW
-	}
-	colCand, actCand, capCand := -1, -1, -1
-	confBanks := c.confScratch[:0]
-	if hitSum == 0 {
-		// No hit-class entry anywhere in the queue: no column or
-		// cap-rotation candidate can exist, and no conflict PRE can be
-		// suppressed by the open-row policy, so the oldest eligible ACT
-		// wins the moment it is found — the scan stops there instead of
-		// walking the rest of the queue for a hit that cannot exist.
-		for i := range q {
-			r := &q[i]
-			c.Obs.ScanEntries++
-			if cycle < r.retryAt {
-				continue
-			}
-			bank := int(r.bank)
-			b := &c.Sys.Banks[bank]
-			f := c.scanTag[bank]
-			if f>>scanFlagBits != c.scanEpoch {
-				f = epoch
-			}
-			if b.OpenRow >= 0 {
-				if len(confBanks) == 0 {
-					if f, _ = c.canPREMemo(bank, f, cycle); f&scanPreOK != 0 {
-						confBanks = append(confBanks, r.bank)
-					}
-					c.scanTag[bank] = f
-				}
-				continue
-			}
-			if f&scanActChecked == 0 {
-				f |= scanActChecked
-				if c.Sys.CanACT(bank, cycle) {
-					f |= scanActOK
-				}
-			}
-			c.scanTag[bank] = f
-			if f&scanActOK != 0 {
-				actCand = i
-				break
-			}
-		}
-		c.confScratch = confBanks[:0]
-		if actCand >= 0 {
-			return c.tryACT(&q[actCand], cycle)
-		}
-		if len(confBanks) > 0 {
-			c.issuePRE(int(confBanks[0]), cycle)
-			return true
-		}
+	kind, i := c.pick(dir, cycle)
+	c.Obs.ScanEntries += uint64(i + 1)
+	switch kind {
+	case offerNone:
 		return false
+	case offerColumn:
+		c.issueColumn(i, cycle, dir == 1)
+	case offerACT:
+		return c.tryACT(&q[i], cycle)
+	default:
+		c.issuePRE(int(q[i].bank), cycle)
 	}
-	hitBit, colChecked, colOK := scanHitR, scanColRChecked, scanColROK
-	if writes {
-		hitBit, colChecked, colOK = scanHitW, scanColWChecked, scanColWOK
+	return true
+}
+
+// pick is FR-FCFS over queue dir: the oldest request of the best class
+// any bank has ready at cycle — a row hit's column command, else an ACT
+// to a closed bank, else the PRE of a bank open on a row none of the
+// queue's eligible requests targets (open-row policy: a bank is never
+// closed under a hit), else the PRE that rotates a bank at the column
+// cap. The classes are the offer kinds, so one pass over the pending
+// banks notes the kind each has ready (every queued request's bank is a
+// pending one, so the scratch needs no clearing), and the first request
+// in arrival order whose bank has the best kind ready is the choice: i is
+// its queue index and the number of entries the walk examined less one,
+// -1 when nothing is ready. pick changes no scheduling state.
+func (c *Controller) pick(dir int, cycle uint64) (kind offerKind, i int) {
+	have := uint(0)
+	for w, word := range c.pending {
+		for ; word != 0; word &= word - 1 {
+			bank := w<<6 | bits.TrailingZeros64(word)
+			bq := &c.banks[bank]
+			o := bq.offer[dir]
+			if bq.retryUntil > cycle {
+				o = c.offerByRequest(bank, dir, cycle)
+			}
+			k := o.kind
+			if max(o.at, c.terms[o.term]) > cycle {
+				k = offerNone
+			}
+			c.ready[bank] = k
+			have |= 1 << k
+		}
 	}
+	have &^= 1 << offerNone
+	if have == 0 {
+		return offerNone, -1
+	}
+	kind = offerKind(bits.TrailingZeros(have))
+	byRow := kind == offerColumn || kind == offerCapPRE
+	q := c.queue(dir)
 	for i := range q {
 		r := &q[i]
-		c.Obs.ScanEntries++
-		if cycle < r.retryAt {
+		// The stamp test only ever rejects on a bank offerByRequest
+		// resolved; it found this class there through an eligible request.
+		if c.ready[r.bank] != kind || cycle < r.retryAt {
 			continue
 		}
-		bank := int(r.bank)
-		b := &c.Sys.Banks[bank]
-		f := c.scanTag[bank]
-		if f>>scanFlagBits != c.scanEpoch {
-			f = epoch
+		if byRow && int(r.phys) != c.Sys.Banks[r.bank].OpenRow {
+			continue
 		}
-		switch {
-		case b.OpenRow == int(r.phys):
-			f |= hitBit
-			if b.HitStreak < c.Cfg.ColumnCap {
-				if f&colChecked == 0 {
-					f |= colChecked
-					if c.Sys.CanColumn(bank, int(r.phys), writes, cycle) {
-						f |= colOK
-					}
-				}
-				if f&colOK != 0 {
-					colCand = i
-				}
-			} else if capCand < 0 && actCand < 0 {
-				if f, _ = c.canPREMemo(bank, f, cycle); f&scanPreOK != 0 {
-					capCand = i
-				}
-			}
-		case b.OpenRow >= 0:
-			// Collected only while no ACT candidate exists: the ACT
-			// path below returns (issue or throttle) without reaching
-			// the conflict PREs, so later ones are dead the moment an
-			// ACT candidate appears. Same for the cap rotation above.
-			if actCand < 0 {
-				if f, _ = c.canPREMemo(bank, f, cycle); f&scanPreOK != 0 {
-					confBanks = append(confBanks, r.bank)
-				}
-			}
-		default:
-			if actCand < 0 {
-				// Inline ACT memo: canACTMemo sits just past the
-				// inlining budget and this is the simulator's hottest
-				// loop.
-				if f&scanActChecked == 0 {
-					f |= scanActChecked
-					if c.Sys.CanACT(bank, cycle) {
-						f |= scanActOK
-					}
-				}
-				if f&scanActOK != 0 {
-					actCand = i
-				}
-			}
+		return kind, i
+	}
+	panic("memctrl: a bank offers a command no queued request backs")
+}
+
+// offerByRequest is what bank offers queue dir at cycle while a defense
+// retry may still gate some of its requests: only requests whose stamp
+// has passed are eligible. The stored offer stands when the class it
+// names has an eligible request; stamped hits neither earn a column
+// command nor hold the row open, so with none of them eligible the
+// bank's eligible conflicts get their PRE.
+func (c *Controller) offerByRequest(bank, dir int, cycle uint64) offer {
+	bq := &c.banks[bank]
+	q := c.queue(dir)
+	open := c.Sys.Banks[bank].OpenRow
+	other := false
+	for i, left := 0, bq.req[dir]; left > 0; i++ {
+		r := &q[i]
+		if int(r.bank) != bank {
+			continue
 		}
-		c.scanTag[bank] = f
-		if colCand >= 0 {
-			// Oldest ready row hit wins outright; the rest of the scan
-			// only feeds the lower-priority paths.
-			break
+		left--
+		if r.retryAt > cycle {
+			continue
 		}
-	}
-	// Retain confBanks' growth for the next scan (the entries stay
-	// readable through the local slice below).
-	c.confScratch = confBanks[:0]
-	if colCand >= 0 {
-		c.issueColumn(colCand, cycle, writes)
-		return true
-	}
-	if actCand >= 0 {
-		return c.tryACT(&q[actCand], cycle)
-	}
-	for _, bank := range confBanks {
-		if c.scanTag[bank]&hitBit == 0 {
-			c.issuePRE(int(bank), cycle)
-			return true
+		if int(r.phys) == open {
+			return bq.offer[dir] // column or cap rotation
 		}
+		other = true
 	}
-	if capCand >= 0 {
-		c.issuePRE(int(q[capCand].bank), cycle)
-		return true
+	o := bq.offer[dir]
+	switch {
+	case !other:
+		return offer{at: never}
+	case o.kind == offerColumn || o.kind == offerCapPRE:
+		return offer{kind: offerConflictPRE, at: c.Sys.PreEarliest(bank)}
 	}
-	return false
+	return o // ACT or conflict PRE
 }
 
 // tryACT opens the row of r, schedule's ACT candidate, unless the
@@ -1095,24 +1004,10 @@ func (c *Controller) tryACT(r *Request, cycle uint64) bool {
 	return false
 }
 
-// canPREMemo is CanPRE with the per-scan bank memo; it returns the
-// updated flag word.
-func (c *Controller) canPREMemo(bank int, f uint64, cycle uint64) (uint64, bool) {
-	if f&scanPreChecked == 0 {
-		f |= scanPreChecked
-		if c.Sys.CanPRE(bank, cycle) {
-			f |= scanPreOK
-		}
-	}
-	return f, f&scanPreOK != 0
-}
-
 func (c *Controller) issuePRE(bank int, cycle uint64) {
 	row, on := c.Sys.PRE(bank, cycle)
-	bq := &c.banks[bank]
-	c.hitSumR -= int(bq.hitR)
-	c.hitSumW -= int(bq.hitW)
-	bq.hitR, bq.hitW = 0, 0
+	c.banks[bank].hit = [2]int32{}
+	c.reoffer(bank)
 	c.Track.OnPre(bank, row, on)
 	c.Stats.Pres++
 }
@@ -1123,6 +1018,8 @@ func (c *Controller) issuePRE(bank int, cycle uint64) {
 func (c *Controller) issueACTRaw(bank, row int, cycle uint64) {
 	c.Sys.ACT(bank, row, cycle)
 	c.recountHits(bank)
+	c.rankTerms(c.Sys.RankOf(bank))
+	c.reoffer(bank)
 	c.Track.OnAct(bank, row, cycle)
 	c.Stats.Acts++
 }
@@ -1150,6 +1047,7 @@ func (c *Controller) execute(dir mitigation.Directive, cycle uint64) {
 	case mitigation.SwapRows:
 		c.swapRows(dir.Bank, dir.Row, dir.DstRow)
 		c.Sys.BlockBank(dir.Bank, cycle, dir.BusyCycles)
+		c.reoffer(dir.Bank)
 		c.Track.OnRowsSwapped(dir.Bank, dir.Row, dir.DstRow)
 		c.Stats.Migrations++
 		c.Obs.DirSwapRows++
@@ -1191,55 +1089,39 @@ func (c *Controller) encode(bank, row, col int) uint64 {
 }
 
 // issueColumn issues the column command of queue entry idx (of the
-// write queue when writes, else the read queue) and removes it.
+// write queue when writes, else the read queue) and removes it from the
+// queue and the index; a column target is hit-class by definition.
 func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
+	q, dir := &c.readQ, 0
 	if writes {
-		r := &c.writeQ[idx]
-		c.Sys.Column(int(r.bank), true, cycle)
+		q, dir = &c.writeQ, 1
+	}
+	r := (*q)[idx]
+	bank := int(r.bank)
+	dataEnd := c.Sys.Column(bank, writes, cycle)
+	c.terms[termBus] = dataEnd - min(dataEnd, c.Sys.T.CL)
+	c.terms[termBus+1] = dataEnd - min(dataEnd, c.Sys.T.CWL)
+	bq := &c.banks[bank]
+	bq.req[dir]--
+	bq.hit[dir]--
+	if bq.req[0]|bq.req[1] == 0 {
+		c.pending[bank>>6] &^= 1 << (bank & 63)
+	}
+	c.reoffer(bank)
+	// Remove before invoking the completion: the callback may enqueue (a
+	// dirty-eviction writeback), which must see the freed slot.
+	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	if writes {
 		c.Stats.Writes++
-		c.noteDequeued(int(r.bank), true)
-		c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
 		return
 	}
-	r := &c.readQ[idx]
-	dataEnd := c.Sys.Column(int(r.bank), false, cycle)
 	c.Stats.Reads++
-	c.noteDequeued(int(r.bank), false)
-	if c.Sys.Banks[r.bank].HitStreak > 1 {
+	if c.Sys.Banks[bank].HitStreak > 1 {
 		c.Stats.RowHits++
 	} else {
 		c.Stats.RowMisses++
 	}
-	// Remove before invoking the completion: the callback may enqueue (a
-	// dirty-eviction writeback), which must see the freed slot.
-	done := r.Done
-	c.readQ = append(c.readQ[:idx], c.readQ[idx+1:]...)
-	if done != nil {
-		done(dataEnd)
+	if r.Done != nil {
+		r.Done(dataEnd)
 	}
-}
-
-// noteDequeued takes a completed column command's request out of the
-// index; a column target is hit-class by definition.
-func (c *Controller) noteDequeued(bank int, write bool) {
-	bq := &c.banks[bank]
-	if write {
-		bq.reqW--
-		bq.hitW--
-		c.hitSumW--
-	} else {
-		bq.reqR--
-		bq.hitR--
-		c.hitSumR--
-	}
-	if bq.reqR|bq.reqW == 0 {
-		c.pending[bank>>6] &^= 1 << (bank & 63)
-	}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

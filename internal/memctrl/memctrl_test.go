@@ -281,6 +281,7 @@ func TestNextEventRefreshEdges(t *testing.T) {
 	actAt := 2*refi - 2 // open a row just before the deadline
 	c2.Sys.ACT(0, 7, actAt)
 	c2.Sys.Ranks[0].NextREF = 2 * refi // skip the first deadline for setup simplicity
+	rebuildOffers(c2)
 	if c2.Tick(2 * refi) {
 		t.Fatal("blocked refresh issued a command")
 	}
@@ -446,43 +447,216 @@ func checkBankIndex(t testing.TB, c *Controller) {
 		t.Fatalf("index sized %d banks, %d pending words for %d banks", len(c.banks), len(c.pending), banks)
 	}
 	want := make([]bankQueued, banks)
-	sumR, sumW := 0, 0
-	for i := range c.readQ {
-		r := &c.readQ[i]
-		want[r.bank].reqR++
-		if c.Sys.Banks[r.bank].OpenRow == int(r.phys) {
-			want[r.bank].hitR++
-			sumR++
-		}
-	}
-	for i := range c.writeQ {
-		r := &c.writeQ[i]
-		want[r.bank].reqW++
-		if c.Sys.Banks[r.bank].OpenRow == int(r.phys) {
-			want[r.bank].hitW++
-			sumW++
-		}
-	}
-	for _, q := range [2][]Request{c.readQ, c.writeQ} {
+	for dir, q := range [2][]Request{c.readQ, c.writeQ} {
 		for i := range q {
-			if q[i].retryAt > c.banks[q[i].bank].retryUntil {
+			r := &q[i]
+			want[r.bank].req[dir]++
+			if c.Sys.Banks[r.bank].OpenRow == int(r.phys) {
+				want[r.bank].hit[dir]++
+			}
+			if r.retryAt > c.banks[r.bank].retryUntil {
 				t.Fatalf("bank %d: a queued request is stamped %d, past retryUntil %d",
-					q[i].bank, q[i].retryAt, c.banks[q[i].bank].retryUntil)
+					r.bank, r.retryAt, c.banks[r.bank].retryUntil)
 			}
 		}
 	}
 	for b := range want {
-		got := c.banks[b]
-		got.retryUntil = 0
-		if got != want[b] {
+		if got := c.banks[b]; got.req != want[b].req || got.hit != want[b].hit {
 			t.Fatalf("bank %d: index %+v, queues hold %+v", b, got, want[b])
 		}
 		if got, want := c.pending[b>>6]>>(b&63)&1 != 0, want[b] != (bankQueued{}); got != want {
 			t.Fatalf("bank %d: pending bit %v, index %+v", b, got, c.banks[b])
 		}
 	}
-	if c.hitSumR != sumR || c.hitSumW != sumW {
-		t.Fatalf("hitSum R/W = %d/%d, queues hold %d/%d", c.hitSumR, c.hitSumW, sumR, sumW)
+}
+
+// checkOffers re-derives from scratch what reoffer and the term
+// refreshes maintain incrementally: every device-wide term from
+// mem.System, and every pending bank's offer to each queue — its kind
+// from a walk of the queue, its bank-local time from the bank's ready
+// fields, and the sum of the two parts from mem.System's *Earliest bound
+// for the command.
+func checkOffers(t testing.TB, c *Controller) {
+	t.Helper()
+	if len(c.terms) != termACT+c.Cfg.Ranks*c.Cfg.BankGroups || len(c.ready) != len(c.banks) {
+		t.Fatalf("%d terms, %d ready slots for %d ranks x %d groups, %d banks",
+			len(c.terms), len(c.ready), c.Cfg.Ranks, c.Cfg.BankGroups, len(c.banks))
+	}
+	if c.terms[termNone] != 0 {
+		t.Fatalf("terms[termNone] = %d", c.terms[termNone])
+	}
+	for dir, lat := range [2]uint64{c.Sys.T.CL, c.Sys.T.CWL} {
+		want := uint64(0)
+		if free := c.Sys.Chan.DataFree; free > lat {
+			want = free - lat
+		}
+		if got := c.terms[termBus+dir]; got != want {
+			t.Fatalf("bus term %d = %d, DataFree %d less latency %d = %d", dir, got, c.Sys.Chan.DataFree, lat, want)
+		}
+	}
+	for rank := 0; rank < c.Cfg.Ranks; rank++ {
+		for g := 0; g < c.Cfg.BankGroups; g++ {
+			if got, want := c.terms[termACT+rank*c.Cfg.BankGroups+g], c.Sys.RankActEarliest(rank, g); got != want {
+				t.Fatalf("ACT term of rank %d group %d = %d, RankActEarliest = %d", rank, g, got, want)
+			}
+		}
+	}
+	for bank := range c.banks {
+		if c.pending[bank>>6]>>(bank&63)&1 == 0 {
+			continue
+		}
+		b := &c.Sys.Banks[bank]
+		for dir, q := range [2][]Request{c.readQ, c.writeQ} {
+			any, hit := false, false
+			for i := range q {
+				if int(q[i].bank) == bank {
+					any = true
+					hit = hit || int(q[i].phys) == b.OpenRow
+				}
+			}
+			want := offer{at: never}
+			ready := never
+			switch {
+			case !any:
+			case b.OpenRow < 0:
+				want = offer{kind: offerACT, at: max(b.ActReady, b.BusyUntil),
+					term: int32(termACT + c.Sys.RankOf(bank)*c.Cfg.BankGroups + c.Sys.GroupOf(bank))}
+				ready = c.Sys.ActEarliest(bank)
+			case !hit:
+				want = offer{kind: offerConflictPRE, at: max(b.PreReady, b.BusyUntil)}
+				ready = c.Sys.PreEarliest(bank)
+			case b.HitStreak >= c.Cfg.ColumnCap:
+				want = offer{kind: offerCapPRE, at: max(b.PreReady, b.BusyUntil)}
+				ready = c.Sys.PreEarliest(bank)
+			default:
+				want = offer{kind: offerColumn, at: max(b.ColReady, b.BusyUntil), term: int32(termBus + dir)}
+				ready = c.Sys.ColumnEarliest(bank, dir == 1)
+			}
+			if got := c.banks[bank].offer[dir]; got != want || c.readyAt(got) != ready {
+				t.Fatalf("bank %d queue %d: offer %+v ready at %d, from scratch %+v ready at %d (bank %+v)",
+					bank, dir, got, c.readyAt(got), want, ready, *b)
+			}
+		}
+	}
+}
+
+// rebuildOffers brings the index back in line after a test set device or
+// queue state by hand (c.Sys.ACT, BlockBank, Chan.DataFree, ...) instead
+// of through the controller's own commands.
+func rebuildOffers(c *Controller) {
+	free := c.Sys.Chan.DataFree
+	c.terms[termBus] = free - min(free, c.Sys.T.CL)
+	c.terms[termBus+1] = free - min(free, c.Sys.T.CWL)
+	for rank := range c.Sys.Ranks {
+		c.rankTerms(rank)
+	}
+	for bank := range c.banks {
+		c.recountHits(bank)
+		c.reoffer(bank)
+	}
+}
+
+// pickByScan is the reference for pick: the FR-FCFS scan as the
+// controller ran it before it kept per-bank offers — one pass over the
+// queue in arrival order that asks mem.System's Can* predicates about
+// every entry (here without the per-tick memos that made that
+// affordable), remembers the first candidate of each class, and settles
+// the open-row policy afterwards from the hits it saw. Both of its
+// loops are kept: the short one for a queue with no row hit at all,
+// which stops at the first ACT candidate, and the general one.
+func pickByScan(c *Controller, dir int, cycle uint64) (offerKind, int) {
+	q := c.queue(dir)
+	writes := dir == 1
+	hits := 0
+	for i := range q {
+		if c.Sys.Banks[q[i].bank].OpenRow == int(q[i].phys) {
+			hits++
+		}
+	}
+	if hits == 0 {
+		conf := -1
+		for i := range q {
+			r := &q[i]
+			if cycle < r.retryAt {
+				continue
+			}
+			bank := int(r.bank)
+			if c.Sys.Banks[bank].OpenRow >= 0 {
+				if conf < 0 && c.Sys.CanPRE(bank, cycle) {
+					conf = i
+				}
+				continue
+			}
+			if c.Sys.CanACT(bank, cycle) {
+				return offerACT, i
+			}
+		}
+		if conf >= 0 {
+			return offerConflictPRE, conf
+		}
+		return offerNone, -1
+	}
+	colCand, actCand, capCand := -1, -1, -1
+	var confs []int
+	eligibleHit := map[int32]bool{} // banks with a hit whose stamp has passed
+	for i := range q {
+		r := &q[i]
+		if cycle < r.retryAt {
+			continue
+		}
+		bank := int(r.bank)
+		b := &c.Sys.Banks[bank]
+		switch {
+		case b.OpenRow == int(r.phys):
+			eligibleHit[r.bank] = true
+			if b.HitStreak < c.Cfg.ColumnCap {
+				if c.Sys.CanColumn(bank, int(r.phys), writes, cycle) {
+					colCand = i
+				}
+			} else if capCand < 0 && actCand < 0 && c.Sys.CanPRE(bank, cycle) {
+				capCand = i
+			}
+		case b.OpenRow >= 0:
+			if actCand < 0 && c.Sys.CanPRE(bank, cycle) {
+				confs = append(confs, i)
+			}
+		default:
+			if actCand < 0 && c.Sys.CanACT(bank, cycle) {
+				actCand = i
+			}
+		}
+		if colCand >= 0 {
+			return offerColumn, colCand
+		}
+	}
+	if actCand >= 0 {
+		return offerACT, actCand
+	}
+	for _, i := range confs {
+		if !eligibleHit[q[i].bank] {
+			return offerConflictPRE, i
+		}
+	}
+	if capCand >= 0 {
+		return offerCapPRE, capCand
+	}
+	return offerNone, -1
+}
+
+// checkPick holds pick to pickByScan for both queues at cycle. The PRE
+// kinds act on a bank, so two picks that name different requests of the
+// same bank would be the same command; the comparison is exact anyway.
+func checkPick(t testing.TB, c *Controller, cycle uint64, when string) {
+	t.Helper()
+	for dir := 0; dir < 2; dir++ {
+		if len(c.queue(dir)) == 0 {
+			continue
+		}
+		kind, i := c.pick(dir, cycle)
+		if wk, wi := pickByScan(c, dir, cycle); kind != wk || i != wi {
+			t.Fatalf("%s, cycle %d, queue %d: pick = kind %d entry %d, by scan = kind %d entry %d",
+				when, cycle, dir, kind, i, wk, wi)
+		}
 	}
 }
 
@@ -531,9 +705,15 @@ func (d *fuzzDefense) OnActivate(bank, row int, cycle uint64) []mitigation.Direc
 // all occur), in bursts and lulls so the queues fill and drain, under
 // fuzzDefense and a short refresh interval — and after every Tick
 // requires NextEvent to equal nextEventByRequest and the bank index to
-// equal a recount. The clock advances like the engine's: cycle by cycle
-// or straight to the controller's own wake-up bound.
-func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int) {
+// equal a recount. Around every Tick — before it, with the step's
+// enqueues in, and after it — pick must equal pickByScan for both queues
+// and the offers and terms a from-scratch derivation; and a dormant
+// controller's cached bound must not lie past the reference's. The clock
+// advances like the engine's: cycle by cycle or straight to the
+// controller's own wake-up bound. cov, when not nil, counts what the
+// picks before each Tick reached: per kind, and how many were made with a
+// retry stamp live on some pending bank.
+func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int, cov *pickCoverage) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	const rows = 4
@@ -570,8 +750,22 @@ func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int) {
 				c.Read(a, 0, nil, cycle)
 			}
 		}
+		checkBankIndex(t, c)
+		checkOffers(t, c)
+		checkPick(t, c, cycle, "before Tick")
+		if cycle > 0 && cycle < c.idleUntil {
+			if ref := nextEventByRequest(c, cycle-1); c.idleUntil > ref {
+				t.Fatalf("seed %d step %d cycle %d: dormant until %d, but the queues can act at %d",
+					seed, step, cycle, c.idleUntil, ref)
+			}
+		}
+		if cov != nil {
+			cov.note(c, cycle)
+		}
 		c.Tick(cycle)
 		checkBankIndex(t, c)
+		checkOffers(t, c)
+		checkPick(t, c, cycle, "after Tick")
 		// Tick leaves its own evaluation in idleUntil; drop it so this one
 		// is made in full, then put it back.
 		idleUntil := c.idleUntil
@@ -590,12 +784,33 @@ func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int) {
 	}
 }
 
+// pickCoverage counts the picks the driver compared, by outcome.
+type pickCoverage struct {
+	kinds [2][offerKinds]int // [a stamp live on a pending bank][pick's kind]
+}
+
+func (p *pickCoverage) note(c *Controller, cycle uint64) {
+	live := 0
+	for b := range c.banks {
+		if c.pending[b>>6]>>(b&63)&1 != 0 && c.banks[b].retryUntil > cycle {
+			live = 1
+		}
+	}
+	for dir := 0; dir < 2; dir++ {
+		if len(c.queue(dir)) > 0 {
+			kind, _ := c.pick(dir, cycle)
+			p.kinds[live][kind]++
+		}
+	}
+}
+
 func TestNextEventMatchesReference(t *testing.T) {
 	var stats Stats
 	var calls, scans uint64
+	var cov pickCoverage
 	for seed := uint64(1); seed <= 6; seed++ {
 		c := newMC(nil, nil)
-		driveNextEvent(t, c, seed, 20_000)
+		driveNextEvent(t, c, seed, 20_000, &cov)
 		stats.Add(c.Stats)
 		calls += c.Obs.NextEventCalls
 		scans += c.Obs.NextEventScans
@@ -607,6 +822,13 @@ func TestNextEventMatchesReference(t *testing.T) {
 	}
 	if scans == 0 || scans == calls {
 		t.Errorf("driver stayed on one side of the retry horizons: %d of %d evaluations walked a queue", scans, calls)
+	}
+	for live, kinds := range cov.kinds {
+		for kind, n := range kinds {
+			if n == 0 {
+				t.Errorf("driver never compared a pick of kind %d with live stamps = %d: %v", kind, live, cov.kinds)
+			}
+		}
 	}
 }
 
@@ -625,10 +847,11 @@ func TestNextEventRetryEdges(t *testing.T) {
 	}
 	bank := int(c.readQ[0].bank)
 	c.Sys.ACT(bank, int(c.readQ[0].phys), 0)
-	c.recountHits(bank)
-	checkBankIndex(t, c)
 	pre := c.Sys.PreEarliest(bank)
 	c.Sys.Chan.DataFree = pre + 1000
+	rebuildOffers(c)
+	checkBankIndex(t, c)
+	checkOffers(t, c)
 	for hit := pre - 2; hit <= pre+2; hit++ {
 		for _, conflict := range []uint64{0, pre - 1, pre, pre + 1} {
 			for cycle := pre - 3; cycle <= pre+2; cycle++ {
@@ -641,6 +864,144 @@ func TestNextEventRetryEdges(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPickRetryEdges is TestNextEventRetryEdges for the pick: one bank
+// open on a row with a hit and a conflict queued, their retry stamps, the
+// bank's precharge time, the column's bus-gated ready time and the current
+// cycle all within a few cycles of each other. Besides pick == pickByScan
+// it pins the open-row policy under stamps: a hit whose stamp has not
+// passed must not hold the row open, one whose stamp has passed must.
+func TestPickRetryEdges(t *testing.T) {
+	c := newMC1Rank(nil)
+	c.Read(0, 0, nil, 0)     // entry 0, bank 0 row 0: the hit
+	c.Read(1<<20, 0, nil, 0) // entry 1, bank 0 another row: the conflict
+	bank := int(c.readQ[0].bank)
+	c.Sys.ACT(bank, int(c.readQ[0].phys), 0)
+	pre := c.Sys.PreEarliest(bank)
+	for _, col := range []uint64{pre - 2, pre, pre + 2, pre + 1000} {
+		c.Sys.Chan.DataFree = col + c.Sys.T.CL
+		rebuildOffers(c)
+		checkOffers(t, c)
+		if got := c.Sys.ColumnEarliest(bank, false); got != col {
+			t.Fatalf("setup: ColumnEarliest = %d, want %d", got, col)
+		}
+		for hit := pre - 2; hit <= pre+2; hit++ {
+			for _, conflict := range []uint64{0, pre - 1, pre, pre + 1} {
+				for cycle := pre - 3; cycle <= pre+3; cycle++ {
+					c.readQ[0].retryAt, c.readQ[1].retryAt = hit, conflict
+					c.banks[bank].retryUntil = pre + 5000 // an upper bound is all it has to be
+					kind, i := c.pick(0, cycle)
+					if wk, wi := pickByScan(c, 0, cycle); kind != wk || i != wi {
+						t.Errorf("column at %+d, hit stamped %+d, conflict %+d, cycle %+d (relative to PreEarliest): pick = kind %d entry %d, by scan = kind %d entry %d",
+							int64(col-pre), int64(hit-pre), int64(conflict-pre), int64(cycle-pre), kind, i, wk, wi)
+					}
+					want, wantEntry := offerNone, -1
+					switch {
+					case cycle >= hit && cycle >= col:
+						want, wantEntry = offerColumn, 0
+					case cycle >= hit: // eligible, column not ready: the row stays open
+					case cycle >= conflict && cycle >= pre:
+						want, wantEntry = offerConflictPRE, 1
+					}
+					if kind != want || i != wantEntry {
+						t.Errorf("column at %+d, hit stamped %+d, conflict %+d, cycle %+d: pick = kind %d entry %d, want kind %d entry %d",
+							int64(col-pre), int64(hit-pre), int64(conflict-pre), int64(cycle-pre), kind, i, want, wantEntry)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPickColumnCap: a bank at the column cap is rotated out by the PRE
+// its hits earn, which ranks below every conflict PRE — with a conflict
+// queued on the same bank too (the eligible hit still shields the row
+// from that class), and not at all once the hit's stamp is live (then
+// the conflict closes the row, as on any bank).
+func TestPickColumnCap(t *testing.T) {
+	c := newMC1Rank(nil)
+	c.Read(0, 0, nil, 0)    // entry 0: bank 0 row 0, the capped hit
+	c.Read(4*64, 0, nil, 0) // entry 1: another bank, a plain conflict once opened
+	capped, other := int(c.readQ[0].bank), int(c.readQ[1].bank)
+	if capped == other {
+		t.Fatalf("setup: both requests on bank %d", capped)
+	}
+	c.Sys.ACT(capped, int(c.readQ[0].phys), 0)
+	c.Sys.Banks[capped].HitStreak = c.Cfg.ColumnCap
+	c.Sys.ACT(other, int(c.readQ[1].phys)+1, 100)
+	rebuildOffers(c)
+	checkOffers(t, c)
+	cycle := max(c.Sys.PreEarliest(capped), c.Sys.PreEarliest(other))
+	expect := func(when string, want offerKind, wantEntry int) {
+		t.Helper()
+		checkPick(t, c, cycle, when)
+		if kind, i := c.pick(0, cycle); kind != want || i != wantEntry {
+			t.Errorf("%s: pick = kind %d entry %d, want kind %d entry %d", when, kind, i, want, wantEntry)
+		}
+	}
+	expect("capped bank behind another bank's conflict", offerConflictPRE, 1)
+	c.Sys.PRE(other, cycle)
+	c.Sys.ACT(other, int(c.readQ[1].phys), cycle) // entry 1 now hits, but its column is tRCD away
+	rebuildOffers(c)
+	expect("capped bank, no conflicts", offerCapPRE, 0)
+	c.Read(1<<20, 0, nil, cycle) // entry 2: a conflict on the capped bank itself
+	checkOffers(t, c)
+	expect("capped bank with its own conflict", offerCapPRE, 0)
+	c.readQ[0].retryAt = cycle + 1
+	c.banks[capped].retryUntil = cycle + 1
+	expect("capped bank, hit stamped, own conflict", offerConflictPRE, 2)
+}
+
+// denyOnce throttles the first ACT it is asked about.
+type denyOnce struct{ denied int }
+
+func (d *denyOnce) Name() string { return "test" }
+func (d *denyOnce) CanActivate(bank, row int, cycle uint64) (bool, uint64) {
+	if d.denied == 0 {
+		d.denied++
+		return false, cycle + 500
+	}
+	return true, 0
+}
+func (d *denyOnce) OnActivate(int, int, uint64) []mitigation.Directive { return nil }
+
+// TestDeniedACTThenReadPass: in write-drain mode the write pass goes
+// first; when the defense throttles its ACT no command has issued, so the
+// read pass of the same tick runs over the same device state and issues
+// the read's ACT — and the throttled write is stamped, its bank live.
+func TestDeniedACTThenReadPass(t *testing.T) {
+	c := newMC1Rank(&denyOnce{})
+	for i := 0; i < c.Cfg.WriteQ*3/4; i++ {
+		c.Write(4*64+uint64(i)<<20, 0, 0) // one bank, distinct rows
+	}
+	c.Read(0, 0, nil, 0)
+	writeBank, readBank := int(c.writeQ[0].bank), int(c.readQ[0].bank)
+	if writeBank == readBank {
+		t.Fatalf("setup: reads and writes share bank %d", readBank)
+	}
+	checkPick(t, c, 0, "before Tick")
+	if !c.Tick(0) {
+		t.Fatal("nothing issued")
+	}
+	if !c.writeMode || c.Stats.ThrottleStalls != 1 || c.Stats.Acts != 1 {
+		t.Fatalf("write mode %v, %d throttles, %d ACTs; want the write's ACT throttled and one ACT issued",
+			c.writeMode, c.Stats.ThrottleStalls, c.Stats.Acts)
+	}
+	if c.Sys.Banks[readBank].OpenRow < 0 || c.Sys.Banks[writeBank].OpenRow >= 0 {
+		t.Errorf("the ACT went to the write's bank, not the read's")
+	}
+	if c.writeQ[0].retryAt != 500 || c.banks[writeBank].retryUntil != 500 {
+		t.Errorf("throttled write stamped %d, its bank live until %d; want 500", c.writeQ[0].retryAt, c.banks[writeBank].retryUntil)
+	}
+	checkBankIndex(t, c)
+	checkOffers(t, c)
+	checkPick(t, c, 0, "after Tick")
+	// The stamped write is skipped; the next oldest write of the bank
+	// takes the ACT as soon as the rank allows one.
+	if kind, i := c.pick(1, c.Sys.ActEarliest(writeBank)); kind != offerACT || i != 1 {
+		t.Errorf("write pass after the throttle: pick = kind %d entry %d, want the ACT of entry 1", kind, i)
 	}
 }
 
@@ -668,12 +1029,18 @@ func TestResetClearsBankIndex(t *testing.T) {
 		cfg.Ranks = ranks
 		c.Reset(cfg, tm, nil, nil)
 		checkBankIndex(t, c)
+		checkOffers(t, c)
 		for b, bq := range c.banks {
 			if bq != (bankQueued{}) {
 				t.Fatalf("ranks=%d: bank %d index = %+v after Reset", ranks, b, bq)
 			}
 		}
-		driveNextEvent(t, c, uint64(ranks), 3000)
+		for i, term := range c.terms {
+			if term != 0 {
+				t.Fatalf("ranks=%d: term %d = %d after Reset", ranks, i, term)
+			}
+		}
+		driveNextEvent(t, c, uint64(ranks), 3000, nil)
 	}
 }
 
@@ -682,6 +1049,6 @@ func FuzzNextEventByBank(f *testing.F) {
 	f.Add(uint64(1), uint16(2000))
 	f.Add(uint64(0xdecaf), uint16(500))
 	f.Fuzz(func(t *testing.T, seed uint64, steps uint16) {
-		driveNextEvent(t, newMC(nil, nil), seed, int(steps))
+		driveNextEvent(t, newMC(nil, nil), seed, int(steps), nil)
 	})
 }

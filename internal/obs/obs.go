@@ -93,7 +93,7 @@ func (c *EngineCounters) Add(o EngineCounters) {
 // Stats — so pooled arena reuse starts every run from zero.
 type ControllerCounters struct {
 	ScanPasses  uint64 // FR-FCFS scheduler passes over a non-empty queue
-	ScanEntries uint64 // queue entries examined across all passes
+	ScanEntries uint64 // queue entries the passes' first-match walks examined (none when nothing was ready)
 
 	// Wake-up bound evaluations (memctrl.Controller.NextEvent). Scans over
 	// calls is the share the per-bank index alone could not answer
@@ -170,7 +170,7 @@ func Glossary() []CounterInfo {
 		{"bound_horizon", "jumps truncated at the MaxCycles horizon", func(c *Counters) uint64 { return c.BoundHorizon }},
 		{"epoch_advances", "temporal epoch edges crossed by the live threshold view", func(c *Counters) uint64 { return c.EpochAdvances }},
 		{"scan_passes", "FR-FCFS scheduler passes over a non-empty queue", func(c *Counters) uint64 { return c.ScanPasses }},
-		{"scan_entries", "queue entries examined across all scheduler passes", func(c *Counters) uint64 { return c.ScanEntries }},
+		{"scan_entries", "queue entries examined by the scheduler's first-match walks: the position of each pass's pick, nothing for a pass that found no bank ready", func(c *Counters) uint64 { return c.ScanEntries }},
 		{"next_event_calls", "controller wake-up bounds evaluated in full (cached answers not counted)", func(c *Counters) uint64 { return c.NextEventCalls }},
 		{"next_event_scans", "wake-up bound evaluations that walked the queues for some bank because a throttle retry was pending on it", func(c *Counters) uint64 { return c.NextEventScans }},
 		{"refresh_stalls", "precharges forced to unblock a due refresh", func(c *Counters) uint64 { return c.RefreshStalls }},

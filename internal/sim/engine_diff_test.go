@@ -261,3 +261,104 @@ func TestTruncatedIPCZeroDuringWarmup(t *testing.T) {
 		}
 	}
 }
+
+// fuzzMixPool is what FuzzEngineSkipVsNoSkip fills cores from: the
+// differential matrix's streaming and pointer-chasing workloads, two
+// write-heavy zipfian ones, and both adversarial patterns.
+var fuzzMixPool = []string{"lbm06", "libquantum06", "mcf06", "ycsb-a", "tpcc", "attack:hydra", "attack:rrs"}
+
+// fuzzChoices are the axes of a fuzzed configuration, each an index
+// into its list of options; fuzzSeed and fuzzConfig are inverses over
+// them, so the seed corpus can name the differential matrix's corners.
+type fuzzChoices struct {
+	defense  uint64    // "none", then DefenseNames
+	nrh      uint64    // 1024, 256, 64
+	svard    uint64    // off, on (ignored without a defense)
+	hbm2     uint64    // ddr4-3200, hbm2
+	cores    uint64    // 1..4
+	mix      [4]uint64 // fuzzMixPool, per core
+	temporal uint64    // static, diffTemporal
+	truncate uint64    // 0 = run to the end; k = stop at 6000*k cycles (1..7)
+	seed     uint64    // Config.Seed 1, 2
+}
+
+// fuzzRadix is the number of options on each axis, in axes' order.
+var fuzzRadix = [...]uint64{6, 3, 2, 2, 4, 7, 7, 7, 7, 2, 8, 2}
+
+func (c *fuzzChoices) axes() [len(fuzzRadix)]*uint64 {
+	return [...]*uint64{&c.defense, &c.nrh, &c.svard, &c.hbm2, &c.cores,
+		&c.mix[0], &c.mix[1], &c.mix[2], &c.mix[3], &c.temporal, &c.truncate, &c.seed}
+}
+
+func fuzzSeed(c fuzzChoices) uint64 {
+	seed, scale := uint64(0), uint64(1)
+	for i, a := range c.axes() {
+		seed += *a % fuzzRadix[i] * scale
+		scale *= fuzzRadix[i]
+	}
+	return seed
+}
+
+func fuzzConfig(seed uint64) Config {
+	var c fuzzChoices
+	for i, a := range c.axes() {
+		*a = seed % fuzzRadix[i]
+		seed /= fuzzRadix[i]
+	}
+	cfg := diffBase()
+	cfg.InstrPerCore, cfg.WarmupPerCore = 3_000, 600
+	cfg.MaxCycles = 1_500_000 // a stalled configuration ends as a truncated one
+	cfg.Defense = append([]string{"none"}, DefenseNames...)[c.defense]
+	cfg.NRH = []float64{1024, 256, 64}[c.nrh]
+	cfg.Svard = c.svard == 1 && cfg.Defense != "none"
+	if c.hbm2 == 1 {
+		cfg.Backend = "hbm2"
+	}
+	cfg.Cores = 1 + int(c.cores)
+	cfg.Mix = make([]string, cfg.Cores)
+	for i := range cfg.Mix {
+		cfg.Mix[i] = fuzzMixPool[c.mix[i]]
+	}
+	if c.temporal == 1 {
+		cfg.Temporal = diffTemporal()
+	}
+	if c.truncate > 0 {
+		cfg.MaxCycles = 6_000 * c.truncate
+	}
+	cfg.Seed = 1 + c.seed
+	return cfg
+}
+
+// FuzzEngineSkipVsNoSkip is the differential matrix with the fuzzer
+// choosing the cell: any valid small configuration — defense, nRH, Svärd,
+// backend, 1-4 cores of benign and adversarial workloads, temporal drift,
+// run to the end or cut off — must give bit-identical Results under the
+// event-driven engine and the per-cycle reference loop. The seed corpus
+// is the corners TestEngineDifferential{,HBM2,Truncated,Temporal} cover.
+func FuzzEngineSkipVsNoSkip(f *testing.F) {
+	pool := func(name string) uint64 {
+		for i, n := range fuzzMixPool {
+			if n == name {
+				return uint64(i)
+			}
+		}
+		panic(name)
+	}
+	corners := [][2]string{{"lbm06", "libquantum06"}, {"attack:hydra", "mcf06"}, {"attack:rrs", "mcf06"}}
+	for d := uint64(0); d <= uint64(len(DefenseNames)); d++ {
+		for m, mix := range corners {
+			// nRH 64, two cores; the HBM2 and temporal rows ride on one
+			// mix each, Svärd alternates.
+			f.Add(fuzzSeed(fuzzChoices{defense: d, nrh: 2, svard: (d + uint64(m)) % 2, hbm2: uint64(m) & 1, cores: 1,
+				mix: [4]uint64{pool(mix[0]), pool(mix[1])}, temporal: uint64(m) >> 1}))
+		}
+	}
+	f.Add(fuzzSeed(fuzzChoices{defense: 4, nrh: 2, cores: 1, mix: [4]uint64{pool("mcf06"), pool("ycsb-a")}, truncate: 7})) // para, cut off
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		cfg := fuzzConfig(seed)
+		skip, naive := runBoth(t, cfg)
+		if !reflect.DeepEqual(skip, naive) {
+			t.Errorf("engines diverged on %+v:\nskip:  %+v\nnaive: %+v", cfg, skip, naive)
+		}
+	})
+}

@@ -31,17 +31,22 @@ type secTracker struct {
 	banksPerRank int
 	cur          []float32 // accrued effective hammers per [bank*rows+row]
 
-	// Single-entry memo for the on-time term of the RowPress factor:
-	// row on-times are quantized by the DRAM timing parameters (most
-	// closings happen at exactly tRAS or a column-burst multiple), so
-	// consecutive PREs overwhelmingly repeat the previous on-time and
-	// skip the pow.
-	lastOnNs float64
-	lastBase float64
+	// Direct-mapped memo of the on-time term of the RowPress factor, by
+	// on-time in cycles: on-times are quantized by the DRAM timing
+	// parameters (closings cluster at tRAS and at column-burst multiples
+	// past it) but interleave across banks, so a handful of values keeps
+	// recurring without repeating back to back. The model and clock are
+	// fixed between resets, so a slot's value is the pow it stands for.
+	pressMemo [pressMemoSlots]struct {
+		on   uint64 // onCycles+1; 0 = empty
+		base float64
+	}
 
 	Violations uint64
 	acts       uint64
 }
+
+const pressMemoSlots = 1024
 
 func newSecTracker(model *disturb.Model, hcBase, psi []float64, factor, cpuGHz float64, banks, banksPerRank int) *secTracker {
 	t := &secTracker{}
@@ -65,7 +70,7 @@ func (t *secTracker) reset(model *disturb.Model, hcBase, psi []float64, factor, 
 	} else {
 		t.cur = make([]float32, n)
 	}
-	t.lastOnNs, t.lastBase = 0, 1
+	clear(t.pressMemo[:])
 	t.Violations = 0
 	t.acts = 0
 }
@@ -103,14 +108,13 @@ func (t *secTracker) OnAct(bank, row int, cycle uint64) {
 // OnPre: the closing row disturbed its neighbours for its whole on-time
 // (RowHammer per activation + RowPress per on-time).
 func (t *secTracker) OnPre(bank, row int, onCycles uint64) {
-	onNs := float64(onCycles) / t.cpuGHz
-	// One pow per closing (memoized on the repeating on-time), shared by
+	// One pow per closing (memoized on the recurring on-times), shared by
 	// all of its victims.
-	pressBase := t.lastBase
-	if onNs != t.lastOnNs {
-		pressBase = t.model.PressBase(onNs)
-		t.lastOnNs, t.lastBase = onNs, pressBase
+	slot := &t.pressMemo[onCycles%pressMemoSlots]
+	if slot.on != onCycles+1 {
+		slot.on, slot.base = onCycles+1, t.model.PressBase(float64(onCycles)/t.cpuGHz)
 	}
+	pressBase := slot.base
 	g := t.model.Geom
 	base := bank * t.rows
 	for _, d := range [...]int{-2, -1, 1, 2} {
