@@ -155,11 +155,20 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // --- shared HTTP helpers ---------------------------------------------
 
-func decodeJSON(r *http.Request, out any) error {
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(out); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+// decodeJSON decodes r's JSON body, capped at 1 MiB, into out. On failure
+// it answers 413 (body over the cap) or 400 and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(out)
+	if err == nil {
+		return true
 	}
-	return nil
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

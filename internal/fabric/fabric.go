@@ -68,12 +68,9 @@ type Config struct {
 
 	// LeaseTTL is how long a dispatched batch stays owned without a
 	// heartbeat renewing it (<= 0: 15s). Workers are considered live
-	// while their last heartbeat is within one TTL.
+	// while their last heartbeat is within one TTL, and are told to beat
+	// every third of it.
 	LeaseTTL time.Duration
-
-	// HeartbeatEvery is the interval advertised to registering workers
-	// (<= 0: LeaseTTL/3).
-	HeartbeatEvery time.Duration
 
 	// MinWorkers is how many live workers RunCtx waits for before
 	// dispatching (<= 0: 1).
@@ -194,9 +191,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = cfg.LeaseTTL / 3
 	}
 	if cfg.MinWorkers <= 0 {
 		cfg.MinWorkers = 1
@@ -647,8 +641,7 @@ type HeartbeatRequest struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.URL == "" {
@@ -696,15 +689,14 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.cfg.Logf("fabric: worker %s (%s) registered at %s", wk.name, wk.id, wk.url)
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		ID:               wk.id,
-		HeartbeatSeconds: c.cfg.HeartbeatEvery.Seconds(),
+		HeartbeatSeconds: (c.cfg.LeaseTTL / 3).Seconds(),
 		LeaseSeconds:     c.cfg.LeaseTTL.Seconds(),
 	})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	now := time.Now()

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -663,5 +664,27 @@ func TestRouteParity(t *testing.T) {
 	if out.Dispatch.LocalCells != len(jobs) || out.Computed != len(jobs) {
 		t.Errorf("fabric: %d local cells, %d computed; want all %d on the local fallback (%s)",
 			out.Dispatch.LocalCells, out.Computed, len(jobs), out.Dispatch)
+	}
+}
+
+// TestOversizedControlBodiesGet413: register and heartbeat bodies are
+// capped at 1 MiB, and a body over the cap is refused as too large — not
+// truncated into whatever JSON error the cut produces.
+func TestOversizedControlBodiesGet413(t *testing.T) {
+	_, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{})
+	big := strings.Repeat("a", 2<<20)
+	for route, body := range map[string]any{
+		"/api/v1/workers":   fabric.RegisterRequest{Name: big, URL: "http://127.0.0.1:1"},
+		"/api/v1/heartbeat": fabric.HeartbeatRequest{ID: big},
+	} {
+		resp, err := http.Post(coordURL+route, "application/json", bytes.NewReader(mustJSON(t, body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("2 MiB POST %s: status %d (%s), want 413", route, resp.StatusCode, bytes.TrimSpace(msg))
+		}
 	}
 }

@@ -1,14 +1,15 @@
 package mem
 
 // Bank is the cycle-level state of one DRAM bank: the open row and the
-// earliest cycles at which each command class may issue.
+// earliest cycles at which each command class may issue. A window in which
+// the bank takes no command (BlockBank, REF) is written into those ready
+// times.
 type Bank struct {
 	OpenRow   int    // -1 when precharged
 	ActAt     uint64 // cycle of the last ACT (for row on-time accounting)
-	ActReady  uint64 // earliest next ACT
-	ColReady  uint64 // earliest next RD/WR to the open row
-	PreReady  uint64 // earliest next PRE
-	BusyUntil uint64 // bank blocked (refresh, row migration)
+	ActReady  uint64 // earliest next ACT: tRC, tRP, tRFC
+	ColReady  uint64 // earliest next RD/WR to the open row: tRCD, tCCD_L
+	PreReady  uint64 // earliest next PRE: tRAS, tRTP, tWR
 	HitStreak int    // consecutive row-hit column commands (FR-FCFS cap)
 	ActCount  uint64 // statistics
 	PreCount  uint64
@@ -30,9 +31,16 @@ type Rank struct {
 
 // Channel is the shared command/data bus state.
 type Channel struct {
-	DataFree  uint64 // earliest cycle the data bus is free
-	lastRdEnd uint64
-	lastWrEnd uint64
+	DataFree uint64 // earliest cycle the data bus is free
+}
+
+// Command is one issued DRAM command, as System.Observer sees it.
+type Command struct {
+	Kind  byte   // 'A' ACT, 'P' PRE, 'C' RD or WR (Write says which), 'R' REF
+	Bank  int    // global bank index; the rank for REF
+	Row   int    // row opened (ACT), closed (PRE) or accessed (RD/WR)
+	Write bool   // RD/WR only
+	Cycle uint64 // issue cycle
 }
 
 // System is the cycle-level DRAM device array: ranks × banks with
@@ -45,6 +53,12 @@ type System struct {
 	Banks       []Bank // [rank*banksPerRank + bank]
 	Chan        Channel
 	RowsPerBank int
+
+	// Observer, when set, is told every command ACT, PRE, Column and REF
+	// issue. It watches, it never steers: the protocol checker of the
+	// tests (internal/mem/protocheck) attaches here. Reset clears it, so a
+	// pooled system never carries one run's observer into the next.
+	Observer func(Command)
 
 	// rankOf/groupOf memoize RankOf/GroupOf per bank: both sit on the
 	// per-candidate paths of the controller's scheduling scans, where an
@@ -86,6 +100,7 @@ func (s *System) Reset(t Timing, ranks, bankGroups, banksPerGroup, rowsPerBank i
 	}
 	s.Chan = Channel{}
 	s.RowsPerBank = rowsPerBank
+	s.Observer = nil
 	if cap(s.rankOf) >= banks {
 		s.rankOf = s.rankOf[:banks]
 		s.groupOf = s.groupOf[:banks]
@@ -114,28 +129,7 @@ func (s *System) GroupOf(bank int) int { return int(s.groupOf[bank]) }
 
 // CanACT reports whether an ACT to bank may issue at cycle.
 func (s *System) CanACT(bank int, cycle uint64) bool {
-	b := &s.Banks[bank]
-	if b.OpenRow >= 0 || cycle < b.ActReady || cycle < b.BusyUntil {
-		return false
-	}
-	r := &s.Ranks[s.RankOf(bank)]
-	if r.Refreshing && cycle < r.RefUntil {
-		return false
-	}
-	if r.anyAct {
-		rrd := s.T.RRDS
-		if s.GroupOf(bank) == r.lastBG {
-			rrd = s.T.RRDL
-		}
-		if cycle < r.lastAct+rrd {
-			return false
-		}
-	}
-	// tFAW: the fourth-last ACT must be at least FAW ago.
-	if r.actCount >= 4 && cycle < r.actTimes[r.actIdx]+s.T.FAW {
-		return false
-	}
-	return true
+	return s.Banks[bank].OpenRow < 0 && s.ActEarliest(bank) <= cycle
 }
 
 // ACT opens row in bank at cycle. The caller must have checked CanACT.
@@ -155,12 +149,14 @@ func (s *System) ACT(bank, row int, cycle uint64) {
 	r.lastAct = cycle
 	r.lastBG = s.GroupOf(bank)
 	r.anyAct = true
+	if s.Observer != nil {
+		s.Observer(Command{Kind: 'A', Bank: bank, Row: row, Cycle: cycle})
+	}
 }
 
 // CanPRE reports whether a PRE to bank may issue at cycle.
 func (s *System) CanPRE(bank int, cycle uint64) bool {
-	b := &s.Banks[bank]
-	return b.OpenRow >= 0 && cycle >= b.PreReady && cycle >= b.BusyUntil
+	return s.Banks[bank].OpenRow >= 0 && s.PreEarliest(bank) <= cycle
 }
 
 // PRE closes the open row and returns it with its on-time in cycles.
@@ -169,27 +165,18 @@ func (s *System) PRE(bank int, cycle uint64) (row int, onCycles uint64) {
 	row = b.OpenRow
 	onCycles = cycle - b.ActAt
 	b.OpenRow = -1
-	b.ActReady = maxU(b.ActReady, cycle+s.T.RP)
+	b.ActReady = max(b.ActReady, cycle+s.T.RP)
 	b.PreCount++
+	if s.Observer != nil {
+		s.Observer(Command{Kind: 'P', Bank: bank, Row: row, Cycle: cycle})
+	}
 	return row, onCycles
 }
 
 // CanColumn reports whether a RD/WR to the open row of bank may issue at
 // cycle (row must match; the data bus must be free).
 func (s *System) CanColumn(bank, row int, write bool, cycle uint64) bool {
-	b := &s.Banks[bank]
-	if b.OpenRow != row || cycle < b.ColReady || cycle < b.BusyUntil {
-		return false
-	}
-	// Data bus occupancy: the burst must start after the previous one
-	// ends (CL/CWL pipelining folded into a single bus-free time).
-	var dataStart uint64
-	if write {
-		dataStart = cycle + s.T.CWL
-	} else {
-		dataStart = cycle + s.T.CL
-	}
-	return dataStart >= s.Chan.DataFree
+	return s.Banks[bank].OpenRow == row && s.ColumnEarliest(bank, write) <= cycle
 }
 
 // Column issues a RD or WR to the open row of bank, returning the cycle
@@ -197,22 +184,22 @@ func (s *System) CanColumn(bank, row int, write bool, cycle uint64) bool {
 func (s *System) Column(bank int, write bool, cycle uint64) uint64 {
 	b := &s.Banks[bank]
 	// Back-to-back columns are spaced by the long CCD on the bank's own
-	// ColReady; cross-bank pairs only share the data bus.
-	var dataStart, dataEnd uint64
+	// ColReady; cross-bank pairs only share the data bus (CL/CWL
+	// pipelining folded into a single bus-free time).
+	var dataEnd uint64
 	if write {
-		dataStart = cycle + s.T.CWL
-		dataEnd = dataStart + s.T.BL
-		b.PreReady = maxU(b.PreReady, dataEnd+s.T.WR)
-		s.Chan.lastWrEnd = dataEnd
+		dataEnd = cycle + s.T.CWL + s.T.BL
+		b.PreReady = max(b.PreReady, dataEnd+s.T.WR)
 	} else {
-		dataStart = cycle + s.T.CL
-		dataEnd = dataStart + s.T.BL
-		b.PreReady = maxU(b.PreReady, cycle+s.T.RTP)
-		s.Chan.lastRdEnd = dataEnd
+		dataEnd = cycle + s.T.CL + s.T.BL
+		b.PreReady = max(b.PreReady, cycle+s.T.RTP)
 	}
-	b.ColReady = maxU(b.ColReady, cycle+s.T.CCDL)
+	b.ColReady = max(b.ColReady, cycle+s.T.CCDL)
 	b.HitStreak++
 	s.Chan.DataFree = dataEnd
+	if s.Observer != nil {
+		s.Observer(Command{Kind: 'C', Bank: bank, Row: b.OpenRow, Write: write, Cycle: cycle})
+	}
 	return dataEnd
 }
 
@@ -232,7 +219,9 @@ func (s *System) AllPrecharged(rank int) bool {
 	return true
 }
 
-// REF starts a refresh on rank at cycle: all its banks block for RFC.
+// REF starts a refresh on rank at cycle: none of its banks takes an ACT
+// for RFC. The caller must have found the rank AllPrecharged, so an ACT
+// is the only command they could take and ActReady the one field to raise.
 func (s *System) REF(rank int, cycle uint64) {
 	r := &s.Ranks[rank]
 	r.NextREF += s.T.REFI
@@ -240,51 +229,48 @@ func (s *System) REF(rank int, cycle uint64) {
 	r.RefUntil = cycle + s.T.RFC
 	base := rank * s.BanksPerRank()
 	for b := base; b < base+s.BanksPerRank(); b++ {
-		s.Banks[b].BusyUntil = maxU(s.Banks[b].BusyUntil, cycle+s.T.RFC)
-		s.Banks[b].ActReady = maxU(s.Banks[b].ActReady, cycle+s.T.RFC)
+		s.Banks[b].ActReady = max(s.Banks[b].ActReady, r.RefUntil)
+	}
+	if s.Observer != nil {
+		s.Observer(Command{Kind: 'R', Bank: rank, Cycle: cycle})
 	}
 }
 
-// EndRefreshIfDone clears the refreshing flag once RFC has elapsed and
-// reports whether it did (RankActEarliest drops its refresh term then).
-func (s *System) EndRefreshIfDone(rank int, cycle uint64) bool {
+// EndRefreshIfDone clears the refreshing flag once RFC has elapsed; the
+// flag only keeps a second REF from starting inside the first.
+func (s *System) EndRefreshIfDone(rank int, cycle uint64) {
 	r := &s.Ranks[rank]
 	if r.Refreshing && cycle >= r.RefUntil {
 		r.Refreshing = false
-		return true
 	}
-	return false
 }
 
-// The earliest-issue methods below are the timing exposure the
-// event-driven simulation engine skips by: given the current (frozen)
-// device state, each returns a lower bound on the first cycle at which
-// the corresponding command could issue to the bank. The bounds are
-// exact while no command issues — every ready time in Bank/Rank/Channel
-// only moves when a command does — so a driver that ticks the
-// controller at every returned cycle observes the identical command
-// sequence as one that ticks every cycle (see sim.Run).
+// The *Earliest methods below are the one statement of when a command
+// may issue: each returns the first cycle at which the command is legal
+// in the current (frozen) device state, and CanACT/CanPRE/CanColumn are
+// "state test && earliest <= cycle". Every term is a ready time that one
+// command method moves, and none moves unless a command issues — so the
+// bounds are exact, and a driver that ticks the controller at every
+// returned cycle observes the identical command sequence as one that
+// ticks every cycle (see sim.Run). The independent check that they are
+// the DDR timing rules is the command-stream validator of
+// internal/mem/protocheck, which shares no code with them.
 
 // ActEarliest returns the earliest cycle an ACT could issue to bank,
-// assuming the bank stays precharged. Mirrors every CanACT constraint:
-// bank ready times, refresh occupancy, tRRD, and tFAW.
+// assuming the bank stays precharged: the bank's own tRC, tRP, tRFC and
+// blocked time, and what its rank admits.
 func (s *System) ActEarliest(bank int) uint64 {
-	b := &s.Banks[bank]
-	return max(b.ActReady, b.BusyUntil, s.RankActEarliest(s.RankOf(bank), s.GroupOf(bank)))
+	return max(s.Banks[bank].ActReady, s.RankActEarliest(s.RankOf(bank), s.GroupOf(bank)))
 }
 
 // RankActEarliest is the part of ActEarliest that no single bank owns:
-// the earliest cycle the rank admits an ACT to any bank of group —
-// refresh occupancy, tRRD_S or tRRD_L against the last ACT, and tFAW. It
-// moves only when the rank activates or starts or ends a refresh, so a
-// scheduler can hold it once per (rank, group) next to per-bank ready
-// times instead of re-deriving it per bank.
+// the earliest cycle the rank admits an ACT to any bank of group — tRRD_S
+// or tRRD_L against the last ACT, and tFAW. It moves only when the rank
+// activates, so a scheduler can hold it once per (rank, group) next to
+// per-bank ready times instead of re-deriving it per bank.
 func (s *System) RankActEarliest(rank, group int) uint64 {
 	r := &s.Ranks[rank]
 	var t uint64
-	if r.Refreshing {
-		t = r.RefUntil
-	}
 	if r.anyAct {
 		rrd := s.T.RRDS
 		if group == r.lastBG {
@@ -292,6 +278,7 @@ func (s *System) RankActEarliest(rank, group int) uint64 {
 		}
 		t = max(t, r.lastAct+rrd)
 	}
+	// tFAW: the fourth-last ACT must be at least FAW ago.
 	if r.actCount >= 4 {
 		t = max(t, r.actTimes[r.actIdx]+s.T.FAW)
 	}
@@ -299,42 +286,34 @@ func (s *System) RankActEarliest(rank, group int) uint64 {
 }
 
 // PreEarliest returns the earliest cycle a PRE could issue to bank,
-// assuming its row stays open (CanPRE's ready times).
-func (s *System) PreEarliest(bank int) uint64 {
-	b := &s.Banks[bank]
-	return maxU(b.PreReady, b.BusyUntil)
-}
+// assuming its row stays open: tRAS, tRTP, tWR and blocked time.
+func (s *System) PreEarliest(bank int) uint64 { return s.Banks[bank].PreReady }
 
 // ColumnEarliest returns the earliest cycle a RD/WR could issue to the
-// open row of bank, assuming it stays open (CanColumn's ready times and
-// the data-bus occupancy).
+// open row of bank, assuming it stays open: the bank's tRCD, tCCD_L and
+// blocked time, and the data bus.
 func (s *System) ColumnEarliest(bank int, write bool) uint64 {
-	b := &s.Banks[bank]
-	t := maxU(b.ColReady, b.BusyUntil)
+	return max(s.Banks[bank].ColReady, s.BusEarliest(write))
+}
+
+// BusEarliest is the part of ColumnEarliest that no single bank owns:
+// the earliest cycle a RD (or WR) may issue for its burst, CL (CWL)
+// later, to start once the previous burst has left the data bus. It moves
+// only when a column command issues.
+func (s *System) BusEarliest(write bool) uint64 {
 	lat := s.T.CL
 	if write {
 		lat = s.T.CWL
 	}
-	// dataStart = cycle + lat must reach Chan.DataFree.
-	if s.Chan.DataFree > lat {
-		t = maxU(t, s.Chan.DataFree-lat)
-	}
-	return t
+	return s.Chan.DataFree - min(s.Chan.DataFree, lat)
 }
 
-// BlockBank blocks a bank for extra cycles (row migration, swap).
+// BlockBank blocks a bank for extra cycles (row migration, swap): no
+// command of any class issues to it before cycle+busyCycles.
 func (s *System) BlockBank(bank int, cycle, busyCycles uint64) {
 	b := &s.Banks[bank]
 	until := cycle + busyCycles
-	b.BusyUntil = maxU(b.BusyUntil, until)
-	b.ActReady = maxU(b.ActReady, until)
-	b.ColReady = maxU(b.ColReady, until)
-	b.PreReady = maxU(b.PreReady, until)
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	b.ActReady = max(b.ActReady, until)
+	b.ColReady = max(b.ColReady, until)
+	b.PreReady = max(b.PreReady, until)
 }

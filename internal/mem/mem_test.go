@@ -55,6 +55,9 @@ func TestActPreCycleTiming(t *testing.T) {
 	if s.Banks[0].OpenRow != 42 {
 		t.Fatal("row not open")
 	}
+	if s.CanACT(0, 1_000_000) || s.CanPRE(1, 1_000_000) {
+		t.Error("ACT allowed to an open bank, or PRE to a closed one")
+	}
 	if s.CanPRE(0, 1) {
 		t.Error("PRE allowed before tRAS")
 	}
@@ -161,84 +164,9 @@ func TestRefreshBlocksRank(t *testing.T) {
 	}
 }
 
-// checkEarliest asserts the three *Earliest bounds agree exactly with
-// their Can* predicates in the system's current state: the command is
-// rejected one cycle before the bound and accepted at it.
-func checkEarliest(t *testing.T, s *System, ctx string) {
-	t.Helper()
-	for b := range s.Banks {
-		if s.Banks[b].OpenRow < 0 {
-			e := s.ActEarliest(b)
-			if e > 0 && s.CanACT(b, e-1) {
-				t.Fatalf("%s: bank %d: ACT allowed at %d before ActEarliest %d", ctx, b, e-1, e)
-			}
-			if !s.CanACT(b, e) {
-				t.Fatalf("%s: bank %d: ACT rejected at ActEarliest %d", ctx, b, e)
-			}
-			continue
-		}
-		row := s.Banks[b].OpenRow
-		pe := s.PreEarliest(b)
-		if pe > 0 && s.CanPRE(b, pe-1) {
-			t.Fatalf("%s: bank %d: PRE allowed at %d before PreEarliest %d", ctx, b, pe-1, pe)
-		}
-		if !s.CanPRE(b, pe) {
-			t.Fatalf("%s: bank %d: PRE rejected at PreEarliest %d", ctx, b, pe)
-		}
-		for _, write := range []bool{false, true} {
-			e := s.ColumnEarliest(b, write)
-			if e > 0 && s.CanColumn(b, row, write, e-1) {
-				t.Fatalf("%s: bank %d: column(write=%v) allowed at %d before ColumnEarliest %d", ctx, b, write, e-1, e)
-			}
-			if !s.CanColumn(b, row, write, e) {
-				t.Fatalf("%s: bank %d: column(write=%v) rejected at ColumnEarliest %d", ctx, b, write, e)
-			}
-		}
-	}
-}
-
-// TestEarliestMatchesCanPredicates drives a deterministic pseudo-random
-// command walk and, after every command, cross-checks every bank's
-// earliest-issue bounds against the Can* predicates the event engine
-// replaces with them.
-func TestEarliestMatchesCanPredicates(t *testing.T) {
-	s := testSystem()
-	rng := uint64(0x9e3779b97f4a7c15)
-	next := func(n uint64) uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng % n
-	}
-	cycle := uint64(0)
-	for step := 0; step < 4000; step++ {
-		cycle += next(40)
-		for rank := range s.Ranks {
-			s.EndRefreshIfDone(rank, cycle)
-			if s.RefreshDue(rank, cycle) && !s.Ranks[rank].Refreshing && s.AllPrecharged(rank) {
-				s.REF(rank, cycle)
-			}
-		}
-		bank := int(next(uint64(s.TotalBanks())))
-		switch b := &s.Banks[bank]; {
-		case b.OpenRow < 0:
-			if s.CanACT(bank, cycle) {
-				s.ACT(bank, int(next(64)), cycle)
-			}
-		case next(3) == 0:
-			if s.CanPRE(bank, cycle) {
-				s.PRE(bank, cycle)
-			}
-		default:
-			write := next(2) == 0
-			if s.CanColumn(bank, b.OpenRow, write, cycle) {
-				s.Column(bank, write, cycle)
-			}
-		}
-		checkEarliest(t, s, "walk")
-	}
-}
-
+// TestBlockBank: a blocked bank takes no command of any class before the
+// window ends, whatever state it is in, and a shorter window inside a
+// longer one changes nothing.
 func TestBlockBank(t *testing.T) {
 	s := testSystem()
 	s.BlockBank(5, 100, 1000)
@@ -247,5 +175,43 @@ func TestBlockBank(t *testing.T) {
 	}
 	if !s.CanACT(5, 1101) {
 		t.Error("bank still blocked after busy window")
+	}
+	s.ACT(6, 3, 0)
+	s.BlockBank(6, 100, 1000)
+	s.BlockBank(6, 200, 10)
+	if pre, rd, wr := s.PreEarliest(6), s.ColumnEarliest(6, false), s.ColumnEarliest(6, true); pre != 1100 || rd != 1100 || wr != 1100 {
+		t.Errorf("open blocked bank: earliest PRE, RD, WR = %d, %d, %d; want 1100", pre, rd, wr)
+	}
+	s.PRE(6, 1100)
+	if got, want := s.ActEarliest(6), 1100+s.T.RP; got != want {
+		t.Errorf("ActEarliest after the blocked bank's PRE = %d, want %d", got, want)
+	}
+	s.BlockBank(7, 0, 50) // shorter than tRCD, tRAS: the ACT's own times stand
+	s.ACT(7, 3, 60)
+	if s.ColumnEarliest(7, false) != 60+s.T.RCD || s.PreEarliest(7) != 60+s.T.RAS {
+		t.Errorf("ACT after a block: earliest RD %d, PRE %d", s.ColumnEarliest(7, false), s.PreEarliest(7))
+	}
+}
+
+// TestResetClearsObserver: a pooled System must not report one run's
+// commands to the previous run's observer, whichever way the geometry
+// moved in between (32 -> 128 -> 16 banks).
+func TestResetClearsObserver(t *testing.T) {
+	s := testSystem()
+	seen := 0
+	for _, ranks := range []int{8, 1} {
+		s.Observer = func(Command) { seen++ }
+		s.ACT(0, 1, 0)
+		s.Reset(s.T, ranks, 4, 4, 8192)
+		if s.Observer != nil {
+			t.Fatalf("Reset to %d ranks kept the observer", ranks)
+		}
+		s.ACT(0, 1, 0)
+		s.Column(0, false, s.T.RCD)
+		s.PRE(0, s.T.RAS)
+		s.REF(0, s.T.REFI)
+	}
+	if seen != 2 {
+		t.Errorf("observer saw %d commands, want the 2 issued while it was attached", seen)
 	}
 }

@@ -11,6 +11,9 @@ import (
 )
 
 // Timing holds DDR4 timing parameters converted to CPU clock cycles.
+// Not every one is enforced by System: the fields say which, and
+// EXPERIMENTS.md ("DRAM constraints carried in mem.Timing but not
+// enforced") says how often the omission shows.
 type Timing struct {
 	RCD  uint64 // ACT to column command
 	RAS  uint64 // ACT to PRE
@@ -19,14 +22,14 @@ type Timing struct {
 	CL   uint64 // read latency
 	CWL  uint64 // write latency
 	BL   uint64 // data burst occupancy
-	CCDS uint64 // column-to-column, different bank group
-	CCDL uint64 // column-to-column, same bank group
+	CCDS uint64 // column-to-column, different bank group (not enforced, see EXPERIMENTS.md)
+	CCDL uint64 // column-to-column, same bank group (enforced within one bank only)
 	RRDS uint64 // ACT-to-ACT, different bank group
 	RRDL uint64 // ACT-to-ACT, same bank group
 	FAW  uint64 // four-activate window
 	WR   uint64 // write recovery
-	WTRS uint64 // write-to-read, different bank group
-	WTRL uint64 // write-to-read, same bank group
+	WTRS uint64 // write-to-read, different bank group (not enforced, see EXPERIMENTS.md)
+	WTRL uint64 // write-to-read, same bank group (not enforced, see EXPERIMENTS.md)
 	RTP  uint64 // read to precharge
 	RFC  uint64 // refresh latency
 	REFI uint64 // refresh interval

@@ -226,11 +226,11 @@ const (
 // from when": a function of the bank's device state and the queue's
 // req/hit counts only, so it is re-derived (reoffer) by the commands and
 // enqueues that touch this bank and read everywhere else. The ready time
-// is split: at is the bank's own part, terms[term] the part shared
+// is mem.System's *Earliest bound for the command, held in its two parts:
+// at is the bank's own ready field, terms[term] the part shared
 // device-wide, which the one command that moves it refreshes for every
-// bank at once. The command is ready at cycle iff both are <= cycle —
-// mem.System's *Earliest bounds are exact (they mirror the Can*
-// predicates term by term), so "earliest <= cycle" is the predicate.
+// bank at once. The command is ready at cycle iff both are <= cycle:
+// that is how mem.System defines its Can* predicates.
 type offer struct {
 	at   uint64
 	term int32
@@ -240,7 +240,7 @@ type offer struct {
 // Indices into Controller.terms.
 const (
 	termNone = 0 // always zero: a PRE waits on nothing but its bank
-	termBus  = 1 // +queue: Chan.DataFree less the read / write latency
+	termBus  = 1 // +queue: mem.System.BusEarliest(read / write)
 	termACT  = 3 // +rank*BankGroups+group: mem.System.RankActEarliest
 )
 
@@ -348,20 +348,20 @@ func (c *Controller) reoffer(bank int) {
 		switch {
 		case bq.req[dir] == 0:
 		case b.OpenRow < 0:
-			o = offer{kind: offerACT, at: max(b.ActReady, b.BusyUntil), term: int32(termACT + bank/c.Cfg.BanksPerGroup)}
+			o = offer{kind: offerACT, at: b.ActReady, term: int32(termACT + bank/c.Cfg.BanksPerGroup)}
 		case bq.hit[dir] == 0:
-			o = offer{kind: offerConflictPRE, at: max(b.PreReady, b.BusyUntil)}
+			o = offer{kind: offerConflictPRE, at: b.PreReady}
 		case b.HitStreak >= c.Cfg.ColumnCap:
-			o = offer{kind: offerCapPRE, at: max(b.PreReady, b.BusyUntil)}
+			o = offer{kind: offerCapPRE, at: b.PreReady}
 		default:
-			o = offer{kind: offerColumn, at: max(b.ColReady, b.BusyUntil), term: int32(termBus + dir)}
+			o = offer{kind: offerColumn, at: b.ColReady, term: int32(termBus + dir)}
 		}
 		bq.offer[dir] = o
 	}
 }
 
-// rankTerms refreshes the ACT terms of rank's bank groups: after an ACT
-// to the rank (tRRD, tFAW) and when it starts or ends a refresh.
+// rankTerms refreshes the ACT terms of rank's bank groups, after an ACT
+// to the rank (tRRD, tFAW).
 func (c *Controller) rankTerms(rank int) {
 	for g := 0; g < c.Cfg.BankGroups; g++ {
 		c.terms[termACT+rank*c.Cfg.BankGroups+g] = c.Sys.RankActEarliest(rank, g)
@@ -573,13 +573,10 @@ func (c *Controller) TickFull(cycle uint64) bool {
 func (c *Controller) tick(cycle uint64) bool {
 	// Refresh management.
 	for rank := 0; rank < c.Cfg.Ranks; rank++ {
-		if c.Sys.EndRefreshIfDone(rank, cycle) {
-			c.rankTerms(rank)
-		}
+		c.Sys.EndRefreshIfDone(rank, cycle)
 		if c.Sys.RefreshDue(rank, cycle) && !c.Sys.Ranks[rank].Refreshing {
 			if c.Sys.AllPrecharged(rank) {
 				c.Sys.REF(rank, cycle)
-				c.rankTerms(rank)
 				for b := rank * c.Sys.BanksPerRank(); b < (rank+1)*c.Sys.BanksPerRank(); b++ {
 					c.reoffer(b)
 				}
@@ -638,11 +635,12 @@ func (c *Controller) tick(cycle uint64) bool {
 //
 // Two Tick-internal mutations deliberately do not appear here because
 // they cannot change scheduling outcomes: EndRefreshIfDone only clears
-// a flag that CanACT already double-checks against RefUntil, and the
-// write-drain mode flip is a pure function of the (frozen) queue depths
-// and the previous mode, so it reaches the same state on the wake tick
-// as it would have on the next per-cycle tick — NextEvent therefore
-// considers both queues regardless of the current mode.
+// a flag no ready time depends on (REF wrote its window into the banks'
+// ACT ready times), and the write-drain mode flip is a pure function of
+// the (frozen) queue depths and the previous mode, so it reaches the
+// same state on the wake tick as it would have on the next per-cycle
+// tick — NextEvent therefore considers both queues regardless of the
+// current mode.
 func (c *Controller) NextEvent(cycle uint64) uint64 {
 	if cycle < c.idleUntil {
 		return c.idleUntil // computed by the idle Tick that got us here
@@ -843,7 +841,7 @@ func (c *Controller) tickVictims(cycle uint64) bool {
 				// count as activity or a skipping driver could stamp it
 				// later than a per-cycle one.
 				v.opened = true
-				v.preAt = max(cycle, b.PreReady)
+				v.preAt = max(cycle, c.Sys.PreEarliest(v.bank))
 				c.mutated = true
 				continue
 			}
@@ -857,7 +855,7 @@ func (c *Controller) tickVictims(cycle uint64) bool {
 			if c.Sys.CanACT(v.bank, cycle) {
 				c.issueACTRaw(v.bank, v.row, cycle)
 				v.opened = true
-				v.preAt = cycle + c.Sys.T.RAS
+				v.preAt = c.Sys.PreEarliest(v.bank)
 				return true
 			}
 			continue
@@ -1099,8 +1097,8 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 	r := (*q)[idx]
 	bank := int(r.bank)
 	dataEnd := c.Sys.Column(bank, writes, cycle)
-	c.terms[termBus] = dataEnd - min(dataEnd, c.Sys.T.CL)
-	c.terms[termBus+1] = dataEnd - min(dataEnd, c.Sys.T.CWL)
+	c.terms[termBus] = c.Sys.BusEarliest(false)
+	c.terms[termBus+1] = c.Sys.BusEarliest(true)
 	bq := &c.banks[bank]
 	bq.req[dir]--
 	bq.hit[dir]--

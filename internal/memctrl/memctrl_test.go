@@ -6,6 +6,7 @@ import (
 
 	"svard/internal/dram"
 	"svard/internal/mem"
+	"svard/internal/mem/protocheck"
 	"svard/internal/mitigation"
 )
 
@@ -519,17 +520,17 @@ func checkOffers(t testing.TB, c *Controller) {
 			switch {
 			case !any:
 			case b.OpenRow < 0:
-				want = offer{kind: offerACT, at: max(b.ActReady, b.BusyUntil),
+				want = offer{kind: offerACT, at: b.ActReady,
 					term: int32(termACT + c.Sys.RankOf(bank)*c.Cfg.BankGroups + c.Sys.GroupOf(bank))}
 				ready = c.Sys.ActEarliest(bank)
 			case !hit:
-				want = offer{kind: offerConflictPRE, at: max(b.PreReady, b.BusyUntil)}
+				want = offer{kind: offerConflictPRE, at: b.PreReady}
 				ready = c.Sys.PreEarliest(bank)
 			case b.HitStreak >= c.Cfg.ColumnCap:
-				want = offer{kind: offerCapPRE, at: max(b.PreReady, b.BusyUntil)}
+				want = offer{kind: offerCapPRE, at: b.PreReady}
 				ready = c.Sys.PreEarliest(bank)
 			default:
-				want = offer{kind: offerColumn, at: max(b.ColReady, b.BusyUntil), term: int32(termBus + dir)}
+				want = offer{kind: offerColumn, at: b.ColReady, term: int32(termBus + dir)}
 				ready = c.Sys.ColumnEarliest(bank, dir == 1)
 			}
 			if got := c.banks[bank].offer[dir]; got != want || c.readyAt(got) != ready {
@@ -544,9 +545,8 @@ func checkOffers(t testing.TB, c *Controller) {
 // queue state by hand (c.Sys.ACT, BlockBank, Chan.DataFree, ...) instead
 // of through the controller's own commands.
 func rebuildOffers(c *Controller) {
-	free := c.Sys.Chan.DataFree
-	c.terms[termBus] = free - min(free, c.Sys.T.CL)
-	c.terms[termBus+1] = free - min(free, c.Sys.T.CWL)
+	c.terms[termBus] = c.Sys.BusEarliest(false)
+	c.terms[termBus+1] = c.Sys.BusEarliest(true)
 	for rank := range c.Sys.Ranks {
 		c.rankTerms(rank)
 	}
@@ -712,7 +712,9 @@ func (d *fuzzDefense) OnActivate(bank, row int, cycle uint64) []mitigation.Direc
 // advances like the engine's: cycle by cycle or straight to the
 // controller's own wake-up bound. cov, when not nil, counts what the
 // picks before each Tick reached: per kind, and how many were made with a
-// retry stamp live on some pending bank.
+// retry stamp live on some pending bank. The protocol checker watches the
+// whole run: every command the controller issues must be legal by rules
+// that know nothing of it or of mem.System.
 func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int, cov *pickCoverage) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
@@ -720,6 +722,7 @@ func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int, cov *pi
 	tm := c.Sys.T
 	tm.REFI, tm.REFW = 4000, 4000*64
 	c.Reset(c.Cfg, tm, &fuzzDefense{rng: rng, rows: rows}, nil)
+	chk := protocheck.Attach(c.Sys)
 
 	// Five banks spread over the geometry, the last one included so the
 	// top pending word and bit are exercised.
@@ -781,6 +784,15 @@ func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int, cov *pi
 		} else {
 			cycle++
 		}
+	}
+	// The stream the controller issued is legal DRAM protocol, by the rules
+	// as protocheck states them, and the checker saw all of it.
+	if err := chk.Err(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	act, pre, col, ref := chk.Commands()
+	if st := c.Stats; act != st.Acts || pre != st.Pres || col != st.Reads+st.Writes || ref != st.Refreshes {
+		t.Fatalf("seed %d: checker saw %d ACT, %d PRE, %d RD/WR, %d REF; controller issued %+v", seed, act, pre, col, ref, st)
 	}
 }
 

@@ -44,15 +44,6 @@ type Ref struct {
 	Size int    `json:"size"`
 }
 
-// Labels returns the population's module labels in index order.
-func (r Ref) Labels() []string {
-	labels := make([]string, r.Size)
-	for i := range labels {
-		labels[i] = Label(r.Seed, i)
-	}
-	return labels
-}
-
 // LabelPrefix marks a synthetic population module label.
 const LabelPrefix = "pop:"
 

@@ -33,16 +33,20 @@ func diffMixes() map[string][]string {
 	}
 }
 
-// runBoth executes cfg under both engines and returns (skip, naive).
+// runBoth executes cfg under both engines and returns (skip, naive). Both
+// runs are watched by the DRAM protocol checker (see protocolTally.run),
+// so every case of the differential matrix also requires each engine's
+// command stream to be legal.
 func runBoth(t *testing.T, cfg Config) (Result, Result) {
 	t.Helper()
+	var checked protocolTally
 	cfg.NoSkip = false
-	skip, err := Run(cfg)
+	skip, err := checked.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.NoSkip = true
-	naive, err := Run(cfg)
+	naive, err := checked.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

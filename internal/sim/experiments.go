@@ -10,7 +10,6 @@ import (
 	"svard/internal/exec"
 	"svard/internal/metrics"
 	"svard/internal/obs"
-	"svard/internal/population"
 	"svard/internal/profile"
 	"svard/internal/trace"
 )
@@ -76,15 +75,6 @@ type Fig12Options struct {
 	Profiles []string   // default S0, M0, H1
 	Backends []string   // memory backends to sweep (default: just Base.Backend)
 
-	// Population, when Size >= 1, sweeps a synthetic Monte Carlo module
-	// population instead of the default representative profiles: with
-	// Profiles unset, they become the population's labels
-	// (pop:<seed>:<index>), one Svärd configuration per sampled chip.
-	// This point-estimate path holds every module's tables resident —
-	// for confidence bands over large populations use RunPopulationCtx,
-	// which streams.
-	Population population.Ref
-
 	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
 	Runner   Runner // per-job executor (nil: PooledRun); see Runner
 	Progress func(string)
@@ -95,11 +85,7 @@ type Fig12Options struct {
 func (opt Fig12Options) fill() Fig12Options {
 	fillGrid(opt.Base, &opt.Mixes, &opt.NRHs, &opt.Defenses)
 	if len(opt.Profiles) == 0 {
-		if opt.Population.Size >= 1 {
-			opt.Profiles = opt.Population.Labels()
-		} else {
-			opt.Profiles = profile.RepresentativeLabels()
-		}
+		opt.Profiles = profile.RepresentativeLabels()
 	}
 	if len(opt.Backends) == 0 {
 		opt.Backends = []string{opt.Base.Backend}
@@ -349,11 +335,6 @@ type Fig13Options struct {
 	Profiles []string
 	Backends []string // memory backends to sweep (default: just Base.Backend)
 
-	// Population, when Size >= 1 and Profiles is unset, evaluates the
-	// adversarial patterns over a synthetic module population: one
-	// Svärd bar per sampled chip (see Fig12Options.Population).
-	Population population.Ref
-
 	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
 	Runner   Runner // per-job executor (nil: PooledRun); see Runner
 	Progress func(string)
@@ -365,11 +346,7 @@ func (opt Fig13Options) fill() Fig13Options {
 		opt.NRH = 64
 	}
 	if len(opt.Profiles) == 0 {
-		if opt.Population.Size >= 1 {
-			opt.Profiles = opt.Population.Labels()
-		} else {
-			opt.Profiles = profile.RepresentativeLabels()
-		}
+		opt.Profiles = profile.RepresentativeLabels()
 	}
 	if len(opt.Benign) == 0 {
 		opt.Benign = []string{"mcf06", "lbm06", "ycsb-a", "tpcc", "h264dec", "milc06", "xz17"}
