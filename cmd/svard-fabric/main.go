@@ -119,17 +119,14 @@ func main() {
 	if err := json.Unmarshal(b, &spec); err != nil {
 		fatal(fmt.Errorf("%s: %w", *specFile, err))
 	}
-	if err := spec.Validate(); err != nil {
-		fatal(err)
-	}
-	jobs, err := spec.Jobs()
+	plan, err := spec.Plan()
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "svard-fabric: campaign %s: %d cells; waiting for %d worker(s)\n",
-		spec.Fingerprint()[:16], len(jobs), *minWorkers)
+		plan.Fingerprint[:16], len(plan.Jobs), *minWorkers)
 
-	res, err := coord.RunCtx(ctx, spec)
+	res, err := coord.RunPlan(ctx, plan)
 	if err != nil {
 		if *cacheDir != "" {
 			fmt.Fprintf(os.Stderr, "campaign interrupted (cache %s; re-run with -resume to continue): ", *cacheDir)

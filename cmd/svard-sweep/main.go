@@ -240,14 +240,15 @@ func run() error {
 		spec.Figures = []string{campaign.Fig12}
 	}
 
-	if err := spec.Validate(); err != nil {
+	plan, err := spec.Plan()
+	if err != nil {
 		return err
 	}
 	if *printSpec {
 		// Print the normalized campaign: with the figures and the drawn
 		// mixes pinned, the emitted file reproduces this exact sweep even
 		// if the drawing defaults ever change.
-		b, err := json.MarshalIndent(spec.Normalized(), "", "  ")
+		b, err := json.MarshalIndent(plan.Spec, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -260,16 +261,12 @@ func run() error {
 		return err
 	}
 	if !*quiet {
-		jobs, err := spec.Jobs()
-		if err != nil {
-			return err
-		}
 		where := *cacheDir
 		if where == "" {
 			where = "(memory only)"
 		}
 		fmt.Fprintf(os.Stderr, "campaign %s: %d simulation jobs, cache %s\n",
-			spec.Fingerprint()[:16], len(jobs), where)
+			plan.Fingerprint[:16], len(plan.Jobs), where)
 	}
 
 	eng := &campaign.Engine{
@@ -295,7 +292,7 @@ func run() error {
 		<-ctx.Done()
 		stop()
 	}()
-	out, err := eng.RunCtx(ctx, spec)
+	out, err := eng.RunPlan(ctx, plan)
 	if !*quiet {
 		fmt.Fprintln(os.Stderr)
 	}

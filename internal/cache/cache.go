@@ -345,7 +345,12 @@ func (s *Store) maybeRescan() {
 // an overlapping job). Genuine compute failures still propagate to all
 // waiters, so a deterministically failing cell is not re-executed once
 // per waiter.
-func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Result, error)) (sim.Result, error) {
+//
+// The key the store derived for cfg is returned on every path, so a
+// caller that journals, traces or reports the cell reads it instead of
+// deriving it a second time — and never has a key of its own to hand
+// back in next to a config.
+func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Result, error)) (sim.Result, string, error) {
 	key := Key(cfg)
 
 	var c *call
@@ -356,7 +361,7 @@ func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Resul
 			res := copyResult(el.Value.(*entry).res)
 			s.mu.Unlock()
 			s.memHits.Add(1)
-			return res, nil
+			return res, key, nil
 		}
 		if inflight, ok := s.flight[key]; ok {
 			s.mu.Unlock()
@@ -365,10 +370,10 @@ func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Resul
 				if isCancellation(inflight.err) {
 					continue // the leader was cancelled, not the cell; retry ourselves
 				}
-				return sim.Result{}, inflight.err
+				return sim.Result{}, key, inflight.err
 			}
 			s.deduped.Add(1)
-			return copyResult(inflight.res), nil
+			return copyResult(inflight.res), key, nil
 		}
 		c = &call{done: make(chan struct{})}
 		s.flight[key] = c
@@ -406,9 +411,9 @@ func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Resul
 	close(c.done)
 
 	if err != nil {
-		return sim.Result{}, err
+		return sim.Result{}, key, err
 	}
-	return copyResult(res), nil
+	return copyResult(res), key, nil
 }
 
 // Get returns the stored result for key from memory or disk, without

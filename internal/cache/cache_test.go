@@ -61,15 +61,18 @@ func TestMissThenMemoryHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
-	cold, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls))
+	cold, coldKey, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls))
+	warm, warmKey, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, cold, warm)
+	if want := Key(testCfg(64)); coldKey != want || warmKey != want {
+		t.Errorf("returned keys %q (miss) / %q (hit), want the cell's key %q", coldKey, warmKey, want)
+	}
 	if calls.Load() != 1 {
 		t.Errorf("compute ran %d times, want 1", calls.Load())
 	}
@@ -83,14 +86,14 @@ func TestDiskPersistenceAcrossStores(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
 	var calls atomic.Int64
-	cold, err := s1.GetOrCompute(testCfg(128), fakeCompute(&calls))
+	cold, _, err := s1.GetOrCompute(testCfg(128), fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh store over the same directory (fresh process, in effect).
 	s2, _ := Open(dir, 0)
-	warm, err := s2.GetOrCompute(testCfg(128), fakeCompute(&calls))
+	warm, _, err := s2.GetOrCompute(testCfg(128), fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestCorruptEntryRecomputes(t *testing.T) {
 			dir := t.TempDir()
 			s1, _ := Open(dir, 0)
 			var calls atomic.Int64
-			cold, err := s1.GetOrCompute(testCfg(256), fakeCompute(&calls))
+			cold, _, err := s1.GetOrCompute(testCfg(256), fakeCompute(&calls))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +143,7 @@ func TestCorruptEntryRecomputes(t *testing.T) {
 			}
 
 			s2, _ := Open(dir, 0)
-			got, err := s2.GetOrCompute(testCfg(256), fakeCompute(&calls))
+			got, _, err := s2.GetOrCompute(testCfg(256), fakeCompute(&calls))
 			if err != nil {
 				t.Fatalf("corrupt entry surfaced as error: %v", err)
 			}
@@ -154,7 +157,7 @@ func TestCorruptEntryRecomputes(t *testing.T) {
 
 			// The bad entry was repaired in place.
 			s3, _ := Open(dir, 0)
-			if _, err := s3.GetOrCompute(testCfg(256), fakeCompute(&calls)); err != nil {
+			if _, _, err := s3.GetOrCompute(testCfg(256), fakeCompute(&calls)); err != nil {
 				t.Fatal(err)
 			}
 			if st := s3.Stats(); st.DiskHits != 1 {
@@ -200,7 +203,7 @@ func TestSchemaV3InvalidatesOldEntries(t *testing.T) {
 	}
 
 	var calls atomic.Int64
-	got, err := s1.GetOrCompute(cfg, fakeCompute(&calls))
+	got, _, err := s1.GetOrCompute(cfg, fakeCompute(&calls))
 	if err != nil {
 		t.Fatalf("v2 entry surfaced as error: %v", err)
 	}
@@ -220,7 +223,7 @@ func TestSchemaV3InvalidatesOldEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
+	warm, _, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	results := make([]sim.Result, n)
 	lookup := func(i int) {
 		defer wg.Done()
-		r, err := s.GetOrCompute(testCfg(512), slow)
+		r, _, err := s.GetOrCompute(testCfg(512), slow)
 		if err != nil {
 			t.Error(err)
 			return
@@ -307,7 +310,7 @@ func TestCoalescedWaiterSurvivesLeaderCancellation(t *testing.T) {
 
 			leaderDone := make(chan error, 1)
 			go func() {
-				_, err := s.GetOrCompute(testCfg(64), failingLeader)
+				_, _, err := s.GetOrCompute(testCfg(64), failingLeader)
 				leaderDone <- err
 			}()
 			for leaderCalls.Load() == 0 {
@@ -315,7 +318,7 @@ func TestCoalescedWaiterSurvivesLeaderCancellation(t *testing.T) {
 
 			waiterDone := make(chan error, 1)
 			go func() {
-				_, err := s.GetOrCompute(testCfg(64), func(cfg sim.Config) (sim.Result, error) {
+				_, _, err := s.GetOrCompute(testCfg(64), func(cfg sim.Config) (sim.Result, error) {
 					waiterCalls.Add(1)
 					return fakeCompute(nil)(cfg)
 				})
@@ -356,11 +359,13 @@ func TestComputeErrorsPropagateAndAreNotCached(t *testing.T) {
 		calls.Add(1)
 		return sim.Result{}, os.ErrPermission
 	}
-	if _, err := s.GetOrCompute(testCfg(64), boom); err == nil {
+	if _, key, err := s.GetOrCompute(testCfg(64), boom); err == nil {
 		t.Fatal("expected error")
+	} else if key != Key(testCfg(64)) {
+		t.Errorf("failed compute returned key %q, want the cell's key", key)
 	}
 	// The failure must not poison the key: a later good compute succeeds.
-	if _, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls)); err != nil {
+	if _, _, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -375,19 +380,19 @@ func TestLRUEvictionFallsBackToDiskOrRecompute(t *testing.T) {
 	s, _ := Open("", 2) // memory-only, two slots
 	var calls atomic.Int64
 	for _, nrh := range []float64{64, 128, 256} {
-		if _, err := s.GetOrCompute(testCfg(nrh), fakeCompute(&calls)); err != nil {
+		if _, _, err := s.GetOrCompute(testCfg(nrh), fakeCompute(&calls)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// 64 was evicted by 256; with no disk layer it recomputes.
-	if _, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls)); err != nil {
+	if _, _, err := s.GetOrCompute(testCfg(64), fakeCompute(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 4 {
 		t.Errorf("calls = %d, want 4 (three cold + one post-eviction)", calls.Load())
 	}
 	// 256 is still resident.
-	if _, err := s.GetOrCompute(testCfg(256), fakeCompute(&calls)); err != nil {
+	if _, _, err := s.GetOrCompute(testCfg(256), fakeCompute(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 4 {
@@ -423,7 +428,7 @@ func TestConcurrentOverlappingConfigs(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < len(nrhs); i++ {
 				nrh := nrhs[(g+i)%len(nrhs)]
-				res, err := s.GetOrCompute(testCfg(nrh), compute)
+				res, _, err := s.GetOrCompute(testCfg(nrh), compute)
 				if err != nil {
 					t.Error(err)
 					return
@@ -457,7 +462,7 @@ func TestConcurrentOverlappingConfigs(t *testing.T) {
 func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
-	if _, err := s1.GetOrCompute(testCfg(64), fakeCompute(nil)); err != nil {
+	if _, _, err := s1.GetOrCompute(testCfg(64), fakeCompute(nil)); err != nil {
 		t.Fatal(err)
 	}
 	key := Key(testCfg(64))
@@ -499,7 +504,7 @@ func TestStatsGauges(t *testing.T) {
 		t.Errorf("fresh store gauges = %+v", st)
 	}
 	for _, nrh := range []float64{64, 128} {
-		if _, err := s1.GetOrCompute(testCfg(nrh), fakeCompute(nil)); err != nil {
+		if _, _, err := s1.GetOrCompute(testCfg(nrh), fakeCompute(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -517,7 +522,7 @@ func TestStatsGauges(t *testing.T) {
 
 	// Memory-only stores have no disk footprint.
 	m, _ := Open("", 0)
-	if _, err := m.GetOrCompute(testCfg(64), fakeCompute(nil)); err != nil {
+	if _, _, err := m.GetOrCompute(testCfg(64), fakeCompute(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Entries != 0 || st.DiskBytes != 0 {
@@ -530,7 +535,7 @@ func TestStatsGauges(t *testing.T) {
 func TestGetByKey(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
-	want, err := s1.GetOrCompute(testCfg(64), fakeCompute(nil))
+	want, _, err := s1.GetOrCompute(testCfg(64), fakeCompute(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,13 +574,13 @@ func TestGetByKey(t *testing.T) {
 // returned IPC slice cannot corrupt what the next caller sees.
 func TestResultAliasingIsolation(t *testing.T) {
 	s, _ := Open("", 0)
-	first, err := s.GetOrCompute(testCfg(64), fakeCompute(nil))
+	first, _, err := s.GetOrCompute(testCfg(64), fakeCompute(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := first.IPC[0]
 	first.IPC[0] = -1
-	second, err := s.GetOrCompute(testCfg(64), fakeCompute(nil))
+	second, _, err := s.GetOrCompute(testCfg(64), fakeCompute(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +600,7 @@ func TestCrashTruncatedWriteRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
 	var calls atomic.Int64
-	cold, err := s.GetOrCompute(testCfg(96), fakeCompute(&calls))
+	cold, _, err := s.GetOrCompute(testCfg(96), fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +616,7 @@ func TestCrashTruncatedWriteRecomputes(t *testing.T) {
 			}
 			s2, _ := Open(dir, 0)
 			before := calls.Load()
-			got, err := s2.GetOrCompute(testCfg(96), fakeCompute(&calls))
+			got, _, err := s2.GetOrCompute(testCfg(96), fakeCompute(&calls))
 			if err != nil {
 				t.Fatalf("truncated entry surfaced as error: %v", err)
 			}
@@ -634,7 +639,7 @@ func TestContentSumCatchesBitFlips(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
 	var calls atomic.Int64
-	cold, err := s.GetOrCompute(testCfg(97), fakeCompute(&calls))
+	cold, _, err := s.GetOrCompute(testCfg(97), fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +659,7 @@ func TestContentSumCatchesBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, _ := Open(dir, 0)
-	got, err := s2.GetOrCompute(testCfg(97), fakeCompute(&calls))
+	got, _, err := s2.GetOrCompute(testCfg(97), fakeCompute(&calls))
 	if err != nil {
 		t.Fatalf("bit-flipped entry surfaced as error: %v", err)
 	}
@@ -680,7 +685,7 @@ func TestPutServesWithoutCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
-	got, err := s.GetOrCompute(cfg, fakeCompute(&calls))
+	got, _, err := s.GetOrCompute(cfg, fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +695,7 @@ func TestPutServesWithoutCompute(t *testing.T) {
 	}
 
 	s2, _ := Open(dir, 0)
-	got2, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
+	got2, _, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +758,7 @@ func TestRemoteLayerSharesResults(t *testing.T) {
 	s1, _ := Open(t.TempDir(), 0)
 	s1.SetRemote(remote, 0)
 	var calls atomic.Int64
-	cold, err := s1.GetOrCompute(cfg, fakeCompute(&calls))
+	cold, _, err := s1.GetOrCompute(cfg, fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,7 +772,7 @@ func TestRemoteLayerSharesResults(t *testing.T) {
 	dir2 := t.TempDir()
 	s2, _ := Open(dir2, 0)
 	s2.SetRemote(remote, 0)
-	warm, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
+	warm, _, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,7 +785,7 @@ func TestRemoteLayerSharesResults(t *testing.T) {
 	}
 	// The remote hit was persisted locally: a reopen serves from disk.
 	s3, _ := Open(dir2, 0)
-	if _, err := s3.GetOrCompute(cfg, fakeCompute(&calls)); err != nil {
+	if _, _, err := s3.GetOrCompute(cfg, fakeCompute(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	if st := s3.Stats(); st.DiskHits != 1 {
@@ -799,7 +804,7 @@ func TestRemoteDegradesGracefully(t *testing.T) {
 	s, _ := Open(t.TempDir(), 0)
 	s.SetRemote(remote, 0)
 	var calls atomic.Int64
-	got, err := s.GetOrCompute(testCfg(48), fakeCompute(&calls))
+	got, _, err := s.GetOrCompute(testCfg(48), fakeCompute(&calls))
 	if err != nil {
 		t.Fatalf("remote failure surfaced as error: %v", err)
 	}

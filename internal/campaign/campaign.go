@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"svard/internal/cache"
+	"svard/internal/dram"
 	"svard/internal/obs"
 	"svard/internal/population"
 	"svard/internal/profile"
@@ -124,12 +125,12 @@ func (s Spec) Normalized() Spec {
 	return s
 }
 
-// Validate rejects a spec whose expansion would fail mid-sweep: unknown
-// figures, defenses, or workload names surface here, before any
-// simulation runs. User-supplied mixes (svard-sweep spec files) are
-// checked entry-by-entry through the same validator as the -mix flag.
-func (s Spec) Validate() error {
-	s = s.Normalized()
+// validate rejects a (normalized) spec whose sweep would fail: unknown
+// figures, defenses, or workload names surface here, before any simulation
+// runs. User-supplied mixes (svard-sweep spec files) go entry-by-entry
+// through the -mix flag's validator. What only an expansion sees (Fig. 13
+// core count, erosion age and intervals) Plan's one expansion rejects.
+func (s Spec) validate() error {
 	for _, f := range s.Figures {
 		if f != Fig12 && f != Fig13 {
 			return fmt.Errorf("campaign: unknown figure %q (have %s, %s)", f, Fig12, Fig13)
@@ -174,11 +175,6 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: backends: %w", err)
 		}
 	}
-	if s.has(Fig13) {
-		if _, err := sim.Fig13Jobs(s.fig13Options()); err != nil {
-			return err
-		}
-	}
 	if s.Population != nil {
 		if s.Population.Size < 1 {
 			return fmt.Errorf("campaign: population size %d, want >= 1", s.Population.Size)
@@ -212,46 +208,11 @@ func (s Spec) Validate() error {
 		if s.Base.Temporal != nil {
 			return fmt.Errorf("campaign: temporal campaigns attach the process themselves; base.Temporal must be unset")
 		}
-		// The erosion expansion re-validates (AgeEpochs, duplicate
-		// intervals) — surface those errors at admission too.
-		if _, err := sim.ErosionJobs(s.erosionOptions()); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
 func (s Spec) has(figure string) bool { return slices.Contains(s.Figures, figure) }
-
-// erosionOptions expands the (normalized) spec for the margin-erosion
-// sweep. A single Profiles entry overrides the base module label; the
-// multi-profile case is rejected by Validate (erosion drifts one
-// module's truth).
-func (s Spec) erosionOptions() sim.ErosionOptions {
-	base := s.Base
-	if len(s.Profiles) == 1 {
-		base.ModuleLabel = s.Profiles[0]
-	}
-	return sim.ErosionOptions{
-		Base:      base,
-		Process:   s.Temporal.Process,
-		Intervals: s.Temporal.Intervals,
-		Mixes:     s.Mixes,
-		NRHs:      s.NRHs,
-		Defenses:  s.Defenses,
-	}
-}
-
-// fig13Options expands the (normalized) spec for the Fig. 13 sweep.
-func (s Spec) fig13Options() sim.Fig13Options {
-	return sim.Fig13Options{
-		Base:     s.Base,
-		NRH:      s.NRH13,
-		Benign:   s.Benign,
-		Profiles: s.Profiles,
-		Backends: s.Backends,
-	}
-}
 
 // experiment is one figure of a campaign: how to enumerate its cells and
 // how to run them and fold the figure into the Outcome. Everything that
@@ -259,15 +220,15 @@ func (s Spec) fig13Options() sim.Fig13Options {
 // kind of campaign it is.
 type experiment struct {
 	jobs func() ([]sim.Job, error)
-	run  func(context.Context, *Outcome) error
+	run  func(context.Context, *Engine, sim.Runner, *Outcome) error
 }
 
 // experiments maps the (normalized, validated) spec to its ordered
 // experiment list: the Fig. 12 grid in exactly one of its three forms —
-// point cells, population bands, or margin erosion — then Fig. 13. e and
-// runner are the execution knobs the sweeps run under; they shape
-// neither the job list nor the fingerprint, so Jobs passes none.
-func (s Spec) experiments(e *Engine, runner sim.Runner) []experiment {
+// point cells, population bands, or margin erosion — then Fig. 13. The
+// engine and runner a sweep executes under arrive with run: they shape
+// neither the job list nor the fingerprint.
+func (s Spec) experiments() []experiment {
 	var xs []experiment
 	if s.has(Fig12) {
 		switch {
@@ -278,22 +239,35 @@ func (s Spec) experiments(e *Engine, runner sim.Runner) []experiment {
 				Mixes:      s.Mixes,
 				NRHs:       s.NRHs,
 				Defenses:   s.Defenses,
-				Chunk:      e.PopulationChunk,
 			}
-			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
 			xs = append(xs, experiment{
 				func() ([]sim.Job, error) { return sim.PopulationJobs(opt) },
-				func(ctx context.Context, out *Outcome) (err error) {
+				func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
+					opt.Chunk = e.PopulationChunk
+					opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
 					out.Bands, err = sim.RunPopulationCtx(ctx, opt)
 					return err
 				},
 			})
 		case s.Temporal != nil:
-			opt := s.erosionOptions()
-			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
+			// A single Profiles entry overrides the base module label; more
+			// are rejected by validate (erosion drifts one module's truth).
+			base := s.Base
+			if len(s.Profiles) == 1 {
+				base.ModuleLabel = s.Profiles[0]
+			}
+			opt := sim.ErosionOptions{
+				Base:      base,
+				Process:   s.Temporal.Process,
+				Intervals: s.Temporal.Intervals,
+				Mixes:     s.Mixes,
+				NRHs:      s.NRHs,
+				Defenses:  s.Defenses,
+			}
 			xs = append(xs, experiment{
 				func() ([]sim.Job, error) { return sim.ErosionJobs(opt) },
-				func(ctx context.Context, out *Outcome) (err error) {
+				func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
+					opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
 					out.Erosion, err = sim.RunErosionCtx(ctx, opt)
 					return err
 				},
@@ -307,10 +281,10 @@ func (s Spec) experiments(e *Engine, runner sim.Runner) []experiment {
 				Profiles: s.Profiles,
 				Backends: s.Backends,
 			}
-			opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
 			xs = append(xs, experiment{
 				func() ([]sim.Job, error) { return sim.Fig12Jobs(opt), nil },
-				func(ctx context.Context, out *Outcome) (err error) {
+				func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
+					opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
 					out.Fig12, err = sim.RunFig12Ctx(ctx, opt)
 					return err
 				},
@@ -318,11 +292,17 @@ func (s Spec) experiments(e *Engine, runner sim.Runner) []experiment {
 		}
 	}
 	if s.has(Fig13) {
-		opt := s.fig13Options()
-		opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
+		opt := sim.Fig13Options{
+			Base:     s.Base,
+			NRH:      s.NRH13,
+			Benign:   s.Benign,
+			Profiles: s.Profiles,
+			Backends: s.Backends,
+		}
 		xs = append(xs, experiment{
 			func() ([]sim.Job, error) { return sim.Fig13Jobs(opt) },
-			func(ctx context.Context, out *Outcome) (err error) {
+			func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
+				opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
 				out.Fig13, err = sim.RunFig13Ctx(ctx, opt)
 				return err
 			},
@@ -331,32 +311,49 @@ func (s Spec) experiments(e *Engine, runner sim.Runner) []experiment {
 	return xs
 }
 
-// Jobs returns the campaign's full flat job list across its figures, the
-// same expansion the engine executes. Callers use it to size a campaign
-// (and the checkpoint journal) before running it.
-func (s Spec) Jobs() ([]sim.Job, error) {
+// Plan is a campaign derived once. Every route that sizes or executes a
+// campaign builds one and reads it; nothing downstream normalizes,
+// validates, expands or fingerprints again.
+type Plan struct {
+	Spec        Spec      // normalized (svard-sweep -print-spec emits it)
+	Fingerprint string    // hex SHA-256 of Spec's canonical JSON
+	Jobs        []sim.Job // every figure's cells, in the order the sweeps run them
+}
+
+// Plan normalizes, validates, expands and fingerprints the spec, each once.
+func (s Spec) Plan() (Plan, error) {
 	s = s.Normalized()
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if err := s.validate(); err != nil {
+		return Plan{}, err
 	}
 	var jobs []sim.Job
-	for _, x := range s.experiments(&Engine{}, nil) {
+	for _, x := range s.experiments() {
 		j, err := x.jobs()
 		if err != nil {
-			return nil, err
+			return Plan{}, err
 		}
 		jobs = append(jobs, j...)
 	}
-	return jobs, nil
+	return Plan{Spec: s, Fingerprint: s.fingerprint(), Jobs: jobs}, nil
 }
 
+// Validate reports the error Plan rejects the spec with, if any.
+func (s Spec) Validate() error { _, err := s.Plan(); return err }
+
+// Jobs returns the plan's flat job list, the expansion the engine executes.
+func (s Spec) Jobs() ([]sim.Job, error) { p, err := s.Plan(); return p.Jobs, err }
+
 // Fingerprint identifies the campaign for checkpointing: a hex SHA-256
-// of the normalized spec's canonical JSON. Two invocations with the same
-// knobs resume each other's journal; any changed knob is a different
-// campaign (its jobs may still hit the shared result cache — content
-// addressing is per cell, the fingerprint only scopes the journal).
-func (s Spec) Fingerprint() string {
-	b, err := json.Marshal(s.Normalized())
+// of the normalized spec's canonical JSON (of any spec, valid or not; a
+// Plan carries the same value). Two invocations with the same knobs
+// resume each other's journal; any changed knob is a different campaign
+// (its jobs may still hit the shared result cache — content addressing
+// is per cell, the fingerprint only scopes the journal).
+func (s Spec) Fingerprint() string { return s.Normalized().fingerprint() }
+
+// fingerprint hashes an already normalized spec.
+func (s Spec) fingerprint() string {
+	b, err := json.Marshal(s)
 	if err != nil {
 		// Spec is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("campaign: fingerprint: %v", err))
@@ -399,7 +396,7 @@ type Outcome struct {
 	Stats cache.Stats `json:"stats"`
 }
 
-// Engine executes campaigns. Fields are read-only during RunCtx.
+// Engine executes campaigns. Fields are read-only during a run.
 type Engine struct {
 	Store   *cache.Store // result cache (required)
 	Workers int          // max concurrent simulations (<= 0: GOMAXPROCS)
@@ -436,27 +433,41 @@ type Engine struct {
 	Progress func(string)
 
 	// Observe, when set, is called once per completed cell (cache hit or
-	// fresh computation alike) with the cell's config, from worker
-	// goroutines. The campaign service streams per-cell progress from it.
-	// It must not block for long: it runs on the sweep's critical path.
-	Observe func(sim.Config)
+	// fresh computation alike) with its config and store-derived key, from
+	// worker goroutines. The campaign service streams per-cell progress from
+	// it. It must not block for long: it runs on the sweep's critical path.
+	Observe func(cfg sim.Config, key string)
 }
 
 // CellLabel renders a human-oriented label from a cell's config — used
 // by the server's progress events and the flight-recorder trace. The
-// mix is part of it: without it every mix of the same (defense, nRH,
-// module, svard) cell would label identically. The cache key carries
-// the exact identity.
+// mix is part of it, and any backend but the DDR4 default: without them
+// every mix — or both backends' instances in a Spec.Backends campaign — of
+// one (defense, nRH, module, svard) cell would label identically. The
+// cache key carries the exact identity.
 func CellLabel(cfg sim.Config) string {
 	svard := "nosvard"
 	if cfg.Svard {
 		svard = "svard"
 	}
-	return fmt.Sprintf("%s nRH=%v %s %s [%s]",
+	label := fmt.Sprintf("%s nRH=%v %s %s [%s]",
 		cfg.Defense, cfg.NRH, cfg.ModuleLabel, svard, strings.Join(cfg.Mix, ","))
+	if cfg.Backend != "" && cfg.Backend != dram.BackendDDR4 {
+		label += " " + cfg.Backend
+	}
+	return label
 }
 
-// RunCtx executes the campaign, reusing every cached cell and journaling
+// RunCtx plans the spec and executes the plan; see RunPlan.
+func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
+	plan, err := spec.Plan()
+	if err != nil {
+		return nil, err
+	}
+	return e.RunPlan(ctx, plan)
+}
+
+// RunPlan executes the campaign, reusing every cached cell and journaling
 // each completed job so an interrupted run can be resumed. On error
 // (including an interruption injected through Sim), everything completed
 // so far remains in the cache and the journal.
@@ -467,28 +478,22 @@ func CellLabel(cfg sim.Config) string {
 // cancelled campaign resumes exactly like an interrupted one — re-run
 // with Resume (svard-sweep -resume) and only the never-computed cells
 // simulate.
-func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
+func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
 	if e.Store == nil {
 		return nil, fmt.Errorf("campaign: engine has no result store")
 	}
-	spec = spec.Normalized()
-	jobs, err := spec.Jobs() // validates the spec as it expands
-	if err != nil {
-		return nil, err
-	}
-
-	j, err := OpenJournal(e.Store.Dir(), spec.Fingerprint(), len(jobs), e.Resume)
+	j, err := OpenJournal(e.Store.Dir(), plan.Fingerprint, len(plan.Jobs), e.Resume)
 	if err != nil {
 		return nil, err
 	}
 	defer j.Close()
 
-	out := &Outcome{Total: len(jobs), Resumed: j.Resumed()}
+	out := &Outcome{Total: len(plan.Jobs), Resumed: j.Resumed()}
 
 	// The engine's share of a cell, around the one cell path: journal and
-	// Observe on success, and — with the flight recorder on — a per-cell
-	// Recorder whose wait phase runs from the trace anchor to the cell's
-	// execution start and whose spans and counters land in e.Trace.
+	// Observe on success, under the store-derived key, and — with the flight
+	// recorder on — a per-cell Recorder whose wait phase runs from the trace
+	// anchor to the cell's start and whose spans and counters land in e.Trace.
 	cell := Cell{Store: e.Store, Sim: e.Sim, Slots: e.Slots}
 	var computed atomic.Int64
 	runner := func(cfg sim.Config) (sim.Result, error) {
@@ -499,15 +504,14 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 			rec = &obs.Recorder{}
 			rec.Stamp(obs.PhaseWait, e.Trace.Start(), start)
 		}
-		res, ran, err := cell.Run(ctx, cfg, rec)
-		key := cache.Key(cfg)
+		res, key, ran, err := cell.Run(ctx, cfg, rec)
 		if err == nil {
 			if ran {
 				computed.Add(1)
 			}
 			j.Done(key)
 			if e.Observe != nil {
-				e.Observe(cfg)
+				e.Observe(cfg, key)
 			}
 		}
 		if e.Trace != nil {
@@ -524,8 +528,8 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 		return res, err
 	}
 
-	for _, x := range spec.experiments(e, runner) {
-		if err := x.run(ctx, out); err != nil {
+	for _, x := range plan.Spec.experiments() {
+		if err := x.run(ctx, e, runner, out); err != nil {
 			return nil, err
 		}
 	}

@@ -224,27 +224,47 @@ func TestEngineMemoryOnlyStore(t *testing.T) {
 	}
 }
 
-func TestSpecValidate(t *testing.T) {
-	for name, breakIt := range map[string]func(*Spec){
-		"unknown-figure":   func(s *Spec) { s.Figures = []string{"fig99"} },
-		"unknown-defense":  func(s *Spec) { s.Defenses = []string{"guardian"} },
-		"unknown-workload": func(s *Spec) { s.Mixes = [][]string{{"mcf06", "no-such"}} },
-		"unknown-profile":  func(s *Spec) { s.Profiles = []string{"S0", "X9"} },
-		"unknown-attack":   func(s *Spec) { s.Mixes = [][]string{{"mcf06", "attack:nope"}} },
-		"short-mix":        func(s *Spec) { s.Mixes = [][]string{{"mcf06"}} },
-		"bad-benign":       func(s *Spec) { s.Benign = []string{"no-such"} },
-		"fig13-one-core":   func(s *Spec) { s.Base.Cores = 1; s.Mixes = [][]string{{"mcf06"}} },
-		"unknown-backend":  func(s *Spec) { s.Backends = []string{"lpddr5"} },
-		"bad-base-backend": func(s *Spec) { s.Base.Backend = "gddr6" },
-	} {
+// rejection is one way to break a valid spec, and the message the
+// planner must refuse it with. The three tables below are shared by the
+// Validate tests and TestPlan, so Plan and its reader are pinned to the
+// same messages.
+type rejection struct {
+	breakIt func(*Spec)
+	want    string
+}
+
+var brokenSpecs = map[string]rejection{
+	"unknown-figure":   {func(s *Spec) { s.Figures = []string{"fig99"} }, `campaign: unknown figure "fig99" (have fig12, fig13)`},
+	"unknown-defense":  {func(s *Spec) { s.Defenses = []string{"guardian"} }, `campaign: unknown defense "guardian" (have aqua, blockhammer, hydra, para, rrs)`},
+	"unknown-workload": {func(s *Spec) { s.Mixes = [][]string{{"mcf06", "no-such"}} }, `campaign: mix 0: trace: unknown workload "no-such"`},
+	"unknown-profile":  {func(s *Spec) { s.Profiles = []string{"S0", "X9"} }, `campaign: unknown module profile "X9" (have H0, H1, H2, H3, H4, M0, M1, M2, M3, M4, S0, S1, S2, S3, S4)`},
+	"unknown-attack":   {func(s *Spec) { s.Mixes = [][]string{{"mcf06", "attack:nope"}} }, `campaign: mix 0: trace: unknown attack pattern "attack:nope" (have attack:hydra, attack:rrs)`},
+	"short-mix":        {func(s *Spec) { s.Mixes = [][]string{{"mcf06"}} }, `campaign: mix 0 has 1 workloads, need one per core (2)`},
+	"bad-benign":       {func(s *Spec) { s.Benign = []string{"no-such"} }, `campaign: benign workloads: trace: unknown workload "no-such"`},
+	"fig13-one-core":   {func(s *Spec) { s.Base.Cores = 1; s.Mixes = [][]string{{"mcf06"}} }, `sim: Fig. 13 needs >= 2 cores (1 attacker + >= 1 benign), got 1`},
+	"unknown-backend":  {func(s *Spec) { s.Backends = []string{"lpddr5"} }, `campaign: backends: dram: unknown backend "lpddr5" (have [ddr4-3200 hbm2])`},
+	"bad-base-backend": {func(s *Spec) { s.Base.Backend = "gddr6" }, `campaign: base config: dram: unknown backend "gddr6" (have [ddr4-3200 hbm2])`},
+}
+
+// checkRejections breaks a fresh valid spec every way the table lists and
+// requires derive to refuse each with the table's message.
+func checkRejections(t *testing.T, valid func() Spec, table map[string]rejection, derive func(Spec) error) {
+	t.Helper()
+	for name, r := range table {
 		t.Run(name, func(t *testing.T) {
-			s := tinySpec()
-			breakIt(&s)
-			if err := s.Validate(); err == nil {
-				t.Error("validation accepted a broken spec")
+			s := valid()
+			r.breakIt(&s)
+			if err := derive(s); err == nil {
+				t.Error("a broken spec was accepted")
+			} else if err.Error() != r.want {
+				t.Errorf("rejected with %q, want %q", err, r.want)
 			}
 		})
 	}
+}
+
+func TestSpecValidate(t *testing.T) {
+	checkRejections(t, tinySpec, brokenSpecs, Spec.Validate)
 	if err := tinySpec().Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
@@ -406,21 +426,17 @@ func TestPopulationSpecJobsAndValidate(t *testing.T) {
 		seen[key] = true
 	}
 
-	for name, breakIt := range map[string]func(*Spec){
-		"zero-size":      func(s *Spec) { s.Population.Size = 0 },
-		"with-fig13":     func(s *Spec) { s.Figures = []string{Fig12, Fig13}; s.Benign = []string{"mcf06"} },
-		"with-profiles":  func(s *Spec) { s.Profiles = []string{"S0"} },
-		"with-backends":  func(s *Spec) { s.Backends = []string{"hbm2"} },
-		"default-figure": func(s *Spec) { s.Figures = nil }, // normalizes to both -> fig13 conflict
-	} {
-		t.Run(name, func(t *testing.T) {
-			s := tinyPopulationSpec()
-			breakIt(&s)
-			if err := s.Validate(); err == nil {
-				t.Error("validation accepted a broken population spec")
-			}
-		})
-	}
+	checkRejections(t, tinyPopulationSpec, brokenPopulationSpecs, Spec.Validate)
+}
+
+const dropFig13Population = `campaign: population campaigns sweep fig12 confidence bands only; drop fig13 (or evaluate fig13 over population labels directly via sim.Fig13Options)`
+
+var brokenPopulationSpecs = map[string]rejection{
+	"zero-size":      {func(s *Spec) { s.Population.Size = 0 }, `campaign: population size 0, want >= 1`},
+	"with-fig13":     {func(s *Spec) { s.Figures = []string{Fig12, Fig13}; s.Benign = []string{"mcf06"} }, dropFig13Population},
+	"with-profiles":  {func(s *Spec) { s.Profiles = []string{"S0"} }, `campaign: population and profiles are mutually exclusive (the population IS the profile axis)`},
+	"with-backends":  {func(s *Spec) { s.Backends = []string{"hbm2"} }, `campaign: population campaigns sweep one backend; set base.backend instead of backends`},
+	"default-figure": {func(s *Spec) { s.Figures = nil }, dropFig13Population}, // normalizes to both -> fig13 conflict
 }
 
 // TestPopulationFingerprintNeutral: the Population field must be
@@ -545,27 +561,23 @@ func TestTemporalSpecJobsAndValidate(t *testing.T) {
 		seen[key] = true
 	}
 
-	for name, breakIt := range map[string]func(*Spec){
-		"zero-epoch":      func(s *Spec) { s.Temporal.Process.EpochCycles = 0 },
-		"negative-sigma":  func(s *Spec) { s.Temporal.Process.Sigma = -0.1 },
-		"dip-above-one":   func(s *Spec) { s.Temporal.Process.DipP = 1.5 },
-		"process-age":     func(s *Spec) { s.Temporal.Process.AgeEpochs = 4 },
-		"dup-intervals":   func(s *Spec) { s.Temporal.Intervals = []uint64{0, 16, 16} },
-		"with-fig13":      func(s *Spec) { s.Figures = []string{Fig12, Fig13}; s.Benign = []string{"mcf06"} },
-		"with-population": func(s *Spec) { s.Population = &PopulationSpec{Seed: 1, Size: 2} },
-		"with-backends":   func(s *Spec) { s.Backends = []string{"hbm2"} },
-		"two-profiles":    func(s *Spec) { s.Profiles = []string{"S0", "M0"} },
-		"base-temporal":   func(s *Spec) { s.Base.Temporal = &temporal.Spec{EpochCycles: 1} },
-		"default-figure":  func(s *Spec) { s.Figures = nil }, // normalizes to both -> fig13 conflict
-	} {
-		t.Run(name, func(t *testing.T) {
-			s := tinyTemporalSpec()
-			breakIt(&s)
-			if err := s.Validate(); err == nil {
-				t.Error("validation accepted a broken temporal spec")
-			}
-		})
-	}
+	checkRejections(t, tinyTemporalSpec, brokenTemporalSpecs, Spec.Validate)
+}
+
+const dropFig13Temporal = `campaign: temporal campaigns sweep fig12 margin erosion only; drop fig13`
+
+var brokenTemporalSpecs = map[string]rejection{
+	"zero-epoch":      {func(s *Spec) { s.Temporal.Process.EpochCycles = 0 }, `campaign: temporal: temporal: epoch length must be > 0 cycles`},
+	"negative-sigma":  {func(s *Spec) { s.Temporal.Process.Sigma = -0.1 }, `campaign: temporal: temporal: sigma must be >= 0, got -0.1`},
+	"dip-above-one":   {func(s *Spec) { s.Temporal.Process.DipP = 1.5 }, `campaign: temporal: temporal: dip probability must be in [0, 1], got 1.5`},
+	"process-age":     {func(s *Spec) { s.Temporal.Process.AgeEpochs = 4 }, `sim: erosion Process.AgeEpochs must be 0 — the sweep sets the age per interval (got 4)`},
+	"dup-intervals":   {func(s *Spec) { s.Temporal.Intervals = []uint64{0, 16, 16} }, `sim: duplicate erosion interval 16`},
+	"with-fig13":      {func(s *Spec) { s.Figures = []string{Fig12, Fig13}; s.Benign = []string{"mcf06"} }, dropFig13Temporal},
+	"with-population": {func(s *Spec) { s.Population = &PopulationSpec{Seed: 1, Size: 2} }, `campaign: population and temporal are mutually exclusive`},
+	"with-backends":   {func(s *Spec) { s.Backends = []string{"hbm2"} }, `campaign: temporal campaigns sweep one backend; set base.backend instead of backends`},
+	"two-profiles":    {func(s *Spec) { s.Profiles = []string{"S0", "M0"} }, `campaign: temporal campaigns erode one module profile; set base config's ModuleLabel (or a single profile) instead of 2 profiles`},
+	"base-temporal":   {func(s *Spec) { s.Base.Temporal = &temporal.Spec{EpochCycles: 1} }, `campaign: temporal campaigns attach the process themselves; base.Temporal must be unset`},
+	"default-figure":  {func(s *Spec) { s.Figures = nil }, dropFig13Temporal}, // normalizes to both -> fig13 conflict
 }
 
 // TestTemporalFingerprintNeutral: the Temporal field must be invisible

@@ -26,7 +26,9 @@ type Cell struct {
 	Slots chan struct{}
 }
 
-// Run returns cfg's result. computed reports that this call ran the
+// Run returns cfg's result and — on every path, errors and cancellations
+// included — the key the store derived for it, the cell's identity in
+// journals, events and traces. computed reports that this call ran the
 // simulator; false means a cache layer served the cell or the call
 // coalesced onto a computation already in flight — the distinction every
 // route's exactly-once attribution is built on.
@@ -41,9 +43,9 @@ type Cell struct {
 // over, or — for a served cell — when the lookup returns), the
 // simulator's own phases and counters, and exactly one of CellsComputed
 // and CellsServed.
-func (c *Cell) Run(ctx context.Context, cfg sim.Config, rec *obs.Recorder) (res sim.Result, computed bool, err error) {
+func (c *Cell) Run(ctx context.Context, cfg sim.Config, rec *obs.Recorder) (res sim.Result, key string, computed bool, err error) {
 	rec.Begin(obs.PhaseLookup)
-	res, err = c.Store.GetOrCompute(cfg, func(cfg sim.Config) (sim.Result, error) {
+	res, key, err = c.Store.GetOrCompute(cfg, func(cfg sim.Config) (sim.Result, error) {
 		rec.End(obs.PhaseLookup)
 		if c.Slots != nil {
 			select {
@@ -67,5 +69,5 @@ func (c *Cell) Run(ctx context.Context, cfg sim.Config, rec *obs.Recorder) (res 
 			rec.Counters.CellsServed = 1
 		}
 	}
-	return res, computed, err
+	return res, key, computed, err
 }

@@ -19,10 +19,10 @@ import (
 // TestCellRun pins the contract of the one cell path, case by case. Every
 // scenario gets a fresh disk-backed store, a one-slot Cell over a counting
 // fake simulator, and returns what the call under test observed; the
-// shared assertions then check attribution, the error, how often the
-// simulator ran, that no slot leaked, that only successes are cached, and
-// — when a recorder rode along — that exactly one cache-outcome counter
-// is set.
+// shared assertions then check attribution, the returned key, the error,
+// how often the simulator ran, that no slot leaked, that only successes
+// are cached, and — when a recorder rode along — that exactly one
+// cache-outcome counter is set.
 func TestCellRun(t *testing.T) {
 	cfg := tinySpec().Base
 	cfg.Mix = []string{"mcf06", "lbm06"}
@@ -32,6 +32,7 @@ func TestCellRun(t *testing.T) {
 	bg := context.Background()
 
 	type seen struct {
+		key      string
 		computed bool
 		rec      *obs.Recorder
 		err      error
@@ -45,13 +46,13 @@ func TestCellRun(t *testing.T) {
 		leader, waiter = make(chan seen, 1), make(chan seen, 1)
 		c.Slots <- struct{}{}
 		go func() {
-			_, computed, err := c.Run(leaderCtx, cfg, nil)
-			leader <- seen{computed: computed, err: err}
+			_, key, computed, err := c.Run(leaderCtx, cfg, nil)
+			leader <- seen{key: key, computed: computed, err: err}
 		}()
 		time.Sleep(10 * time.Millisecond) // let the leader take the flight
 		go func() {
-			_, computed, err := c.Run(bg, cfg, nil)
-			waiter <- seen{computed: computed, err: err}
+			_, key, computed, err := c.Run(bg, cfg, nil)
+			waiter <- seen{key: key, computed: computed, err: err}
 		}()
 		time.Sleep(10 * time.Millisecond) // let the waiter coalesce
 		return leader, waiter
@@ -67,22 +68,22 @@ func TestCellRun(t *testing.T) {
 		{
 			name: "miss-computed",
 			scenario: func(t *testing.T, c *Cell) seen {
-				res, computed, err := c.Run(bg, cfg, nil)
+				res, key, computed, err := c.Run(bg, cfg, nil)
 				if want, _ := fakeSim(cfg); !reflect.DeepEqual(res, want) {
 					t.Errorf("result = %+v, want %+v", res, want)
 				}
-				return seen{computed: computed, err: err}
+				return seen{key: key, computed: computed, err: err}
 			},
 			wantComputed: true, wantCalls: 1,
 		},
 		{
 			name: "hit-served",
 			scenario: func(t *testing.T, c *Cell) seen {
-				if _, _, err := c.Run(bg, cfg, nil); err != nil {
+				if _, _, _, err := c.Run(bg, cfg, nil); err != nil {
 					t.Fatal(err)
 				}
-				_, computed, err := c.Run(bg, cfg, nil)
-				return seen{computed: computed, err: err}
+				_, key, computed, err := c.Run(bg, cfg, nil)
+				return seen{key: key, computed: computed, err: err}
 			},
 			wantComputed: false, wantCalls: 1,
 		},
@@ -133,8 +134,8 @@ func TestCellRun(t *testing.T) {
 				if lines := strings.Split(strings.TrimSpace(string(b)), "\n"); len(lines) != 1 {
 					t.Errorf("journal holds %d lines, want the header alone:\n%s", len(lines), b)
 				}
-				_, computed, err := c.Run(bg, cfg, nil)
-				return seen{computed: computed, err: err}
+				_, key, computed, err := c.Run(bg, cfg, nil)
+				return seen{key: key, computed: computed, err: err}
 			},
 			wantComputed: true, wantErr: boom, wantCalls: 0,
 		},
@@ -145,8 +146,8 @@ func TestCellRun(t *testing.T) {
 				c.Slots <- struct{}{} // every worker busy
 				done := make(chan seen, 1)
 				go func() {
-					_, computed, err := c.Run(ctx, cfg, nil)
-					done <- seen{computed: computed, err: err}
+					_, key, computed, err := c.Run(ctx, cfg, nil)
+					done <- seen{key: key, computed: computed, err: err}
 				}()
 				time.Sleep(10 * time.Millisecond)
 				cancel(gone)
@@ -160,23 +161,23 @@ func TestCellRun(t *testing.T) {
 			name: "recorder-on-a-miss",
 			scenario: func(t *testing.T, c *Cell) seen {
 				rec := &obs.Recorder{}
-				_, computed, err := c.Run(bg, cfg, rec)
-				return seen{computed: computed, rec: rec, err: err}
+				_, key, computed, err := c.Run(bg, cfg, rec)
+				return seen{key: key, computed: computed, rec: rec, err: err}
 			},
 			wantComputed: true, wantCalls: 1,
 		},
 		{
 			name: "recorder-on-a-hit",
 			scenario: func(t *testing.T, c *Cell) seen {
-				if _, _, err := c.Run(bg, cfg, nil); err != nil {
+				if _, _, _, err := c.Run(bg, cfg, nil); err != nil {
 					t.Fatal(err)
 				}
 				rec := &obs.Recorder{}
-				_, computed, err := c.Run(bg, cfg, rec)
+				_, key, computed, err := c.Run(bg, cfg, rec)
 				if rec.Dur(obs.PhaseLookup) <= 0 {
 					t.Error("a served cell stamped no lookup span")
 				}
-				return seen{computed: computed, rec: rec, err: err}
+				return seen{key: key, computed: computed, rec: rec, err: err}
 			},
 			wantComputed: false, wantCalls: 1,
 		},
@@ -195,6 +196,11 @@ func TestCellRun(t *testing.T) {
 
 			if got.computed != tc.wantComputed {
 				t.Errorf("computed = %v, want %v", got.computed, tc.wantComputed)
+			}
+			// On every path, failures and cancellations included: the trace
+			// records failed cells by key.
+			if want := cache.Key(cfg); got.key != want {
+				t.Errorf("key = %q, want the cell's cache key %q", got.key, want)
 			}
 			if !errors.Is(got.err, tc.wantErr) {
 				t.Errorf("err = %v, want %v", got.err, tc.wantErr)

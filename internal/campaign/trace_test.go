@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"svard/internal/obs"
@@ -102,19 +103,28 @@ func TestCampaignTraceRidesAlong(t *testing.T) {
 }
 
 // TestCellLabel pins the label format the trace and the service's
-// progress events share.
+// progress events share: every cell of a campaign labels distinctly —
+// across the backend axis too — and a default-backend cell's label does
+// not mention a backend.
 func TestCellLabel(t *testing.T) {
-	spec, _ := goldenSpec(t)
-	jobs, err := spec.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, j := range jobs {
-		l := CellLabel(j.Config)
-		if l == "" || seen[l] {
-			t.Fatalf("cell label %q empty or duplicated", l)
+	single, _ := goldenSpec(t)
+	twoBackends := single
+	twoBackends.Backends = []string{"ddr4-3200", "hbm2"}
+	for name, spec := range map[string]Spec{"single": single, "two-backends": twoBackends} {
+		jobs, err := spec.Jobs()
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[l] = true
+		seen := map[string]bool{}
+		for _, j := range jobs {
+			l := CellLabel(j.Config)
+			if l == "" || seen[l] {
+				t.Fatalf("%s: cell label %q empty or duplicated", name, l)
+			}
+			seen[l] = true
+			if hbm := j.Config.Backend == "hbm2"; strings.HasSuffix(l, " hbm2") != hbm {
+				t.Fatalf("%s: label %q of a %q cell", name, l, j.Config.Backend)
+			}
+		}
 	}
 }

@@ -384,7 +384,7 @@ func TestStoreWithCacheRemoteEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.SetRemote(NewCacheRemote(osrv.URL, fastPolicy()), 0)
-	if _, err := s1.GetOrCompute(cfg, runner); err != nil {
+	if _, _, err := s1.GetOrCompute(cfg, runner); err != nil {
 		t.Fatal(err)
 	}
 
@@ -393,7 +393,7 @@ func TestStoreWithCacheRemoteEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.SetRemote(NewCacheRemote(osrv.URL, fastPolicy()), 0)
-	got, err := s2.GetOrCompute(cfg, runner)
+	got, _, err := s2.GetOrCompute(cfg, runner)
 	if err != nil {
 		t.Fatal(err)
 	}

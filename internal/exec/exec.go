@@ -9,9 +9,7 @@
 // order, so a sweep run with Workers=N produces results bit-identical
 // to Workers=1. Jobs must take their randomness from their own
 // coordinates, never from shared mutable state — the Fig. 12/13 sweeps
-// seed every simulation from its cell's configuration; DeriveSeed is
-// the helper for jobs that instead need an independent stream keyed on
-// their index alone.
+// seed every simulation from its cell's configuration.
 package exec
 
 import (
@@ -21,8 +19,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"svard/internal/rng"
 )
 
 // Workers normalizes a configured worker count: values <= 0 select
@@ -101,29 +97,6 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 		return nil, errors.Join(agg...)
 	}
 	return results, nil
-}
-
-// Each is Map for jobs with no result value.
-func Each(workers, n int, fn func(i int) error) error {
-	return EachCtx(context.Background(), workers, n, fn)
-}
-
-// EachCtx is MapCtx for jobs with no result value.
-func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	_, err := MapCtx(ctx, workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// DeriveSeed derives an independent per-job seed from a sweep's master
-// seed, for jobs whose randomness is not already keyed on their own
-// coordinates. The derivation depends only on (base, job), so a job's
-// random stream is identical no matter which worker runs it or in what
-// order. The Fig. 12/13 sweeps do not need it: each simulation's seed
-// comes from its cell's Config.
-func DeriveSeed(base uint64, job int) uint64 {
-	return rng.Hash64(base, 0x6a0b, uint64(job))
 }
 
 // Progress wraps a progress callback so concurrent jobs can report

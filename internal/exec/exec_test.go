@@ -33,7 +33,7 @@ func TestMapOrderedResults(t *testing.T) {
 
 func TestMapParallelMatchesSerial(t *testing.T) {
 	fn := func(i int) (uint64, error) {
-		return DeriveSeed(42, i), nil
+		return uint64(i+42) * 0x9e3779b97f4a7c15, nil // any pure function of the index
 	}
 	serial, err := Map(1, 100, fn)
 	if err != nil {
@@ -187,19 +187,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(4, 10, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestWorkersDefault(t *testing.T) {
 	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
@@ -212,31 +199,14 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-func TestDeriveSeedStableAndDistinct(t *testing.T) {
-	seen := map[uint64]int{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(1, i)
-		if s != DeriveSeed(1, i) {
-			t.Fatalf("DeriveSeed(1, %d) unstable", i)
-		}
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("jobs %d and %d collide on seed %x", prev, i, s)
-		}
-		seen[s] = i
-	}
-	if DeriveSeed(1, 5) == DeriveSeed(2, 5) {
-		t.Fatal("seeds do not depend on base")
-	}
-}
-
 func TestProgressSerializesAndNilSafe(t *testing.T) {
 	Progress(nil)("ignored") // must not panic
 
 	var lines []string
 	p := Progress(func(s string) { lines = append(lines, s) })
-	if err := Each(8, 100, func(i int) error {
+	if _, err := Map(8, 100, func(i int) (struct{}, error) {
 		p(fmt.Sprintf("job %d", i))
-		return nil
+		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -155,20 +155,26 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // --- shared HTTP helpers ---------------------------------------------
 
-// decodeJSON decodes r's JSON body, capped at 1 MiB, into out. On failure
-// it answers 413 (body over the cap) or 400 and returns false.
+const maxBody = 1 << 20 // caps every request body read (a sealed envelope is < 2 KiB)
+
+// decodeJSON decodes r's capped JSON body into out, or answers
+// writeBodyError and returns false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(out)
-	if err == nil {
-		return true
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(out)
+	if err != nil {
+		writeBodyError(w, err)
 	}
+	return err == nil
+}
+
+// writeBodyError answers a failed body read: 413 over the cap, else 400.
+func writeBodyError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	writeError(w, status, fmt.Errorf("bad request body: %w", err))
-	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -242,18 +242,22 @@ func (c *Coordinator) liveLocked(now time.Time) int {
 	return n
 }
 
-// RunCtx shards one campaign across the registered workers and returns
-// the folded outcome, bit-identical to a local run. It waits for
-// MinWorkers live workers, dispatches lease-by-lease until every cell
-// is journaled, then folds locally over the warm store. Exactly one
-// campaign runs at a time.
+// RunCtx plans the spec and runs the plan; see RunPlan.
 func (c *Coordinator) RunCtx(ctx context.Context, spec campaign.Spec) (*Result, error) {
-	spec = spec.Normalized()
-	jobs, err := spec.Jobs()
+	plan, err := spec.Plan()
 	if err != nil {
 		return nil, err
 	}
-	fp := spec.Fingerprint()
+	return c.RunPlan(ctx, plan)
+}
+
+// RunPlan shards one campaign across the registered workers and returns
+// the folded outcome, bit-identical to a local run. It waits for
+// MinWorkers live workers, dispatches lease-by-lease until every cell
+// is journaled, then replays the plan locally over the warm store to
+// fold. Exactly one campaign runs at a time.
+func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result, error) {
+	jobs, fp := plan.Jobs, plan.Fingerprint
 	journal, err := campaign.OpenJournal(c.cfg.Store.Dir(), fp, len(jobs), c.cfg.Resume)
 	if err != nil {
 		return nil, err
@@ -269,6 +273,8 @@ func (c *Coordinator) RunCtx(ctx context.Context, spec campaign.Spec) (*Result, 
 		finished: make(chan struct{}),
 	}
 	for i, j := range jobs {
+		// The coordinator's own derivation, on purpose: it is what a
+		// worker's untrusted reply is checked against (sendBatch).
 		run.keys[i] = cache.Key(j.Config)
 		// A journaled cell whose result is still in the store is done
 		// before dispatch starts; a journaled cell the store lost is
@@ -345,7 +351,7 @@ func (c *Coordinator) RunCtx(ctx context.Context, spec campaign.Spec) (*Result, 
 	// (its compute callback only fires if the store lost an entry
 	// between dispatch and fold — a recompute, not a new attribution).
 	eng := &campaign.Engine{Store: c.cfg.Store, Workers: c.cfg.Workers, Resume: true, Sim: c.cfg.Sim}
-	out, err := eng.RunCtx(ctx, spec)
+	out, err := eng.RunPlan(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +512,7 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 	// l.cells[i] only if it carries the coordinator's own key for that
 	// cell. A missing, failed or differently keyed entry leaves the cell
 	// undelivered, and every lookup, fetch and store goes by run.keys
-	// (immutable after RunCtx builds it), never by the reported key.
+	// (immutable after RunPlan builds it), never by the reported key.
 	reply := func(i int) server.ComputeCell {
 		if i < len(resp.Cells) {
 			return resp.Cells[i]
@@ -591,7 +597,7 @@ func (c *Coordinator) completeLocked(run *runState, idx int, computed bool) {
 // computeLocal is the last-resort path: the coordinator runs the cell
 // on its own cell path.
 func (c *Coordinator) computeLocal(run *runState, idx int) {
-	_, computed, err := c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
+	_, _, computed, err := c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -604,7 +610,7 @@ func (c *Coordinator) computeLocal(run *runState, idx int) {
 	}
 	if err != nil {
 		if run.ctx.Err() != nil {
-			return // cancelled, not failed: RunCtx reports the cause itself
+			return // cancelled, not failed: RunPlan reports the cause itself
 		}
 		// Local compute was the end of the line for this cell: the
 		// campaign fails rather than silently losing a cell.
@@ -748,9 +754,9 @@ func (c *Coordinator) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed object key %q", key))
 		return
 	}
-	b, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading object body: %w", err))
+		writeBodyError(w, err)
 		return
 	}
 	res, err := cache.OpenEnvelope(key, b)

@@ -667,24 +667,33 @@ func TestRouteParity(t *testing.T) {
 	}
 }
 
-// TestOversizedControlBodiesGet413: register and heartbeat bodies are
-// capped at 1 MiB, and a body over the cap is refused as too large — not
-// truncated into whatever JSON error the cut produces.
+// TestOversizedControlBodiesGet413: register, heartbeat and object-store
+// bodies are capped at 1 MiB, and a body over the cap is refused as too
+// large — not truncated into whatever JSON error the cut produces.
 func TestOversizedControlBodiesGet413(t *testing.T) {
 	_, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{})
 	big := strings.Repeat("a", 2<<20)
-	for route, body := range map[string]any{
-		"/api/v1/workers":   fabric.RegisterRequest{Name: big, URL: "http://127.0.0.1:1"},
-		"/api/v1/heartbeat": fabric.HeartbeatRequest{ID: big},
+	for _, in := range []struct {
+		method, route string
+		body          any
+	}{
+		{http.MethodPost, "/api/v1/workers", fabric.RegisterRequest{Name: big, URL: "http://127.0.0.1:1"}},
+		{http.MethodPost, "/api/v1/heartbeat", fabric.HeartbeatRequest{ID: big}},
+		{http.MethodPut, "/api/v1/objects/" + strings.Repeat("ab", 32), map[string]string{"schema": big}},
 	} {
-		resp, err := http.Post(coordURL+route, "application/json", bytes.NewReader(mustJSON(t, body)))
+		req, err := http.NewRequest(in.method, coordURL+in.route, bytes.NewReader(mustJSON(t, in.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg, _ := io.ReadAll(resp.Body)
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 200)) // a wrong answer may echo the body
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("2 MiB POST %s: status %d (%s), want 413", route, resp.StatusCode, bytes.TrimSpace(msg))
+			t.Errorf("2 MiB %s %s: status %d (%s), want 413", in.method, in.route, resp.StatusCode, bytes.TrimSpace(msg))
 		}
 	}
 }

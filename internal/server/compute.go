@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"svard/internal/cache"
 	"svard/internal/campaign"
 	"svard/internal/exec"
 	"svard/internal/sim"
@@ -61,8 +60,8 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 	}
 	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (ComputeCell, error) {
 		cfg := cfgs[i]
-		cell := ComputeCell{Key: cache.Key(cfg), Label: campaign.CellLabel(cfg)}
-		_, computed, err := s.cell.Run(ctx, cfg, nil)
+		_, key, computed, err := s.cell.Run(ctx, cfg, nil)
+		cell := ComputeCell{Key: key, Label: campaign.CellLabel(cfg)}
 		if err != nil {
 			if ctx.Err() != nil {
 				return cell, context.Cause(ctx)

@@ -81,9 +81,11 @@ type job struct {
 	name     string
 	priority int
 	seq      int64 // admission tiebreak: FIFO within a priority
-	spec     campaign.Spec
-	fp       string // spec.Fingerprint(), computed once at submit
-	total    int
+
+	// plan is the campaign as Submit derived it, once. total outlives
+	// plan.Jobs, which a terminal job drops (finishLocked).
+	plan  campaign.Plan
+	total int
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -117,7 +119,7 @@ func (j *job) info() JobInfo {
 		Name:        j.name,
 		Priority:    j.priority,
 		State:       j.state,
-		Fingerprint: j.fp,
+		Fingerprint: j.plan.Fingerprint,
 		Total:       j.total,
 		Done:        j.done,
 		Resumed:     j.resumed,
@@ -160,9 +162,20 @@ const maxRetainedCellEvents = 1024
 // span records past the cap are dropped, and the trace notes how many.
 const maxRetainedTraceCells = 2048
 
-// compactLocked drops a terminal job's cell events if the log is large
-// (caller holds j.mu).
-func (j *job) compactLocked() {
+// finishLocked moves the job to a terminal state (caller holds j.mu): the
+// closing event, the release of the plan's job list (16.8K configs at paper
+// scale, times RetainJobs), and the compaction of a large event log.
+func (j *job) finishLocked(state State, err error) {
+	now := time.Now().UTC()
+	j.state = state
+	j.err = err
+	j.finished = &now
+	ev := Event{Type: "state", State: state, Done: j.done}
+	if err != nil {
+		ev.Error = err.Error()
+	}
+	j.append(ev)
+	j.plan.Jobs = nil
 	if len(j.events) <= maxRetainedCellEvents {
 		return
 	}
@@ -173,6 +186,17 @@ func (j *job) compactLocked() {
 		}
 	}
 	j.events = kept
+}
+
+// stop cancels the job's context; a job that was never admitted has no
+// run to finalize it, so it turns terminal here.
+func (j *job) stop(cause error) {
+	j.cancel(cause)
+	j.mu.Lock()
+	if j.state == StateQueued {
+		j.finishLocked(StateCanceled, cause)
+	}
+	j.mu.Unlock()
 }
 
 // Scheduler owns the job table, the admission queue, and the worker
@@ -236,22 +260,18 @@ func newScheduler(store *cache.Store, run sim.Runner, workers, maxActive, retain
 // cache. Resubmitting after the earlier job finished (or was cancelled)
 // starts a fresh job, which replays from the cache and journal.
 func (s *Scheduler) Submit(spec campaign.Spec, name string, priority int) (JobInfo, error) {
-	spec = spec.Normalized()
-	jobs, err := spec.Jobs() // validates as it expands
+	plan, err := spec.Plan()
 	if err != nil {
 		return JobInfo{}, err
 	}
-	fp := spec.Fingerprint()
 
-	ctx, cancel := context.WithCancelCause(context.Background())
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		cancel(nil)
 		return JobInfo{}, ErrShuttingDown
 	}
 	for _, existing := range s.order {
-		if existing.fp != fp {
+		if existing.plan.Fingerprint != plan.Fingerprint {
 			continue
 		}
 		existing.mu.Lock()
@@ -270,20 +290,18 @@ func (s *Scheduler) Submit(spec campaign.Spec, name string, priority int) (JobIn
 				existing.priority = priority
 				existing.mu.Unlock()
 			}
-			s.mu.Unlock()
-			cancel(nil)
 			return existing.info(), nil
 		}
 	}
 	s.nextSeq++
+	ctx, cancel := context.WithCancelCause(context.Background())
 	j := &job{
 		id:       fmt.Sprintf("job-%d", s.nextSeq),
 		name:     name,
 		priority: priority,
 		seq:      s.nextSeq,
-		spec:     spec,
-		fp:       fp,
-		total:    len(jobs),
+		plan:     plan,
+		total:    len(plan.Jobs),
 		ctx:      ctx,
 		cancel:   cancel,
 		trace:    obs.NewTraceLimit(maxRetainedTraceCells),
@@ -299,7 +317,6 @@ func (s *Scheduler) Submit(spec campaign.Spec, name string, priority int) (JobIn
 	s.queue = append(s.queue, j)
 	s.pruneLocked()
 	s.dispatchLocked()
-	s.mu.Unlock()
 	return j.info(), nil
 }
 
@@ -389,37 +406,28 @@ func (s *Scheduler) run(j *job) {
 		Workers: s.workers,
 		Resume:  true, // re-submitted specs report prior progress
 		Trace:   j.trace,
-		Observe: func(cfg sim.Config) {
+		Observe: func(cfg sim.Config, key string) {
 			s.cellsDone.Add(1)
-			key := cache.Key(cfg)
 			j.mu.Lock()
 			j.done++
 			j.append(Event{Type: "cell", Label: campaign.CellLabel(cfg), Key: key, Done: j.done})
 			j.mu.Unlock()
 		},
 	}
-	out, err := eng.RunCtx(j.ctx, j.spec)
+	out, err := eng.RunPlan(j.ctx, j.plan)
 
-	end := time.Now().UTC()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finished = &end
 	switch {
 	case err == nil:
-		j.state = StateDone
 		j.outcome = out
 		j.resumed = out.Resumed
-		j.append(Event{Type: "state", State: StateDone, Done: j.done})
+		j.finishLocked(StateDone, nil)
 	case j.ctx.Err() != nil:
-		j.state = StateCanceled
-		j.err = context.Cause(j.ctx)
-		j.append(Event{Type: "state", State: StateCanceled, Done: j.done, Error: j.err.Error()})
+		j.finishLocked(StateCanceled, context.Cause(j.ctx))
 	default:
-		j.state = StateFailed
-		j.err = err
-		j.append(Event{Type: "state", State: StateFailed, Done: j.done, Error: err.Error()})
+		j.finishLocked(StateFailed, err)
 	}
-	j.compactLocked()
 }
 
 // Cancel stops a job: a queued job terminates immediately, a running
@@ -448,18 +456,7 @@ func (s *Scheduler) Cancel(id, reason string) (JobInfo, error) {
 	if reason == "" {
 		reason = "by client"
 	}
-	cause := fmt.Errorf("canceled %s (%w)", reason, context.Canceled)
-	j.cancel(cause)
-
-	j.mu.Lock()
-	if j.state == StateQueued { // never admitted; finalize here
-		now := time.Now().UTC()
-		j.state = StateCanceled
-		j.err = cause
-		j.finished = &now
-		j.append(Event{Type: "state", State: StateCanceled, Error: cause.Error()})
-	}
-	j.mu.Unlock()
+	j.stop(fmt.Errorf("canceled %s (%w)", reason, context.Canceled))
 	return j.info(), nil
 }
 
@@ -570,16 +567,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 
 	cause := fmt.Errorf("server shutting down (%w)", context.Canceled)
 	for _, j := range all {
-		j.cancel(cause)
-		j.mu.Lock()
-		if j.state == StateQueued {
-			now := time.Now().UTC()
-			j.state = StateCanceled
-			j.err = cause
-			j.finished = &now
-			j.append(Event{Type: "state", State: StateCanceled, Error: cause.Error()})
-		}
-		j.mu.Unlock()
+		j.stop(cause)
 	}
 
 	done := make(chan struct{})

@@ -70,6 +70,7 @@ func TestEngineDifferential(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/%s/svard=%v", defense, mixName, svard)
 				t.Run(name, func(t *testing.T) {
+					t.Parallel() // cases share only the concurrency-safe module cache and arena pool
 					cfg := diffBase()
 					cfg.Defense = defense
 					cfg.Mix = mix
@@ -102,6 +103,7 @@ func TestEngineDifferentialHBM2(t *testing.T) {
 		for mixName, mix := range diffMixes() {
 			name := fmt.Sprintf("%s/%s", defense, mixName)
 			t.Run(name, func(t *testing.T) {
+				t.Parallel() // cases share only the concurrency-safe module cache and arena pool
 				cfg := diffBase()
 				cfg.Backend = "hbm2"
 				cfg.Defense = defense

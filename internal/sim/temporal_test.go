@@ -32,6 +32,7 @@ func TestEngineDifferentialTemporal(t *testing.T) {
 		for mixName, mix := range diffMixes() {
 			name := fmt.Sprintf("%s/%s", defense, mixName)
 			t.Run(name, func(t *testing.T) {
+				t.Parallel() // cases share only the concurrency-safe module cache and arena pool
 				cfg := diffBase()
 				cfg.Defense = defense
 				cfg.Mix = mix
