@@ -1,8 +1,13 @@
 package cache
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"svard/internal/sim"
+	"svard/internal/temporal"
 )
 
 // FuzzOpenEnvelope: envelope bytes arrive from disk and from the remote
@@ -40,5 +45,31 @@ func FuzzOpenEnvelope(f *testing.F) {
 		if !reflect.DeepEqual(back, res) {
 			t.Fatalf("re-sealed envelope opens to a different result:\ngot  %+v\nwant %+v", back, res)
 		}
+	})
+}
+
+// FuzzKeyMatchesReference: whatever the configuration, the compiled plan
+// produces the reflective walk's bytes and Key is their well-formed hex
+// SHA-256. shape seeds randomize, which decides the structure (nil, empty
+// or populated Mix, temporal block or none) and fills every leaf; the
+// remaining arguments hand the fuzzer three leaves directly — a string,
+// a float's bits, a Mix entry — in the static and the temporal namespace.
+func FuzzKeyMatchesReference(f *testing.F) {
+	f.Add(int64(0), "", uint64(0), "")
+	f.Add(int64(19), "hbm2", math.Float64bits(math.Copysign(0, -1)), "attack:rrs")
+	f.Add(int64(-7), "ddr4-3200", uint64(0x7ff0000000000001), "mcf06\x00lbm06")
+	f.Fuzz(func(t *testing.T, shape int64, backend string, floatBits uint64, workload string) {
+		var cfg sim.Config
+		randomize(rand.New(rand.NewSource(shape)), reflect.ValueOf(&cfg).Elem())
+		cfg.Backend = backend
+		cfg.NRH = math.Float64frombits(floatBits)
+		cfg.Mix = append(cfg.Mix, workload)
+		checkKeyAgainstReference(t, cfg)
+		if cfg.Temporal == nil {
+			cfg.Temporal = &temporal.Spec{Sigma: cfg.NRH}
+		} else {
+			cfg.Temporal = nil
+		}
+		checkKeyAgainstReference(t, cfg)
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"reflect"
 	"sort"
@@ -42,7 +41,7 @@ const SchemaVersion = "svard-sim-v3"
 // TemporalSchemaVersion tags keys of configurations that carry a
 // temporal-variation block (Config.Temporal != nil). Static
 // configurations keep SchemaVersion — and, because nil pointer fields
-// are skipped by the encoder below, their keys are byte-identical to
+// are skipped by the encoding plan below, their keys are byte-identical to
 // pre-temporal builds, so no stored static result is invalidated.
 // Temporal runs get their own version string so the namespace starts
 // empty and can be bumped independently of the static schema.
@@ -54,94 +53,152 @@ const TemporalSchemaVersion = "svard-sim-v4"
 // and Mix entries) hash to different keys; the same Config always hashes
 // to the same key, across processes and runs.
 func Key(cfg sim.Config) string {
-	h := sha256.New()
-	if cfg.Temporal != nil {
-		writeString(h, TemporalSchemaVersion)
-	} else {
-		writeString(h, SchemaVersion)
-	}
-	writeValue(h, reflect.ValueOf(cfg))
-	return hex.EncodeToString(h.Sum(nil))
+	// An 8-core config encodes to under 1 KB, so the whole derivation stays
+	// on the stack; only the returned string is allocated (TestKeyAllocs).
+	var buf [2048]byte
+	sum := sha256.Sum256(appendPreimage(buf[:0], &cfg))
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
-// writeValue encodes v into h with an unambiguous, self-delimiting
-// framing: every atom is prefixed with a one-byte kind tag, strings and
-// composites carry explicit lengths, and struct fields are walked in
-// sorted name order so the encoding is stable under field reordering.
-func writeValue(h hash.Hash, v reflect.Value) {
-	switch v.Kind() {
+// appendPreimage appends the bytes Key hashes: the schema version, then
+// cfg as configPlan encodes it.
+func appendPreimage(b []byte, cfg *sim.Config) []byte {
+	if cfg.Temporal != nil {
+		b = appendString(b, TemporalSchemaVersion)
+	} else {
+		b = appendString(b, SchemaVersion)
+	}
+	return configPlan.append(b, reflect.ValueOf(cfg).Elem())
+}
+
+// configPlan is built at package initialisation — so a Config field of
+// an unhashable kind stops every binary that links the cache at start-up,
+// not at its first Key call — and is immutable afterwards: concurrent
+// workers share it without a lock.
+var configPlan = compile(reflect.TypeOf(sim.Config{}), "Config")
+
+// A plan is everything about a type's encoding that the type alone
+// decides, resolved once so that encoding a value touches only values.
+// The framing is unambiguous and self-delimiting: every atom is prefixed
+// with a one-byte kind tag, strings and composites carry explicit
+// lengths, and struct fields appear in sorted name order so the encoding
+// is stable under field reordering. (writeValue in key_ref_test.go states
+// the same encoding as a per-call reflective walk; the tests hold the
+// plan to it byte for byte.)
+type plan struct {
+	tag    byte        // kind tag, one of "biufslp{"; also selects the encoder
+	elem   *plan       // 'l': the element type's plan; 'p': the pointee's
+	fields []planField // '{': the exported fields, in sorted name order
+}
+
+type planField struct {
+	framed  []byte // the name as it appears in the encoding (appendString)
+	index   int    // reflect.Value.Field index
+	pointer bool   // nil is possible, and means "leave the field out"
+	plan    *plan
+}
+
+// compile builds t's plan. path names t's position under the root type
+// for the panic an unhashable kind raises.
+func compile(t reflect.Type, path string) *plan {
+	switch t.Kind() {
 	case reflect.Bool:
-		h.Write([]byte{'b'})
-		if v.Bool() {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
+		return &plan{tag: 'b'}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		h.Write([]byte{'i'})
-		writeUint64(h, uint64(v.Int()))
+		return &plan{tag: 'i'}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		h.Write([]byte{'u'})
-		writeUint64(h, v.Uint())
+		return &plan{tag: 'u'}
 	case reflect.Float32, reflect.Float64:
+		return &plan{tag: 'f'}
+	case reflect.String:
+		return &plan{tag: 's'}
+	case reflect.Slice, reflect.Array:
+		return &plan{tag: 'l', elem: compile(t.Elem(), path+"[]")}
+	case reflect.Pointer:
+		return &plan{tag: 'p', elem: compile(t.Elem(), path)}
+	case reflect.Struct:
+		var fields []reflect.StructField
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				fields = append(fields, f)
+			}
+		}
+		sort.Slice(fields, func(i, j int) bool { return fields[i].Name < fields[j].Name })
+		p := &plan{tag: '{'}
+		for _, f := range fields {
+			p.fields = append(p.fields, planField{
+				framed:  appendString(nil, f.Name),
+				index:   f.Index[0],
+				pointer: f.Type.Kind() == reflect.Pointer,
+				plan:    compile(f.Type, path+"."+f.Name),
+			})
+		}
+		return p
+	default:
+		// sim.Config is a plain-data struct; any future field of an
+		// unhashable kind must fail loudly, not silently alias configs.
+		panic(fmt.Sprintf("cache: %s: cannot hash %s", path, t.Kind()))
+	}
+}
+
+// append appends v, a value of the type p was compiled from, to b.
+func (p *plan) append(b []byte, v reflect.Value) []byte {
+	b = append(b, p.tag)
+	switch p.tag {
+	case 'b':
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case 'i':
+		return appendUint64(b, uint64(v.Int()))
+	case 'u':
+		return appendUint64(b, v.Uint())
+	case 'f':
 		// Bit-exact: distinguishes -0/+0 and every NaN payload, which is
 		// stricter than == but exactly what "same configuration" means.
-		h.Write([]byte{'f'})
-		writeUint64(h, math.Float64bits(v.Float()))
-	case reflect.String:
-		h.Write([]byte{'s'})
-		writeString(h, v.String())
-	case reflect.Slice, reflect.Array:
-		h.Write([]byte{'l'})
-		writeUint64(h, uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			writeValue(h, v.Index(i))
+		return appendUint64(b, math.Float64bits(v.Float()))
+	case 's':
+		return appendString(b, v.String())
+	case 'l':
+		n := v.Len()
+		b = appendUint64(b, uint64(n))
+		for i := 0; i < n; i++ {
+			b = p.elem.append(b, v.Index(i))
 		}
-	case reflect.Pointer:
+		return b
+	case 'p':
 		// Reached only for non-nil pointers: the struct case below skips
 		// nil pointer fields entirely. The tag keeps a *T field from
 		// aliasing an inline T field.
-		h.Write([]byte{'p'})
-		writeValue(h, v.Elem())
-	case reflect.Struct:
-		t := v.Type()
-		names := make([]string, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
+		return p.elem.append(b, v.Elem())
+	default: // '{'
+		count := len(b) // patched below, once the nil pointers are known
+		b = appendUint64(b, 0)
+		n := uint64(0)
+		for i := range p.fields {
+			f := &p.fields[i]
+			fv := v.Field(f.index)
 			// A nil pointer field stays out of the encoding altogether —
 			// not even its name is written — so adding an optional block
 			// to sim.Config leaves every config without it at its exact
 			// pre-existing key (the pinned-key test enforces this for the
 			// Temporal field).
-			if f.Type.Kind() == reflect.Pointer && v.Field(i).IsNil() {
+			if f.pointer && fv.IsNil() {
 				continue
 			}
-			names = append(names, f.Name)
+			b = f.plan.append(append(b, f.framed...), fv)
+			n++
 		}
-		sort.Strings(names)
-		h.Write([]byte{'{'})
-		writeUint64(h, uint64(len(names)))
-		for _, name := range names {
-			writeString(h, name)
-			writeValue(h, v.FieldByName(name))
-		}
-	default:
-		// sim.Config is a plain-data struct; any future field of an
-		// unhashable kind must fail loudly, not silently alias configs.
-		panic(fmt.Sprintf("cache: cannot hash %s field in sim.Config", v.Kind()))
+		binary.LittleEndian.PutUint64(b[count:], n)
+		return b
 	}
 }
 
-func writeUint64(h hash.Hash, x uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	h.Write(b[:])
+func appendUint64(b []byte, x uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, x)
 }
 
-func writeString(h hash.Hash, s string) {
-	writeUint64(h, uint64(len(s)))
-	h.Write([]byte(s))
+func appendString(b []byte, s string) []byte {
+	return append(appendUint64(b, uint64(len(s))), s...)
 }

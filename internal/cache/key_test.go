@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
@@ -260,5 +261,66 @@ func TestHashFieldOrderIndependence(t *testing.T) {
 	writeValue(h2, reflect.ValueOf(ba{A: 7, B: "x"}))
 	if string(h1.Sum(nil)) != string(h2.Sum(nil)) {
 		t.Error("field order changed the hash")
+	}
+	// The same through the production encoder, which sorts when a type's
+	// plan is compiled rather than on every call.
+	if p1, p2 := planBytes(ab{A: 7, B: "x"}), planBytes(ba{A: 7, B: "x"}); !bytes.Equal(p1, p2) {
+		t.Errorf("field order changed the plan's encoding:\nab %q\nba %q", p1, p2)
+	}
+}
+
+// TestPlanRejectsUnhashableKinds: a kind the encoding has no framing for
+// stops the plan from being built — for sim.Config that is package
+// initialisation, before any key exists — and the panic names the field,
+// however deep it sits.
+func TestPlanRejectsUnhashableKinds(t *testing.T) {
+	type core struct {
+		Width int
+		X     map[string]int
+	}
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{struct{ Core core }{}, "cache: Config.Core.X: cannot hash map"},
+		{struct{ Done chan int }{}, "cache: Config.Done: cannot hash chan"},
+		{struct{ Hook func() }{}, "cache: Config.Hook: cannot hash func"},
+		{struct{ Mix []any }{}, "cache: Config.Mix[]: cannot hash interface"},
+		{struct{ Temporal *struct{ Z [2]complex128 } }{}, "cache: Config.Temporal.Z[]: cannot hash complex128"},
+		{struct{ Addr uintptr }{}, "cache: Config.Addr: cannot hash uintptr"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("compile(%T) panicked with %v, want %q", tc.v, got, tc.want)
+				}
+			}()
+			compile(reflect.TypeOf(tc.v), "Config")
+		}()
+	}
+	// Unexported fields are not part of the encoding, so neither are
+	// their kinds.
+	compile(reflect.TypeOf(struct {
+		A     int
+		cache map[string]int
+	}{}), "Config")
+}
+
+// TestKeyAllocs: one key per cell per process is on every cached route,
+// and before the plan it was three quarters of a warm cell's allocations.
+// The returned string is the one allocation Key needs.
+func TestKeyAllocs(t *testing.T) {
+	static := sim.DefaultConfig()
+	static.Mix = []string{"mcf06", "lbm06", "ycsb-a", "tpcc", "mcf06", "lbm06", "ycsb-a", "tpcc"}
+	tempo := static
+	tempo.Temporal = &temporal.Spec{EpochCycles: 65536, Drift: -0.01}
+	for name, cfg := range map[string]sim.Config{"static": static, "temporal": tempo} {
+		var key string
+		if n := testing.AllocsPerRun(100, func() { key = Key(cfg) }); n > 2 {
+			t.Errorf("Key(%s config) allocates %v times per call, want <= 2", name, n)
+		}
+		if !WellFormedKey(key) {
+			t.Errorf("Key(%s config) = %q", name, key)
+		}
 	}
 }

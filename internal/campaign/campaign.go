@@ -99,17 +99,39 @@ const (
 	Fig13 = "fig13"
 )
 
+// Limits on the two numbers that size the default mix draw, which
+// happens before the rest of a spec can be validated (a spec arrives
+// over HTTP as readily as from a flag). The paper draws 120 mixes for an
+// 8-core system.
+const (
+	maxMixCount = 1024
+	maxCores    = 1024
+)
+
+// checkDraw rejects a spec whose mixes cannot or should not be drawn.
+func (s Spec) checkDraw() error {
+	if s.Base.Cores < 1 || s.Base.Cores > maxCores {
+		return fmt.Errorf("campaign: base config: Cores is %d, want 1..%d", s.Base.Cores, maxCores)
+	}
+	if s.MixCount > maxMixCount {
+		return fmt.Errorf("campaign: mix_count is %d, want at most %d (the paper draws 120)", s.MixCount, maxMixCount)
+	}
+	return nil
+}
+
 // Normalized returns the spec with every default filled in — the
 // figures, the drawn mixes, the mix count — so it fully pins the
 // campaign (svard-sweep -print-spec emits it; saving it as a -spec file
 // reproduces the identical sweep even if the drawing defaults ever
 // change). Idempotent, and fingerprint-neutral: a spec and its
-// normalized form scope the same journal.
+// normalized form scope the same journal. A spec that fails checkDraw
+// keeps its empty Mixes — validate reports why — so no input makes this
+// panic or allocate out of proportion to its size.
 func (s Spec) Normalized() Spec {
 	if len(s.Figures) == 0 {
 		s.Figures = []string{Fig12, Fig13}
 	}
-	if len(s.Mixes) == 0 {
+	if len(s.Mixes) == 0 && s.checkDraw() == nil {
 		n := s.MixCount
 		if n <= 0 {
 			n = 4
@@ -131,6 +153,9 @@ func (s Spec) Normalized() Spec {
 // through the -mix flag's validator. What only an expansion sees (Fig. 13
 // core count, erosion age and intervals) Plan's one expansion rejects.
 func (s Spec) validate() error {
+	if err := s.checkDraw(); err != nil {
+		return err
+	}
 	for _, f := range s.Figures {
 		if f != Fig12 && f != Fig13 {
 			return fmt.Errorf("campaign: unknown figure %q (have %s, %s)", f, Fig12, Fig13)

@@ -31,7 +31,7 @@ type fig12GoldenFile struct {
 
 // goldenSpec loads internal/sim's Fig. 12 golden fixture and rebuilds
 // the campaign spec that sweeps exactly those cells.
-func goldenSpec(t *testing.T) (Spec, []sim.Fig12Cell) {
+func goldenSpec(t testing.TB) (Spec, []sim.Fig12Cell) {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "fig12_golden.json"))
 	if err != nil {
@@ -244,6 +244,12 @@ var brokenSpecs = map[string]rejection{
 	"fig13-one-core":   {func(s *Spec) { s.Base.Cores = 1; s.Mixes = [][]string{{"mcf06"}} }, `sim: Fig. 13 needs >= 2 cores (1 attacker + >= 1 benign), got 1`},
 	"unknown-backend":  {func(s *Spec) { s.Backends = []string{"lpddr5"} }, `campaign: backends: dram: unknown backend "lpddr5" (have [ddr4-3200 hbm2])`},
 	"bad-base-backend": {func(s *Spec) { s.Base.Backend = "gddr6" }, `campaign: base config: dram: unknown backend "gddr6" (have [ddr4-3200 hbm2])`},
+	// The next four size the default mix draw, which runs before validation:
+	// each used to panic in it or allocate whatever it was asked for.
+	"negative-cores": {func(s *Spec) { s.Base.Cores = -1; s.Mixes = nil }, `campaign: base config: Cores is -1, want 1..1024`},
+	"zero-cores":     {func(s *Spec) { s.Base.Cores = 0; s.Mixes = [][]string{{}} }, `campaign: base config: Cores is 0, want 1..1024`},
+	"absurd-cores":   {func(s *Spec) { s.Base.Cores = 1 << 30; s.Mixes = nil }, `campaign: base config: Cores is 1073741824, want 1..1024`},
+	"absurd-mixes":   {func(s *Spec) { s.MixCount = 1 << 30; s.Mixes = nil }, `campaign: mix_count is 1073741824, want at most 1024 (the paper draws 120)`},
 }
 
 // checkRejections breaks a fresh valid spec every way the table lists and

@@ -2,10 +2,14 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"svard/internal/cache"
+	"svard/internal/sim"
 )
 
 var journalKeyLine = regexp.MustCompile(`^[0-9a-f]{64}$`)
@@ -50,4 +54,81 @@ func FuzzJournalResume(f *testing.F) {
 			t.Fatalf("Resumed() = %d, want %d for journal %q", j.Resumed(), want, content)
 		}
 	})
+}
+
+// FuzzSpecPlan: a spec arrives as JSON, from a -spec file or in the body
+// of POST /api/v1/jobs, so whatever decodes must plan or be refused with
+// an error — never a panic. A plan that is handed back must be stable:
+// every cell has a well-formed cache key, and planning the plan's own
+// (normalized) spec again yields the same fingerprint and the same keys.
+func FuzzSpecPlan(f *testing.F) {
+	golden, _ := goldenSpec(f)
+	for _, spec := range []Spec{golden, tinySpec(), tinyPopulationSpec(), tinyTemporalSpec()} {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"base":{"Cores":-1}}`))                          // panicked in the mix draw (makeslice)
+	f.Add([]byte(`{"base":{"Cores":2},"mix_count":1099511627776}`)) // drew 2^40 mixes before validating
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var spec Spec
+		if json.Unmarshal(b, &spec) != nil {
+			return
+		}
+		// Planning costs what the expansion costs, and nothing caps the
+		// product of a spec's axes; keep the fuzzer on specs that plan in
+		// milliseconds, where the decisions are.
+		if gridBound(spec) > 1<<12 {
+			t.Skip("expansion too large for a fuzz iteration")
+		}
+		plan, err := spec.Plan()
+		if err != nil {
+			return
+		}
+		again, err := plan.Spec.Plan()
+		if err != nil {
+			t.Fatalf("the plan's own spec is refused: %v", err)
+		}
+		if again.Fingerprint != plan.Fingerprint || len(again.Jobs) != len(plan.Jobs) {
+			t.Fatalf("re-planning changed the campaign: fingerprint %s -> %s, %d -> %d jobs",
+				plan.Fingerprint, again.Fingerprint, len(plan.Jobs), len(again.Jobs))
+		}
+		for i, j := range plan.Jobs {
+			key := cache.Key(j.Config)
+			if !cache.WellFormedKey(key) {
+				t.Fatalf("job %d (%s) has key %q", i, j.Label, key)
+			}
+			if k := cache.Key(again.Jobs[i].Config); k != key {
+				t.Fatalf("re-planning moved job %d (%s) from key %s to %s", i, j.Label, key, k)
+			}
+		}
+	})
+}
+
+// gridBound is roughly how many Fig. 12 cells spec expands to if the
+// planner accepts it (Fig. 13 adds a handful per profile and backend) —
+// a float, so that absurd axes saturate instead of wrapping.
+func gridBound(s Spec) float64 {
+	axis := func(listed, dflt int) float64 {
+		if listed == 0 {
+			return float64(dflt)
+		}
+		return float64(listed)
+	}
+	drawn := s.MixCount
+	if drawn <= 0 || drawn > maxMixCount { // over the limit is refused before anything expands
+		drawn = 4
+	}
+	cells := axis(len(s.Mixes), drawn) * axis(len(s.NRHs), len(sim.DefaultNRHs())) *
+		axis(len(s.Defenses), len(sim.DefenseNames)) * axis(len(s.Profiles), 3) * axis(len(s.Backends), 1)
+	if s.Population != nil {
+		cells *= float64(s.Population.Size)
+	}
+	if s.Temporal != nil {
+		cells *= axis(len(s.Temporal.Intervals), len(sim.DefaultErosionIntervals())) + 1
+	}
+	return cells
 }

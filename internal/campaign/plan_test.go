@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"svard/internal/cache"
+	"svard/internal/cache/keycount"
 	"svard/internal/population"
 	"svard/internal/sim"
 )
@@ -88,12 +89,11 @@ func TestPlan(t *testing.T) {
 	t.Run("rejects-temporal", func(t *testing.T) { checkRejections(t, tinyTemporalSpec, brokenTemporalSpecs, plan) })
 }
 
-// TestWarmCellDerivesOneKey states "derived once" as an allocation
-// budget, with no hook in production code: a warm pass over a memory
-// store does little per cell besides deriving its cache key, so fewer
-// than two derivations' worth of allocations per cell means the key was
-// derived once (a second derivation anywhere on the path — journal,
-// trace, Observe — puts the pass at 2k plus the rest).
+// TestWarmCellDerivesOneKey states "derived once" with no hook in
+// production code: a warm pass over a memory store runs cache.Key exactly
+// once per cell (a second derivation anywhere on the path — journal,
+// trace, Observe — would double the count). keycount reads the number
+// off the runtime's memory profile.
 func TestWarmCellDerivesOneKey(t *testing.T) {
 	spec := tinySpec()
 	spec.Figures = []string{Fig12}
@@ -110,10 +110,10 @@ func TestWarmCellDerivesOneKey(t *testing.T) {
 	}
 	pass() // cold: every later pass is served
 
-	k := testing.AllocsPerRun(100, func() { cache.Key(plan.Jobs[0].Config) })
-	perCell := testing.AllocsPerRun(5, pass) / float64(len(plan.Jobs))
-	t.Logf("warm pass: %.1f allocations per cell; one key derivation: %.0f", perCell, k)
-	if perCell >= 2*k {
-		t.Errorf("a warm cell allocates %.1f, want < %.0f (two key derivations)", perCell, 2*k)
+	one := keycount.During(func() { cache.Key(plan.Jobs[0].Config) })
+	got, want := keycount.During(pass), one*int64(len(plan.Jobs))
+	if one < 1 || got != want {
+		t.Errorf("a warm pass over %d cells allocates %d objects inside cache.Key, want %d (%d per derivation)",
+			len(plan.Jobs), got, want, one)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"svard/internal/cache"
+	"svard/internal/cache/keycount"
 	"svard/internal/campaign"
 	"svard/internal/sim"
 )
@@ -118,10 +119,10 @@ func TestTerminalJobReleasesJobList(t *testing.T) {
 }
 
 // TestWarmServedCellDerivesOneKey is the served route's "derived once"
-// budget (see campaign.TestWarmCellDerivesOneKey): a warm job — plan,
-// engine, journal, one progress event per cell — allocates less per cell
-// than two key derivations would, so the scheduler's events and the
-// engine's journal read the key the store derived.
+// (see campaign.TestWarmCellDerivesOneKey): a warm job — plan, engine,
+// journal, one progress event per cell — runs cache.Key exactly once per
+// cell, so the scheduler's events and the engine's journal read the key
+// the store derived.
 func TestWarmServedCellDerivesOneKey(t *testing.T) {
 	store, err := cache.Open("", 0)
 	if err != nil {
@@ -148,10 +149,10 @@ func TestWarmServedCellDerivesOneKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := testing.AllocsPerRun(100, func() { cache.Key(jobs[0].Config) })
-	perCell := testing.AllocsPerRun(5, pass) / float64(info.Total)
-	t.Logf("warm served job: %.1f allocations per cell; one key derivation: %.0f", perCell, k)
-	if perCell >= 2*k {
-		t.Errorf("a warm served cell allocates %.1f, want < %.0f (two key derivations)", perCell, 2*k)
+	one := keycount.During(func() { cache.Key(jobs[0].Config) })
+	got, want := keycount.During(pass), one*int64(info.Total)
+	if one < 1 || got != want {
+		t.Errorf("a warm served job of %d cells allocates %d objects inside cache.Key, want %d (%d per derivation)",
+			info.Total, got, want, one)
 	}
 }

@@ -745,6 +745,22 @@ func TestAPIErrors(t *testing.T) {
 		t.Errorf("invalid backend error = %v, want 400 naming lpddr5", err)
 	}
 
+	// The two numbers that size the default mix draw are checked before
+	// anything is drawn: `{"base":{"Cores":-1}}` used to panic the handler
+	// (makeslice) and a huge mix_count to allocate whatever it asked for.
+	for _, tc := range []struct {
+		spec campaign.Spec
+		want string
+	}{
+		{campaign.Spec{Base: sim.Config{Cores: -1}}, "Cores is -1"},
+		{campaign.Spec{Base: tinySpec().Base, MixCount: 1 << 30}, "mix_count is 1073741824"},
+	} {
+		if _, err := c.Submit(ctx, tc.spec, "undrawable", 0); err == nil ||
+			!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("submit error = %v, want 400 saying %q", err, tc.want)
+		}
+	}
+
 	// A malformed temporal process is a 400 at submit — never a panic in
 	// a worker — for every way it can be malformed.
 	for name, proc := range map[string]temporal.Spec{
