@@ -305,9 +305,19 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, has
 		return decodeError(resp)
 	}
 	if out == nil {
+		drain(resp.Body)
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// drain reads what is left of a reply nobody decodes (capped: these are
+// error bodies and empty acknowledgements). The transport returns a
+// keep-alive connection to its pool only once the body has been read to
+// the end; closing an unread one closes the connection, and the next
+// request pays for a new one.
+func drain(body io.Reader) {
+	io.Copy(io.Discard, io.LimitReader(body, 4096))
 }
 
 // decodeError surfaces the server's JSON error message (falling back

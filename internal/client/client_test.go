@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -405,5 +406,54 @@ func TestStoreWithCacheRemoteEndToEnd(t *testing.T) {
 	}
 	if st := s2.Stats(); st.RemoteHits != 1 {
 		t.Fatalf("second store RemoteHits = %d, want 1 (%v)", st.RemoteHits, st)
+	}
+}
+
+// TestRemoteMissReusesConnection: a cold campaign asks the object store
+// for every cell before computing it, so a miss is the store's most
+// common reply. Each one used to cost a TCP connection — Get returned on
+// 404 without reading the error body, and the transport closes a
+// keep-alive connection whose reply was not read to the end. Twenty
+// misses, twenty stores and a few calls whose reply nobody decodes must
+// all ride the one connection the first request opened.
+func TestRemoteMissReusesConnection(t *testing.T) {
+	store := &objectStore{}
+	mux := http.NewServeMux()
+	mux.Handle("/api/v1/objects/", store.handler())
+	mux.HandleFunc("DELETE /api/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]string{"status": "cancelled"})
+	})
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(mux)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	ctx := context.Background()
+	rc := NewCacheRemote(srv.URL, fastPolicy())
+	rc.HTTP = srv.Client()
+	key := cache.Key(sim.DefaultConfig())
+	for i := 0; i < 20; i++ {
+		miss := fmt.Sprintf("%08x%s", i, key[8:])
+		if _, found, err := rc.Get(ctx, miss); err != nil || found {
+			t.Fatalf("Get(%s): found=%v err=%v, want a clean miss", miss[:8], found, err)
+		}
+		if err := rc.Put(ctx, miss, sim.Result{Cycles: uint64(i), Finished: true}); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	c := New(srv.URL)
+	c.HTTP = srv.Client()
+	for i := 0; i < 5; i++ {
+		if err := c.call(ctx, http.MethodDelete, "/api/v1/jobs/j1", nil, nil); err != nil {
+			t.Fatalf("undecoded call: %v", err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("20 misses + 20 stores + 5 undecoded replies opened %d connections, want 1", n)
 	}
 }

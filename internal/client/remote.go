@@ -68,6 +68,9 @@ func (r *CacheRemote) Get(ctx context.Context, key string) (sim.Result, bool, er
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode == http.StatusNotFound {
+			// A miss is the common reply on a cold campaign: read its
+			// error body so the connection serves the next key too.
+			drain(resp.Body)
 			found = false
 			return nil
 		}
@@ -113,7 +116,7 @@ func (r *CacheRemote) Put(ctx context.Context, key string, res sim.Result) error
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
 			return decodeError(resp)
 		}
-		io.Copy(io.Discard, resp.Body)
+		drain(resp.Body)
 		return nil
 	})
 }

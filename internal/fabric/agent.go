@@ -138,6 +138,9 @@ func (a *Agent) postJSON(ctx context.Context, url string, body, out any) (int, e
 		return resp.StatusCode, fmt.Errorf("fabric: %s: %d %s", url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	if out == nil {
+		// Nobody decodes a heartbeat's reply; read it anyway (capped) so
+		// closing the body keeps the connection for the next beat.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return resp.StatusCode, nil
 	}
 	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -695,5 +696,54 @@ func TestOversizedControlBodiesGet413(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("2 MiB %s %s: status %d (%s), want 413", in.method, in.route, resp.StatusCode, bytes.TrimSpace(msg))
 		}
+	}
+}
+
+// TestHeartbeatReusesConnection: the agent decodes nothing from a
+// heartbeat's reply, and a reply closed unread costs its keep-alive
+// connection — one new TCP connection per beat per worker, for as long
+// as the fabric is up. Registration and every beat after it must share
+// the first connection.
+func TestHeartbeatReusesConnection(t *testing.T) {
+	store, err := cache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fabric.New(fabric.Config{Store: store, Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened, beats atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/heartbeat" {
+			beats.Add(1)
+		}
+		coord.Handler().ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	a := &fabric.Agent{Fabric: ts.URL, Advertise: "http://127.0.0.1:1", Name: "w", Heartbeat: 2 * time.Millisecond, HTTP: ts.Client()}
+	go func() {
+		defer close(done)
+		a.Run(ctx)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); beats.Load() < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	if beats.Load() < 20 {
+		t.Fatalf("only %d heartbeats arrived in 5 s", beats.Load())
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("registration + %d heartbeats opened %d connections, want 1", beats.Load(), n)
 	}
 }

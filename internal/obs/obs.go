@@ -73,6 +73,7 @@ type EngineCounters struct {
 	BoundHorizon    uint64
 
 	EpochAdvances uint64 // temporal epoch edges crossed by the live view
+	LiveDraws     uint64 // live thresholds drawn from the temporal process (comparisons its floor could not settle)
 }
 
 // Add accumulates o into c.
@@ -86,6 +87,7 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.BoundCore += o.BoundCore
 	c.BoundHorizon += o.BoundHorizon
 	c.EpochAdvances += o.EpochAdvances
+	c.LiveDraws += o.LiveDraws
 }
 
 // ControllerCounters are the memory-controller counters, embedded by
@@ -169,6 +171,7 @@ func Glossary() []CounterInfo {
 		{"bound_core", "jumps bounded by a core's next ready time", func(c *Counters) uint64 { return c.BoundCore }},
 		{"bound_horizon", "jumps truncated at the MaxCycles horizon", func(c *Counters) uint64 { return c.BoundHorizon }},
 		{"epoch_advances", "temporal epoch edges crossed by the live threshold view", func(c *Counters) uint64 { return c.EpochAdvances }},
+		{"live_draws", "live thresholds drawn from the temporal process: tracker comparisons the per-epoch floor could not settle (near the tracker's call count once the floor has decayed)", func(c *Counters) uint64 { return c.LiveDraws }},
 		{"scan_passes", "FR-FCFS scheduler passes over a non-empty queue", func(c *Counters) uint64 { return c.ScanPasses }},
 		{"scan_entries", "queue entries examined by the scheduler's first-match walks: the position of each pass's pick, nothing for a pass that found no bank ready", func(c *Counters) uint64 { return c.ScanEntries }},
 		{"next_event_calls", "controller wake-up bounds evaluated in full (cached answers not counted)", func(c *Counters) uint64 { return c.NextEventCalls }},

@@ -143,6 +143,11 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// boxMuller maps two uniforms, u1 in (0, 1], to a standard normal variate.
+func boxMuller(u1, u2 float64) float64 {
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
 // NormFloat64 returns a standard normal variate (Box-Muller).
 func (r *Rand) NormFloat64() float64 {
 	for {
@@ -151,7 +156,7 @@ func (r *Rand) NormFloat64() float64 {
 		if u1 <= 0 {
 			continue
 		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+		return boxMuller(u1, u2)
 	}
 }
 
@@ -310,8 +315,16 @@ func UniformAt(parts ...uint64) float64 {
 	return float64(Hash64(parts...)>>11) / (1 << 53)
 }
 
+// NormalAtBound bounds |NormalAt|. The variate is Box-Muller over a
+// 53-bit uniform clamped to u1 >= 2^-53, so its radius cannot exceed
+// sqrt(2*53*ln 2) = 8.5716..., and the cosine only shrinks it. A caller
+// that needs the worst case of a sum of NormalAt draws (package
+// temporal's factor floor) reads it here; TestNormalAtBound evaluates
+// boxMuller at the extremes against it.
+const NormalAtBound = 8.572
+
 // NormalAt returns a standard normal variate stably attached to a
-// coordinate tuple.
+// coordinate tuple; |NormalAt| <= NormalAtBound.
 func NormalAt(parts ...uint64) float64 {
 	h := Hash64(parts...)
 	u1 := float64(h>>11) / (1 << 53)
@@ -319,7 +332,7 @@ func NormalAt(parts ...uint64) float64 {
 	if u1 <= 0 {
 		u1 = 0x1p-53
 	}
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return boxMuller(u1, u2)
 }
 
 // GumbelAt returns a standard Gumbel variate stably attached to a

@@ -312,3 +312,47 @@ func BenchmarkHash64(b *testing.B) {
 		_ = Hash64(uint64(i), 42, 7)
 	}
 }
+
+// TestNormalAtBound pins the stated bound on NormalAt from the variate's
+// own expression: the radius is largest at the clamp u1 = 2^-53 and the
+// cosine reaches ±1 at u2 = 0 and 1/2, so boxMuller there is the extreme
+// NormalAt can return. The bound must hold it, tightly (a loose constant
+// would silently lower every floor derived from it), the clamp must be
+// the smallest u1 the 53-bit uniform can produce, and a seeded sweep of
+// real draws must stay inside. The three bit patterns were recorded
+// before boxMuller was factored out of NormalAt and NormFloat64: naming
+// the expression moved no bit of either stream.
+func TestNormalAtBound(t *testing.T) {
+	hi, lo := boxMuller(0x1p-53, 0), boxMuller(0x1p-53, 0.5)
+	if hi <= 8.57 || lo >= -8.57 {
+		t.Fatalf("boxMuller extremes %v, %v: want ±sqrt(2*53*ln 2) = ±8.5716…", lo, hi)
+	}
+	if hi > NormalAtBound || lo < -NormalAtBound {
+		t.Errorf("boxMuller reaches [%v, %v], outside ±NormalAtBound = ±%v", lo, hi, NormalAtBound)
+	}
+	if NormalAtBound-hi > 1e-3 {
+		t.Errorf("NormalAtBound = %v is loose: the extreme is %v", NormalAtBound, hi)
+	}
+	if smallest := float64(uint64(1)<<11>>11) / (1 << 53); smallest != 0x1p-53 {
+		t.Errorf("smallest non-zero 53-bit uniform is %v, want 2^-53", smallest)
+	}
+	worst := 0.0
+	for i := uint64(0); i < 1<<18; i++ {
+		worst = math.Max(worst, math.Abs(NormalAt(0xb0d, i)))
+	}
+	if worst > NormalAtBound || worst < 4 {
+		t.Errorf("max |NormalAt| over 2^18 draws = %v, want in [4, %v]", worst, NormalAtBound)
+	}
+	for _, pin := range []struct {
+		got  float64
+		want uint64
+	}{
+		{NormalAt(1, 2, 3), 0x3fe86c9768672f2a},
+		{NormalAt(0x7e4d0a11a6e0b002, 7, 1999, 5), 0xc005b45b25358512},
+		{New(5).NormFloat64(), 0xbff4376f90a6e0cb},
+	} {
+		if bits := math.Float64bits(pin.got); bits != pin.want {
+			t.Errorf("normal variate moved: bits %#x, recorded %#x", bits, pin.want)
+		}
+	}
+}

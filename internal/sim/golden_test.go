@@ -7,7 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+
+	"svard/internal/temporal"
 )
 
 // update regenerates the golden fixtures under testdata/:
@@ -209,4 +212,130 @@ func TestGoldenFig13(t *testing.T) {
 		t.Fatalf("golden fixture swept different options than the test; regenerate with -update\nfixture: %+v\ntest:    %+v", got, want)
 	}
 	compareCells(t, cells, golden.Cells)
+}
+
+// ErosionGolden pins one margin-erosion sweep: the swept options, every
+// job's violation count in ErosionJobs order — the only Result field a
+// temporal process may move — and the folded cells. The fixture holds
+// two: "benchmark" is bench/workloads.go's erosion options under seed 1
+// (benign mixes under a mild process: every count is 0, which is what
+// the benchmark's checker cannot see drift away from), "attacked" is the
+// same module under an adversarial mix and a harsher process with dips,
+// where the tracker fires tens of thousands of times. Both were recorded
+// before the tracker learned to bound a row's live threshold from below
+// (issue 20), so they state independently what the exact comparison
+// counts.
+type ErosionGolden struct {
+	Name      string
+	Base      Config
+	Process   temporal.Spec
+	Intervals []uint64
+	Mixes     [][]string
+	NRHs      []float64
+	Defenses  []string
+	Jobs      []ErosionGoldenJob
+	Cells     []ErosionCell
+}
+
+type ErosionGoldenJob struct {
+	Label      string
+	Violations uint64
+}
+
+// goldenErosionSweeps returns the fixture's sweeps, options only.
+func goldenErosionSweeps() []ErosionGolden {
+	fig12 := goldenFig12Options()
+	short := fig12.Base
+	short.InstrPerCore, short.WarmupPerCore = 8_000, 2_000
+	return []ErosionGolden{{
+		Name:      "benchmark",
+		Base:      fig12.Base,
+		Process:   temporal.Spec{EpochCycles: 65536, Drift: -0.01, Sigma: 0.02},
+		Intervals: []uint64{0, 16, 64},
+		Mixes:     fig12.Mixes,
+		NRHs:      fig12.NRHs,
+		Defenses:  []string{"para", "rrs"},
+	}, {
+		Name:      "attacked",
+		Base:      short,
+		Process:   temporal.Spec{EpochCycles: 65536, Drift: -0.05, Sigma: 0.1, DipP: 0.01, DipFactor: 0.5},
+		Intervals: []uint64{0, 64},
+		Mixes:     [][]string{{"attack:hydra", "mcf06"}},
+		NRHs:      fig12.NRHs,
+		Defenses:  []string{"para", "blockhammer"},
+	}}
+}
+
+// run fills in g's Jobs and Cells, simulating each job once: the runner
+// records every job's violations under its Config and the job list reads
+// them back in order.
+func (g *ErosionGolden) run(t *testing.T) {
+	t.Helper()
+	opt := ErosionOptions{
+		Base: g.Base, Process: g.Process, Intervals: g.Intervals,
+		Mixes: g.Mixes, NRHs: g.NRHs, Defenses: g.Defenses,
+	}
+	jobs, err := ErosionJobs(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	byConfig := map[string]uint64{}
+	configKey := func(cfg Config) string {
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	opt.Runner = func(cfg Config) (Result, error) {
+		res, err := PooledRun(cfg)
+		mu.Lock()
+		byConfig[configKey(cfg)] = res.Violations
+		mu.Unlock()
+		return res, err
+	}
+	if g.Cells, err = RunErosionCtx(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		v, ok := byConfig[configKey(j.Config)]
+		if !ok {
+			t.Fatalf("job %q never reached the runner", j.Label)
+		}
+		g.Jobs = append(g.Jobs, ErosionGoldenJob{Label: j.Label, Violations: v})
+	}
+}
+
+func TestGoldenErosion(t *testing.T) {
+	got := goldenErosionSweeps()
+	for i := range got {
+		got[i].run(t)
+	}
+	path := filepath.Join("testdata", "erosion_golden.json")
+	if *update {
+		writeGolden(t, path, got)
+		return
+	}
+	var golden []ErosionGolden
+	readGolden(t, path, &golden)
+	if len(golden) != len(got) {
+		t.Fatalf("fixture holds %d sweeps, the test runs %d; regenerate with -update", len(golden), len(got))
+	}
+	var fired uint64
+	for i, g := range golden {
+		want := got[i]
+		want.Jobs, want.Cells = g.Jobs, g.Cells
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("golden fixture swept different options than the test; regenerate with -update\nfixture: %+v\ntest:    %+v", g, want)
+		}
+		compareCells(t, got[i].Jobs, g.Jobs)
+		compareCells(t, got[i].Cells, g.Cells)
+		for _, j := range g.Jobs {
+			fired += j.Violations
+		}
+	}
+	if fired == 0 {
+		t.Error("no job in the fixture counts a violation; the golden cannot see the tracker's exact path")
+	}
 }

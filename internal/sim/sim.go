@@ -745,6 +745,7 @@ func (m *machine) foldObs() {
 	}
 	m.obs.Ticks = m.ticks
 	m.obs.EpochAdvances = m.tracker.epochAdvances()
+	m.obs.LiveDraws = m.tracker.liveDraws()
 	c := &m.rec.Counters
 	c.EngineCounters.Add(m.obs)
 	for _, mc := range m.mcs {

@@ -75,10 +75,6 @@ func (t *secTracker) reset(model *disturb.Model, hcBase, psi []float64, factor, 
 	t.acts = 0
 }
 
-func (t *secTracker) hcFirst(idx int) float32 {
-	return t.live.hcFirst(idx)
-}
-
 // startTemporal attaches a temporal process to the tracker's live view.
 // Must be called after reset, before the run starts.
 func (t *secTracker) startTemporal(proc temporal.Process, epochCycles uint64) {
@@ -88,6 +84,11 @@ func (t *secTracker) startTemporal(proc temporal.Process, epochCycles uint64) {
 // epochAdvances reports how many epoch edges the live view crossed this
 // run — the flight recorder's temporal counter (0 on static runs).
 func (t *secTracker) epochAdvances() uint64 { return t.live.advances }
+
+// liveDraws reports how many live thresholds the run drew from the
+// temporal process — comparisons the view's floor could not settle (0 on
+// static runs).
+func (t *secTracker) liveDraws() uint64 { return t.live.draws }
 
 // tickEpoch advances the live view to cycle's epoch; the engine loops
 // call it every ticked cycle (a single branch when static).
@@ -128,7 +129,7 @@ func (t *secTracker) OnPre(bank, row int, onCycles uint64) {
 		}
 		idx := base + v
 		acc := t.cur[idx] + float32(w*disturb.PressFactorFromBase(pressBase, t.psi[idx]))
-		if acc >= t.hcFirst(idx) {
+		if t.live.reached(idx, acc) {
 			t.Violations++
 			acc = 0 // count each crossing once; the row has flipped
 		}

@@ -47,19 +47,25 @@ func (v *calibrationView) hcFirst(idx int) float32 {
 // liveView is the ground-truth threshold table. epochLen == 0 means
 // static: the live view delegates straight to the calibration view and
 // touches nothing else (the pre-temporal hot path, bit- and
-// allocation-identical). With a process attached, hcFirst multiplies
-// the calibration threshold by the process factor for the current
-// epoch, memoized per row in an epoch-tagged paged table so pooled
-// temporal runs stay allocation-flat after warmup.
+// allocation-identical). With a process attached, a row's threshold is
+// its calibration value times the process factor for the current epoch
+// — but most accruals are nowhere near it, so reached bounds before it
+// draws: floor is the least factor any row can have this epoch, and an
+// accrual below calibration x floor is below the row's threshold
+// whatever the process drew for it. Only a row that reaches the floor
+// pays for its factor, memoized per row in an epoch-tagged paged table
+// so pooled temporal runs stay allocation-flat after warmup.
 type liveView struct {
 	calib calibrationView
 	rows  int // rows per bank: idx = bank*rows + row
 
 	proc     temporal.Process
-	epochLen uint64 // cycles per epoch; 0 = static (no process)
-	epoch    uint64 // current in-run epoch number
-	nextEdge uint64 // first cycle of the next epoch
-	advances uint64 // epoch edges crossed this run (flight-recorder counter)
+	epochLen uint64  // cycles per epoch; 0 = static (no process)
+	epoch    uint64  // current in-run epoch number
+	nextEdge uint64  // first cycle of the next epoch
+	floor    float64 // proc.FactorFloor(epoch): no row's factor is below it
+	advances uint64  // epoch edges crossed this run (flight-recorder counter)
+	draws    uint64  // thresholds drawn from the process this run (memo misses)
 
 	// memo caches the live threshold per row for the current epoch:
 	// (epoch+1)<<32 | float32bits(threshold). The tag makes stale
@@ -80,7 +86,9 @@ func (v *liveView) reset(hcBase []float64, factor float64, rows int) {
 	v.epochLen = 0
 	v.epoch = 0
 	v.nextEdge = ^uint64(0)
+	v.floor = 0
 	v.advances = 0
+	v.draws = 0
 	if v.memo != nil {
 		v.memo.Clear()
 	}
@@ -94,6 +102,7 @@ func (v *liveView) start(proc temporal.Process, epochCycles uint64, n int) {
 	v.epochLen = epochCycles
 	v.epoch = 0
 	v.nextEdge = epochCycles
+	v.floor = proc.FactorFloor(0)
 	if v.memo == nil {
 		v.memo = rowtab.New[uint64](int64(n))
 	} else {
@@ -103,13 +112,22 @@ func (v *liveView) start(proc temporal.Process, epochCycles uint64, n int) {
 
 // tickEpoch advances the view to cycle's epoch. Both engine loops call
 // it at the top of every ticked cycle; for static runs it is a single
-// predictable branch.
+// predictable branch (the edge itself is out of line so this inlines).
 func (v *liveView) tickEpoch(cycle uint64) {
-	for v.epochLen != 0 && cycle >= v.nextEdge {
+	if v.epochLen != 0 && cycle >= v.nextEdge {
+		v.crossEdge(cycle)
+	}
+}
+
+// crossEdge steps the epoch past every edge at or before cycle and
+// refreshes the floor for the epoch it lands in.
+func (v *liveView) crossEdge(cycle uint64) {
+	for cycle >= v.nextEdge {
 		v.epoch++
 		v.advances++
 		v.nextEdge += v.epochLen
 	}
+	v.floor = v.proc.FactorFloor(v.epoch)
 }
 
 // nextEvent returns the next epoch edge — the bound the event engine
@@ -117,16 +135,32 @@ func (v *liveView) tickEpoch(cycle uint64) {
 // epoch boundary (MaxUint64 when static).
 func (v *liveView) nextEvent() uint64 { return v.nextEdge }
 
-// hcFirst returns the live (ground-truth) threshold for idx at the
-// current epoch.
-func (v *liveView) hcFirst(idx int) float32 {
+// reached reports whether acc, the hammers idx has accrued, has reached
+// the row's live (ground-truth) threshold at the current epoch. The
+// exact comparison — against the memoized draw, or the calibration view
+// when static — is the only one that ever answers yes; the floor only
+// proves it unnecessary (rounding to float32 is monotone, so below
+// float32(calibration x floor) is below float32(calibration x factor)).
+// A floor too low to prove anything costs the draw, never the answer:
+// TestTrackerFloorMatchesExact runs a twin with its floor held at 0.
+func (v *liveView) reached(idx int, acc float32) bool {
 	if v.epochLen == 0 {
-		return v.calib.hcFirst(idx)
+		return acc >= v.calib.hcFirst(idx)
 	}
+	if acc < float32(v.calib.hcBase[idx]*v.calib.factor*v.floor) {
+		return false
+	}
+	return acc >= v.drawn(idx)
+}
+
+// drawn returns idx's live threshold at the current epoch: calibration
+// times the process factor, computed once per (row, epoch).
+func (v *liveView) drawn(idx int) float32 {
 	tag := (v.epoch + 1) << 32
 	if e := v.memo.Get(int64(idx)); e>>32 == v.epoch+1 {
 		return math.Float32frombits(uint32(e))
 	}
+	v.draws++
 	bank, row := idx/v.rows, idx%v.rows
 	h := float32(v.calib.hcBase[idx] * v.calib.factor * v.proc.Factor(bank, row, v.epoch))
 	if h <= 0 {

@@ -31,3 +31,23 @@ func FuzzParseSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFactorFloor: for any spec Validate admits and any (seed, bank,
+// row, epoch), the row's factor is not below the process's floor —
+// TestFactorFloorIsALowerBound's property off its grid.
+func FuzzFactorFloor(f *testing.F) {
+	f.Add(-0.01, 0.02, 0.0, 0.0, uint64(0), uint64(1), uint32(3), uint32(1999), uint16(5))
+	f.Add(-0.05, 0.1, 0.01, 0.5, uint64(64), uint64(1), uint32(0), uint32(0), uint16(40))
+	f.Add(8.0, 8.0, 1.0, 1e-6, uint64(10_000), uint64(7), uint32(31), uint32(131071), uint16(256))
+	f.Add(-8.0, 0.0, 0.0, 0.0, uint64(1)<<63, uint64(9), uint32(1), uint32(1), uint16(1))
+	f.Add(0.7, 0.0816, 0.3, 1e-300, uint64(3), uint64(11), uint32(2), uint32(77), uint16(1023))
+	f.Fuzz(func(t *testing.T, drift, sigma, dipP, dipFactor float64, age, seed uint64, bank, row uint32, epoch uint16) {
+		spec := Spec{EpochCycles: 1, Drift: drift, Sigma: sigma, DipP: dipP, DipFactor: dipFactor, AgeEpochs: age}
+		if spec.Validate() != nil {
+			return
+		}
+		// Factor walks the epochs one by one; 1024 keeps an execution in
+		// microseconds.
+		checkFloor(t, NewProcess(spec, seed), int(bank), int(row), uint64(epoch%1024))
+	})
+}

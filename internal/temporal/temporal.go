@@ -238,9 +238,11 @@ func (p Process) Spec() Spec { return p.spec }
 // where walk(A) ~ N(Drift*A, Sigma^2*A) is the closed-form accumulated
 // pre-run walk, each step_e ~ N(Drift, Sigma^2) is an independent
 // coordinate-hashed draw, and dip_e multiplies by DipFactor with
-// probability DipP for exactly that epoch. Cost is O(epoch) — callers
-// that consult a row repeatedly within one epoch memoize (see
-// internal/sim's live view).
+// probability DipP for exactly that epoch. Cost is O(epoch) per call.
+// internal/sim's live view keeps that off the hot path in two steps: it
+// first tests a row's accrual against FactorFloor — one value per epoch,
+// no draw — and only a row that reaches it pays for a Factor, memoized
+// for the rest of the epoch.
 func (p Process) Factor(bank, row int, epoch uint64) float64 {
 	s := p.spec
 	logf := 0.0
@@ -257,3 +259,46 @@ func (p Process) Factor(bank, row int, epoch uint64) float64 {
 	}
 	return f
 }
+
+// FactorFloor returns a value no row's Factor is below at in-run epoch
+// `epoch`: whatever (bank, row) drew, Factor(bank, row, epoch) >=
+// FactorFloor(epoch). A caller comparing against calibration x Factor
+// can settle "not reached" against calibration x FactorFloor without
+// drawing (internal/sim's security tracker does).
+//
+// It is Factor's law with every random term at its worst: the drift
+// exactly, the age draw and each of the epoch's steps at
+// -rng.NormalAtBound, the dip taken whenever the spec has one:
+//
+//	log F >= Drift*(A+n) - Sigma*NormalAtBound*(sqrt(A)+n)
+//
+// less a slack for the roundings of Factor's own n+1-term sum — at most
+// (n+O(1))*2^-53 of the terms' total magnitude T; the floor gives up
+// 2^-40 of (1+T) per term, thousands of times that, the 1 covering the
+// two exps. TestFactorFloorIsALowerBound and FuzzFactorFloor hold it to
+// Factor over everything Validate admits.
+//
+// The floor decays like exp(-(|Drift| + 8.57*Sigma)*epoch): a process
+// with a large Sigma, or a run many epochs long, gets a floor too low to
+// settle anything (0 once it leaves the normal range, where exp's
+// rounding is no longer relative) and every comparison pays for Factor
+// again — slower, never different.
+func (p Process) FactorFloor(epoch uint64) float64 {
+	s := p.spec
+	a, n := float64(s.AgeEpochs), float64(epoch)
+	reach := s.Sigma * rng.NormalAtBound * (math.Sqrt(a) + n)
+	drift := s.Drift * (a + n)
+	logf := drift - reach - (n+16)*0x1p-40*(1+math.Abs(drift)+reach)
+	if logf < minNormalLog {
+		return 0
+	}
+	f := math.Exp(logf)
+	if s.DipP > 0 {
+		f *= s.DipFactor
+	}
+	return f
+}
+
+// minNormalLog is just above ln(2^-1022): exp of anything not below it
+// is a normal float64.
+const minNormalLog = -708

@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 
 	"svard/internal/rng"
@@ -28,8 +29,15 @@ type Workload struct {
 // memory-intensive members of each suite with parameters reflecting
 // their published memory characters (streaming for lbm/MediaBench,
 // pointer-chasing for mcf/omnetpp, zipfian reuse for YCSB, scan/join
-// mixes for TPC).
-func Catalog() []Workload {
+// mixes for TPC). The caller owns the returned slice.
+func Catalog() []Workload { return slices.Clone(catalog) }
+
+// catalog is the pool itself, built once: ByName runs per core per
+// simulated cell, and a catalog rebuilt per lookup was three quarters of
+// the bytes a pooled cell allocates.
+var catalog = buildCatalog()
+
+func buildCatalog() []Workload {
 	MB := uint64(1 << 20)
 	return []Workload{
 		// SPEC CPU2006.
@@ -69,7 +77,7 @@ func Catalog() []Workload {
 
 // ByName returns the catalog workload with the given name.
 func ByName(name string) (Workload, bool) {
-	for _, w := range Catalog() {
+	for _, w := range catalog {
 		if w.Name == name {
 			return w, true
 		}
@@ -80,7 +88,7 @@ func ByName(name string) (Workload, bool) {
 // Mixes draws n 8-core mixes from the catalog (the paper draws 120),
 // deterministically from seed.
 func Mixes(n, cores int, seed uint64) [][]string {
-	cat := Catalog()
+	cat := catalog
 	r := rng.At(seed, 0x3713E5)
 	mixes := make([][]string, n)
 	for i := range mixes {
