@@ -17,9 +17,6 @@ package cache
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -468,56 +465,6 @@ func (s *Store) remember(key string, res sim.Result) {
 	}
 }
 
-// envelope is the on-disk format, shared verbatim with the remote
-// object-store wire (client.CacheRemote ships and verifies the same
-// bytes). Schema, Key, and Sum are verified on load so a file that was
-// truncated, hand-edited, bit-flipped, or written by an incompatible
-// simulator version registers as corrupt and is recomputed.
-type envelope struct {
-	Schema string     `json:"schema"`
-	Key    string     `json:"key"`
-	Sum    string     `json:"sum"` // resultSum over the canonical Result JSON
-	Result sim.Result `json:"result"`
-}
-
-// resultSum is the entry's integrity checksum: a hex SHA-256 over the
-// result's canonical JSON bytes. The key cannot play this role — it
-// hashes the *configuration* — so without a content sum a torn or
-// bit-flipped entry that still parses as JSON would read back as valid.
-func resultSum(res sim.Result) string {
-	b, err := json.Marshal(res)
-	if err != nil {
-		// sim.Result is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("cache: result sum: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// Seal wraps a result in its canonical wire envelope (the exact bytes
-// persist writes and the remote object store serves).
-func Seal(key string, res sim.Result) ([]byte, error) {
-	return json.Marshal(envelope{Schema: SchemaVersion, Key: key, Sum: resultSum(res), Result: res})
-}
-
-// OpenEnvelope parses and integrity-checks one wire envelope against the
-// key it was requested under: schema, key, and content sum must all
-// match. It is the single verification path for both disk reads and
-// remote responses.
-func OpenEnvelope(key string, b []byte) (sim.Result, error) {
-	var env envelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return sim.Result{}, fmt.Errorf("cache: entry %s: %w", key, err)
-	}
-	if env.Schema != SchemaVersion || env.Key != key {
-		return sim.Result{}, fmt.Errorf("cache: entry %s: schema %q key %q mismatch", key, env.Schema, env.Key)
-	}
-	if sum := resultSum(env.Result); env.Sum != sum {
-		return sim.Result{}, fmt.Errorf("cache: entry %s: content sum %q, want %q", key, env.Sum, sum)
-	}
-	return env.Result, nil
-}
-
 // path shards entries by the first byte of the key so no single
 // directory accumulates a paper-scale campaign's worth of files.
 func (s *Store) path(key string) string {
@@ -605,8 +552,8 @@ func (s *Store) persist(key string, res sim.Result) {
 // best-effort (same swallowed-write policy as persist). Only the exact
 // key shape Key produces is accepted.
 func (s *Store) Put(key string, res sim.Result) error {
-	if !WellFormedKey(key) {
-		return fmt.Errorf("cache: malformed key %q: want 64 lowercase hex chars", key)
+	if err := checkKey(key); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.remember(key, res)
@@ -621,15 +568,16 @@ func (s *Store) Put(key string, res sim.Result) error {
 // endpoint, the fabric's object store) checks it first — an unvalidated
 // key could otherwise traverse out of the cache directory.
 func WellFormedKey(key string) bool {
-	if len(key) != 64 {
-		return false
+	return len(key) == hexLen && lowerHex(key)
+}
+
+// checkKey is WellFormedKey as the error every call that refuses a key
+// returns.
+func checkKey(key string) error {
+	if !WellFormedKey(key) {
+		return fmt.Errorf("cache: malformed key %q: want 64 lowercase hex chars", key)
 	}
-	for _, c := range key {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // isCancellation reports whether err stems from a cancelled or expired

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -45,6 +47,47 @@ func FuzzOpenEnvelope(f *testing.F) {
 		if !reflect.DeepEqual(back, res) {
 			t.Fatalf("re-sealed envelope opens to a different result:\ngot  %+v\nwant %+v", back, res)
 		}
+	})
+}
+
+// FuzzResultPlan holds the envelope to encoding/json from both ends.
+// Whatever result bytes the decode plan accepts — framed with their own
+// sum, so only the decoder decides — json.Unmarshal accepts too and
+// decodes to a DeepEqual Result, and Seal writes those very bytes back:
+// the plan accepts the encoder's output and nothing else. And for any
+// Result (shape seeds randomize; bits becomes the first IPC entry), Seal
+// writes the reference's bytes and both openers return the result.
+func FuzzResultPlan(f *testing.F) {
+	key := Key(testCfg(112))
+	res, _ := fakeCompute(nil)(testCfg(112))
+	canonical, err := json.Marshal(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(canonical, int64(0), math.Float64bits(0.5))
+	f.Add(bytes.Replace(canonical, []byte(`"IPC":[`), []byte(`"IPC":[-0,1e-7,1e+21,5e-324,`), 1), int64(21), math.Float64bits(math.Copysign(0, -1)))
+	f.Add(bytes.Replace(canonical, []byte(`"Cycles":`), []byte(`"Cycles": `), 1), int64(-3), math.Float64bits(1e21))
+	f.Add([]byte(`{"IPC":null}`), int64(7), math.Float64bits(math.NaN()))
+	f.Fuzz(func(t *testing.T, r []byte, shape int64, bits uint64) {
+		b := frame(key, r)
+		if got, err := OpenEnvelope(key, b); err == nil {
+			var want sim.Result
+			if err := json.Unmarshal(r, &want); err != nil {
+				t.Fatalf("the plan accepts %q, json.Unmarshal refuses it: %v", r, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q decodes to\n%+v by the plan,\n%+v by json.Unmarshal", r, got, want)
+			}
+			if again, err := Seal(key, got); err != nil || !bytes.Equal(again, b) {
+				t.Fatalf("the plan accepts %q, which Seal does not write (%v):\n%s", r, err, again)
+			}
+		}
+		var res sim.Result
+		randomize(rand.New(rand.NewSource(shape)), reflect.ValueOf(&res).Elem())
+		if len(res.IPC) > 0 {
+			res.IPC[0] = math.Float64frombits(bits)
+		}
+		checkSealAgainstReference(t, key, res)
 	})
 }
 

@@ -108,6 +108,15 @@ const (
 	maxCores    = 1024
 )
 
+// maxCells caps how many cells one campaign expands to. A spec's axes
+// multiply (population size × mixes × nRHs × defenses × profiles ×
+// backends, or × intervals) and the expansion costs ~300 bytes a cell, so
+// the product is checked before anything expands. 2^19 = 524 288 is 20
+// times a paper-scale Fig. 12 (120 mixes: 25 560 cells with baselines)
+// and holds a 1000-chip population over the default grid (284 000); a
+// larger sweep splits into campaigns that share the result cache.
+const maxCells = 1 << 19
+
 // checkDraw rejects a spec whose mixes cannot or should not be drawn.
 func (s Spec) checkDraw() error {
 	if s.Base.Cores < 1 || s.Base.Cores > maxCores {
@@ -234,10 +243,48 @@ func (s Spec) validate() error {
 			return fmt.Errorf("campaign: temporal campaigns attach the process themselves; base.Temporal must be unset")
 		}
 	}
+	if n := s.cells(); n > maxCells {
+		return fmt.Errorf("campaign: spec expands to %.4g cells, over the limit of %d; split it into campaigns (they share the result cache)", n, maxCells)
+	}
 	return nil
 }
 
 func (s Spec) has(figure string) bool { return slices.Contains(s.Figures, figure) }
+
+// cells is the number of jobs the (normalized) spec expands to — the
+// product of its axes, counted the way the sweeps' expansions count them
+// (TestPlan holds it to them) — as a float, so absurd axes saturate
+// instead of wrapping.
+func (s Spec) cells() float64 {
+	axis := func(listed, dflt int) float64 {
+		if listed == 0 {
+			return float64(dflt)
+		}
+		return float64(listed)
+	}
+	mixes := float64(len(s.Mixes))
+	profiles := axis(len(s.Profiles), len(profile.RepresentativeLabels()))
+	backends := axis(len(s.Backends), 1)
+	// One (defense, nRH, ±Svärd, mix) grid; a Fig. 12 module adds a
+	// defense-free baseline per mix.
+	grid := axis(len(s.Defenses), len(sim.DefenseNames)) * axis(len(s.NRHs), len(sim.DefaultNRHs())) * 2 * mixes
+	var n float64
+	if s.has(Fig12) {
+		switch {
+		case s.Population != nil:
+			n += float64(s.Population.Size) * (mixes + grid)
+		case s.Temporal != nil:
+			n += float64(1+len(s.Temporal.Intervals)) * grid
+		default:
+			n += backends * profiles * (mixes + grid)
+		}
+	}
+	if s.has(Fig13) {
+		// Per backend and attacked defense: a baseline, NoSvärd, one Svärd per profile.
+		n += backends * float64(len(trace.AttackTargets)) * (2 + profiles)
+	}
+	return n
+}
 
 // experiment is one figure of a campaign: how to enumerate its cells and
 // how to run them and fold the figure into the Outcome. Everything that

@@ -250,6 +250,9 @@ var brokenSpecs = map[string]rejection{
 	"zero-cores":     {func(s *Spec) { s.Base.Cores = 0; s.Mixes = [][]string{{}} }, `campaign: base config: Cores is 0, want 1..1024`},
 	"absurd-cores":   {func(s *Spec) { s.Base.Cores = 1 << 30; s.Mixes = nil }, `campaign: base config: Cores is 1073741824, want 1..1024`},
 	"absurd-mixes":   {func(s *Spec) { s.MixCount = 1 << 30; s.Mixes = nil }, `campaign: mix_count is 1073741824, want at most 1024 (the paper draws 120)`},
+	// One cell over the cap (fig12: 1 + 2^18*2, fig13: 6), refused before
+	// the grid expands.
+	"too-many-cells": {func(s *Spec) { s.NRHs = make([]float64, 1<<18) }, `campaign: spec expands to 5.243e+05 cells, over the limit of 524288; split it into campaigns (they share the result cache)`},
 }
 
 // checkRejections breaks a fresh valid spec every way the table lists and
@@ -443,6 +446,7 @@ var brokenPopulationSpecs = map[string]rejection{
 	"with-profiles":  {func(s *Spec) { s.Profiles = []string{"S0"} }, `campaign: population and profiles are mutually exclusive (the population IS the profile axis)`},
 	"with-backends":  {func(s *Spec) { s.Backends = []string{"hbm2"} }, `campaign: population campaigns sweep one backend; set base.backend instead of backends`},
 	"default-figure": {func(s *Spec) { s.Figures = nil }, dropFig13Population}, // normalizes to both -> fig13 conflict
+	"absurd-size":    {func(s *Spec) { s.Population.Size = 1 << 40 }, `campaign: spec expands to 3.299e+12 cells, over the limit of 524288; split it into campaigns (they share the result cache)`},
 }
 
 // TestPopulationFingerprintNeutral: the Population field must be

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"svard/internal/cache"
-	"svard/internal/sim"
 )
 
 var journalKeyLine = regexp.MustCompile(`^[0-9a-f]{64}$`)
@@ -73,16 +72,12 @@ func FuzzSpecPlan(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"base":{"Cores":-1}}`))                          // panicked in the mix draw (makeslice)
 	f.Add([]byte(`{"base":{"Cores":2},"mix_count":1099511627776}`)) // drew 2^40 mixes before validating
+	// Expanded all 2^40 modules before the product of the axes was capped.
+	f.Add([]byte(`{"base":{"Cores":2},"figures":["fig12"],"population":{"seed":1,"size":1099511627776}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var spec Spec
 		if json.Unmarshal(b, &spec) != nil {
 			return
-		}
-		// Planning costs what the expansion costs, and nothing caps the
-		// product of a spec's axes; keep the fuzzer on specs that plan in
-		// milliseconds, where the decisions are.
-		if gridBound(spec) > 1<<12 {
-			t.Skip("expansion too large for a fuzz iteration")
 		}
 		plan, err := spec.Plan()
 		if err != nil {
@@ -106,29 +101,4 @@ func FuzzSpecPlan(f *testing.F) {
 			}
 		}
 	})
-}
-
-// gridBound is roughly how many Fig. 12 cells spec expands to if the
-// planner accepts it (Fig. 13 adds a handful per profile and backend) —
-// a float, so that absurd axes saturate instead of wrapping.
-func gridBound(s Spec) float64 {
-	axis := func(listed, dflt int) float64 {
-		if listed == 0 {
-			return float64(dflt)
-		}
-		return float64(listed)
-	}
-	drawn := s.MixCount
-	if drawn <= 0 || drawn > maxMixCount { // over the limit is refused before anything expands
-		drawn = 4
-	}
-	cells := axis(len(s.Mixes), drawn) * axis(len(s.NRHs), len(sim.DefaultNRHs())) *
-		axis(len(s.Defenses), len(sim.DefenseNames)) * axis(len(s.Profiles), 3) * axis(len(s.Backends), 1)
-	if s.Population != nil {
-		cells *= float64(s.Population.Size)
-	}
-	if s.Temporal != nil {
-		cells *= axis(len(s.Temporal.Intervals), len(sim.DefaultErosionIntervals())) + 1
-	}
-	return cells
 }

@@ -16,7 +16,8 @@ import (
 // here straight from internal/sim, so "what the plan sized and journaled"
 // cannot drift from "what the sweep runs"), its spec is the normalized
 // spec, its fingerprint is the spec's, the frozen readers agree with it,
-// and planning a plan's spec again changes nothing. Every spec the
+// planning a plan's spec again changes nothing, and the count the
+// expansion cap checks is the plan's length. Every spec the
 // Validate tests reject is rejected by Plan with the same message.
 func TestPlan(t *testing.T) {
 	golden, _ := goldenSpec(t)
@@ -36,6 +37,8 @@ func TestPlan(t *testing.T) {
 	twoBackends.Backends = []string{"ddr4-3200", "hbm2"}
 	bothFigures := tinySpec()
 	bothFigures.Figures = nil // the default: fig12 then fig13
+	defaults := bothFigures
+	defaults.NRHs, defaults.Defenses, defaults.Profiles = nil, nil, nil
 	pop, erosion := tinyPopulationSpec(), tinyTemporalSpec()
 
 	for _, tc := range []struct {
@@ -47,6 +50,8 @@ func TestPlan(t *testing.T) {
 		{"multi-backend", twoBackends, fig12(twoBackends)},
 		{"fig13", bothFigures, append(fig12(bothFigures), must(sim.Fig13Jobs(sim.Fig13Options{
 			Base: bothFigures.Base, Benign: bothFigures.Benign, Profiles: bothFigures.Profiles}))...)},
+		{"defaults", defaults, append(fig12(defaults), must(sim.Fig13Jobs(sim.Fig13Options{
+			Base: defaults.Base, Benign: defaults.Benign}))...)},
 		{"population", pop, must(sim.PopulationJobs(sim.PopulationOptions{
 			Base: pop.Base, Population: population.Ref{Seed: pop.Population.Seed, Size: pop.Population.Size},
 			Mixes: pop.Mixes, NRHs: pop.NRHs, Defenses: pop.Defenses}))},
@@ -61,6 +66,9 @@ func TestPlan(t *testing.T) {
 			}
 			if !reflect.DeepEqual(plan.Jobs, tc.want) {
 				t.Errorf("plan lists %d jobs, the sweeps expand to %d (or they differ in content)", len(plan.Jobs), len(tc.want))
+			}
+			if n := plan.Spec.cells(); n != float64(len(plan.Jobs)) {
+				t.Errorf("the expansion cap counts %v cells, the plan lists %d", n, len(plan.Jobs))
 			}
 			if jobs := must(tc.spec.Jobs()); !reflect.DeepEqual(jobs, plan.Jobs) {
 				t.Error("Spec.Jobs disagrees with the plan")

@@ -409,6 +409,66 @@ func TestStoreWithCacheRemoteEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCacheRemoteRefusesOversizedObject: a GET reply is held to the bound
+// the object PUT enforces. A remote serving a 2 MiB envelope — well
+// formed, correctly summed, over the bound — is a corrupt remote object:
+// one remote error, no refetch, the cell computes locally, and nothing
+// the remote sent reaches the local store.
+func TestCacheRemoteRefusesOversizedObject(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	key := cache.Key(cfg)
+	big := sim.Result{IPC: make([]float64, 180_000), Finished: true}
+	for i := range big.IPC {
+		big.IPC[i] = 0.123456789
+	}
+	sealed, err := cache.Seal(key, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) < 2<<20 {
+		t.Fatalf("test setup: envelope is %d bytes, want at least 2 MiB", len(sealed))
+	}
+	var gets atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			gets.Add(1)
+			w.Write(sealed)
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer srv.Close()
+
+	dir := t.TempDir()
+	s, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRemote(NewCacheRemote(srv.URL, fastPolicy()), 0)
+	local := sim.Result{IPC: []float64{1.5}, Cycles: 9, Finished: true}
+	got, _, err := s.GetOrCompute(cfg, func(sim.Config) (sim.Result, error) { return local, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.IPC) != 1 || got.Cycles != local.Cycles {
+		t.Fatalf("served %d IPC entries, cycles %d; want the local compute", len(got.IPC), got.Cycles)
+	}
+	if st := s.Stats(); st.RemoteErrors != 1 || st.RemoteHits != 0 || st.Misses != 1 || st.Writes != 1 {
+		t.Errorf("stats = %v, want one remote error, one local compute, one write", st)
+	}
+	if n := gets.Load(); n != 1 {
+		t.Errorf("oversized object fetched %d times, want 1 (no retry)", n)
+	}
+	reopened, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, ok := reopened.Get(key); !ok || len(stored.IPC) != 1 || stored.Cycles != local.Cycles {
+		t.Errorf("stored entry has %d IPC entries (found %v), want the local result", len(stored.IPC), ok)
+	}
+}
+
 // TestRemoteMissReusesConnection: a cold campaign asks the object store
 // for every cell before computing it, so a miss is the store's most
 // common reply. Each one used to cost a TCP connection — Get returned on

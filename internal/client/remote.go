@@ -77,9 +77,14 @@ func (r *CacheRemote) Get(ctx context.Context, key string) (sim.Result, bool, er
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
 			return decodeError(resp)
 		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		// Read one byte past the bound the object PUT enforces, so an
+		// over-long reply is refused whole instead of cut to a prefix.
+		b, err := io.ReadAll(io.LimitReader(resp.Body, cache.MaxEnvelopeBytes+1))
 		if err != nil {
 			return fmt.Errorf("remote cache: reading object %s: %w", key[:8], err)
+		}
+		if len(b) > cache.MaxEnvelopeBytes {
+			return errNoRetry(fmt.Errorf("remote cache: object %s is over %d bytes (refusing corrupt remote object)", key[:8], cache.MaxEnvelopeBytes))
 		}
 		got, err := cache.OpenEnvelope(key, b)
 		if err != nil {

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"svard/internal/cache"
 )
 
 // Agent is the worker-side fabric loop a svard-served process runs
@@ -158,7 +160,9 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // --- shared HTTP helpers ---------------------------------------------
 
-const maxBody = 1 << 20 // caps every request body read (a sealed envelope is < 2 KiB)
+// maxBody caps every request body read: an object PUT carries one
+// envelope, and no registration or heartbeat comes near that bound.
+const maxBody = cache.MaxEnvelopeBytes
 
 // decodeJSON decodes r's capped JSON body into out, or answers
 // writeBodyError and returns false.

@@ -380,8 +380,8 @@ type CellSummary struct {
 // same lane. Cells come back in timeline order.
 func (f *File) CellSummaries() []CellSummary {
 	type laneCell struct {
-		idx      int
-		ts, dur  float64
+		idx     int
+		ts, dur float64
 	}
 	var out []CellSummary
 	lanes := map[int][]laneCell{}
@@ -419,18 +419,38 @@ func (f *File) CellSummaries() []CellSummary {
 		lanes[e.Tid] = append(lanes[e.Tid], laneCell{idx: len(out), ts: e.Ts, dur: e.Dur})
 		out = append(out, cs)
 	}
+	// Per lane, cells by start, each with the furthest reach (end plus the
+	// round-off guard) of any cell starting no later. Walking back from the
+	// last cell that starts at or before a phase can stop once nothing
+	// earlier reaches the phase's end, so on a lane of disjoint cells a
+	// phase costs a binary search, not a scan of the lane.
+	reach := map[int][]float64{}
+	for tid, lcs := range lanes {
+		sort.SliceStable(lcs, func(a, b int) bool { return lcs[a].ts < lcs[b].ts })
+		r := make([]float64, len(lcs))
+		for k, lc := range lcs {
+			r[k] = lc.ts + lc.dur + 1e-6
+			if k > 0 && r[k-1] > r[k] {
+				r[k] = r[k-1]
+			}
+		}
+		reach[tid] = r
+	}
 	for _, e := range f.TraceEvents {
 		if e.Ph != "X" || e.Cat != "phase" {
 			continue
 		}
-		// Attribute to the tightest containing cell on the lane.
+		// Attribute to the tightest containing cell on the lane, the first
+		// listed among equally tight ones.
+		lcs, r := lanes[e.Tid], reach[e.Tid]
+		end := e.Ts + e.Dur
 		best := -1
 		bestDur := 0.0
-		for _, lc := range lanes[e.Tid] {
-			if e.Ts >= lc.ts-1e-6 && e.Ts+e.Dur <= lc.ts+lc.dur+1e-6 {
-				if best == -1 || lc.dur < bestDur {
-					best, bestDur = lc.idx, lc.dur
-				}
+		k := sort.Search(len(lcs), func(k int) bool { return e.Ts < lcs[k].ts-1e-6 }) - 1
+		for ; k >= 0 && r[k] >= end; k-- {
+			lc := lcs[k]
+			if end <= lc.ts+lc.dur+1e-6 && (best == -1 || lc.dur < bestDur || lc.dur == bestDur && lc.idx < best) {
+				best, bestDur = lc.idx, lc.dur
 			}
 		}
 		if best >= 0 {

@@ -748,12 +748,15 @@ func TestAPIErrors(t *testing.T) {
 	// The two numbers that size the default mix draw are checked before
 	// anything is drawn: `{"base":{"Cores":-1}}` used to panic the handler
 	// (makeslice) and a huge mix_count to allocate whatever it asked for.
+	// So is the product of the axes: a huge population used to expand.
 	for _, tc := range []struct {
 		spec campaign.Spec
 		want string
 	}{
 		{campaign.Spec{Base: sim.Config{Cores: -1}}, "Cores is -1"},
 		{campaign.Spec{Base: tinySpec().Base, MixCount: 1 << 30}, "mix_count is 1073741824"},
+		{campaign.Spec{Base: tinySpec().Base, Figures: []string{campaign.Fig12},
+			Population: &campaign.PopulationSpec{Seed: 1, Size: 1 << 40}}, "over the limit of 524288"},
 	} {
 		if _, err := c.Submit(ctx, tc.spec, "undrawable", 0); err == nil ||
 			!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.want) {
