@@ -98,12 +98,12 @@ func main() {
 		}
 	}
 
-	// The resilient client retries transient failures (5xx, dropped
-	// connections) with jittered backoff and breaks the circuit on a
-	// persistently dead endpoint — a CI worker restart mid-smoke is a
-	// retry, not a red build. Wait additionally reconnects the event
-	// stream from the last seen offset on its own.
-	c := client.NewResilient(*addr, client.Policy{})
+	// The retry policy rides out transient failures (5xx, dropped
+	// connections) with jittered backoff — a CI worker restart mid-smoke
+	// is a retry, not a red build. Wait reconnects the event stream from
+	// the last seen offset under the same policy's backoff.
+	c := client.New(*addr)
+	c.Retry = &client.Policy{}
 	if err := c.Health(ctx); err != nil {
 		fatal(fmt.Errorf("service not reachable at %s: %w", *addr, err))
 	}

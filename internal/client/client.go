@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,11 +36,9 @@ type Client struct {
 	// Retry, when set, retries failed unary calls (not Events streams —
 	// Wait owns stream reconnection) under the policy's attempt bound,
 	// per-attempt timeouts, and jittered backoff. Nil means one attempt.
+	// Wait paces its reconnects with the same policy's backoff (nil: the
+	// zero Policy's defaults).
 	Retry *Policy
-	// Breaker, when set, fail-fasts unary calls against an endpoint
-	// that keeps failing (one breaker per Client = per endpoint). Nil
-	// means no breaking.
-	Breaker *Breaker
 
 	retrySeq atomic.Uint64 // jitter-draw counter shared across calls
 }
@@ -49,16 +46,6 @@ type Client struct {
 // New returns a client for the service at baseURL.
 func New(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
-}
-
-// NewResilient returns a client with retry policy p and a default
-// circuit breaker — the configuration fabric coordinators use per
-// worker endpoint.
-func NewResilient(baseURL string, p Policy) *Client {
-	c := New(baseURL)
-	c.Retry = &p
-	c.Breaker = &Breaker{}
-	return c
 }
 
 func (c *Client) http() *http.Client {
@@ -71,7 +58,7 @@ func (c *Client) http() *http.Client {
 // Submit enqueues a campaign and returns the queued job.
 func (c *Client) Submit(ctx context.Context, spec campaign.Spec, name string, priority int) (server.JobInfo, error) {
 	var info server.JobInfo
-	err := c.call(ctx, http.MethodPost, "/api/v1/jobs", server.SubmitRequest{
+	err := c.Call(ctx, http.MethodPost, "/api/v1/jobs", server.SubmitRequest{
 		Name: name, Priority: priority, Spec: spec,
 	}, &info)
 	return info, err
@@ -80,14 +67,14 @@ func (c *Client) Submit(ctx context.Context, spec campaign.Spec, name string, pr
 // Job fetches one job's state.
 func (c *Client) Job(ctx context.Context, id string) (server.JobInfo, error) {
 	var info server.JobInfo
-	err := c.call(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id), nil, &info)
+	err := c.Call(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id), nil, &info)
 	return info, err
 }
 
 // Jobs lists every job the service knows, in submission order.
 func (c *Client) Jobs(ctx context.Context) ([]server.JobInfo, error) {
 	var infos []server.JobInfo
-	err := c.call(ctx, http.MethodGet, "/api/v1/jobs", nil, &infos)
+	err := c.Call(ctx, http.MethodGet, "/api/v1/jobs", nil, &infos)
 	return infos, err
 }
 
@@ -99,7 +86,7 @@ func (c *Client) Cancel(ctx context.Context, id, reason string) (server.JobInfo,
 		p += "?reason=" + url.QueryEscape(reason)
 	}
 	var info server.JobInfo
-	err := c.call(ctx, http.MethodPost, p, nil, &info)
+	err := c.Call(ctx, http.MethodPost, p, nil, &info)
 	return info, err
 }
 
@@ -107,7 +94,7 @@ func (c *Client) Cancel(ctx context.Context, id, reason string) (server.JobInfo,
 // done yet returns an error carrying the server's state message.
 func (c *Client) Result(ctx context.Context, id string) (server.ResultResponse, error) {
 	var res server.ResultResponse
-	err := c.call(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id)+"/result", nil, &res)
+	err := c.Call(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id)+"/result", nil, &res)
 	return res, err
 }
 
@@ -115,7 +102,7 @@ func (c *Client) Result(ctx context.Context, id string) (server.ResultResponse, 
 // (cache.Key(cfg) derives it).
 func (c *Client) Cell(ctx context.Context, key string) (sim.Result, error) {
 	var res server.CellResponse
-	err := c.call(ctx, http.MethodGet, "/api/v1/cells/"+url.PathEscape(key), nil, &res)
+	err := c.Call(ctx, http.MethodGet, "/api/v1/cells/"+url.PathEscape(key), nil, &res)
 	return res.Result, err
 }
 
@@ -125,13 +112,13 @@ func (c *Client) Cell(ctx context.Context, key string) (sim.Result, error) {
 // computes each batch through its shared slots and cache.
 func (c *Client) Compute(ctx context.Context, cfgs []sim.Config) (server.ComputeResponse, error) {
 	var resp server.ComputeResponse
-	err := c.call(ctx, http.MethodPost, "/api/v1/compute", server.ComputeRequest{Configs: cfgs}, &resp)
+	err := c.Call(ctx, http.MethodPost, "/api/v1/compute", server.ComputeRequest{Configs: cfgs}, &resp)
 	return resp, err
 }
 
 // Health probes /healthz.
 func (c *Client) Health(ctx context.Context) error {
-	return c.call(ctx, http.MethodGet, "/healthz", nil, &struct {
+	return c.Call(ctx, http.MethodGet, "/healthz", nil, &struct {
 		Status string `json:"status"`
 	}{})
 }
@@ -183,8 +170,13 @@ func (c *Client) Events(ctx context.Context, id string, from int, fn func(server
 // wait; a severed connection does not, because the job keeps running
 // server-side regardless of our socket.
 func (c *Client) Wait(ctx context.Context, id string, fn func(server.Event) error) (server.JobInfo, error) {
+	var p Policy
+	if c.Retry != nil {
+		p = *c.Retry
+	}
+	p = p.withDefaults()
 	from := 0
-	idle := 0 // consecutive reconnects that yielded no events
+	var pause time.Duration // the last reconnect pause; 0 after progress
 	for {
 		var cbErr error
 		progressed := false
@@ -218,46 +210,28 @@ func (c *Client) Wait(ctx context.Context, id string, fn func(server.Event) erro
 		if info.State.Terminal() {
 			return info, nil
 		}
-		// Still running: reconnect from the last seen event, backing
-		// off while reconnects yield nothing so a flapping stream does
-		// not hammer a recovering daemon. Any received event resets
-		// the pace to the floor.
+		// Still running: reconnect from the last seen event under the
+		// policy's backoff, which grows while reconnects yield nothing
+		// so a flapping stream does not hammer a recovering daemon. Any
+		// received event resets the pace to the floor.
 		if progressed {
-			idle = 0
-		} else {
-			idle++
+			pause = 0
 		}
+		pause = p.backoff(pause, c.retrySeq.Add(1))
 		select {
 		case <-ctx.Done():
 			return info, context.Cause(ctx)
-		case <-time.After(waitDelay(idle)):
+		case <-time.After(pause):
 		}
 	}
 }
 
-// Wait's reconnect pacing: exponential from the floor while the stream
-// yields nothing, capped so a long outage still polls.
-const (
-	waitBaseDelay = 100 * time.Millisecond
-	waitMaxDelay  = 3 * time.Second
-)
-
-// waitDelay is the reconnect pause after `idle` consecutive
-// event-free reconnects (0 means the last stream made progress).
-func waitDelay(idle int) time.Duration {
-	d := waitBaseDelay
-	for i := 0; i < idle && d < waitMaxDelay; i++ {
-		d *= 2
-	}
-	if d > waitMaxDelay {
-		d = waitMaxDelay
-	}
-	return d
-}
-
-// call performs a JSON request/response round-trip, retried under
-// c.Retry and gated by c.Breaker when those are configured.
-func (c *Client) call(ctx context.Context, method, path string, body, out any) error {
+// Call performs one JSON request/response round-trip against path
+// (relative to BaseURL): body, when non-nil, is sent as JSON, and a 2xx
+// reply is decoded into out (nil: read and discarded). It is retried
+// under c.Retry when set; a non-2xx reply is an *APIError. Every unary
+// method above is a Call.
+func (c *Client) Call(ctx context.Context, method, path string, body, out any) error {
 	var b []byte
 	if body != nil {
 		var err error
@@ -266,16 +240,7 @@ func (c *Client) call(ctx context.Context, method, path string, body, out any) e
 		}
 	}
 	attempt := func(actx context.Context) error {
-		if c.Breaker != nil {
-			if err := c.Breaker.Allow(); err != nil {
-				return err
-			}
-		}
-		err := c.once(actx, method, path, b, body != nil, out)
-		if c.Breaker != nil && !errors.Is(err, ErrBreakerOpen) {
-			c.Breaker.Record(endpointFailure(err))
-		}
-		return err
+		return c.once(actx, method, path, b, body != nil, out)
 	}
 	if c.Retry == nil {
 		return attempt(ctx)

@@ -81,92 +81,29 @@ func TestRetrySkips4xx(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsAndRecloses: consecutive endpoint failures trip the
-// breaker (calls fail fast, no network), the cooldown admits one probe,
-// and a healthy probe recloses it.
-func TestBreakerTripsAndRecloses(t *testing.T) {
-	var calls atomic.Int64
-	healthy := atomic.Bool{}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		if !healthy.Load() {
-			http.Error(w, `{"error":"dying"}`, http.StatusInternalServerError)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-	}))
-	defer srv.Close()
-
-	now := time.Now()
-	var nowMu sync.Mutex
-	clock := func() time.Time { nowMu.Lock(); defer nowMu.Unlock(); return now }
-	advance := func(d time.Duration) { nowMu.Lock(); now = now.Add(d); nowMu.Unlock() }
-
-	c := New(srv.URL)
-	c.Breaker = &Breaker{Threshold: 3, Cooldown: time.Minute, now: clock}
-
-	for i := 0; i < 3; i++ {
-		if err := c.Health(context.Background()); err == nil {
-			t.Fatal("500 did not surface")
-		}
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls before trip, want 3", got)
-	}
-	err := c.Health(context.Background())
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker returned %v, want ErrBreakerOpen", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("open breaker still hit the server (%d calls)", got)
-	}
-
-	healthy.Store(true)
-	advance(2 * time.Minute)
-	if err := c.Health(context.Background()); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if err := c.Health(context.Background()); err != nil {
-		t.Fatalf("reclosed breaker rejected a call: %v", err)
-	}
-}
-
-// TestBreakerReopensOnFailedProbe: a failing half-open probe goes
-// straight back to open — no burst of traffic at a still-down backend.
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	now := time.Now()
-	b := &Breaker{Threshold: 1, Cooldown: time.Minute, now: func() time.Time { return now }}
-	b.Record(true) // trip
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Allow during cooldown = %v, want open", err)
-	}
-	now = now.Add(2 * time.Minute)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("probe not admitted after cooldown: %v", err)
-	}
-	b.Record(true) // probe failed
-	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Allow after failed probe = %v, want open", err)
-	}
-}
-
+// TestWaitDelayCapsAndResets: Wait paces reconnects with Policy.backoff.
+// Every pause lies within [BaseDelay, MaxDelay]; pauses grow while
+// reconnects yield nothing until they reach the cap; and a reconnect
+// that delivered an event restarts from the floor (backoff from 0).
 func TestWaitDelayCapsAndResets(t *testing.T) {
-	if d := waitDelay(0); d != waitBaseDelay {
-		t.Fatalf("waitDelay(0) = %v, want %v", d, waitBaseDelay)
-	}
-	prev := time.Duration(0)
-	for i := 1; i < 12; i++ {
-		d := waitDelay(i)
-		if d < prev {
-			t.Fatalf("waitDelay(%d) = %v < waitDelay(%d) = %v", i, d, i-1, prev)
+	for _, p := range []Policy{{}, fastPolicy(), {BaseDelay: 200 * time.Millisecond, MaxDelay: 5 * time.Second, Seed: 9}} {
+		p = p.withDefaults()
+		for i := uint64(1); i < 100; i++ {
+			if d := p.backoff(0, i); d != p.BaseDelay {
+				t.Fatalf("%+v: pause after progress = %v, want the floor %v", p, d, p.BaseDelay)
+			}
 		}
-		if d > waitMaxDelay {
-			t.Fatalf("waitDelay(%d) = %v exceeds cap %v", i, d, waitMaxDelay)
+		pause, capped := time.Duration(0), false
+		for i := uint64(1); i <= 200; i++ {
+			pause = p.backoff(pause, i)
+			if pause < p.BaseDelay || pause > p.MaxDelay {
+				t.Fatalf("%+v: pause %d = %v outside [%v, %v]", p, i, pause, p.BaseDelay, p.MaxDelay)
+			}
+			capped = capped || pause == p.MaxDelay
 		}
-		prev = d
-	}
-	if waitDelay(11) != waitMaxDelay {
-		t.Fatalf("waitDelay(11) = %v, want cap %v", waitDelay(11), waitMaxDelay)
+		if !capped {
+			t.Errorf("%+v: 200 idle reconnects never reached the cap %v", p, p.MaxDelay)
+		}
 	}
 }
 
@@ -509,7 +446,7 @@ func TestRemoteMissReusesConnection(t *testing.T) {
 	c := New(srv.URL)
 	c.HTTP = srv.Client()
 	for i := 0; i < 5; i++ {
-		if err := c.call(ctx, http.MethodDelete, "/api/v1/jobs/j1", nil, nil); err != nil {
+		if err := c.Call(ctx, http.MethodDelete, "/api/v1/jobs/j1", nil, nil); err != nil {
 			t.Fatalf("undecoded call: %v", err)
 		}
 	}

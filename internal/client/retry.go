@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +15,9 @@ import (
 // MaxAttempts tries, each under its own AttemptTimeout, with
 // decorrelated-jitter exponential backoff between them (sleep drawn
 // uniformly from [BaseDelay, 3×previous sleep], capped at MaxDelay).
+// The same backoff paces Client.Wait's stream reconnects. It is the one
+// statement of retry pacing for every peer: the fabric coordinator's
+// worker clients and its workers' agents retry under a Policy too.
 // The jitter stream derives from Seed and a per-client attempt counter
 // through internal/rng, so a test's retry timing is reproducible.
 // The zero Policy means the defaults below.
@@ -83,15 +85,12 @@ func (e *APIError) Temporary() bool {
 }
 
 // retryable reports whether err is worth another attempt: transport
-// errors and 5xx/429 are; application-level 4xx, an explicit no-retry
-// wrap, and an open breaker are not. Context errors are resolved by
-// the caller against the parent context.
+// errors and 5xx/429 are; application-level 4xx and an explicit no-retry
+// wrap are not. Context errors are resolved by the caller against the
+// parent context.
 func retryable(err error) bool {
 	var nr *noRetryError
 	if errors.As(err, &nr) {
-		return false
-	}
-	if errors.Is(err, ErrBreakerOpen) {
 		return false
 	}
 	var ae *APIError
@@ -137,125 +136,4 @@ func retryDo(ctx context.Context, p Policy, seq *atomic.Uint64, op func(context.
 		}
 	}
 	return fmt.Errorf("client: %d attempts exhausted: %w", p.MaxAttempts, lastErr)
-}
-
-// ErrBreakerOpen is returned (without touching the network) while a
-// circuit breaker is cooling down after consecutive endpoint failures.
-var ErrBreakerOpen = errors.New("client: circuit breaker open")
-
-// Breaker is a per-endpoint circuit breaker. Closed, it passes calls
-// through and counts consecutive endpoint failures (transport errors
-// and 5xx — a 4xx proves the endpoint alive and resets the count);
-// Threshold failures trip it open, failing calls fast for Cooldown;
-// then one half-open probe decides: success recloses, failure reopens.
-type Breaker struct {
-	Threshold int           // consecutive failures to trip (default 5)
-	Cooldown  time.Duration // open period before a probe (default 5s)
-
-	now func() time.Time // test hook; nil means time.Now
-
-	mu       sync.Mutex
-	state    breakerState
-	fails    int
-	openedAt time.Time
-	probing  bool
-}
-
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// Breaker defaults.
-const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 5 * time.Second
-)
-
-func (b *Breaker) clock() time.Time {
-	if b.now != nil {
-		return b.now()
-	}
-	return time.Now()
-}
-
-func (b *Breaker) threshold() int {
-	if b.Threshold <= 0 {
-		return DefaultBreakerThreshold
-	}
-	return b.Threshold
-}
-
-func (b *Breaker) cooldown() time.Duration {
-	if b.Cooldown <= 0 {
-		return DefaultBreakerCooldown
-	}
-	return b.Cooldown
-}
-
-// Allow reports whether a call may proceed, reserving the half-open
-// probe slot when the cooldown has elapsed.
-func (b *Breaker) Allow() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return nil
-	case breakerOpen:
-		if b.clock().Sub(b.openedAt) < b.cooldown() {
-			return ErrBreakerOpen
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		return nil
-	default: // half-open
-		if b.probing {
-			return ErrBreakerOpen
-		}
-		b.probing = true
-		return nil
-	}
-}
-
-// Record reports a call's outcome. endpointFailure means the endpoint
-// itself misbehaved (transport error or 5xx), not that the request was
-// merely rejected.
-func (b *Breaker) Record(endpointFailure bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if !endpointFailure {
-		b.state = breakerClosed
-		b.fails = 0
-		return
-	}
-	if b.state == breakerHalfOpen {
-		b.state = breakerOpen
-		b.openedAt = b.clock()
-		return
-	}
-	b.fails++
-	if b.fails >= b.threshold() {
-		b.state = breakerOpen
-		b.openedAt = b.clock()
-	}
-}
-
-// endpointFailure classifies err for the breaker: did the endpoint
-// fail, as opposed to rejecting a well-formed-but-wrong request?
-func endpointFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.StatusCode >= 500
-	}
-	if errors.Is(err, context.Canceled) {
-		return false // our side hung up
-	}
-	return true
 }

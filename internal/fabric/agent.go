@@ -1,17 +1,15 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"svard/internal/cache"
+	"svard/internal/client"
 )
 
 // Agent is the worker-side fabric loop a svard-served process runs
@@ -28,8 +26,8 @@ type Agent struct {
 	Advertise string
 	// Name labels this worker in coordinator logs (default: Advertise).
 	Name string
-	// HTTP is the client for coordinator calls (nil: a 10s-timeout
-	// client — register and heartbeat are small unary calls).
+	// HTTP is the client for coordinator calls (nil: http.DefaultClient).
+	// Each attempt of a register or heartbeat times out after 10 s.
 	HTTP *http.Client
 	// Heartbeat overrides the coordinator-advertised interval (0: obey
 	// the coordinator).
@@ -38,9 +36,19 @@ type Agent struct {
 	Logf func(format string, args ...any)
 }
 
-// Run registers and heartbeats until ctx is done. It only returns the
-// context's cause: every network failure is retried, because the agent
-// outliving coordinator restarts is the point.
+// agentRetry is how the agent retries a register or a heartbeat: up to
+// ten attempts with the client's jittered backoff between 200 ms and
+// 5 s, each attempt bounded like the small unary call it is. A call
+// that exhausts them is logged and made again.
+var agentRetry = client.Policy{
+	MaxAttempts: 10, BaseDelay: 200 * time.Millisecond, MaxDelay: 5 * time.Second, AttemptTimeout: 10 * time.Second,
+}
+
+// Run registers and heartbeats until ctx is done, and then returns the
+// context's cause: every failure to reach the coordinator is retried,
+// because the agent outliving coordinator restarts is the point. The one
+// other return is a registration the coordinator refuses (a 4xx other
+// than 429): the same request cannot succeed later.
 func (a *Agent) Run(ctx context.Context) error {
 	if a.Fabric == "" || a.Advertise == "" {
 		return errors.New("fabric: agent needs both a coordinator URL and an advertise URL")
@@ -49,25 +57,24 @@ func (a *Agent) Run(ctx context.Context) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	base := strings.TrimRight(a.Fabric, "/")
+	c := client.New(a.Fabric)
+	c.HTTP = a.HTTP
+	c.Retry = &agentRetry
 
-	registerDelay := 200 * time.Millisecond
 	for {
-		reg, err := a.register(ctx, base)
-		if err != nil {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			logf("fabric-agent: register with %s failed: %v (retrying in %s)", base, err, registerDelay)
-			if !sleepCtx(ctx, registerDelay) {
-				return context.Cause(ctx)
-			}
-			if registerDelay *= 2; registerDelay > 5*time.Second {
-				registerDelay = 5 * time.Second
-			}
+		var reg RegisterResponse
+		err := c.Call(ctx, http.MethodPost, "/api/v1/workers", RegisterRequest{Name: a.Name, URL: a.Advertise}, &reg)
+		var ae *client.APIError
+		switch {
+		case ctx.Err() != nil:
+			return context.Cause(ctx)
+		case errors.As(err, &ae) && !ae.Temporary():
+			logf("fabric-agent: %s refused the registration: %v", c.BaseURL, err)
+			return err
+		case err != nil:
+			logf("fabric-agent: register with %s: %v (retrying)", c.BaseURL, err)
 			continue
 		}
-		registerDelay = 200 * time.Millisecond
 
 		interval := a.Heartbeat
 		if interval <= 0 {
@@ -78,16 +85,16 @@ func (a *Agent) Run(ctx context.Context) error {
 		}
 		logf("fabric-agent: registered as %s, heartbeating every %s", reg.ID, interval)
 
-		if rejoin := a.beatLoop(ctx, base, reg.ID, interval); !rejoin {
+		if rejoin := beatLoop(ctx, c, reg.ID, interval, logf); !rejoin {
 			return context.Cause(ctx)
 		}
 		logf("fabric-agent: coordinator no longer knows %s; re-registering", reg.ID)
 	}
 }
 
-// beatLoop heartbeats until ctx ends (returns false) or the
+// beatLoop heartbeats through c until ctx ends (returns false) or the
 // coordinator answers 404 (returns true: re-register).
-func (a *Agent) beatLoop(ctx context.Context, base, id string, interval time.Duration) (rejoin bool) {
+func beatLoop(ctx context.Context, c *client.Client, id string, interval time.Duration, logf func(string, ...any)) (rejoin bool) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -96,65 +103,16 @@ func (a *Agent) beatLoop(ctx context.Context, base, id string, interval time.Dur
 			return false
 		case <-t.C:
 		}
-		status, err := a.postJSON(ctx, base+"/api/v1/heartbeat", HeartbeatRequest{ID: id}, nil)
+		err := c.Call(ctx, http.MethodPost, "/api/v1/heartbeat", HeartbeatRequest{ID: id}, nil)
+		var ae *client.APIError
 		switch {
 		case ctx.Err() != nil:
 			return false
-		case status == http.StatusNotFound:
+		case errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound:
 			return true
-		case err != nil && a.Logf != nil:
-			a.Logf("fabric-agent: heartbeat: %v", err)
+		case err != nil:
+			logf("fabric-agent: heartbeat: %v", err)
 		}
-	}
-}
-
-func (a *Agent) register(ctx context.Context, base string) (RegisterResponse, error) {
-	var reg RegisterResponse
-	_, err := a.postJSON(ctx, base+"/api/v1/workers", RegisterRequest{Name: a.Name, URL: a.Advertise}, &reg)
-	return reg, err
-}
-
-// postJSON is the agent's minimal unary call: it returns the status
-// code alongside the error so callers can branch on 404 specifically.
-func (a *Agent) postJSON(ctx context.Context, url string, body, out any) (int, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	h := a.HTTP
-	if h == nil {
-		h = &http.Client{Timeout: 10 * time.Second}
-	}
-	resp, err := h.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return resp.StatusCode, fmt.Errorf("fabric: %s: %d %s", url, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	if out == nil {
-		// Nobody decodes a heartbeat's reply; read it anyway (capped) so
-		// closing the body keeps the connection for the next beat.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return resp.StatusCode, nil
-	}
-	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-}
-
-// sleepCtx waits d or until ctx is done (false).
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
 	}
 }
 

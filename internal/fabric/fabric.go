@@ -10,6 +10,11 @@
 //     Worker heartbeats renew their leases, so an alive-but-slow
 //     worker keeps its work; a dead or partitioned one misses
 //     heartbeats, its leases expire, and the cells are re-dispatched.
+//   - Every call to a worker retries under Config.Retry, the client's one
+//     retry policy. A batch send that exhausts it demotes the worker: it
+//     gets no lease until its next heartbeat, and its cells are requeued
+//     at once. A failed result fetch ends the fetching from that worker;
+//     the cells it still owed are requeued.
 //   - Completions are attributed exactly once, first writer wins: a
 //     re-dispatched cell that some worker already delivered is ignored
 //     (stale), and a completion arriving under an EXPIRED lease is
@@ -80,10 +85,10 @@ type Config struct {
 	// coordinator computes it locally (<= 0: 3).
 	MaxCellAttempts int
 
-	// Retry shapes the per-worker-endpoint clients: bounded retries
-	// with jittered backoff and a circuit breaker per worker. A zero
-	// AttemptTimeout is replaced by none at all — a compute batch
-	// legitimately runs for minutes.
+	// Retry shapes the per-worker-endpoint clients: bounded retries with
+	// jittered backoff. A worker that exhausts them is demoted until its
+	// next heartbeat (see sendBatch). A zero AttemptTimeout is replaced by
+	// none at all — a compute batch legitimately runs for minutes.
 	Retry client.Policy
 
 	// Resume picks up the campaign journal from a previous interrupted
@@ -485,8 +490,8 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 			return
 		}
 		c.cfg.Logf("fabric: lease %d (%s) failed: %v", l.id, l.w.name, err)
-		// A failed send (retries exhausted or breaker open) is evidence
-		// of death: demote the worker until its next heartbeat proves
+		// A failed send (retries exhausted or refused) is evidence of
+		// death: demote the worker until its next heartbeat proves
 		// otherwise, so its cells move to live workers instead of
 		// ping-ponging back to the corpse.
 		l.w.lastBeat = time.Time{}
@@ -513,6 +518,9 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 	// cell. A missing, failed or differently keyed entry leaves the cell
 	// undelivered, and every lookup, fetch and store goes by run.keys
 	// (immutable after RunPlan builds it), never by the reported key.
+	// A worker that fails one fetch (it may have died after replying) is
+	// asked for nothing more: the cells it still owes stay undelivered
+	// instead of each costing a retry budget.
 	reply := func(i int) server.ComputeCell {
 		if i < len(resp.Cells) {
 			return resp.Cells[i]
@@ -520,6 +528,7 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 		return server.ComputeCell{}
 	}
 	delivered := make([]bool, len(l.cells))
+	fetching := true
 	for i, idx := range l.cells {
 		key := run.keys[idx]
 		if cell := reply(i); cell.Error != "" || cell.Key != key {
@@ -529,9 +538,13 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 			delivered[i] = true
 			continue
 		}
+		if !fetching {
+			continue
+		}
 		res, err := l.w.client.Cell(run.ctx, key)
 		if err != nil {
 			c.cfg.Logf("fabric: lease %d: fetching cell %s from %s: %v", l.id, key[:8], l.w.name, err)
+			fetching = false
 			continue
 		}
 		if c.cfg.Store.Put(key, res) == nil {
@@ -680,10 +693,11 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		id:       fmt.Sprintf("worker-%d", c.nextWorker),
 		name:     req.Name,
 		url:      req.URL,
-		client:   client.NewResilient(req.URL, c.cfg.Retry),
+		client:   client.New(req.URL),
 		lastBeat: now,
 		leases:   make(map[int64]*lease),
 	}
+	wk.client.Retry = &c.cfg.Retry
 	if wk.name == "" {
 		wk.name = wk.id
 	}

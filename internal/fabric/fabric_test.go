@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -402,31 +403,56 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	}
 }
 
-// TestChaosGoldenByteIdentical is the acceptance end-to-end: the golden
-// Fig. 12 sweep sharded across two real-simulator workers stays
-// byte-identical to the committed fixture while one worker is killed
-// mid-campaign and every remote-cache exchange risks a 5xx, truncated,
-// or corrupted response — and the attribution shows no cell computed
-// twice and no cell lost.
+// TestChaosGoldenByteIdentical is the acceptance end-to-end: a Fig. 12
+// sweep sharded across two workers stays byte-identical to its reference
+// while one worker is killed mid-campaign and every remote-cache exchange
+// risks a 5xx, truncated, or corrupted response — and the attribution
+// shows no cell computed twice and no cell lost. The seeded cases replay
+// eight fault schedules on the fake simulator, each killing the worker at
+// a different call, against a local fold; the golden case runs the
+// committed fixture on the real simulator under schedule 99.
 func TestChaosGoldenByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos e2e runs real simulations")
+	spec := tinySpec(64, 128, 256, 512, 1024, 2048, 4096, 8192)
+	want := localReference(t, spec, fakeSim).Fig12
+	// A few milliseconds per cell keep the kill inside the campaign.
+	slowFake := func(cfg sim.Config) (sim.Result, error) {
+		time.Sleep(5 * time.Millisecond)
+		return fakeSim(cfg)
 	}
-	spec, golden := goldenSpec(t)
+	for i, seed := range []uint64{1, 2, 3, 5, 8, 13, 21, 34} {
+		killAt := int64(1 + i%4)
+		t.Run(fmt.Sprintf("seed=%d/kill=%d", seed, killAt), func(t *testing.T) {
+			chaosRun(t, spec, seed, killAt, slowFake, want)
+		})
+	}
+	t.Run("golden/seed=99", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("chaos e2e runs real simulations")
+		}
+		spec, golden := goldenSpec(t)
+		chaosRun(t, spec, 99, 3, sim.Run, golden)
+	})
+}
+
+// chaosRun shards spec across two workers running run, under the fault
+// schedule seed, severs the first worker at its killAtCall-th simulation,
+// and checks the fold against golden.
+func chaosRun(t *testing.T, spec campaign.Spec, seed uint64, killAtCall int64, run sim.Runner, golden []sim.Fig12Cell) {
+	t.Helper()
 	jobs, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{
-		BatchSize: 3, LeaseTTL: 500 * time.Millisecond, MinWorkers: 2, MaxCellAttempts: 10, Logf: t.Logf,
+		BatchSize: 3, LeaseTTL: 500 * time.Millisecond, MinWorkers: 2, MaxCellAttempts: 10, Sim: run, Logf: t.Logf,
 	})
 
 	// Both workers publish and fetch results through the coordinator's
 	// object store — through a transport that injects a deterministic
 	// mix of 5xx, truncated, and corrupted responses.
 	faulty := &faultinject.Transport{Plan: faultinject.Plan{
-		Seed: 99, Err5xx: 0.25, Truncate: 0.15, Corrupt: 0.15,
+		Seed: seed, Err5xx: 0.25, Truncate: 0.15, Corrupt: 0.15,
 	}}
 	remote := func() cache.Remote {
 		r := client.NewCacheRemote(coordURL, fastRetry())
@@ -434,7 +460,6 @@ func TestChaosGoldenByteIdentical(t *testing.T) {
 		return r
 	}
 
-	killAtCall := int64(3)
 	var w1calls atomic.Int64
 	killReady := make(chan struct{})
 	var killOnce sync.Once
@@ -442,10 +467,10 @@ func TestChaosGoldenByteIdentical(t *testing.T) {
 		if w1calls.Add(1) >= killAtCall {
 			killOnce.Do(func() { close(killReady) })
 		}
-		return sim.Run(cfg)
+		return run(cfg)
 	}
 	ts1, lst1, _ := newWorker(t, w1sim, remote())
-	ts2, _, _ := newWorker(t, sim.Run, remote())
+	ts2, _, _ := newWorker(t, run, remote())
 
 	cancel1 := startAgent(t, coordURL, "w1", ts1.URL, 80*time.Millisecond)
 	startAgent(t, coordURL, "w2", ts2.URL, 80*time.Millisecond)
@@ -487,6 +512,118 @@ func TestChaosGoldenByteIdentical(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, golden)) {
 		t.Fatal("chaos fold differs from the golden fixture")
 	}
+}
+
+// TestSickWorker: a worker whose agent keeps heartbeating while its
+// compute endpoint answers 500 beside one healthy worker. Each heartbeat
+// makes it eligible again, and each lease it takes costs at most one
+// retry budget of requests before it is demoted and its cells move on:
+// the campaign completes, folds like a local run, and the sick worker
+// never simulates.
+func TestSickWorker(t *testing.T) {
+	var sickSims, computeReqs atomic.Int64
+	sickWorker, _, _ := newWorker(t, func(cfg sim.Config) (sim.Result, error) {
+		sickSims.Add(1)
+		return fakeSim(cfg)
+	}, nil)
+	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/compute" {
+			computeReqs.Add(1)
+			http.Error(w, `{"error":"worker is sick"}`, http.StatusInternalServerError)
+			return
+		}
+		sickWorker.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(sick.Close)
+	// The healthy worker is slow enough that the sick one heartbeats its
+	// way back to eligibility several times during the campaign.
+	healthy, _, _ := newWorker(t, func(cfg sim.Config) (sim.Result, error) {
+		time.Sleep(20 * time.Millisecond)
+		return fakeSim(cfg)
+	}, nil)
+
+	retry := fastRetry()
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{
+		BatchSize: 2, LeaseTTL: 2 * time.Second, MinWorkers: 2, Retry: retry, Sim: fakeSim, Logf: t.Logf,
+	})
+	startAgent(t, coordURL, "sick", sick.URL, 20*time.Millisecond)
+	startAgent(t, coordURL, "healthy", healthy.URL, 20*time.Millisecond)
+
+	spec := tinySpec(64, 128, 256, 512, 1024, 2048, 4096, 8192)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := coord.RunCtx(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Computed+out.Served+out.Resumed != out.Total {
+		t.Errorf("attribution computed=%d served=%d resumed=%d does not add up to %d", out.Computed, out.Served, out.Resumed, out.Total)
+	}
+	if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, localReference(t, spec, fakeSim).Fig12)) {
+		t.Error("fold differs from the local reference")
+	}
+	if n := sickSims.Load(); n != 0 {
+		t.Errorf("the sick worker simulated %d cells", n)
+	}
+	n, bound := computeReqs.Load(), int64(retry.MaxAttempts*out.Dispatch.Batches)
+	if n == 0 {
+		t.Fatal("the sick worker was never leased a batch; the test proved nothing")
+	}
+	if n > bound {
+		t.Errorf("the sick worker received %d compute requests, over MaxAttempts × batches = %d", n, bound)
+	}
+	t.Logf("sick worker: %d compute requests (bound %d); dispatch: %s", n, bound, out.Dispatch)
+}
+
+// TestAgentRejoins: an agent outlives its coordinator. Behind one fixed
+// URL the coordinator is swapped for a fresh one, so heartbeats get 404
+// and the agent must register again; then the coordinator is blacked out
+// with 503s until the worker's lease lapses. Once it answers again the
+// agent is live on the new coordinator.
+func TestAgentRejoins(t *testing.T) {
+	newCoord := func() *fabric.Coordinator {
+		store, err := cache.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := fabric.New(fabric.Config{Store: store, LeaseTTL: 200 * time.Millisecond, Retry: fastRetry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var current atomic.Pointer[fabric.Coordinator]
+	var blackout atomic.Bool
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if blackout.Load() {
+			http.Error(w, `{"error":"coordinator unavailable"}`, http.StatusServiceUnavailable)
+			return
+		}
+		current.Load().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	waitLive := func(c *fabric.Coordinator, want int, when string) {
+		t.Helper()
+		for deadline := time.Now().Add(15 * time.Second); c.LiveWorkers() != want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d live workers after 15 s, want %d", when, c.LiveWorkers(), want)
+			}
+		}
+	}
+
+	first := newCoord()
+	current.Store(first)
+	startAgent(t, front.URL, "w", "http://127.0.0.1:1", 20*time.Millisecond)
+	waitLive(first, 1, "first coordinator")
+
+	second := newCoord()
+	current.Store(second)
+	waitLive(second, 1, "after the swap")
+
+	blackout.Store(true)
+	waitLive(second, 0, "during the blackout")
+	blackout.Store(false)
+	waitLive(second, 1, "after the blackout")
 }
 
 // TestMisKeyedReplyRequeues: a compute reply is untrusted input. A fake

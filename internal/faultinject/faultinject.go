@@ -12,6 +12,8 @@
 // dependence on wall-clock time or goroutine interleaving for *which*
 // faults fire (only their relative timing with respect to concurrent
 // requests varies).
+//
+// It is test support: no binary may link it (CI checks `go list -deps`).
 package faultinject
 
 import (

@@ -114,14 +114,14 @@ func TestRecorderCounterInvariants(t *testing.T) {
 // run must produce the identical Result AND identical counters as a
 // fresh recorded run — the arena reset covers the counter fields too.
 func TestPooledRecordedDeterministic(t *testing.T) {
-	pool := NewPool()
+	pool := &arenaPool{}
 
 	dirty := diffBase()
 	dirty.Defense = "hydra"
 	dirty.Mix = []string{"attack:hydra", "mcf06"}
 	dirty.MaxCycles = 30_000
 	dirtyRec := &obs.Recorder{}
-	if _, err := pool.RunRecorded(dirty, dirtyRec); err != nil {
+	if _, err := pool.run(dirty, dirtyRec); err != nil {
 		t.Fatal(err)
 	}
 	if dirtyRec.Counters.Ticks == 0 {
@@ -137,7 +137,7 @@ func TestPooledRecordedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	pooledRec := &obs.Recorder{}
-	pooled, err := pool.RunRecorded(cfg, pooledRec)
+	pooled, err := pool.run(cfg, pooledRec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPooledRecordedDeterministic(t *testing.T) {
 
 	// A nil recorder through the pooled recorded entry point is the
 	// disabled path and must still work.
-	nilRes, err := pool.RunRecorded(cfg, nil)
+	nilRes, err := pool.run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestPooledVsFresh is the pooling counterpart of the engine
 // differential: across every defense, the adversarial and streaming
-// mixes, and Svärd on/off, a Pool that has already executed other
+// mixes, and Svärd on/off, an arena pool that has already executed other
 // configurations must produce a Result bit-identical to a fresh
 // construction. The pool is deliberately shared across the whole
 // matrix, so every case runs on state dirtied by the previous ones.
@@ -18,7 +18,7 @@ func TestPooledVsFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pooled differential matrix is seconds-scale")
 	}
-	pool := NewPool()
+	pool := &arenaPool{}
 	defenses := append([]string{"none"}, DefenseNames...)
 	for _, defense := range defenses {
 		for mixName, mix := range diffMixes() {
@@ -36,7 +36,7 @@ func TestPooledVsFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pooled, err := pool.Run(cfg)
+					pooled, err := pool.run(cfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -55,13 +55,13 @@ func TestPooledVsFresh(t *testing.T) {
 // on the same pool by a different full-length configuration, which must
 // match a fresh run bit for bit.
 func TestPoolDirtyReuse(t *testing.T) {
-	pool := NewPool()
+	pool := &arenaPool{}
 
 	dirty := diffBase()
 	dirty.Defense = "hydra"
 	dirty.Mix = []string{"attack:hydra", "mcf06"}
 	dirty.MaxCycles = 30_000 // cut off mid-flight
-	res, err := pool.Run(dirty)
+	res, err := pool.run(dirty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPoolDirtyReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := pool.Run(clean)
+	pooled, err := pool.run(clean, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPoolDirtyReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err = pool.Run(dirty)
+	pooled, err = pool.run(dirty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPoolDirtyReuse(t *testing.T) {
 // shrinks back, with a truncated HBM2 run left mid-flight in between —
 // and every cell must match fresh construction bit for bit.
 func TestPoolBackendAlternationHBM2(t *testing.T) {
-	pool := NewPool()
+	pool := &arenaPool{}
 	base := diffBase()
 	base.Mix = []string{"mcf06", "ycsb-a"}
 	base.Defense = "para"
@@ -133,7 +133,7 @@ func TestPoolBackendAlternationHBM2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		pooled, err := pool.Run(cfg)
+		pooled, err := pool.run(cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
@@ -156,7 +156,7 @@ func TestPoolGeometryInterleave(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized geometry interleave is seconds-scale")
 	}
-	pool := NewPool()
+	pool := &arenaPool{}
 	r := rng.New(0xD00DF00D)
 	rows := []int{1024, 2048, 4096}
 	cores := []int{1, 2, 3}
@@ -186,7 +186,7 @@ func TestPoolGeometryInterleave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pooled, err := pool.Run(cfg)
+		pooled, err := pool.run(cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -19,13 +19,14 @@ type PopulationOptions struct {
 	NRHs       []float64      // default 4K..64
 	Defenses   []string       // default all five
 
-	// Chunk bounds how many modules are resident at once: each chunk's
-	// cells run, fold into the band accumulators, and the chunk's
-	// calibrated module tables are evicted before the next chunk starts,
-	// so a 10K-chip sweep holds a constant number of modules in memory.
-	// Chunking is invisible in the results — cells fold in module order
-	// regardless — so Chunk is a memory knob, never an axis of the
-	// outcome. Default 16.
+	// Chunk is how many modules' cells run before they fold into the
+	// band accumulators, so a 10K-chip sweep holds a constant number of
+	// results in memory. The module cache holds at most
+	// maxResidentPopModules calibrated modules whatever the chunk; a
+	// larger chunk may rebuild a module evicted mid-chunk. Chunking is
+	// invisible in the results — cells fold in module order regardless —
+	// so Chunk is a memory knob, never an axis of the outcome. Default
+	// maxResidentPopModules (16).
 	Chunk int
 
 	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
@@ -37,7 +38,7 @@ type PopulationOptions struct {
 func (opt PopulationOptions) fill() PopulationOptions {
 	fillGrid(opt.Base, &opt.Mixes, &opt.NRHs, &opt.Defenses)
 	if opt.Chunk <= 0 {
-		opt.Chunk = 16
+		opt.Chunk = maxResidentPopModules
 	}
 	return opt
 }
@@ -126,9 +127,10 @@ func newBandAcc() bandAcc {
 // module's per-mix results fold into its three per-config metrics
 // (weighted/harmonic speedup and max slowdown against the module's own
 // no-defense baseline, averaged over mixes, exactly like Fig. 12's
-// fold), the metrics feed order-independent histogram accumulators, and
-// the chunk's calibrated module tables are evicted before the next
-// chunk begins. Memory is O(Chunk + bins) for any population size.
+// fold), and the metrics feed order-independent histogram accumulators.
+// The module cache keeps at most maxResidentPopModules calibrated
+// modules, evicting the oldest as new ones are built, so memory is
+// O(Chunk + bins) for any population size.
 // Bands are bit-identical for any Workers and Chunk value, and for any
 // Runner faithful to Run — in particular the campaign engine's caching
 // runner, cold, warm, or mid-resume.
@@ -179,7 +181,6 @@ func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, e
 		}
 		for i := start; i < end; i++ {
 			foldModule(results[(i-start)*perModule : (i-start+1)*perModule])
-			dropCachedModule(population.Label(opt.Population.Seed, i))
 		}
 	}
 

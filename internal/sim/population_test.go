@@ -101,23 +101,75 @@ func TestPopulationBandsOrderIndependent(t *testing.T) {
 	}
 }
 
+// smallPopulation is a population sweep over n modules sized so that
+// building and running each takes milliseconds.
+func smallPopulation(n int) PopulationOptions {
+	opt := tinyPopulationOptions(n)
+	opt.Base.RowsPerBank = 512
+	opt.Base.CellsPerRow = 512
+	opt.Base.InstrPerCore = 2_000
+	opt.Base.WarmupPerCore = 500
+	return opt
+}
+
+// residentPopulationModules lists the synthetic modules the module cache
+// holds.
+func residentPopulationModules() []string {
+	var resident []string
+	moduleCache.Range(func(k, _ any) bool {
+		if strings.HasPrefix(k.(string), population.LabelPrefix) {
+			resident = append(resident, k.(string))
+		}
+		return true
+	})
+	return resident
+}
+
+// TestPopulationModulesBounded: a population cell reaches the module
+// cache through every route — a sweep, a compute batch, the fabric
+// coordinator's local fallback — and each module pins megabytes of
+// per-row tables, so 10K chips must never stay resident. However many
+// distinct modules run, at most maxResidentPopModules remain cached.
+// Four goroutines share the work, as a worker's slots do.
+func TestPopulationModulesBounded(t *testing.T) {
+	opt := smallPopulation(3 * maxResidentPopModules)
+	jobs, err := PopulationJobs(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perModule := len(jobs) / opt.Population.Size
+	const slots = 4
+	var wg sync.WaitGroup
+	for s := 0; s < slots; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := s * perModule; i < len(jobs); i += slots * perModule {
+				if _, err := PooledRun(jobs[i].Config); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if resident := residentPopulationModules(); len(resident) > maxResidentPopModules {
+		t.Fatalf("%d population modules resident after running %d, want <= %d",
+			len(resident), opt.Population.Size, maxResidentPopModules)
+	}
+}
+
+// TestPopulationSweepEvictsModules: a sweep over more modules than the
+// cache holds leaves no more than the bound resident.
 func TestPopulationSweepEvictsModules(t *testing.T) {
-	opt := tinyPopulationOptions(3)
+	opt := smallPopulation(maxResidentPopModules + 4)
 	opt.Chunk = 2
 	if _, err := RunPopulationCtx(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
-	// The sweep's synthetic modules must not stay resident: 10K chips
-	// would pin tens of gigabytes of per-row tables.
-	var leaked []string
-	moduleCache.Range(func(k, _ any) bool {
-		if strings.HasPrefix(k.(string), population.LabelPrefix) {
-			leaked = append(leaked, k.(string))
-		}
-		return true
-	})
-	if len(leaked) > 0 {
-		t.Fatalf("population modules still cached after the sweep: %v", leaked)
+	if resident := residentPopulationModules(); len(resident) > maxResidentPopModules {
+		t.Fatalf("%d population modules still cached after the sweep, want <= %d: %v",
+			len(resident), maxResidentPopModules, resident)
 	}
 }
 

@@ -150,18 +150,49 @@ type moduleEntry struct {
 	// once from the disturbance model (they cost an exp/log chain per
 	// row and depend only on the module): the unscaled true HCfirst and
 	// the RowPress susceptibility psi, flattened to [bank*rows+row].
-	// Deliberate trade: eager and process-lifetime (16 B/row — 4 MB per
-	// module at the default 8K rows, ~67 MB at the paper's 128K) in
-	// exchange for hundreds of sweep runs skipping the per-run,
-	// per-touched-row rederivation.
+	// Deliberate trade: eager (16 B/row — 4 MB per module at the default
+	// 8K rows, ~67 MB at the paper's 128K) in exchange for hundreds of
+	// sweep runs skipping the per-run, per-touched-row rederivation. A
+	// Table 5 module stays for the process; a synthetic population
+	// module is one of many, each run for a few cells, so at most
+	// maxResidentPopModules of those stay (admitPopModule).
 	hcBase []float64
 	psi    []float64
 	err    error
 }
 
+// maxResidentPopModules caps the synthetic population modules
+// ("pop:<seed>:<index>") the module cache holds, whichever route their
+// cells arrive by — a population sweep, a compute batch, the fabric
+// coordinator's local fallback. It is also the sweep's default chunk.
+const maxResidentPopModules = 16
+
+// popResident lists the cached population modules' keys, oldest first.
+var popResident struct {
+	sync.Mutex
+	keys []string
+}
+
+// admitPopModule records a population module just added to the cache and
+// evicts the oldest beyond maxResidentPopModules. Eviction is only a
+// cache hint: an in-flight run holding the entry pointer keeps using it,
+// and a later request for an evicted module simply rebuilds it.
+func admitPopModule(key string) {
+	popResident.Lock()
+	defer popResident.Unlock()
+	popResident.keys = append(popResident.keys, key)
+	for len(popResident.keys) > maxResidentPopModules {
+		moduleCache.Delete(popResident.keys[0])
+		popResident.keys = popResident.keys[1:]
+	}
+}
+
 func buildModule(label string, rows, cells, banks int, seed uint64) (*moduleEntry, error) {
 	key := fmt.Sprintf("%s/%d/%d/%d/%d", label, rows, cells, banks, seed)
-	v, _ := moduleCache.LoadOrStore(key, &moduleEntry{})
+	v, loaded := moduleCache.LoadOrStore(key, &moduleEntry{})
+	if !loaded && strings.HasPrefix(label, population.LabelPrefix) {
+		admitPopModule(key)
+	}
 	e := v.(*moduleEntry)
 	e.once.Do(func() {
 		spec, ok := profile.SpecByLabel(label)
@@ -199,25 +230,6 @@ func buildModule(label string, rows, cells, banks int, seed uint64) (*moduleEntr
 		}
 	})
 	return e, e.err
-}
-
-// dropCachedModule evicts every module-cache entry for the given label.
-// The per-module tables a sweep pins are deliberately process-lifetime
-// (megabytes per module — see moduleEntry), which is exactly wrong for a
-// Monte Carlo population: 10K synthetic chips would pin tens of
-// gigabytes that are each consulted for one module's cells and never
-// again. The population sweep evicts each chunk's modules once their
-// cells are folded. Eviction is only a cache hint — an in-flight run
-// holding the entry pointer keeps using it, and a later request simply
-// rebuilds — so it is safe even if a concurrent sweep shares a label.
-func dropCachedModule(label string) {
-	prefix := label + "/"
-	moduleCache.Range(func(k, _ any) bool {
-		if strings.HasPrefix(k.(string), prefix) {
-			moduleCache.Delete(k)
-		}
-		return true
-	})
 }
 
 // buildDefense constructs the configured defense over thresholds th.
@@ -808,34 +820,27 @@ func Run(cfg Config) (Result, error) { return runOn(nil, cfg, nil) }
 // this exactly Run.
 func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) { return runOn(nil, cfg, rec) }
 
-// Pool executes simulations on reusable state arenas. A paper-scale
+// arenaPool executes simulations on reusable state arenas. A paper-scale
 // sweep rebuilds its multi-megabyte simulator (LLC arrays, tracker
 // accrual tables, defense counters, controller queues) hundreds of
-// times; a Pool Reset()s one arena per worker instead, so cells execute
-// allocation-flat once the arenas are warm. Results are bit-identical
-// to Run for every configuration — each component's Reset restores the
-// exact state its constructor produces, and the pooled differential
-// tests (pool_test.go) enforce it, including reuse across different
-// geometries and after truncated runs.
+// times; the pool Reset()s one arena per worker instead, so cells
+// execute allocation-flat once the arenas are warm. Results are
+// bit-identical to Run for every configuration — each component's Reset
+// restores the exact state its constructor produces, and the pooled
+// differential tests (pool_test.go) enforce it, including reuse across
+// different geometries and after truncated runs.
 //
-// A Pool is safe for concurrent use: arenas are handed out through a
-// sync.Pool, so concurrent Runs never share one (idle arenas remain
+// An arenaPool is safe for concurrent use: arenas are handed out through
+// a sync.Pool, so concurrent runs never share one (idle arenas remain
 // collectable under memory pressure).
-type Pool struct {
+type arenaPool struct {
 	p sync.Pool
 }
 
-// NewPool returns an empty pool; arenas are created on demand.
-func NewPool() *Pool { return &Pool{} }
-
-// Run executes one simulation on a pooled arena, bit-identical to
-// sim.Run(cfg).
-func (p *Pool) Run(cfg Config) (Result, error) { return p.RunRecorded(cfg, nil) }
-
-// RunRecorded is RunRecorded on a pooled arena. Allocation-flat: the
-// recorder is caller-owned, the counters are plain fields, and the
-// phase stamps write into a fixed array.
-func (p *Pool) RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
+// run is RunRecorded on a pooled arena. Allocation-flat: the recorder is
+// caller-owned, the counters are plain fields, and the phase stamps
+// write into a fixed array.
+func (p *arenaPool) run(cfg Config, rec *obs.Recorder) (Result, error) {
 	st, _ := p.p.Get().(*poolState)
 	if st == nil {
 		st = &poolState{defenses: make(map[string]mitigation.Defense)}
@@ -849,14 +854,14 @@ func (p *Pool) RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
 // defaultPool backs PooledRun: one process-wide arena pool shared by
 // every sweep, so consecutive sweeps (and benchmark iterations) stay
 // warm.
-var defaultPool = NewPool()
+var defaultPool arenaPool
 
 // PooledRun is Run on the process-wide state pool — the default
 // executor of every sweep and of the campaign cell path
 // (campaign.Cell). Bit-identical to Run.
-func PooledRun(cfg Config) (Result, error) { return defaultPool.RunRecorded(cfg, nil) }
+func PooledRun(cfg Config) (Result, error) { return defaultPool.run(cfg, nil) }
 
 // PooledRunRecorded is RunRecorded on the process-wide state pool.
 func PooledRunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
-	return defaultPool.RunRecorded(cfg, rec)
+	return defaultPool.run(cfg, rec)
 }

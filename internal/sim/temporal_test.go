@@ -97,13 +97,13 @@ func TestTemporalMovesOnlyViolations(t *testing.T) {
 // static run on it is bit-identical to fresh construction, and a second
 // temporal run on it is bit-identical to a fresh temporal run.
 func TestPoolDirtyTemporalReuse(t *testing.T) {
-	pool := NewPool()
+	pool := &arenaPool{}
 
 	dirty := diffBase()
 	dirty.Defense = "para"
 	dirty.Mix = []string{"attack:hydra", "mcf06"}
 	dirty.Temporal = diffTemporal()
-	if _, err := pool.Run(dirty); err != nil {
+	if _, err := pool.run(dirty, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +114,7 @@ func TestPoolDirtyTemporalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := pool.Run(clean)
+	pooled, err := pool.run(clean, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPoolDirtyTemporalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooledTemporal, err := pool.Run(dirty)
+	pooledTemporal, err := pool.run(dirty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
