@@ -16,8 +16,7 @@
 //	            [-cores N] [-rows N] [-seed N]
 //	            [-defenses para,rrs] [-nrhs 1024,64] [-profiles S0,M0]
 //	            [-backends ddr4-3200,hbm2] [-benign mcf06,...] [-nrh13 64]
-//	            [-population N] [-population-seed S] [-population-chunk N]
-//	            [-bands-json FILE]
+//	            [-population N] [-population-seed S] [-bands-json FILE]
 //	            [-temporal epoch=65536,drift=-0.05,sigma=0.1] [-temporal-intervals 0,16,64]
 //	            [-spec campaign.json] [-print-spec] [-q]
 //	            [-noskip] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE]
@@ -105,7 +104,6 @@ func run() error {
 
 		popSize  = flag.Int("population", 0, "sweep a synthetic module population of this size (Fig. 12 confidence bands instead of per-profile points)")
 		popSeed  = flag.Uint64("population-seed", 1, "population seed: any module of the population is reconstructible from (seed, index)")
-		popChunk = flag.Int("population-chunk", 0, "modules resident per population chunk (memory knob, 0 = default 16; never affects results)")
 		bandsOut = flag.String("bands-json", "", "write the population band cells as JSON to this file")
 
 		temporalSpec      = flag.String("temporal", "", "temporal process spec, e.g. epoch=65536,drift=-0.05,sigma=0.1 (margin-erosion sweep instead of Fig. 12 points)")
@@ -269,12 +267,7 @@ func run() error {
 			plan.Fingerprint[:16], len(plan.Jobs), where)
 	}
 
-	eng := &campaign.Engine{
-		Store:           store,
-		Workers:         *parallel,
-		Resume:          *resume,
-		PopulationChunk: *popChunk,
-	}
+	eng := &campaign.Engine{Store: store, Workers: *parallel, Resume: *resume}
 	if *traceOut != "" {
 		eng.Trace = obs.NewTrace()
 	}

@@ -68,7 +68,7 @@ type Spec struct {
 	Population *PopulationSpec `json:"population,omitempty"`
 
 	// Temporal, when set, turns the Fig. 12 sweep into a margin-erosion
-	// sweep (sim.RunErosionCtx): the same (defense, nRH, Svärd) grid is
+	// sweep (sim.ErosionOptions): the same (defense, nRH, Svärd) grid is
 	// evaluated under the calibration-time truth and under a live truth
 	// aged by each re-calibration interval, and the outcome carries
 	// Erosion cells instead of Fig12 cells. Like Population, the field
@@ -78,8 +78,7 @@ type Spec struct {
 }
 
 // PopulationSpec declares a campaign's synthetic module population.
-// Only result-shaping knobs live here (they feed the fingerprint);
-// execution knobs like the module chunk size belong to the Engine.
+// Only result-shaping knobs live here (they feed the fingerprint).
 type PopulationSpec struct {
 	Seed uint64 `json:"seed"`
 	Size int    `json:"size"`
@@ -286,41 +285,50 @@ func (s Spec) cells() float64 {
 	return n
 }
 
-// experiment is one figure of a campaign: how to enumerate its cells and
-// how to run them and fold the figure into the Outcome. Everything that
-// walks a campaign iterates the experiment list and never asks which
-// kind of campaign it is.
-type experiment struct {
-	jobs func() ([]sim.Job, error)
-	run  func(context.Context, *Engine, sim.Runner, *Outcome) error
+// figure is one figure of a campaign: the sweep options that expand to
+// its share of the plan's job list and fold that share's results, in job
+// order, into the Outcome. Everything that walks a campaign iterates the
+// figure list and never asks which kind of campaign it is. A figure is
+// its options and nothing else, so a Plan stays a comparable value.
+type figure interface {
+	jobs() ([]sim.Job, error)
+	fold(results []sim.Result, out *Outcome)
 }
 
-// experiments maps the (normalized, validated) spec to its ordered
-// experiment list: the Fig. 12 grid in exactly one of its three forms —
-// point cells, population bands, or margin erosion — then Fig. 13. The
-// engine and runner a sweep executes under arrive with run: they shape
-// neither the job list nor the fingerprint.
-func (s Spec) experiments() []experiment {
-	var xs []experiment
+type (
+	fig12Figure   struct{ opt sim.Fig12Options }
+	fig13Figure   struct{ opt sim.Fig13Options }
+	bandsFigure   struct{ opt sim.PopulationOptions }
+	erosionFigure struct{ opt sim.ErosionOptions }
+)
+
+func (f fig12Figure) jobs() ([]sim.Job, error)          { return sim.Fig12Jobs(f.opt), nil }
+func (f fig12Figure) fold(r []sim.Result, out *Outcome) { out.Fig12 = f.opt.Fold(r) }
+
+func (f fig13Figure) jobs() ([]sim.Job, error)          { return sim.Fig13Jobs(f.opt) }
+func (f fig13Figure) fold(r []sim.Result, out *Outcome) { out.Fig13 = f.opt.Fold(r) }
+
+func (f bandsFigure) jobs() ([]sim.Job, error)          { return sim.PopulationJobs(f.opt) }
+func (f bandsFigure) fold(r []sim.Result, out *Outcome) { out.Bands = f.opt.Fold(r) }
+
+func (f erosionFigure) jobs() ([]sim.Job, error)          { return sim.ErosionJobs(f.opt) }
+func (f erosionFigure) fold(r []sim.Result, out *Outcome) { out.Erosion = f.opt.Fold(r) }
+
+// figures maps the (normalized, validated) spec to its ordered figure
+// list: the Fig. 12 grid in exactly one of its three forms — point cells,
+// population bands, or margin erosion — then Fig. 13.
+func (s Spec) figures() []figure {
+	var fs []figure
 	if s.has(Fig12) {
 		switch {
 		case s.Population != nil:
-			opt := sim.PopulationOptions{
+			fs = append(fs, bandsFigure{sim.PopulationOptions{
 				Base:       s.Base,
 				Population: population.Ref{Seed: s.Population.Seed, Size: s.Population.Size},
 				Mixes:      s.Mixes,
 				NRHs:       s.NRHs,
 				Defenses:   s.Defenses,
-			}
-			xs = append(xs, experiment{
-				func() ([]sim.Job, error) { return sim.PopulationJobs(opt) },
-				func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
-					opt.Chunk = e.PopulationChunk
-					opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-					out.Bands, err = sim.RunPopulationCtx(ctx, opt)
-					return err
-				},
-			})
+			}})
 		case s.Temporal != nil:
 			// A single Profiles entry overrides the base module label; more
 			// are rejected by validate (erosion drifts one module's truth).
@@ -328,59 +336,35 @@ func (s Spec) experiments() []experiment {
 			if len(s.Profiles) == 1 {
 				base.ModuleLabel = s.Profiles[0]
 			}
-			opt := sim.ErosionOptions{
+			fs = append(fs, erosionFigure{sim.ErosionOptions{
 				Base:      base,
 				Process:   s.Temporal.Process,
 				Intervals: s.Temporal.Intervals,
 				Mixes:     s.Mixes,
 				NRHs:      s.NRHs,
 				Defenses:  s.Defenses,
-			}
-			xs = append(xs, experiment{
-				func() ([]sim.Job, error) { return sim.ErosionJobs(opt) },
-				func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
-					opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-					out.Erosion, err = sim.RunErosionCtx(ctx, opt)
-					return err
-				},
-			})
+			}})
 		default:
-			opt := sim.Fig12Options{
+			fs = append(fs, fig12Figure{sim.Fig12Options{
 				Base:     s.Base,
 				Mixes:    s.Mixes,
 				NRHs:     s.NRHs,
 				Defenses: s.Defenses,
 				Profiles: s.Profiles,
 				Backends: s.Backends,
-			}
-			xs = append(xs, experiment{
-				func() ([]sim.Job, error) { return sim.Fig12Jobs(opt), nil },
-				func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
-					opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-					out.Fig12, err = sim.RunFig12Ctx(ctx, opt)
-					return err
-				},
-			})
+			}})
 		}
 	}
 	if s.has(Fig13) {
-		opt := sim.Fig13Options{
+		fs = append(fs, fig13Figure{sim.Fig13Options{
 			Base:     s.Base,
 			NRH:      s.NRH13,
 			Benign:   s.Benign,
 			Profiles: s.Profiles,
 			Backends: s.Backends,
-		}
-		xs = append(xs, experiment{
-			func() ([]sim.Job, error) { return sim.Fig13Jobs(opt) },
-			func(ctx context.Context, e *Engine, runner sim.Runner, out *Outcome) (err error) {
-				opt.Workers, opt.Runner, opt.Progress = e.Workers, runner, e.Progress
-				out.Fig13, err = sim.RunFig13Ctx(ctx, opt)
-				return err
-			},
-		})
+		}})
 	}
-	return xs
+	return fs
 }
 
 // Plan is a campaign derived once. Every route that sizes or executes a
@@ -389,7 +373,17 @@ func (s Spec) experiments() []experiment {
 type Plan struct {
 	Spec        Spec      // normalized (svard-sweep -print-spec emits it)
 	Fingerprint string    // hex SHA-256 of Spec's canonical JSON
-	Jobs        []sim.Job // every figure's cells, in the order the sweeps run them
+	Jobs        []sim.Job // every figure's cells, figure after figure
+
+	// parts are the figures in Jobs order, each with the number of jobs
+	// it expanded to: RunPlan folds Jobs' results through them. Only
+	// Spec.Plan sets them.
+	parts []part
+}
+
+type part struct {
+	figure
+	n int
 }
 
 // Plan normalizes, validates, expands and fingerprints the spec, each once.
@@ -399,14 +393,29 @@ func (s Spec) Plan() (Plan, error) {
 		return Plan{}, err
 	}
 	var jobs []sim.Job
-	for _, x := range s.experiments() {
-		j, err := x.jobs()
+	var parts []part
+	for _, f := range s.figures() {
+		j, err := f.jobs()
 		if err != nil {
 			return Plan{}, err
 		}
 		jobs = append(jobs, j...)
+		parts = append(parts, part{f, len(j)})
 	}
-	return Plan{Spec: s, Fingerprint: s.fingerprint(), Jobs: jobs}, nil
+	return Plan{Spec: s, Fingerprint: s.fingerprint(), Jobs: jobs, parts: parts}, nil
+}
+
+// check rejects a plan Spec.Plan did not build, or whose job list changed
+// since: its figures could not fold the results.
+func (p Plan) check() error {
+	n := 0
+	for _, pt := range p.parts {
+		n += pt.n
+	}
+	if len(p.parts) == 0 || n != len(p.Jobs) {
+		return fmt.Errorf("campaign: plan lists %d jobs but its figures fold %d; build plans with Spec.Plan", len(p.Jobs), n)
+	}
+	return nil
 }
 
 // Validate reports the error Plan rejects the spec with, if any.
@@ -456,7 +465,9 @@ type Outcome struct {
 	// Computed counts the cells THIS campaign actually simulated: its
 	// compute callback ran (exactly-once attribution — a cell another
 	// concurrent campaign computed, or that any cache layer served, is
-	// not counted here). Served is the rest: Total - Computed.
+	// not counted here). Served is the rest: Total - Computed, on every
+	// route. A resumed cell was not simulated by this run, so Resumed
+	// counts a subset of Served.
 	Computed int `json:"computed"`
 	Served   int `json:"served"`
 
@@ -478,13 +489,6 @@ type Engine struct {
 	// identical either way (the cache is consulted unconditionally);
 	// Resume preserves the completed-job accounting across restarts.
 	Resume bool
-
-	// PopulationChunk bounds how many of a population campaign's
-	// synthetic modules are resident at once (<= 0: the sim default).
-	// Purely an execution/memory knob: bands are identical for any
-	// value, and it participates in neither the fingerprint nor the
-	// cache keys.
-	PopulationChunk int
 
 	// Sim and Slots are the engine's Cell: the injected executor a cache
 	// miss falls back to (nil: the pooled simulator; tests inject failing
@@ -539,10 +543,14 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 	return e.RunPlan(ctx, plan)
 }
 
-// RunPlan executes the campaign, reusing every cached cell and journaling
-// each completed job so an interrupted run can be resumed. On error
-// (including an interruption injected through Sim), everything completed
-// so far remains in the cache and the journal.
+// RunPlan executes the campaign in one pass: the plan's whole job list
+// goes through sim.RunJobs once, reusing every cached cell and journaling
+// each completed job so an interrupted run can be resumed, and each
+// figure then folds its share of the results. Figures do not wait for
+// each other: the first Fig. 13 cell starts as soon as a worker is free
+// after the last Fig. 12 cell started. On error (including an
+// interruption injected through Sim), everything completed so far
+// remains in the cache and the journal.
 //
 // Once ctx is done, no new simulation starts, cells already running
 // finish (and are cached and journaled), and the call returns ctx's
@@ -553,6 +561,9 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
 	if e.Store == nil {
 		return nil, fmt.Errorf("campaign: engine has no result store")
+	}
+	if err := plan.check(); err != nil {
+		return nil, err
 	}
 	j, err := OpenJournal(e.Store.Dir(), plan.Fingerprint, len(plan.Jobs), e.Resume)
 	if err != nil {
@@ -600,10 +611,13 @@ func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
 		return res, err
 	}
 
-	for _, x := range plan.Spec.experiments() {
-		if err := x.run(ctx, e, runner, out); err != nil {
-			return nil, err
-		}
+	results, err := sim.RunJobs(ctx, e.Workers, runner, e.Progress, plan.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range plan.parts {
+		p.fold(results[:p.n], out)
+		results = results[p.n:]
 	}
 
 	out.Computed = int(computed.Load())

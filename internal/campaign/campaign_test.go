@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"svard/internal/cache"
 	"svard/internal/sim"
@@ -221,6 +223,82 @@ func TestEngineMemoryOnlyStore(t *testing.T) {
 	}
 	if out.Stats.Writes != 0 {
 		t.Errorf("memory-only store wrote %d disk entries", out.Stats.Writes)
+	}
+}
+
+// TestEngineRunsPlanInOnePass: a campaign's figures share one dispatch, so
+// Fig. 13 does not wait for Fig. 12 to drain. The runner holds the last
+// Fig. 12 cell until a Fig. 13 cell (its mix starts with the attacker) has
+// started; a campaign run figure by figure never starts one, and the held
+// cell gives up after 10 s.
+func TestEngineRunsPlanInOnePass(t *testing.T) {
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	isFig13 := func(cfg sim.Config) bool { return strings.HasPrefix(cfg.Mix[0], "attack:") }
+	var lastFig12 sim.Config
+	for _, j := range plan.Jobs {
+		if !isFig13(j.Config) {
+			lastFig12 = j.Config
+		}
+	}
+	fig13Started := make(chan struct{})
+	var once sync.Once
+	held := func(cfg sim.Config) (sim.Result, error) {
+		if isFig13(cfg) {
+			once.Do(func() { close(fig13Started) })
+		} else if reflect.DeepEqual(cfg, lastFig12) {
+			select {
+			case <-fig13Started:
+			case <-time.After(10 * time.Second):
+				return sim.Result{}, errors.New("the last Fig. 12 cell waited 10 s and no Fig. 13 cell started")
+			}
+		}
+		return fakeSim(cfg)
+	}
+
+	out, err := (&Engine{Store: newStore(t, ""), Workers: 2, Sim: held}).RunPlan(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&Engine{Store: newStore(t, ""), Workers: 1, Sim: fakeSim}).RunPlan(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Fig12, want.Fig12) || !reflect.DeepEqual(out.Fig13, want.Fig13) {
+		t.Errorf("one-pass figures differ from a serial run:\ngot  %+v %+v\nwant %+v %+v", out.Fig12, out.Fig13, want.Fig12, want.Fig13)
+	}
+}
+
+// TestRunPlanRejectsForeignPlans: RunPlan folds a plan's results through
+// the figures Spec.Plan recorded, so a plan built any other way — or one
+// whose job list was edited since — is refused with an error before any
+// cell runs, never a panic.
+func TestRunPlanRejectsForeignPlans(t *testing.T) {
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trimmed := plan
+	trimmed.Jobs = plan.Jobs[1:]
+	for name, p := range map[string]Plan{
+		"zero":    {},
+		"literal": {Spec: plan.Spec, Fingerprint: plan.Fingerprint, Jobs: plan.Jobs},
+		"trimmed": trimmed,
+	} {
+		var calls atomic.Int64
+		eng := &Engine{Store: newStore(t, t.TempDir()), Sim: func(cfg sim.Config) (sim.Result, error) {
+			calls.Add(1)
+			return fakeSim(cfg)
+		}}
+		if _, err := eng.RunPlan(context.Background(), p); err == nil || calls.Load() != 0 {
+			t.Errorf("%s plan: err %v after %d simulations, want an error before any", name, err, calls.Load())
+		}
+	}
+	// The fabric coordinator opens the journal before it dispatches.
+	if _, err := OpenJournal(t.TempDir(), "", 0, false); err == nil {
+		t.Error("a journal opened without a campaign fingerprint")
 	}
 }
 
@@ -490,7 +568,7 @@ func TestPopulationCampaignInterruptedThenResumed(t *testing.T) {
 	}
 
 	// Reference: one uninterrupted cold run in its own store.
-	ref, err := (&Engine{Store: newStore(t, t.TempDir()), Workers: 2, PopulationChunk: 2}).RunCtx(context.Background(), spec)
+	ref, err := (&Engine{Store: newStore(t, t.TempDir()), Workers: 2}).RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,9 +591,9 @@ func TestPopulationCampaignInterruptedThenResumed(t *testing.T) {
 	}
 
 	// Resume in a fresh store over the same directory, with a different
-	// chunk size: results must not notice either.
+	// worker count: the bands must not notice either.
 	var calls2 atomic.Int64
-	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Resume: true, PopulationChunk: 1, Sim: countingSim(&calls2)}
+	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Resume: true, Sim: countingSim(&calls2)}
 	out, err := eng2.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

@@ -41,6 +41,9 @@ func journalPath(dir, fingerprint string) string {
 // journal for the same fingerprint, previously completed keys are
 // loaded; otherwise a fresh journal replaces whatever was there.
 func OpenJournal(dir, fingerprint string, total int, resume bool) (*Journal, error) {
+	if len(fingerprint) < 16 {
+		return nil, fmt.Errorf("campaign: journal: malformed campaign fingerprint %q; build plans with Spec.Plan", fingerprint)
+	}
 	j := &Journal{seen: make(map[string]bool)}
 	if dir == "" {
 		return j, nil

@@ -363,7 +363,7 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result,
 	c.mu.Lock()
 	out.Resumed = run.resumed
 	out.Computed = run.computed
-	out.Served = out.Total - run.resumed - run.computed
+	out.Served = out.Total - run.computed // campaign.Outcome's rule: Resumed is part of Served
 	stats := run.stats
 	c.mu.Unlock()
 	c.cfg.Logf("fabric: campaign %s done: computed=%d served=%d resumed=%d (%s)",

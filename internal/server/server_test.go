@@ -1025,9 +1025,9 @@ func TestTemporalCampaignOverHTTP(t *testing.T) {
 	if !reflect.DeepEqual(res.Erosion, want) {
 		t.Fatalf("erosion cells over HTTP differ from a direct sim.RunErosionCtx:\ngot  %+v\nwant %+v", res.Erosion, want)
 	}
-	if res.Computed+res.Served+res.Resumed != res.Total || res.Total != info.Total {
-		t.Errorf("attribution: computed %d + served %d + resumed %d != total %d (job sized %d)",
-			res.Computed, res.Served, res.Resumed, res.Total, info.Total)
+	if res.Computed+res.Served != res.Total || res.Resumed > res.Served || res.Total != info.Total {
+		t.Errorf("attribution: computed %d + served %d != total %d, or resumed %d > served (job sized %d)",
+			res.Computed, res.Served, res.Total, res.Resumed, info.Total)
 	}
 }
 

@@ -143,20 +143,24 @@ func ErosionJobs(opt ErosionOptions) ([]Job, error) {
 }
 
 // RunErosionCtx executes the margin-erosion sweep and returns cells in
-// (defense, config, interval) order, with the same contract as
-// RunFig12Ctx: results are bit-identical for any Workers value and any
-// Runner faithful to Run, and a cancelled sweep returns no cells.
+// (defense, config, interval) order: ErosionJobs, RunJobs, Fold, under
+// RunFig12Ctx's contract.
 func RunErosionCtx(ctx context.Context, opt ErosionOptions) ([]ErosionCell, error) {
-	opt = opt.fill()
 	jobs, err := ErosionJobs(opt)
 	if err != nil {
 		return nil, err
 	}
-	results, err := runJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
 	if err != nil {
 		return nil, err
 	}
+	return opt.Fold(results), nil
+}
 
+// Fold folds the results of ErosionJobs(opt), in job order, into the
+// margin-erosion cells.
+func (opt ErosionOptions) Fold(results []Result) []ErosionCell {
+	opt = opt.fill()
 	// The job list is (1 + len(Intervals)) repetitions of the same
 	// (defense, svard, nRH, mix) grid; segment 0 is calibration truth.
 	nMix := len(opt.Mixes)
@@ -203,5 +207,5 @@ func RunErosionCtx(ctx context.Context, opt ErosionOptions) ([]ErosionCell, erro
 			}
 		}
 	}
-	return cells, nil
+	return cells
 }

@@ -30,12 +30,14 @@ type Job struct {
 	Config Config
 }
 
-// runJobs fans the job list out over the deterministic worker pool,
-// routing each job through run (nil: PooledRun). Results come back in job
-// order, bit-identical for any worker count. Cancelling ctx stops
-// dispatching new jobs; jobs already running finish, so the sweep
-// returns within one simulation's latency.
-func runJobs(ctx context.Context, workers int, run Runner, progress func(string), jobs []Job) ([]Result, error) {
+// RunJobs fans a job list out over the deterministic worker pool (at most
+// workers at once, <= 0: GOMAXPROCS), routing each job through run (nil:
+// PooledRun). Results come back in job order, bit-identical for any
+// worker count, ready for a figure's Fold. Cancelling ctx stops
+// dispatching new jobs; jobs already running finish, so the call returns
+// within one simulation's latency. Every sweep runs its list through here,
+// and so does the campaign engine, once, over a whole plan.
+func RunJobs(ctx context.Context, workers int, run Runner, progress func(string), jobs []Job) ([]Result, error) {
 	if run == nil {
 		run = PooledRun
 	}
@@ -80,8 +82,8 @@ type Fig12Options struct {
 	Progress func(string)
 }
 
-// fill applies the sweep defaults; it is idempotent, so RunFig12Ctx and
-// Fig12Jobs agree on the expansion no matter which is called first.
+// fill applies the sweep defaults; it is idempotent, so Fig12Jobs and
+// Fold agree on the expansion no matter which is called first.
 func (opt Fig12Options) fill() Fig12Options {
 	fillGrid(opt.Base, &opt.Mixes, &opt.NRHs, &opt.Defenses)
 	if len(opt.Profiles) == 0 {
@@ -197,30 +199,33 @@ func backendLabel(be string) string {
 }
 
 // RunFig12Ctx executes the sweep and returns cells in (defense, nRH,
-// config) order.
+// config) order: it expands Fig12Jobs, runs the list through RunJobs
+// with opt's Workers, Runner and Progress, and folds the results.
 //
-// The sweep's cells are fully independent simulations: Fig12Jobs
-// enumerates them as one flat list (baselines, then every
-// (defense, nRH, module, svard, mix) cell), each job flows through
-// opt.Runner on the deterministic worker pool, and the results fold back
-// into cells by walking the same enumeration. Cells are bit-identical
-// for any Workers value and for any Runner that is faithful to Run — in
-// particular with the campaign engine's result cache cold, warm, or
-// mixed.
+// The sweep's cells are fully independent simulations, so cells are
+// bit-identical for any Workers value and for any Runner that is faithful
+// to Run — in particular with the campaign engine's result cache cold,
+// warm, or mixed.
 //
 // Once ctx is done no new cell starts, in-flight cells finish, and the
 // call returns ctx's cause within one cell's latency. A cancelled sweep
 // returns no cells — partial figures would silently misrepresent the
 // sweep — but every completed cell already flowed through opt.Runner, so
 // a caching runner (the campaign engine's) keeps them for the next run.
+// The other three Run*Ctx sweeps share this contract.
 func RunFig12Ctx(ctx context.Context, opt Fig12Options) ([]Fig12Cell, error) {
-	opt = opt.fill()
-	jobs := Fig12Jobs(opt)
-	results, err := runJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, Fig12Jobs(opt))
 	if err != nil {
 		return nil, err
 	}
+	return opt.Fold(results), nil
+}
 
+// Fold folds the results of Fig12Jobs(opt), in job order, into the
+// sweep's cells. It is the Fig. 12 fold of every route: RunFig12Ctx and
+// the campaign engine's one pass over a plan.
+func (opt Fig12Options) Fold(results []Result) []Fig12Cell {
+	opt = opt.fill()
 	// Per backend segment: the first len(Profiles)*len(Mixes) results are
 	// the baselines, in module-major order, then the cells in enumeration
 	// order. A single-backend sweep has exactly one segment, so its cells
@@ -261,7 +266,7 @@ func RunFig12Ctx(ctx context.Context, opt Fig12Options) ([]Fig12Cell, error) {
 			}
 		}
 	}
-	return cells, nil
+	return cells
 }
 
 // foldMixes folds one grid point — one result per mix — against the same
@@ -422,22 +427,24 @@ func Fig13Jobs(opt Fig13Options) ([]Job, error) {
 	return jobs, nil
 }
 
-// RunFig13Ctx evaluates Hydra's and RRS's adversarial access patterns.
-// Like RunFig12Ctx, the independent runs flow as a flat job list through
-// opt.Runner over the exec pool, the cells are identical for any Workers
-// value and any Runner faithful to Run, and cancellation follows the
-// same contract.
+// RunFig13Ctx evaluates Hydra's and RRS's adversarial access patterns:
+// Fig13Jobs, RunJobs, Fold, under RunFig12Ctx's contract.
 func RunFig13Ctx(ctx context.Context, opt Fig13Options) ([]Fig13Cell, error) {
-	opt = opt.fill()
 	jobs, err := Fig13Jobs(opt)
 	if err != nil {
 		return nil, err
 	}
-	results, err := runJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
 	if err != nil {
 		return nil, err
 	}
+	return opt.Fold(results), nil
+}
 
+// Fold folds the results of Fig13Jobs(opt), in job order, into the
+// adversarial evaluation's cells.
+func (opt Fig13Options) Fold(results []Result) []Fig13Cell {
+	opt = opt.fill()
 	// Mean IPC of the benign cores (core 0 is the attacker).
 	benignIPC := make([]float64, len(results))
 	for i, res := range results {
@@ -470,7 +477,7 @@ func RunFig13Ctx(ctx context.Context, opt Fig13Options) ([]Fig13Cell, error) {
 			}
 		}
 	}
-	return cells, nil
+	return cells
 }
 
 func mean(xs []float64) float64 {

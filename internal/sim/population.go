@@ -19,16 +19,6 @@ type PopulationOptions struct {
 	NRHs       []float64      // default 4K..64
 	Defenses   []string       // default all five
 
-	// Chunk is how many modules' cells run before they fold into the
-	// band accumulators, so a 10K-chip sweep holds a constant number of
-	// results in memory. The module cache holds at most
-	// maxResidentPopModules calibrated modules whatever the chunk; a
-	// larger chunk may rebuild a module evicted mid-chunk. Chunking is
-	// invisible in the results — cells fold in module order regardless —
-	// so Chunk is a memory knob, never an axis of the outcome. Default
-	// maxResidentPopModules (16).
-	Chunk int
-
 	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
 	Runner   Runner // per-job executor (nil: PooledRun); see Runner
 	Progress func(string)
@@ -37,9 +27,6 @@ type PopulationOptions struct {
 // fill applies the sweep defaults (idempotent).
 func (opt PopulationOptions) fill() PopulationOptions {
 	fillGrid(opt.Base, &opt.Mixes, &opt.NRHs, &opt.Defenses)
-	if opt.Chunk <= 0 {
-		opt.Chunk = maxResidentPopModules
-	}
 	return opt
 }
 
@@ -70,25 +57,11 @@ type BandCell struct {
 	Violations uint64
 }
 
-// populationModuleJobs enumerates one module's flat job list. A sampled
-// chip is just one more profile label, so this IS the single-profile
-// Fig. 12 expansion: the defense-free baseline per mix, then one job per
-// (defense, nRH, svard, mix) — the order RunPopulationCtx's foldModule
+// PopulationJobs expands the sweep into its flat, module-major job list.
+// A sampled chip is just one more profile label, so each module's share
+// IS the single-profile Fig. 12 expansion: the defense-free baseline per
+// mix, then one job per (defense, nRH, svard, mix) — the order Fold
 // consumes results in.
-func populationModuleJobs(opt PopulationOptions, index int) []Job {
-	return Fig12Jobs(Fig12Options{
-		Base:     opt.Base,
-		Mixes:    opt.Mixes,
-		NRHs:     opt.NRHs,
-		Defenses: opt.Defenses,
-		Profiles: []string{population.Label(opt.Population.Seed, index)},
-	})
-}
-
-// PopulationJobs expands the sweep into its flat, module-major job
-// list — the enumeration RunPopulationCtx executes chunk by chunk, and the
-// campaign engine uses to size and checkpoint a population campaign
-// before running it.
 func PopulationJobs(opt PopulationOptions) ([]Job, error) {
 	opt = opt.fill()
 	if err := opt.validate(); err != nil {
@@ -96,7 +69,13 @@ func PopulationJobs(opt PopulationOptions) ([]Job, error) {
 	}
 	var jobs []Job
 	for i := 0; i < opt.Population.Size; i++ {
-		jobs = append(jobs, populationModuleJobs(opt, i)...)
+		jobs = append(jobs, Fig12Jobs(Fig12Options{
+			Base:     opt.Base,
+			Mixes:    opt.Mixes,
+			NRHs:     opt.NRHs,
+			Defenses: opt.Defenses,
+			Profiles: []string{population.Label(opt.Population.Seed, i)},
+		})...)
 	}
 	return jobs, nil
 }
@@ -121,29 +100,34 @@ func newBandAcc() bandAcc {
 
 // RunPopulationCtx executes the Monte Carlo sweep and returns band
 // cells in (defense, nRH, config) order — the population analogue of
-// RunFig12Ctx's point estimates.
+// RunFig12Ctx's point estimates: PopulationJobs, RunJobs, Fold, under
+// RunFig12Ctx's contract. Bands are bit-identical for any Workers value
+// and for any Runner faithful to Run — in particular the campaign
+// engine's caching runner, cold, warm, or mid-resume.
 //
-// The sweep streams: modules are evaluated Chunk at a time, each
-// module's per-mix results fold into its three per-config metrics
-// (weighted/harmonic speedup and max slowdown against the module's own
-// no-defense baseline, averaged over mixes, exactly like Fig. 12's
-// fold), and the metrics feed order-independent histogram accumulators.
-// The module cache keeps at most maxResidentPopModules calibrated
-// modules, evicting the oldest as new ones are built, so memory is
-// O(Chunk + bins) for any population size.
-// Bands are bit-identical for any Workers and Chunk value, and for any
-// Runner faithful to Run — in particular the campaign engine's caching
-// runner, cold, warm, or mid-resume.
-//
-// Cancellation follows RunFig12Ctx's contract: a cancelled sweep returns
-// no cells, but every completed cell already flowed through opt.Runner,
-// so a caching runner keeps them for the resume.
+// The whole job list runs in one pass, so the sweep holds one Result
+// per cell; the module cache keeps at most maxResidentPopModules
+// calibrated modules, evicting the oldest as new ones are built.
 func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, error) {
-	opt = opt.fill()
-	if err := opt.validate(); err != nil {
+	jobs, err := PopulationJobs(opt)
+	if err != nil {
 		return nil, err
 	}
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return opt.Fold(results), nil
+}
 
+// Fold folds the results of PopulationJobs(opt), in job order, into the
+// band cells: each module's per-mix results fold into its three
+// per-config metrics (weighted/harmonic speedup and max slowdown against
+// the module's own no-defense baseline, averaged over mixes, exactly like
+// Fig. 12's fold), and the metrics feed order-independent histogram
+// accumulators.
+func (opt PopulationOptions) Fold(results []Result) []BandCell {
+	opt = opt.fill()
 	nMix := len(opt.Mixes)
 	nCfg := 2 // NoSvard, Svard
 	accs := make([]bandAcc, len(opt.Defenses)*len(opt.NRHs)*nCfg)
@@ -151,36 +135,19 @@ func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, e
 		accs[i] = newBandAcc()
 	}
 
-	// foldModule consumes one module's results in populationModuleJobs
-	// order: baselines first, then (defense, nRH, svard, mix).
-	foldModule := func(results []Result) {
+	// Each module's share, in PopulationJobs order: baselines first, then
+	// (defense, nRH, svard, mix).
+	perModule := nMix * (1 + len(opt.Defenses)*len(opt.NRHs)*nCfg)
+	for m := 0; m < opt.Population.Size; m++ {
+		module := results[m*perModule:]
 		next := nMix
 		for i := range accs {
-			cell := foldMixes(results[next:next+nMix], results[:nMix])
+			cell := foldMixes(module[next:next+nMix], module[:nMix])
 			next += nMix
 			accs[i].violations += cell.Violations
 			accs[i].ws.Add(cell.WS)
 			accs[i].hs.Add(cell.HS)
 			accs[i].ms.Add(cell.MS)
-		}
-	}
-
-	perModule := nMix * (1 + len(opt.Defenses)*len(opt.NRHs)*nCfg)
-	for start := 0; start < opt.Population.Size; start += opt.Chunk {
-		end := start + opt.Chunk
-		if end > opt.Population.Size {
-			end = opt.Population.Size
-		}
-		var jobs []Job
-		for i := start; i < end; i++ {
-			jobs = append(jobs, populationModuleJobs(opt, i)...)
-		}
-		results, err := runJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
-		if err != nil {
-			return nil, err
-		}
-		for i := start; i < end; i++ {
-			foldModule(results[(i-start)*perModule : (i-start+1)*perModule])
 		}
 	}
 
@@ -208,5 +175,5 @@ func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, e
 			}
 		}
 	}
-	return cells, nil
+	return cells
 }

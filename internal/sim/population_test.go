@@ -78,25 +78,21 @@ func TestPopulationBandShapes(t *testing.T) {
 }
 
 // TestPopulationBandsOrderIndependent is the tentpole invariant: the
-// confidence bands are bit-identical for any Workers and Chunk value.
+// confidence bands are bit-identical for any Workers value.
 func TestPopulationBandsOrderIndependent(t *testing.T) {
 	want, err := RunPopulationCtx(context.Background(), tinyPopulationOptions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alt := range []struct {
-		workers, chunk int
-	}{{4, 2}, {2, 7}, {3, 1}} {
+	for workers := 1; workers <= 4; workers++ {
 		opt := tinyPopulationOptions(5)
-		opt.Workers = alt.workers
-		opt.Chunk = alt.chunk
+		opt.Workers = workers
 		got, err := RunPopulationCtx(context.Background(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("bands differ at workers=%d chunk=%d:\n%+v\n%+v",
-				alt.workers, alt.chunk, want, got)
+			t.Fatalf("bands differ at workers=%d:\n%+v\n%+v", workers, want, got)
 		}
 	}
 }
@@ -163,7 +159,6 @@ func TestPopulationModulesBounded(t *testing.T) {
 // cache holds leaves no more than the bound resident.
 func TestPopulationSweepEvictsModules(t *testing.T) {
 	opt := smallPopulation(maxResidentPopModules + 4)
-	opt.Chunk = 2
 	if _, err := RunPopulationCtx(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +170,7 @@ func TestPopulationSweepEvictsModules(t *testing.T) {
 
 // TestPopulationSweepParallelSmoke drives a larger population through the
 // parallel path; under -race it doubles as the data-race smoke for the
-// chunked fold + eviction machinery.
+// one-pass fold + eviction machinery.
 func TestPopulationSweepParallelSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("population smoke is not short")
@@ -186,7 +181,6 @@ func TestPopulationSweepParallelSmoke(t *testing.T) {
 	opt.Base.InstrPerCore = 4_000
 	opt.Base.WarmupPerCore = 500
 	opt.Workers = 4
-	opt.Chunk = 16
 	var mu sync.Mutex
 	seen := 0
 	opt.Progress = func(string) { mu.Lock(); seen++; mu.Unlock() }

@@ -164,7 +164,9 @@ type moduleEntry struct {
 // maxResidentPopModules caps the synthetic population modules
 // ("pop:<seed>:<index>") the module cache holds, whichever route their
 // cells arrive by — a population sweep, a compute batch, the fabric
-// coordinator's local fallback. It is also the sweep's default chunk.
+// coordinator's local fallback. A sweep dispatches its jobs module-major
+// with at most Workers in flight, so only the last few modules it
+// admitted are still being simulated when one is evicted.
 const maxResidentPopModules = 16
 
 // popResident lists the cached population modules' keys, oldest first.
