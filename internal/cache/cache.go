@@ -17,13 +17,16 @@ package cache
 import (
 	"container/list"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"svard/internal/sim"
@@ -37,7 +40,7 @@ const DefaultLRUEntries = 32768
 
 // Stats is a point-in-time snapshot of the store's counters, plus the
 // disk-layer gauges (entry count and bytes, maintained incrementally
-// from a startup scan — cheap to read, never a directory walk).
+// from the census Open starts — cheap to read, never a directory walk).
 type Stats struct {
 	MemHits  uint64 // served from the in-memory LRU
 	DiskHits uint64 // served from a valid on-disk entry
@@ -124,9 +127,11 @@ type Store struct {
 	remoteMisses atomic.Uint64
 	remoteErrors atomic.Uint64
 
-	entries   atomic.Int64 // on-disk entries (gauge; seeded by the Open scan)
-	diskBytes atomic.Int64 // bytes those entries occupy
-	lastScan  atomic.Int64 // unix nanos of the last disk scan (rescan pacing)
+	entries   atomic.Int64  // on-disk entries: the sum of the shards' counts
+	diskBytes atomic.Int64  // bytes those entries occupy
+	lastScan  atomic.Int64  // unix nanos of the last census (rescan pacing)
+	censused  chan struct{} // closed when the census Open started is done
+	shards    [numShards]shard
 
 	mu     sync.Mutex
 	lru    *list.List // most-recent first; values are *entry
@@ -145,11 +150,27 @@ type call struct {
 	err  error
 }
 
+// numShards is how many key-prefix directories a store can have: one per
+// value of a key's first byte.
+const numShards = 256
+
+// A shard is one key-prefix directory's share of the disk gauges. The
+// census counts it and persist moves it under mu, so a write that races
+// a walk of its directory is counted exactly once.
+type shard struct {
+	mu             sync.Mutex
+	entries, bytes int64
+}
+
 // Open returns a store persisting under dir (created if missing), with
 // an in-memory LRU of at most lruEntries results (<= 0 selects
 // DefaultLRUEntries). An empty dir yields a memory-only store — every
 // result still deduplicates and caches within the process, but nothing
 // survives it.
+//
+// Open does not walk dir: the census that sweeps stale temp files and
+// seeds the disk gauges runs in the background, beside the first
+// lookups, and Stats waits for it.
 func Open(dir string, lruEntries int) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -160,14 +181,18 @@ func Open(dir string, lruEntries int) (*Store, error) {
 		lruEntries = DefaultLRUEntries
 	}
 	s := &Store{
-		dir:    dir,
-		lruMax: lruEntries,
-		lru:    list.New(),
-		idx:    make(map[string]*list.Element),
-		flight: make(map[string]*call),
+		dir:      dir,
+		lruMax:   lruEntries,
+		lru:      list.New(),
+		idx:      make(map[string]*list.Element),
+		flight:   make(map[string]*call),
+		censused: make(chan struct{}),
 	}
-	s.scanDisk()
 	s.lastScan.Store(time.Now().UnixNano())
+	go func() {
+		s.census()
+		close(s.censused)
+	}()
 	return s, nil
 }
 
@@ -179,52 +204,77 @@ func Open(dir string, lruEntries int) (*Store, error) {
 // contrast, only gets older.
 const staleTempAge = time.Hour
 
-// scanDisk walks the shard directories once at Open: it removes stale
-// *.tmp files stranded by a crash mid-persist (the atomic write's only
-// failure residue; see staleTempAge for why only old ones) and seeds
-// the entry-count and disk-bytes gauges. Errors are ignored throughout
-// — the scan is hygiene and accounting, and an unreadable directory
-// must not fail Open any more than it fails a lookup.
-func (s *Store) scanDisk() {
+// census walks the shard directories: it removes stale *.tmp files
+// stranded by a crash mid-persist (the atomic write's only failure
+// residue; see staleTempAge for why only old ones) and recounts each
+// shard's entries and bytes. Errors are ignored throughout — the census
+// is hygiene and accounting, and an unreadable directory must not fail
+// the store any more than it fails a lookup.
+func (s *Store) census() {
 	if s.dir == "" {
 		return
 	}
-	var entries, bytes int64
-	cutoff := time.Now().Add(-staleTempAge)
-	shards, err := os.ReadDir(s.dir)
+	dirs, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
-	for _, shard := range shards {
-		// Shard directories are the 2-hex-char key prefixes; everything
-		// else at the top level (campaign journals) is not ours to touch.
-		if !shard.IsDir() || len(shard.Name()) != 2 {
+	// Shard directories are the key prefixes, two lowercase hex digits;
+	// everything else at the top level (campaign journals) is not ours.
+	var listed [numShards]bool
+	for _, d := range dirs {
+		if name := d.Name(); d.IsDir() && len(name) == 2 && lowerHex(name) {
+			listed[shardOf(name)] = true
+		}
+	}
+	cutoff := time.Now().Add(-staleTempAge)
+	for i := range s.shards {
+		s.countShard(i, listed[i], cutoff)
+	}
+}
+
+// countShard sets shard i's gauges to what its directory holds now. A
+// shard the listing missed is walked only if it counted something: it
+// was removed, or a write created it after the listing.
+func (s *Store) countShard(i int, listed bool, cutoff time.Time) {
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !listed && sh.entries == 0 && sh.bytes == 0 {
+		return
+	}
+	dir := filepath.Join(s.dir, hex.EncodeToString([]byte{byte(i)}))
+	files, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return // unreadable: keep what the shard last counted
+	}
+	var entries, bytes int64
+	for _, f := range files {
+		if f.IsDir() {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(s.dir, shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if f.IsDir() {
-				continue
+		name := f.Name()
+		switch {
+		case strings.Contains(name, ".tmp"):
+			if info, err := f.Info(); err == nil && info.ModTime().Before(cutoff) {
+				os.Remove(filepath.Join(dir, name))
 			}
-			name := f.Name()
-			switch {
-			case strings.Contains(name, ".tmp"):
-				if info, err := f.Info(); err == nil && info.ModTime().Before(cutoff) {
-					os.Remove(filepath.Join(s.dir, shard.Name(), name))
-				}
-			case strings.HasSuffix(name, ".json"):
-				if info, err := f.Info(); err == nil {
-					entries++
-					bytes += info.Size()
-				}
+		case strings.HasSuffix(name, ".json"):
+			if info, err := f.Info(); err == nil {
+				entries++
+				bytes += info.Size()
 			}
 		}
 	}
-	s.entries.Store(entries)
-	s.diskBytes.Store(bytes)
+	s.entries.Add(entries - sh.entries)
+	s.diskBytes.Add(bytes - sh.bytes)
+	sh.entries, sh.bytes = entries, bytes
+}
+
+// shardOf is the index of the shard a key (or a shard directory's name)
+// belongs to: the value of its first two hex digits.
+func shardOf(key string) int {
+	i, _ := strconv.ParseUint(key[:2], 16, 8)
+	return int(i)
 }
 
 // Dir returns the store's on-disk directory ("" for memory-only stores).
@@ -283,15 +333,17 @@ func (s *Store) remotePut(key string, res sim.Result) {
 }
 
 // rescanInterval paces how often Stats refreshes the disk gauges with a
-// real directory walk. The gauges track this process's writes exactly,
+// new census. The gauges track this process's writes exactly,
 // but the directory may be shared with other processes (svard-served
 // plus CLI sweeps over one -cache-dir); the periodic rescan keeps the
 // gauges eventually consistent with their writes too, without a walk
 // per Stats call.
 const rescanInterval = 5 * time.Minute
 
-// Stats returns a snapshot of the store's counters.
+// Stats returns a snapshot of the store's counters. It waits for the
+// census Open started, so the disk gauges it reports are complete.
 func (s *Store) Stats() Stats {
+	<-s.censused
 	s.maybeRescan()
 	return Stats{
 		MemHits:      s.memHits.Load(),
@@ -317,8 +369,8 @@ func clampUint(v int64) uint64 {
 	return uint64(v)
 }
 
-// maybeRescan refreshes the disk gauges if the last scan is older than
-// rescanInterval; the CAS elects one scanner per interval.
+// maybeRescan refreshes the disk gauges if the last census is older
+// than rescanInterval; the CAS elects one census per interval.
 func (s *Store) maybeRescan() {
 	if s.dir == "" {
 		return
@@ -328,7 +380,7 @@ func (s *Store) maybeRescan() {
 	if now-last < int64(rescanInterval) || !s.lastScan.CompareAndSwap(last, now) {
 		return
 	}
-	s.scanDisk()
+	s.census()
 }
 
 // GetOrCompute returns the stored result for cfg, computing and storing
@@ -467,8 +519,10 @@ func (s *Store) remember(key string, res sim.Result) {
 
 // path shards entries by the first byte of the key so no single
 // directory accumulates a paper-scale campaign's worth of files.
+// The path is built in one concatenation: it is on every disk read.
 func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
+	const sep = string(filepath.Separator)
+	return s.dir + sep + key[:2] + sep + key + ".json"
 }
 
 // read loads and validates one disk entry. Only a well-formed key — 64
@@ -476,15 +530,66 @@ func (s *Store) path(key string) string {
 // entry; anything else (including path-traversal shapes fed through
 // exported lookups like Get and Contains) is a plain miss before any
 // filesystem access.
+//
+// The file is read into a buffer on the stack, and a file longer than
+// MaxEnvelopeBytes is refused after that many bytes: no entry is read
+// whole because it is large. A read that returns less than it had room
+// for ends the file on a local disk, so a sealed entry opens in one
+// read. If the bytes do not open, reading resumes until a read returns
+// nothing, so a short read elsewhere is never taken for corruption.
 func (s *Store) read(key string) (sim.Result, error) {
 	if s.dir == "" || !WellFormedKey(key) {
 		return sim.Result{}, os.ErrNotExist
 	}
-	b, err := os.ReadFile(s.path(key))
+	p := s.path(key)
+	fd, err := syscall.Open(p, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		return sim.Result{}, err
+		return sim.Result{}, &os.PathError{Op: "open", Path: p, Err: err}
 	}
-	return OpenEnvelope(key, b)
+	defer syscall.Close(fd)
+	var buf [entryReadBytes]byte
+	b, err := readEntry(fd, buf[:0])
+	for err == nil {
+		res, oerr := OpenEnvelope(key, b)
+		if oerr == nil {
+			return res, nil
+		}
+		more, rerr := readEntry(fd, b)
+		if rerr == nil && len(more) == len(b) {
+			return sim.Result{}, oerr
+		}
+		b, err = more, rerr
+	}
+	return sim.Result{}, &os.PathError{Op: "read", Path: p, Err: err}
+}
+
+// entryReadBytes is the stack buffer an entry is read into: a sealed
+// result is a few hundred bytes, so every entry a sweep writes fits.
+const entryReadBytes = 4 << 10
+
+// readEntry appends fd's bytes to b until a read returns less than it
+// had room for. It fails once b holds more than MaxEnvelopeBytes.
+func readEntry(fd int, b []byte) ([]byte, error) {
+	for {
+		if len(b) > MaxEnvelopeBytes {
+			return nil, fmt.Errorf("over %d bytes", MaxEnvelopeBytes)
+		}
+		if len(b) == cap(b) {
+			b = append(make([]byte, 0, min(2*cap(b), MaxEnvelopeBytes+1)), b...)
+		}
+		n, err := syscall.Read(fd, b[len(b):cap(b)])
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return nil, err
+		}
+		short := len(b)+n < cap(b)
+		b = b[:len(b)+n]
+		if short {
+			return b, nil
+		}
+	}
 }
 
 // load wraps read with the corrupt-entry policy: a missing file is a
@@ -523,12 +628,6 @@ func (s *Store) persist(key string, res sim.Result) {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return
 	}
-	// The rename either creates a new entry or replaces a corrupt one;
-	// stat first so the gauges track both cases.
-	var oldSize, isNew int64 = 0, 1
-	if info, err := os.Stat(p); err == nil {
-		oldSize, isNew = info.Size(), 0
-	}
 	tmp, err := os.CreateTemp(filepath.Dir(p), key+".tmp*")
 	if err != nil {
 		return
@@ -536,11 +635,27 @@ func (s *Store) persist(key string, res sim.Result) {
 	_, werr := tmp.Write(b)
 	serr := tmp.Sync()
 	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil || os.Rename(tmp.Name(), p) != nil {
+	if werr != nil || serr != nil || cerr != nil {
+		os.Remove(tmp.Name())
+		return
+	}
+	// The rename either creates a new entry or replaces a corrupt one;
+	// stat first so the gauges track both cases, and hold the shard so a
+	// census walking its directory counts the rename exactly once.
+	sh := &s.shards[shardOf(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var oldSize, isNew int64 = 0, 1
+	if info, err := os.Stat(p); err == nil {
+		oldSize, isNew = info.Size(), 0
+	}
+	if os.Rename(tmp.Name(), p) != nil {
 		os.Remove(tmp.Name())
 		return
 	}
 	s.writes.Add(1)
+	sh.entries += isNew
+	sh.bytes += int64(len(b)) - oldSize
 	s.entries.Add(isNew)
 	s.diskBytes.Add(int64(len(b)) - oldSize)
 }

@@ -456,9 +456,10 @@ func TestConcurrentOverlappingConfigs(t *testing.T) {
 }
 
 // TestOpenSweepsStaleTempFiles: *.tmp residue from a crash mid-persist
-// is removed by the next Open once it is old enough to be provably
-// stale; a fresh temp file — possibly another live process's in-flight
-// write into the shared directory — and valid entries are untouched.
+// is removed by the census the next Open starts (Stats waits for it)
+// once it is old enough to be provably stale; a fresh temp file —
+// possibly another live process's in-flight write into the shared
+// directory — and valid entries are untouched.
 func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
@@ -481,17 +482,17 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	}
 
 	s2, _ := Open(dir, 0)
+	if st := s2.Stats(); st.Entries != 1 {
+		t.Errorf("Entries = %d after sweep, want 1", st.Entries)
+	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived Open")
+		t.Error("stale temp file survived Open's census")
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Error("fresh temp file (a possible live writer's) was swept")
 	}
 	if !s2.Contains(key) {
 		t.Error("valid entry was swept along with the temp file")
-	}
-	if st := s2.Stats(); st.Entries != 1 {
-		t.Errorf("Entries = %d after sweep, want 1", st.Entries)
 	}
 }
 

@@ -66,7 +66,9 @@ func Seal(key string, res sim.Result) ([]byte, error) {
 // requested under and decodes its result. It is the single verification
 // path for disk reads and remote responses alike: the frame must match
 // byte for byte (schema, key), the sum must be R's, and R must be
-// exactly what the encoder writes for some sim.Result.
+// exactly what the encoder writes for some sim.Result. b does not
+// escape — a disk read passes a buffer on its stack — so an error quotes
+// a copy of b's bytes, never a slice of it.
 func OpenEnvelope(key string, b []byte) (sim.Result, error) {
 	if err := checkKey(key); err != nil {
 		return sim.Result{}, err
@@ -77,14 +79,14 @@ func OpenEnvelope(key string, b []byte) (sim.Result, error) {
 	case string(b[:keyAt]) != frameSchema:
 		return sim.Result{}, fmt.Errorf("cache: entry %s: not a %s envelope", key, SchemaVersion)
 	case string(b[keyAt:keyAt+hexLen]) != key:
-		return sim.Result{}, fmt.Errorf("cache: entry %s: sealed under key %q", key, b[keyAt:keyAt+hexLen])
+		return sim.Result{}, fmt.Errorf("cache: entry %s: sealed under key %q", key, string(b[keyAt:keyAt+hexLen]))
 	case string(b[keyAt+hexLen:sumAt]) != frameSum || string(b[sumAt+hexLen:resultAt]) != frameResult ||
 		string(b[len(b)-len(frameEnd):]) != frameEnd:
 		return sim.Result{}, fmt.Errorf("cache: entry %s: malformed envelope frame", key)
 	}
 	s := b[sumAt : sumAt+hexLen]
 	if !lowerHex(s) {
-		return sim.Result{}, fmt.Errorf("cache: entry %s: malformed content sum %q", key, s)
+		return sim.Result{}, fmt.Errorf("cache: entry %s: malformed content sum %q", key, string(s))
 	}
 	var sum [sha256.Size]byte
 	_, _ = hex.Decode(sum[:], s) // 64 lowercase hex digits: cannot fail

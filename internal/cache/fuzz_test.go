@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -46,6 +48,65 @@ func FuzzOpenEnvelope(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, res) {
 			t.Fatalf("re-sealed envelope opens to a different result:\ngot  %+v\nwant %+v", back, res)
+		}
+	})
+}
+
+// FuzzDiskReadMatchesOpenEnvelope: a file at an entry's path reads back
+// exactly as OpenEnvelope opens its bytes — the same result or an error
+// alike — whatever its length relative to the read buffer (an entry
+// sealed past it opens), and a file past MaxEnvelopeBytes is refused. pad appends that many copies of the
+// file's last byte (up to twice the bound), so lengths on both sides of
+// the buffer and of the bound are reached without megabyte inputs.
+func FuzzDiskReadMatchesOpenEnvelope(f *testing.F) {
+	cfg := testCfg(112)
+	key := Key(cfg)
+	res, _ := fakeCompute(nil)(cfg)
+	sealed, err := Seal(key, res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wide := sim.Result{IPC: make([]float64, entryReadBytes/8), Finished: true} // seals past the read buffer
+	for i := range wide.IPC {
+		wide.IPC[i] = 0.123456789
+	}
+	sealedWide, err := Seal(key, wide)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed, uint32(0))
+	f.Add(sealedWide, uint32(0))
+	f.Add(sealed[:len(sealed)-1], uint32(1))
+	f.Add(sealed, uint32(entryReadBytes-len(sealed)))
+	f.Add(sealed, uint32(MaxEnvelopeBytes-len(sealed)))
+	f.Add(sealed, uint32(MaxEnvelopeBytes+1-len(sealed)))
+	f.Add([]byte{}, uint32(0))
+	dir := f.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := s.path(key)
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, pad uint32) {
+		if n := int(pad) % (2*MaxEnvelopeBytes + 1); n > 0 && len(b) > 0 {
+			b = append(b, bytes.Repeat(b[len(b)-1:], n)...)
+		}
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.read(key)
+		if len(b) > MaxEnvelopeBytes {
+			if err == nil {
+				t.Fatalf("a %d-byte file read as an entry", len(b))
+			}
+			return
+		}
+		want, werr := OpenEnvelope(key, b)
+		if (err == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("a %d-byte file reads as %+v, %v; its bytes open as %+v, %v", len(b), got, err, want, werr)
 		}
 	})
 }
