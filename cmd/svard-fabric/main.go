@@ -1,8 +1,8 @@
 // svard-fabric is the distributed campaign coordinator: it shards a
 // campaign's cells across registered svard-served workers with
 // lease-based dispatch, doubles as the shared remote object store the
-// workers publish results through, and folds the figures locally from
-// its own cache — bit-identical to a single-node run, whatever workers
+// workers publish results through, and folds the results it took
+// delivery of — bit-identical to a single-node run, whatever workers
 // join, die, or flap along the way.
 //
 // Usage:
@@ -53,7 +53,7 @@ func main() {
 		lease       = flag.Duration("lease", 0, "lease TTL; a worker missing heartbeats this long loses its cells (0 = 15s)")
 		minWorkers  = flag.Int("min-workers", 1, "live workers to wait for before dispatching")
 		maxAttempts = flag.Int("max-attempts", 0, "dispatch attempts per cell before the coordinator computes it locally (0 = 3)")
-		workers     = flag.Int("workers", 0, "local parallelism for the fold and last-resort computes (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "local parallelism for last-resort computes (0 = GOMAXPROCS)")
 		resume      = flag.Bool("resume", false, "resume this campaign's interrupted journal")
 		outFile     = flag.String("out", "", "write the folded outcome and dispatch stats as JSON to this file")
 		quiet       = flag.Bool("q", false, "suppress dispatch progress output")

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"svard/internal/cache"
@@ -405,8 +404,9 @@ func (s Spec) Plan() (Plan, error) {
 	return Plan{Spec: s, Fingerprint: s.fingerprint(), Jobs: jobs, parts: parts}, nil
 }
 
-// check rejects a plan Spec.Plan did not build, or whose job list changed
-// since: its figures could not fold the results.
+// check rejects a plan Spec.Plan did not build, or whose job list or
+// fingerprint changed since: its figures could not fold the results, or
+// its journal would be misnamed.
 func (p Plan) check() error {
 	n := 0
 	for _, pt := range p.parts {
@@ -414,6 +414,9 @@ func (p Plan) check() error {
 	}
 	if len(p.parts) == 0 || n != len(p.Jobs) {
 		return fmt.Errorf("campaign: plan lists %d jobs but its figures fold %d; build plans with Spec.Plan", len(p.Jobs), n)
+	}
+	if !cache.WellFormedKey(p.Fingerprint) { // the same shape: a hex SHA-256
+		return fmt.Errorf("campaign: plan has a malformed fingerprint %q; build plans with Spec.Plan", p.Fingerprint)
 	}
 	return nil
 }
@@ -460,14 +463,15 @@ type Outcome struct {
 	Erosion []sim.ErosionCell `json:"erosion,omitempty"`
 
 	Total   int `json:"total"`   // simulation jobs in the campaign
-	Resumed int `json:"resumed"` // jobs already journaled as complete when the run started
+	Resumed int `json:"resumed"` // cells an earlier run journaled and this run served
 
 	// Computed counts the cells THIS campaign actually simulated: its
 	// compute callback ran (exactly-once attribution — a cell another
 	// concurrent campaign computed, or that any cache layer served, is
 	// not counted here). Served is the rest: Total - Computed, on every
-	// route. A resumed cell was not simulated by this run, so Resumed
-	// counts a subset of Served.
+	// route. Record keeps all three, so Resumed is a subset of Served by
+	// construction: a journaled cell the store lost and this run simulated
+	// again is Computed, not Resumed.
 	Computed int `json:"computed"`
 	Served   int `json:"served"`
 
@@ -559,26 +563,17 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 // with Resume (svard-sweep -resume) and only the never-computed cells
 // simulate.
 func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
-	if e.Store == nil {
-		return nil, fmt.Errorf("campaign: engine has no result store")
-	}
-	if err := plan.check(); err != nil {
-		return nil, err
-	}
-	j, err := OpenJournal(e.Store.Dir(), plan.Fingerprint, len(plan.Jobs), e.Resume)
+	record, err := OpenRecord(e.Store, plan, e.Resume)
 	if err != nil {
 		return nil, err
 	}
-	defer j.Close()
+	defer record.Close()
 
-	out := &Outcome{Total: len(plan.Jobs), Resumed: j.Resumed()}
-
-	// The engine's share of a cell, around the one cell path: journal and
+	// The engine's share of a cell, around the one cell path: record and
 	// Observe on success, under the store-derived key, and — with the flight
 	// recorder on — a per-cell Recorder whose wait phase runs from the trace
 	// anchor to the cell's start and whose spans and counters land in e.Trace.
 	cell := Cell{Store: e.Store, Sim: e.Sim, Slots: e.Slots}
-	var computed atomic.Int64
 	runner := func(cfg sim.Config) (sim.Result, error) {
 		var rec *obs.Recorder
 		var start time.Time
@@ -589,10 +584,7 @@ func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
 		}
 		res, key, ran, err := cell.Run(ctx, cfg, rec)
 		if err == nil {
-			if ran {
-				computed.Add(1)
-			}
-			j.Done(key)
+			record.Done(key, ran)
 			if e.Observe != nil {
 				e.Observe(cfg, key)
 			}
@@ -615,13 +607,5 @@ func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range plan.parts {
-		p.fold(results[:p.n], out)
-		results = results[p.n:]
-	}
-
-	out.Computed = int(computed.Load())
-	out.Served = out.Total - out.Computed
-	out.Stats = e.Store.Stats()
-	return out, nil
+	return record.Outcome(results), nil
 }

@@ -180,6 +180,32 @@ func TestCampaignInterruptedThenResumed(t *testing.T) {
 	}
 }
 
+// TestResumedIsPartOfServed: a resumed cell is one an earlier run
+// journaled and this run served. A journaled cell whose store entry is
+// gone runs again and counts as Computed, never also as Resumed.
+func TestResumedIsPartOfServed(t *testing.T) {
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := (&Engine{Store: newStore(t, dir), Sim: fakeSim}).RunPlan(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	lost := cache.Key(plan.Jobs[0].Config)
+	if err := os.Remove(filepath.Join(dir, lost[:2], lost+".json")); err != nil {
+		t.Fatal(err)
+	}
+	out, err := (&Engine{Store: newStore(t, dir), Resume: true, Sim: fakeSim}).RunPlan(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(plan.Jobs)
+	if out.Computed != 1 || out.Served != n-1 || out.Resumed != n-1 {
+		t.Errorf("computed=%d served=%d resumed=%d, want 1/%d/%d", out.Computed, out.Served, out.Resumed, n-1, n-1)
+	}
+}
+
 // fakeSim is a cheap deterministic stand-in for sim.Run for tests that
 // exercise engine accounting, not simulation.
 func fakeSim(cfg sim.Config) (sim.Result, error) {
@@ -272,20 +298,23 @@ func TestEngineRunsPlanInOnePass(t *testing.T) {
 }
 
 // TestRunPlanRejectsForeignPlans: RunPlan folds a plan's results through
-// the figures Spec.Plan recorded, so a plan built any other way — or one
-// whose job list was edited since — is refused with an error before any
-// cell runs, never a panic.
+// the figures Spec.Plan recorded and journals under its fingerprint, so a
+// plan built any other way — or one whose job list or fingerprint was
+// edited since — is refused by OpenRecord with an error before any cell
+// runs, never a panic.
 func TestRunPlanRejectsForeignPlans(t *testing.T) {
 	plan, err := tinySpec().Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	trimmed := plan
+	trimmed, unsigned := plan, plan
 	trimmed.Jobs = plan.Jobs[1:]
+	unsigned.Fingerprint = ""
 	for name, p := range map[string]Plan{
-		"zero":    {},
-		"literal": {Spec: plan.Spec, Fingerprint: plan.Fingerprint, Jobs: plan.Jobs},
-		"trimmed": trimmed,
+		"zero":     {},
+		"literal":  {Spec: plan.Spec, Fingerprint: plan.Fingerprint, Jobs: plan.Jobs},
+		"trimmed":  trimmed,
+		"unsigned": unsigned,
 	} {
 		var calls atomic.Int64
 		eng := &Engine{Store: newStore(t, t.TempDir()), Sim: func(cfg sim.Config) (sim.Result, error) {
@@ -295,10 +324,6 @@ func TestRunPlanRejectsForeignPlans(t *testing.T) {
 		if _, err := eng.RunPlan(context.Background(), p); err == nil || calls.Load() != 0 {
 			t.Errorf("%s plan: err %v after %d simulations, want an error before any", name, err, calls.Load())
 		}
-	}
-	// The fabric coordinator opens the journal before it dispatches.
-	if _, err := OpenJournal(t.TempDir(), "", 0, false); err == nil {
-		t.Error("a journal opened without a campaign fingerprint")
 	}
 }
 
@@ -427,53 +452,69 @@ func TestSpecBackendsAxis(t *testing.T) {
 }
 
 func TestJournalTornLineAndResume(t *testing.T) {
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, false)
+	store := newStore(t, dir)
+	first, err := OpenRecord(store, plan, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k1, k2 := strings.Repeat("11", 32), strings.Repeat("22", 32)
-	j.Done(k1)
-	j.Done(k2)
-	j.Done(k2) // idempotent
-	j.Close()
+	first.Done(k1, true)
+	first.Done(k2, true)
+	first.Done(k2, false) // idempotent
+	first.Close()
 
 	// Simulate a crash mid-append: a torn half-written key.
-	path := journalPath(dir, strings.Repeat("ab", 32))
+	path := journalPath(dir, plan.Fingerprint)
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	f.WriteString(strings.Repeat("33", 10))
 	f.Close()
 
-	r, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, true)
+	r, err := OpenRecord(store, plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Resumed() != 2 {
-		t.Errorf("resumed = %d, want 2 (torn line must be dropped)", r.Resumed())
+	if n := loaded(r); n != 2 {
+		t.Errorf("resumed = %d, want 2 (torn line must be dropped)", n)
 	}
 	// A key appended right after the torn line must not be glued onto it:
 	// the next resume still sees it.
 	k3 := strings.Repeat("44", 32)
-	r.Done(k3)
+	r.Done(k3, true)
 	r.Close()
-	r2, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, true)
+	r2, err := OpenRecord(store, plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if r2.Resumed() != 3 {
-		t.Errorf("resumed = %d, want 3 (key after torn line must survive)", r2.Resumed())
+	if n := loaded(r2); n != 3 || !r2.Resumed(k3) {
+		t.Errorf("resumed = %d, want 3 (key after torn line must survive)", n)
 	}
 
 	// Without resume, the journal restarts from zero.
-	fresh, err := OpenJournal(dir, strings.Repeat("ab", 32), 10, false)
+	fresh, err := OpenRecord(store, plan, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if fresh.Resumed() != 0 {
-		t.Errorf("fresh journal resumed %d", fresh.Resumed())
+	if n := loaded(fresh); n != 0 {
+		t.Errorf("fresh journal resumed %d", n)
 	}
+}
+
+// loaded counts the keys a record loaded from an earlier run's journal.
+func loaded(r *Record) int {
+	n := 0
+	for _, earlier := range r.seen {
+		if earlier {
+			n++
+		}
+	}
+	return n
 }
 
 // tinyPopulationSpec is a real-simulation population campaign sized to

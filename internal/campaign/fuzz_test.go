@@ -15,11 +15,15 @@ var journalKeyLine = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
 // FuzzJournalResume: a journal file is read back after crashes and may
 // sit in a shared cache directory, so whatever bytes it holds, resuming
-// must not panic, and Resumed() must equal the number of distinct
+// must not panic, and the keys it loads must number exactly the distinct
 // well-formed keys following a header for this campaign's fingerprint —
 // zero under any other header.
 func FuzzJournalResume(f *testing.F) {
-	fp := strings.Repeat("ab", 32)
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp := plan.Fingerprint
 	header := journalHeader + " " + fp + " total=10\n"
 	k1, k2 := strings.Repeat("11", 32), strings.Repeat("22", 32)
 	f.Add([]byte(header + k1 + "\n" + k2 + "\n" + k1 + "\n"))
@@ -30,6 +34,10 @@ func FuzzJournalResume(f *testing.F) {
 	f.Add([]byte(k1 + "\n"))
 	f.Add([]byte{})
 	dir := f.TempDir() // one per fuzz worker process: executions are sequential
+	store, err := cache.Open(dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, content []byte) {
 		if err := os.WriteFile(journalPath(dir, fp), content, 0o644); err != nil {
 			t.Fatal(err)
@@ -44,13 +52,13 @@ func FuzzJournalResume(f *testing.F) {
 			}
 			want = len(distinct)
 		}
-		j, err := OpenJournal(dir, fp, 10, true)
+		r, err := OpenRecord(store, plan, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer j.Close()
-		if j.Resumed() != want {
-			t.Fatalf("Resumed() = %d, want %d for journal %q", j.Resumed(), want, content)
+		defer r.Close()
+		if n := loaded(r); n != want {
+			t.Fatalf("loaded %d keys, want %d for journal %q", n, want, content)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // Package fabric is the distributed campaign layer: a coordinator that
 // shards a campaign's cell set across registered svard-served workers
-// using lease-based dispatch, then folds the figures locally from its
-// own store — so the folded cells are bit-identical to a single-node
-// run for ANY worker count, failure schedule, or cache state.
+// using lease-based dispatch, then folds the results it took delivery of
+// — so the folded cells are bit-identical to a single-node run for ANY
+// worker count, failure schedule, or cache state.
 //
 // The failure model is crash-stop workers over a flaky network:
 //
@@ -24,13 +24,14 @@
 //     (GET/PUT /api/v1/objects/{key}, speaking the cache's sealed
 //     envelope bytes), so workers publish results as they compute and
 //     serve each other's cells through their cache's Remote layer.
-//   - Dispatch-phase completions are journaled through the campaign
-//     journal; a restarted coordinator resumes instead of
-//     re-dispatching finished cells.
+//   - Completions go into the campaign's run record (campaign.Record),
+//     the one the local engine keeps: it journals them, so a restarted
+//     coordinator resumes instead of re-dispatching finished cells, and
+//     it attributes and folds them exactly as a local run would.
 //
-// Correctness never depends on the bookkeeping: results live in the
-// content-addressed cache, and the final fold replays the campaign
-// engine over the warm store.
+// A result is delivered only once its bytes are in the coordinator's
+// store under the coordinator's own key for the cell, and the fold reads
+// those delivered results: there is no second pass over the store.
 package fabric
 
 import (
@@ -46,6 +47,7 @@ import (
 	"svard/internal/cache"
 	"svard/internal/campaign"
 	"svard/internal/client"
+	"svard/internal/exec"
 	"svard/internal/server"
 	"svard/internal/sim"
 )
@@ -53,8 +55,8 @@ import (
 // Config sizes a Coordinator.
 type Config struct {
 	// Store is the coordinator's result cache: the backing of the
-	// object-store endpoints, the source of the final fold, and the
-	// journal's home (required).
+	// object-store endpoints, where every delivered result is made
+	// durable, and the journal's home (required).
 	Store *cache.Store
 
 	// Sim replaces the executor behind the coordinator's own cell path —
@@ -64,8 +66,8 @@ type Config struct {
 	// counting runners.
 	Sim sim.Runner
 
-	// Workers bounds local parallelism (fallback computes and the final
-	// fold; <= 0: GOMAXPROCS).
+	// Workers bounds the local fallback's concurrent computes (<= 0:
+	// GOMAXPROCS).
 	Workers int
 
 	// BatchSize is the number of cells per lease (<= 0: 16).
@@ -170,15 +172,13 @@ type runState struct {
 	ctx      context.Context
 	jobs     []sim.Job
 	keys     []string
+	results  []sim.Result // what the fold reads: set once per cell, when it is done
 	done     []bool
 	attempts []int
 	pending  []int
-	journal  *campaign.Journal
+	record   *campaign.Record
 
 	remaining int
-	resumed   int
-	computed  int
-	served    int
 	stats     DispatchStats
 
 	failErr  error
@@ -214,7 +214,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		cell:    campaign.Cell{Store: cfg.Store, Sim: cfg.Sim, Slots: make(chan struct{}, max(1, cfg.Workers))},
+		cell:    campaign.Cell{Store: cfg.Store, Sim: cfg.Sim, Slots: make(chan struct{}, exec.Workers(cfg.Workers))},
 		workers: make(map[string]*worker),
 	}
 	c.mux.HandleFunc("POST /api/v1/workers", c.handleRegister)
@@ -259,44 +259,49 @@ func (c *Coordinator) RunCtx(ctx context.Context, spec campaign.Spec) (*Result, 
 // RunPlan shards one campaign across the registered workers and returns
 // the folded outcome, bit-identical to a local run. It waits for
 // MinWorkers live workers, dispatches lease-by-lease until every cell
-// is journaled, then replays the plan locally over the warm store to
-// fold. Exactly one campaign runs at a time.
+// is delivered, and folds the delivered results through the campaign's
+// run record. Exactly one campaign runs at a time.
 func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result, error) {
-	jobs, fp := plan.Jobs, plan.Fingerprint
-	journal, err := campaign.OpenJournal(c.cfg.Store.Dir(), fp, len(jobs), c.cfg.Resume)
+	record, err := campaign.OpenRecord(c.cfg.Store, plan, c.cfg.Resume)
 	if err != nil {
 		return nil, err
 	}
 
+	jobs := plan.Jobs
 	run := &runState{
 		ctx:      ctx,
 		jobs:     jobs,
 		keys:     make([]string, len(jobs)),
+		results:  make([]sim.Result, len(jobs)),
 		done:     make([]bool, len(jobs)),
 		attempts: make([]int, len(jobs)),
-		journal:  journal,
+		record:   record,
 		finished: make(chan struct{}),
 	}
 	for i, j := range jobs {
 		// The coordinator's own derivation, on purpose: it is what a
 		// worker's untrusted reply is checked against (sendBatch).
-		run.keys[i] = cache.Key(j.Config)
+		key := cache.Key(j.Config)
+		run.keys[i] = key
 		// A journaled cell whose result is still in the store is done
 		// before dispatch starts; a journaled cell the store lost is
 		// re-dispatched (the journal is accounting, the cache is truth).
-		if journal.Seen(run.keys[i]) && c.cfg.Store.Contains(run.keys[i]) {
-			run.done[i] = true
-			run.resumed++
-			continue
+		if record.Resumed(key) {
+			if res, ok := c.cfg.Store.Get(key); ok {
+				run.done[i], run.results[i] = true, res
+				record.Done(key, false)
+				continue
+			}
 		}
 		run.pending = append(run.pending, i)
 	}
 	run.remaining = len(run.pending)
+	resumed := len(jobs) - run.remaining // before c.run publishes the run to dispatch
 
 	c.mu.Lock()
 	if c.run != nil {
 		c.mu.Unlock()
-		journal.Close()
+		record.Close()
 		return nil, errors.New("fabric: a campaign is already running")
 	}
 	c.run = run
@@ -313,13 +318,14 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result,
 			w.leased = false
 		}
 		c.mu.Unlock()
-		journal.Close()
+		record.Close()
 	}()
 
+	fp := plan.Fingerprint[:8]
 	c.cfg.Logf("fabric: campaign %s: %d cells (%d resumed), batch=%d lease=%s",
-		fp[:8], len(jobs), run.resumed, c.cfg.BatchSize, c.cfg.LeaseTTL)
+		fp, len(jobs), resumed, c.cfg.BatchSize, c.cfg.LeaseTTL)
 
-	if run.remaining > 0 {
+	if resumed < len(jobs) {
 		if err := c.waitForWorkers(ctx, run); err != nil {
 			return nil, err
 		}
@@ -350,24 +356,14 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result,
 		}
 	}
 
-	// Fold locally over the warm store: every cell is a cache hit, so
-	// the folded figures are bit-identical to a single-node run. The
-	// engine's own attribution is superseded by the dispatch plane's
-	// (its compute callback only fires if the store lost an entry
-	// between dispatch and fold — a recompute, not a new attribution).
-	eng := &campaign.Engine{Store: c.cfg.Store, Workers: c.cfg.Workers, Resume: true, Sim: c.cfg.Sim}
-	out, err := eng.RunPlan(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
+	// Every cell is done, so no completion writes run.results again (a
+	// late one finds its cell done and counts as stale).
 	c.mu.Lock()
-	out.Resumed = run.resumed
-	out.Computed = run.computed
-	out.Served = out.Total - run.computed // campaign.Outcome's rule: Resumed is part of Served
 	stats := run.stats
 	c.mu.Unlock()
+	out := record.Outcome(run.results)
 	c.cfg.Logf("fabric: campaign %s done: computed=%d served=%d resumed=%d (%s)",
-		fp[:8], out.Computed, out.Served, out.Resumed, stats)
+		fp, out.Computed, out.Served, out.Resumed, stats)
 	return &Result{Outcome: out, Dispatch: stats}, nil
 }
 
@@ -508,10 +504,11 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 		return
 	}
 
-	// Make every delivered result durable in the coordinator's store
-	// BEFORE any accounting: a cell is only ever journaled as done once
-	// its bytes are local truth. Workers publish through the remote
-	// cache as they compute, so most of these are already present.
+	// Take delivery of every result, durable in the coordinator's store,
+	// BEFORE any accounting: a cell is only ever recorded as done once its
+	// bytes are local truth, and those bytes are what the fold reads.
+	// Workers publish through the remote cache as they compute, so most of
+	// these are already present.
 	//
 	// The reply is untrusted input: entry i answers leased cell
 	// l.cells[i] only if it carries the coordinator's own key for that
@@ -527,15 +524,15 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 		}
 		return server.ComputeCell{}
 	}
-	delivered := make([]bool, len(l.cells))
+	delivered := make([]*sim.Result, len(l.cells)) // nil: undelivered
 	fetching := true
 	for i, idx := range l.cells {
 		key := run.keys[idx]
 		if cell := reply(i); cell.Error != "" || cell.Key != key {
 			continue
 		}
-		if c.cfg.Store.Contains(key) {
-			delivered[i] = true
+		if res, ok := c.cfg.Store.Get(key); ok {
+			delivered[i] = &res
 			continue
 		}
 		if !fetching {
@@ -548,7 +545,7 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 			continue
 		}
 		if c.cfg.Store.Put(key, res) == nil {
-			delivered[i] = true
+			delivered[i] = &res
 		}
 	}
 
@@ -573,7 +570,7 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 		case cell.Error != "":
 			c.cfg.Logf("fabric: cell %s failed on %s: %s", run.keys[idx][:8], l.w.name, cell.Error)
 			c.requeueLocked(run, idx)
-		case !delivered[i]:
+		case delivered[i] == nil:
 			// No entry for this cell, one under another key, or a claimed
 			// completion whose result never became local truth: undone.
 			c.requeueLocked(run, idx)
@@ -582,25 +579,22 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 			// re-dispatched concurrently, so it must never count as
 			// Computed twice — accept it, attribute Served.
 			run.stats.AcceptedLate++
-			c.completeLocked(run, idx, false)
+			c.completeLocked(run, idx, *delivered[i], false)
 		default:
-			c.completeLocked(run, idx, cell.Computed)
+			c.completeLocked(run, idx, *delivered[i], cell.Computed)
 		}
 	}
 	c.dispatchLocked(run)
 }
 
-// completeLocked attributes one finished cell exactly once and
-// journals it (caller holds c.mu; the result is already in the store).
-func (c *Coordinator) completeLocked(run *runState, idx int, computed bool) {
+// completeLocked takes one finished cell's result for the fold and hands
+// the cell to the run record, exactly once (caller holds c.mu; the result
+// is already in the store).
+func (c *Coordinator) completeLocked(run *runState, idx int, res sim.Result, computed bool) {
 	run.done[idx] = true
+	run.results[idx] = res
 	run.remaining--
-	if computed {
-		run.computed++
-	} else {
-		run.served++
-	}
-	run.journal.Done(run.keys[idx])
+	run.record.Done(run.keys[idx], computed)
 	if run.remaining == 0 && !run.ended {
 		run.ended = true
 		close(run.finished)
@@ -610,7 +604,7 @@ func (c *Coordinator) completeLocked(run *runState, idx int, computed bool) {
 // computeLocal is the last-resort path: the coordinator runs the cell
 // on its own cell path.
 func (c *Coordinator) computeLocal(run *runState, idx int) {
-	_, _, computed, err := c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
+	res, _, computed, err := c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -633,7 +627,7 @@ func (c *Coordinator) computeLocal(run *runState, idx int) {
 		close(run.finished)
 		return
 	}
-	c.completeLocked(run, idx, computed)
+	c.completeLocked(run, idx, res, computed)
 }
 
 // --- HTTP surface -----------------------------------------------------

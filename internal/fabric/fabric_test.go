@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"svard/internal/cache"
+	"svard/internal/cache/keycount"
 	"svard/internal/campaign"
 	"svard/internal/client"
 	"svard/internal/fabric"
@@ -245,6 +246,80 @@ func TestFabricShardsAcrossWorkers(t *testing.T) {
 	ref := localReference(t, spec, fakeSim)
 	if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, ref.Fig12)) {
 		t.Fatal("fabric fold differs from local engine fold")
+	}
+}
+
+// TestFabricFoldsWhatItDelivered: the coordinator folds the results it
+// took delivery of, with no second pass over its store. Its store is
+// memory-only and holds one entry, far less than the campaign, so a fold
+// that read the store back would have to simulate evicted cells itself.
+// A clean run derives two keys per cell (the worker's and the
+// coordinator's check table), its store serves no lookups, and the
+// coordinator simulates nothing.
+func TestFabricFoldsWhatItDelivered(t *testing.T) {
+	ts, _, _ := newWorker(t, fakeSim, nil)
+	store, err := cache.Open("", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local atomic.Int64
+	coord, err := fabric.New(fabric.Config{
+		Store: store, BatchSize: 2, Retry: fastRetry(), Logf: t.Logf,
+		Sim: func(cfg sim.Config) (sim.Result, error) {
+			local.Add(1)
+			return fakeSim(cfg)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+	register(t, cts.URL, "w1", ts.URL)
+
+	spec := tinySpec(64, 128, 256)
+	plan, err := spec.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out *fabric.Result
+	one := keycount.During(func() { cache.Key(plan.Jobs[0].Config) })
+	keys := keycount.During(func() { out, err = coord.RunPlan(context.Background(), plan) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * one * int64(len(plan.Jobs)); keys != want {
+		t.Errorf("the run derived %d key objects, want %d (two derivations per cell)", keys, want)
+	}
+	if n := local.Load(); n != 0 {
+		t.Errorf("the coordinator simulated %d cells itself", n)
+	}
+	if h := out.Stats.Hits(); h != 0 {
+		t.Errorf("the coordinator's store served %d lookups (%v)", h, out.Stats)
+	}
+	if out.Computed != len(plan.Jobs) || out.Served != 0 {
+		t.Errorf("attribution computed=%d served=%d, want %d/0", out.Computed, out.Served, len(plan.Jobs))
+	}
+	if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, localReference(t, spec, fakeSim).Fig12)) {
+		t.Error("fold differs from the local reference")
+	}
+}
+
+// TestCoordinatorRefusesForeignPlans: a plan Spec.Plan did not build is
+// refused when the run record opens — before the coordinator waits for a
+// worker or leases a cell, not after a dispatch it could never fold.
+func TestCoordinatorRefusesForeignPlans(t *testing.T) {
+	coord, _ := newCoordinator(t, t.TempDir(), fabric.Config{Logf: t.Logf})
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trimmed := plan
+	trimmed.Jobs = plan.Jobs[1:]
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := coord.RunPlan(ctx, trimmed); err == nil || ctx.Err() != nil {
+		t.Fatalf("trimmed plan: err %v after %v; want a refusal before waiting for workers", err, ctx.Err())
 	}
 }
 
