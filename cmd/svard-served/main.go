@@ -30,7 +30,7 @@
 //	GET    /api/v1/jobs/{id}/result   folded Fig. 12/13 cells
 //	GET    /api/v1/jobs/{id}/trace    flight-recorder timeline (Chrome trace JSON)
 //	GET    /api/v1/cells/{key}        raw cached cell by config key
-//	POST   /api/v1/compute            run one leased batch of raw cells (fabric dispatch)
+//	POST   /api/v1/compute            run one leased batch of raw cells (fabric dispatch); the reply carries each cell's sealed entry
 //	GET    /healthz                   liveness + scheduler summary
 //	GET    /metrics                   Prometheus text exposition
 //

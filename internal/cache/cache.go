@@ -490,19 +490,6 @@ func (s *Store) Get(key string) (sim.Result, bool) {
 	return copyResult(res), true
 }
 
-// Contains reports whether key has a valid entry in memory or on disk,
-// without computing anything or touching the hit/miss counters.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	_, ok := s.idx[key]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	_, err := s.read(key)
-	return err == nil
-}
-
 // remember inserts into the LRU (caller holds s.mu).
 func (s *Store) remember(key string, res sim.Result) {
 	if el, ok := s.idx[key]; ok {
@@ -528,7 +515,7 @@ func (s *Store) path(key string) string {
 // read loads and validates one disk entry. Only a well-formed key — 64
 // lowercase hex chars, the exact shape Key produces — can name an
 // entry; anything else (including path-traversal shapes fed through
-// exported lookups like Get and Contains) is a plain miss before any
+// exported lookups like Get) is a plain miss before any
 // filesystem access.
 //
 // The file is read into a buffer on the stack, and a file longer than
@@ -661,19 +648,24 @@ func (s *Store) persist(key string, res sim.Result) {
 }
 
 // Put inserts a result computed elsewhere under its content-addressed
-// key — the fabric coordinator stores worker-computed cells through it,
-// and the coordinator's object-store PUT endpoint lands here. The entry
-// enters the in-memory LRU unconditionally and the disk layer
-// best-effort (same swallowed-write policy as persist). Only the exact
-// key shape Key produces is accepted.
+// key — the fabric coordinator stores the cells it takes delivery of
+// through it, and the coordinator's object-store PUT endpoint lands
+// here. A key names one result, so an entry the in-memory LRU already
+// holds is not written again: a cell a worker published and then
+// delivered costs one write. Otherwise the entry enters the LRU, and the
+// disk layer best-effort (same swallowed-write policy as persist). Only
+// the exact key shape Key produces is accepted.
 func (s *Store) Put(key string, res sim.Result) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
 	s.mu.Lock()
+	_, held := s.idx[key]
 	s.remember(key, res)
 	s.mu.Unlock()
-	s.persist(key, res)
+	if !held {
+		s.persist(key, res)
+	}
 	return nil
 }
 

@@ -104,11 +104,11 @@ func TestDiskPersistenceAcrossStores(t *testing.T) {
 	if st := s2.Stats(); st.DiskHits != 1 || st.Misses != 0 {
 		t.Errorf("second store stats = %v", st)
 	}
-	if !s2.Contains(Key(testCfg(128))) {
-		t.Error("Contains: persisted key reported missing")
+	if _, ok := s2.Get(Key(testCfg(128))); !ok {
+		t.Error("Get: persisted key reported missing")
 	}
-	if s2.Contains(Key(testCfg(1))) {
-		t.Error("Contains: absent key reported present")
+	if _, ok := s2.Get(Key(testCfg(1))); ok {
+		t.Error("Get: absent key reported present")
 	}
 }
 
@@ -491,7 +491,7 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	if _, err := os.Stat(fresh); err != nil {
 		t.Error("fresh temp file (a possible live writer's) was swept")
 	}
-	if !s2.Contains(key) {
+	if _, ok := s2.Get(key); !ok {
 		t.Error("valid entry was swept along with the temp file")
 	}
 }
@@ -710,6 +710,25 @@ func TestPutServesWithoutCompute(t *testing.T) {
 	}
 	if err := s.Put("../"+key[:61], want); err == nil {
 		t.Error("Put accepted a traversal-shaped key")
+	}
+}
+
+// TestPutOfAHeldKeyDoesNotRewrite: a key names one result, so a second
+// Put of a key the store holds — a fabric cell a worker published and
+// then delivered in its compute reply — writes nothing, while the first
+// Put of a key evicted from the LRU writes as before.
+func TestPutOfAHeldKeyDoesNotRewrite(t *testing.T) {
+	s, _ := Open(t.TempDir(), 1)
+	a, b := Key(testCfg(64)), Key(testCfg(128))
+	res, _ := fakeCompute(nil)(testCfg(64))
+	for _, key := range []string{a, a, b, b, a} {
+		if err := s.Put(key, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a, b and a again (evicted by b from the one-entry LRU): three writes.
+	if st := s.Stats(); st.Writes != 3 || st.Entries != 2 {
+		t.Errorf("five Puts of two keys through a one-entry LRU: %d writes, %d entries; want 3 and 2", st.Writes, st.Entries)
 	}
 }
 

@@ -211,7 +211,7 @@ func TestCellRun(t *testing.T) {
 			if n := len(c.Slots); n != 0 {
 				t.Errorf("%d slots still held after the call returned", n)
 			}
-			if cached := c.Store.Contains(cache.Key(cfg)); cached != (tc.wantErr == nil) {
+			if _, cached := c.Store.Get(cache.Key(cfg)); cached != (tc.wantErr == nil) {
 				t.Errorf("cached = %v after err = %v (only successes persist)", cached, got.err)
 			}
 			if got.rec != nil {

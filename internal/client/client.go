@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"svard/internal/cache"
 	"svard/internal/campaign"
 	"svard/internal/server"
 	"svard/internal/sim"
@@ -98,21 +99,17 @@ func (c *Client) Result(ctx context.Context, id string) (server.ResultResponse, 
 	return res, err
 }
 
-// Cell fetches one raw cached simulation result by its cache key
-// (cache.Key(cfg) derives it).
-func (c *Client) Cell(ctx context.Context, key string) (sim.Result, error) {
-	var res server.CellResponse
-	err := c.Call(ctx, http.MethodGet, "/api/v1/cells/"+url.PathEscape(key), nil, &res)
-	return res.Result, err
-}
-
 // Compute runs a batch of raw cells synchronously on the worker and
-// reports per-cell outcomes — the fabric coordinator's dispatch call.
-// Callers stream large campaigns as many small batches; the worker
-// computes each batch through its shared slots and cache.
+// reports per-cell outcomes with each cell's sealed entry — the fabric
+// coordinator's dispatch call. Callers stream large campaigns as many
+// small batches; the worker computes each batch through its shared
+// slots and cache. Any process can answer as a worker, so the reply is
+// read up to one cache.MaxEnvelopeBytes entry plus 4 KiB (key, flags,
+// error) per cell: a longer one is an error, and not retried.
 func (c *Client) Compute(ctx context.Context, cfgs []sim.Config) (server.ComputeResponse, error) {
 	var resp server.ComputeResponse
-	err := c.Call(ctx, http.MethodPost, "/api/v1/compute", server.ComputeRequest{Configs: cfgs}, &resp)
+	limit := int64(len(cfgs)) * (cache.MaxEnvelopeBytes + 4<<10)
+	err := c.call(ctx, http.MethodPost, "/api/v1/compute", server.ComputeRequest{Configs: cfgs}, &resp, limit)
 	return resp, err
 }
 
@@ -230,8 +227,14 @@ func (c *Client) Wait(ctx context.Context, id string, fn func(server.Event) erro
 // (relative to BaseURL): body, when non-nil, is sent as JSON, and a 2xx
 // reply is decoded into out (nil: read and discarded). It is retried
 // under c.Retry when set; a non-2xx reply is an *APIError. Every unary
-// method above is a Call.
+// method above is a Call, Compute one with its reply bounded.
 func (c *Client) Call(ctx context.Context, method, path string, body, out any) error {
+	return c.call(ctx, method, path, body, out, 0)
+}
+
+// call is Call with the reply decoded from at most limit bytes (<= 0:
+// no bound).
+func (c *Client) call(ctx context.Context, method, path string, body, out any, limit int64) error {
 	var b []byte
 	if body != nil {
 		var err error
@@ -240,7 +243,7 @@ func (c *Client) Call(ctx context.Context, method, path string, body, out any) e
 		}
 	}
 	attempt := func(actx context.Context) error {
-		return c.once(actx, method, path, b, body != nil, out)
+		return c.once(actx, method, path, b, body != nil, out, limit)
 	}
 	if c.Retry == nil {
 		return attempt(ctx)
@@ -249,7 +252,7 @@ func (c *Client) Call(ctx context.Context, method, path string, body, out any) e
 }
 
 // once performs a single request/response exchange.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, hasBody bool, out any) error {
+func (c *Client) once(ctx context.Context, method, path string, body []byte, hasBody bool, out any, limit int64) error {
 	var rd io.Reader
 	if hasBody {
 		rd = bytes.NewReader(body)
@@ -273,7 +276,16 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, has
 		drain(resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if limit <= 0 {
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	// Reading one byte past the bound tells an over-long reply from one
+	// that fits.
+	lr := &io.LimitedReader{R: resp.Body, N: limit + 1}
+	if err := json.NewDecoder(lr).Decode(out); lr.N > 0 {
+		return err
+	}
+	return errNoRetry(fmt.Errorf("client: %s %s: reply over %d bytes", method, path, limit))
 }
 
 // drain reads what is left of a reply nobody decodes (capped: these are

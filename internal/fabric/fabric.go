@@ -10,11 +10,16 @@
 //     Worker heartbeats renew their leases, so an alive-but-slow
 //     worker keeps its work; a dead or partitioned one misses
 //     heartbeats, its leases expire, and the cells are re-dispatched.
-//   - Every call to a worker retries under Config.Retry, the client's one
-//     retry policy. A batch send that exhausts it demotes the worker: it
-//     gets no lease until its next heartbeat, and its cells are requeued
-//     at once. A failed result fetch ends the fetching from that worker;
-//     the cells it still owed are requeued.
+//   - Every batch send retries under Config.Retry, the client's one
+//     retry policy. A send that exhausts it, or whose reply is longer
+//     than its cells' sealed entries can be, demotes the worker: it gets
+//     no lease until its next heartbeat, and its cells are requeued at
+//     once.
+//   - The compute reply carries each cell's sealed cache entry, and that
+//     is the only way a result reaches the coordinator. An entry is
+//     opened against the coordinator's own key for the cell
+//     (cache.OpenEnvelope: key, content sum, decode); a cell whose entry
+//     is missing or fails to open is requeued.
 //   - Completions are attributed exactly once, first writer wins: a
 //     re-dispatched cell that some worker already delivered is ignored
 //     (stale), and a completion arriving under an EXPIRED lease is
@@ -22,16 +27,17 @@
 //     double-count a cell however races resolve.
 //   - The coordinator doubles as the shared remote object store
 //     (GET/PUT /api/v1/objects/{key}, speaking the cache's sealed
-//     envelope bytes), so workers publish results as they compute and
-//     serve each other's cells through their cache's Remote layer.
+//     envelope bytes), so workers whose cache has it as its Remote layer
+//     publish results as they compute and serve each other's cells.
 //   - Completions go into the campaign's run record (campaign.Record),
 //     the one the local engine keeps: it journals them, so a restarted
 //     coordinator resumes instead of re-dispatching finished cells, and
 //     it attributes and folds them exactly as a local run would.
 //
-// A result is delivered only once its bytes are in the coordinator's
-// store under the coordinator's own key for the cell, and the fold reads
-// those delivered results: there is no second pass over the store.
+// A result is delivered only once its opened entry is in the
+// coordinator's store under the coordinator's own key for the cell, and
+// the fold reads those delivered results: there is no second pass over
+// the store.
 package fabric
 
 import (
@@ -48,7 +54,6 @@ import (
 	"svard/internal/campaign"
 	"svard/internal/client"
 	"svard/internal/exec"
-	"svard/internal/server"
 	"svard/internal/sim"
 )
 
@@ -153,9 +158,12 @@ type worker struct {
 	url      string
 	client   *client.Client
 	lastBeat time.Time
-	inflight int // outstanding batches (capacity 1)
-	leases   map[int64]*lease
-	leased   bool // held a lease during the current run (DispatchStats.Workers)
+	// lease is the worker's outstanding batch (capacity one, by design):
+	// nil when idle. An expired lease stays here until its send returns,
+	// so the worker takes no second batch meanwhile; only that send (or
+	// the end of the run) clears it.
+	lease  *lease
+	leased bool // held a lease during the current run (DispatchStats.Workers)
 }
 
 // lease is one batch of cells owned by one worker until deadline.
@@ -313,8 +321,7 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result,
 		run.ended = true
 		c.run = nil
 		for _, w := range c.workers {
-			w.leases = make(map[int64]*lease)
-			w.inflight = 0
+			w.lease = nil
 			w.leased = false
 		}
 		c.mu.Unlock()
@@ -399,7 +406,7 @@ func (c *Coordinator) dispatchLocked(run *runState) {
 		if len(run.pending) == 0 {
 			return
 		}
-		if w.inflight > 0 || now.Sub(w.lastBeat) > c.cfg.LeaseTTL {
+		if w.lease != nil || now.Sub(w.lastBeat) > c.cfg.LeaseTTL {
 			continue
 		}
 		// Pop up to a batch of cells, skipping any a stale delivery
@@ -417,8 +424,7 @@ func (c *Coordinator) dispatchLocked(run *runState) {
 		}
 		c.nextLease++
 		l := &lease{id: c.nextLease, w: w, cells: cells, deadline: now.Add(c.cfg.LeaseTTL)}
-		w.inflight++
-		w.leases[l.id] = l
+		w.lease = l
 		if !w.leased {
 			w.leased = true
 			run.stats.Workers++
@@ -439,19 +445,23 @@ func (c *Coordinator) dispatchLocked(run *runState) {
 // completion is accepted as Served.
 func (c *Coordinator) expireLocked(run *runState, now time.Time) {
 	for _, w := range c.workers {
-		for id, l := range w.leases {
-			if l.expired || now.Before(l.deadline) {
-				continue
-			}
-			l.expired = true
-			delete(w.leases, id)
-			run.stats.ExpiredLeases++
-			c.cfg.Logf("fabric: lease %d (%s) expired; requeueing", l.id, w.name)
-			for _, idx := range l.cells {
-				if !run.done[idx] {
-					c.requeueLocked(run, idx)
-				}
-			}
+		l := w.lease
+		if l == nil || l.expired || now.Before(l.deadline) {
+			continue
+		}
+		run.stats.ExpiredLeases++
+		c.cfg.Logf("fabric: lease %d (%s) expired; requeueing", l.id, w.name)
+		c.expireLeaseLocked(run, l)
+	}
+}
+
+// expireLeaseLocked marks l expired and requeues its undone cells
+// (caller holds c.mu). A completion that arrives for it later is stale.
+func (c *Coordinator) expireLeaseLocked(run *runState, l *lease) {
+	l.expired = true
+	for _, idx := range l.cells {
+		if !run.done[idx] {
+			c.requeueLocked(run, idx)
 		}
 	}
 }
@@ -479,26 +489,18 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 	if err != nil {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if l.w.inflight > 0 {
-			l.w.inflight--
-		}
+		c.releaseLocked(l)
 		if run.ended {
 			return
 		}
 		c.cfg.Logf("fabric: lease %d (%s) failed: %v", l.id, l.w.name, err)
-		// A failed send (retries exhausted or refused) is evidence of
-		// death: demote the worker until its next heartbeat proves
-		// otherwise, so its cells move to live workers instead of
-		// ping-ponging back to the corpse.
+		// A failed send (retries exhausted, refused, or a reply longer
+		// than its entries can be) is evidence of death: demote the worker
+		// until its next heartbeat proves otherwise, so its cells move to
+		// live workers instead of ping-ponging back to the corpse.
 		l.w.lastBeat = time.Time{}
 		if !l.expired {
-			l.expired = true
-			delete(l.w.leases, l.id)
-			for _, idx := range l.cells {
-				if !run.done[idx] {
-					c.requeueLocked(run, idx)
-				}
-			}
+			c.expireLeaseLocked(run, l)
 		}
 		c.dispatchLocked(run)
 		return
@@ -507,41 +509,28 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 	// Take delivery of every result, durable in the coordinator's store,
 	// BEFORE any accounting: a cell is only ever recorded as done once its
 	// bytes are local truth, and those bytes are what the fold reads.
-	// Workers publish through the remote cache as they compute, so most of
-	// these are already present.
+	// Workers that publish through the remote cache have stored most of
+	// these already, and Put does not write them again.
 	//
 	// The reply is untrusted input: entry i answers leased cell
-	// l.cells[i] only if it carries the coordinator's own key for that
-	// cell. A missing, failed or differently keyed entry leaves the cell
-	// undelivered, and every lookup, fetch and store goes by run.keys
-	// (immutable after RunPlan builds it), never by the reported key.
-	// A worker that fails one fetch (it may have died after replying) is
-	// asked for nothing more: the cells it still owes stay undelivered
-	// instead of each costing a retry budget.
-	reply := func(i int) server.ComputeCell {
-		if i < len(resp.Cells) {
-			return resp.Cells[i]
-		}
-		return server.ComputeCell{}
-	}
+	// l.cells[i] only if it opens against the coordinator's own key for
+	// that cell (run.keys, immutable after RunPlan builds it), which
+	// checks the sealed key, the content sum and the decode at once. A
+	// missing, failed, mis-keyed or altered entry leaves the cell
+	// undelivered.
 	delivered := make([]*sim.Result, len(l.cells)) // nil: undelivered
-	fetching := true
 	for i, idx := range l.cells {
-		key := run.keys[idx]
-		if cell := reply(i); cell.Error != "" || cell.Key != key {
+		if i >= len(resp.Cells) {
+			break
+		}
+		key, cell := run.keys[idx], resp.Cells[i]
+		if cell.Error != "" {
+			c.cfg.Logf("fabric: cell %s failed on %s: %s", key[:8], l.w.name, cell.Error)
 			continue
 		}
-		if res, ok := c.cfg.Store.Get(key); ok {
-			delivered[i] = &res
-			continue
-		}
-		if !fetching {
-			continue
-		}
-		res, err := l.w.client.Cell(run.ctx, key)
+		res, err := cache.OpenEnvelope(key, cell.Entry)
 		if err != nil {
-			c.cfg.Logf("fabric: lease %d: fetching cell %s from %s: %v", l.id, key[:8], l.w.name, err)
-			fetching = false
+			c.cfg.Logf("fabric: lease %d: cell %s from %s refused: %v", l.id, key[:8], l.w.name, err)
 			continue
 		}
 		if c.cfg.Store.Put(key, res) == nil {
@@ -551,28 +540,17 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if l.w.inflight > 0 {
-		l.w.inflight--
-	}
+	c.releaseLocked(l)
 	if run.ended {
 		return
 	}
 	stale := l.expired
-	if !stale {
-		delete(l.w.leases, l.id)
-	}
 	for i, idx := range l.cells {
-		cell := reply(i)
 		switch {
 		case run.done[idx]:
 			// First completion won; this one changes nothing.
 			run.stats.Stale++
-		case cell.Error != "":
-			c.cfg.Logf("fabric: cell %s failed on %s: %s", run.keys[idx][:8], l.w.name, cell.Error)
-			c.requeueLocked(run, idx)
 		case delivered[i] == nil:
-			// No entry for this cell, one under another key, or a claimed
-			// completion whose result never became local truth: undone.
 			c.requeueLocked(run, idx)
 		case stale:
 			// Completion under an expired lease: the cell may have been
@@ -581,10 +559,20 @@ func (c *Coordinator) sendBatch(run *runState, l *lease, cfgs []sim.Config) {
 			run.stats.AcceptedLate++
 			c.completeLocked(run, idx, *delivered[i], false)
 		default:
-			c.completeLocked(run, idx, *delivered[i], cell.Computed)
+			c.completeLocked(run, idx, *delivered[i], resp.Cells[i].Computed)
 		}
 	}
 	c.dispatchLocked(run)
+}
+
+// releaseLocked frees l's worker for its next batch once l's send has
+// returned (caller holds c.mu). A send left over from an earlier run, or
+// from before the worker re-registered, finds another lease (or none) in
+// the field and frees nothing.
+func (c *Coordinator) releaseLocked(l *lease) {
+	if l.w.lease == l {
+		l.w.lease = nil
+	}
 }
 
 // completeLocked takes one finished cell's result for the fold and hands
@@ -669,16 +657,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if old.url != req.URL {
 			continue
 		}
-		for lid, l := range old.leases {
-			l.expired = true
-			delete(old.leases, lid)
-			if c.run != nil {
-				for _, idx := range l.cells {
-					if !c.run.done[idx] {
-						c.requeueLocked(c.run, idx)
-					}
-				}
-			}
+		if l := old.lease; l != nil && !l.expired && c.run != nil {
+			c.expireLeaseLocked(c.run, l)
 		}
 		delete(c.workers, id)
 	}
@@ -689,7 +669,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		url:      req.URL,
 		client:   client.New(req.URL),
 		lastBeat: now,
-		leases:   make(map[int64]*lease),
 	}
 	wk.client.Retry = &c.cfg.Retry
 	if wk.name == "" {
@@ -718,9 +697,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	wk, ok := c.workers[req.ID]
 	if ok {
 		wk.lastBeat = now
-		// The beat renews every live lease the worker holds: an
-		// alive-but-slow worker keeps its cells.
-		for _, l := range wk.leases {
+		// The beat renews the worker's live lease: an alive-but-slow
+		// worker keeps its cells.
+		if l := wk.lease; l != nil && !l.expired {
 			l.deadline = now.Add(c.cfg.LeaseTTL)
 		}
 		if c.run != nil {

@@ -19,6 +19,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -704,53 +705,71 @@ func TestAgentRejoins(t *testing.T) {
 	waitLive(second, 1, "after the blackout")
 }
 
+// tamperOnce fronts a worker with a reverse proxy that passes every
+// reply body through tamper until tamper first changes one, and serves
+// that one changed. It returns the proxy's URL and whether a reply was
+// changed yet.
+func tamperOnce(t *testing.T, workerURL string, tamper func(path string, body []byte) []byte) (string, *atomic.Bool) {
+	t.Helper()
+	target, err := url.Parse(workerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tampered atomic.Bool
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if tampered.Load() {
+			return nil
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if out := tamper(resp.Request.URL.Path, b); !bytes.Equal(out, b) && !tampered.Swap(true) {
+			b = out
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(b))
+		resp.ContentLength = int64(len(b))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(b)))
+		return nil
+	}
+	ts := httptest.NewServer(proxy)
+	t.Cleanup(ts.Close)
+	return ts.URL, &tampered
+}
+
 // TestMisKeyedReplyRequeues: a compute reply is untrusted input. A fake
 // worker (a proxy in front of a real one) answers its first batch with
-// the last cell's key replaced — by "" (too short to name a cell), then
-// by a sibling's well-formed key the coordinator already stores. Either
-// way the coordinator must go by its own key for the leased cell: treat
-// the entry as undelivered, requeue it, and finish with every cell's
-// result in its store — never index the reported key, and never journal
-// a cell with no result behind it (which the fold would then have to
-// recompute on the coordinator's own executor).
+// the last cell's entry replaced — by nothing, then by the first cell's
+// entry, sealed under that sibling's key. Either way the coordinator
+// must open the entry against its own key for the leased cell: treat it
+// as undelivered, requeue it, and finish with every cell's result in its
+// store — never store an entry under a key it was not sealed with, and
+// never journal a cell with no result behind it (which the fold would
+// then have to recompute on the coordinator's own executor).
 func TestMisKeyedReplyRequeues(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		badKey func(sibling string) string
+		name     string
+		badEntry func(sibling json.RawMessage) json.RawMessage
 	}{
-		{"empty", func(string) string { return "" }},
-		{"sibling", func(sibling string) string { return sibling }},
+		{"empty", func(json.RawMessage) json.RawMessage { return nil }},
+		{"sibling", func(sibling json.RawMessage) json.RawMessage { return sibling }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			real, _, _ := newWorker(t, fakeSim, nil)
-			target, err := url.Parse(real.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var tampered atomic.Bool
-			proxy := httputil.NewSingleHostReverseProxy(target)
-			proxy.ModifyResponse = func(resp *http.Response) error {
-				if resp.Request.URL.Path != "/api/v1/compute" || tampered.Swap(true) {
-					return nil
-				}
+			fakeURL, tampered := tamperOnce(t, real.URL, func(path string, body []byte) []byte {
 				var cr server.ComputeResponse
-				if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-					return err
+				if path != "/api/v1/compute" || json.Unmarshal(body, &cr) != nil {
+					return body
 				}
-				resp.Body.Close()
 				last := len(cr.Cells) - 1
-				cr.Cells[last].Key = tc.badKey(cr.Cells[0].Key)
-				b, err := json.Marshal(cr)
-				if err != nil {
-					return err
+				cr.Cells[last].Entry = tc.badEntry(cr.Cells[0].Entry)
+				if b, err := json.Marshal(cr); err == nil {
+					return b
 				}
-				resp.Body = io.NopCloser(bytes.NewReader(b))
-				resp.ContentLength = int64(len(b))
-				resp.Header.Set("Content-Length", strconv.Itoa(len(b)))
-				return nil
-			}
-			fake := httptest.NewServer(proxy)
-			t.Cleanup(fake.Close)
+				return body
+			})
 
 			var localComputes atomic.Int64
 			coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{
@@ -760,7 +779,7 @@ func TestMisKeyedReplyRequeues(t *testing.T) {
 					return fakeSim(cfg)
 				},
 			})
-			register(t, coordURL, "fake", fake.URL)
+			register(t, coordURL, "fake", fakeURL)
 
 			spec := tinySpec()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -789,12 +808,236 @@ func TestMisKeyedReplyRequeues(t *testing.T) {
 	}
 }
 
+// TestTamperedReplyIsRequeued: a proxy in front of the only worker
+// changes one IPC digit (1.000064 → 7.000064) in the first reply that
+// carries a result, whatever route carries it. The coordinator must
+// refuse the altered result — requeue the cell, fold exactly what a
+// local run folds — and hold no altered entry in its store.
+func TestTamperedReplyIsRequeued(t *testing.T) {
+	firstIPC := regexp.MustCompile(`"IPC":\s*\[\s*(1)`)
+	real, _, _ := newWorker(t, fakeSim, nil)
+	fakeURL, tampered := tamperOnce(t, real.URL, func(_ string, body []byte) []byte {
+		loc := firstIPC.FindSubmatchIndex(body)
+		if loc == nil {
+			return body
+		}
+		out := bytes.Clone(body)
+		out[loc[2]] = '7'
+		return out
+	})
+
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{
+		BatchSize: 16, LeaseTTL: 10 * time.Second, Logf: t.Logf,
+	})
+	register(t, coordURL, "fake", fakeURL)
+
+	spec := tinySpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := coord.RunCtx(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tampered.Load() {
+		t.Fatal("no reply was tampered with; the test proved nothing")
+	}
+	if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, localReference(t, spec, fakeSim).Fig12)) {
+		t.Errorf("fold differs from the local reference: the altered result was folded (%s)", out.Dispatch)
+	}
+	if out.Dispatch.Redispatched == 0 {
+		t.Errorf("the altered cell was not requeued (%s)", out.Dispatch)
+	}
+	// The coordinator's object store serves what its store holds, from
+	// memory or disk: every entry must be the one a local run seals.
+	for _, j := range jobs {
+		key := cache.Key(j.Config)
+		res, _ := fakeSim(j.Config)
+		want, err := cache.Seal(key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(coordURL + "/api/v1/objects/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("cell %s: the coordinator stores %s (err %v), want %s", key[:8], got, err, want)
+		}
+	}
+}
+
+// TestEndlessComputeReplyIsAFailedSend: any process can register as a
+// worker, so the coordinator reads no more of a compute reply than its
+// cells' sealed entries can fill. A heartbeating stub worker that
+// streams its reply without end costs one request: the send fails at the
+// bound, unretried, and its cells are requeued at once (here, onto the
+// coordinator's own cell path) rather than waiting on a lease the
+// heartbeats keep renewing — the campaign completes.
+func TestEndlessComputeReplyIsAFailedSend(t *testing.T) {
+	var requests atomic.Int64
+	chunk := bytes.Repeat([]byte("a"), 64<<10)
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"cells":[{"key":"`)
+		for {
+			if _, err := w.Write(chunk); err != nil {
+				return // the coordinator hung up
+			}
+		}
+	}))
+	t.Cleanup(endless.Close)
+
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{
+		BatchSize: 16, LeaseTTL: 10 * time.Second, MaxCellAttempts: 1, Sim: fakeSim, Logf: t.Logf,
+	})
+	startAgent(t, coordURL, "endless", endless.URL, 20*time.Millisecond)
+
+	spec := tinySpec()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := coord.RunCtx(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("the endless worker received %d compute requests, want 1 (an over-long reply is not retried)", n)
+	}
+	if d := out.Dispatch; d.ExpiredLeases != 0 || d.LocalCells != len(jobs) || out.Computed != len(jobs) {
+		t.Errorf("%d local cells, %d computed; want all %d requeued onto the local path by the failed send, none by expiry (%s)",
+			d.LocalCells, out.Computed, len(jobs), d)
+	}
+	if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, localReference(t, spec, fakeSim).Fig12)) {
+		t.Error("fold differs from the local reference")
+	}
+}
+
+// TestLeftoverSendFreesNoLease: a worker holds one batch at a time. A
+// send left over from an earlier campaign — its lease expired, the
+// campaign finished without it — must not free the worker when it
+// returns during the next campaign, while the worker holds that
+// campaign's lease: the worker would take a second batch beside it.
+func TestLeftoverSendFreesNoLease(t *testing.T) {
+	real, _, _ := newWorker(t, fakeSim, nil)
+	var (
+		second            atomic.Bool  // the second campaign is running
+		inflight, maxSeen atomic.Int64 // its concurrent batches on the worker
+		holdOnce          sync.Once
+		arriveOnce        sync.Once
+		releaseOnce       sync.Once
+	)
+	held, arrived, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseAll)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/compute" {
+			if second.Load() {
+				n := inflight.Add(1)
+				defer inflight.Add(-1)
+				for m := maxSeen.Load(); n > m && !maxSeen.CompareAndSwap(m, n); m = maxSeen.Load() {
+				}
+				arriveOnce.Do(func() { close(arrived) })
+				time.Sleep(150 * time.Millisecond)
+			} else {
+				first := false
+				holdOnce.Do(func() { close(held); first = true })
+				if first {
+					<-release // the first campaign's first batch: the leftover send
+				}
+			}
+		}
+		real.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{
+		BatchSize: 1, LeaseTTL: 300 * time.Millisecond, MaxCellAttempts: 50, Logf: t.Logf,
+	})
+	// The slow worker heartbeats only while beating is set, so its first
+	// lease expires and the first campaign finishes on another worker.
+	b, _ := json.Marshal(fabric.RegisterRequest{Name: "slow", URL: slow.URL})
+	resp, err := http.Post(coordURL+"/api/v1/workers", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg fabric.RegisterResponse
+	err = json.NewDecoder(resp.Body).Decode(&reg)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var beating atomic.Bool
+	beatCtx, stopBeats := context.WithCancel(context.Background())
+	beatDone := make(chan struct{})
+	t.Cleanup(func() { stopBeats(); <-beatDone })
+	go func() {
+		defer close(beatDone)
+		hb, _ := json.Marshal(fabric.HeartbeatRequest{ID: reg.ID})
+		for beatCtx.Err() == nil {
+			if beating.Load() {
+				if resp, err := http.Post(coordURL+"/api/v1/heartbeat", "application/json", bytes.NewReader(hb)); err == nil {
+					resp.Body.Close()
+				}
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	firstDone := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCtx(ctx, tinySpec(64))
+		firstDone <- err
+	}()
+	<-held
+	stopHelper := startAgent(t, coordURL, "helper", real.URL, 20*time.Millisecond)
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
+	}
+	stopHelper()
+	beating.Store(true)
+	time.Sleep(600 * time.Millisecond) // two lease TTLs: the helper is dead
+	for deadline := time.Now().Add(5 * time.Second); coord.LiveWorkers() != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d live workers, want the slow one alone", coord.LiveWorkers())
+		}
+	}
+
+	second.Store(true)
+	secondDone := make(chan error, 1)
+	go func() {
+		_, err := coord.RunCtx(ctx, tinySpec(256))
+		secondDone <- err
+	}()
+	<-arrived
+	releaseAll() // the leftover send returns while the worker holds a lease
+	if err := <-secondDone; err != nil {
+		t.Fatal(err)
+	}
+	if n := maxSeen.Load(); n != 1 {
+		t.Errorf("the worker held %d batches at once in the second campaign, want 1", n)
+	}
+}
+
 // TestRouteParity: one tiny real-simulator spec through every route that
 // can run a cell — a local engine, a svard-served job, a compute batch
-// folded afterwards, and a fabric run whose only worker fails every cell
-// so all of them take the coordinator's local fallback. Every route
-// executes on campaign.Cell with the default executor, so the folded
-// cells must be identical and each route's attribution must add up.
+// folded afterwards, a fabric run delivered by a working worker through
+// its compute replies alone, and a fabric run whose only worker fails
+// every cell so all of them take the coordinator's local fallback. Every
+// route executes on campaign.Cell with the default executor, so the
+// folded cells must be identical and each route's attribution must add
+// up.
 func TestRouteParity(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Cores = 2
@@ -862,9 +1105,30 @@ func TestRouteParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("compute batch", folded.Fig12, len(batch.Cells), batch.Computed, batch.Served, batch.Failed)
-	if batch.Computed != len(jobs) || folded.Computed != 0 {
-		t.Errorf("compute batch computed %d cells and its fold %d; want %d and 0", batch.Computed, folded.Computed, len(jobs))
+	computed := 0
+	for _, cell := range batch.Cells {
+		if cell.Computed && cell.Error == "" {
+			computed++
+		}
+	}
+	check("compute batch", folded.Fig12, len(batch.Cells), computed, batch.Served, 0)
+	if computed != len(jobs) || folded.Computed != 0 {
+		t.Errorf("compute batch computed %d cells and its fold %d; want %d and 0", computed, folded.Computed, len(jobs))
+	}
+
+	// The fabric with a working worker that shares no object store with
+	// the coordinator: every result arrives as a sealed entry in a
+	// compute reply.
+	delivering, deliveringURL := newCoordinator(t, t.TempDir(), fabric.Config{BatchSize: 2})
+	worker, _, _ := newWorker(t, nil, nil)
+	register(t, deliveringURL, "worker", worker.URL)
+	out, err := delivering.RunCtx(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fabric delivered", out.Fig12, out.Total, out.Computed, out.Served, out.Resumed)
+	if out.Computed != len(jobs) || out.Dispatch.LocalCells != 0 || out.Dispatch.Redispatched != 0 {
+		t.Errorf("fabric delivered: %d computed; want all %d by the worker, none requeued (%s)", out.Computed, len(jobs), out.Dispatch)
 	}
 
 	// The fabric with a worker that never delivers: every cell exhausts
@@ -873,7 +1137,7 @@ func TestRouteParity(t *testing.T) {
 	coord, coordURL := newCoordinator(t, fabricDir, fabric.Config{Workers: 2, BatchSize: 2, MaxCellAttempts: 1})
 	broken, _, _ := newWorker(t, func(sim.Config) (sim.Result, error) { return sim.Result{}, os.ErrDeadlineExceeded }, nil)
 	register(t, coordURL, "broken", broken.URL)
-	out, err := coord.RunCtx(ctx, spec)
+	out, err = coord.RunCtx(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
-	"svard/internal/campaign"
+	"svard/internal/cache"
 	"svard/internal/exec"
 	"svard/internal/sim"
 )
@@ -18,25 +19,26 @@ type ComputeRequest struct {
 	Configs []sim.Config `json:"configs"`
 }
 
-// ComputeCell reports one cell of a computed batch. Computed means this
-// call ran the simulator for the cell; false means the cell was served
-// from the cache (or deduplicated onto a computation already in
-// flight) — the distinction the fabric's exactly-once attribution is
-// built on. A non-empty Error carries a per-cell simulation failure;
+// ComputeCell reports one cell of a computed batch. Entry is the cell's
+// sealed cache entry (the exact cache.Seal bytes): the only way a result
+// reaches the fabric coordinator, which opens it against its own key for
+// the cell. Computed means this call ran the simulator for the cell;
+// false means it was served from the cache (or deduplicated onto a
+// computation in flight) — what the fabric's exactly-once attribution is
+// built on. A non-empty Error carries a per-cell failure and no Entry;
 // the rest of the batch still completes.
 type ComputeCell struct {
-	Key      string `json:"key"`
-	Label    string `json:"label,omitempty"`
-	Computed bool   `json:"computed"`
-	Error    string `json:"error,omitempty"`
+	Key      string          `json:"key"`
+	Computed bool            `json:"computed"`
+	Error    string          `json:"error,omitempty"`
+	Entry    json.RawMessage `json:"entry,omitempty"`
 }
 
-// ComputeResponse is the body POST /api/v1/compute returns.
+// ComputeResponse is the body POST /api/v1/compute returns. Served
+// counts the cells answered without running the simulator.
 type ComputeResponse struct {
-	Cells    []ComputeCell `json:"cells"`
-	Computed int           `json:"computed"`
-	Served   int           `json:"served"`
-	Failed   int           `json:"failed"`
+	Cells  []ComputeCell `json:"cells"`
+	Served int           `json:"served"`
 }
 
 // ComputeBatch runs a batch of raw cells to completion through the
@@ -60,8 +62,11 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 	}
 	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (ComputeCell, error) {
 		cfg := cfgs[i]
-		_, key, computed, err := s.cell.Run(ctx, cfg, nil)
-		cell := ComputeCell{Key: key, Label: campaign.CellLabel(cfg)}
+		res, key, computed, err := s.cell.Run(ctx, cfg, nil)
+		cell := ComputeCell{Key: key}
+		if err == nil {
+			cell.Entry, err = cache.Seal(key, res)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return cell, context.Cause(ctx)
@@ -97,14 +102,12 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ComputeResponse{Cells: cells}
 	for _, c := range cells {
-		switch {
-		case c.Error != "":
-			resp.Failed++
-		case c.Computed:
-			resp.Computed++
-		default:
+		if c.Error == "" && !c.Computed {
 			resp.Served++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// Written compact: a sealed entry opens only as the exact bytes Seal
+	// wrote, and writeJSON's indenting encoder would re-indent it.
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp)
 }

@@ -1,10 +1,11 @@
 // Tests for the fabric worker surface: POST /api/v1/compute runs raw
-// cell batches through the shared slots and cache with per-cell
-// Computed/Served attribution — the primitive the coordinator's
-// exactly-once accounting is built on.
+// cell batches through the shared slots and cache and answers each cell
+// with its sealed entry and its Computed/Served attribution — the
+// primitive the coordinator's exactly-once accounting is built on.
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync/atomic"
@@ -17,6 +18,8 @@ import (
 
 // TestComputeBatchAttribution: a fresh batch is Computed; the same
 // batch again is Served (cache hits), with zero extra simulator calls.
+// Every cell carries its sealed entry byte for byte as cache.Seal writes
+// it, so it opens against the cell's own key.
 func TestComputeBatchAttribution(t *testing.T) {
 	var calls atomic.Int64
 	counting := func(cfg sim.Config) (sim.Result, error) {
@@ -40,16 +43,24 @@ func TestComputeBatchAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Computed != len(cfgs) || resp.Served != 0 || resp.Failed != 0 {
-		t.Fatalf("fresh batch: computed=%d served=%d failed=%d, want %d/0/0",
-			resp.Computed, resp.Served, resp.Failed, len(cfgs))
+	if len(resp.Cells) != len(cfgs) || resp.Served != 0 {
+		t.Fatalf("fresh batch: %d cells, served=%d; want %d and 0", len(resp.Cells), resp.Served, len(cfgs))
 	}
 	for i, cell := range resp.Cells {
-		if cell.Key != cache.Key(cfgs[i]) {
-			t.Fatalf("cell %d key %s, want %s (index order must hold)", i, cell.Key, cache.Key(cfgs[i]))
+		key := cache.Key(cfgs[i])
+		if cell.Key != key {
+			t.Fatalf("cell %d key %s, want %s (index order must hold)", i, cell.Key, key)
 		}
 		if !cell.Computed || cell.Error != "" {
 			t.Fatalf("fresh cell %d: %+v", i, cell)
+		}
+		want, _ := fakeSim(cfgs[i])
+		sealed, err := cache.Seal(key, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cell.Entry, sealed) {
+			t.Fatalf("cell %d entry:\ngot  %s\nwant %s", i, cell.Entry, sealed)
 		}
 	}
 	if got := calls.Load(); got != int64(len(cfgs)) {
@@ -60,16 +71,21 @@ func TestComputeBatchAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Computed != 0 || again.Served != len(cfgs) {
-		t.Fatalf("replayed batch: computed=%d served=%d, want 0/%d", again.Computed, again.Served, len(cfgs))
+	if again.Served != len(cfgs) {
+		t.Fatalf("replayed batch: served=%d, want %d", again.Served, len(cfgs))
+	}
+	for i, cell := range again.Cells {
+		if cell.Computed || !bytes.Equal(cell.Entry, resp.Cells[i].Entry) {
+			t.Fatalf("replayed cell %d: computed=%v, entry %s; want served, entry %s", i, cell.Computed, cell.Entry, resp.Cells[i].Entry)
+		}
 	}
 	if got := calls.Load(); got != int64(len(cfgs)) {
 		t.Fatalf("replayed batch re-ran the simulator (%d calls)", got)
 	}
 }
 
-// TestComputeBatchPerCellFailure: one failing cell is reported in place
-// while the rest of the batch completes.
+// TestComputeBatchPerCellFailure: one failing cell is reported in place,
+// with no entry, while the rest of the batch completes.
 func TestComputeBatchPerCellFailure(t *testing.T) {
 	failing := func(cfg sim.Config) (sim.Result, error) {
 		if cfg.NRH == 64 {
@@ -95,22 +111,18 @@ func TestComputeBatchPerCellFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Failed != nrh64 {
-		t.Fatalf("failed=%d, want %d (the nrh=64 cells)", resp.Failed, nrh64)
-	}
-	if resp.Computed != len(cfgs)-nrh64 {
-		t.Fatalf("computed=%d, want %d", resp.Computed, len(cfgs)-nrh64)
-	}
-	for _, cell := range resp.Cells {
-		wantErr := false
-		for i, cfg := range cfgs {
-			if cell.Key == cache.Key(cfg) {
-				wantErr = cfgs[i].NRH == 64
-			}
+	failed := 0
+	for i, cell := range resp.Cells {
+		wantErr := cfgs[i].NRH == 64
+		if (cell.Error != "") != wantErr || (cell.Entry == nil) != wantErr || cell.Computed == wantErr {
+			t.Fatalf("cell %d (nRH %v): %+v", i, cfgs[i].NRH, cell)
 		}
-		if (cell.Error != "") != wantErr {
-			t.Fatalf("cell %+v: error presence mismatch", cell)
+		if wantErr {
+			failed++
 		}
+	}
+	if failed != nrh64 || resp.Served != 0 {
+		t.Fatalf("failed=%d served=%d, want %d (the nrh=64 cells) and 0", failed, resp.Served, nrh64)
 	}
 }
 

@@ -193,7 +193,7 @@ func TestServiceGoldenDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := jobs[0].Config
-	cell, err := c.Cell(ctx, cache.Key(cfg))
+	cell, err := getCell(ctx, c, cache.Key(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 	// The evicted job's cells still serve from the cache.
 	specJobs, _ := tinySpec(64).Jobs()
-	if _, err := c.Cell(ctx, cache.Key(specJobs[0].Config)); err != nil {
+	if _, err := getCell(ctx, c, cache.Key(specJobs[0].Config)); err != nil {
 		t.Errorf("evicted job's cell no longer served: %v", err)
 	}
 }
@@ -726,7 +726,7 @@ func TestAPIErrors(t *testing.T) {
 	if _, err := c.Cancel(ctx, "job-999", ""); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("cancel unknown job = %v, want 404", err)
 	}
-	if _, err := c.Cell(ctx, strings.Repeat("ab", 32)); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := getCell(ctx, c, strings.Repeat("ab", 32)); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("missing cell = %v, want 404", err)
 	}
 
@@ -845,6 +845,13 @@ func TestRequestBodyLimit(t *testing.T) {
 				path, len(body), resp.StatusCode, e.Error, derr)
 		}
 	}
+}
+
+// getCell reads one raw cached result through GET /api/v1/cells/{key}.
+func getCell(ctx context.Context, c *client.Client, key string) (sim.Result, error) {
+	var cell server.CellResponse
+	err := c.Call(ctx, http.MethodGet, "/api/v1/cells/"+key, nil, &cell)
+	return cell.Result, err
 }
 
 // TestCellKeyTraversalRejected: the cells endpoint must refuse anything
