@@ -56,6 +56,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 
 	"svard/internal/cache"
@@ -272,7 +273,15 @@ func run() error {
 		eng.Trace = obs.NewTrace()
 	}
 	if !*quiet {
-		eng.Progress = func(msg string) { fmt.Fprintf(os.Stderr, "\r%-60s", msg) }
+		var mu sync.Mutex
+		done := 0
+		eng.Observe = func(cfg sim.Config, _ string) {
+			label := campaign.CellLabel(cfg)
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			fmt.Fprintf(os.Stderr, "\r%d/%d %-60s", done, len(plan.Jobs), label)
+		}
 	}
 	// Ctrl-C / SIGTERM cancels the campaign promptly: in-flight cells
 	// finish (and are cached and journaled), nothing new starts, and the

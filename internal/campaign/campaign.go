@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"svard/internal/cache"
-	"svard/internal/dram"
 	"svard/internal/obs"
 	"svard/internal/population"
 	"svard/internal/profile"
@@ -510,32 +509,12 @@ type Engine struct {
 	// never steers.
 	Trace *obs.Trace
 
-	Progress func(string)
-
 	// Observe, when set, is called once per completed cell (cache hit or
 	// fresh computation alike) with its config and store-derived key, from
-	// worker goroutines. The campaign service streams per-cell progress from
-	// it. It must not block for long: it runs on the sweep's critical path.
+	// worker goroutines. svard-sweep prints its progress line and the
+	// campaign service streams per-cell events from it. It must not block
+	// for long: it runs on the sweep's critical path.
 	Observe func(cfg sim.Config, key string)
-}
-
-// CellLabel renders a human-oriented label from a cell's config — used
-// by the server's progress events and the flight-recorder trace. The
-// mix is part of it, and any backend but the DDR4 default: without them
-// every mix — or both backends' instances in a Spec.Backends campaign — of
-// one (defense, nRH, module, svard) cell would label identically. The
-// cache key carries the exact identity.
-func CellLabel(cfg sim.Config) string {
-	svard := "nosvard"
-	if cfg.Svard {
-		svard = "svard"
-	}
-	label := fmt.Sprintf("%s nRH=%v %s %s [%s]",
-		cfg.Defense, cfg.NRH, cfg.ModuleLabel, svard, strings.Join(cfg.Mix, ","))
-	if cfg.Backend != "" && cfg.Backend != dram.BackendDDR4 {
-		label += " " + cfg.Backend
-	}
-	return label
 }
 
 // RunCtx plans the spec and executes the plan; see RunPlan.
@@ -603,7 +582,7 @@ func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
 		return res, err
 	}
 
-	results, err := sim.RunJobs(ctx, e.Workers, runner, e.Progress, plan.Jobs)
+	results, err := sim.RunJobs(ctx, e.Workers, runner, plan.Jobs)
 	if err != nil {
 		return nil, err
 	}

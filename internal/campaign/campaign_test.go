@@ -437,12 +437,13 @@ func TestSpecBackendsAxis(t *testing.T) {
 	seen := map[string]bool{}
 	for _, job := range jobs {
 		counts[job.Config.Backend]++
-		if !strings.Contains(job.Label, "["+job.Config.Backend+"]") {
-			t.Errorf("job %q does not name its backend %q", job.Label, job.Config.Backend)
+		label := CellLabel(job.Config)
+		if hbm := job.Config.Backend == "hbm2"; strings.HasSuffix(label, " hbm2") != hbm {
+			t.Errorf("cell %q does not name its backend %q", label, job.Config.Backend)
 		}
 		key := cache.Key(job.Config)
 		if seen[key] {
-			t.Errorf("duplicate cache key for job %q", job.Label)
+			t.Errorf("duplicate cache key %s", key)
 		}
 		seen[key] = true
 	}
@@ -549,7 +550,7 @@ func TestPopulationSpecJobsAndValidate(t *testing.T) {
 	for _, job := range jobs {
 		key := cache.Key(job.Config)
 		if seen[key] {
-			t.Errorf("duplicate cache key for job %q", job.Label)
+			t.Errorf("duplicate cache key %s", key)
 		}
 		seen[key] = true
 	}
@@ -685,7 +686,7 @@ func TestTemporalSpecJobsAndValidate(t *testing.T) {
 	for _, job := range jobs {
 		key := cache.Key(job.Config)
 		if seen[key] {
-			t.Errorf("duplicate cache key for job %q", job.Label)
+			t.Errorf("duplicate cache key %s", key)
 		}
 		seen[key] = true
 	}
@@ -811,7 +812,7 @@ func TestSpecJobsCounts(t *testing.T) {
 	for _, job := range jobs {
 		key := cache.Key(job.Config)
 		if seen[key] {
-			t.Errorf("duplicate cache key for job %q", job.Label)
+			t.Errorf("duplicate cache key %s", key)
 		}
 		seen[key] = true
 	}

@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"context"
+	"runtime/pprof"
+	"strconv"
 
 	"svard/internal/cache"
+	"svard/internal/dram"
 	"svard/internal/obs"
 	"svard/internal/sim"
 )
@@ -43,6 +46,12 @@ type Cell struct {
 // over, or — for a served cell — when the lookup returns), the
 // simulator's own phases and counters, and exactly one of CellsComputed
 // and CellsServed.
+//
+// With obs.EnableProfilingLabels on (svard-sweep -cpuprofile,
+// svard-served -pprof), the simulation runs under pprof labels naming
+// its defense, nrh, module and backend, so `go tool pprof -tags` splits
+// a CPU profile by cell on every route. Off by default: pprof.Do
+// allocates per call.
 func (c *Cell) Run(ctx context.Context, cfg sim.Config, rec *obs.Recorder) (res sim.Result, key string, computed bool, err error) {
 	rec.Begin(obs.PhaseLookup)
 	res, key, err = c.Store.GetOrCompute(cfg, func(cfg sim.Config) (sim.Result, error) {
@@ -56,10 +65,10 @@ func (c *Cell) Run(ctx context.Context, cfg sim.Config, rec *obs.Recorder) (res 
 			defer func() { <-c.Slots }()
 		}
 		computed = true
-		if c.Sim != nil {
-			return c.Sim(cfg)
+		if obs.ProfilingLabelsEnabled() {
+			return c.simulateLabelled(ctx, cfg, rec)
 		}
-		return sim.PooledRunRecorded(cfg, rec)
+		return c.simulate(cfg, rec)
 	})
 	if rec != nil {
 		if computed {
@@ -70,4 +79,63 @@ func (c *Cell) Run(ctx context.Context, cfg sim.Config, rec *obs.Recorder) (res 
 		}
 	}
 	return res, key, computed, err
+}
+
+// simulate runs one missed cell: the injected Sim, else the pooled
+// simulator under rec.
+func (c *Cell) simulate(cfg sim.Config, rec *obs.Recorder) (sim.Result, error) {
+	if c.Sim != nil {
+		return c.Sim(cfg)
+	}
+	return sim.PooledRunRecorded(cfg, rec)
+}
+
+// simulateLabelled is simulate under pprof labels naming the cell's
+// defense, nrh, module and backend.
+func (c *Cell) simulateLabelled(ctx context.Context, cfg sim.Config, rec *obs.Recorder) (res sim.Result, err error) {
+	backend := cfg.Backend
+	if backend == "" {
+		backend = dram.BackendDDR4
+	}
+	labels := pprof.Labels("defense", cfg.Defense, "nrh", strconv.FormatFloat(cfg.NRH, 'g', -1, 64),
+		"module", cfg.ModuleLabel, "backend", backend)
+	pprof.Do(ctx, labels, func(context.Context) { res, err = c.simulate(cfg, rec) })
+	return res, err
+}
+
+// CellLabel names a cell for people: svard-sweep's progress line, the
+// service's cell events and the flight-recorder trace. The mix is part of
+// it, any backend but the DDR4 default, and a temporal leg's age: without
+// them every mix, both backends' instances in a Spec.Backends campaign, or
+// the legs of one margin-erosion point would label identically. An
+// erosion sweep's calibration leg is a plain Fig. 12 cell (same config,
+// same key) and labels as one. The cache key carries the exact identity.
+func CellLabel(cfg sim.Config) string {
+	var buf [256]byte
+	b := append(buf[:0], cfg.Defense...)
+	b = append(b, " nRH="...)
+	b = strconv.AppendFloat(b, cfg.NRH, 'g', -1, 64)
+	b = append(b, ' ')
+	b = append(b, cfg.ModuleLabel...)
+	if cfg.Svard {
+		b = append(b, " svard ["...)
+	} else {
+		b = append(b, " nosvard ["...)
+	}
+	for i, w := range cfg.Mix {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, w...)
+	}
+	b = append(b, ']')
+	if cfg.Backend != "" && cfg.Backend != dram.BackendDDR4 {
+		b = append(b, ' ')
+		b = append(b, cfg.Backend...)
+	}
+	if cfg.Temporal != nil {
+		b = append(b, " age="...)
+		b = strconv.AppendUint(b, cfg.Temporal.AgeEpochs, 10)
+	}
+	return string(b)
 }

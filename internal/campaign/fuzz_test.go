@@ -102,10 +102,10 @@ func FuzzSpecPlan(f *testing.F) {
 		for i, j := range plan.Jobs {
 			key := cache.Key(j.Config)
 			if !cache.WellFormedKey(key) {
-				t.Fatalf("job %d (%s) has key %q", i, j.Label, key)
+				t.Fatalf("job %d has key %q", i, key)
 			}
 			if k := cache.Key(again.Jobs[i].Config); k != key {
-				t.Fatalf("re-planning moved job %d (%s) from key %s to %s", i, j.Label, key, k)
+				t.Fatalf("re-planning moved job %d from key %s to %s", i, key, k)
 			}
 		}
 	})

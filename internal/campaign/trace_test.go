@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"svard/internal/obs"
+	"svard/internal/temporal"
 )
 
 // TestCampaignTraceRidesAlong is the campaign-level flight-recorder
@@ -102,15 +103,24 @@ func TestCampaignTraceRidesAlong(t *testing.T) {
 	}
 }
 
-// TestCellLabel pins the label format the trace and the service's
-// progress events share: every cell of a campaign labels distinctly —
-// across the backend axis too — and a default-backend cell's label does
-// not mention a backend.
+// TestCellLabel pins the label format svard-sweep's progress line, the
+// trace and the service's cell events share: every cell of a campaign
+// labels distinctly — across the backend axis, a population's modules and
+// an erosion sweep's legs too — a default-backend cell's label does not
+// mention a backend, and only a temporal leg names an age.
 func TestCellLabel(t *testing.T) {
 	single, _ := goldenSpec(t)
 	twoBackends := single
 	twoBackends.Backends = []string{"ddr4-3200", "hbm2"}
-	for name, spec := range map[string]Spec{"single": single, "two-backends": twoBackends} {
+	erosion := single
+	erosion.Profiles = nil
+	erosion.Temporal = &TemporalSpec{Process: temporal.Spec{EpochCycles: 65536, Drift: -0.01, Sigma: 0.02}}
+	pop := single
+	pop.Profiles = nil
+	pop.Population = &PopulationSpec{Seed: 1, Size: 3}
+	specs := map[string]Spec{"single": single, "two-backends": twoBackends, "erosion": erosion, "population": pop}
+	labels := map[string][]string{}
+	for name, spec := range specs {
 		jobs, err := spec.Jobs()
 		if err != nil {
 			t.Fatal(err)
@@ -122,9 +132,29 @@ func TestCellLabel(t *testing.T) {
 				t.Fatalf("%s: cell label %q empty or duplicated", name, l)
 			}
 			seen[l] = true
+			labels[name] = append(labels[name], l)
 			if hbm := j.Config.Backend == "hbm2"; strings.HasSuffix(l, " hbm2") != hbm {
 				t.Fatalf("%s: label %q of a %q cell", name, l, j.Config.Backend)
 			}
+			if aged := j.Config.Temporal != nil; strings.Contains(l, " age=") != aged {
+				t.Fatalf("%s: label %q of a cell with Temporal %v", name, l, j.Config.Temporal)
+			}
+		}
+	}
+	// Literal labels: the format event-stream clients and trace readers
+	// see, for a DDR4 cell, an hbm2 cell, a baseline and an aged leg.
+	for _, c := range []struct {
+		spec string
+		i    int
+		want string
+	}{
+		{"single", len(labels["single"]) - 1, "rrs nRH=64 S0 svard [lbm06,tpcc]"},
+		{"two-backends", len(labels["two-backends"]) - 1, "rrs nRH=64 S0 svard [lbm06,tpcc] hbm2"},
+		{"two-backends", 0, "none nRH=1024 S0 nosvard [mcf06,ycsb-a]"},
+		{"erosion", len(labels["erosion"]) - 1, "rrs nRH=64 S0 svard [lbm06,tpcc] age=64"},
+	} {
+		if got := labels[c.spec][c.i]; got != c.want {
+			t.Errorf("%s cell %d labels %q, want %q", c.spec, c.i, got, c.want)
 		}
 	}
 }

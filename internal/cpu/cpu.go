@@ -174,14 +174,6 @@ func (c *Core) IPC() float64 {
 	return float64(c.MeasureTarget) / float64(c.doneCycle-c.startCycle)
 }
 
-// MeasuredCycles returns the cycles spent in the measurement region.
-func (c *Core) MeasuredCycles() uint64 {
-	if !c.finished {
-		return 0
-	}
-	return c.doneCycle - c.startCycle
-}
-
 // Tick advances the core one cycle: retire from the window head, then
 // issue into the window. It reports whether the core made any progress
 // (retired or issued at least one instruction); a false return means

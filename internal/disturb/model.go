@@ -145,13 +145,8 @@ type accKey struct{ bank, row int }
 
 // NewModel builds a model over geometry geom.
 func NewModel(p Params, geom *dram.Geometry) *Model {
-	m := &Model{P: p, Geom: geom, TempC: 80, acc: make(map[accKey]rowDisturb)}
-	m.recomputeLift()
-	return m
-}
-
-func (m *Model) recomputeLift() {
-	m.lift = Lift(m.Geom.CellsPerRow, m.P.BERSat, m.P.SigmaCell)
+	return &Model{P: p, Geom: geom, TempC: 80, acc: make(map[accKey]rowDisturb),
+		lift: Lift(geom.CellsPerRow, p.BERSat, p.SigmaCell)}
 }
 
 // Lift returns the log-domain gap between a row's median cell threshold
@@ -166,17 +161,8 @@ func Lift(cells int, berSat, sigmaCell float64) float64 {
 	return sigmaCell * phiInv(1-1/mEff)
 }
 
-// PhiCDF exposes the standard normal CDF for calibration code.
-func PhiCDF(x float64) float64 { return phi(x) }
-
 // PhiInv exposes the standard normal quantile for calibration code.
 func PhiInv(p float64) float64 { return phiInv(p) }
-
-// SetSigmaCell updates the cell-threshold spread and dependent terms.
-func (m *Model) SetSigmaCell(s float64) {
-	m.P.SigmaCell = s
-	m.recomputeLift()
-}
 
 // SetTemperature sets the chip temperature for subsequently accrued
 // disturbance (the testbench's temperature-controller hook).

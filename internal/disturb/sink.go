@@ -140,10 +140,3 @@ func (m *Model) FlipPositions(bank, row, n int) []int {
 	}
 	return out
 }
-
-// ResetAccumulators clears all disturbance state, as a full re-write of
-// the device would (the testbench re-initializes rows between
-// measurements).
-func (m *Model) ResetAccumulators() {
-	clear(m.acc)
-}

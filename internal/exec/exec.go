@@ -98,18 +98,3 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 	}
 	return results, nil
 }
-
-// Progress wraps a progress callback so concurrent jobs can report
-// safely: calls are serialized under a mutex. A nil callback yields a
-// no-op, so callers never need to nil-check.
-func Progress(fn func(string)) func(string) {
-	if fn == nil {
-		return func(string) {}
-	}
-	var mu sync.Mutex
-	return func(msg string) {
-		mu.Lock()
-		defer mu.Unlock()
-		fn(msg)
-	}
-}

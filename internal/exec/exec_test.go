@@ -198,19 +198,3 @@ func TestWorkersDefault(t *testing.T) {
 		t.Fatalf("Workers(7) = %d", got)
 	}
 }
-
-func TestProgressSerializesAndNilSafe(t *testing.T) {
-	Progress(nil)("ignored") // must not panic
-
-	var lines []string
-	p := Progress(func(s string) { lines = append(lines, s) })
-	if _, err := Map(8, 100, func(i int) (struct{}, error) {
-		p(fmt.Sprintf("job %d", i))
-		return struct{}{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 100 {
-		t.Fatalf("recorded %d progress lines, want 100", len(lines))
-	}
-}

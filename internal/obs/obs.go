@@ -266,8 +266,8 @@ func (r *Recorder) Dur(p Phase) time.Duration {
 	return end.Sub(start)
 }
 
-// profilingLabels gates the pprof cell labels the exec pool attaches
-// around per-cell execution. Off by default: pprof.Do allocates per
+// profilingLabels gates the pprof cell labels campaign.Cell attaches
+// around each simulated cell. Off by default: pprof.Do allocates per
 // call, which would break the allocation-flat sweep budget, so only
 // the profiling entry points (svard-sweep -cpuprofile, svard-served
 // -pprof) switch it on.

@@ -7,8 +7,6 @@
 package reveng
 
 import (
-	"fmt"
-
 	"svard/internal/dram"
 	"svard/internal/rng"
 	"svard/internal/stats"
@@ -34,30 +32,10 @@ func AnalyticFootprints(g *dram.Geometry) []int {
 	return fp
 }
 
-// MeasureFootprints hammers every physical row of the bank single-sided
-// and counts its flipped distance-1..2 victims, classifying distance-1
-// victims by flip magnitude. acts must be large enough to flip the
-// strongest row's neighbours (the harness derives it from the largest
-// tested hammer count).
-func MeasureFootprints(b *testbench.Bench, bank, acts int, tAggOnNs float64) ([]int, error) {
-	g := b.Dev.Geom
-	fp := make([]int, g.RowsPerBank)
-	for phys := 0; phys < g.RowsPerBank; phys++ {
-		n, err := measureFootprint(b, bank, phys, acts, tAggOnNs)
-		if err != nil {
-			return nil, err
-		}
-		fp[phys] = n
-	}
-	return fp, nil
-}
-
-// MeasureFootprint measures one physical row's distance-1 footprint.
+// MeasureFootprint hammers one physical row single-sided and counts its
+// flipped distance-1 victims: its distance-1 footprint. acts must be
+// large enough to flip the row's neighbours.
 func MeasureFootprint(b *testbench.Bench, bank, phys, acts int, tAggOnNs float64) (int, error) {
-	return measureFootprint(b, bank, phys, acts, tAggOnNs)
-}
-
-func measureFootprint(b *testbench.Bench, bank, phys, acts int, tAggOnNs float64) (int, error) {
 	logical := b.Dev.Map.PhysicalToLogical(phys)
 	victims, err := b.SingleSidedFootprint(bank, logical, acts, tAggOnNs)
 	if err != nil {
@@ -177,21 +155,4 @@ func ValidateBoundaries(b *testbench.Bench, bank int, candidates []int, probes i
 		}
 	}
 	return surviving, nil
-}
-
-// SubarraySizesOK reports whether recovered subarray sizes fall in the
-// paper's observed range (330 to 1027 rows per subarray; scaled banks
-// use their own bounds).
-func SubarraySizesOK(starts []int, rowsPerBank, minRows, maxRows int) error {
-	for i := range starts {
-		end := rowsPerBank
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		}
-		size := end - starts[i]
-		if i+1 < len(starts) && (size < minRows || size > maxRows) {
-			return fmt.Errorf("reveng: subarray %d has %d rows, outside [%d,%d]", i, size, minRows, maxRows)
-		}
-	}
-	return nil
 }

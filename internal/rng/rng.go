@@ -133,11 +133,6 @@ func (r *Rand) UintN(n uint64) uint64 {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
@@ -231,14 +226,6 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Zipf samples from a Zipf distribution over [0, n) with exponent s > 0,

@@ -42,9 +42,8 @@ type ErosionOptions struct {
 	NRHs     []float64  // swept worst-case HCfirst values (default 4K..64)
 	Defenses []string   // default all five
 
-	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
-	Runner   Runner // per-job executor (nil: PooledRun); see Runner
-	Progress func(string)
+	Workers int    // max concurrent simulations (<= 0: GOMAXPROCS)
+	Runner  Runner // per-job executor (nil: PooledRun); see Runner
 }
 
 // fill applies the sweep defaults (idempotent, like Fig12Options.fill).
@@ -108,36 +107,30 @@ func ErosionJobs(opt ErosionOptions) ([]Job, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	var jobs []Job
-	grid := func(spec *temporal.Spec, suffix string) {
+	perGrid := len(opt.Defenses) * 2 * len(opt.NRHs) * len(opt.Mixes)
+	jobs := make([]Job, 0, (1+len(opt.Intervals))*perGrid)
+	grid := func(spec *temporal.Spec) {
 		for _, defense := range opt.Defenses {
 			for _, svard := range []bool{false, true} {
 				for _, nrh := range opt.NRHs {
-					for mi := range opt.Mixes {
+					for _, mix := range opt.Mixes {
 						cfg := opt.Base
-						cfg.Mix = opt.Mixes[mi]
+						cfg.Mix = mix
 						cfg.Defense = defense
 						cfg.NRH = nrh
 						cfg.Svard = svard
 						cfg.Temporal = spec
-						name := "NoSvard"
-						if svard {
-							name = "Svard-" + cfg.ModuleLabel
-						}
-						jobs = append(jobs, Job{
-							Label:  fmt.Sprintf("erosion %s nRH=%v %s mix %d%s", defense, nrh, name, mi, suffix),
-							Config: cfg,
-						})
+						jobs = append(jobs, Job{Config: cfg})
 					}
 				}
 			}
 		}
 	}
-	grid(nil, " [calib]")
+	grid(nil)
 	for _, iv := range opt.Intervals {
 		spec := opt.Process
 		spec.AgeEpochs = iv
-		grid(&spec, fmt.Sprintf(" [age=%d]", iv))
+		grid(&spec)
 	}
 	return jobs, nil
 }
@@ -150,7 +143,7 @@ func RunErosionCtx(ctx context.Context, opt ErosionOptions) ([]ErosionCell, erro
 	if err != nil {
 		return nil, err
 	}
-	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime/pprof"
-	"strconv"
 
 	"svard/internal/exec"
 	"svard/internal/metrics"
-	"svard/internal/obs"
 	"svard/internal/profile"
 	"svard/internal/trace"
 )
@@ -24,9 +21,8 @@ import (
 type Runner func(Config) (Result, error)
 
 // Job is one simulation of a sweep's flat job list: the full Config it
-// runs plus a human-readable progress label.
+// runs. A cell is named where someone reads the name (campaign.CellLabel).
 type Job struct {
-	Label  string
 	Config Config
 }
 
@@ -37,31 +33,11 @@ type Job struct {
 // dispatching new jobs; jobs already running finish, so the call returns
 // within one simulation's latency. Every sweep runs its list through here,
 // and so does the campaign engine, once, over a whole plan.
-func RunJobs(ctx context.Context, workers int, run Runner, progress func(string), jobs []Job) ([]Result, error) {
+func RunJobs(ctx context.Context, workers int, run Runner, jobs []Job) ([]Result, error) {
 	if run == nil {
 		run = PooledRun
 	}
-	if obs.ProfilingLabelsEnabled() {
-		// Attach cell-identity pprof labels around each job so CPU
-		// profiles (svard-sweep -cpuprofile, svard-served -pprof)
-		// attribute samples to the cell that burned them. Off by default:
-		// pprof.Do allocates per call, which would break the
-		// allocation-flat sweep budget.
-		unlabeled := run
-		run = func(cfg Config) (res Result, err error) {
-			labels := pprof.Labels(
-				"defense", cfg.Defense,
-				"nrh", strconv.FormatFloat(cfg.NRH, 'g', -1, 64),
-				"module", cfg.ModuleLabel,
-				"backend", backendLabel(cfg.Backend),
-			)
-			pprof.Do(ctx, labels, func(context.Context) { res, err = unlabeled(cfg) })
-			return res, err
-		}
-	}
-	report := exec.Progress(progress)
 	return exec.MapCtx(ctx, workers, len(jobs), func(i int) (Result, error) {
-		report(jobs[i].Label)
 		return run(jobs[i].Config)
 	})
 }
@@ -77,9 +53,8 @@ type Fig12Options struct {
 	Profiles []string   // default S0, M0, H1
 	Backends []string   // memory backends to sweep (default: just Base.Backend)
 
-	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
-	Runner   Runner // per-job executor (nil: PooledRun); see Runner
-	Progress func(string)
+	Workers int    // max concurrent simulations (<= 0: GOMAXPROCS)
+	Runner  Runner // per-job executor (nil: PooledRun); see Runner
 }
 
 // fill applies the sweep defaults; it is idempotent, so Fig12Jobs and
@@ -93,6 +68,12 @@ func (opt Fig12Options) fill() Fig12Options {
 		opt.Backends = []string{opt.Base.Backend}
 	}
 	return opt
+}
+
+// perBackend is the number of jobs one backend's share of the (filled)
+// sweep holds: the baselines, then two (svard off/on) per grid point.
+func (opt Fig12Options) perBackend() int {
+	return len(opt.Profiles) * len(opt.Mixes) * (1 + len(opt.Defenses)*len(opt.NRHs)*2)
 }
 
 // fillGrid applies the defaults every (defense, nRH, mix) grid shares:
@@ -134,52 +115,35 @@ type Fig12Cell struct {
 // every execution path shares: per backend, the defense-free baselines
 // first (one per (module, mix), module-major), then one job per
 // (defense, nRH, svard, module, mix) cell in the exact order the serial
-// sweep visits them. The campaign engine uses the same expansion to size
-// and checkpoint a campaign before running it.
+// sweep visits them. The campaign engine plans a campaign from the same
+// expansion and journals each cell by its cache key.
 func Fig12Jobs(opt Fig12Options) []Job {
 	opt = opt.fill()
-	var jobs []Job
+	jobs := make([]Job, 0, len(opt.Backends)*opt.perBackend())
 	for _, be := range opt.Backends {
-		// Backend labels only appear in multi-backend sweeps, so
-		// single-backend job lists (and the campaign journals keyed on
-		// them) read exactly as before.
-		suffix := ""
-		if len(opt.Backends) > 1 {
-			suffix = " [" + backendLabel(be) + "]"
-		}
 		for _, mod := range opt.Profiles {
-			for mi := range opt.Mixes {
+			for _, mix := range opt.Mixes {
 				cfg := opt.Base
 				cfg.Backend = be
 				cfg.ModuleLabel = mod
-				cfg.Mix = opt.Mixes[mi]
+				cfg.Mix = mix
 				cfg.Defense = "none"
-				jobs = append(jobs, Job{
-					Label:  fmt.Sprintf("baseline %s mix %d%s", mod, mi, suffix),
-					Config: cfg,
-				})
+				jobs = append(jobs, Job{Config: cfg})
 			}
 		}
 		for _, defense := range opt.Defenses {
 			for _, nrh := range opt.NRHs {
 				for _, svard := range []bool{false, true} {
 					for _, mod := range opt.Profiles {
-						for mi := range opt.Mixes {
+						for _, mix := range opt.Mixes {
 							cfg := opt.Base
 							cfg.Backend = be
 							cfg.ModuleLabel = mod
-							cfg.Mix = opt.Mixes[mi]
+							cfg.Mix = mix
 							cfg.Defense = defense
 							cfg.NRH = nrh
 							cfg.Svard = svard
-							name := "NoSvard (" + mod + ")"
-							if svard {
-								name = "Svard-" + mod
-							}
-							jobs = append(jobs, Job{
-								Label:  fmt.Sprintf("%s nRH=%v %s mix %d%s", defense, nrh, name, mi, suffix),
-								Config: cfg,
-							})
+							jobs = append(jobs, Job{Config: cfg})
 						}
 					}
 				}
@@ -189,18 +153,9 @@ func Fig12Jobs(opt Fig12Options) []Job {
 	return jobs
 }
 
-// backendLabel names a backend in progress labels; the empty string is
-// the DDR4 default.
-func backendLabel(be string) string {
-	if be == "" {
-		return "ddr4-3200"
-	}
-	return be
-}
-
 // RunFig12Ctx executes the sweep and returns cells in (defense, nRH,
 // config) order: it expands Fig12Jobs, runs the list through RunJobs
-// with opt's Workers, Runner and Progress, and folds the results.
+// with opt's Workers and Runner, and folds the results.
 //
 // The sweep's cells are fully independent simulations, so cells are
 // bit-identical for any Workers value and for any Runner that is faithful
@@ -214,7 +169,7 @@ func backendLabel(be string) string {
 // a caching runner (the campaign engine's) keeps them for the next run.
 // The other three Run*Ctx sweeps share this contract.
 func RunFig12Ctx(ctx context.Context, opt Fig12Options) ([]Fig12Cell, error) {
-	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, Fig12Jobs(opt))
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, Fig12Jobs(opt))
 	if err != nil {
 		return nil, err
 	}
@@ -231,11 +186,10 @@ func (opt Fig12Options) Fold(results []Result) []Fig12Cell {
 	// order. A single-backend sweep has exactly one segment, so its cells
 	// (and fixtures) are unchanged from the pre-backend sweep.
 	nMix := len(opt.Mixes)
-	perBackend := len(opt.Profiles) * nMix * (1 + len(opt.Defenses)*len(opt.NRHs)*2)
 
 	var cells []Fig12Cell
 	for bi, be := range opt.Backends {
-		off := bi * perBackend
+		off := bi * opt.perBackend()
 		next := off + len(opt.Profiles)*nMix
 
 		// Fold the per-run results back into cells, walking the job list
@@ -340,9 +294,8 @@ type Fig13Options struct {
 	Profiles []string
 	Backends []string // memory backends to sweep (default: just Base.Backend)
 
-	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
-	Runner   Runner // per-job executor (nil: PooledRun); see Runner
-	Progress func(string)
+	Workers int    // max concurrent simulations (<= 0: GOMAXPROCS)
+	Runner  Runner // per-job executor (nil: PooledRun); see Runner
 }
 
 // fill applies the adversarial sweep defaults (idempotent).
@@ -392,14 +345,10 @@ func Fig13Jobs(opt Fig13Options) ([]Job, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	var jobs []Job
+	jobs := make([]Job, 0, len(opt.Backends)*len(fig13Defenses)*(2+len(opt.Profiles)))
 	mod0 := opt.Profiles[0]
 	for _, be := range opt.Backends {
-		suffix := ""
-		if len(opt.Backends) > 1 {
-			suffix = " [" + backendLabel(be) + "]"
-		}
-		job := func(defense, module string, withDefense, svard bool, label string) Job {
+		job := func(defense, module string, withDefense, svard bool) Job {
 			mix := append([]string{"attack:" + defense}, opt.Benign...)
 			mix = mix[:opt.Base.Cores]
 			cfg := opt.Base
@@ -413,14 +362,12 @@ func Fig13Jobs(opt Fig13Options) ([]Job, error) {
 			} else {
 				cfg.Defense = "none"
 			}
-			return Job{Label: label + suffix, Config: cfg}
+			return Job{Config: cfg}
 		}
 		for _, defense := range fig13Defenses {
-			jobs = append(jobs,
-				job(defense, mod0, false, false, defense+" baseline"),
-				job(defense, mod0, true, false, defense+" NoSvard"))
+			jobs = append(jobs, job(defense, mod0, false, false), job(defense, mod0, true, false))
 			for _, mod := range opt.Profiles {
-				jobs = append(jobs, job(defense, mod, true, true, defense+" Svard-"+mod))
+				jobs = append(jobs, job(defense, mod, true, true))
 			}
 		}
 	}
@@ -434,7 +381,7 @@ func RunFig13Ctx(ctx context.Context, opt Fig13Options) ([]Fig13Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, jobs)
 	if err != nil {
 		return nil, err
 	}

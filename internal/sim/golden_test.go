@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -299,12 +301,27 @@ func (g *ErosionGolden) run(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range jobs {
+		label := g.jobLabel(j.Config)
 		v, ok := byConfig[configKey(j.Config)]
 		if !ok {
-			t.Fatalf("job %q never reached the runner", j.Label)
+			t.Fatalf("job %q never reached the runner", label)
 		}
-		g.Jobs = append(g.Jobs, ErosionGoldenJob{Label: j.Label, Violations: v})
+		g.Jobs = append(g.Jobs, ErosionGoldenJob{Label: label, Violations: v})
 	}
+}
+
+// jobLabel names an erosion job the way the fixture records it: its grid
+// point, its mix's index in g.Mixes and its truth leg.
+func (g *ErosionGolden) jobLabel(cfg Config) string {
+	name, leg := "NoSvard", " [calib]"
+	if cfg.Svard {
+		name = "Svard-" + cfg.ModuleLabel
+	}
+	if cfg.Temporal != nil {
+		leg = fmt.Sprintf(" [age=%d]", cfg.Temporal.AgeEpochs)
+	}
+	mi := slices.IndexFunc(g.Mixes, func(m []string) bool { return slices.Equal(m, cfg.Mix) })
+	return fmt.Sprintf("erosion %s nRH=%v %s mix %d%s", cfg.Defense, cfg.NRH, name, mi, leg)
 }
 
 func TestGoldenErosion(t *testing.T) {

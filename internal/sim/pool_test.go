@@ -181,7 +181,7 @@ func TestPoolGeometryInterleave(t *testing.T) {
 		if r.Bool(0.25) {
 			cfg.MaxCycles = 20_000 // leave the arena mid-flight
 		}
-		name := fmt.Sprintf("%02d-%s-%s-rows%d-cores%d", i, cfg.Defense, backendLabel(cfg.Backend), cfg.RowsPerBank, cfg.Cores)
+		name := fmt.Sprintf("%02d-%s-%q-rows%d-cores%d", i, cfg.Defense, cfg.Backend, cfg.RowsPerBank, cfg.Cores)
 		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

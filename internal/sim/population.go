@@ -19,9 +19,8 @@ type PopulationOptions struct {
 	NRHs       []float64      // default 4K..64
 	Defenses   []string       // default all five
 
-	Workers  int    // max concurrent simulations (<= 0: GOMAXPROCS)
-	Runner   Runner // per-job executor (nil: PooledRun); see Runner
-	Progress func(string)
+	Workers int    // max concurrent simulations (<= 0: GOMAXPROCS)
+	Runner  Runner // per-job executor (nil: PooledRun); see Runner
 }
 
 // fill applies the sweep defaults (idempotent).
@@ -67,7 +66,7 @@ func PopulationJobs(opt PopulationOptions) ([]Job, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	var jobs []Job
+	jobs := make([]Job, 0, opt.Population.Size*len(opt.Mixes)*(1+len(opt.Defenses)*len(opt.NRHs)*2))
 	for i := 0; i < opt.Population.Size; i++ {
 		jobs = append(jobs, Fig12Jobs(Fig12Options{
 			Base:     opt.Base,
@@ -113,7 +112,7 @@ func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, e
 	if err != nil {
 		return nil, err
 	}
-	results, err := RunJobs(ctx, opt.Workers, opt.Runner, opt.Progress, jobs)
+	results, err := RunJobs(ctx, opt.Workers, opt.Runner, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"svard/internal/population"
@@ -39,7 +40,7 @@ func TestPopulationJobsShape(t *testing.T) {
 	}
 	for _, j := range jobs {
 		if !strings.HasPrefix(j.Config.ModuleLabel, population.LabelPrefix) {
-			t.Fatalf("job %q targets module %q", j.Label, j.Config.ModuleLabel)
+			t.Fatalf("job %+v targets module %q", j.Config, j.Config.ModuleLabel)
 		}
 	}
 	if _, err := PopulationJobs(PopulationOptions{Base: tinyBase()}); err == nil {
@@ -181,9 +182,11 @@ func TestPopulationSweepParallelSmoke(t *testing.T) {
 	opt.Base.InstrPerCore = 4_000
 	opt.Base.WarmupPerCore = 500
 	opt.Workers = 4
-	var mu sync.Mutex
-	seen := 0
-	opt.Progress = func(string) { mu.Lock(); seen++; mu.Unlock() }
+	var ran atomic.Int64
+	opt.Runner = func(cfg Config) (Result, error) {
+		ran.Add(1)
+		return PooledRun(cfg)
+	}
 	cells, err := RunPopulationCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +196,11 @@ func TestPopulationSweepParallelSmoke(t *testing.T) {
 			t.Errorf("%s: folded %d modules, want 64", c.Config, c.Modules)
 		}
 	}
-	if seen == 0 {
-		t.Error("progress callback never fired")
+	jobs, err := PopulationJobs(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ran.Load(); n != int64(len(jobs)) {
+		t.Errorf("runner ran %d jobs, want %d", n, len(jobs))
 	}
 }

@@ -36,8 +36,8 @@ func (p *protocolTally) run(cfg Config) (Result, error) {
 	var act, pre, col, ref uint64
 	for ch, chk := range chks {
 		if err := chk.Err(); err != nil {
-			return res, fmt.Errorf("%s on %s, nRH %v, mix %v, channel %d: illegal DRAM command stream:\n%w",
-				cfg.Defense, backendLabel(cfg.Backend), cfg.NRH, cfg.Mix, ch, err)
+			return res, fmt.Errorf("%s on backend %q, nRH %v, mix %v, channel %d: illegal DRAM command stream:\n%w",
+				cfg.Defense, cfg.Backend, cfg.NRH, cfg.Mix, ch, err)
 		}
 		a, p, c, r := chk.Commands()
 		act, pre, col, ref = act+a, pre+p, col+c, ref+r

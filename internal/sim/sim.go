@@ -419,7 +419,7 @@ func (ct chanThresholds) ActivationBudget(bank, row int) float64 {
 func (ct chanThresholds) MinBudget() float64 { return ct.th.MinBudget() }
 
 // newMachine builds the simulated system of cfg from fresh allocations.
-func newMachine(cfg Config) (*machine, error) { return buildMachine(cfg, nil) }
+func newMachine(cfg Config) (*machine, error) { return buildMachine(cfg, newPoolState()) }
 
 // poolState is one worker's reusable simulation arena: the per-channel
 // controllers (with the DRAM systems, queues, and per-row tables
@@ -438,9 +438,16 @@ type poolState struct {
 	defenses map[string]mitigation.Defense
 }
 
-// buildMachine builds the simulated system of cfg, reusing st's
-// allocations when non-nil. The pooled and fresh paths are bit-identical
-// by construction — every component's Reset restores the state its
+// newPoolState returns an empty arena: building on it constructs every
+// component from fresh allocations.
+func newPoolState() *poolState {
+	return &poolState{defenses: make(map[string]mitigation.Defense)}
+}
+
+// buildMachine builds the simulated system of cfg on arena st, reusing
+// whatever st holds and keeping what it builds there. A fresh run builds
+// on an empty arena, so the pooled and fresh paths are bit-identical by
+// construction — every component's Reset restores the state its
 // constructor produces — and the pooled differential tests enforce it.
 func buildMachine(cfg Config, st *poolState) (*machine, error) {
 	if cfg.Cores <= 0 || len(cfg.Mix) != cfg.Cores {
@@ -489,14 +496,11 @@ func buildMachine(cfg Config, st *poolState) (*machine, error) {
 	defName := strings.ToLower(cfg.Defense)
 
 	model := disturb.NewModel(mod.Params, mod.Geom)
-	var tracker *secTracker
-	if st != nil && st.tracker != nil {
-		tracker = st.tracker
+	tracker := st.tracker
+	if tracker != nil {
 		tracker.reset(model, entry.hcBase, entry.psi, scaled.Factor, cfg.CPUGHz, banks, mcCfg.BankGroups*mcCfg.BanksPerGroup)
 	} else {
 		tracker = newSecTracker(model, entry.hcBase, entry.psi, scaled.Factor, cfg.CPUGHz, banks, mcCfg.BankGroups*mcCfg.BanksPerGroup)
-	}
-	if st != nil {
 		st.tracker = tracker
 	}
 	if cfg.Temporal != nil {
@@ -506,18 +510,11 @@ func buildMachine(cfg Config, st *poolState) (*machine, error) {
 		tracker.startTemporal(temporal.NewProcess(*cfg.Temporal, cfg.Seed), cfg.Temporal.EpochCycles)
 	}
 
-	var mcs []*memctrl.Controller
-	if st != nil && cap(st.mcs) >= nchan {
-		mcs = st.mcs[:nchan]
-	} else {
-		mcs = make([]*memctrl.Controller, nchan)
-		if st != nil {
-			copy(mcs, st.mcs)
-		}
+	if cap(st.mcs) < nchan {
+		st.mcs = append(make([]*memctrl.Controller, 0, nchan), st.mcs...)
 	}
-	if st != nil {
-		st.mcs = mcs
-	}
+	st.mcs = st.mcs[:nchan]
+	mcs := st.mcs
 	m := &machine{mcs: mcs, tracker: tracker}
 	if nchan > 1 {
 		m.nchan = uint64(nchan)
@@ -547,17 +544,11 @@ func buildMachine(cfg Config, st *poolState) (*machine, error) {
 			chTr = chanTracker{t: tracker, bankOff: ch * banksPerChan, rankOff: ch * mcCfg.Ranks}
 			key = defName + "#" + strconv.Itoa(ch)
 		}
-		var prev mitigation.Defense
-		if st != nil {
-			prev = st.defenses[key]
-		}
-		def, err := buildDefense(cfg.Defense, si, chTh, cfg.CPUGHz, prev)
+		def, err := buildDefense(cfg.Defense, si, chTh, cfg.CPUGHz, st.defenses[key])
 		if err != nil {
 			return nil, err
 		}
-		if st != nil {
-			st.defenses[key] = def
-		}
+		st.defenses[key] = def
 		if mcs[ch] != nil {
 			mcs[ch].Reset(mcCfg, timing, def, chTr)
 		} else {
@@ -565,15 +556,11 @@ func buildMachine(cfg Config, st *poolState) (*machine, error) {
 		}
 	}
 
-	var cores []*cpu.Core
-	if st != nil && cap(st.cores) >= cfg.Cores {
-		cores = st.cores[:cfg.Cores]
-	} else {
-		cores = make([]*cpu.Core, cfg.Cores)
-		if st != nil {
-			copy(cores, st.cores)
-		}
+	if cap(st.cores) < cfg.Cores {
+		st.cores = append(make([]*cpu.Core, 0, cfg.Cores), st.cores...)
 	}
+	st.cores = st.cores[:cfg.Cores]
+	cores := st.cores
 	for i := range cores {
 		gen, uncached, err := cfg.generatorFor(mcCfg, nchan, i, cfg.Mix[i])
 		if err != nil {
@@ -594,9 +581,6 @@ func buildMachine(cfg Config, st *poolState) (*machine, error) {
 		}
 		cores[i].WarmupTarget = cfg.WarmupPerCore
 		cores[i].MeasureTarget = cfg.InstrPerCore
-	}
-	if st != nil {
-		st.cores = cores
 	}
 	m.cores = cores
 	return m, nil
@@ -798,8 +782,8 @@ func (m *machine) run(cfg Config) Result {
 }
 
 // runOn is the one body behind every entry point below: build the
-// machine (on arena st, or from fresh allocations when st is nil), drive
-// it to completion, fold the Result. rec may be nil — every Recorder
+// machine on arena st (an empty one for a fresh run), drive it to
+// completion, fold the Result. rec may be nil — every Recorder
 // method is nil-receiver safe — and the Result is bit-identical either
 // way: the recorder observes, it never steers.
 func runOn(st *poolState, cfg Config, rec *obs.Recorder) (Result, error) {
@@ -814,13 +798,15 @@ func runOn(st *poolState, cfg Config, rec *obs.Recorder) (Result, error) {
 }
 
 // Run executes one simulation from fresh allocations.
-func Run(cfg Config) (Result, error) { return runOn(nil, cfg, nil) }
+func Run(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil) }
 
 // RunRecorded is Run with a flight recorder attached: the run's engine
 // and controller counters fold into rec.Counters, and the build,
 // warmup, run, and fold phases are stamped onto rec. A nil rec makes
 // this exactly Run.
-func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) { return runOn(nil, cfg, rec) }
+func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
+	return runOn(newPoolState(), cfg, rec)
+}
 
 // arenaPool executes simulations on reusable state arenas. A paper-scale
 // sweep rebuilds its multi-megabyte simulator (LLC arrays, tracker
@@ -845,7 +831,7 @@ type arenaPool struct {
 func (p *arenaPool) run(cfg Config, rec *obs.Recorder) (Result, error) {
 	st, _ := p.p.Get().(*poolState)
 	if st == nil {
-		st = &poolState{defenses: make(map[string]mitigation.Defense)}
+		st = newPoolState()
 	}
 	// The arena stays reusable after a failed build: every Reset fully
 	// reinitializes, regardless of how far the build got.
