@@ -8,8 +8,7 @@
 // Usage:
 //
 //	svard-fabric [-addr HOST:PORT] [-cache-dir DIR] [-spec campaign.json]
-//	             [-batch N] [-lease DUR] [-min-workers N] [-max-attempts N]
-//	             [-workers N] [-resume] [-out FILE] [-q]
+//	             [-batch N] [-lease DUR] [-min-workers N] [-out FILE] [-q]
 //
 // Endpoints (see EXPERIMENTS.md, "Distributed fabric"):
 //
@@ -19,11 +18,14 @@
 //	PUT  /api/v1/objects/{key}  publish a sealed result envelope
 //	GET  /healthz               fleet + campaign summary
 //
-// With -spec, the coordinator waits for -min-workers live workers, runs
-// the campaign, prints the folded figures plus the dispatch accounting,
-// and exits; interrupted runs resume with -resume. Without -spec it
-// serves as a standing coordinator and shared object store until
-// terminated.
+// With -spec, the coordinator serves every cell its cache already holds,
+// waits for -min-workers live workers if any cell is left, runs the rest
+// of the campaign, prints the folded figures plus the dispatch
+// accounting, and exits. An interrupted run picks up where it stopped
+// when started again over the same -cache-dir; a finished one needs no
+// worker. Without -spec it serves as a standing coordinator and shared
+// object store until terminated. A cell no worker delivers within three
+// dispatch attempts is computed locally, on GOMAXPROCS slots.
 package main
 
 import (
@@ -45,33 +47,26 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8355", "listen address")
-		cacheDir    = flag.String("cache-dir", ".svard-cache", "result cache directory ('' = memory only; also the object store and journal home)")
-		lru         = flag.Int("lru", 0, "in-memory LRU entries (0 = default)")
-		specFile    = flag.String("spec", "", "campaign spec JSON file to dispatch (e.g. from svard-sweep -print-spec); '' = serve as a standing coordinator")
-		batch       = flag.Int("batch", 0, "cells per lease (0 = 16)")
-		lease       = flag.Duration("lease", 0, "lease TTL; a worker missing heartbeats this long loses its cells (0 = 15s)")
-		minWorkers  = flag.Int("min-workers", 1, "live workers to wait for before dispatching")
-		maxAttempts = flag.Int("max-attempts", 0, "dispatch attempts per cell before the coordinator computes it locally (0 = 3)")
-		workers     = flag.Int("workers", 0, "local parallelism for last-resort computes (0 = GOMAXPROCS)")
-		resume      = flag.Bool("resume", false, "resume this campaign's interrupted journal")
-		outFile     = flag.String("out", "", "write the folded outcome and dispatch stats as JSON to this file")
-		quiet       = flag.Bool("q", false, "suppress dispatch progress output")
+		addr       = flag.String("addr", "127.0.0.1:8355", "listen address")
+		cacheDir   = flag.String("cache-dir", ".svard-cache", "result cache directory ('' = memory only; also the object store and journal home)")
+		specFile   = flag.String("spec", "", "campaign spec JSON file to dispatch (e.g. from svard-sweep -print-spec); '' = serve as a standing coordinator")
+		batch      = flag.Int("batch", 0, "cells per lease (0 = 16)")
+		lease      = flag.Duration("lease", 0, "lease TTL; a worker missing heartbeats this long loses its cells (0 = 15s)")
+		minWorkers = flag.Int("min-workers", 1, "live workers to wait for before dispatching")
+		outFile    = flag.String("out", "", "write the folded outcome and dispatch stats as JSON to this file")
+		quiet      = flag.Bool("q", false, "suppress dispatch progress output")
 	)
 	flag.Parse()
 
-	store, err := cache.Open(*cacheDir, *lru)
+	store, err := cache.Open(*cacheDir, 0)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := fabric.Config{
-		Store:           store,
-		Workers:         *workers,
-		BatchSize:       *batch,
-		LeaseTTL:        *lease,
-		MinWorkers:      *minWorkers,
-		MaxCellAttempts: *maxAttempts,
-		Resume:          *resume,
+		Store:      store,
+		BatchSize:  *batch,
+		LeaseTTL:   *lease,
+		MinWorkers: *minWorkers,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {
@@ -123,13 +118,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "svard-fabric: campaign %s: %d cells; waiting for %d worker(s)\n",
-		plan.Fingerprint[:16], len(plan.Jobs), *minWorkers)
-
 	res, err := coord.RunPlan(ctx, plan)
 	if err != nil {
 		if *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "campaign interrupted (cache %s; re-run with -resume to continue): ", *cacheDir)
+			fmt.Fprintf(os.Stderr, "campaign interrupted (cache %s; re-run the same command to continue): ", *cacheDir)
 		}
 		fatal(err)
 	}

@@ -5,10 +5,13 @@
 //
 // Usage:
 //
-//	svard-served [-addr HOST:PORT] [-cache-dir DIR] [-workers N]
-//	             [-max-jobs N] [-lru N] [-pprof]
+//	svard-served [-addr HOST:PORT] [-cache-dir DIR] [-workers N] [-pprof]
 //	             [-fabric URL] [-advertise URL] [-worker-name NAME]
 //	             [-remote-cache URL]
+//
+// Up to four jobs are admitted at once (queued jobs wait, highest
+// priority first, and every job's cells share the -workers slots), and
+// the 256 most recent finished jobs stay queryable.
 //
 // With -fabric, the process also joins a svard-fabric coordinator as a
 // dispatch worker: it registers, heartbeats at the coordinator's
@@ -66,9 +69,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:8344", "listen address")
 		cacheDir  = flag.String("cache-dir", ".svard-cache", "result cache directory ('' = memory only)")
 		workers   = flag.Int("workers", 0, "max concurrent simulations across all jobs (0 = GOMAXPROCS)")
-		maxJobs   = flag.Int("max-jobs", 4, "max concurrently admitted jobs (queued jobs wait, highest priority first)")
-		retain    = flag.Int("retain", 0, "max jobs kept queryable; oldest finished jobs evicted beyond it (0 = 256)")
-		lru       = flag.Int("lru", 0, "in-memory LRU entries (0 = default)")
 		grace     = flag.Duration("grace", 2*time.Minute, "graceful shutdown budget before exiting anyway")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ (profile a live campaign service)")
 
@@ -79,7 +79,7 @@ func main() {
 	)
 	flag.Parse()
 
-	store, err := cache.Open(*cacheDir, *lru)
+	store, err := cache.Open(*cacheDir, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,12 +87,7 @@ func main() {
 		store.SetRemote(client.NewCacheRemote(*remoteCache, client.Policy{}), cache.DefaultRemoteTimeout)
 		fmt.Fprintf(os.Stderr, "svard-served: remote cache %s (failures degrade to local compute)\n", *remoteCache)
 	}
-	svc, err := server.New(server.Config{
-		Store:         store,
-		Workers:       *workers,
-		MaxActiveJobs: *maxJobs,
-		RetainJobs:    *retain,
-	})
+	svc, err := server.New(server.Config{Store: store, Workers: *workers})
 	if err != nil {
 		fatal(err)
 	}

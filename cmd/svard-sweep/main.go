@@ -6,12 +6,13 @@
 // simulation cell persists under -cache-dir keyed by its full
 // configuration, so re-running a campaign — after a crash, or with one
 // changed knob — recomputes only the cells that have never been
-// computed, and an interrupted sweep restarted with -resume picks up
-// exactly where it stopped with bit-identical results.
+// computed, and an interrupted sweep run again with the same flags picks
+// up exactly where it stopped with bit-identical results (the cells its
+// journal lists are reported as resumed).
 //
 // Usage:
 //
-//	svard-sweep [-fig12] [-fig13] [-cache-dir DIR] [-resume] [-parallel N]
+//	svard-sweep [-fig12] [-fig13] [-cache-dir DIR] [-parallel N]
 //	            [-mixes N | -mix a,b,... (repeatable)] [-instr N] [-warmup N]
 //	            [-cores N] [-rows N] [-seed N]
 //	            [-defenses para,rrs] [-nrhs 1024,64] [-profiles S0,M0]
@@ -40,7 +41,7 @@
 //	svard-sweep -fig12 -nrhs 1024,64 -defenses para,rrs   # small sweep, cache cold
 //	svard-sweep -fig12 -nrhs 1024,64 -defenses para,rrs   # same again: all cache hits
 //	svard-sweep -fig12 -mixes 120 -instr 200000000        # paper scale; Ctrl-C it...
-//	svard-sweep -fig12 -mixes 120 -instr 200000000 -resume # ...and pick it back up
+//	svard-sweep -fig12 -mixes 120 -instr 200000000        # ...and pick it back up
 //	svard-sweep -population 1000 -bands-json bands.json   # Monte Carlo confidence bands
 //	svard-sweep -temporal epoch=65536,drift=-0.05,sigma=0.1  # margin erosion vs re-calibration interval
 package main
@@ -82,7 +83,6 @@ func run() error {
 		printSpec = flag.Bool("print-spec", false, "print the normalized campaign spec as JSON and exit")
 
 		cacheDir = flag.String("cache-dir", ".svard-cache", "result cache directory ('' disables persistence)")
-		resume   = flag.Bool("resume", false, "resume this campaign's interrupted journal")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 
 		fig12 = flag.Bool("fig12", false, "run the Fig. 12 sweep")
@@ -268,7 +268,7 @@ func run() error {
 			plan.Fingerprint[:16], len(plan.Jobs), where)
 	}
 
-	eng := &campaign.Engine{Store: store, Workers: *parallel, Resume: *resume}
+	eng := &campaign.Engine{Store: store, Workers: *parallel}
 	if *traceOut != "" {
 		eng.Trace = obs.NewTrace()
 	}
@@ -285,7 +285,7 @@ func run() error {
 	}
 	// Ctrl-C / SIGTERM cancels the campaign promptly: in-flight cells
 	// finish (and are cached and journaled), nothing new starts, and the
-	// journal stays valid for -resume. Deregistering on the first signal
+	// journal stays valid for the next run. Deregistering on the first signal
 	// restores default handling, so a second Ctrl-C during the drain
 	// kills the process instead of being swallowed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -311,7 +311,7 @@ func run() error {
 	}
 	if err != nil {
 		if *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "campaign interrupted (cache %s; re-run with -resume to continue): ", *cacheDir)
+			fmt.Fprintf(os.Stderr, "campaign interrupted (cache %s; re-run the same command to continue): ", *cacheDir)
 		}
 		return err
 	}

@@ -487,12 +487,6 @@ type Engine struct {
 	Store   *cache.Store // result cache (required)
 	Workers int          // max concurrent simulations (<= 0: GOMAXPROCS)
 
-	// Resume picks up the campaign's journal from a previous interrupted
-	// run of the same spec instead of starting a fresh one. Results are
-	// identical either way (the cache is consulted unconditionally);
-	// Resume preserves the completed-job accounting across restarts.
-	Resume bool
-
 	// Sim and Slots are the engine's Cell: the injected executor a cache
 	// miss falls back to (nil: the pooled simulator; tests inject failing
 	// or counting runners) and the worker-slot channel simulations — not
@@ -538,11 +532,11 @@ func (e *Engine) RunCtx(ctx context.Context, spec Spec) (*Outcome, error) {
 // Once ctx is done, no new simulation starts, cells already running
 // finish (and are cached and journaled), and the call returns ctx's
 // cause within one cell's latency. The journal stays intact, so the
-// cancelled campaign resumes exactly like an interrupted one — re-run
-// with Resume (svard-sweep -resume) and only the never-computed cells
-// simulate.
+// cancelled campaign resumes exactly like an interrupted one: run the
+// same plan over the same store again and only the never-computed cells
+// simulate, the journaled ones counting as resumed.
 func (e *Engine) RunPlan(ctx context.Context, plan Plan) (*Outcome, error) {
-	record, err := OpenRecord(e.Store, plan, e.Resume)
+	record, err := OpenRecord(e.Store, plan)
 	if err != nil {
 		return nil, err
 	}

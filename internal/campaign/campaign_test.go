@@ -132,7 +132,7 @@ func TestCampaignColdThenWarmMatchesGolden(t *testing.T) {
 }
 
 // TestCampaignInterruptedThenResumed is the acceptance criterion: a
-// Fig. 12 sweep interrupted mid-run and restarted with resume completes
+// Fig. 12 sweep interrupted mid-run and simply run again completes
 // from cached cells and produces cells bit-identical to a single cold
 // serial run (the golden fixture, which -update records from a serial
 // sweep).
@@ -154,9 +154,10 @@ func TestCampaignInterruptedThenResumed(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 
-	// Restart in a fresh store (fresh process, in effect), resuming.
+	// Restart in a fresh store (fresh process, in effect): the journal is
+	// picked up because it is there.
 	var calls2 atomic.Int64
-	eng2 := &Engine{Store: newStore(t, dir), Workers: 2, Resume: true, Sim: countingSim(&calls2)}
+	eng2 := &Engine{Store: newStore(t, dir), Workers: 2, Sim: countingSim(&calls2)}
 	out, err := eng2.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -196,13 +197,46 @@ func TestResumedIsPartOfServed(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, lost[:2], lost+".json")); err != nil {
 		t.Fatal(err)
 	}
-	out, err := (&Engine{Store: newStore(t, dir), Resume: true, Sim: fakeSim}).RunPlan(context.Background(), plan)
+	out, err := (&Engine{Store: newStore(t, dir), Sim: fakeSim}).RunPlan(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(plan.Jobs)
 	if out.Computed != 1 || out.Served != n-1 || out.Resumed != n-1 {
 		t.Errorf("computed=%d served=%d resumed=%d, want 1/%d/%d", out.Computed, out.Served, out.Resumed, n-1, n-1)
+	}
+}
+
+// TestRunAgainResumes: a campaign run again over the same cache
+// directory picks up its journal with no option set — every cell the
+// first run finished is served and counted as resumed. A stored cell the
+// journal does not list (its journal deleted) is served, not resumed.
+func TestRunAgainResumes(t *testing.T) {
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func() *Outcome {
+		t.Helper()
+		out, err := (&Engine{Store: newStore(t, dir), Sim: fakeSim}).RunPlan(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	n := len(plan.Jobs)
+	if out := run(); out.Computed != n || out.Resumed != 0 {
+		t.Fatalf("first run: computed=%d resumed=%d, want %d/0", out.Computed, out.Resumed, n)
+	}
+	if out := run(); out.Computed != 0 || out.Served != n || out.Resumed != n {
+		t.Errorf("second run: computed=%d served=%d resumed=%d, want 0/%d/%d", out.Computed, out.Served, out.Resumed, n, n)
+	}
+	if err := os.Remove(journalPath(dir, plan.Fingerprint)); err != nil {
+		t.Fatal(err)
+	}
+	if out := run(); out.Computed != 0 || out.Served != n || out.Resumed != 0 {
+		t.Errorf("run without a journal: computed=%d served=%d resumed=%d, want 0/%d/0", out.Computed, out.Served, out.Resumed, n)
 	}
 }
 
@@ -459,7 +493,7 @@ func TestJournalTornLineAndResume(t *testing.T) {
 	}
 	dir := t.TempDir()
 	store := newStore(t, dir)
-	first, err := OpenRecord(store, plan, false)
+	first, err := OpenRecord(store, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +509,7 @@ func TestJournalTornLineAndResume(t *testing.T) {
 	f.WriteString(strings.Repeat("33", 10))
 	f.Close()
 
-	r, err := OpenRecord(store, plan, true)
+	r, err := OpenRecord(store, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,23 +521,13 @@ func TestJournalTornLineAndResume(t *testing.T) {
 	k3 := strings.Repeat("44", 32)
 	r.Done(k3, true)
 	r.Close()
-	r2, err := OpenRecord(store, plan, true)
+	r2, err := OpenRecord(store, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if n := loaded(r2); n != 3 || !r2.Resumed(k3) {
+	if n := loaded(r2); n != 3 || !r2.seen[k3] {
 		t.Errorf("resumed = %d, want 3 (key after torn line must survive)", n)
-	}
-
-	// Without resume, the journal restarts from zero.
-	fresh, err := OpenRecord(store, plan, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if n := loaded(fresh); n != 0 {
-		t.Errorf("fresh journal resumed %d", n)
 	}
 }
 
@@ -635,7 +659,7 @@ func TestPopulationCampaignInterruptedThenResumed(t *testing.T) {
 	// Resume in a fresh store over the same directory, with a different
 	// worker count: the bands must not notice either.
 	var calls2 atomic.Int64
-	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Resume: true, Sim: countingSim(&calls2)}
+	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Sim: countingSim(&calls2)}
 	out, err := eng2.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -779,7 +803,7 @@ func TestErosionCampaignInterruptedThenResumed(t *testing.T) {
 	// Resume in a fresh store over the same directory, with a different
 	// worker count: the erosion table must not notice either.
 	var calls2 atomic.Int64
-	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Resume: true, Sim: countingSim(&calls2)}
+	eng2 := &Engine{Store: newStore(t, dir), Workers: 1, Sim: countingSim(&calls2)}
 	out, err := eng2.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

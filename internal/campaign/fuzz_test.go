@@ -52,7 +52,7 @@ func FuzzJournalResume(f *testing.F) {
 			}
 			want = len(distinct)
 		}
-		r, err := OpenRecord(store, plan, true)
+		r, err := OpenRecord(store, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type Record struct {
 	mu sync.Mutex
 	f  *os.File // nil: memory-only store, accounting is per-process
 	// seen holds every journaled key: true for the ones an earlier run
-	// wrote (loaded on resume), false for this run's.
+	// wrote (loaded when the record opened), false for this run's.
 	seen     map[string]bool
 	computed int
 	resumed  int
@@ -45,12 +45,13 @@ func journalPath(dir, fingerprint string) string {
 	return filepath.Join(dir, "campaign-"+fingerprint[:16]+".journal")
 }
 
-// OpenRecord opens a run of plan over store. With resume set and a
-// journal for the same fingerprint under the store's directory, the
-// cells an earlier run completed are loaded (see Resumed); otherwise a
-// fresh journal replaces whatever was there. A plan Spec.Plan did not
-// build, or that was edited since, is refused before any cell runs.
-func OpenRecord(store *cache.Store, plan Plan, resume bool) (*Record, error) {
+// OpenRecord opens a run of plan over store. A journal for the same
+// fingerprint under the store's directory is picked up: the cells an
+// earlier run completed count as resumed when this run serves them.
+// Without one (or under a foreign header) a fresh journal replaces
+// whatever was there. A plan Spec.Plan did not build, or that was edited
+// since, is refused before any cell runs.
+func OpenRecord(store *cache.Store, plan Plan) (*Record, error) {
 	if store == nil {
 		return nil, errors.New("campaign: no result store")
 	}
@@ -64,32 +65,30 @@ func OpenRecord(store *cache.Store, plan Plan, resume bool) (*Record, error) {
 	}
 	path := journalPath(store.Dir(), fp)
 
-	if resume {
-		if b, err := os.ReadFile(path); err == nil {
-			lines := strings.Split(string(b), "\n")
-			if len(lines) > 0 && strings.HasPrefix(lines[0], journalHeader+" "+fp) {
-				for _, line := range lines[1:] {
-					line = strings.TrimSpace(line)
-					if cache.WellFormedKey(line) { // anything else: torn write or foreign bytes
-						r.seen[line] = true
-					}
+	if b, err := os.ReadFile(path); err == nil {
+		lines := strings.Split(string(b), "\n")
+		if len(lines) > 0 && strings.HasPrefix(lines[0], journalHeader+" "+fp) {
+			for _, line := range lines[1:] {
+				line = strings.TrimSpace(line)
+				if cache.WellFormedKey(line) { // anything else: torn write or foreign bytes
+					r.seen[line] = true
 				}
-				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					return nil, fmt.Errorf("campaign: reopen journal: %w", err)
-				}
-				// A crash mid-append can leave the file without a trailing
-				// newline; terminate the torn line so the next key is not
-				// glued onto it (and lost with it on the following resume).
-				if len(b) > 0 && b[len(b)-1] != '\n' {
-					fmt.Fprintln(f)
-				}
-				r.f = f
-				return r, nil
 			}
-			// Header mismatch: a different (or corrupt) campaign's file
-			// under a colliding name — start over rather than miscount.
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: reopen journal: %w", err)
+			}
+			// A crash mid-append can leave the file without a trailing
+			// newline; terminate the torn line so the next key is not
+			// glued onto it (and lost with it when the next run loads the file).
+			if len(b) > 0 && b[len(b)-1] != '\n' {
+				fmt.Fprintln(f)
+			}
+			r.f = f
+			return r, nil
 		}
+		// Header mismatch: a different (or corrupt) campaign's file
+		// under a colliding name — start over rather than miscount.
 	}
 
 	f, err := os.Create(path)
@@ -102,13 +101,6 @@ func OpenRecord(store *cache.Store, plan Plan, resume bool) (*Record, error) {
 	}
 	r.f = f
 	return r, nil
-}
-
-// Resumed reports whether an earlier run of the campaign journaled key.
-func (r *Record) Resumed(key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen[key]
 }
 
 // Done journals one completed cell under the key the store derived for it

@@ -29,10 +29,14 @@
 //     (GET/PUT /api/v1/objects/{key}, speaking the cache's sealed
 //     envelope bytes), so workers whose cache has it as its Remote layer
 //     publish results as they compute and serve each other's cells.
+//   - Before dispatch, every cell whose result the coordinator's store
+//     holds is done, served as a local engine serves it from its cache:
+//     a restarted coordinator dispatches only the cells it lacks, and one
+//     over a finished campaign needs no worker at all.
 //   - Completions go into the campaign's run record (campaign.Record),
-//     the one the local engine keeps: it journals them, so a restarted
-//     coordinator resumes instead of re-dispatching finished cells, and
-//     it attributes and folds them exactly as a local run would.
+//     the one the local engine keeps: it journals them (a journaled cell
+//     served again counts as resumed), and it attributes and folds them
+//     exactly as a local run would.
 //
 // A result is delivered only once its opened entry is in the
 // coordinator's store under the coordinator's own key for the cell, and
@@ -46,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,10 +102,6 @@ type Config struct {
 	// next heartbeat (see sendBatch). A zero AttemptTimeout is replaced by
 	// none at all — a compute batch legitimately runs for minutes.
 	Retry client.Policy
-
-	// Resume picks up the campaign journal from a previous interrupted
-	// coordinator run of the same spec.
-	Resume bool
 
 	// Logf, when set, receives dispatch-plane progress lines.
 	Logf func(format string, args ...any)
@@ -265,12 +266,13 @@ func (c *Coordinator) RunCtx(ctx context.Context, spec campaign.Spec) (*Result, 
 }
 
 // RunPlan shards one campaign across the registered workers and returns
-// the folded outcome, bit-identical to a local run. It waits for
-// MinWorkers live workers, dispatches lease-by-lease until every cell
-// is delivered, and folds the delivered results through the campaign's
-// run record. Exactly one campaign runs at a time.
+// the folded outcome, bit-identical to a local run. The cells its store
+// holds are done at once; for the rest it waits for MinWorkers live
+// workers and dispatches lease-by-lease until every cell is delivered.
+// It folds the stored and delivered results through the campaign's run
+// record. Exactly one campaign runs at a time.
 func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result, error) {
-	record, err := campaign.OpenRecord(c.cfg.Store, plan, c.cfg.Resume)
+	record, err := campaign.OpenRecord(c.cfg.Store, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -291,20 +293,20 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result,
 		// worker's untrusted reply is checked against (sendBatch).
 		key := cache.Key(j.Config)
 		run.keys[i] = key
-		// A journaled cell whose result is still in the store is done
-		// before dispatch starts; a journaled cell the store lost is
-		// re-dispatched (the journal is accounting, the cache is truth).
-		if record.Resumed(key) {
-			if res, ok := c.cfg.Store.Get(key); ok {
-				run.done[i], run.results[i] = true, res
-				record.Done(key, false)
-				continue
-			}
+		// A cell whose result the store holds is done before dispatch
+		// starts, served as the engine serves it from its cache (and
+		// resumed if an earlier run journaled it); a journaled cell the
+		// store lost is dispatched again (the journal is accounting, the
+		// cache is truth).
+		if res, ok := c.cfg.Store.Get(key); ok {
+			run.done[i], run.results[i] = true, res
+			record.Done(key, false)
+			continue
 		}
 		run.pending = append(run.pending, i)
 	}
 	run.remaining = len(run.pending)
-	resumed := len(jobs) - run.remaining // before c.run publishes the run to dispatch
+	stored := len(jobs) - run.remaining // before c.run publishes the run to dispatch
 
 	c.mu.Lock()
 	if c.run != nil {
@@ -329,10 +331,11 @@ func (c *Coordinator) RunPlan(ctx context.Context, plan campaign.Plan) (*Result,
 	}()
 
 	fp := plan.Fingerprint[:8]
-	c.cfg.Logf("fabric: campaign %s: %d cells (%d resumed), batch=%d lease=%s",
-		fp, len(jobs), resumed, c.cfg.BatchSize, c.cfg.LeaseTTL)
-
-	if resumed < len(jobs) {
+	if stored == len(jobs) {
+		c.cfg.Logf("fabric: campaign %s: all %d cells in store", fp, len(jobs))
+	} else {
+		c.cfg.Logf("fabric: campaign %s: %d cells (%d in store); waiting for %d worker(s), batch=%d lease=%s",
+			fp, len(jobs), stored, c.cfg.MinWorkers, c.cfg.BatchSize, c.cfg.LeaseTTL)
 		if err := c.waitForWorkers(ctx, run); err != nil {
 			return nil, err
 		}
@@ -645,8 +648,11 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, errors.New("register request has no url"))
+	// The URL is where every batch of the worker's leases goes: one that
+	// cannot be an svard-served endpoint would fail each send until its
+	// cells fall back to local computes.
+	if u, err := url.Parse(req.URL); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("register request: url %q is not an http(s) base URL", req.URL))
 		return
 	}
 	now := time.Now()

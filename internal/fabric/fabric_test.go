@@ -306,6 +306,51 @@ func TestFabricFoldsWhatItDelivered(t *testing.T) {
 	}
 }
 
+// TestStoredCampaignNeedsNoWorker: a coordinator whose store holds every
+// cell of a campaign serves them all before dispatch, as a local engine
+// would, and finishes with no worker registered and no lease issued. A
+// stored cell no journal lists is served, not resumed; once the
+// coordinator has journaled it, the next run counts it resumed.
+func TestStoredCampaignNeedsNoWorker(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec(64, 128)
+	want := localReference(t, spec, fakeSim)
+	store, err := cache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&campaign.Engine{Store: store, Sim: fakeSim}).RunCtx(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	journals, err := filepath.Glob(filepath.Join(dir, "campaign-*.journal"))
+	if err != nil || len(journals) != 1 {
+		t.Fatalf("engine left journals %v (%v), want one", journals, err)
+	}
+	if err := os.Remove(journals[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, resumed := range []int{0, want.Total} {
+		coord, _ := newCoordinator(t, dir, fabric.Config{Logf: t.Logf})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := coord.RunCtx(ctx, spec)
+		cancel()
+		if err != nil {
+			t.Fatalf("run over a stored campaign: %v", err)
+		}
+		if d := out.Dispatch; d.Batches != 0 || d.Workers != 0 || d.LocalCells != 0 {
+			t.Errorf("dispatch over a stored campaign: %s; want none", d)
+		}
+		if out.Computed != 0 || out.Served != want.Total || out.Resumed != resumed {
+			t.Errorf("attribution computed=%d served=%d resumed=%d, want 0/%d/%d",
+				out.Computed, out.Served, out.Resumed, want.Total, resumed)
+		}
+		if !bytes.Equal(mustJSON(t, out.Fig12), mustJSON(t, want.Fig12)) {
+			t.Error("fold differs from the local reference")
+		}
+	}
+}
+
 // TestCoordinatorRefusesForeignPlans: a plan Spec.Plan did not build is
 // refused when the run record opens — before the coordinator waits for a
 // worker or leases a cell, not after a dispatch it could never fold.
@@ -416,9 +461,10 @@ func TestStaleCompletionAcceptedAsServed(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRestartResumes: a coordinator killed mid-campaign
-// resumes from the campaign journal — journaled cells are never
-// re-dispatched.
+// TestCoordinatorRestartResumes: a coordinator killed mid-campaign and
+// started again over the same directory serves the cells its store
+// holds, never dispatching them again, and counts the ones its journal
+// lists as resumed.
 func TestCoordinatorRestartResumes(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int64
@@ -461,7 +507,7 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	close(gate) // let the in-flight cell finish so the worker drains
 
 	coord2, coordURL2 := newCoordinator(t, dir, fabric.Config{
-		BatchSize: 1, LeaseTTL: 5 * time.Second, Resume: true, Logf: t.Logf,
+		BatchSize: 1, LeaseTTL: 5 * time.Second, Logf: t.Logf,
 	})
 	register(t, coordURL2, "w1", ts1.URL)
 	out, err := coord2.RunCtx(context.Background(), spec)
@@ -470,6 +516,9 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	}
 	if out.Resumed != 3 {
 		t.Fatalf("resumed %d cells, want 3 (the journaled prefix)", out.Resumed)
+	}
+	if want := len(jobs) - 3; out.Dispatch.Batches != want {
+		t.Errorf("dispatched %d one-cell batches, want %d (the cells the store lacked)", out.Dispatch.Batches, want)
 	}
 	if out.Computed+out.Served != len(jobs) || out.Resumed > out.Served {
 		t.Fatalf("attribution computed=%d served=%d resumed=%d, want computed+served == %d cells and resumed <= served",
@@ -1147,10 +1196,10 @@ func TestRouteParity(t *testing.T) {
 			out.Dispatch.LocalCells, out.Computed, len(jobs), out.Dispatch)
 	}
 
-	// The same campaign resumed by a second coordinator over the finished
-	// store: nothing is left to dispatch, so it needs no worker, and every
-	// cell is resumed and therefore served.
-	again, _ := newCoordinator(t, fabricDir, fabric.Config{Workers: 2, Resume: true})
+	// The same campaign run again by a second coordinator over the
+	// finished store: nothing is left to dispatch, so it needs no worker,
+	// and every cell is resumed and therefore served.
+	again, _ := newCoordinator(t, fabricDir, fabric.Config{Workers: 2})
 	out, err = again.RunCtx(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -1191,6 +1240,28 @@ func TestOversizedControlBodiesGet413(t *testing.T) {
 			t.Errorf("2 MiB %s %s: status %d (%s), want 413", in.method, in.route, resp.StatusCode, bytes.TrimSpace(msg))
 		}
 	}
+}
+
+// TestRegisterRefusesNonHTTPURLs: a worker URL is where leased batches
+// go, so a registration whose URL is not an http(s) base URL is refused
+// before it can take a lease.
+func TestRegisterRefusesNonHTTPURLs(t *testing.T) {
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{})
+	for _, u := range []string{"", "not a url", "ftp://h", "http://", "http//h:1", "/api/v1", "http://[::1", "mailto:w@h"} {
+		b, _ := json.Marshal(fabric.RegisterRequest{Name: "bad", URL: u})
+		resp, err := http.Post(coordURL+"/api/v1/workers", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("register url %q: status %d, want 400", u, resp.StatusCode)
+		}
+	}
+	if n := coord.LiveWorkers(); n != 0 {
+		t.Errorf("%d workers registered, want 0", n)
+	}
+	register(t, coordURL, "good", "https://127.0.0.1:1")
 }
 
 // TestHeartbeatReusesConnection: the agent decodes nothing from a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"time"
 
 	"svard/internal/obs"
@@ -118,10 +119,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("# HELP svard_job_skipped_cycles Cycles elided by the event engine, per job.")
 	m("# TYPE svard_job_skipped_cycles gauge")
 	for _, r := range rollups {
-		m(`svard_job_cells{id=%q,name=%q,outcome="computed"} %d`, r.info.ID, r.info.Name, r.totals.CellsComputed)
-		m(`svard_job_cells{id=%q,name=%q,outcome="served"} %d`, r.info.ID, r.info.Name, r.totals.CellsServed)
-		m(`svard_job_sim_ticks{id=%q,name=%q} %d`, r.info.ID, r.info.Name, r.totals.Ticks)
-		m(`svard_job_skipped_cycles{id=%q,name=%q} %d`, r.info.ID, r.info.Name, r.totals.SkippedCycles)
+		job := "id=" + labelValue(r.info.ID) + ",name=" + labelValue(r.info.Name)
+		m(`svard_job_cells{%s,outcome="computed"} %d`, job, r.totals.CellsComputed)
+		m(`svard_job_cells{%s,outcome="served"} %d`, job, r.totals.CellsServed)
+		m(`svard_job_sim_ticks{%s} %d`, job, r.totals.Ticks)
+		m(`svard_job_skipped_cycles{%s} %d`, job, r.totals.SkippedCycles)
 	}
 
 	// Go runtime gauges, so a scrape sees service health without a
@@ -140,6 +142,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("# HELP go_gc_cycles_total Completed GC cycles.")
 	m("# TYPE go_gc_cycles_total counter")
 	m("go_gc_cycles_total %d", ms.NumGC)
+}
+
+// labelEscaper applies the only three escapes the text format defines
+// for a label value.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelValue quotes s as a label value of the text format: backslash,
+// double quote and line feed escaped, every other character as is (Go's
+// %q would write \t or \x00, which no scraper parses), and invalid UTF-8
+// replaced, since a label value is UTF-8.
+func labelValue(s string) string {
+	return `"` + labelEscaper.Replace(strings.ToValidUTF8(s, "\uFFFD")) + `"`
 }
 
 // jobRollup pairs a job's identity with its flight-recorder totals.

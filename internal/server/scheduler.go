@@ -164,7 +164,7 @@ const maxRetainedTraceCells = 2048
 
 // finishLocked moves the job to a terminal state (caller holds j.mu): the
 // closing event, the release of the plan's job list (16.8K configs at paper
-// scale, times RetainJobs), and the compaction of a large event log.
+// scale, times retainJobs), and the compaction of a large event log.
 func (j *job) finishLocked(state State, err error) {
 	now := time.Now().UTC()
 	j.state = state
@@ -199,6 +199,15 @@ func (j *job) stop(cause error) {
 	j.mu.Unlock()
 }
 
+// The job table's two bounds. At most maxActiveJobs jobs are admitted at
+// once; queued jobs beyond it wait, highest priority first. Beyond
+// retainJobs terminal jobs, the oldest are evicted with their event logs
+// and folded outcomes, so a long-lived daemon's memory stays bounded.
+const (
+	maxActiveJobs = 4
+	retainJobs    = 256
+)
+
 // Scheduler owns the job table, the admission queue, and the worker
 // slots every running job's cells contend for. Admission is
 // FIFO-within-priority: among queued jobs, the highest Priority runs
@@ -210,10 +219,8 @@ type Scheduler struct {
 	// cell is the one cell path every job's engine and every compute
 	// batch executes on: the shared store, the injected executor, and one
 	// token per global worker slot.
-	cell      campaign.Cell
-	workers   int
-	maxActive int
-	retain    int // max jobs kept in the table (terminal ones evicted oldest-first beyond it)
+	cell    campaign.Cell
+	workers int
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -228,23 +235,13 @@ type Scheduler struct {
 }
 
 // newScheduler wires a scheduler over the shared store. workers bounds
-// concurrent simulations across all jobs; maxActive bounds concurrently
-// admitted jobs (queued jobs beyond it wait their turn); retain bounds
-// the job table (see pruneLocked).
-func newScheduler(store *cache.Store, run sim.Runner, workers, maxActive, retain int) *Scheduler {
+// concurrent simulations across all jobs.
+func newScheduler(store *cache.Store, run sim.Runner, workers int) *Scheduler {
 	workers = exec.Workers(workers) // <= 0: GOMAXPROCS, like the sweep engine
-	if maxActive <= 0 {
-		maxActive = 4
-	}
-	if retain <= 0 {
-		retain = 256
-	}
 	return &Scheduler{
-		cell:      campaign.Cell{Store: store, Sim: run, Slots: make(chan struct{}, workers)},
-		workers:   workers,
-		maxActive: maxActive,
-		retain:    retain,
-		jobs:      make(map[string]*job),
+		cell:    campaign.Cell{Store: store, Sim: run, Slots: make(chan struct{}, workers)},
+		workers: workers,
+		jobs:    make(map[string]*job),
 	}
 }
 
@@ -320,7 +317,7 @@ func (s *Scheduler) Submit(spec campaign.Spec, name string, priority int) (JobIn
 	return j.info(), nil
 }
 
-// pruneLocked evicts the oldest terminal jobs once more than `retain`
+// pruneLocked evicts the oldest terminal jobs once more than retainJobs
 // of them have accumulated (caller holds s.mu), bounding the daemon's
 // memory across weeks of recurring submissions: a terminal job retains
 // its full event log and folded outcome until evicted. The cap counts
@@ -338,7 +335,7 @@ func (s *Scheduler) pruneLocked() {
 			terminal++
 		}
 	}
-	for terminal > s.retain {
+	for terminal > retainJobs {
 		for i, j := range s.order {
 			j.mu.Lock()
 			t := j.state.Terminal()
@@ -356,7 +353,7 @@ func (s *Scheduler) pruneLocked() {
 // dispatchLocked admits queued jobs while active slots remain (caller
 // holds s.mu). Pop order: highest priority first, FIFO within it.
 func (s *Scheduler) dispatchLocked() {
-	for !s.closed && s.active < s.maxActive && len(s.queue) > 0 {
+	for !s.closed && s.active < maxActiveJobs && len(s.queue) > 0 {
 		best := 0
 		for i, j := range s.queue[1:] {
 			if j.priority > s.queue[best].priority ||
@@ -404,7 +401,6 @@ func (s *Scheduler) run(j *job) {
 		// bound holds.
 		Slots:   s.cell.Slots,
 		Workers: s.workers,
-		Resume:  true, // re-submitted specs report prior progress
 		Trace:   j.trace,
 		Observe: func(cfg sim.Config, key string) {
 			s.cellsDone.Add(1)

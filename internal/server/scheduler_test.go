@@ -48,24 +48,25 @@ func waitTerminal(t *testing.T, s *Scheduler, id string) {
 // TestTerminalJobReleasesJobList: a job holds its plan's expanded job
 // list only while a run can still read it. Done, failed and
 // cancelled-while-queued jobs alike drop it when they turn terminal —
-// RetainJobs paper-scale plans must not stay resident — and keep
+// retainJobs paper-scale plans must not stay resident — and keep
 // reporting their fingerprint and size.
 func TestTerminalJobReleasesJobList(t *testing.T) {
 	store, err := cache.Open("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each campaign's cells park on their own gate (keyed by seed), so a
-	// job is observed live before it is let run to its end.
-	gates := map[uint64]chan struct{}{1: make(chan struct{}), 3: make(chan struct{})}
+	// Cells park on a gate — the failing campaign's (seed 3) on its own —
+	// so a job is observed live before it is let run to its end.
+	park, failGate := make(chan struct{}), make(chan struct{})
 	boom := errors.New("simulation blew up")
 	s := newScheduler(store, func(cfg sim.Config) (sim.Result, error) {
-		<-gates[cfg.Seed]
 		if cfg.Seed == 3 {
+			<-failGate
 			return sim.Result{}, boom
 		}
+		<-park
 		return sim.Result{IPC: make([]float64, cfg.Cores), Finished: true}, nil
-	}, 1, 1, 0)
+	}, 1)
 	defer s.Shutdown(context.Background())
 
 	held := func(id string) int {
@@ -86,15 +87,23 @@ func TestTerminalJobReleasesJobList(t *testing.T) {
 		return info
 	}
 
-	running := submit(1) // parked on its gate
-	queued := submit(2)  // behind it: one admission slot
+	running := submit(1) // parked
+	// Parked campaigns of their own (seeds 4, 5, ...) take the other
+	// admission slots, so the next submission queues.
+	var fillers []JobInfo
+	for seed := uint64(4); len(fillers) < maxActiveJobs-1; seed++ {
+		fillers = append(fillers, submit(seed))
+	}
+	queued := submit(2)
 	if _, err := s.Cancel(queued.ID, ""); err != nil {
 		t.Fatal(err)
 	}
-	close(gates[1])
-	waitTerminal(t, s, running.ID)
+	close(park)
+	for _, j := range append(fillers, running) {
+		waitTerminal(t, s, j.ID)
+	}
 	failing := submit(3)
-	close(gates[3])
+	close(failGate)
 	waitTerminal(t, s, failing.ID)
 
 	for _, tc := range []struct {
@@ -130,7 +139,7 @@ func TestWarmServedCellDerivesOneKey(t *testing.T) {
 	}
 	s := newScheduler(store, func(cfg sim.Config) (sim.Result, error) {
 		return sim.Result{IPC: make([]float64, cfg.Cores), Finished: true}, nil
-	}, 1, 1, 0)
+	}, 1)
 	defer s.Shutdown(context.Background())
 
 	var info JobInfo

@@ -21,14 +21,8 @@ type Config struct {
 	Store *cache.Store
 
 	// Workers bounds concurrent simulations across ALL jobs (<= 0:
-	// GOMAXPROCS). MaxActiveJobs bounds concurrently admitted jobs
-	// (<= 0: 4); queued jobs beyond it wait, highest priority first.
-	// RetainJobs bounds the job table (<= 0: 256): beyond it the oldest
-	// terminal jobs — their event logs and folded outcomes — are
-	// evicted so a long-lived daemon's memory stays bounded.
-	Workers       int
-	MaxActiveJobs int
-	RetainJobs    int
+	// GOMAXPROCS).
+	Workers int
 
 	// Sim replaces the executor a cache miss falls back to (tests inject
 	// counting or failing runners). nil means the one default every route
@@ -53,7 +47,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		store: cfg.Store,
-		sched: newScheduler(cfg.Store, cfg.Sim, cfg.Workers, cfg.MaxActiveJobs, cfg.RetainJobs),
+		sched: newScheduler(cfg.Store, cfg.Sim, cfg.Workers),
 		mux:   http.NewServeMux(),
 		start: time.Now().UTC(),
 	}

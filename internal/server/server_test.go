@@ -110,6 +110,29 @@ func fakeSim(cfg sim.Config) (sim.Result, error) {
 	return sim.Result{IPC: ipc, Cycles: 1000, Finished: true}, nil
 }
 
+// fillerSeed marks the cells of fillAdmission's campaigns, so a test's
+// runner can tell them from its own.
+const fillerSeed = 99
+
+// fillAdmission submits the campaigns that, beside the `admitted` jobs
+// already running, take every admission slot the service has, so the
+// next submission queues, and returns their IDs. Each is a distinct tiny
+// campaign whose cells carry fillerSeed.
+func fillAdmission(t *testing.T, c *client.Client, admitted int) []string {
+	t.Helper()
+	var ids []string
+	for i := admitted; i < server.MaxActiveJobs; i++ {
+		spec := tinySpec(float64(4096 + i))
+		spec.Base.Seed = fillerSeed
+		info, err := c.Submit(context.Background(), spec, "filler", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+	}
+	return ids
+}
+
 // waitDone polls a job until its Done count reaches n (progress made
 // server-side, journaled and observed).
 func waitDone(t *testing.T, c *client.Client, id string, n int) server.JobInfo {
@@ -221,7 +244,7 @@ func TestCrossJobDedup(t *testing.T) {
 		return fakeSim(cfg)
 	}
 
-	_, c := newService(t, t.TempDir(), server.Config{Workers: 4, MaxActiveJobs: 4, Sim: slowCounting})
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 4, Sim: slowCounting})
 	ctx := context.Background()
 
 	// Specs share the baseline and the nrh=128 cells.
@@ -324,22 +347,25 @@ func TestCancelRunningAndQueued(t *testing.T) {
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
 	gated := func(cfg sim.Config) (sim.Result, error) {
-		started <- struct{}{}
+		if cfg.Seed != fillerSeed {
+			started <- struct{}{}
+		}
 		<-release
 		return fakeSim(cfg)
 	}
-	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, MaxActiveJobs: 1, Sim: gated})
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: gated})
 	ctx := context.Background()
 
 	running, err := c.Submit(ctx, tinySpec(64, 128), "running", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-started // first cell of the running job is in flight
+	fillAdmission(t, c, 1)
 	queued, err := c.Submit(ctx, tinySpec(256, 512), "queued", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started // first cell of the running job is in flight
 
 	// The queued job dies immediately, having never simulated.
 	qinfo, err := c.Cancel(ctx, queued.ID, "changed my mind")
@@ -396,7 +422,7 @@ func TestCancelDoesNotPoisonOverlappingJob(t *testing.T) {
 		}
 		return fakeSim(cfg)
 	}
-	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, MaxActiveJobs: 3, Sim: gated})
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: gated})
 	ctx := context.Background()
 
 	hogSpec := tinySpec(64)
@@ -482,12 +508,14 @@ func TestCancelThenResubmitGetsFreshJob(t *testing.T) {
 // TestTerminalJobRetention: beyond RetainJobs, the oldest finished jobs
 // are evicted (404) so the daemon's memory stays bounded.
 func TestTerminalJobRetention(t *testing.T) {
-	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, RetainJobs: 2, Sim: fakeSim})
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: fakeSim})
 	ctx := context.Background()
 
+	// One more finished job than the table keeps; a resubmitted spec is a
+	// fresh job, served from the cache.
 	var ids []string
-	for _, nrh := range []float64{64, 128, 256} {
-		info, err := c.Submit(ctx, tinySpec(nrh), "r", 0)
+	for range server.RetainJobs + 1 {
+		info, err := c.Submit(ctx, tinySpec(64), "r", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +525,7 @@ func TestTerminalJobRetention(t *testing.T) {
 		ids = append(ids, info.ID)
 	}
 
-	// Eviction happens when the third job turns terminal, which the
+	// Eviction happens when the last job turns terminal, which the
 	// client may observe slightly before the scheduler's bookkeeping
 	// runs; poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
@@ -514,8 +542,11 @@ func TestTerminalJobRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 2 {
-		t.Errorf("job table holds %d jobs, want 2 (RetainJobs)", len(jobs))
+	if len(jobs) != server.RetainJobs {
+		t.Errorf("job table holds %d jobs, want %d (RetainJobs)", len(jobs), server.RetainJobs)
+	}
+	if _, err := c.Job(ctx, ids[1]); err != nil {
+		t.Errorf("second-oldest job evicted too: %v", err)
 	}
 	// The evicted job's cells still serve from the cache.
 	specJobs, _ := tinySpec(64).Jobs()
@@ -524,13 +555,17 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 }
 
-// TestPriorityAdmission: with the single admission slot busy, a later
+// TestPriorityAdmission: with every admission slot busy, a later
 // high-priority submission is admitted before an earlier low-priority
 // one.
 func TestPriorityAdmission(t *testing.T) {
-	release := make(chan struct{})
+	release, parked := make(chan struct{}), make(chan struct{})
 	admitted := make(chan struct{}, 1)
 	gated := func(cfg sim.Config) (sim.Result, error) {
+		if cfg.Seed == fillerSeed {
+			<-parked // the fillers hold their slots until the end
+			return fakeSim(cfg)
+		}
 		select {
 		case admitted <- struct{}{}:
 		default:
@@ -538,7 +573,9 @@ func TestPriorityAdmission(t *testing.T) {
 		<-release
 		return fakeSim(cfg)
 	}
-	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, MaxActiveJobs: 1, Sim: gated})
+	// Worker slots for every cell at once: parked filler cells must not
+	// starve the jobs under test.
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 32, Sim: gated})
 	ctx := context.Background()
 
 	hog, err := c.Submit(ctx, tinySpec(64), "hog", 0)
@@ -546,6 +583,7 @@ func TestPriorityAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-admitted // hog admitted and simulating
+	fillers := fillAdmission(t, c, 1)
 
 	low, err := c.Submit(ctx, tinySpec(128), "low", 0)
 	if err != nil {
@@ -556,16 +594,24 @@ func TestPriorityAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Only the hog's slot turns over, so the two queued jobs are admitted
+	// one after the other.
 	close(release)
-	for _, id := range []string{hog.ID, low.ID, high.ID} {
-		final, err := c.Wait(ctx, id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final.State != server.StateDone {
-			t.Fatalf("job %s ended %s: %s", id, final.State, final.Error)
+	wait := func(ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			final, err := c.Wait(ctx, id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.State != server.StateDone {
+				t.Fatalf("job %s ended %s: %s", id, final.State, final.Error)
+			}
 		}
 	}
+	wait(hog.ID, low.ID, high.ID)
+	close(parked)
+	wait(fillers...)
 
 	lowInfo, _ := c.Job(ctx, low.ID)
 	highInfo, _ := c.Job(ctx, high.ID)

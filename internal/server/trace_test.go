@@ -4,10 +4,14 @@ package server_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"svard/internal/campaign"
 	"svard/internal/obs"
 	"svard/internal/server"
 )
@@ -76,13 +80,23 @@ func TestJobTraceEndpoint(t *testing.T) {
 func TestMetricsObsRollups(t *testing.T) {
 	_, c := newService(t, t.TempDir(), server.Config{Workers: 2, Sim: fakeSim})
 	ctx := context.Background()
-	info, err := c.Submit(ctx, tinySpec(), "rollup", 0)
-	if err != nil {
-		t.Fatal(err)
+	submit := func(spec campaign.Spec, name string) server.JobInfo {
+		t.Helper()
+		info, err := c.Submit(ctx, spec, name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, info.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		return info
 	}
-	if _, err := c.Wait(ctx, info.ID, nil); err != nil {
-		t.Fatal(err)
-	}
+	info := submit(tinySpec(), "rollup")
+	// A job name is the client's: control bytes and every character the
+	// format escapes must come out as a parseable label value.
+	hostileSpec := tinySpec()
+	hostileSpec.Base.Seed = 2 // cells of its own: every one computed
+	hostile := submit(hostileSpec, "a\tb\x00\"\\\n")
 
 	text := scrapeMetrics(t, c)
 	for _, series := range []string{
@@ -90,12 +104,13 @@ func TestMetricsObsRollups(t *testing.T) {
 		"svard_obs_sim_ticks_total",
 		"svard_obs_skipped_cycles_total",
 		"svard_obs_scan_passes_total",
-		// The injected fake sim computes every cell.
-		"svard_obs_cells_computed_total 5",
+		// The injected fake sim computes every cell of both jobs.
+		"svard_obs_cells_computed_total 10",
 		"svard_obs_cells_served_total 0",
 		// Per-job rollups carry the job identity.
 		`svard_job_cells{id="` + info.ID + `",name="rollup",outcome="computed"} 5`,
 		`svard_job_sim_ticks{id="` + info.ID + `",name="rollup"}`,
+		`svard_job_cells{id="` + hostile.ID + `",name="a` + "\tb\x00" + `\"\\\n",outcome="computed"} 5`,
 		// Go runtime gauges.
 		"go_goroutines",
 		"go_heap_inuse_bytes",
@@ -106,7 +121,38 @@ func TestMetricsObsRollups(t *testing.T) {
 			t.Errorf("metrics missing %q", series)
 		}
 	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "svard_job_") {
+			if err := labelEscapes(line); err != nil {
+				t.Errorf("%q: %v", line, err)
+			}
+		}
+	}
 	if t.Failed() {
 		t.Logf("metrics body:\n%s", text)
 	}
+}
+
+// labelEscapes checks a series line's label values against the text
+// format: UTF-8, closed, and escaped with \\, \" and \n only.
+func labelEscapes(line string) error {
+	if !utf8.ValidString(line) {
+		return errors.New("not UTF-8")
+	}
+	quoted := false
+	for i := 0; i < len(line); i++ {
+		switch {
+		case line[i] == '"':
+			quoted = !quoted
+		case quoted && line[i] == '\\':
+			i++
+			if i == len(line) || !strings.ContainsRune(`\"n`, rune(line[i])) {
+				return fmt.Errorf("undefined escape at byte %d", i-1)
+			}
+		}
+	}
+	if quoted {
+		return errors.New("unterminated label value")
+	}
+	return nil
 }
