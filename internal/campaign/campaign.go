@@ -243,7 +243,26 @@ func (s Spec) validate() error {
 	if n := s.cells(); n > maxCells {
 		return fmt.Errorf("campaign: spec expands to %.4g cells, over the limit of %d; split it into campaigns (they share the result cache)", n, maxCells)
 	}
+	// The swept thresholds override Base.NRH per job, so each must be as
+	// valid as it (Fig. 13 fills an unset nrh13 with 64).
+	for _, nrh := range s.NRHs {
+		if err := s.withNRH(nrh); err != nil {
+			return fmt.Errorf("campaign: nrhs: %w", err)
+		}
+	}
+	if s.NRH13 != 0 {
+		if err := s.withNRH(s.NRH13); err != nil {
+			return fmt.Errorf("campaign: nrh13: %w", err)
+		}
+	}
 	return nil
+}
+
+// withNRH validates the base config at threshold nrh.
+func (s Spec) withNRH(nrh float64) error {
+	cfg := s.Base
+	cfg.NRH = nrh
+	return cfg.Validate()
 }
 
 func (s Spec) has(figure string) bool { return slices.Contains(s.Figures, figure) }

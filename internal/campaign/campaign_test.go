@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -381,6 +382,14 @@ var brokenSpecs = map[string]rejection{
 	"fig13-one-core":   {func(s *Spec) { s.Base.Cores = 1; s.Mixes = [][]string{{"mcf06"}} }, `sim: Fig. 13 needs >= 2 cores (1 attacker + >= 1 benign), got 1`},
 	"unknown-backend":  {func(s *Spec) { s.Backends = []string{"lpddr5"} }, `campaign: backends: dram: unknown backend "lpddr5" (have [ddr4-3200 hbm2])`},
 	"bad-base-backend": {func(s *Spec) { s.Base.Backend = "gddr6" }, `campaign: base config: dram: unknown backend "gddr6" (have [ddr4-3200 hbm2])`},
+	// A zero clock used to crash the worker that simulated the cell (an
+	// integer divide by zero); a non-positive nRH ran to a wrong figure.
+	"zero-cpu-clock":    {func(s *Spec) { s.Base.CPUGHz = 0 }, `campaign: base config: sim: CPUGHz is 0, want a positive finite clock`},
+	"inf-cpu-clock":     {func(s *Spec) { s.Base.CPUGHz = math.Inf(1) }, `campaign: base config: sim: CPUGHz is +Inf, want a positive finite clock`},
+	"negative-base-nrh": {func(s *Spec) { s.Base.NRH = -64 }, `campaign: base config: sim: NRH is -64, want a positive finite threshold`},
+	"zero-nrh":          {func(s *Spec) { s.NRHs = []float64{64, 0} }, `campaign: nrhs: sim: NRH is 0, want a positive finite threshold`},
+	"nan-nrh":           {func(s *Spec) { s.NRHs = []float64{math.NaN()} }, `campaign: nrhs: sim: NRH is NaN, want a positive finite threshold`},
+	"negative-nrh13":    {func(s *Spec) { s.NRH13 = -64 }, `campaign: nrh13: sim: NRH is -64, want a positive finite threshold`},
 	// The next four size the default mix draw, which runs before validation:
 	// each used to panic in it or allocate whatever it was asked for.
 	"negative-cores": {func(s *Spec) { s.Base.Cores = -1; s.Mixes = nil }, `campaign: base config: Cores is -1, want 1..1024`},

@@ -74,6 +74,9 @@ type EngineCounters struct {
 
 	EpochAdvances uint64 // temporal epoch edges crossed by the live view
 	LiveDraws     uint64 // live thresholds drawn from the temporal process (comparisons its floor could not settle)
+
+	TwinReplays  uint64 // cells answered from their defense-free twin's command log
+	TwinDiverged uint64 // twin replays abandoned for a full simulation at the defense's first action
 }
 
 // Add accumulates o into c.
@@ -88,6 +91,8 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.BoundHorizon += o.BoundHorizon
 	c.EpochAdvances += o.EpochAdvances
 	c.LiveDraws += o.LiveDraws
+	c.TwinReplays += o.TwinReplays
+	c.TwinDiverged += o.TwinDiverged
 }
 
 // ControllerCounters are the memory-controller counters, embedded by
@@ -172,6 +177,8 @@ func Glossary() []CounterInfo {
 		{"bound_horizon", "jumps truncated at the MaxCycles horizon", func(c *Counters) uint64 { return c.BoundHorizon }},
 		{"epoch_advances", "temporal epoch edges crossed by the live threshold view", func(c *Counters) uint64 { return c.EpochAdvances }},
 		{"live_draws", "live thresholds drawn from the temporal process: tracker comparisons the per-epoch floor could not settle (near the tracker's call count once the floor has decayed)", func(c *Counters) uint64 { return c.LiveDraws }},
+		{"twin_replays", "cells answered from their defense-free twin's command log instead of simulated (the defense never throttled or acted)", func(c *Counters) uint64 { return c.TwinReplays }},
+		{"twin_diverged", "twin replays abandoned for a full simulation at the defense's first throttle or directive", func(c *Counters) uint64 { return c.TwinDiverged }},
 		{"scan_passes", "FR-FCFS scheduler passes over a non-empty queue", func(c *Counters) uint64 { return c.ScanPasses }},
 		{"scan_entries", "queue entries examined by the scheduler's first-match walks: the position of each pass's pick, nothing for a pass that found no bank ready", func(c *Counters) uint64 { return c.ScanEntries }},
 		{"next_event_calls", "controller wake-up bounds evaluated in full (cached answers not counted)", func(c *Counters) uint64 { return c.NextEventCalls }},

@@ -140,4 +140,10 @@ func TestComputeBatchRejectsBadInput(t *testing.T) {
 	if _, err := c.Compute(ctx, []sim.Config{bad}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("invalid config: %v, want 400", err)
 	}
+	// A zero clock used to reach a worker and crash the daemon.
+	stopped := sim.DefaultConfig()
+	stopped.CPUGHz = 0
+	if _, err := c.Compute(ctx, []sim.Config{stopped}); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("zero CPU clock: %v, want 400", err)
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +26,29 @@ func TestConfigValidateBackend(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "hbm2") {
 		t.Errorf("error %q does not list the available presets", err)
+	}
+}
+
+// TestConfigValidateScalars: a clock or threshold that is zero,
+// negative, NaN or infinite is refused by Validate and by Run — a zero
+// clock used to crash the simulation with an integer divide by zero, and
+// a non-positive nRH to run to a silently wrong figure.
+func TestConfigValidateScalars(t *testing.T) {
+	for _, bad := range []float64{0, -3.2, math.NaN(), math.Inf(1)} {
+		for field, set := range map[string]func(*Config){
+			"CPUGHz": func(c *Config) { c.CPUGHz = bad },
+			"NRH":    func(c *Config) { c.NRH = bad },
+		} {
+			cfg := diffBase()
+			cfg.Mix = []string{"mcf06", "ycsb-a"}
+			set(&cfg)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = %v: Validate returned %v", field, bad, err)
+			}
+			if _, err := Run(cfg); err == nil {
+				t.Errorf("%s = %v: Run accepted it", field, bad)
+			}
+		}
 	}
 }
 

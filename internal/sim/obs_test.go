@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"svard/internal/memctrl"
@@ -11,7 +12,11 @@ import (
 
 // TestRecordedMatchesUnrecorded is the observability no-interference
 // contract: attaching a Recorder must not change a single bit of the
-// Result, across defenses and both engine loops.
+// Result, across defenses and both engine loops. Counters depend on
+// whether a cell replays its twin, so each case runs with the twin memo
+// pinned: absent (every cell simulates, and the recorder must see its
+// ticks), then holding the case's twin (an eligible cell replays or
+// diverges, and the recorder must say which).
 func TestRecordedMatchesUnrecorded(t *testing.T) {
 	for _, defense := range append([]string{"none"}, DefenseNames...) {
 		for _, noSkip := range []bool{false, true} {
@@ -20,21 +25,32 @@ func TestRecordedMatchesUnrecorded(t *testing.T) {
 			cfg.Mix = []string{"mcf06", "ycsb-a"}
 			cfg.Svard = defense != "none"
 			cfg.NoSkip = noSkip
-			plain, err := Run(cfg)
-			if err != nil {
+			held := &twinMemo{}
+			if _, err := runOn(newPoolState(), twinConfig(cfg), nil, held); err != nil {
 				t.Fatal(err)
 			}
-			rec := &obs.Recorder{}
-			recorded, err := RunRecorded(cfg, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, recorded) {
-				t.Errorf("%s noskip=%v: recorded run diverged:\nplain:    %+v\nrecorded: %+v",
-					defense, noSkip, plain, recorded)
-			}
-			if rec.Counters.Ticks == 0 {
-				t.Errorf("%s noskip=%v: recorder saw no ticks", defense, noSkip)
+			for _, memo := range []*twinMemo{nil, held} {
+				plain, err := runOn(newPoolState(), cfg, nil, memo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &obs.Recorder{}
+				recorded, err := runOn(newPoolState(), cfg, rec, memo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plain, recorded) {
+					t.Errorf("%s noskip=%v memo=%v: recorded run diverged:\nplain:    %+v\nrecorded: %+v",
+						defense, noSkip, memo != nil, plain, recorded)
+				}
+				c := rec.Counters
+				tried := memo != nil && defense != "none" && !noSkip
+				if got := c.TwinReplays + c.TwinDiverged; got != map[bool]uint64{true: 1}[tried] {
+					t.Errorf("%s noskip=%v memo=%v: twin_replays=%d twin_diverged=%d", defense, noSkip, memo != nil, c.TwinReplays, c.TwinDiverged)
+				}
+				if (c.Ticks == 0) != (c.TwinReplays == 1) {
+					t.Errorf("%s noskip=%v memo=%v: %d ticks with twin_replays=%d", defense, noSkip, memo != nil, c.Ticks, c.TwinReplays)
+				}
 			}
 		}
 	}
@@ -113,76 +129,111 @@ func TestRecorderCounterInvariants(t *testing.T) {
 // telemetry: a pooled recorded run after a truncated, state-dirtying
 // run must produce the identical Result AND identical counters as a
 // fresh recorded run — the arena reset covers the counter fields too.
+// The twin memo is pinned, since counters depend on it: absent, then
+// holding the cell's twin (the rrs cell diverges from it, so the arena
+// is dirtied again by the abandoned replay).
 func TestPooledRecordedDeterministic(t *testing.T) {
-	pool := &arenaPool{}
-
-	dirty := diffBase()
-	dirty.Defense = "hydra"
-	dirty.Mix = []string{"attack:hydra", "mcf06"}
-	dirty.MaxCycles = 30_000
-	dirtyRec := &obs.Recorder{}
-	if _, err := pool.run(dirty, dirtyRec); err != nil {
-		t.Fatal(err)
-	}
-	if dirtyRec.Counters.Ticks == 0 {
-		t.Fatal("dirtying run recorded nothing")
-	}
-
 	cfg := diffBase()
 	cfg.Defense = "rrs"
 	cfg.Mix = []string{"lbm06", "ycsb-a"}
-	freshRec := &obs.Recorder{}
-	fresh, err := RunRecorded(cfg, freshRec)
-	if err != nil {
+	held := &twinMemo{}
+	if _, err := runOn(newPoolState(), twinConfig(cfg), nil, held); err != nil {
 		t.Fatal(err)
 	}
-	pooledRec := &obs.Recorder{}
-	pooled, err := pool.run(cfg, pooledRec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, pooled) {
-		t.Errorf("pooled recorded run diverged:\nfresh:  %+v\npooled: %+v", fresh, pooled)
-	}
-	if !reflect.DeepEqual(freshRec.Counters, pooledRec.Counters) {
-		t.Errorf("dirty arena leaked into counters:\nfresh:  %+v\npooled: %+v",
-			freshRec.Counters, pooledRec.Counters)
-	}
+	for _, memo := range []*twinMemo{nil, held} {
+		st := newPoolState()
+		dirty := diffBase()
+		dirty.Defense = "hydra"
+		dirty.Mix = []string{"attack:hydra", "mcf06"}
+		dirty.MaxCycles = 30_000
+		dirtyRec := &obs.Recorder{}
+		if _, err := runOn(st, dirty, dirtyRec, memo); err != nil {
+			t.Fatal(err)
+		}
+		if dirtyRec.Counters.Ticks == 0 {
+			t.Fatal("dirtying run recorded nothing")
+		}
 
-	// A nil recorder through the pooled recorded entry point is the
-	// disabled path and must still work.
-	nilRes, err := pool.run(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, nilRes) {
-		t.Error("nil-recorder pooled run diverged")
+		freshRec := &obs.Recorder{}
+		fresh, err := runOn(newPoolState(), cfg, freshRec, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooledRec := &obs.Recorder{}
+		pooled, err := runOn(st, cfg, pooledRec, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, pooled) {
+			t.Errorf("memo=%v: pooled recorded run diverged:\nfresh:  %+v\npooled: %+v", memo != nil, fresh, pooled)
+		}
+		if !reflect.DeepEqual(freshRec.Counters, pooledRec.Counters) {
+			t.Errorf("memo=%v: dirty arena leaked into counters:\nfresh:  %+v\npooled: %+v",
+				memo != nil, freshRec.Counters, pooledRec.Counters)
+		}
+		if want := map[bool]uint64{true: 1}[memo != nil]; pooledRec.Counters.TwinDiverged != want {
+			t.Errorf("memo=%v: twin_diverged=%d, want %d", memo != nil, pooledRec.Counters.TwinDiverged, want)
+		}
+
+		// A nil recorder on the dirty arena is the disabled path and must
+		// still work.
+		nilRes, err := runOn(st, cfg, nil, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, nilRes) {
+			t.Errorf("memo=%v: nil-recorder pooled run diverged", memo != nil)
+		}
 	}
 }
 
 // TestRecorderPhases pins the span timeline: build, warmup, run, and
-// fold must all complete, in order.
+// fold must all complete, in order. A cell replayed from its twin keeps
+// build, run (the replay) and fold, and has no warmup.
 func TestRecorderPhases(t *testing.T) {
-	cfg := diffBase()
-	cfg.Defense = "para"
-	cfg.Mix = []string{"mcf06", "ycsb-a"}
-	rec := &obs.Recorder{}
-	if _, err := RunRecorded(cfg, rec); err != nil {
+	simulated := diffBase()
+	simulated.Defense = "para"
+	simulated.Mix = []string{"mcf06", "ycsb-a"}
+	replayed := tinyBase()
+	replayed.Defense = "rrs" // never acts at nRH 1024 on this shape
+	replayed.Mix = []string{"mcf06", "ycsb-a"}
+	held := &twinMemo{}
+	if _, err := runOn(newPoolState(), twinConfig(replayed), nil, held); err != nil {
 		t.Fatal(err)
 	}
-	var prevEnd int64 = -1 << 62
-	for _, p := range []obs.Phase{obs.PhaseBuild, obs.PhaseWarmup, obs.PhaseRun, obs.PhaseFold} {
-		start, end, ok := rec.Span(p)
-		if !ok {
-			t.Fatalf("phase %s never completed", p)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		memo   *twinMemo
+		phases []obs.Phase
+	}{
+		{"simulated", simulated, nil, []obs.Phase{obs.PhaseBuild, obs.PhaseWarmup, obs.PhaseRun, obs.PhaseFold}},
+		{"replayed", replayed, held, []obs.Phase{obs.PhaseBuild, obs.PhaseRun, obs.PhaseFold}},
+	} {
+		rec := &obs.Recorder{}
+		if _, err := runOn(newPoolState(), tc.cfg, rec, tc.memo); err != nil {
+			t.Fatal(err)
 		}
-		if start.UnixNano() < prevEnd {
-			t.Errorf("phase %s starts before the previous phase ends", p)
+		if want := map[bool]uint64{true: 1}[tc.memo != nil]; rec.Counters.TwinReplays != want {
+			t.Fatalf("%s: twin_replays=%d, want %d", tc.name, rec.Counters.TwinReplays, want)
 		}
-		prevEnd = end.UnixNano()
-	}
-	if _, _, ok := rec.Span(obs.PhaseWait); ok {
-		t.Error("the sim itself must not stamp the wait phase (that is the campaign's)")
+		var prevEnd int64 = -1 << 62
+		for _, p := range tc.phases {
+			start, end, ok := rec.Span(p)
+			if !ok {
+				t.Fatalf("%s: phase %s never completed", tc.name, p)
+			}
+			if start.UnixNano() < prevEnd {
+				t.Errorf("%s: phase %s starts before the previous phase ends", tc.name, p)
+			}
+			prevEnd = end.UnixNano()
+		}
+		if _, _, ok := rec.Span(obs.PhaseWarmup); ok != slices.Contains(tc.phases, obs.PhaseWarmup) {
+			t.Errorf("%s: warmup phase stamped = %v", tc.name, ok)
+		}
+		if _, _, ok := rec.Span(obs.PhaseWait); ok {
+			t.Errorf("%s: the sim itself must not stamp the wait phase (that is the campaign's)", tc.name)
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"svard/internal/obs"
 	"svard/internal/rng"
 )
 
@@ -96,6 +98,35 @@ func TestPoolDirtyReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh, pooled) {
 		t.Errorf("dirty pool (same config, full length) diverged:\nfresh:  %+v\npooled: %+v", fresh, pooled)
+	}
+
+	// An abandoned twin replay dirties the armed half (defense, tracker)
+	// of its arena; the cell then simulates, and a different cell follows
+	// on the same arena. Both must match fresh runs.
+	st := newPoolState()
+	memo := &twinMemo{}
+	diverging := diffBase()
+	diverging.Defense = "rrs"
+	diverging.Mix = []string{"mcf06", "ycsb-a"}
+	if _, err := runOn(st, twinConfig(diverging), nil, memo); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{diverging, clean} {
+		var rec obs.Recorder
+		pooled, err := runOn(st, cfg, &rec, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := runOn(newPoolState(), cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, pooled) {
+			t.Errorf("%s %v after a diverged replay:\nfresh:  %+v\npooled: %+v", cfg.Defense, cfg.Mix, fresh, pooled)
+		}
+		if cfg.Defense == diverging.Defense && slices.Equal(cfg.Mix, diverging.Mix) && rec.Counters.TwinDiverged != 1 {
+			t.Errorf("the rrs cell did not diverge from its twin: %+v", rec.Counters.EngineCounters)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -104,11 +105,19 @@ func DefaultConfig() Config {
 }
 
 // Validate checks the configuration's named presets — the memory
-// backend and the temporal process — without building anything. The
-// campaign spec validator and the server's submit path call it so an
-// invalid backend or temporal spec is a descriptive error (HTTP 400),
-// never a panic inside a worker.
+// backend and the temporal process — and the two scalars every cycle
+// conversion and threshold divides by, the CPU clock and nRH, without
+// building anything. The campaign spec validator, the server's submit
+// and compute paths, and newLayout call it, so an invalid input is a
+// descriptive error (HTTP 400), never a panic inside a worker or a
+// silently wrong figure.
 func (c *Config) Validate() error {
+	if !positiveFinite(c.CPUGHz) {
+		return fmt.Errorf("sim: CPUGHz is %v, want a positive finite clock", c.CPUGHz)
+	}
+	if !positiveFinite(c.NRH) {
+		return fmt.Errorf("sim: NRH is %v, want a positive finite threshold", c.NRH)
+	}
 	b, err := dram.BackendByName(c.Backend)
 	if err != nil {
 		return err
@@ -123,6 +132,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a usable clock or threshold.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Result summarizes one simulation.
 type Result struct {
@@ -418,16 +430,27 @@ func (ct chanThresholds) ActivationBudget(bank, row int) float64 {
 
 func (ct chanThresholds) MinBudget() float64 { return ct.th.MinBudget() }
 
-// newMachine builds the simulated system of cfg from fresh allocations.
-func newMachine(cfg Config) (*machine, error) { return buildMachine(cfg, newPoolState()) }
+// newMachine builds the simulated system of cfg from fresh allocations:
+// the build runOn does, on an empty arena, with no twin memo.
+func newMachine(cfg Config) (*machine, error) {
+	st := newPoolState()
+	l, err := newLayout(cfg)
+	if err == nil {
+		err = l.arm(st)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return l.assemble(st)
+}
 
 // poolState is one worker's reusable simulation arena: the per-channel
 // controllers (with the DRAM systems, queues, and per-row tables
 // inside), the cores (windows, LLCs, MSHR records), the security
 // tracker's accrual table, and one instance of each defense type seen
 // so far (keyed per channel — defenses hold per-bank state sized to
-// their channel). buildMachine Reset()s each piece to its exactly-fresh
-// state instead of reallocating, so a sweep executes cells
+// their channel). arm and assemble Reset() each piece to its
+// exactly-fresh state instead of reallocating, so a sweep executes cells
 // allocation-flat after its first few cells warm the arena — including
 // sweeps that alternate backends, since every Reset resizes to the
 // requested geometry.
@@ -436,6 +459,7 @@ type poolState struct {
 	cores    []*cpu.Core
 	tracker  *secTracker
 	defenses map[string]mitigation.Defense
+	defs     []mitigation.Defense // the current cell's defense per channel (layout.arm)
 }
 
 // newPoolState returns an empty arena: building on it constructs every
@@ -444,115 +468,148 @@ func newPoolState() *poolState {
 	return &poolState{defenses: make(map[string]mitigation.Defense)}
 }
 
-// buildMachine builds the simulated system of cfg on arena st, reusing
-// whatever st holds and keeping what it builds there. A fresh run builds
-// on an empty arena, so the pooled and fresh paths are bit-identical by
-// construction — every component's Reset restores the state its
-// constructor produces — and the pooled differential tests enforce it.
-func buildMachine(cfg Config, st *poolState) (*machine, error) {
+// layout is what a build derives from a Config before it touches an
+// arena: the backend geometry and timing, the calibrated module, and the
+// thresholds the defenses read. A machine is built in two halves over
+// it — arm (the security tracker and the defenses) then assemble (the
+// controllers and the cores) — so a twin replay (twin.go) can drive the
+// armed half alone and re-arm it when it has to simulate after all.
+type layout struct {
+	cfg          Config
+	nchan        int
+	banksPerChan int
+	mcCfg        memctrl.Config
+	timing       mem.Timing
+	entry        *moduleEntry
+	model        *disturb.Model
+	factor       float64 // profile scaling factor: the tracker's truth at cfg.NRH
+	th           core.Thresholds
+}
+
+// newLayout validates cfg and derives its layout; it is where a bad
+// input surfaces as an error before any cycle conversion divides by it.
+func newLayout(cfg Config) (layout, error) {
 	if cfg.Cores <= 0 || len(cfg.Mix) != cfg.Cores {
-		return nil, fmt.Errorf("sim: mix has %d entries for %d cores", len(cfg.Mix), cfg.Cores)
+		return layout{}, fmt.Errorf("sim: mix has %d entries for %d cores", len(cfg.Mix), cfg.Cores)
+	}
+	if err := cfg.Validate(); err != nil {
+		return layout{}, err
 	}
 	backend, err := dram.BackendByName(cfg.Backend)
 	if err != nil {
-		return nil, err
+		return layout{}, err
 	}
-	if err := backend.Validate(); err != nil {
-		return nil, err
-	}
-	nchan := backend.Geom.TotalChannels()
-	mcCfg := memctrl.ConfigFor(backend.Geom, cfg.RowsPerBank, cfg.CPUGHz)
-	banksPerChan := mcCfg.Ranks * mcCfg.BankGroups * mcCfg.BanksPerGroup
-	banks := nchan * banksPerChan
+	l := layout{cfg: cfg, nchan: backend.Geom.TotalChannels()}
+	l.mcCfg = memctrl.ConfigFor(backend.Geom, cfg.RowsPerBank, cfg.CPUGHz)
+	l.banksPerChan = l.mcCfg.Ranks * l.mcCfg.BankGroups * l.mcCfg.BanksPerGroup
 
-	entry, err := buildModule(cfg.ModuleLabel, cfg.RowsPerBank, cfg.CellsPerRow, banks, cfg.Seed)
+	l.entry, err = buildModule(cfg.ModuleLabel, cfg.RowsPerBank, cfg.CellsPerRow, l.nchan*l.banksPerChan, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return layout{}, err
 	}
-	mod, prof := entry.mod, entry.prof
-	scaled := prof.ScaledTo(cfg.NRH)
-
-	var th core.Thresholds
+	mod := l.entry.mod
+	scaled := l.entry.prof.ScaledTo(cfg.NRH)
+	l.factor = scaled.Factor
 	if cfg.Svard {
 		sv, err := core.New(scaled)
 		if err != nil {
-			return nil, err
+			return layout{}, err
 		}
-		th = sv
+		l.th = sv
 	} else {
-		th = core.Fixed(cfg.NRH)
+		l.th = core.Fixed(cfg.NRH)
 	}
 
-	timing := mem.CyclesFrom(backend.Timing(mod.Spec.FreqMTs), cfg.CPUGHz)
+	l.timing = mem.CyclesFrom(backend.Timing(mod.Spec.FreqMTs), cfg.CPUGHz)
 	if cfg.WindowScale > 1 {
 		// Shrink the refresh window (and with it every defense's
 		// counting window and the per-REF restore slice) so short runs
 		// cover representative window dynamics.
-		timing.REFW = uint64(float64(timing.REFW) / cfg.WindowScale)
-		if timing.REFW < 4*timing.REFI {
-			timing.REFW = 4 * timing.REFI
+		l.timing.REFW = uint64(float64(l.timing.REFW) / cfg.WindowScale)
+		if l.timing.REFW < 4*l.timing.REFI {
+			l.timing.REFW = 4 * l.timing.REFI
 		}
 	}
-	defName := strings.ToLower(cfg.Defense)
+	l.model = disturb.NewModel(mod.Params, mod.Geom)
+	return l, nil
+}
 
-	model := disturb.NewModel(mod.Params, mod.Geom)
-	tracker := st.tracker
-	if tracker != nil {
-		tracker.reset(model, entry.hcBase, entry.psi, scaled.Factor, cfg.CPUGHz, banks, mcCfg.BankGroups*mcCfg.BanksPerGroup)
+// arm resets the security half of arena st to the state a fresh build
+// produces: the tracker, and one defense per (pseudo) channel in
+// st.defs. Calling it again re-arms from scratch.
+func (l *layout) arm(st *poolState) error {
+	cfg := &l.cfg
+	banks := l.nchan * l.banksPerChan
+	perRank := l.mcCfg.BankGroups * l.mcCfg.BanksPerGroup
+	if st.tracker != nil {
+		st.tracker.reset(l.model, l.entry.hcBase, l.entry.psi, l.factor, cfg.CPUGHz, banks, perRank)
 	} else {
-		tracker = newSecTracker(model, entry.hcBase, entry.psi, scaled.Factor, cfg.CPUGHz, banks, mcCfg.BankGroups*mcCfg.BanksPerGroup)
-		st.tracker = tracker
+		st.tracker = newSecTracker(l.model, l.entry.hcBase, l.entry.psi, l.factor, cfg.CPUGHz, banks, perRank)
 	}
 	if cfg.Temporal != nil {
-		if err := cfg.Temporal.Validate(); err != nil {
-			return nil, err
-		}
-		tracker.startTemporal(temporal.NewProcess(*cfg.Temporal, cfg.Seed), cfg.Temporal.EpochCycles)
+		st.tracker.startTemporal(temporal.NewProcess(*cfg.Temporal, cfg.Seed), cfg.Temporal.EpochCycles)
 	}
 
-	if cap(st.mcs) < nchan {
-		st.mcs = append(make([]*memctrl.Controller, 0, nchan), st.mcs...)
-	}
-	st.mcs = st.mcs[:nchan]
-	mcs := st.mcs
-	m := &machine{mcs: mcs, tracker: tracker}
-	if nchan > 1 {
-		m.nchan = uint64(nchan)
-		m.mopWidth = uint64(mcCfg.MOPWidth)
-		m.chanStride = uint64(banksPerChan)
-	}
-	for ch := 0; ch < nchan; ch++ {
-		// Each (pseudo) channel runs its own controller and defense
-		// instance over its slice of the global bank space. Channel 0
-		// uses the unwrapped tracker, thresholds, key, and seed, so the
-		// single-channel DDR4 preset is bit- and allocation-identical to
-		// the pre-backend system.
+	defName := strings.ToLower(cfg.Defense)
+	st.defs = st.defs[:0]
+	for ch := 0; ch < l.nchan; ch++ {
+		// Each (pseudo) channel runs its own defense instance over its
+		// slice of the global bank space. Channel 0 uses the unwrapped
+		// thresholds, key, and seed, so the single-channel DDR4 preset is
+		// bit- and allocation-identical to the pre-backend system.
 		si := mitigation.SystemInfo{
-			Banks:       banksPerChan,
+			Banks:       l.banksPerChan,
 			RowsPerBank: cfg.RowsPerBank,
-			REFWCycles:  timing.REFW,
+			REFWCycles:  l.timing.REFW,
 			Seed:        cfg.Seed,
 		}
-		chTh := th
-		var chTr memctrl.Tracker = tracker
+		chTh := l.th
 		key := defName
 		if ch > 0 {
 			// Decorrelate per-channel probabilistic defenses (PARA) the
 			// same way a real system's independent controllers would be.
 			si.Seed = cfg.Seed + uint64(ch)*0x9E3779B97F4A7C15
-			chTh = chanThresholds{th: th, off: ch * banksPerChan}
-			chTr = chanTracker{t: tracker, bankOff: ch * banksPerChan, rankOff: ch * mcCfg.Ranks}
+			chTh = chanThresholds{th: l.th, off: ch * l.banksPerChan}
 			key = defName + "#" + strconv.Itoa(ch)
 		}
 		def, err := buildDefense(cfg.Defense, si, chTh, cfg.CPUGHz, st.defenses[key])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st.defenses[key] = def
+		st.defs = append(st.defs, def)
+	}
+	return nil
+}
+
+// assemble builds the rest of the machine on arena st around the armed
+// tracker and defenses: one controller per (pseudo) channel, then the
+// cores.
+func (l *layout) assemble(st *poolState) (*machine, error) {
+	cfg := &l.cfg
+	nchan := l.nchan
+	if cap(st.mcs) < nchan {
+		st.mcs = append(make([]*memctrl.Controller, 0, nchan), st.mcs...)
+	}
+	st.mcs = st.mcs[:nchan]
+	mcs := st.mcs
+	m := &machine{mcs: mcs, tracker: st.tracker}
+	if nchan > 1 {
+		m.nchan = uint64(nchan)
+		m.mopWidth = uint64(l.mcCfg.MOPWidth)
+		m.chanStride = uint64(l.banksPerChan)
+	}
+	for ch := 0; ch < nchan; ch++ {
+		// Channel 0 reports straight into the tracker; the others through
+		// an adapter that offsets their bank and rank indices.
+		var chTr memctrl.Tracker = st.tracker
+		if ch > 0 {
+			chTr = chanTracker{t: st.tracker, bankOff: ch * l.banksPerChan, rankOff: ch * l.mcCfg.Ranks}
+		}
 		if mcs[ch] != nil {
-			mcs[ch].Reset(mcCfg, timing, def, chTr)
+			mcs[ch].Reset(l.mcCfg, l.timing, st.defs[ch], chTr)
 		} else {
-			mcs[ch] = memctrl.New(mcCfg, timing, def, chTr)
+			mcs[ch] = memctrl.New(l.mcCfg, l.timing, st.defs[ch], chTr)
 		}
 	}
 
@@ -562,7 +619,7 @@ func buildMachine(cfg Config, st *poolState) (*machine, error) {
 	st.cores = st.cores[:cfg.Cores]
 	cores := st.cores
 	for i := range cores {
-		gen, uncached, err := cfg.generatorFor(mcCfg, nchan, i, cfg.Mix[i])
+		gen, uncached, err := cfg.generatorFor(l.mcCfg, nchan, i, cfg.Mix[i])
 		if err != nil {
 			return nil, err
 		}
@@ -785,27 +842,76 @@ func (m *machine) run(cfg Config) Result {
 // machine on arena st (an empty one for a fresh run), drive it to
 // completion, fold the Result. rec may be nil — every Recorder
 // method is nil-receiver safe — and the Result is bit-identical either
-// way: the recorder observes, it never steers.
-func runOn(st *poolState, cfg Config, rec *obs.Recorder) (Result, error) {
+// way: the recorder observes, it never steers. The build reuses
+// whatever st holds and keeps what it builds there; since every
+// component's Reset restores the state its constructor produces, the
+// pooled and fresh paths are bit-identical by construction, and the
+// pooled differential tests enforce it.
+//
+// memo is the twin memo the run reads and feeds (nil: neither, the
+// forced full simulation the exactness tests compare against). A defense
+// cell whose defense-free twin memo holds is first replayed from the
+// twin's command log; at the defense's first throttle or directive the
+// armed half is reset and the cell simulates in full, exactly as without
+// a memo. A twin the memo lacks is recorded while it runs. See twin.go.
+func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result, error) {
 	rec.Begin(obs.PhaseBuild)
-	m, err := buildMachine(cfg, st)
+	l, err := newLayout(cfg)
+	if err == nil {
+		err = l.arm(st)
+	}
+	if err != nil {
+		rec.End(obs.PhaseBuild)
+		return Result{}, err
+	}
+	diverged := false
+	if tw := memo.replayable(&cfg); tw != nil {
+		rec.End(obs.PhaseBuild)
+		rec.Begin(obs.PhaseRun)
+		ok := l.replay(st, tw)
+		rec.End(obs.PhaseRun)
+		if ok {
+			rec.Begin(obs.PhaseFold)
+			res := tw.result(st.tracker.Violations)
+			if rec != nil {
+				rec.Counters.TwinReplays++
+			}
+			rec.End(obs.PhaseFold)
+			return res, nil
+		}
+		// The build phase absorbs the abandoned replay: its end is
+		// stamped again below, and the run phase's start again when the
+		// measurement region begins.
+		diverged = true
+		err = l.arm(st)
+	}
+	var m *machine
+	if err == nil {
+		m, err = l.assemble(st)
+	}
 	rec.End(obs.PhaseBuild)
 	if err != nil {
 		return Result{}, err
 	}
 	m.rec = rec
-	return m.run(cfg), nil
+	if diverged {
+		m.obs.TwinDiverged = 1
+	}
+	tape := memo.record(&cfg, m)
+	res := m.run(cfg)
+	memo.finish(tape, res)
+	return res, nil
 }
 
 // Run executes one simulation from fresh allocations.
-func Run(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil) }
+func Run(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil, &twins) }
 
 // RunRecorded is Run with a flight recorder attached: the run's engine
 // and controller counters fold into rec.Counters, and the build,
 // warmup, run, and fold phases are stamped onto rec. A nil rec makes
 // this exactly Run.
 func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
-	return runOn(newPoolState(), cfg, rec)
+	return runOn(newPoolState(), cfg, rec, &twins)
 }
 
 // arenaPool executes simulations on reusable state arenas. A paper-scale
@@ -836,7 +942,7 @@ func (p *arenaPool) run(cfg Config, rec *obs.Recorder) (Result, error) {
 	// The arena stays reusable after a failed build: every Reset fully
 	// reinitializes, regardless of how far the build got.
 	defer p.p.Put(st)
-	return runOn(st, cfg, rec)
+	return runOn(st, cfg, rec, &twins)
 }
 
 // defaultPool backs PooledRun: one process-wide arena pool shared by
