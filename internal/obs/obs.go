@@ -75,8 +75,9 @@ type EngineCounters struct {
 	EpochAdvances uint64 // temporal epoch edges crossed by the live view
 	LiveDraws     uint64 // live thresholds drawn from the temporal process (comparisons its floor could not settle)
 
-	TwinReplays  uint64 // cells answered from their defense-free twin's command log
+	TwinReplays  uint64 // cells answered from a held command log: their defense-free twin's or a sibling leg's
 	TwinDiverged uint64 // twin replays abandoned for a full simulation at the defense's first action
+	TwinMissed   uint64 // cells that could have replayed a log but found none held
 }
 
 // Add accumulates o into c.
@@ -93,6 +94,7 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.LiveDraws += o.LiveDraws
 	c.TwinReplays += o.TwinReplays
 	c.TwinDiverged += o.TwinDiverged
+	c.TwinMissed += o.TwinMissed
 }
 
 // ControllerCounters are the memory-controller counters, embedded by
@@ -177,8 +179,9 @@ func Glossary() []CounterInfo {
 		{"bound_horizon", "jumps truncated at the MaxCycles horizon", func(c *Counters) uint64 { return c.BoundHorizon }},
 		{"epoch_advances", "temporal epoch edges crossed by the live threshold view", func(c *Counters) uint64 { return c.EpochAdvances }},
 		{"live_draws", "live thresholds drawn from the temporal process: tracker comparisons the per-epoch floor could not settle (near the tracker's call count once the floor has decayed)", func(c *Counters) uint64 { return c.LiveDraws }},
-		{"twin_replays", "cells answered from their defense-free twin's command log instead of simulated (the defense never throttled or acted)", func(c *Counters) uint64 { return c.TwinReplays }},
+		{"twin_replays", "cells answered from a held command log instead of simulated: a static cell's defense-free twin's (the defense never throttled or acted) or a temporal cell's sibling leg's (the same cell at another calibration age)", func(c *Counters) uint64 { return c.TwinReplays }},
 		{"twin_diverged", "twin replays abandoned for a full simulation at the defense's first throttle or directive", func(c *Counters) uint64 { return c.TwinDiverged }},
+		{"twin_missed", "cells that could have replayed a twin's or a sibling leg's command log but found none held (evicted, still being recorded, over its share or never run) and simulated in full", func(c *Counters) uint64 { return c.TwinMissed }},
 		{"scan_passes", "FR-FCFS scheduler passes over a non-empty queue", func(c *Counters) uint64 { return c.ScanPasses }},
 		{"scan_entries", "queue entries examined by the scheduler's first-match walks: the position of each pass's pick, nothing for a pass that found no bank ready", func(c *Counters) uint64 { return c.ScanEntries }},
 		{"next_event_calls", "controller wake-up bounds evaluated in full (cached answers not counted)", func(c *Counters) uint64 { return c.NextEventCalls }},

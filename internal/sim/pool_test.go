@@ -128,6 +128,42 @@ func TestPoolDirtyReuse(t *testing.T) {
 			t.Errorf("the rrs cell did not diverge from its twin: %+v", rec.Counters.EngineCounters)
 		}
 	}
+
+	// A sibling replay arms only the tracker: the arena's defenses stay
+	// as the recorder's run left them, and its tracker ends temporal. A
+	// static cell with the same defense follows on the same arena; both
+	// must match fresh runs.
+	st, memo = newPoolState(), &twinMemo{}
+	leg := diffBase()
+	leg.Defense = "rrs"
+	leg.Mix = []string{"attack:rrs", "mcf06"}
+	leg.Temporal = diffTemporal()
+	young := *leg.Temporal
+	young.AgeEpochs = 0
+	recorder := leg
+	recorder.Temporal = &young
+	if _, err := runOn(st, recorder, nil, memo); err != nil {
+		t.Fatal(err)
+	}
+	static := leg
+	static.Temporal = nil
+	for _, cfg := range []Config{leg, static} {
+		var rec obs.Recorder
+		pooled, err := runOn(st, cfg, &rec, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := runOn(newPoolState(), cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, pooled) {
+			t.Errorf("temporal=%v after a sibling replay:\nfresh:  %+v\npooled: %+v", cfg.Temporal != nil, fresh, pooled)
+		}
+		if replayed := rec.Counters.TwinReplays == 1; replayed != (cfg.Temporal != nil) {
+			t.Errorf("temporal=%v: twin_replays=%d", cfg.Temporal != nil, rec.Counters.TwinReplays)
+		}
+	}
 }
 
 // TestPoolBackendAlternationHBM2 is the deterministic cross-backend

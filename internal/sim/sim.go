@@ -538,6 +538,13 @@ func newLayout(cfg Config) (layout, error) {
 // produces: the tracker, and one defense per (pseudo) channel in
 // st.defs. Calling it again re-arms from scratch.
 func (l *layout) arm(st *poolState) error {
+	l.armTracker(st)
+	return l.armDefenses(st)
+}
+
+// armTracker resets arena st's security tracker, with cfg's temporal
+// process attached: all a sibling replay (twin.go) arms.
+func (l *layout) armTracker(st *poolState) {
 	cfg := &l.cfg
 	banks := l.nchan * l.banksPerChan
 	perRank := l.mcCfg.BankGroups * l.mcCfg.BanksPerGroup
@@ -549,7 +556,12 @@ func (l *layout) arm(st *poolState) error {
 	if cfg.Temporal != nil {
 		st.tracker.startTemporal(temporal.NewProcess(*cfg.Temporal, cfg.Seed), cfg.Temporal.EpochCycles)
 	}
+}
 
+// armDefenses resets arena st's defenses: one per (pseudo) channel in
+// st.defs.
+func (l *layout) armDefenses(st *poolState) error {
+	cfg := &l.cfg
 	defName := strings.ToLower(cfg.Defense)
 	st.defs = st.defs[:0]
 	for ch := 0; ch < l.nchan; ch++ {
@@ -849,23 +861,32 @@ func (m *machine) run(cfg Config) Result {
 // pooled differential tests enforce it.
 //
 // memo is the twin memo the run reads and feeds (nil: neither, the
-// forced full simulation the exactness tests compare against). A defense
-// cell whose defense-free twin memo holds is first replayed from the
-// twin's command log; at the defense's first throttle or directive the
-// armed half is reset and the cell simulates in full, exactly as without
-// a memo. A twin the memo lacks is recorded while it runs. See twin.go.
+// forced full simulation the exactness tests compare against). A cell
+// memo holds a log for is first replayed from it: a static defense cell
+// from its defense-free twin's, where at the defense's first throttle or
+// directive the armed half is reset and the cell simulates in full,
+// exactly as without a memo; a temporal cell from a sibling leg's, with
+// only its tracker armed. A twin or temporal cell the memo lacks is
+// recorded while it runs. See twin.go.
 func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result, error) {
 	rec.Begin(obs.PhaseBuild)
 	l, err := newLayout(cfg)
+	var tw *twin
+	eligible := false
 	if err == nil {
-		err = l.arm(st)
+		tw, eligible = memo.replayable(&cfg)
+		if tw != nil && cfg.Temporal != nil {
+			l.armTracker(st)
+		} else {
+			err = l.arm(st)
+		}
 	}
 	if err != nil {
 		rec.End(obs.PhaseBuild)
 		return Result{}, err
 	}
 	diverged := false
-	if tw := memo.replayable(&cfg); tw != nil {
+	if tw != nil {
 		rec.End(obs.PhaseBuild)
 		rec.Begin(obs.PhaseRun)
 		ok := l.replay(st, tw)
@@ -874,7 +895,10 @@ func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result
 			rec.Begin(obs.PhaseFold)
 			res := tw.result(st.tracker.Violations)
 			if rec != nil {
-				rec.Counters.TwinReplays++
+				c := &rec.Counters
+				c.TwinReplays++
+				c.EpochAdvances += st.tracker.epochAdvances()
+				c.LiveDraws += st.tracker.liveDraws()
 			}
 			rec.End(obs.PhaseFold)
 			return res, nil
@@ -896,6 +920,8 @@ func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result
 	m.rec = rec
 	if diverged {
 		m.obs.TwinDiverged = 1
+	} else if eligible && tw == nil {
+		m.obs.TwinMissed = 1
 	}
 	tape := memo.record(&cfg, m)
 	res := m.run(cfg)

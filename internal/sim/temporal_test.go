@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -55,7 +56,9 @@ func TestEngineDifferentialTemporal(t *testing.T) {
 // the frozen calibration view, so attaching a temporal process may
 // change nothing but the security tracker's violation count. IPC,
 // Cycles, and every controller stat must be bit-identical between the
-// static run and the drifted run of the same configuration.
+// static run and the drifted run of the same configuration. Both are
+// forced full simulations (no twin memo): a drifted run replayed from
+// some sibling's stream would hold the contract by construction.
 func TestTemporalMovesOnlyViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("temporal contract matrix is seconds-scale")
@@ -67,12 +70,12 @@ func TestTemporalMovesOnlyViolations(t *testing.T) {
 			cfg.Defense = defense
 			cfg.Mix = mix
 			cfg.Svard = defense != "none"
-			static, err := Run(cfg)
+			static, err := runOn(newPoolState(), cfg, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Temporal = diffTemporal()
-			drifted, err := Run(cfg)
+			drifted, err := runOn(newPoolState(), cfg, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,46 +95,91 @@ func TestTemporalMovesOnlyViolations(t *testing.T) {
 	}
 }
 
+// FuzzTemporalMovesOnlyViolations is the sibling-replay contract under
+// the fuzzer: for any small configuration fuzzConfig names (run to the
+// end) under any process, two interval legs — the same cell at two
+// calibration ages — simulate the same machine, so their full runs agree
+// on IPC, Cycles, MC and Finished; and the second leg, replayed from the
+// first's stream, is bit-identical to its own full run, with the same
+// epoch_advances and live_draws. A finished recorder's sibling must
+// replay; a truncated one's must simulate.
+func FuzzTemporalMovesOnlyViolations(f *testing.F) {
+	for d := uint64(0); d <= uint64(len(DefenseNames)); d++ {
+		c := fuzzChoices{defense: d, nrh: d % 3, svard: d % 2, cores: 1, mix: [4]uint64{5, 2}}
+		f.Add(fuzzSeed(c), -0.05, 0.1, 0.01, uint8(0), uint8(15), uint8(4))
+		c.hbm2, c.mix = 1, [4]uint64{0, 3}
+		f.Add(fuzzSeed(c), -0.01, 0.02, 0.0, uint8(16), uint8(47), uint8(2))
+	}
+	f.Add(fuzzSeed(fuzzChoices{defense: 5, svard: 1, cores: 1, mix: [4]uint64{6, 2}}), -0.1, 0.3, 0.05, uint8(3), uint8(60), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, drift, sigma, dipP float64, age, older, epochShift uint8) {
+		// unit maps any float onto [0, 1), so every input is a valid process.
+		unit := func(x float64) float64 {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return 0
+			}
+			return x - math.Floor(x)
+		}
+		proc := temporal.Spec{
+			EpochCycles: 4096 << (epochShift % 5),
+			Drift:       -0.1 + 0.2*unit(drift),
+			Sigma:       0.3 * unit(sigma),
+			DipP:        0.05 * unit(dipP),
+			DipFactor:   0.5,
+			AgeEpochs:   uint64(age),
+		}
+		cfg := fuzzConfig(seed)
+		cfg.MaxCycles = fuzzConfig(0).MaxCycles
+		first, second := cfg, cfg
+		first.Temporal = &proc
+		other := proc
+		other.AgeEpochs += 1 + uint64(older)
+		second.Temporal = &other
+
+		memo := &twinMemo{budget: 1 << 30} // holds any stream fuzzConfig names
+		a, err := runOn(newPoolState(), first, nil, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, c := replayOrFullResult(t, newPoolState(), memo, second)
+		if !reflect.DeepEqual(a.IPC, b.IPC) || a.Cycles != b.Cycles || a.MC != b.MC || a.Finished != b.Finished {
+			t.Errorf("ages %d and %d simulated different machines:\nfirst:  %+v\nsecond: %+v", proc.AgeEpochs, other.AgeEpochs, a, b)
+		}
+		if c.TwinReplays+c.TwinMissed != 1 || (c.TwinReplays == 1) != a.Finished {
+			t.Errorf("finished=%v but twin_replays=%d twin_missed=%d", a.Finished, c.TwinReplays, c.TwinMissed)
+		}
+	})
+}
+
 // TestPoolDirtyTemporalReuse: an arena dirtied by a temporal run (epoch
 // state advanced, threshold memo populated) must reset completely — a
 // static run on it is bit-identical to fresh construction, and a second
-// temporal run on it is bit-identical to a fresh temporal run.
+// temporal run on it is bit-identical to a fresh temporal run. Every run
+// is a full simulation (no twin memo), so the arena is what is tested.
 func TestPoolDirtyTemporalReuse(t *testing.T) {
-	pool := &arenaPool{}
+	st := newPoolState()
+	run := func(st *poolState, cfg Config) Result {
+		t.Helper()
+		res, err := runOn(st, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 
 	dirty := diffBase()
 	dirty.Defense = "para"
 	dirty.Mix = []string{"attack:hydra", "mcf06"}
 	dirty.Temporal = diffTemporal()
-	if _, err := pool.run(dirty, nil); err != nil {
-		t.Fatal(err)
-	}
+	run(st, dirty)
 
 	clean := diffBase()
 	clean.Defense = "para"
 	clean.Mix = []string{"attack:hydra", "mcf06"}
-	fresh, err := Run(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := pool.run(clean, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, pooled) {
+	if fresh, pooled := run(newPoolState(), clean), run(st, clean); !reflect.DeepEqual(fresh, pooled) {
 		t.Errorf("static run on a temporally dirtied arena diverged:\nfresh:  %+v\npooled: %+v", fresh, pooled)
 	}
-
-	freshTemporal, err := Run(dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooledTemporal, err := pool.run(dirty, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(freshTemporal, pooledTemporal) {
-		t.Errorf("temporal run on a dirtied arena diverged:\nfresh:  %+v\npooled: %+v", freshTemporal, pooledTemporal)
+	if fresh, pooled := run(newPoolState(), dirty), run(st, dirty); !reflect.DeepEqual(fresh, pooled) {
+		t.Errorf("temporal run on a dirtied arena diverged:\nfresh:  %+v\npooled: %+v", fresh, pooled)
 	}
 }
 
@@ -191,18 +239,23 @@ func TestErosionMarginShifts(t *testing.T) {
 // bit-identical for any Workers value — the same guarantee RunFig12
 // gives, extended to the temporal legs whose trajectories must be pure
 // functions of (seed, bank, row, epoch) regardless of which worker
-// samples them.
+// samples them. The serial sweep simulates every cell in full (no twin
+// memo); the parallel one records and replays through a private memo,
+// whatever the other tests left in the process-wide one.
 func TestErosionDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("erosion sweep is seconds-scale")
 	}
 	opt := erosionTestOptions()
 	opt.Workers = 1
+	opt.Runner = func(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil, nil) }
 	serial, err := RunErosionCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 7
+	memo := &twinMemo{}
+	opt.Runner = func(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil, memo) }
 	parallel, err := RunErosionCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -18,25 +19,38 @@ func twinConfig(cfg Config) Config {
 	return cfg
 }
 
-// replayOrFull runs cfg through memo — the replay path when memo holds
-// its twin — and through a forced full simulation, requires the two
-// Results to be bit-identical, and returns the replay path's counters.
+// replayOrFull runs cfg through memo — the replay path when memo holds a
+// log that serves it — and through a forced full simulation, requires the
+// two Results to be bit-identical and the temporal counters equal, and
+// returns the replay path's counters.
 func replayOrFull(t *testing.T, st *poolState, memo *twinMemo, cfg Config) obs.Counters {
 	t.Helper()
-	var rec obs.Recorder
+	_, c := replayOrFullResult(t, st, memo, cfg)
+	return c
+}
+
+// replayOrFullResult is replayOrFull, also returning the Result.
+func replayOrFullResult(t *testing.T, st *poolState, memo *twinMemo, cfg Config) (Result, obs.Counters) {
+	t.Helper()
+	var rec, full obs.Recorder
 	got, err := runOn(st, cfg, &rec, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runOn(newPoolState(), cfg, nil, nil)
+	want, err := runOn(newPoolState(), cfg, &full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s nRH=%v svard=%v mix=%v: replay path diverged from the full run:\nreplay: %+v\nfull:   %+v",
-			cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix, got, want)
+		t.Errorf("%s nRH=%v svard=%v mix=%v temporal=%v: replay path diverged from the full run:\nreplay: %+v\nfull:   %+v",
+			cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix, cfg.Temporal, got, want)
 	}
-	return rec.Counters
+	r, f := rec.Counters, full.Counters
+	if r.EpochAdvances != f.EpochAdvances || r.LiveDraws != f.LiveDraws {
+		t.Errorf("%s nRH=%v svard=%v mix=%v temporal=%v: epoch_advances %d, live_draws %d on the replay path; %d, %d in the full run",
+			cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix, cfg.Temporal, r.EpochAdvances, r.LiveDraws, f.EpochAdvances, f.LiveDraws)
+	}
+	return got, r
 }
 
 // benchFig12Options is the benchmark's fig12 shape: the golden fixture's
@@ -48,11 +62,13 @@ func benchFig12Options() Fig12Options {
 }
 
 // TestTwinReplayMatchesFullRun runs each golden shape's twins into a
-// private memo, then every cell through the replay path and through a
-// forced full run: the Results must be bit-identical. Cells that may not
-// replay (temporal, defense-free) must not touch the memo. On the
-// benchmark's Fig. 12 shape it also pins which cells replay to the end,
-// so a change that silently disables the fast path fails here.
+// private memo, then every cell, in sweep order, through the replay path
+// and through a forced full run: the Results must be bit-identical.
+// Static cells replay their pre-recorded twin or diverge; a temporal leg
+// records its stream or replays a sibling's; defense-free static cells
+// are never served. It also pins which cells replay to the end — the
+// benchmark's Fig. 12 cells by name, the erosion sweeps' temporal legs by
+// count — so a change that silently disables a fast path fails here.
 func TestTwinReplayMatchesFullRun(t *testing.T) {
 	must := func(jobs []Job, err error) []Job {
 		if err != nil {
@@ -60,23 +76,28 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 		}
 		return jobs
 	}
-	var erosion []Job
-	for _, g := range goldenErosionSweeps() {
-		erosion = append(erosion, must(ErosionJobs(ErosionOptions{
+	erosion := func(g ErosionGolden) []Job {
+		return must(ErosionJobs(ErosionOptions{
 			Base: g.Base, Process: g.Process, Intervals: g.Intervals,
 			Mixes: g.Mixes, NRHs: g.NRHs, Defenses: g.Defenses,
-		}))...)
+		}))
 	}
-	// Exactness does not depend on the budget. The two Fig. 12 shapes
-	// run under the real one (the benchmark's census is pinned); Fig. 13
-	// and erosion, whose attack twins log 0.6–2.1 MB, past a twin's
-	// share, under one that holds them.
+	sweeps := goldenErosionSweeps()
+	bench, attacked := sweeps[0], sweeps[1]
+	hbm2 := bench
+	hbm2.Base.Backend = "hbm2"
+	// Exactness does not depend on the budget. The benchmark shapes run
+	// under the real one (their census is pinned); Fig. 13 and the
+	// attacked sweep, whose attack twins and streams log 0.3–2.1 MB, past
+	// a log's share, under one that holds them.
 	const roomy = 1 << 30
 	shapes := []struct {
-		name   string
-		jobs   []Job
-		budget int      // 0: twinBudget
-		want   []string // cells replayed to the end; nil: not pinned
+		name    string
+		jobs    []Job
+		budget  int      // 0: twinBudget
+		want    []string // static cells replayed to the end; nil: not pinned
+		streams int      // temporal legs replayed from a sibling
+		violent bool     // every replayed temporal leg counts violations
 	}{
 		{"fig12", Fig12Jobs(benchFig12Options()), 0, []string{
 			"aqua 1024 false [mcf06 ycsb-a]", "aqua 1024 false [lbm06 tpcc]",
@@ -87,10 +108,12 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 			"rrs 1024 false [mcf06 ycsb-a]", "rrs 1024 false [lbm06 tpcc]",
 			"rrs 1024 true [mcf06 ycsb-a]", "rrs 1024 true [lbm06 tpcc]",
 			"rrs 64 true [lbm06 tpcc]",
-		}},
-		{"fig12_hbm2", Fig12Jobs(goldenFig12HBM2Options()), 0, nil},
-		{"fig13", must(Fig13Jobs(goldenFig13Options())), roomy, nil},
-		{"erosion", erosion, roomy, nil},
+		}, 0, false},
+		{"fig12_hbm2", Fig12Jobs(goldenFig12HBM2Options()), 0, nil, 0, false},
+		{"fig13", must(Fig13Jobs(goldenFig13Options())), roomy, nil, 0, false},
+		{"erosion", erosion(bench), 0, nil, 32, false},
+		{"erosion_attacked", erosion(attacked), roomy, nil, 8, true},
+		{"erosion_hbm2", erosion(hbm2), 0, nil, 32, false},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -99,7 +122,7 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 			for _, j := range sh.jobs {
 				probe := twinConfig(j.Config)
 				probe.Defense = "para"
-				if j.Config.Temporal == nil && memo.replayable(&probe) == nil {
+				if tw, _ := memo.replayable(&probe); j.Config.Temporal == nil && tw == nil {
 					if _, err := runOn(newPoolState(), twinConfig(j.Config), nil, memo); err != nil {
 						t.Fatal(err)
 					}
@@ -107,96 +130,161 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 			}
 			st := newPoolState()
 			var replayed []string
-			attempts := 0
+			attempts, streams, legs := 0, 0, 0
 			for _, j := range sh.jobs {
 				cfg := j.Config
-				if cfg.Temporal != nil || isNone(cfg.Defense) {
-					if memo.replayable(&cfg) != nil {
-						t.Errorf("%s nRH=%v temporal=%v: an ineligible cell is replayable", cfg.Defense, cfg.NRH, cfg.Temporal != nil)
+				if cfg.Temporal == nil && isNone(cfg.Defense) {
+					if tw, eligible := memo.replayable(&cfg); tw != nil || eligible {
+						t.Errorf("%s nRH=%v: a defense-free static cell is replayable", cfg.Defense, cfg.NRH)
 					}
 					continue
 				}
-				c := replayOrFull(t, st, memo, cfg)
+				res, c := replayOrFullResult(t, st, memo, cfg)
+				if c.TwinReplays == 1 && c.Ticks != 0 {
+					t.Errorf("a replayed cell ticked %d cycles", c.Ticks)
+				}
+				if cfg.Temporal != nil {
+					legs++
+					if c.TwinReplays+c.TwinMissed != 1 || c.TwinDiverged != 0 {
+						t.Errorf("%s nRH=%v age=%d: twin_replays=%d twin_missed=%d twin_diverged=%d, want a replay or a miss",
+							cfg.Defense, cfg.NRH, cfg.Temporal.AgeEpochs, c.TwinReplays, c.TwinMissed, c.TwinDiverged)
+					}
+					streams += int(c.TwinReplays)
+					if sh.violent && c.TwinReplays == 1 && res.Violations == 0 {
+						t.Errorf("%s nRH=%v age=%d: a replayed leg counted no violations", cfg.Defense, cfg.NRH, cfg.Temporal.AgeEpochs)
+					}
+					continue
+				}
 				attempts++
-				if c.TwinReplays+c.TwinDiverged != 1 {
-					t.Errorf("%s nRH=%v: twin_replays=%d twin_diverged=%d, want one of them", cfg.Defense, cfg.NRH, c.TwinReplays, c.TwinDiverged)
+				if c.TwinReplays+c.TwinDiverged != 1 || c.TwinMissed != 0 {
+					t.Errorf("%s nRH=%v: twin_replays=%d twin_diverged=%d twin_missed=%d, want a replay or a divergence",
+						cfg.Defense, cfg.NRH, c.TwinReplays, c.TwinDiverged, c.TwinMissed)
 				}
 				if c.TwinReplays == 1 {
 					replayed = append(replayed, fmt.Sprintf("%s %v %v %v", cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix))
-					if c.Ticks != 0 {
-						t.Errorf("a replayed cell ticked %d cycles", c.Ticks)
-					}
 				}
 			}
-			t.Logf("%d of %d eligible cells replayed to the end", len(replayed), attempts)
+			t.Logf("%d of %d eligible static cells replayed to the end; %d of %d temporal legs replayed a sibling's stream",
+				len(replayed), attempts, streams, legs)
 			if sh.want != nil && !slices.Equal(replayed, sh.want) {
 				t.Errorf("replayed cells:\n got %q\nwant %q", replayed, sh.want)
+			}
+			if streams != sh.streams {
+				t.Errorf("%d temporal legs replayed a sibling's stream, want %d", streams, sh.streams)
 			}
 		})
 	}
 }
 
-// TestTwinMemoConcurrent runs the golden Fig. 12 sweep twice over one
-// memo with four workers: the first pass records its twins while other
-// cells look them up, the second replays. Both must fold to the fixture.
+// TestTwinMemoConcurrent runs the golden Fig. 12 sweep twice, then the
+// golden benchmark erosion sweep twice, over one memo with four workers:
+// each first pass records its twins or streams while other cells look
+// them up, each second pass replays. Every pass must fold to its fixture.
 func TestTwinMemoConcurrent(t *testing.T) {
+	var erosion []ErosionGolden
+	readGolden(t, filepath.Join("testdata", "erosion_golden.json"), &erosion)
+	g := goldenErosionSweeps()[0]
+	if erosion[0].Name != g.Name {
+		t.Fatalf("fixture's first erosion sweep is %q, want %q", erosion[0].Name, g.Name)
+	}
 	memo := &twinMemo{}
-	for pass := 0; pass < 2; pass++ {
+	for pass := 0; pass < 4; pass++ {
 		var replays atomic.Uint64
-		opt := goldenFig12Options()
-		opt.Workers = 4
-		opt.Runner = func(cfg Config) (Result, error) {
+		runner := func(cfg Config) (Result, error) {
 			var rec obs.Recorder
 			res, err := runOn(newPoolState(), cfg, &rec, memo)
 			replays.Add(rec.Counters.TwinReplays)
 			return res, err
 		}
-		cells, err := RunFig12Ctx(context.Background(), opt)
-		sameAsGolden(t, "fig12_golden.json", cells, err)
-		if pass == 1 && replays.Load() == 0 {
-			t.Error("the second pass replayed no cell")
+		if pass < 2 {
+			opt := goldenFig12Options()
+			opt.Workers, opt.Runner = 4, runner
+			cells, err := RunFig12Ctx(context.Background(), opt)
+			sameAsGolden(t, "fig12_golden.json", cells, err)
+		} else {
+			cells, err := RunErosionCtx(context.Background(), ErosionOptions{
+				Base: g.Base, Process: g.Process, Intervals: g.Intervals,
+				Mixes: g.Mixes, NRHs: g.NRHs, Defenses: g.Defenses,
+				Workers: 4, Runner: runner,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareCells(t, cells, erosion[0].Cells)
+		}
+		if pass%2 == 1 && replays.Load() == 0 {
+			t.Errorf("pass %d replayed no cell", pass)
 		}
 	}
 }
 
-// TestTwinKeyCoversConfig: a twin matches a cell exactly when every
-// Config field but Defense, Svard and NRH agrees. A field added to Config
-// and forgotten in sameTwin fails here.
+// TestTwinKeyCoversConfig: a twin matches a static cell exactly when
+// every Config field but Defense, Svard and NRH agrees, and two temporal
+// cells are siblings exactly when every field but Temporal.AgeEpochs
+// does. A field added to Config or temporal.Spec and forgotten in
+// sameMachine or sameStream fails here.
 func TestTwinKeyCoversConfig(t *testing.T) {
+	// bump changes one scalar field.
+	bump := func(name string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		default:
+			t.Fatalf("%s: kind %v not covered by this test", name, v.Kind())
+		}
+	}
 	base := tinyBase()
 	base.Mix = []string{"mcf06", "ycsb-a"}
+	sibling := base
+	sibling.Temporal = diffTemporal()
 	ignored := map[string]bool{"Defense": true, "Svard": true, "NRH": true}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		cfg := base
-		cfg.Mix = slices.Clone(base.Mix)
-		v := reflect.ValueOf(&cfg).Elem().Field(i)
-		switch f.Name {
-		case "Mix":
-			cfg.Mix[1] = "tpcc"
-		case "Core":
-			cfg.Core.MSHRs++
-		case "Temporal":
-			cfg.Temporal = diffTemporal()
-		default:
-			switch v.Kind() {
-			case reflect.Bool:
-				v.SetBool(!v.Bool())
-			case reflect.String:
-				v.SetString(v.String() + "x")
-			case reflect.Int:
-				v.SetInt(v.Int() + 1)
-			case reflect.Uint64:
-				v.SetUint(v.Uint() + 1)
-			case reflect.Float64:
-				v.SetFloat(v.Float() + 1)
+		for _, from := range []Config{base, sibling} {
+			cfg := from
+			cfg.Mix = slices.Clone(from.Mix)
+			v := reflect.ValueOf(&cfg).Elem().Field(i)
+			switch f.Name {
+			case "Mix":
+				cfg.Mix[1] = "tpcc"
+			case "Core":
+				cfg.Core.MSHRs++
+			case "Temporal":
+				if from.Temporal == nil {
+					cfg.Temporal = diffTemporal()
+				} else {
+					cfg.Temporal = nil
+				}
 			default:
-				t.Fatalf("Config.%s: kind %v not covered by this test", f.Name, v.Kind())
+				bump("Config."+f.Name, v)
+			}
+			if from.Temporal == nil {
+				if got := sameTwin(&from, &cfg); got != ignored[f.Name] {
+					t.Errorf("Config.%s changed: sameTwin = %v, want %v", f.Name, got, ignored[f.Name])
+				}
+			} else if sameStream(&from, &cfg) {
+				t.Errorf("Config.%s changed: sameStream = true, want false", f.Name)
 			}
 		}
-		if got := sameTwin(&base, &cfg); got != ignored[f.Name] {
-			t.Errorf("Config.%s changed: sameTwin = %v, want %v", f.Name, got, ignored[f.Name])
+	}
+	spec := reflect.TypeOf(*sibling.Temporal)
+	for i := 0; i < spec.NumField(); i++ {
+		name := spec.Field(i).Name
+		cfg := sibling
+		p := *sibling.Temporal
+		cfg.Temporal = &p
+		bump("temporal.Spec."+name, reflect.ValueOf(&p).Elem().Field(i))
+		if got, want := sameStream(&sibling, &cfg), name == "AgeEpochs"; got != want {
+			t.Errorf("Temporal.%s changed: sameStream = %v, want %v", name, got, want)
 		}
 	}
 }
@@ -228,7 +316,7 @@ func TestTwinMemoBounded(t *testing.T) {
 		if i == 1 {
 			cell := cfgs[0]
 			cell.Defense = "rrs"
-			if memo.replayable(&cell) == nil { // twin 0 becomes most recently used
+			if tw, _ := memo.replayable(&cell); tw == nil { // twin 0 becomes most recently used
 				t.Fatal("twin 0 not held")
 			}
 		}
@@ -259,8 +347,8 @@ func TestTwinMemoBounded(t *testing.T) {
 	for range per/8 + 1 {
 		tape.add(evACT, 0, 1, 2, 3)
 	}
-	if tape.ok || tape.log != nil {
-		t.Errorf("a log past its share is kept (%d entries)", len(tape.log))
+	if tape.ok || tape.blocks != nil {
+		t.Errorf("a log past its share is kept (%d entries)", tape.n)
 	}
 	before := memo.bytes
 	memo.finish(tape, Result{IPC: []float64{1, 1}})
@@ -316,6 +404,8 @@ func TestTwinEventPacking(t *testing.T) {
 		{evACT, 0, 0, 0, 0},
 		{evPRE, 1<<evChanBits - 1, 1<<evBankBits - 1, 1<<evRowBits - 1, 1<<evAtBits - 1},
 		{evREF, 3, 1, 131071, 80_000_000},
+		{evSWAP, 15, 63, 131071, 131070},
+		{evEpoch, 0, 0, 0, 1<<evAtBits - 1},
 	} {
 		e, ok := packEvent(f.kind, f.ch, f.bank, f.row, f.at)
 		if got := (fields{e.kind(), e.ch(), e.bank(), e.row(), e.at()}); !ok || got != f {
