@@ -65,9 +65,8 @@ type EngineCounters struct {
 	SkippedCycles uint64 // cycles elided by those jumps
 
 	// NextEvent bound attribution: which component's bound set each
-	// jump target (ties resolve tracker > controller > core, matching
-	// the engine's scan order; horizon = quiescent to MaxCycles).
-	BoundTracker    uint64
+	// jump target (ties resolve controller > core, matching the engine's
+	// scan order; horizon = quiescent to MaxCycles).
 	BoundController uint64
 	BoundCore       uint64
 	BoundHorizon    uint64
@@ -75,7 +74,7 @@ type EngineCounters struct {
 	EpochAdvances uint64 // temporal epoch edges crossed by the live view
 	LiveDraws     uint64 // live thresholds drawn from the temporal process (comparisons its floor could not settle)
 
-	TwinReplays  uint64 // cells answered from a held command log: their defense-free twin's or a sibling leg's
+	TwinReplays  uint64 // cells answered from a held command log: their defense-free twin's or another leg's stream
 	TwinDiverged uint64 // twin replays abandoned for a full simulation at the defense's first action
 	TwinMissed   uint64 // cells that could have replayed a log but found none held
 }
@@ -86,7 +85,6 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.ActiveTicks += o.ActiveTicks
 	c.SkipJumps += o.SkipJumps
 	c.SkippedCycles += o.SkippedCycles
-	c.BoundTracker += o.BoundTracker
 	c.BoundController += o.BoundController
 	c.BoundCore += o.BoundCore
 	c.BoundHorizon += o.BoundHorizon
@@ -173,15 +171,14 @@ func Glossary() []CounterInfo {
 		{"sim_active_ticks", "ticked cycles where some component made progress (skip engine)", func(c *Counters) uint64 { return c.ActiveTicks }},
 		{"skip_jumps", "idle gaps the event engine jumped over", func(c *Counters) uint64 { return c.SkipJumps }},
 		{"skipped_cycles", "cycles elided by NextEvent jumps", func(c *Counters) uint64 { return c.SkippedCycles }},
-		{"bound_tracker", "jumps bounded by the security tracker's next epoch edge", func(c *Counters) uint64 { return c.BoundTracker }},
 		{"bound_controller", "jumps bounded by a memory controller's next ready time", func(c *Counters) uint64 { return c.BoundController }},
 		{"bound_core", "jumps bounded by a core's next ready time", func(c *Counters) uint64 { return c.BoundCore }},
 		{"bound_horizon", "jumps truncated at the MaxCycles horizon", func(c *Counters) uint64 { return c.BoundHorizon }},
 		{"epoch_advances", "temporal epoch edges crossed by the live threshold view", func(c *Counters) uint64 { return c.EpochAdvances }},
 		{"live_draws", "live thresholds drawn from the temporal process: tracker comparisons the per-epoch floor could not settle (near the tracker's call count once the floor has decayed)", func(c *Counters) uint64 { return c.LiveDraws }},
-		{"twin_replays", "cells answered from a held command log instead of simulated: a static cell's defense-free twin's (the defense never throttled or acted) or a temporal cell's sibling leg's (the same cell at another calibration age)", func(c *Counters) uint64 { return c.TwinReplays }},
+		{"twin_replays", "cells answered from a held command log instead of simulated: a static cell's defense-free twin's (the defense never throttled or acted) or another leg's stream of the cell's family (the same cell under another temporal process, or none)", func(c *Counters) uint64 { return c.TwinReplays }},
 		{"twin_diverged", "twin replays abandoned for a full simulation at the defense's first throttle or directive", func(c *Counters) uint64 { return c.TwinDiverged }},
-		{"twin_missed", "cells that could have replayed a twin's or a sibling leg's command log but found none held (evicted, still being recorded, over its share or never run) and simulated in full", func(c *Counters) uint64 { return c.TwinMissed }},
+		{"twin_missed", "cells that could have replayed a twin's or another leg's command log but found none held (evicted, still being recorded, over its share or never run) and simulated in full", func(c *Counters) uint64 { return c.TwinMissed }},
 		{"scan_passes", "FR-FCFS scheduler passes over a non-empty queue", func(c *Counters) uint64 { return c.ScanPasses }},
 		{"scan_entries", "queue entries examined by the scheduler's first-match walks: the position of each pass's pick, nothing for a pass that found no bank ready", func(c *Counters) uint64 { return c.ScanEntries }},
 		{"next_event_calls", "controller wake-up bounds evaluated in full (cached answers not counted)", func(c *Counters) uint64 { return c.NextEventCalls }},

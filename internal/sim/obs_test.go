@@ -59,7 +59,9 @@ func TestRecordedMatchesUnrecorded(t *testing.T) {
 // TestRecorderCounterInvariants cross-checks the engine counters
 // against the engine's own contract: the naive loop ticks every cycle,
 // so naive ticks == skip ticks + skipped cycles; and every jump is
-// attributed to exactly one bound source.
+// attributed to exactly one bound source. Both runs simulate (no twin
+// memo): a static cell may replay a stream another test's temporal leg
+// left in the process-wide memo, and a replay ticks nothing.
 func TestRecorderCounterInvariants(t *testing.T) {
 	cfg := diffBase()
 	cfg.Defense = "para"
@@ -67,13 +69,13 @@ func TestRecorderCounterInvariants(t *testing.T) {
 	cfg.Svard = true
 
 	skipRec := &obs.Recorder{}
-	if _, err := RunRecorded(cfg, skipRec); err != nil {
+	if _, err := runOn(newPoolState(), cfg, skipRec, nil); err != nil {
 		t.Fatal(err)
 	}
 	naiveCfg := cfg
 	naiveCfg.NoSkip = true
 	naiveRec := &obs.Recorder{}
-	if _, err := RunRecorded(naiveCfg, naiveRec); err != nil {
+	if _, err := runOn(newPoolState(), naiveCfg, naiveRec, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,10 +89,10 @@ func TestRecorderCounterInvariants(t *testing.T) {
 	if n.SkipJumps != 0 || n.SkippedCycles != 0 || n.ActiveTicks != 0 {
 		t.Errorf("naive loop must not record skip-engine counters: %+v", n.EngineCounters)
 	}
-	bounds := s.BoundTracker + s.BoundController + s.BoundCore + s.BoundHorizon
+	bounds := s.BoundController + s.BoundCore + s.BoundHorizon
 	if bounds != s.SkipJumps {
-		t.Errorf("bound attribution %d != jumps %d (tracker %d ctrl %d core %d horizon %d)",
-			bounds, s.SkipJumps, s.BoundTracker, s.BoundController, s.BoundCore, s.BoundHorizon)
+		t.Errorf("bound attribution %d != jumps %d (ctrl %d core %d horizon %d)",
+			bounds, s.SkipJumps, s.BoundController, s.BoundCore, s.BoundHorizon)
 	}
 	// Both loops execute the identical schedule, so the behavioral
 	// controller counters (stalls, directives) agree exactly. The scan

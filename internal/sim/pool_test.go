@@ -54,16 +54,19 @@ func TestPooledVsFresh(t *testing.T) {
 // TestPoolDirtyReuse proves a dirty arena resets completely: a
 // truncated run (whose controller queues, in-flight victim refreshes,
 // core windows, and defense counters all stop mid-flight) is followed
-// on the same pool by a different full-length configuration, which must
-// match a fresh run bit for bit.
+// on the same arena by a different full-length configuration, which must
+// match a fresh run bit for bit. Every run simulates (no twin memo): a
+// static cell may replay a stream another test's temporal leg left in
+// the process-wide memo, and a replay builds no machine on its arena.
 func TestPoolDirtyReuse(t *testing.T) {
-	pool := &arenaPool{}
+	arena := newPoolState()
+	run := func(st *poolState, cfg Config) (Result, error) { return runOn(st, cfg, nil, nil) }
 
 	dirty := diffBase()
 	dirty.Defense = "hydra"
 	dirty.Mix = []string{"attack:hydra", "mcf06"}
 	dirty.MaxCycles = 30_000 // cut off mid-flight
-	res, err := pool.run(dirty, nil)
+	res, err := run(arena, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +77,11 @@ func TestPoolDirtyReuse(t *testing.T) {
 	clean := diffBase()
 	clean.Defense = "rrs" // different defense type reuses the same arena
 	clean.Mix = []string{"lbm06", "ycsb-a"}
-	fresh, err := Run(clean)
+	fresh, err := run(newPoolState(), clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := pool.run(clean, nil)
+	pooled, err := run(arena, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +91,11 @@ func TestPoolDirtyReuse(t *testing.T) {
 
 	// And the same config as the truncated one, full length.
 	dirty.MaxCycles = diffBase().MaxCycles
-	fresh, err = Run(dirty)
+	fresh, err = run(newPoolState(), dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err = pool.run(dirty, nil)
+	pooled, err = run(arena, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +132,11 @@ func TestPoolDirtyReuse(t *testing.T) {
 		}
 	}
 
-	// A sibling replay arms only the tracker: the arena's defenses stay
-	// as the recorder's run left them, and its tracker ends temporal. A
-	// static cell with the same defense follows on the same arena; both
-	// must match fresh runs.
+	// A stream replay arms only the tracker: the arena's defenses stay
+	// as the recorder's run left them, and its tracker ends temporal. The
+	// static leg replays the temporal recorder's stream too, and a cell of
+	// another family then simulates on the same arena; all must match
+	// fresh runs.
 	st, memo = newPoolState(), &twinMemo{}
 	leg := diffBase()
 	leg.Defense = "rrs"
@@ -147,7 +151,9 @@ func TestPoolDirtyReuse(t *testing.T) {
 	}
 	static := leg
 	static.Temporal = nil
-	for _, cfg := range []Config{leg, static} {
+	other := static
+	other.NRH *= 2
+	for _, cfg := range []Config{leg, static, other} {
 		var rec obs.Recorder
 		pooled, err := runOn(st, cfg, &rec, memo)
 		if err != nil {
@@ -158,10 +164,10 @@ func TestPoolDirtyReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fresh, pooled) {
-			t.Errorf("temporal=%v after a sibling replay:\nfresh:  %+v\npooled: %+v", cfg.Temporal != nil, fresh, pooled)
+			t.Errorf("temporal=%v nRH=%v after a stream replay:\nfresh:  %+v\npooled: %+v", cfg.Temporal != nil, cfg.NRH, fresh, pooled)
 		}
-		if replayed := rec.Counters.TwinReplays == 1; replayed != (cfg.Temporal != nil) {
-			t.Errorf("temporal=%v: twin_replays=%d", cfg.Temporal != nil, rec.Counters.TwinReplays)
+		if replayed := rec.Counters.TwinReplays == 1; replayed != (cfg.NRH == leg.NRH) {
+			t.Errorf("temporal=%v nRH=%v: twin_replays=%d", cfg.Temporal != nil, cfg.NRH, rec.Counters.TwinReplays)
 		}
 	}
 }

@@ -543,7 +543,7 @@ func (l *layout) arm(st *poolState) error {
 }
 
 // armTracker resets arena st's security tracker, with cfg's temporal
-// process attached: all a sibling replay (twin.go) arms.
+// process attached: all a stream replay (twin.go) arms.
 func (l *layout) armTracker(st *poolState) {
 	cfg := &l.cfg
 	banks := l.nchan * l.banksPerChan
@@ -727,13 +727,12 @@ func (m *machine) runSkip(maxCycles uint64) (uint64, bool) {
 			cycle++
 			continue
 		}
-		// The tracker's next epoch edge bounds the jump too: live
-		// thresholds change at the edge, so skipping across it could
-		// misclassify a violation. MaxUint64 when static. bound tracks
-		// which component's NextEvent set the jump target (ties keep the
-		// earlier source, matching the scan order).
-		next := m.tracker.NextEvent(cycle)
-		bound := &m.obs.BoundTracker
+		// The tracker bounds no jump: the next tick crosses the epoch
+		// edges it passed before any command issues, so a temporal run
+		// ticks its static run's cycles. bound tracks which component's
+		// NextEvent set the jump target (ties keep the earlier source,
+		// matching the scan order).
+		next, bound := uint64(math.MaxUint64), &m.obs.BoundHorizon
 		for _, mc := range m.mcs {
 			if n := mc.NextEvent(cycle); n < next {
 				next = n
@@ -865,17 +864,20 @@ func (m *machine) run(cfg Config) Result {
 // memo holds a log for is first replayed from it: a static defense cell
 // from its defense-free twin's, where at the defense's first throttle or
 // directive the armed half is reset and the cell simulates in full,
-// exactly as without a memo; a temporal cell from a sibling leg's, with
-// only its tracker armed. A twin or temporal cell the memo lacks is
-// recorded while it runs. See twin.go.
+// exactly as without a memo; any cell from another leg's stream of its
+// family (the same Config under another Temporal), with only its tracker
+// armed. A cell that simulates without having diverged is recorded while
+// it runs unless the memo holds or is recording its twin or its family's
+// stream. See twin.go.
 func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result, error) {
 	rec.Begin(obs.PhaseBuild)
 	l, err := newLayout(cfg)
 	var tw *twin
-	eligible := false
+	eligible, stream := false, false
 	if err == nil {
 		tw, eligible = memo.replayable(&cfg)
-		if tw != nil && cfg.Temporal != nil {
+		stream = tw != nil && sameStream(&tw.cfg, &cfg)
+		if stream {
 			l.armTracker(st)
 		} else {
 			err = l.arm(st)

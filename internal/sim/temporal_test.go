@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"svard/internal/obs"
 	"svard/internal/temporal"
 )
 
@@ -22,7 +24,8 @@ func diffTemporal() *temporal.Spec {
 // with the temporal row: with the live truth drifting at epoch edges,
 // the cycle-skipping engine must still produce a bit-identical Result
 // to the per-cycle reference loop across all five defenses — proving
-// the epoch-edge bound folded into NextEvent is exact (a skipped edge
+// that a jump over an epoch edge is exact: the next tick crosses the
+// edge before any command reaches the tracker (an edge entered late
 // would sample different thresholds and diverge in Violations).
 func TestEngineDifferentialTemporal(t *testing.T) {
 	if testing.Short() {
@@ -58,7 +61,7 @@ func TestEngineDifferentialTemporal(t *testing.T) {
 // Cycles, and every controller stat must be bit-identical between the
 // static run and the drifted run of the same configuration. Both are
 // forced full simulations (no twin memo): a drifted run replayed from
-// some sibling's stream would hold the contract by construction.
+// another leg's stream would hold the contract by construction.
 func TestTemporalMovesOnlyViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("temporal contract matrix is seconds-scale")
@@ -95,14 +98,17 @@ func TestTemporalMovesOnlyViolations(t *testing.T) {
 	}
 }
 
-// FuzzTemporalMovesOnlyViolations is the sibling-replay contract under
+// FuzzTemporalMovesOnlyViolations is the stream-replay contract under
 // the fuzzer: for any small configuration fuzzConfig names (run to the
-// end) under any process, two interval legs — the same cell at two
-// calibration ages — simulate the same machine, so their full runs agree
-// on IPC, Cycles, MC and Finished; and the second leg, replayed from the
-// first's stream, is bit-identical to its own full run, with the same
-// epoch_advances and live_draws. A finished recorder's sibling must
-// replay; a truncated one's must simulate.
+// end) under any process, the static leg and two interval legs — the
+// same cell at two calibration ages and two epoch lengths — simulate the
+// same machine, so their full runs agree on IPC, Cycles, MC and
+// Finished. Each leg replayed from another's stream is bit-identical to
+// its own full run, with the same epoch_advances and live_draws: the
+// first temporal leg from the static leg's stream, and the static leg
+// and the second temporal leg (whose epoch length differs) from the
+// first's. A finished recorder's legs must replay; a truncated one's must
+// simulate; a defense-free static leg is a twin and is never served.
 func FuzzTemporalMovesOnlyViolations(f *testing.F) {
 	for d := uint64(0); d <= uint64(len(DefenseNames)); d++ {
 		c := fuzzChoices{defense: d, nrh: d % 3, svard: d % 2, cores: 1, mix: [4]uint64{5, 2}}
@@ -129,25 +135,103 @@ func FuzzTemporalMovesOnlyViolations(f *testing.F) {
 		}
 		cfg := fuzzConfig(seed)
 		cfg.MaxCycles = fuzzConfig(0).MaxCycles
-		first, second := cfg, cfg
+		static, first, second := cfg, cfg, cfg
+		static.Temporal = nil
 		first.Temporal = &proc
 		other := proc
 		other.AgeEpochs += 1 + uint64(older)
+		other.EpochCycles *= 2
 		second.Temporal = &other
 
-		memo := &twinMemo{budget: 1 << 30} // holds any stream fuzzConfig names
-		a, err := runOn(newPoolState(), first, nil, memo)
-		if err != nil {
-			t.Fatal(err)
+		type run struct {
+			res Result
+			c   obs.Counters
 		}
-		b, c := replayOrFullResult(t, newPoolState(), memo, second)
-		if !reflect.DeepEqual(a.IPC, b.IPC) || a.Cycles != b.Cycles || a.MC != b.MC || a.Finished != b.Finished {
-			t.Errorf("ages %d and %d simulated different machines:\nfirst:  %+v\nsecond: %+v", proc.AgeEpochs, other.AgeEpochs, a, b)
+		do := func(cfg Config, memo *twinMemo) run {
+			var rec obs.Recorder
+			res, err := runOn(newPoolState(), cfg, &rec, memo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{res, rec.Counters}
 		}
-		if c.TwinReplays+c.TwinMissed != 1 || (c.TwinReplays == 1) != a.Finished {
-			t.Errorf("finished=%v but twin_replays=%d twin_missed=%d", a.Finished, c.TwinReplays, c.TwinMissed)
+		// Each memo's recorder simulates in full: it finds no log held.
+		fromStatic, fromFirst := &twinMemo{budget: 1 << 30}, &twinMemo{budget: 1 << 30} // hold any stream fuzzConfig names
+		full := map[*Config]run{&static: do(static, fromStatic), &first: do(first, fromFirst), &second: do(second, nil)}
+		s := full[&static].res
+		for _, leg := range []*Config{&first, &second} {
+			if r := full[leg].res; !reflect.DeepEqual(s.IPC, r.IPC) || s.Cycles != r.Cycles || s.MC != r.MC || s.Finished != r.Finished {
+				t.Errorf("the static leg and age %d simulated different machines:\nstatic:   %+v\ntemporal: %+v", leg.Temporal.AgeEpochs, s, r)
+			}
 		}
+		replay := func(memo *twinMemo, leg *Config) {
+			got, want := do(*leg, memo), full[leg]
+			if !reflect.DeepEqual(got.res, want.res) {
+				t.Errorf("temporal=%v: the replay path diverged from the full run:\nreplay: %+v\nfull:   %+v", leg.Temporal, got.res, want.res)
+			}
+			if got.c.EpochAdvances != want.c.EpochAdvances || got.c.LiveDraws != want.c.LiveDraws {
+				t.Errorf("temporal=%v: epoch_advances %d, live_draws %d on the replay path; %d, %d in the full run",
+					leg.Temporal, got.c.EpochAdvances, got.c.LiveDraws, want.c.EpochAdvances, want.c.LiveDraws)
+			}
+			eligible := !isTwin(leg)
+			if got.c.TwinReplays+got.c.TwinMissed != map[bool]uint64{true: 1}[eligible] || (got.c.TwinReplays == 1) != (eligible && s.Finished) {
+				t.Errorf("temporal=%v finished=%v: twin_replays=%d twin_missed=%d", leg.Temporal, s.Finished, got.c.TwinReplays, got.c.TwinMissed)
+			}
+		}
+		replay(fromStatic, &first)
+		replay(fromFirst, &static)
+		replay(fromFirst, &second)
 	})
+}
+
+// TestZeroProcessIsStatic is a metamorphic check of the live view: a
+// process that neither drifts, spreads nor dips leaves every row's live
+// threshold at its calibration value whatever the age and the epoch, so
+// every leg of both golden erosion shapes counts exactly its static
+// leg's violations. The shapes' defenses keep their static legs clean,
+// so the sweeps also run the defense-free grid and nRH 16, where the
+// benchmark shape's static legs count violations. The temporal legs
+// replay their static leg's stream or twin (TestTwinReplayMatchesFullRun
+// holds that replay to the full run), so what is compared is the two
+// trackers.
+func TestZeroProcessIsStatic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("erosion sweeps are seconds-scale")
+	}
+	violent := false
+	for _, g := range goldenErosionSweeps() {
+		t.Run(g.Name, func(t *testing.T) {
+			jobs, err := ErosionJobs(ErosionOptions{
+				Base:      g.Base,
+				Process:   temporal.Spec{EpochCycles: g.Process.EpochCycles, DipFactor: g.Process.DipFactor},
+				Intervals: g.Intervals, Mixes: g.Mixes,
+				NRHs:     append(slices.Clone(g.NRHs), 16),
+				Defenses: append(slices.Clone(g.Defenses), "none"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo := &twinMemo{budget: 1 << 30} // holds the attacked shape's streams
+			results, err := RunJobs(context.Background(), 0, func(cfg Config) (Result, error) {
+				return runOn(newPoolState(), cfg, nil, memo)
+			}, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perGrid := len(jobs) / (1 + len(g.Intervals))
+			for i, j := range jobs[perGrid:] {
+				static := results[i%perGrid]
+				violent = violent || static.Violations != 0
+				if got := results[perGrid+i].Violations; got != static.Violations {
+					t.Errorf("%s nRH=%v svard=%v mix=%v age=%d: %d violations under a zero process, %d static",
+						j.Config.Defense, j.Config.NRH, j.Config.Svard, j.Config.Mix, j.Config.Temporal.AgeEpochs, got, static.Violations)
+				}
+			}
+		})
+	}
+	if !violent {
+		t.Error("no static leg counted a violation; the comparison is vacuous")
+	}
 }
 
 // TestPoolDirtyTemporalReuse: an arena dirtied by a temporal run (epoch

@@ -91,14 +91,9 @@ func (t *secTracker) epochAdvances() uint64 { return t.live.advances }
 func (t *secTracker) liveDraws() uint64 { return t.live.draws }
 
 // tickEpoch advances the live view to cycle's epoch; the engine loops
-// call it every ticked cycle (a single branch when static).
+// call it every ticked cycle, a replay walk before each ACT and PRE (a
+// single branch when static).
 func (t *secTracker) tickEpoch(cycle uint64) { t.live.tickEpoch(cycle) }
-
-// NextEvent reports the next cycle at which the tracker's state changes
-// on its own — the next epoch edge (MaxUint64 when static). The event
-// engine folds it into its skip bounds so cycle-skipping never jumps
-// over an epoch boundary.
-func (t *secTracker) NextEvent(cycle uint64) uint64 { return t.live.nextEvent() }
 
 // OnAct: opening a row restores its own cells.
 func (t *secTracker) OnAct(bank, row int, cycle uint64) {

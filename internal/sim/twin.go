@@ -29,20 +29,23 @@ import (
 // (bank, row, cycle), and issues no other ACT (victim refreshes come
 // only from directives).
 //
-// Sibling replay. A temporal process moves only the tracker's ground
+// Stream replay. A temporal process moves only the tracker's ground
 // truth (views.go): defenses read the frozen calibration view, and the
-// tracker's next epoch edge, the one bound it adds to the event engine's
-// jumps, is a multiple of EpochCycles whatever the calibration age. So
-// two cells whose Configs differ only in Temporal.AgeEpochs — the
-// interval legs of one margin-erosion point — stop at the same cycles
-// and issue the same commands, defense directives and RRS swaps
-// included. The first of them to run (the recorder) simulates with its
-// tracker tapped; the log also marks each change of the live epoch. A
-// sibling arms only its tracker and walks the log, entering each marked
-// epoch and finally the recorder's last cycle's, and returns the
-// recorder's Result with its own Violations. Nothing can diverge, so
-// the walk never falls back. A log never serves the Config that recorded
-// it: the recorder re-simulates, as a twin does.
+// event engine's jumps are bounded by the controllers and the cores
+// alone. So the legs of one margin-erosion point — Configs that differ
+// only in Temporal, the static leg (Temporal nil) included — tick the
+// same cycles and issue the same commands, defense directives and RRS
+// swaps included. The first leg to simulate (the recorder) does so with
+// its tracker tapped: a static defense cell whose defense-free twin the
+// memo neither holds nor is recording, or a temporal leg that finds no
+// stream. A cell that diverged from its twin does not record. Every other leg arms only its
+// tracker and walks the log, entering each ACT's and each PRE's epoch
+// and finally the recorder's last cycle's, and returns the recorder's
+// Result with its own Violations. A PRE entry carries the cycles its row
+// was open, so its cycle is its bank's last ACT cycle plus those. A
+// stream cannot diverge, so a cell served by both a stream and a twin
+// walks the stream. A log never serves the Config that recorded it: the
+// recorder re-simulates, as a twin does.
 //
 // Eligible cells are on the event engine (NoSkip stays a pure
 // reference). A log still being recorded, evicted, too long to keep or
@@ -59,7 +62,7 @@ import (
 // KB, so the ten twins a benchmark process records over its five set-up
 // seeds take ~1.3 MB. A stream of the benchmark's erosion shape (the
 // same sizing) logs 78–330 KiB, and the 16 of one seed take 2.4 MB, so
-// every sibling of a pass finds its stream. A twin of svard-sweep's
+// every other leg of a pass finds its stream. A twin of svard-sweep's
 // default shape (8 cores, 150K+30K instructions) logs 5.2–9.5 MB, more
 // than its share, so that sweep simulates every cell as it would without
 // a memo. Holding those twins is a trade the budget declines: at 64 MiB
@@ -82,7 +85,7 @@ const twinOverhead = 512
 var twins twinMemo
 
 // twinMemo holds the command logs of recently run defense-free twins and
-// temporal recorders. Safe for concurrent use.
+// stream recorders. Safe for concurrent use.
 type twinMemo struct {
 	mu     sync.Mutex
 	held   []*twin
@@ -99,8 +102,8 @@ func (mm *twinMemo) limit() int {
 	return twinBudget
 }
 
-// twin is one held run: a defense-free twin (cfg.Temporal == nil) or a
-// temporal recorder. Until ready it is being recorded; once ready, log,
+// twin is one held run: a defense-free twin (static, Defense "none") or
+// a stream recorder. Until ready it is being recorded; once ready, log,
 // n and res are never written again.
 type twin struct {
 	cfg   Config // the recording run's config (Mix and Temporal owned)
@@ -118,7 +121,6 @@ type twin struct {
 //	PRE:   channel-local bank, physical row, cycles the row was open
 //	REF:   channel-local rank, first row restored, rows restored
 //	SWAP:  channel-local bank, one row, the other row
-//	EPOCH: the live epoch every later entry runs in (temporal logs only)
 //
 // A log with an entry that does not fit is not kept (its cells simulate
 // in full); the presets and the paper's scale fit with room.
@@ -130,7 +132,6 @@ const (
 	evPRE
 	evREF
 	evSWAP
-	evEpoch
 )
 
 // Field widths of a twinEvent.
@@ -175,64 +176,82 @@ func sameMachine(a, b *Config) bool {
 		a.Seed == b.Seed && a.WindowScale == b.WindowScale && a.NoSkip == b.NoSkip
 }
 
-// sameTwin reports whether held twin t is the twin of static cfg: every
-// field but Defense, Svard and NRH equal (TestTwinKeyCoversConfig holds
-// the list to Config's fields).
+// isTwin reports whether a log recorded under cfg is a defense-free twin.
+func isTwin(cfg *Config) bool { return cfg.Temporal == nil && isNone(cfg.Defense) }
+
+// sameTwin reports whether held log t is the twin of static cfg: t
+// defense-free, every field but Defense, Svard and NRH equal
+// (TestTwinKeyCoversConfig holds the list to Config's fields).
 func sameTwin(t, cfg *Config) bool {
-	return t.Temporal == nil && cfg.Temporal == nil && sameMachine(t, cfg)
+	return isTwin(t) && cfg.Temporal == nil && sameMachine(t, cfg)
 }
 
-// sameStream reports whether held log t and temporal cfg are siblings:
-// every field but Temporal.AgeEpochs equal (TestTwinKeyCoversConfig
-// again).
+// sameStream reports whether held log t and cfg are legs of one family:
+// every field but Temporal equal (TestTwinKeyCoversConfig again).
 func sameStream(t, cfg *Config) bool {
-	if t.Temporal == nil || cfg.Temporal == nil || !sameMachine(t, cfg) ||
-		t.Defense != cfg.Defense || t.Svard != cfg.Svard || t.NRH != cfg.NRH {
-		return false
-	}
-	p := *t.Temporal
-	p.AgeEpochs = cfg.Temporal.AgeEpochs
-	return p == *cfg.Temporal
+	return sameMachine(t, cfg) && t.Defense == cfg.Defense && t.Svard == cfg.Svard && t.NRH == cfg.NRH
 }
 
-// replayable returns the held log that can serve cfg: its twin's for a
-// static defense cell, a sibling's for a temporal cell. eligible reports
-// whether cfg may be served at all; an eligible cell with no log held
-// (in flight counts as not) simulates in full.
+// sameLeg reports whether a and b run under the same temporal process,
+// static included: a log never serves the leg that recorded it.
+func sameLeg(a, b *Config) bool {
+	return a.Temporal == b.Temporal || a.Temporal != nil && b.Temporal != nil && *a.Temporal == *b.Temporal
+}
+
+// replayable returns the held log that can serve cfg: another leg's
+// stream of its family, which only a finished recorder leaves, or else
+// for a static defense cell its twin's. eligible reports whether cfg may
+// be served at all; an eligible cell with no log held (in flight counts
+// as not) simulates in full.
 func (mm *twinMemo) replayable(cfg *Config) (tw *twin, eligible bool) {
-	if mm == nil || cfg.NoSkip || (cfg.Temporal == nil && isNone(cfg.Defense)) {
+	if mm == nil || cfg.NoSkip || isTwin(cfg) {
 		return nil, false
 	}
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
+	var twinLog *twin
 	for _, t := range mm.held {
 		if !t.ready {
 			continue
 		}
-		if sameTwin(&t.cfg, cfg) || (sameStream(&t.cfg, cfg) && t.cfg.Temporal.AgeEpochs != cfg.Temporal.AgeEpochs) {
-			mm.clock++
-			t.used = mm.clock
-			return t, true
+		if sameStream(&t.cfg, cfg) && !sameLeg(&t.cfg, cfg) && t.res.Finished {
+			tw = t
+			break
+		}
+		if sameTwin(&t.cfg, cfg) {
+			twinLog = t
 		}
 	}
-	return nil, true
+	if tw == nil {
+		tw = twinLog
+	}
+	if tw != nil {
+		mm.clock++
+		tw.used = mm.clock
+	}
+	return tw, true
 }
 
-// replay drives arena st's armed tracker through tw's log and, for a
-// twin, its armed defenses too, reporting false at their first answer Nop
-// would not give — the armed half is then dirty and must be re-armed. A
-// sibling's walk always completes.
+// replay drives arena st's armed tracker through tw's log and, on a twin
+// replay, its armed defenses too, reporting false at their first answer
+// Nop would not give — the armed half is then dirty and must be
+// re-armed. A stream walk always completes.
 func (l *layout) replay(st *poolState, tw *twin) bool {
 	tr := st.tracker
 	var defs []mitigation.Defense
-	if tw.cfg.Temporal == nil {
+	if !sameStream(&tw.cfg, &l.cfg) {
 		defs = st.defs
 	}
+	// Each bank's last ACT cycle, by (channel, channel-local bank): a PRE
+	// issued on-cycles after it.
+	var actAt [1 << (evChanBits + evBankBits)]uint64
 	for _, block := range tw.log {
 		for _, e := range block {
 			ch, bank, row, at := e.ch(), e.bank(), e.row(), e.at()
 			switch e.kind() {
 			case evACT:
+				tr.tickEpoch(at)
+				actAt[ch<<evBankBits|bank] = at
 				if defs != nil {
 					if ok, _ := defs[ch].CanActivate(bank, row, at); !ok {
 						return false
@@ -243,13 +262,12 @@ func (l *layout) replay(st *poolState, tw *twin) bool {
 					return false
 				}
 			case evPRE:
+				tr.tickEpoch(actAt[ch<<evBankBits|bank] + at)
 				tr.OnPre(ch*l.banksPerChan+bank, row, at)
 			case evREF:
 				tr.OnRefresh(ch*l.mcCfg.Ranks+bank, row, int(at))
 			case evSWAP:
 				tr.OnRowsSwapped(ch*l.banksPerChan+bank, row, int(at))
-			case evEpoch:
-				tr.tickEpoch(at * tr.live.epochLen)
 			}
 		}
 	}
@@ -276,22 +294,21 @@ type twinTape struct {
 	n      int  // entries in blocks
 	max    int  // the longest log the memo keeps: 1/twinShare of its budget
 	ok     bool // false once the log cannot be used (too long, out of range)
-
-	live  *liveView // the recorder's live view (temporal logs; nil for a twin)
-	epoch uint64    // live epoch as of the last entry
 }
 
-// record starts recording m's command log if cfg is a run the memo
-// keeps — a static defense-free twin or a temporal cell, on the event
-// engine — and neither holds nor is already recording; nil otherwise.
+// record starts recording m's command log if cfg runs on the event
+// engine, m did not diverge from a twin, and the memo neither holds nor
+// is already recording cfg's twin or, unless cfg is a twin itself, its
+// family's stream; nil otherwise. A static defense cell whose twin is in
+// flight records nothing: its twin will serve its family's static cells.
 func (mm *twinMemo) record(cfg *Config, m *machine) *twinTape {
-	if mm == nil || cfg.NoSkip || (cfg.Temporal == nil && !isNone(cfg.Defense)) {
+	if mm == nil || cfg.NoSkip || m.obs.TwinDiverged != 0 {
 		return nil
 	}
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	for _, t := range mm.held {
-		if sameTwin(&t.cfg, cfg) || sameStream(&t.cfg, cfg) {
+		if sameTwin(&t.cfg, cfg) || !isTwin(cfg) && sameStream(&t.cfg, cfg) {
 			return nil
 		}
 	}
@@ -301,7 +318,6 @@ func (mm *twinMemo) record(cfg *Config, m *machine) *twinTape {
 	if cfg.Temporal != nil {
 		p := *cfg.Temporal
 		tw.cfg.Temporal = &p
-		tape.live = &m.tracker.live
 	}
 	mm.held = append(mm.held, tw)
 	for ch, mc := range m.mcs {
@@ -312,9 +328,10 @@ func (mm *twinMemo) record(cfg *Config, m *machine) *twinTape {
 
 // finish hands the recorded log and res to the memo, evicting least
 // recently used logs beyond the budget, or drops the slot if the log is
-// unusable or a temporal recorder was truncated (its walk could not end
-// where its run did). Either way the tape is emptied, so the taps left
-// in the arena pin neither the log nor its slot. A nil tape is a no-op.
+// unusable or a stream recorder was truncated (its walk could not end
+// where its run did; a truncated twin still serves its defense cells).
+// Either way the tape is emptied, so the taps left in the arena pin
+// neither the log nor its slot. A nil tape is a no-op.
 func (mm *twinMemo) finish(tape *twinTape, res Result) {
 	if tape == nil {
 		return
@@ -324,7 +341,7 @@ func (mm *twinMemo) finish(tape *twinTape, res Result) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	tw := recorded.tw
-	if !recorded.ok || tw.cfg.Temporal != nil && !res.Finished {
+	if !recorded.ok || !isTwin(&tw.cfg) && !res.Finished {
 		mm.drop(tw)
 		return
 	}
@@ -362,18 +379,8 @@ func (mm *twinMemo) drop(t *twin) {
 // overhead.
 func (t *twin) size() int { return t.n*8 + twinOverhead }
 
-// add logs one command, preceded by an EPOCH entry if the live epoch
-// moved since the last one.
+// add logs one command, or marks the tape unusable if it does not fit.
 func (tp *twinTape) add(kind, ch, bank, row int, at uint64) {
-	if tp.live != nil && tp.live.epoch != tp.epoch {
-		tp.epoch = tp.live.epoch
-		tp.push(evEpoch, 0, 0, 0, tp.epoch)
-	}
-	tp.push(kind, ch, bank, row, at)
-}
-
-// push appends one entry, or marks the tape unusable if it does not fit.
-func (tp *twinTape) push(kind, ch, bank, row int, at uint64) {
 	if !tp.ok {
 		return
 	}

@@ -61,14 +61,17 @@ func benchFig12Options() Fig12Options {
 	return opt
 }
 
-// TestTwinReplayMatchesFullRun runs each golden shape's twins into a
-// private memo, then every cell, in sweep order, through the replay path
-// and through a forced full run: the Results must be bit-identical.
-// Static cells replay their pre-recorded twin or diverge; a temporal leg
-// records its stream or replays a sibling's; defense-free static cells
-// are never served. It also pins which cells replay to the end — the
-// benchmark's Fig. 12 cells by name, the erosion sweeps' temporal legs by
-// count — so a change that silently disables a fast path fails here.
+// TestTwinReplayMatchesFullRun runs every cell of each golden shape, in
+// sweep order, through a private memo and through a forced full run: the
+// Results must be bit-identical. Most shapes run their twins into the
+// memo first: static cells then replay their twin or diverge, and a
+// temporal leg records its stream or replays another leg's. The erosion
+// shapes also run with no twin held, as the benchmark does: each static
+// leg misses and records its point's stream, and every temporal leg
+// replays it. Defense-free static cells are never served. It also pins
+// which cells replay to the end — the benchmark's Fig. 12 cells by name,
+// the erosion sweeps' temporal legs by count — so a change that silently
+// disables a fast path fails here.
 func TestTwinReplayMatchesFullRun(t *testing.T) {
 	must := func(jobs []Job, err error) []Job {
 		if err != nil {
@@ -96,8 +99,9 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 		jobs    []Job
 		budget  int      // 0: twinBudget
 		want    []string // static cells replayed to the end; nil: not pinned
-		streams int      // temporal legs replayed from a sibling
+		streams int      // temporal legs replayed from another leg's stream
 		violent bool     // every replayed temporal leg counts violations
+		twins   bool     // run the twins into the memo first
 	}{
 		{"fig12", Fig12Jobs(benchFig12Options()), 0, []string{
 			"aqua 1024 false [mcf06 ycsb-a]", "aqua 1024 false [lbm06 tpcc]",
@@ -108,29 +112,33 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 			"rrs 1024 false [mcf06 ycsb-a]", "rrs 1024 false [lbm06 tpcc]",
 			"rrs 1024 true [mcf06 ycsb-a]", "rrs 1024 true [lbm06 tpcc]",
 			"rrs 64 true [lbm06 tpcc]",
-		}, 0, false},
-		{"fig12_hbm2", Fig12Jobs(goldenFig12HBM2Options()), 0, nil, 0, false},
-		{"fig13", must(Fig13Jobs(goldenFig13Options())), roomy, nil, 0, false},
-		{"erosion", erosion(bench), 0, nil, 32, false},
-		{"erosion_attacked", erosion(attacked), roomy, nil, 8, true},
-		{"erosion_hbm2", erosion(hbm2), 0, nil, 32, false},
+		}, 0, false, true},
+		{"fig12_hbm2", Fig12Jobs(goldenFig12HBM2Options()), 0, nil, 0, false, true},
+		{"fig13", must(Fig13Jobs(goldenFig13Options())), roomy, nil, 0, false, true},
+		{"erosion", erosion(bench), 0, nil, 32, false, true},
+		{"erosion_attacked", erosion(attacked), roomy, nil, 8, true, true},
+		{"erosion_hbm2", erosion(hbm2), 0, nil, 32, false, true},
+		{"erosion_streams", erosion(bench), 0, nil, 48, false, false},
+		{"erosion_streams_hbm2", erosion(hbm2), 0, nil, 48, false, false},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			t.Parallel()
 			memo := &twinMemo{budget: sh.budget}
-			for _, j := range sh.jobs {
-				probe := twinConfig(j.Config)
-				probe.Defense = "para"
-				if tw, _ := memo.replayable(&probe); j.Config.Temporal == nil && tw == nil {
-					if _, err := runOn(newPoolState(), twinConfig(j.Config), nil, memo); err != nil {
-						t.Fatal(err)
+			if sh.twins {
+				for _, j := range sh.jobs {
+					probe := twinConfig(j.Config)
+					probe.Defense = "para"
+					if tw, _ := memo.replayable(&probe); j.Config.Temporal == nil && tw == nil {
+						if _, err := runOn(newPoolState(), twinConfig(j.Config), nil, memo); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			}
 			st := newPoolState()
 			var replayed []string
-			attempts, streams, legs := 0, 0, 0
+			attempts, streams, legs, recorders := 0, 0, 0, 0
 			for _, j := range sh.jobs {
 				cfg := j.Config
 				if cfg.Temporal == nil && isNone(cfg.Defense) {
@@ -155,6 +163,13 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 					}
 					continue
 				}
+				if !sh.twins {
+					recorders++
+					if c.TwinMissed != 1 {
+						t.Errorf("%s nRH=%v: twin_missed=%d twin_replays=%d with no log held, want a miss", cfg.Defense, cfg.NRH, c.TwinMissed, c.TwinReplays)
+					}
+					continue
+				}
 				attempts++
 				if c.TwinReplays+c.TwinDiverged != 1 || c.TwinMissed != 0 {
 					t.Errorf("%s nRH=%v: twin_replays=%d twin_diverged=%d twin_missed=%d, want a replay or a divergence",
@@ -164,13 +179,13 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 					replayed = append(replayed, fmt.Sprintf("%s %v %v %v", cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix))
 				}
 			}
-			t.Logf("%d of %d eligible static cells replayed to the end; %d of %d temporal legs replayed a sibling's stream",
-				len(replayed), attempts, streams, legs)
+			t.Logf("%d of %d eligible static cells replayed to the end; %d static legs recorded; %d of %d temporal legs replayed another leg's stream",
+				len(replayed), attempts, recorders, streams, legs)
 			if sh.want != nil && !slices.Equal(replayed, sh.want) {
 				t.Errorf("replayed cells:\n got %q\nwant %q", replayed, sh.want)
 			}
 			if streams != sh.streams {
-				t.Errorf("%d temporal legs replayed a sibling's stream, want %d", streams, sh.streams)
+				t.Errorf("%d temporal legs replayed another leg's stream, want %d", streams, sh.streams)
 			}
 		})
 	}
@@ -218,11 +233,14 @@ func TestTwinMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestTwinKeyCoversConfig: a twin matches a static cell exactly when
-// every Config field but Defense, Svard and NRH agrees, and two temporal
-// cells are siblings exactly when every field but Temporal.AgeEpochs
-// does. A field added to Config or temporal.Spec and forgotten in
-// sameMachine or sameStream fails here.
+// TestTwinKeyCoversConfig: a held log is the twin of a static cell
+// exactly when the log is defense-free and every Config field but
+// Defense, Svard and NRH agrees; it is a stream of a cell's family
+// exactly when every field but Temporal agrees; and the recorder rule
+// (a log never serves the leg that recorded it) reads Temporal alone,
+// every field of the process included. A field added to Config or
+// temporal.Spec and forgotten in sameMachine, sameStream or sameLeg
+// fails here.
 func TestTwinKeyCoversConfig(t *testing.T) {
 	// bump changes one scalar field.
 	bump := func(name string, v reflect.Value) {
@@ -243,13 +261,13 @@ func TestTwinKeyCoversConfig(t *testing.T) {
 	}
 	base := tinyBase()
 	base.Mix = []string{"mcf06", "ycsb-a"}
-	sibling := base
-	sibling.Temporal = diffTemporal()
+	leg := base
+	leg.Temporal = diffTemporal()
 	ignored := map[string]bool{"Defense": true, "Svard": true, "NRH": true}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		for _, from := range []Config{base, sibling} {
+		for _, from := range []Config{base, leg} {
 			cfg := from
 			cfg.Mix = slices.Clone(from.Mix)
 			v := reflect.ValueOf(&cfg).Elem().Field(i)
@@ -271,21 +289,33 @@ func TestTwinKeyCoversConfig(t *testing.T) {
 				if got := sameTwin(&from, &cfg); got != ignored[f.Name] {
 					t.Errorf("Config.%s changed: sameTwin = %v, want %v", f.Name, got, ignored[f.Name])
 				}
-			} else if sameStream(&from, &cfg) {
-				t.Errorf("Config.%s changed: sameStream = true, want false", f.Name)
+			}
+			if got, want := sameStream(&from, &cfg), f.Name == "Temporal"; got != want {
+				t.Errorf("Config.%s changed (temporal=%v): sameStream = %v, want %v", f.Name, from.Temporal != nil, got, want)
+			}
+			if got, want := sameLeg(&from, &cfg), f.Name != "Temporal"; got != want {
+				t.Errorf("Config.%s changed (temporal=%v): sameLeg = %v, want %v", f.Name, from.Temporal != nil, got, want)
 			}
 		}
 	}
-	spec := reflect.TypeOf(*sibling.Temporal)
+	spec := reflect.TypeOf(*leg.Temporal)
 	for i := 0; i < spec.NumField(); i++ {
 		name := spec.Field(i).Name
-		cfg := sibling
-		p := *sibling.Temporal
+		cfg := leg
+		p := *leg.Temporal
 		cfg.Temporal = &p
-		bump("temporal.Spec."+name, reflect.ValueOf(&p).Elem().Field(i))
-		if got, want := sameStream(&sibling, &cfg), name == "AgeEpochs"; got != want {
-			t.Errorf("Temporal.%s changed: sameStream = %v, want %v", name, got, want)
+		if !sameLeg(&leg, &cfg) {
+			t.Errorf("an equal process under another pointer is another leg")
 		}
+		bump("temporal.Spec."+name, reflect.ValueOf(&p).Elem().Field(i))
+		if !sameStream(&leg, &cfg) || sameLeg(&leg, &cfg) {
+			t.Errorf("Temporal.%s changed: sameStream = %v, sameLeg = %v, want true, false", name, sameStream(&leg, &cfg), sameLeg(&leg, &cfg))
+		}
+	}
+	defended := base
+	defended.Defense = "para"
+	if sameTwin(&defended, &base) {
+		t.Error("a defense cell's log is a twin")
 	}
 }
 
@@ -405,7 +435,6 @@ func TestTwinEventPacking(t *testing.T) {
 		{evPRE, 1<<evChanBits - 1, 1<<evBankBits - 1, 1<<evRowBits - 1, 1<<evAtBits - 1},
 		{evREF, 3, 1, 131071, 80_000_000},
 		{evSWAP, 15, 63, 131071, 131070},
-		{evEpoch, 0, 0, 0, 1<<evAtBits - 1},
 	} {
 		e, ok := packEvent(f.kind, f.ch, f.bank, f.row, f.at)
 		if got := (fields{e.kind(), e.ch(), e.bank(), e.row(), e.at()}); !ok || got != f {

@@ -111,8 +111,9 @@ func (v *liveView) start(proc temporal.Process, epochCycles uint64, n int) {
 }
 
 // tickEpoch advances the view to cycle's epoch. Both engine loops call
-// it at the top of every ticked cycle; for static runs it is a single
-// predictable branch (the edge itself is out of line so this inlines).
+// it at the top of every ticked cycle, a replay walk before each ACT and
+// PRE; for static runs it is a single predictable branch (the edge
+// itself is out of line so this inlines).
 func (v *liveView) tickEpoch(cycle uint64) {
 	if v.epochLen != 0 && cycle >= v.nextEdge {
 		v.crossEdge(cycle)
@@ -129,11 +130,6 @@ func (v *liveView) crossEdge(cycle uint64) {
 	}
 	v.floor = v.proc.FactorFloor(v.epoch)
 }
-
-// nextEvent returns the next epoch edge — the bound the event engine
-// folds into its skip computation so cycle-skipping never jumps over an
-// epoch boundary (MaxUint64 when static).
-func (v *liveView) nextEvent() uint64 { return v.nextEdge }
 
 // reached reports whether acc, the hammers idx has accrued, has reached
 // the row's live (ground-truth) threshold at the current epoch. The
