@@ -196,6 +196,11 @@ func (s Spec) validate() error {
 			return fmt.Errorf("campaign: benign workloads: %w", err)
 		}
 	}
+	// Checked before the base, whose Validate would otherwise judge the
+	// stray process (its epochs against MaxCycles) and hide this reason.
+	if s.Temporal != nil && s.Base.Temporal != nil {
+		return fmt.Errorf("campaign: temporal campaigns attach the process themselves; base.Temporal must be unset")
+	}
 	if err := s.Base.Validate(); err != nil {
 		return fmt.Errorf("campaign: base config: %w", err)
 	}
@@ -235,9 +240,6 @@ func (s Spec) validate() error {
 		}
 		if len(s.Backends) > 0 {
 			return fmt.Errorf("campaign: temporal campaigns sweep one backend; set base.backend instead of backends")
-		}
-		if s.Base.Temporal != nil {
-			return fmt.Errorf("campaign: temporal campaigns attach the process themselves; base.Temporal must be unset")
 		}
 	}
 	if n := s.cells(); n > maxCells {

@@ -14,6 +14,7 @@ import (
 	"svard/internal/cache"
 	"svard/internal/server"
 	"svard/internal/sim"
+	"svard/internal/temporal"
 )
 
 // TestComputeBatchAttribution: a fresh batch is Computed; the same
@@ -145,5 +146,62 @@ func TestComputeBatchRejectsBadInput(t *testing.T) {
 	stopped.CPUGHz = 0
 	if _, err := c.Compute(ctx, []sim.Config{stopped}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("zero CPU clock: %v, want 400", err)
+	}
+}
+
+// TestUnrunnableConfigsAre400s: a config Validate refuses is a 400 that
+// names the field, whether it arrives as a submitted campaign's base
+// (Spec.Plan) or as a one-cell compute batch, and it never reaches a
+// worker. The service runs the real simulator: a zero-way LLC used to
+// divide by zero inside a worker goroutine and take the daemon down, so
+// the same daemon then computes a valid cell. (A NaN or infinite
+// WindowScale cannot be sent: JSON has no such number.)
+func TestUnrunnableConfigsAre400s(t *testing.T) {
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1})
+	ctx := context.Background()
+	cell := sim.DefaultConfig()
+	cell.Cores, cell.Mix = 1, []string{"mcf06"}
+	cell.RowsPerBank, cell.CellsPerRow = 2048, 2048
+	cell.InstrPerCore, cell.WarmupPerCore = 2_000, 400
+
+	for _, tc := range []struct {
+		name    string
+		breakIt func(*sim.Config)
+		want    string
+	}{
+		{"zero-llc-ways", func(c *sim.Config) { c.Core.LLCWays = 0 }, "Core.LLCWays is 0"},
+		{"negative-llc-ways", func(c *sim.Config) { c.Core.LLCWays = -2 }, "Core.LLCWays is -2"},
+		{"negative-window", func(c *sim.Config) { c.Core.Window = -1 }, "Core.Window is -1"},
+		{"negative-mshrs", func(c *sim.Config) { c.Core.MSHRs = -1 }, "Core.MSHRs is -1"},
+		{"zero-issue-width", func(c *sim.Config) { c.Core.IssueWidth = 0 }, "Core.IssueWidth is 0"},
+		{"zero-window", func(c *sim.Config) { c.Core.Window = 0 }, "Core.Window is 0"},
+		{"zero-mshrs", func(c *sim.Config) { c.Core.MSHRs = 0 }, "Core.MSHRs is 0"},
+		{"llc-below-ways", func(c *sim.Config) { c.Core.LLCBytes = 100 }, "Core.LLCBytes is 100"},
+		{"zero-max-cycles", func(c *sim.Config) { c.MaxCycles = 0 }, "MaxCycles is 0"},
+		{"huge-rows", func(c *sim.Config) { c.RowsPerBank = 1 << 24 }, "RowsPerBank is 16777216"},
+		{"huge-cells", func(c *sim.Config) { c.CellsPerRow = 1 << 24 }, "CellsPerRow is 16777216"},
+		{"huge-llc", func(c *sim.Config) { c.Core.LLCBytes = 1 << 30 }, "Core.LLCBytes is 1073741824"},
+		{"huge-window", func(c *sim.Config) { c.Core.Window = 1 << 20 }, "Core.Window is 1048576"},
+		{"huge-mshrs", func(c *sim.Config) { c.Core.MSHRs = 1 << 20 }, "Core.MSHRs is 1048576"},
+		{"too-many-epochs", func(c *sim.Config) { c.Temporal = &temporal.Spec{EpochCycles: 1000} }, "is 80000 epochs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tinySpec()
+			tc.breakIt(&spec.Base)
+			if _, err := c.Submit(ctx, spec, tc.name, 0); err == nil ||
+				!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("submit: %v, want 400 saying %q", err, tc.want)
+			}
+			bad := cell
+			tc.breakIt(&bad)
+			if _, err := c.Compute(ctx, []sim.Config{bad}); err == nil ||
+				!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("compute: %v, want 400 saying %q", err, tc.want)
+			}
+		})
+	}
+	resp, err := c.Compute(ctx, []sim.Config{cell})
+	if err != nil || len(resp.Cells) != 1 || resp.Cells[0].Error != "" || !resp.Cells[0].Computed {
+		t.Fatalf("a valid cell after the rejections: %+v, %v", resp, err)
 	}
 }

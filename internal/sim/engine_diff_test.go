@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"svard/internal/obs"
 )
 
 // diffBase is the differential-test system: small enough that the full
@@ -39,14 +41,22 @@ func diffMixes() map[string][]string {
 // command stream to be legal.
 func runBoth(t *testing.T, cfg Config) (Result, Result) {
 	t.Helper()
+	return runBothRecorded(t, cfg, nil, nil)
+}
+
+// runBothRecorded is runBoth with recorders attached to the event
+// engine's run (skipRec) and the reference loop's (naiveRec); either may
+// be nil.
+func runBothRecorded(t *testing.T, cfg Config, skipRec, naiveRec *obs.Recorder) (Result, Result) {
+	t.Helper()
 	var checked protocolTally
 	cfg.NoSkip = false
-	skip, err := checked.run(cfg)
+	skip, err := checked.runRecorded(cfg, skipRec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.NoSkip = true
-	naive, err := checked.run(cfg)
+	naive, err := checked.runRecorded(cfg, naiveRec)
 	if err != nil {
 		t.Fatal(err)
 	}

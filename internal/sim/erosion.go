@@ -62,6 +62,9 @@ func (opt ErosionOptions) validate() error {
 	if err := opt.Process.Validate(); err != nil {
 		return err
 	}
+	if err := checkEpochs(opt.Base.MaxCycles, opt.Process.EpochCycles); err != nil {
+		return err
+	}
 	if opt.Process.AgeEpochs != 0 {
 		return fmt.Errorf("sim: erosion Process.AgeEpochs must be 0 — the sweep sets the age per interval (got %d)", opt.Process.AgeEpochs)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"svard/internal/mem/protocheck"
+	"svard/internal/obs"
 )
 
 // protocolTally runs simulations with the DRAM protocol checker
@@ -23,7 +24,10 @@ type protocolTally struct {
 // with the checkers watching. Any command that breaks an enforced rule,
 // or a checker that did not see exactly the commands the controllers
 // counted, is an error. It is a Runner.
-func (p *protocolTally) run(cfg Config) (Result, error) {
+func (p *protocolTally) run(cfg Config) (Result, error) { return p.runRecorded(cfg, nil) }
+
+// runRecorded is run with flight recorder rec attached (nil for none).
+func (p *protocolTally) runRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
 	m, err := newMachine(cfg)
 	if err != nil {
 		return Result{}, err
@@ -32,6 +36,7 @@ func (p *protocolTally) run(cfg Config) (Result, error) {
 	for ch, mc := range m.mcs {
 		chks[ch] = protocheck.Attach(mc.Sys)
 	}
+	m.rec = rec
 	res := m.run(cfg)
 	var act, pre, col, ref uint64
 	for ch, chk := range chks {

@@ -104,19 +104,57 @@ func DefaultConfig() Config {
 	}
 }
 
+// Limits on what one Config makes a build allocate or a run iterate,
+// each above the paper's scale (Table 4: 128K rows of 8 KiB per bank, a
+// 2 MiB 16-way LLC, a 128-entry window and 16 MSHRs per core).
+const (
+	maxRowsPerBank = 1 << 18
+	maxCellsPerRow = 1 << 20
+	maxLLCBytes    = 1 << 26
+	maxLLCWays     = 256 // an LLC access walks its set; one age byte per way
+	maxWindow      = 1 << 12
+	maxMSHRs       = 1 << 12
+	// maxEpochs bounds a temporal run's in-run epochs, MaxCycles over
+	// the epoch length: a live threshold draw costs O(epochs elapsed).
+	maxEpochs = 1 << 16
+)
+
 // Validate checks the configuration's named presets — the memory
-// backend and the temporal process — and the two scalars every cycle
-// conversion and threshold divides by, the CPU clock and nRH, without
-// building anything. The campaign spec validator, the server's submit
-// and compute paths, and newLayout call it, so an invalid input is a
-// descriptive error (HTTP 400), never a panic inside a worker or a
-// silently wrong figure.
+// backend and the temporal process — the scalars every cycle conversion
+// and threshold divides by (the CPU clock, nRH, the refresh-window
+// scale), the core's sizes, and the limits above, without building
+// anything. The campaign spec validator, the server's submit and compute
+// paths, and newLayout call it, so an invalid input is a descriptive
+// error (HTTP 400), never a panic inside a worker, a run that cannot
+// progress, or a silently wrong figure.
 func (c *Config) Validate() error {
 	if !positiveFinite(c.CPUGHz) {
 		return fmt.Errorf("sim: CPUGHz is %v, want a positive finite clock", c.CPUGHz)
 	}
 	if !positiveFinite(c.NRH) {
 		return fmt.Errorf("sim: NRH is %v, want a positive finite threshold", c.NRH)
+	}
+	if math.IsNaN(c.WindowScale) || math.IsInf(c.WindowScale, 0) {
+		return fmt.Errorf("sim: WindowScale is %v, want a finite scale", c.WindowScale)
+	}
+	if c.MaxCycles == 0 {
+		return fmt.Errorf("sim: MaxCycles is 0, want at least one cycle")
+	}
+	for _, f := range []struct {
+		name    string
+		v, l, h int
+	}{
+		{"RowsPerBank", c.RowsPerBank, 64, maxRowsPerBank},
+		{"CellsPerRow", c.CellsPerRow, 1, maxCellsPerRow},
+		{"Core.IssueWidth", c.Core.IssueWidth, 1, maxWindow}, // the window bounds issue
+		{"Core.Window", c.Core.Window, 1, maxWindow},
+		{"Core.MSHRs", c.Core.MSHRs, 1, maxMSHRs},
+		{"Core.LLCWays", c.Core.LLCWays, 1, maxLLCWays},
+		{"Core.LLCBytes", c.Core.LLCBytes, 64 * max(c.Core.LLCWays, 1), maxLLCBytes},
+	} {
+		if f.v < f.l || f.v > f.h {
+			return fmt.Errorf("sim: %s is %d, want %d..%d", f.name, f.v, f.l, f.h)
+		}
 	}
 	b, err := dram.BackendByName(c.Backend)
 	if err != nil {
@@ -129,6 +167,16 @@ func (c *Config) Validate() error {
 		if err := c.Temporal.Validate(); err != nil {
 			return err
 		}
+		return checkEpochs(c.MaxCycles, c.Temporal.EpochCycles)
+	}
+	return nil
+}
+
+// checkEpochs bounds the in-run epochs a run of maxCycles spans.
+func checkEpochs(maxCycles, epochCycles uint64) error {
+	if n := maxCycles / epochCycles; n > maxEpochs {
+		return fmt.Errorf("sim: MaxCycles %d over Temporal.EpochCycles %d is %d epochs, want at most %d",
+			maxCycles, epochCycles, n, maxEpochs)
 	}
 	return nil
 }
@@ -663,7 +711,6 @@ func (m *machine) runNaive(maxCycles uint64) (uint64, bool) {
 	remaining := len(m.cores)
 	for cycle := uint64(0); cycle < maxCycles; cycle++ {
 		m.ticks++
-		m.tracker.tickEpoch(cycle)
 		for _, mc := range m.mcs {
 			mc.TickFull(cycle)
 		}
@@ -700,7 +747,6 @@ func (m *machine) runSkip(maxCycles uint64) (uint64, bool) {
 	cycle := uint64(0)
 	for cycle < maxCycles {
 		m.ticks++
-		m.tracker.tickEpoch(cycle)
 		active := false
 		for _, mc := range m.mcs {
 			if mc.Tick(cycle) {
@@ -727,11 +773,10 @@ func (m *machine) runSkip(maxCycles uint64) (uint64, bool) {
 			cycle++
 			continue
 		}
-		// The tracker bounds no jump: the next tick crosses the epoch
-		// edges it passed before any command issues, so a temporal run
-		// ticks its static run's cycles. bound tracks which component's
-		// NextEvent set the jump target (ties keep the earlier source,
-		// matching the scan order).
+		// The tracker bounds no jump: it enters each closing row's epoch
+		// itself (tracker.go), so a temporal run ticks its static run's
+		// cycles. bound tracks which component's NextEvent set the jump
+		// target (ties keep the earlier source, matching the scan order).
 		next, bound := uint64(math.MaxUint64), &m.obs.BoundHorizon
 		for _, mc := range m.mcs {
 			if n := mc.NextEvent(cycle); n < next {
@@ -833,6 +878,7 @@ func (m *machine) run(cfg Config) Result {
 	} else {
 		cycle, finished = m.runSkip(cfg.MaxCycles)
 	}
+	m.tracker.endRun(cycle, cfg.MaxCycles)
 	if m.rec != nil {
 		if !m.measuring {
 			// Truncated before every core entered measurement: close the
@@ -925,9 +971,9 @@ func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result
 	} else if eligible && tw == nil {
 		m.obs.TwinMissed = 1
 	}
-	tape := memo.record(&cfg, m)
+	memo.record(&cfg, m)
 	res := m.run(cfg)
-	memo.finish(tape, res)
+	memo.finish(m.tracker, res)
 	return res, nil
 }
 

@@ -23,34 +23,61 @@ func diffTemporal() *temporal.Spec {
 // TestEngineDifferentialTemporal extends the NoSkip differential matrix
 // with the temporal row: with the live truth drifting at epoch edges,
 // the cycle-skipping engine must still produce a bit-identical Result
-// to the per-cycle reference loop across all five defenses — proving
-// that a jump over an epoch edge is exact: the next tick crosses the
-// edge before any command reaches the tracker (an edge entered late
-// would sample different thresholds and diverge in Violations).
+// to the per-cycle reference loop across all five defenses, and the same
+// epoch_advances and live_draws — proving that a jump over an epoch
+// edge is exact: the tracker enters each closing row's epoch at the
+// PRE's own cycle whichever engine ticked it (an edge entered late would
+// sample different thresholds and diverge in Violations). The truncated
+// case stops at a multiple of the epoch length, the one edge the
+// end-of-run rule decides: a run that ticks cycles 0..MaxCycles-1 never
+// reaches the edge at MaxCycles, under either engine.
 func TestEngineDifferentialTemporal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is seconds-scale")
 	}
-	defenses := append([]string{"none"}, DefenseNames...)
-	for _, defense := range defenses {
-		for mixName, mix := range diffMixes() {
-			name := fmt.Sprintf("%s/%s", defense, mixName)
-			t.Run(name, func(t *testing.T) {
-				t.Parallel() // cases share only the concurrency-safe module cache and arena pool
-				cfg := diffBase()
-				cfg.Defense = defense
-				cfg.Mix = mix
-				cfg.Svard = defense != "none"
-				cfg.Temporal = diffTemporal()
-				skip, naive := runBoth(t, cfg)
-				if !reflect.DeepEqual(skip, naive) {
-					t.Errorf("engines diverged under temporal drift:\nskip:  %+v\nnaive: %+v", skip, naive)
-				}
-				if !skip.Finished {
-					t.Errorf("differential case did not finish in %d cycles", cfg.MaxCycles)
-				}
-			})
+	type leg struct {
+		defense, mix string
+		maxCycles    uint64 // 0: diffBase's, run to the end
+	}
+	var legs []leg
+	for _, defense := range append([]string{"none"}, DefenseNames...) {
+		for mixName := range diffMixes() {
+			legs = append(legs, leg{defense, mixName, 0})
 		}
+	}
+	legs = append(legs, leg{"para", "attack:rrs", 3 * diffTemporal().EpochCycles})
+	for _, l := range legs {
+		name := fmt.Sprintf("%s/%s", l.defense, l.mix)
+		if l.maxCycles != 0 {
+			name += fmt.Sprintf("/truncated@%d", l.maxCycles)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel() // cases share only the concurrency-safe module cache and arena pool
+			cfg := diffBase()
+			cfg.Defense = l.defense
+			cfg.Mix = diffMixes()[l.mix]
+			cfg.Svard = l.defense != "none"
+			cfg.Temporal = diffTemporal()
+			if l.maxCycles != 0 {
+				cfg.MaxCycles = l.maxCycles
+			}
+			var skipRec, naiveRec obs.Recorder
+			skip, naive := runBothRecorded(t, cfg, &skipRec, &naiveRec)
+			if !reflect.DeepEqual(skip, naive) {
+				t.Errorf("engines diverged under temporal drift:\nskip:  %+v\nnaive: %+v", skip, naive)
+			}
+			if skip.Finished != (l.maxCycles == 0) {
+				t.Errorf("finished = %v in %d cycles, want %v", skip.Finished, cfg.MaxCycles, l.maxCycles == 0)
+			}
+			sc, nc := skipRec.Counters, naiveRec.Counters
+			if sc.EpochAdvances != nc.EpochAdvances || sc.LiveDraws != nc.LiveDraws {
+				t.Errorf("epoch_advances %d, live_draws %d under the event engine; %d, %d under NoSkip",
+					sc.EpochAdvances, sc.LiveDraws, nc.EpochAdvances, nc.LiveDraws)
+			}
+			if want := min(skip.Cycles, cfg.MaxCycles-1) / cfg.Temporal.EpochCycles; sc.EpochAdvances != want {
+				t.Errorf("ended at cycle %d of %d: %d epoch edges crossed, want %d", skip.Cycles, cfg.MaxCycles, sc.EpochAdvances, want)
+			}
+		})
 	}
 }
 
@@ -361,6 +388,7 @@ func TestErosionJobsValidate(t *testing.T) {
 		{"process owns age", func(o *ErosionOptions) { o.Process.AgeEpochs = 4 }},
 		{"base already temporal", func(o *ErosionOptions) { o.Base.Temporal = &temporal.Spec{EpochCycles: 1} }},
 		{"duplicate interval", func(o *ErosionOptions) { o.Intervals = []uint64{0, 16, 16} }},
+		{"too many epochs", func(o *ErosionOptions) { o.Process.EpochCycles = o.Base.MaxCycles/maxEpochs - 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,6 +17,13 @@ import (
 // live view drifts per epoch while defenses keep reading calibration —
 // the tracker is the only component allowed to see the drifted truth.
 //
+// The tracker also keeps the run's clock for the live view: it enters
+// the epoch of each closing row's PRE cycle itself (its bank's last ACT
+// cycle plus the row's on-cycles), so neither engine loop nor a replay
+// walk tells it the time. While a twin log is attached it appends every
+// command it receives there, with system-wide bank and rank indices
+// (twin.go).
+//
 // All per-row tables are flat [bank*rows+row] arrays — the tracker is
 // on the controller's command path, and the accrual table is the
 // largest piece of pooled state (4 B/row: 16 MB at the paper's 128K
@@ -30,6 +37,8 @@ type secTracker struct {
 	rows         int
 	banksPerRank int
 	cur          []float32 // accrued effective hammers per [bank*rows+row]
+	lastAct      []uint64  // each bank's last ACT cycle
+	log          *twin     // the command log being recorded, or nil
 
 	// Direct-mapped memo of the on-time term of the RowPress factor, by
 	// on-time in cycles: on-times are quantized by the DRAM timing
@@ -43,7 +52,6 @@ type secTracker struct {
 	}
 
 	Violations uint64
-	acts       uint64
 }
 
 const pressMemoSlots = 1024
@@ -70,9 +78,15 @@ func (t *secTracker) reset(model *disturb.Model, hcBase, psi []float64, factor, 
 	} else {
 		t.cur = make([]float32, n)
 	}
+	if cap(t.lastAct) >= banks {
+		t.lastAct = t.lastAct[:banks]
+		clear(t.lastAct)
+	} else {
+		t.lastAct = make([]uint64, banks)
+	}
+	t.log = nil
 	clear(t.pressMemo[:])
 	t.Violations = 0
-	t.acts = 0
 }
 
 // startTemporal attaches a temporal process to the tracker's live view.
@@ -90,20 +104,28 @@ func (t *secTracker) epochAdvances() uint64 { return t.live.advances }
 // static runs).
 func (t *secTracker) liveDraws() uint64 { return t.live.draws }
 
-// tickEpoch advances the live view to cycle's epoch; the engine loops
-// call it every ticked cycle, a replay walk before each ACT and PRE (a
-// single branch when static).
-func (t *secTracker) tickEpoch(cycle uint64) { t.live.tickEpoch(cycle) }
+// endRun enters the epoch of the run's last ticked cycle, end or, on a
+// truncated run (end == maxCycles), the cycle before it: every edge the
+// run's clock passed counts in epoch_advances, commands or not.
+func (t *secTracker) endRun(end, maxCycles uint64) { t.live.tickEpoch(min(end, maxCycles-1)) }
 
 // OnAct: opening a row restores its own cells.
 func (t *secTracker) OnAct(bank, row int, cycle uint64) {
+	if t.log != nil {
+		t.log.add(evACT, bank, row, cycle)
+	}
+	t.lastAct[bank] = cycle
 	t.cur[bank*t.rows+row] = 0
-	t.acts++
 }
 
 // OnPre: the closing row disturbed its neighbours for its whole on-time
-// (RowHammer per activation + RowPress per on-time).
+// (RowHammer per activation + RowPress per on-time), judged against the
+// live thresholds of the epoch it closes in.
 func (t *secTracker) OnPre(bank, row int, onCycles uint64) {
+	if t.log != nil {
+		t.log.add(evPRE, bank, row, onCycles)
+	}
+	t.live.tickEpoch(t.lastAct[bank] + onCycles)
 	// One pow per closing (memoized on the recurring on-times), shared by
 	// all of its victims.
 	slot := &t.pressMemo[onCycles%pressMemoSlots]
@@ -134,6 +156,9 @@ func (t *secTracker) OnPre(bank, row int, onCycles uint64) {
 
 // OnRefresh: REF restored a slice of rows in every bank of the rank.
 func (t *secTracker) OnRefresh(rank, firstRow, count int) {
+	if t.log != nil {
+		t.log.add(evREF, rank, firstRow, uint64(count))
+	}
 	base := rank * t.banksPerRank
 	banks := len(t.cur) / t.rows
 	for b := base; b < base+t.banksPerRank && b < banks; b++ {
@@ -145,6 +170,9 @@ func (t *secTracker) OnRefresh(rank, firstRow, count int) {
 
 // OnRowsSwapped: a migration rewrites both rows.
 func (t *secTracker) OnRowsSwapped(bank, a, b int) {
+	if t.log != nil {
+		t.log.add(evSWAP, bank, a, uint64(b))
+	}
 	t.cur[bank*t.rows+a] = 0
 	t.cur[bank*t.rows+b] = 0
 }

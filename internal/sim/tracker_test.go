@@ -13,10 +13,11 @@ import (
 // TestTrackerFloorMatchesExact is the floor's differential: two
 // secTrackers over one module receive one seeded command stream — ACTs,
 // PREs concentrated on a few aggressors (so victims really cross), REFs,
-// row swaps — and one clock that crosses 80 epoch edges. The reference
-// has its view's floor held at 0 by the test, so each of its comparisons
-// draws the row's threshold and decides against it, exactly as the
-// tracker did before it had a floor; the other runs as shipped.
+// row swaps — whose clock crosses 80 epoch edges. The reference's view
+// enters each epoch before its tracker's own crossing at a PRE would,
+// and the test holds its floor at 0, so each of its comparisons draws
+// the row's threshold and decides against it, exactly as the tracker
+// did before it had a floor; the other runs as shipped.
 // Violations and the whole accrual table must agree after every call.
 //
 // Three processes: the benchmark's (bench/workloads.go — the floor
@@ -68,11 +69,10 @@ func TestTrackerFloorMatchesExact(t *testing.T) {
 			for i := range hot {
 				hot[i] = r.Intn(banks * rows)
 			}
-			cycle := uint64(0)
+			cycle := uint64(512) // every PRE's ACT is at cycle-on >= 0
 			for i := 0; i < calls; i++ {
 				cycle += uint64(r.Intn(2 * epochs * epoch / calls))
-				floored.tickEpoch(cycle)
-				exact.tickEpoch(cycle)
+				exact.live.tickEpoch(cycle)
 				exact.live.floor = 0 // tickEpoch refreshed it
 
 				at := r.Intn(banks * rows)
@@ -84,7 +84,10 @@ func TestTrackerFloorMatchesExact(t *testing.T) {
 				switch op := r.Intn(100); {
 				case op < 80:
 					on := uint64(100 + 50*r.Intn(8))
-					call = func(tr *secTracker) { tr.OnPre(bank, row, on) }
+					call = func(tr *secTracker) {
+						tr.OnAct(bank, row, cycle-on) // the PRE closes at cycle
+						tr.OnPre(bank, row, on)
+					}
 				case op < 90:
 					call = func(tr *secTracker) { tr.OnAct(bank, row, cycle) }
 				case op < 95:
@@ -114,6 +117,36 @@ func TestTrackerFloorMatchesExact(t *testing.T) {
 			}
 			t.Logf("%d violations; draws %d with the floor, %d without", exact.Violations, floored.liveDraws(), exact.liveDraws())
 		})
+	}
+}
+
+// TestTrackerEndRun: the tracker enters epochs at PREs, so the edges a
+// run's clock passes after its last PRE count only at endRun, which
+// enters the epoch of the last ticked cycle: the finish cycle, or
+// MaxCycles-1 on a truncated run (an edge at MaxCycles is never ticked).
+func TestTrackerEndRun(t *testing.T) {
+	const epoch = 4096
+	base := tinyBase()
+	entry, err := buildModule(base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, 1, base.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := disturb.NewModel(entry.mod.Params, entry.mod.Geom)
+	spec := temporal.Spec{EpochCycles: epoch, Drift: -0.01, Sigma: 0.02}
+	for _, tc := range []struct{ end, maxCycles, want uint64 }{
+		{10*epoch + 5, 1 << 30, 10},
+		{10 * epoch, 1 << 30, 10},
+		{10 * epoch, 10 * epoch, 9},
+		{10*epoch + 1, 10*epoch + 1, 10},
+	} {
+		tr := newSecTracker(model, entry.hcBase, entry.psi, 1, base.CPUGHz, 1, 1)
+		tr.startTemporal(temporal.NewProcess(spec, base.Seed), epoch)
+		tr.OnAct(0, 7, 100)
+		tr.OnPre(0, 7, 50)
+		tr.endRun(tc.end, tc.maxCycles)
+		if got := tr.epochAdvances(); got != tc.want {
+			t.Errorf("end %d of MaxCycles %d: %d edges crossed, want %d", tc.end, tc.maxCycles, got, tc.want)
+		}
 	}
 }
 

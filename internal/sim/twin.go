@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"svard/internal/memctrl"
 	"svard/internal/mitigation"
 )
 
@@ -19,15 +18,15 @@ import (
 //
 // The twin of a cell is its Config with Defense "none", Svard off and
 // NRH ignored — the Fig. 12 baseline of its (module, mix, backend). When
-// a twin runs and the memo lacks it, its controllers' trackers are
-// tapped, and every command they report is logged. A later defense cell
-// with the same twin is replayed: its armed defenses and tracker are
-// driven through the log, and at the first answer Nop would not give the
-// armed half is reset and the cell simulates in full. The log needs no
-// defense entries: a Nop controller asks CanActivate once before every
-// ACT it issues and calls OnActivate once after it, with the ACT's own
-// (bank, row, cycle), and issues no other ACT (victim refreshes come
-// only from directives).
+// a twin runs and the memo lacks it, its security tracker logs every
+// command the controllers report to it. A later defense cell with the
+// same twin is replayed: its armed defenses and tracker are driven
+// through the log, and at the first answer Nop would not give the armed
+// half is reset and the cell simulates in full. The log needs no defense
+// entries: a Nop controller asks CanActivate once before every ACT it
+// issues and calls OnActivate once after it, with the ACT's own (bank,
+// row, cycle), and issues no other ACT (victim refreshes come only from
+// directives).
 //
 // Stream replay. A temporal process moves only the tracker's ground
 // truth (views.go): defenses read the frozen calibration view, and the
@@ -35,17 +34,16 @@ import (
 // alone. So the legs of one margin-erosion point — Configs that differ
 // only in Temporal, the static leg (Temporal nil) included — tick the
 // same cycles and issue the same commands, defense directives and RRS
-// swaps included. The first leg to simulate (the recorder) does so with
-// its tracker tapped: a static defense cell whose defense-free twin the
+// swaps included. The first leg to simulate (the recorder) logs them
+// through its tracker: a static defense cell whose defense-free twin the
 // memo neither holds nor is recording, or a temporal leg that finds no
-// stream. A cell that diverged from its twin does not record. Every other leg arms only its
-// tracker and walks the log, entering each ACT's and each PRE's epoch
-// and finally the recorder's last cycle's, and returns the recorder's
-// Result with its own Violations. A PRE entry carries the cycles its row
-// was open, so its cycle is its bank's last ACT cycle plus those. A
-// stream cannot diverge, so a cell served by both a stream and a twin
-// walks the stream. A log never serves the Config that recorded it: the
-// recorder re-simulates, as a twin does.
+// stream. A cell that diverged from its twin does not record. Every
+// other leg arms only its tracker, feeds it the log — the tracker enters
+// each closing row's epoch itself, as it did in the recorder's run — and
+// the recorder's last cycle, and returns the recorder's Result with its
+// own Violations. A stream cannot diverge, so a cell served by both a
+// stream and a twin walks the stream. A log never serves the Config that
+// recorded it: the recorder re-simulates, as a twin does.
 //
 // Eligible cells are on the event engine (NoSkip stays a pure
 // reference). A log still being recorded, evicted, too long to keep or
@@ -103,24 +101,27 @@ func (mm *twinMemo) limit() int {
 }
 
 // twin is one held run: a defense-free twin (static, Defense "none") or
-// a stream recorder. Until ready it is being recorded; once ready, log,
-// n and res are never written again.
+// a stream recorder. Until ready it is being recorded, by the run's
+// tracker alone; once ready, log, n and res are never written again.
 type twin struct {
 	cfg   Config // the recording run's config (Mix and Temporal owned)
 	log   [][]twinEvent
-	n     int // entries in log
+	n     int  // entries in log
+	max   int  // the longest log the memo keeps: 1/twinShare of its budget
+	lost  bool // the log cannot be used (too long, an entry out of range)
 	res   Result
 	used  uint64
 	ready bool
 }
 
 // twinEvent is one command of a log packed into 8 bytes, low bits first:
-// kind (3), channel (4), bank (6), row (19), at (32).
+// kind (3), bank (10), row (19), at (32). Banks and ranks are
+// system-wide, as the tracker indexes them.
 //
-//	ACT:   channel-local bank, physical row, cycle
-//	PRE:   channel-local bank, physical row, cycles the row was open
-//	REF:   channel-local rank, first row restored, rows restored
-//	SWAP:  channel-local bank, one row, the other row
+//	ACT:   bank, physical row, cycle
+//	PRE:   bank, physical row, cycles the row was open
+//	REF:   rank, first row restored, rows restored
+//	SWAP:  bank, one row, the other row
 //
 // A log with an entry that does not fit is not kept (its cells simulate
 // in full); the presets and the paper's scale fit with room.
@@ -137,8 +138,7 @@ const (
 // Field widths of a twinEvent.
 const (
 	evKindBits = 3
-	evChanBits = 4
-	evBankBits = 6
+	evBankBits = 10
 	evRowBits  = 19
 	evAtBits   = 32
 )
@@ -148,18 +148,17 @@ const (
 const twinBlock = 1024
 
 // packEvent packs one entry; ok is false if a field does not fit.
-func packEvent(kind, ch, bank, row int, at uint64) (e twinEvent, ok bool) {
-	if uint(ch) >= 1<<evChanBits || uint(bank) >= 1<<evBankBits || uint(row) >= 1<<evRowBits || at >= 1<<evAtBits {
+func packEvent(kind, bank, row int, at uint64) (e twinEvent, ok bool) {
+	if uint(bank) >= 1<<evBankBits || uint(row) >= 1<<evRowBits || at >= 1<<evAtBits {
 		return 0, false
 	}
-	return twinEvent(uint64(kind) | uint64(ch)<<evKindBits | uint64(bank)<<(evKindBits+evChanBits) |
-		uint64(row)<<(evKindBits+evChanBits+evBankBits) | at<<(64-evAtBits)), true
+	return twinEvent(uint64(kind) | uint64(bank)<<evKindBits |
+		uint64(row)<<(evKindBits+evBankBits) | at<<(64-evAtBits)), true
 }
 
 func (e twinEvent) kind() int  { return int(e & (1<<evKindBits - 1)) }
-func (e twinEvent) ch() int    { return int(e>>evKindBits) & (1<<evChanBits - 1) }
-func (e twinEvent) bank() int  { return int(e>>(evKindBits+evChanBits)) & (1<<evBankBits - 1) }
-func (e twinEvent) row() int   { return int(e>>(evKindBits+evChanBits+evBankBits)) & (1<<evRowBits - 1) }
+func (e twinEvent) bank() int  { return int(e>>evKindBits) & (1<<evBankBits - 1) }
+func (e twinEvent) row() int   { return int(e>>(evKindBits+evBankBits)) & (1<<evRowBits - 1) }
 func (e twinEvent) at() uint64 { return uint64(e) >> (64 - evAtBits) }
 
 // isNone reports whether defense names the defense-free baseline.
@@ -232,48 +231,44 @@ func (mm *twinMemo) replayable(cfg *Config) (tw *twin, eligible bool) {
 	return tw, true
 }
 
-// replay drives arena st's armed tracker through tw's log and, on a twin
-// replay, its armed defenses too, reporting false at their first answer
-// Nop would not give — the armed half is then dirty and must be
-// re-armed. A stream walk always completes.
+// replay feeds tw's log to arena st's armed tracker and, on a twin
+// replay, drives its armed defenses too (each on its channel's slice of
+// the banks), reporting false at their first answer Nop would not give —
+// the armed half is then dirty and must be re-armed. A stream walk
+// always completes.
 func (l *layout) replay(st *poolState, tw *twin) bool {
 	tr := st.tracker
 	var defs []mitigation.Defense
 	if !sameStream(&tw.cfg, &l.cfg) {
 		defs = st.defs
 	}
-	// Each bank's last ACT cycle, by (channel, channel-local bank): a PRE
-	// issued on-cycles after it.
-	var actAt [1 << (evChanBits + evBankBits)]uint64
 	for _, block := range tw.log {
 		for _, e := range block {
-			ch, bank, row, at := e.ch(), e.bank(), e.row(), e.at()
+			bank, row, at := e.bank(), e.row(), e.at()
 			switch e.kind() {
 			case evACT:
-				tr.tickEpoch(at)
-				actAt[ch<<evBankBits|bank] = at
-				if defs != nil {
-					if ok, _ := defs[ch].CanActivate(bank, row, at); !ok {
-						return false
-					}
+				if defs == nil {
+					tr.OnAct(bank, row, at)
+					continue
 				}
-				tr.OnAct(ch*l.banksPerChan+bank, row, at)
-				if defs != nil && len(defs[ch].OnActivate(bank, row, at)) != 0 {
+				def, local := defs[bank/l.banksPerChan], bank%l.banksPerChan
+				if ok, _ := def.CanActivate(local, row, at); !ok {
+					return false
+				}
+				tr.OnAct(bank, row, at)
+				if len(def.OnActivate(local, row, at)) != 0 {
 					return false
 				}
 			case evPRE:
-				tr.tickEpoch(actAt[ch<<evBankBits|bank] + at)
-				tr.OnPre(ch*l.banksPerChan+bank, row, at)
+				tr.OnPre(bank, row, at)
 			case evREF:
-				tr.OnRefresh(ch*l.mcCfg.Ranks+bank, row, int(at))
+				tr.OnRefresh(bank, row, int(at))
 			case evSWAP:
-				tr.OnRowsSwapped(ch*l.banksPerChan+bank, row, int(at))
+				tr.OnRowsSwapped(bank, row, int(at))
 			}
 		}
 	}
-	// The recorder's last tick was at its final cycle: it crossed every
-	// epoch edge up to there, commands or not.
-	tr.tickEpoch(tw.res.Cycles)
+	tr.endRun(tw.res.Cycles, l.cfg.MaxCycles)
 	return true
 }
 
@@ -286,66 +281,51 @@ func (tw *twin) result(violations uint64) Result {
 	return res
 }
 
-// twinTape is a log being recorded: the blocks its controllers' taps
-// append to, and the memo slot it will fill.
-type twinTape struct {
-	tw     *twin
-	blocks [][]twinEvent
-	n      int  // entries in blocks
-	max    int  // the longest log the memo keeps: 1/twinShare of its budget
-	ok     bool // false once the log cannot be used (too long, out of range)
-}
-
-// record starts recording m's command log if cfg runs on the event
-// engine, m did not diverge from a twin, and the memo neither holds nor
-// is already recording cfg's twin or, unless cfg is a twin itself, its
-// family's stream; nil otherwise. A static defense cell whose twin is in
-// flight records nothing: its twin will serve its family's static cells.
-func (mm *twinMemo) record(cfg *Config, m *machine) *twinTape {
+// record attaches a new log to m's tracker, which then logs every
+// command it receives, if cfg runs on the event engine, m did not
+// diverge from a twin, and the memo neither holds nor is already
+// recording cfg's twin or, unless cfg is a twin itself, its family's
+// stream. A static defense cell whose twin is in flight records nothing:
+// its twin will serve its family's static cells.
+func (mm *twinMemo) record(cfg *Config, m *machine) {
 	if mm == nil || cfg.NoSkip || m.obs.TwinDiverged != 0 {
-		return nil
+		return
 	}
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	for _, t := range mm.held {
 		if sameTwin(&t.cfg, cfg) || !isTwin(cfg) && sameStream(&t.cfg, cfg) {
-			return nil
+			return
 		}
 	}
-	tw := &twin{cfg: *cfg}
+	tw := &twin{cfg: *cfg, max: (mm.limit()/twinShare - twinOverhead) / 8}
 	tw.cfg.Mix = slices.Clone(cfg.Mix)
-	tape := &twinTape{tw: tw, max: (mm.limit()/twinShare - twinOverhead) / 8, ok: true}
 	if cfg.Temporal != nil {
 		p := *cfg.Temporal
 		tw.cfg.Temporal = &p
 	}
 	mm.held = append(mm.held, tw)
-	for ch, mc := range m.mcs {
-		mc.Track = &twinTap{next: mc.Track, tape: tape, ch: ch}
-	}
-	return tape
+	m.tracker.log = tw
 }
 
-// finish hands the recorded log and res to the memo, evicting least
-// recently used logs beyond the budget, or drops the slot if the log is
-// unusable or a stream recorder was truncated (its walk could not end
-// where its run did; a truncated twin still serves its defense cells).
-// Either way the tape is emptied, so the taps left in the arena pin
-// neither the log nor its slot. A nil tape is a no-op.
-func (mm *twinMemo) finish(tape *twinTape, res Result) {
-	if tape == nil {
+// finish detaches the log tr was recording, if any, and hands it with
+// res to the memo, evicting least recently used logs beyond the budget,
+// or drops its slot if the log is unusable or a stream recorder was
+// truncated (its walk could not end where its run did; a truncated twin
+// still serves its defense cells).
+func (mm *twinMemo) finish(tr *secTracker, res Result) {
+	tw := tr.log
+	if tw == nil {
 		return
 	}
-	recorded := *tape
-	*tape = twinTape{}
+	tr.log = nil
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	tw := recorded.tw
-	if !recorded.ok || !isTwin(&tw.cfg) && !res.Finished {
+	if tw.lost || !isTwin(&tw.cfg) && !res.Finished {
 		mm.drop(tw)
 		return
 	}
-	tw.log, tw.n, tw.ready = recorded.blocks, recorded.n, true
+	tw.ready = true
 	tw.res = res
 	tw.res.IPC = slices.Clone(res.IPC)
 	mm.clock++
@@ -379,48 +359,20 @@ func (mm *twinMemo) drop(t *twin) {
 // overhead.
 func (t *twin) size() int { return t.n*8 + twinOverhead }
 
-// add logs one command, or marks the tape unusable if it does not fit.
-func (tp *twinTape) add(kind, ch, bank, row int, at uint64) {
-	if !tp.ok {
+// add logs one command, or marks the log lost if it does not fit.
+func (tw *twin) add(kind, bank, row int, at uint64) {
+	if tw.lost {
 		return
 	}
-	e, ok := packEvent(kind, ch, bank, row, at)
-	if !ok || tp.n == tp.max {
-		tp.ok, tp.blocks = false, nil
+	e, ok := packEvent(kind, bank, row, at)
+	if !ok || tw.n == tw.max {
+		tw.lost, tw.log = true, nil
 		return
 	}
-	if tp.n%twinBlock == 0 {
-		tp.blocks = append(tp.blocks, make([]twinEvent, 0, twinBlock))
+	if tw.n%twinBlock == 0 {
+		tw.log = append(tw.log, make([]twinEvent, 0, twinBlock))
 	}
-	last := &tp.blocks[len(tp.blocks)-1]
+	last := &tw.log[len(tw.log)-1]
 	*last = append(*last, e)
-	tp.n++
-}
-
-// twinTap is a recorded controller's tracker: it logs each command and
-// passes it on.
-type twinTap struct {
-	next memctrl.Tracker
-	tape *twinTape
-	ch   int
-}
-
-func (t *twinTap) OnAct(bank, row int, cycle uint64) {
-	t.tape.add(evACT, t.ch, bank, row, cycle)
-	t.next.OnAct(bank, row, cycle)
-}
-
-func (t *twinTap) OnPre(bank, row int, on uint64) {
-	t.tape.add(evPRE, t.ch, bank, row, on)
-	t.next.OnPre(bank, row, on)
-}
-
-func (t *twinTap) OnRefresh(rank, firstRow, count int) {
-	t.tape.add(evREF, t.ch, rank, firstRow, uint64(count))
-	t.next.OnRefresh(rank, firstRow, count)
-}
-
-func (t *twinTap) OnRowsSwapped(bank, a, b int) {
-	t.tape.add(evSWAP, t.ch, bank, a, uint64(b))
-	t.next.OnRowsSwapped(bank, a, b)
+	tw.n++
 }

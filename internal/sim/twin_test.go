@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"svard/internal/dram"
 	"svard/internal/obs"
 )
 
@@ -332,17 +333,20 @@ func TestTwinMemoBounded(t *testing.T) {
 		cfgs[i] = tinyBase()
 		cfgs[i].Mix = []string{"mcf06", "ycsb-a"}
 		cfgs[i].Seed = uint64(i + 1)
-		tape := memo.record(&cfgs[i], &machine{})
-		if tape == nil {
+		m := trackedMachine()
+		memo.record(&cfgs[i], m)
+		tw := m.tracker.log
+		if tw == nil {
 			t.Fatalf("twin %d not recorded", i)
 		}
-		if memo.record(&cfgs[i], &machine{}) != nil {
+		again := trackedMachine()
+		if memo.record(&cfgs[i], again); again.tracker.log != nil {
 			t.Fatalf("twin %d recorded twice while in flight", i)
 		}
 		for range per / 8 {
-			tape.add(evACT, 0, 1, 2, 3)
+			tw.add(evACT, 1, 2, 3)
 		}
-		memo.finish(tape, Result{IPC: []float64{1, 1}})
+		memo.finish(m.tracker, Result{IPC: []float64{1, 1}})
 		if i == 1 {
 			cell := cfgs[0]
 			cell.Defense = "rrs"
@@ -367,22 +371,25 @@ func TestTwinMemoBounded(t *testing.T) {
 	if !reflect.DeepEqual(held, want) {
 		t.Errorf("held twins by seed %v, want %v (the least recently used, seed 2, evicted)", held, want)
 	}
-	if memo.record(&cfgs[0], &machine{}) != nil {
+	again := trackedMachine()
+	if memo.record(&cfgs[0], again); again.tracker.log != nil {
 		t.Error("a held twin was recorded again")
 	}
 
 	long := tinyBase()
 	long.Mix = []string{"lbm06", "tpcc"}
-	tape := memo.record(&long, &machine{})
+	m := trackedMachine()
+	memo.record(&long, m)
+	tw := m.tracker.log
 	for range per/8 + 1 {
-		tape.add(evACT, 0, 1, 2, 3)
+		tw.add(evACT, 1, 2, 3)
 	}
-	if tape.ok || tape.blocks != nil {
-		t.Errorf("a log past its share is kept (%d entries)", tape.n)
+	if !tw.lost || tw.log != nil {
+		t.Errorf("a log past its share is kept (%d entries)", tw.n)
 	}
 	before := memo.bytes
-	memo.finish(tape, Result{IPC: []float64{1, 1}})
-	if memo.bytes != before || slices.Contains(memo.held, tape.tw) {
+	memo.finish(m.tracker, Result{IPC: []float64{1, 1}})
+	if memo.bytes != before || slices.Contains(memo.held, tw) || m.tracker.log != nil {
 		t.Error("a twin past its share is held")
 	}
 	if got := testing.AllocsPerRun(100, func() {
@@ -393,6 +400,10 @@ func TestTwinMemoBounded(t *testing.T) {
 		t.Errorf("memo lookup allocates %v times", got)
 	}
 }
+
+// trackedMachine is a machine with just a tracker: enough for the memo
+// to attach a log to.
+func trackedMachine() *machine { return &machine{tracker: &secTracker{}} }
 
 // FuzzTwinReplay: for any small configuration fuzzConfig can name, a cell
 // replayed from its twin's log is bit-identical to its full simulation,
@@ -425,31 +436,39 @@ func FuzzTwinReplay(f *testing.F) {
 
 // TestTwinEventPacking: every field of a log entry round-trips at the
 // edges of its width, and a value past them is refused, never truncated.
+// HBM2's largest system-wide bank and rank (the tracker's indices) fit.
 func TestTwinEventPacking(t *testing.T) {
 	type fields struct {
-		kind, ch, bank, row int
-		at                  uint64
+		kind, bank, row int
+		at              uint64
 	}
+	hbm2, err := dram.BackendByName("hbm2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := hbm2.Geom
+	lastBank, lastRank := g.TotalBanks()-1, g.TotalChannels()*g.Ranks-1
 	for _, f := range []fields{
-		{evACT, 0, 0, 0, 0},
-		{evPRE, 1<<evChanBits - 1, 1<<evBankBits - 1, 1<<evRowBits - 1, 1<<evAtBits - 1},
-		{evREF, 3, 1, 131071, 80_000_000},
-		{evSWAP, 15, 63, 131071, 131070},
+		{evACT, 0, 0, 0},
+		{evPRE, 1<<evBankBits - 1, 1<<evRowBits - 1, 1<<evAtBits - 1},
+		{evREF, 3, 131071, 80_000_000},
+		{evSWAP, 63, 131071, 131070},
+		{evACT, lastBank, 131071, 80_000_000},
+		{evREF, lastRank, 131071, 8},
 	} {
-		e, ok := packEvent(f.kind, f.ch, f.bank, f.row, f.at)
-		if got := (fields{e.kind(), e.ch(), e.bank(), e.row(), e.at()}); !ok || got != f {
+		e, ok := packEvent(f.kind, f.bank, f.row, f.at)
+		if got := (fields{e.kind(), e.bank(), e.row(), e.at()}); !ok || got != f {
 			t.Errorf("packEvent(%+v) = %+v, %v", f, got, ok)
 		}
 	}
 	for _, f := range []fields{
-		{evACT, 1 << evChanBits, 0, 0, 0},
-		{evACT, 0, 1 << evBankBits, 0, 0},
-		{evACT, 0, 0, 1 << evRowBits, 0},
-		{evACT, 0, 0, 0, 1 << evAtBits},
-		{evACT, 0, -1, 0, 0},
-		{evACT, 0, 0, -1, 0},
+		{evACT, 1 << evBankBits, 0, 0},
+		{evACT, 0, 1 << evRowBits, 0},
+		{evACT, 0, 0, 1 << evAtBits},
+		{evACT, -1, 0, 0},
+		{evACT, 0, -1, 0},
 	} {
-		if _, ok := packEvent(f.kind, f.ch, f.bank, f.row, f.at); ok {
+		if _, ok := packEvent(f.kind, f.bank, f.row, f.at); ok {
 			t.Errorf("packEvent(%+v) accepted a field past its width", f)
 		}
 	}

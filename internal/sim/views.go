@@ -110,10 +110,10 @@ func (v *liveView) start(proc temporal.Process, epochCycles uint64, n int) {
 	}
 }
 
-// tickEpoch advances the view to cycle's epoch. Both engine loops call
-// it at the top of every ticked cycle, a replay walk before each ACT and
-// PRE; for static runs it is a single predictable branch (the edge
-// itself is out of line so this inlines).
+// tickEpoch advances the view to cycle's epoch. The tracker calls it
+// at each PRE's cycle and once at the run's end, whoever drives it; for
+// static runs it is a single predictable branch (the edge itself is out
+// of line so this inlines).
 func (v *liveView) tickEpoch(cycle uint64) {
 	if v.epochLen != 0 && cycle >= v.nextEdge {
 		v.crossEdge(cycle)
