@@ -430,6 +430,16 @@ func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Resul
 		break
 	}
 
+	// A compute that panics still settles its call before the panic goes
+	// on: a key left in flight would block every coalesced waiter, and
+	// every later lookup, forever.
+	settled := false
+	defer func() {
+		if !settled {
+			s.settle(key, c, sim.Result{}, fmt.Errorf("cache: computing cell %s panicked", key))
+		}
+	}()
+
 	res, fromDisk, err := s.load(key)
 	if err != nil {
 		// No valid local entry: try the remote pool, then compute. A
@@ -450,6 +460,17 @@ func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Resul
 		s.diskHits.Add(1)
 	}
 
+	settled = true
+	s.settle(key, c, res, err)
+	if err != nil {
+		return sim.Result{}, key, err
+	}
+	return copyResult(res), key, nil
+}
+
+// settle ends the computation c of key: it hands res and err to the
+// waiters and releases the key, remembering res if it succeeded.
+func (s *Store) settle(key string, c *call, res sim.Result, err error) {
 	c.res, c.err = res, err
 	s.mu.Lock()
 	delete(s.flight, key)
@@ -458,11 +479,6 @@ func (s *Store) GetOrCompute(cfg sim.Config, compute func(sim.Config) (sim.Resul
 	}
 	s.mu.Unlock()
 	close(c.done)
-
-	if err != nil {
-		return sim.Result{}, key, err
-	}
-	return copyResult(res), key, nil
 }
 
 // Get returns the stored result for key from memory or disk, without

@@ -352,6 +352,67 @@ func TestCoalescedWaiterSurvivesLeaderCancellation(t *testing.T) {
 	}
 }
 
+// TestPanickingComputeReleasesKey: a compute that panics propagates the
+// panic to its caller, hands a coalesced waiter an error, and leaves
+// its key free, so the next lookup computes instead of hanging on a
+// flight nobody will settle.
+func TestPanickingComputeReleasesKey(t *testing.T) {
+	s, _ := Open("", 0)
+	cfg := testCfg(96)
+	waiterArrived := make(chan struct{})
+	var calls atomic.Int64
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		s.GetOrCompute(cfg, func(sim.Config) (sim.Result, error) {
+			calls.Add(1)
+			<-waiterArrived
+			panic("cell exploded")
+		})
+	}()
+	for calls.Load() == 0 {
+	}
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCompute(cfg, fakeCompute(&calls))
+		waiterDone <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter coalesce
+	close(waiterArrived)
+
+	timeout := time.After(10 * time.Second)
+	select {
+	case v := <-leaderDone:
+		if v != "cell exploded" {
+			t.Fatalf("leader recovered %v, want the compute's panic", v)
+		}
+	case <-timeout:
+		t.Fatal("the panicking leader never returned")
+	}
+	select {
+	case err := <-waiterDone:
+		// A waiter that arrived after the release computes for itself.
+		if err != nil && !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiter error = %v, want nil or the leader's panic", err)
+		}
+	case <-timeout:
+		t.Fatal("a coalesced waiter hangs on the panicked computation")
+	}
+	again := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCompute(cfg, fakeCompute(nil))
+		again <- err
+	}()
+	select {
+	case err := <-again:
+		if err != nil {
+			t.Fatalf("lookup after the panic: %v", err)
+		}
+	case <-timeout:
+		t.Fatal("a lookup after the panic hangs on its key")
+	}
+}
+
 func TestComputeErrorsPropagateAndAreNotCached(t *testing.T) {
 	s, _ := Open(t.TempDir(), 0)
 	var calls atomic.Int64

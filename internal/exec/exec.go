@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -38,6 +39,8 @@ func Workers(n int) int {
 // If any job fails, jobs not yet started are skipped, and Map returns a
 // nil slice with every observed error joined in job-index order (each
 // wrapped with its index). Jobs already running are allowed to finish.
+// A job that panics fails with an error carrying the panic value and
+// its stack, so one faulty job never takes the process down.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return MapCtx(context.Background(), workers, n, fn)
 }
@@ -71,7 +74,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 				if i >= n || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				r, err := fn(i)
+				r, err := call(fn, i)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
@@ -97,4 +100,14 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 		return nil, errors.Join(agg...)
 	}
 	return results, nil
+}
+
+// call runs fn(i), recovering a panic into its error.
+func call[T any](fn func(i int) (T, error), i int) (r T, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return fn(i)
 }

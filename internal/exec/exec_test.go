@@ -71,6 +71,26 @@ func TestMapErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestMapRecoversPanic: a panicking job fails the map with an error that
+// names its index, the panic value and the panicking frame, instead of
+// crashing the process; the other workers are left to finish.
+func TestMapRecoversPanic(t *testing.T) {
+	_, err := Map(2, 8, func(i int) (int, error) {
+		if i == 5 {
+			panic("cell exploded")
+		}
+		return i, nil
+	})
+	if err == nil {
+		t.Fatal("expected error")
+	}
+	for _, want := range []string{"job 5", "panic: cell exploded", "TestMapRecoversPanic"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not say %q", err, want)
+		}
+	}
+}
+
 func TestMapErrorSkipsUnstartedJobs(t *testing.T) {
 	var ran atomic.Int64
 	_, err := Map(1, 1000, func(i int) (int, error) {

@@ -473,16 +473,20 @@ func (c *Controller) swapRows(bank, physA, physB int) {
 // EnqueueRead adds a copy of the read to the queue; false when the
 // queue is full.
 func (c *Controller) EnqueueRead(r *Request, cycle uint64) bool {
-	return c.enqueue(r, false, cycle)
+	bank, row := c.Decode(r.Addr)
+	return c.enqueue(r, bank, row, false, cycle)
 }
 
 // EnqueueWrite adds a copy of the write to the queue; false when the
 // queue is full. Writes are posted: the issuer never waits for them.
 func (c *Controller) EnqueueWrite(r *Request, cycle uint64) bool {
-	return c.enqueue(r, true, cycle)
+	bank, row := c.Decode(r.Addr)
+	return c.enqueue(r, bank, row, true, cycle)
 }
 
-func (c *Controller) enqueue(r *Request, write bool, cycle uint64) bool {
+// enqueue adds a copy of r, resolved to (bank, row), to its queue; false
+// when the queue is full.
+func (c *Controller) enqueue(r *Request, bank, row int, write bool, cycle uint64) bool {
 	q, limit, dir := &c.readQ, c.Cfg.ReadQ, 0
 	if write {
 		q, limit, dir = &c.writeQ, c.Cfg.WriteQ, 1
@@ -491,7 +495,6 @@ func (c *Controller) enqueue(r *Request, write bool, cycle uint64) bool {
 		return false
 	}
 	r.arrive = cycle
-	bank, row := c.Decode(r.Addr)
 	r.bank, r.row = int32(bank), int32(row)
 	r.phys = int32(c.physOf(bank, row))
 	r.Write = write
@@ -1052,38 +1055,27 @@ func (c *Controller) execute(dir mitigation.Directive, cycle uint64) {
 	case mitigation.ExtraMem:
 		c.Obs.DirExtraMem++
 		for i := 0; i < dir.MemReads; i++ {
-			if c.Read(c.metaAddr(dir.Bank, dir.Row, i), 0, nil, cycle) {
+			bank, row := c.metaRow(dir.Bank, dir.Row, i)
+			if c.enqueue(&Request{}, bank, row, false, cycle) {
 				c.Stats.MetaReads++
 			}
 		}
 		for i := 0; i < dir.MemWrites; i++ {
-			if c.Write(c.metaAddr(dir.Bank, dir.Row, dir.MemReads+i), 0, cycle) {
+			bank, row := c.metaRow(dir.Bank, dir.Row, dir.MemReads+i)
+			if c.enqueue(&Request{}, bank, row, true, cycle) {
 				c.Stats.MetaWr++
 			}
 		}
 	}
 }
 
-// metaAddr maps defense metadata (Hydra's in-DRAM counter table) to a
+// metaRow maps defense metadata (Hydra's in-DRAM counter table) to a
 // reserved row range, spread across banks, so metadata traffic contends
 // realistically with demand traffic.
-func (c *Controller) metaAddr(bank, row, salt int) uint64 {
-	metaBank := (bank + 1 + salt) % c.Sys.TotalBanks()
-	metaRow := c.Cfg.RowsPerBank - 1 - (row % (c.Cfg.RowsPerBank / 16))
-	return c.encode(metaBank, metaRow, 0)
-}
-
-// encode inverts Decode: the address of cache block col of (bank, row).
-func (c *Controller) encode(bank, row, col int) uint64 {
-	perRank := c.Cfg.BankGroups * c.Cfg.BanksPerGroup
-	rank, bg, bk := bank/perRank, bank%perRank/c.Cfg.BanksPerGroup, bank%c.Cfg.BanksPerGroup
-	block := uint64(row)
-	block = block*uint64(c.blocksPerRow/c.Cfg.MOPWidth) + uint64(col/c.Cfg.MOPWidth)
-	block = block*uint64(c.Cfg.Ranks) + uint64(rank)
-	block = block*uint64(c.Cfg.BanksPerGroup) + uint64(bk)
-	block = block*uint64(c.Cfg.BankGroups) + uint64(bg)
-	block = block*uint64(c.Cfg.MOPWidth) + uint64(col%c.Cfg.MOPWidth)
-	return block << 6
+func (c *Controller) metaRow(bank, row, salt int) (metaBank, metaRow int) {
+	metaBank = (bank + 1 + salt) % c.Sys.TotalBanks()
+	metaRow = c.Cfg.RowsPerBank - 1 - (row % (c.Cfg.RowsPerBank / 16))
+	return metaBank, metaRow
 }
 
 // issueColumn issues the column command of queue entry idx (of the

@@ -743,15 +743,7 @@ func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int, cov *pi
 				row = rng.Intn(rows)
 			}
 			bank := banks[rng.Intn(len(banks))]
-			a := c.encode(bank, row, rng.Intn(c.blocksPerRow))
-			if b, r := c.Decode(a); b != bank || r != row {
-				t.Fatalf("encode(%d, %d) decodes to %d/%d", bank, row, b, r)
-			}
-			if rng.Intn(3) == 0 {
-				c.Write(a, 0, cycle)
-			} else {
-				c.Read(a, 0, nil, cycle)
-			}
+			c.enqueue(&Request{}, bank, row, rng.Intn(3) == 0, cycle)
 		}
 		checkBankIndex(t, c)
 		checkOffers(t, c)

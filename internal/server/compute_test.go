@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"svard/internal/cache"
 	"svard/internal/server"
@@ -124,6 +125,35 @@ func TestComputeBatchPerCellFailure(t *testing.T) {
 	}
 	if failed != nrh64 || resp.Served != 0 {
 		t.Fatalf("failed=%d served=%d, want %d (the nrh=64 cells) and 0", failed, resp.Served, nrh64)
+	}
+}
+
+// TestComputeBatchSurvivesPanic: a batch whose simulator panics gets an
+// error response naming the panic, the daemon lives on, the panicked
+// cell's key and worker slot are released (the same batch again fails
+// the same way instead of hanging), and a valid batch then computes.
+func TestComputeBatchSurvivesPanic(t *testing.T) {
+	panicking := func(cfg sim.Config) (sim.Result, error) {
+		if cfg.NRH == 64 {
+			panic("simulator exploded")
+		}
+		return fakeSim(cfg)
+	}
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: panicking})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	bad, good := sim.DefaultConfig(), sim.DefaultConfig()
+	bad.Cores, bad.Mix, bad.NRH = 1, []string{"mcf06"}, 64
+	good.Cores, good.Mix, good.NRH = 1, []string{"mcf06"}, 128
+
+	for range 2 {
+		if _, err := c.Compute(ctx, []sim.Config{bad}); err == nil || !strings.Contains(err.Error(), "simulator exploded") {
+			t.Fatalf("a panicking batch: %v, want an error naming the panic", err)
+		}
+	}
+	resp, err := c.Compute(ctx, []sim.Config{good})
+	if err != nil || len(resp.Cells) != 1 || resp.Cells[0].Error != "" || !resp.Cells[0].Computed {
+		t.Fatalf("a valid batch after the panic: %+v, %v", resp, err)
 	}
 }
 

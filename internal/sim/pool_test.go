@@ -287,3 +287,33 @@ func TestPooledRunMatchesRun(t *testing.T) {
 		t.Errorf("PooledRun diverged:\nfresh:  %+v\npooled: %+v", fresh, pooled)
 	}
 }
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestArenaBuildAllocs pins what a warm arena allocates to build and run
+// a small cell. Nothing is allocated per channel or per build of the
+// machine — the machine, every channel's tracker and threshold view,
+// every core's port and the pooled defenses' keys are the arena's — so
+// the four-controller HBM2 machine allocates what the one-controller
+// DDR4 machine does.
+func TestArenaBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const pinned = 15
+	for _, backend := range []string{"ddr4-3200", "hbm2"} {
+		cfg := diffBase()
+		cfg.Backend = backend
+		cfg.Defense = "para"
+		cfg.Mix = []string{"mcf06", "ycsb-a"}
+		cfg.InstrPerCore, cfg.WarmupPerCore = 2_000, 500
+		st := newPoolState()
+		if _, err := runOn(st, cfg, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(5, func() { runOn(st, cfg, nil, nil) }); n > pinned {
+			t.Errorf("%s: a warm pooled build and run allocates %v objects, want at most %d", backend, n, pinned)
+		}
+	}
+}

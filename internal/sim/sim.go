@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -338,38 +337,21 @@ func buildDefense(name string, si mitigation.SystemInfo, th core.Thresholds, cpu
 	}
 }
 
-// port adapts a single controller to the core's MemPort — the
-// single-channel fast path (the DDR4 preset), with no routing between
-// the core and the controller's request pool. Requests flow through the
-// controller's internal request pool, so the per-access path allocates
-// nothing.
-type port struct {
-	mc   *memctrl.Controller
-	core int
-}
-
-func (p port) Read(addr uint64, done func(uint64), cycle uint64) bool {
-	return p.mc.Read(addr, p.core, done, cycle)
-}
-
-func (p port) Write(addr uint64, cycle uint64) bool {
-	return p.mc.Write(addr, p.core, cycle)
-}
-
-// chanPort is port for a multi-channel machine: it routes each access
-// to its (pseudo) channel's controller with the channel bits folded out
-// of the address.
+// chanPort is a core's MemPort: it routes each access to its (pseudo)
+// channel's controller with the channel bits folded out of the address.
+// Requests flow through the controller's internal request pool, so the
+// per-access path allocates nothing.
 type chanPort struct {
 	m    *machine
 	core int
 }
 
-func (p chanPort) Read(addr uint64, done func(uint64), cycle uint64) bool {
+func (p *chanPort) Read(addr uint64, done func(uint64), cycle uint64) bool {
 	ch, a := p.m.route(addr)
 	return p.m.mcs[ch].Read(a, p.core, done, cycle)
 }
 
-func (p chanPort) Write(addr uint64, cycle uint64) bool {
+func (p *chanPort) Write(addr uint64, cycle uint64) bool {
 	ch, a := p.m.route(addr)
 	return p.m.mcs[ch].Write(a, p.core, cycle)
 }
@@ -423,8 +405,7 @@ type machine struct {
 	rec       *obs.Recorder
 	measuring bool // every core has entered its measurement region
 
-	// Channel routing fields (unused when nchan == 1 — the DDR4 preset
-	// binds cores straight to mcs[0] through port).
+	// route's fields.
 	nchan      uint64
 	mopWidth   uint64
 	chanStride uint64 // banks per channel: BankGroups*BanksPerGroup*Ranks
@@ -449,37 +430,35 @@ func (m *machine) route(addr uint64) (int, uint64) {
 }
 
 // chanTracker adapts a channel-local controller to the system-wide
-// security tracker by offsetting bank and rank indices. Channel 0 skips
-// the adapter and reports straight into the tracker.
+// security tracker by offsetting bank and rank indices.
 type chanTracker struct {
 	t       *secTracker
 	bankOff int
 	rankOff int
 }
 
-func (ct chanTracker) OnAct(bank, row int, cycle uint64) { ct.t.OnAct(ct.bankOff+bank, row, cycle) }
-func (ct chanTracker) OnPre(bank, row int, on uint64)    { ct.t.OnPre(ct.bankOff+bank, row, on) }
-func (ct chanTracker) OnRefresh(rank, firstRow, count int) {
+func (ct *chanTracker) OnAct(bank, row int, cycle uint64) { ct.t.OnAct(ct.bankOff+bank, row, cycle) }
+func (ct *chanTracker) OnPre(bank, row int, on uint64)    { ct.t.OnPre(ct.bankOff+bank, row, on) }
+func (ct *chanTracker) OnRefresh(rank, firstRow, count int) {
 	ct.t.OnRefresh(ct.rankOff+rank, firstRow, count)
 }
-func (ct chanTracker) OnRowsSwapped(bank, a, b int) { ct.t.OnRowsSwapped(ct.bankOff+bank, a, b) }
+func (ct *chanTracker) OnRowsSwapped(bank, a, b int) { ct.t.OnRowsSwapped(ct.bankOff+bank, a, b) }
 
 // chanThresholds shifts a channel-local bank index into the system-wide
 // per-bank threshold tables (Svärd profiles every bank of the system).
-// Channel 0 queries the thresholds directly.
 type chanThresholds struct {
 	th  core.Thresholds
 	off int
 }
 
-func (ct chanThresholds) ActivationBudget(bank, row int) float64 {
+func (ct *chanThresholds) ActivationBudget(bank, row int) float64 {
 	return ct.th.ActivationBudget(ct.off+bank, row)
 }
 
-func (ct chanThresholds) MinBudget() float64 { return ct.th.MinBudget() }
+func (ct *chanThresholds) MinBudget() float64 { return ct.th.MinBudget() }
 
-// newMachine builds the simulated system of cfg from fresh allocations:
-// the build runOn does, on an empty arena, with no twin memo.
+// newMachine builds the simulated system of cfg on an empty arena: the
+// build runOn does, with no twin memo.
 func newMachine(cfg Config) (*machine, error) {
 	st := newPoolState()
 	l, err := newLayout(cfg)
@@ -492,28 +471,50 @@ func newMachine(cfg Config) (*machine, error) {
 	return l.assemble(st)
 }
 
-// poolState is one worker's reusable simulation arena: the per-channel
-// controllers (with the DRAM systems, queues, and per-row tables
-// inside), the cores (windows, LLCs, MSHR records), the security
-// tracker's accrual table, and one instance of each defense type seen
-// so far (keyed per channel — defenses hold per-bank state sized to
-// their channel). arm and assemble Reset() each piece to its
-// exactly-fresh state instead of reallocating, so a sweep executes cells
-// allocation-flat after its first few cells warm the arena — including
-// sweeps that alternate backends, since every Reset resizes to the
-// requested geometry.
+// poolState is one worker's reusable simulation arena: the machine
+// itself, the per-channel controllers (with the DRAM systems, queues,
+// and per-row tables inside), the cores (windows, LLCs, MSHR records),
+// the security tracker's accrual table, one instance of each defense
+// type seen so far per channel (defenses hold per-bank state sized to
+// their channel), and the adapters that bind them: each channel's view
+// of the tracker and of the thresholds, and each core's port. Controllers,
+// defenses, and cores hold pointers to these slots. arm and assemble
+// Reset() each piece to its exactly-fresh state instead of reallocating,
+// so a sweep executes cells allocation-flat after its first few cells
+// warm the arena — including sweeps that alternate backends, since every
+// Reset resizes to the requested geometry.
 type poolState struct {
+	m        machine
 	mcs      []*memctrl.Controller
 	cores    []*cpu.Core
 	tracker  *secTracker
-	defenses map[string]mitigation.Defense
+	defenses map[defenseKey]mitigation.Defense
 	defs     []mitigation.Defense // the current cell's defense per channel (layout.arm)
+	ths      []chanThresholds     // per channel
+	trs      []chanTracker        // per channel
+	ports    []chanPort           // per core
+}
+
+// defenseKey names a pooled defense instance: its type and channel.
+type defenseKey struct {
+	name string
+	ch   int
 }
 
 // newPoolState returns an empty arena: building on it constructs every
 // component from fresh allocations.
 func newPoolState() *poolState {
-	return &poolState{defenses: make(map[string]mitigation.Defense)}
+	return &poolState{defenses: make(map[defenseKey]mitigation.Defense)}
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. Pointers into the old array stay valid, so components built in
+// an earlier cell keep working until their next Reset rebinds them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(make([]T, 0, n), s...)
+	}
+	return s[:n]
 }
 
 // layout is what a build derives from a Config before it touches an
@@ -607,99 +608,79 @@ func (l *layout) armTracker(st *poolState) {
 }
 
 // armDefenses resets arena st's defenses: one per (pseudo) channel in
-// st.defs.
+// st.defs, each reading its channel's slice of the thresholds.
 func (l *layout) armDefenses(st *poolState) error {
 	cfg := &l.cfg
 	defName := strings.ToLower(cfg.Defense)
-	st.defs = st.defs[:0]
-	for ch := 0; ch < l.nchan; ch++ {
+	st.defs = resize(st.defs, l.nchan)
+	st.ths = resize(st.ths, l.nchan)
+	for ch := range st.defs {
 		// Each (pseudo) channel runs its own defense instance over its
-		// slice of the global bank space. Channel 0 uses the unwrapped
-		// thresholds, key, and seed, so the single-channel DDR4 preset is
-		// bit- and allocation-identical to the pre-backend system.
+		// slice of the global bank space, seeded apart to decorrelate
+		// per-channel probabilistic defenses (PARA) the same way a real
+		// system's independent controllers would be.
 		si := mitigation.SystemInfo{
 			Banks:       l.banksPerChan,
 			RowsPerBank: cfg.RowsPerBank,
 			REFWCycles:  l.timing.REFW,
-			Seed:        cfg.Seed,
+			Seed:        cfg.Seed + uint64(ch)*0x9E3779B97F4A7C15,
 		}
-		chTh := l.th
-		key := defName
-		if ch > 0 {
-			// Decorrelate per-channel probabilistic defenses (PARA) the
-			// same way a real system's independent controllers would be.
-			si.Seed = cfg.Seed + uint64(ch)*0x9E3779B97F4A7C15
-			chTh = chanThresholds{th: l.th, off: ch * l.banksPerChan}
-			key = defName + "#" + strconv.Itoa(ch)
-		}
-		def, err := buildDefense(cfg.Defense, si, chTh, cfg.CPUGHz, st.defenses[key])
+		st.ths[ch] = chanThresholds{th: l.th, off: ch * l.banksPerChan}
+		key := defenseKey{defName, ch}
+		def, err := buildDefense(cfg.Defense, si, &st.ths[ch], cfg.CPUGHz, st.defenses[key])
 		if err != nil {
 			return err
 		}
 		st.defenses[key] = def
-		st.defs = append(st.defs, def)
+		st.defs[ch] = def
 	}
 	return nil
 }
 
 // assemble builds the rest of the machine on arena st around the armed
 // tracker and defenses: one controller per (pseudo) channel, then the
-// cores.
+// cores, each bound to the arena's machine through its port.
 func (l *layout) assemble(st *poolState) (*machine, error) {
 	cfg := &l.cfg
-	nchan := l.nchan
-	if cap(st.mcs) < nchan {
-		st.mcs = append(make([]*memctrl.Controller, 0, nchan), st.mcs...)
+	st.mcs = resize(st.mcs, l.nchan)
+	st.trs = resize(st.trs, l.nchan)
+	m := &st.m
+	*m = machine{
+		mcs:        st.mcs,
+		tracker:    st.tracker,
+		nchan:      uint64(l.nchan),
+		mopWidth:   uint64(l.mcCfg.MOPWidth),
+		chanStride: uint64(l.banksPerChan),
 	}
-	st.mcs = st.mcs[:nchan]
-	mcs := st.mcs
-	m := &machine{mcs: mcs, tracker: st.tracker}
-	if nchan > 1 {
-		m.nchan = uint64(nchan)
-		m.mopWidth = uint64(l.mcCfg.MOPWidth)
-		m.chanStride = uint64(l.banksPerChan)
-	}
-	for ch := 0; ch < nchan; ch++ {
-		// Channel 0 reports straight into the tracker; the others through
-		// an adapter that offsets their bank and rank indices.
-		var chTr memctrl.Tracker = st.tracker
-		if ch > 0 {
-			chTr = chanTracker{t: st.tracker, bankOff: ch * l.banksPerChan, rankOff: ch * l.mcCfg.Ranks}
-		}
-		if mcs[ch] != nil {
-			mcs[ch].Reset(l.mcCfg, l.timing, st.defs[ch], chTr)
+	for ch, mc := range m.mcs {
+		st.trs[ch] = chanTracker{t: st.tracker, bankOff: ch * l.banksPerChan, rankOff: ch * l.mcCfg.Ranks}
+		if mc != nil {
+			mc.Reset(l.mcCfg, l.timing, st.defs[ch], &st.trs[ch])
 		} else {
-			mcs[ch] = memctrl.New(l.mcCfg, l.timing, st.defs[ch], chTr)
+			m.mcs[ch] = memctrl.New(l.mcCfg, l.timing, st.defs[ch], &st.trs[ch])
 		}
 	}
 
-	if cap(st.cores) < cfg.Cores {
-		st.cores = append(make([]*cpu.Core, 0, cfg.Cores), st.cores...)
-	}
-	st.cores = st.cores[:cfg.Cores]
-	cores := st.cores
-	for i := range cores {
-		gen, uncached, err := cfg.generatorFor(l.mcCfg, nchan, i, cfg.Mix[i])
+	st.cores = resize(st.cores, cfg.Cores)
+	st.ports = resize(st.ports, cfg.Cores)
+	m.cores = st.cores
+	for i, c := range m.cores {
+		gen, uncached, err := cfg.generatorFor(l.mcCfg, l.nchan, i, cfg.Mix[i])
 		if err != nil {
 			return nil, err
 		}
 		coreCfg := cfg.Core
 		coreCfg.Uncached = uncached
-		var mp cpu.MemPort
-		if nchan > 1 {
-			mp = chanPort{m: m, core: i}
+		st.ports[i] = chanPort{m: m, core: i}
+		if c == nil {
+			c = cpu.New(i, coreCfg, gen, &st.ports[i])
+			m.cores[i] = c
 		} else {
-			mp = port{mc: mcs[0], core: i}
+			c.Reset(i, coreCfg, gen, &st.ports[i])
 		}
-		if cores[i] == nil {
-			cores[i] = cpu.New(i, coreCfg, gen, mp)
-		} else {
-			cores[i].Reset(i, coreCfg, gen, mp)
-		}
-		cores[i].WarmupTarget = cfg.WarmupPerCore
-		cores[i].MeasureTarget = cfg.InstrPerCore
+		c.WarmupTarget = cfg.WarmupPerCore
+		c.MeasureTarget = cfg.InstrPerCore
 	}
-	m.cores = cores
 	return m, nil
 }
 
@@ -812,11 +793,10 @@ func (m *machine) result(cfg Config, endCycle uint64, finished bool) Result {
 	res := Result{
 		IPC:        make([]float64, len(m.cores)),
 		Cycles:     endCycle,
-		MC:         m.mcs[0].Stats,
 		Violations: m.tracker.Violations,
 		Finished:   finished,
 	}
-	for _, mc := range m.mcs[1:] {
+	for _, mc := range m.mcs {
 		res.MC.Add(mc.Stats)
 	}
 	for i, c := range m.cores {
@@ -972,6 +952,7 @@ func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result
 		m.obs.TwinMissed = 1
 	}
 	memo.record(&cfg, m)
+	defer memo.abandon(m.tracker)
 	res := m.run(cfg)
 	memo.finish(m.tracker, res)
 	return res, nil

@@ -342,6 +342,20 @@ func (mm *twinMemo) finish(tr *secTracker, res Result) {
 	}
 }
 
+// abandon drops the slot tr is still recording into: finish never ran,
+// because the run panicked. An unready log left held would keep its
+// family from ever recording again.
+func (mm *twinMemo) abandon(tr *secTracker) {
+	tw := tr.log
+	if tw == nil {
+		return
+	}
+	tr.log = nil
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	mm.drop(tw)
+}
+
 // drop removes t from the memo. Called with mm.mu held.
 func (mm *twinMemo) drop(t *twin) {
 	i := slices.Index(mm.held, t)

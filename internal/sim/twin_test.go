@@ -401,6 +401,31 @@ func TestTwinMemoBounded(t *testing.T) {
 	}
 }
 
+// TestTwinAbandonedOnPanic: a run that panics while recording gives
+// its slot back, as runOn's deferred abandon does, so the family records
+// on its next run instead of waiting forever on a log never finished.
+func TestTwinAbandonedOnPanic(t *testing.T) {
+	memo := &twinMemo{}
+	cfg := twinConfig(tinyBase())
+	m := trackedMachine()
+	func() {
+		defer func() { recover() }()
+		memo.record(&cfg, m)
+		defer memo.abandon(m.tracker)
+		if m.tracker.log == nil {
+			t.Fatal("twin not recorded")
+		}
+		panic("run exploded")
+	}()
+	if len(memo.held) != 0 || m.tracker.log != nil {
+		t.Fatalf("the panicked run's slot is still held: %d held", len(memo.held))
+	}
+	again := trackedMachine()
+	if memo.record(&cfg, again); again.tracker.log == nil {
+		t.Error("the family cannot record after a panicked run")
+	}
+}
+
 // trackedMachine is a machine with just a tracker: enough for the memo
 // to attach a log to.
 func trackedMachine() *machine { return &machine{tracker: &secTracker{}} }
