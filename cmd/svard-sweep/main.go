@@ -100,7 +100,7 @@ func run() error {
 		profiles = flag.String("profiles", "", "comma-separated module profiles (default S0,M0,H1)")
 		benign   = flag.String("benign", "", "comma-separated Fig. 13 benign workloads")
 		nrh13    = flag.Float64("nrh13", 0, "Fig. 13 HCfirst (default 64)")
-		noSkip   = flag.Bool("noskip", false, "drive every simulation through the per-cycle reference loop instead of the event-driven engine (bit-identical, ~2x slower; see EXPERIMENTS.md)")
+		noSkip   = flag.Bool("noskip", false, "drive every simulation through the per-cycle reference loop instead of the event-driven engine (same commands, same results, ~2x slower; see EXPERIMENTS.md)")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 
 		popSize  = flag.Int("population", 0, "sweep a synthetic module population of this size (Fig. 12 confidence bands instead of per-profile points)")

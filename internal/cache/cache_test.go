@@ -167,72 +167,75 @@ func TestCorruptEntryRecomputes(t *testing.T) {
 	}
 }
 
-// TestSchemaV3InvalidatesOldEntries pins the svard-sim-v3 schema bump
-// that came with the geometry-parameterized memory backend. An entry a
-// v2 binary left on disk — well-formed JSON, matching key, old schema
-// string — must be recomputed and rewritten in place, never served and
-// never surfaced as an error: the same config bytes now describe a
-// different simulation.
-func TestSchemaV3InvalidatesOldEntries(t *testing.T) {
-	if SchemaVersion != "svard-sim-v3" {
-		t.Fatalf("SchemaVersion = %q, want svard-sim-v3 (if bumping, update this test with the new version)", SchemaVersion)
+// TestSchemaBumpInvalidatesOldEntries pins the svard-sim-v5 schema bump
+// that came with the write-drain fix (and folded the temporal v4
+// namespace into the one version). An entry an older binary left on disk
+// — well-formed JSON, matching key, old schema string — must be
+// recomputed and rewritten in place, never served and never surfaced as
+// an error: the same config bytes now describe a different simulation.
+func TestSchemaBumpInvalidatesOldEntries(t *testing.T) {
+	if SchemaVersion != "svard-sim-v5" {
+		t.Fatalf("SchemaVersion = %q, want svard-sim-v5 (if bumping, update this test with the new version)", SchemaVersion)
 	}
+	for _, old := range []string{"svard-sim-v3", "svard-sim-v4"} {
+		t.Run(old, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testCfg(512)
+			key := Key(cfg)
+			stale := envelope{
+				Schema: old,
+				Key:    key,
+				Result: sim.Result{Cycles: 1, Violations: 999, Finished: true},
+			}
+			b, err := json.Marshal(stale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := s1.path(key)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	dir := t.TempDir()
-	s1, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testCfg(512)
-	key := Key(cfg)
-	stale := envelope{
-		Schema: "svard-sim-v2",
-		Key:    key,
-		Result: sim.Result{Cycles: 1, Violations: 999, Finished: true},
-	}
-	b, err := json.Marshal(stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := s1.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			var calls atomic.Int64
+			got, _, err := s1.GetOrCompute(cfg, fakeCompute(&calls))
+			if err != nil {
+				t.Fatalf("%s entry surfaced as error: %v", old, err)
+			}
+			if calls.Load() != 1 {
+				t.Errorf("compute ran %d times, want 1 (stale entry must recompute)", calls.Load())
+			}
+			if got.Cycles == stale.Result.Cycles && got.Violations == stale.Result.Violations {
+				t.Errorf("stale %s result was served instead of recomputed", old)
+			}
+			if st := s1.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+				t.Errorf("stats = %v, want the %s entry counted corrupt+miss", st, old)
+			}
 
-	var calls atomic.Int64
-	got, _, err := s1.GetOrCompute(cfg, fakeCompute(&calls))
-	if err != nil {
-		t.Fatalf("v2 entry surfaced as error: %v", err)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("compute ran %d times, want 1 (stale entry must recompute)", calls.Load())
-	}
-	if got.Cycles == stale.Result.Cycles && got.Violations == stale.Result.Violations {
-		t.Error("stale v2 result was served instead of recomputed")
-	}
-	if st := s1.Stats(); st.Corrupt != 1 || st.Misses != 1 {
-		t.Errorf("stats = %v, want the v2 entry counted corrupt+miss", st)
-	}
-
-	// The entry was rewritten under the v3 schema: a fresh store serves
-	// it from disk without recomputing.
-	s2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, _, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, got, warm)
-	if calls.Load() != 1 {
-		t.Errorf("compute ran %d times after repair, want 1", calls.Load())
-	}
-	if st := s2.Stats(); st.DiskHits != 1 {
-		t.Errorf("repaired entry not served from disk: %v", st)
+			// The entry was rewritten under the current schema: a fresh
+			// store serves it from disk without recomputing.
+			s2, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, _, err := s2.GetOrCompute(cfg, fakeCompute(&calls))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, got, warm)
+			if calls.Load() != 1 {
+				t.Errorf("compute ran %d times after repair, want 1", calls.Load())
+			}
+			if st := s2.Stats(); st.DiskHits != 1 {
+				t.Errorf("repaired entry not served from disk: %v", st)
+			}
+		})
 	}
 }
 

@@ -131,11 +131,7 @@ func planBytes(v any) []byte {
 // referencePreimage is what Key hashed before the plan existed.
 func referencePreimage(cfg sim.Config) []byte {
 	var h rawBytes
-	if cfg.Temporal != nil {
-		writeString(&h, TemporalSchemaVersion)
-	} else {
-		writeString(&h, SchemaVersion)
-	}
+	writeString(&h, SchemaVersion)
 	writeValue(&h, reflect.ValueOf(cfg))
 	return h.Bytes()
 }

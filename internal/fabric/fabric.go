@@ -51,6 +51,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -593,9 +594,20 @@ func (c *Coordinator) completeLocked(run *runState, idx int, res sim.Result, com
 }
 
 // computeLocal is the last-resort path: the coordinator runs the cell
-// on its own cell path.
+// on its own cell path. A panic there fails the campaign, not the
+// coordinator.
 func (c *Coordinator) computeLocal(run *runState, idx int) {
-	res, _, computed, err := c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
+	var res sim.Result
+	var computed bool
+	err := func() (err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+			}
+		}()
+		res, _, computed, err = c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
+		return err
+	}()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

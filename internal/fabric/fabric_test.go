@@ -1211,6 +1211,33 @@ func TestRouteParity(t *testing.T) {
 	}
 }
 
+// TestLocalComputePanicFailsTheCampaign: a cell that panics on the
+// coordinator's own cell path (the last resort after its dispatch attempts)
+// fails the campaign with an error naming the panic; the coordinator lives
+// on and runs the next campaign.
+func TestLocalComputePanicFailsTheCampaign(t *testing.T) {
+	var explode atomic.Bool
+	explode.Store(true)
+	local := func(cfg sim.Config) (sim.Result, error) {
+		if explode.Load() {
+			panic("simulator exploded")
+		}
+		return fakeSim(cfg)
+	}
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{Workers: 1, BatchSize: 2, MaxCellAttempts: 1, Sim: local})
+	broken, _, _ := newWorker(t, func(sim.Config) (sim.Result, error) { return sim.Result{}, os.ErrDeadlineExceeded }, nil)
+	register(t, coordURL, "broken", broken.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := coord.RunCtx(ctx, tinySpec()); err == nil || !strings.Contains(err.Error(), "simulator exploded") {
+		t.Fatalf("a campaign whose local compute panicked: %v, want an error naming the panic", err)
+	}
+	explode.Store(false)
+	if _, err := coord.RunCtx(ctx, tinySpec()); err != nil {
+		t.Fatalf("the next campaign: %v", err)
+	}
+}
+
 // TestOversizedControlBodiesGet413: register, heartbeat and object-store
 // bodies are capped at 1 MiB, and a body over the cap is refused as too
 // large — not truncated into whatever JSON error the cut produces.

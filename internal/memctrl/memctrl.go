@@ -506,13 +506,13 @@ func (c *Controller) enqueue(r *Request, bank, row int, write bool, cycle uint64
 		bq.hit[dir]++
 	}
 	c.reoffer(bank)
+	c.setMode()
 	// A dormant controller (the next Tick runs a full pass otherwise)
 	// tightens its cached idle bound instead of discarding it: the new
 	// request only adds to what its own bank can do — every other bank's
-	// state is frozen, the write-drain mode flip is covered because the
-	// bound considers both queues regardless of mode, and a new row hit
-	// can only *suppress* (delay) a conflict PRE — so the bank's
-	// candidate, from this cycle on, is all that can precede the bound.
+	// state is frozen, and a new row hit can only *suppress* (delay) a
+	// conflict PRE — so the bank's candidate, from this cycle on, is all
+	// that can precede the bound.
 	if c.idleUntil > cycle {
 		at := c.readyAt(bq.offer[dir])
 		if bq.retryUntil > cycle {
@@ -521,6 +521,17 @@ func (c *Controller) enqueue(r *Request, bank, row int, write bool, cycle uint64
 		c.idleUntil = min(c.idleUntil, at)
 	}
 	return true
+}
+
+// setMode sets the write-drain mode from the queue depths, with high/low
+// watermarks: drain from 3/4 of the write queue (or whenever no read is
+// queued) until a quarter is left. It runs wherever a depth moves —
+// enqueue and column completion — and nowhere else, so the mode is a
+// function of the depth history alone, which every tick schedule shares:
+// a cycle the event engine skips cannot flip it.
+func (c *Controller) setMode() {
+	w := len(c.writeQ)
+	c.writeMode = w >= c.Cfg.WriteQ*3/4 || (len(c.readQ) == 0 && w > 0) || (c.writeMode && w > c.Cfg.WriteQ/4)
 }
 
 // QueueLens returns the current read and write queue depths.
@@ -606,15 +617,6 @@ func (c *Controller) tick(cycle uint64) bool {
 		return true
 	}
 
-	// Write drain mode with high/low watermarks.
-	if c.writeMode {
-		if len(c.writeQ) <= c.Cfg.WriteQ/4 {
-			c.writeMode = false
-		}
-	} else if len(c.writeQ) >= c.Cfg.WriteQ*3/4 || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
-		c.writeMode = true
-	}
-
 	if c.writeMode && c.schedule(1, cycle) {
 		return true
 	}
@@ -636,14 +638,10 @@ func (c *Controller) tick(cycle uint64) bool {
 // costs a wasted tick but can never skip a cycle the per-cycle loop
 // would have acted on.
 //
-// Two Tick-internal mutations deliberately do not appear here because
-// they cannot change scheduling outcomes: EndRefreshIfDone only clears
-// a flag no ready time depends on (REF wrote its window into the banks'
-// ACT ready times), and the write-drain mode flip is a pure function of
-// the (frozen) queue depths and the previous mode, so it reaches the
-// same state on the wake tick as it would have on the next per-cycle
-// tick — NextEvent therefore considers both queues regardless of the
-// current mode.
+// EndRefreshIfDone, the one mutation a tick makes without acting, does
+// not appear here: it only clears a flag no ready time depends on (REF
+// wrote its window into the banks' ACT ready times). Both queues are
+// considered in either write-drain mode: the mode only orders them.
 func (c *Controller) NextEvent(cycle uint64) uint64 {
 	if cycle < c.idleUntil {
 		return c.idleUntil // computed by the idle Tick that got us here
@@ -1101,6 +1099,7 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 	// Remove before invoking the completion: the callback may enqueue (a
 	// dirty-eviction writeback), which must see the freed slot.
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	c.setMode()
 	if writes {
 		c.Stats.Writes++
 		return

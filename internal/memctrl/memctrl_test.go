@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -385,6 +386,100 @@ func TestNextEventWriteDrainWatermark(t *testing.T) {
 			t.Errorf("writes=%d: first ACT went to write=%v read=%v, want write-first=%v",
 				tc.writes, openedWrite, openedRead, tc.wantWrite)
 		}
+	}
+}
+
+// arrival is one enqueue of an event-vs-full schedule.
+type arrival struct {
+	cycle     uint64
+	bank, row int
+	write     bool
+}
+
+// TestTickMatchesTickFull feeds two controllers the same enqueue schedule
+// and requires them to issue the same commands: one ticked with TickFull
+// on every cycle (the reference loop), the other with Tick, jumping to
+// the earlier of its NextEvent and the next enqueue (the event engine).
+// The schedule opens with the write-drain edge: a read queue that empties
+// for one cycle while 20 writes (above the low watermark) wait, then a
+// read that arrives while the jumping controller is dormant — the drain
+// mode must not depend on which cycles were ticked. A seeded stream of
+// bursts over a few banks follows, past a refresh.
+func TestTickMatchesTickFull(t *testing.T) {
+	full, skip := newMC1Rank(nil), newMC1Rank(nil)
+	tm := full.Sys.T
+	// The read's column issues at tRCD after its ACT at cycle 0; the
+	// writes target another row of its bank, so the earliest thing they
+	// can do is that bank's PRE, tRAS after the ACT.
+	sched := []arrival{{0, 0, 5, false}}
+	for i := 0; i < 20; i++ {
+		sched = append(sched, arrival{0, 0, 7, true})
+	}
+	sched = append(sched, arrival{tm.RCD + 2, 0, 9, false})
+	rng := rand.New(rand.NewSource(36))
+	total := full.Sys.TotalBanks()
+	for cycle := uint64(2000); cycle < tm.REFI+4000; cycle += 1 + uint64(rng.Intn(40)) {
+		for n := rng.Intn(4); n > 0; n-- {
+			sched = append(sched, arrival{cycle, rng.Intn(total) % 4 * (total / 4), rng.Intn(3), rng.Intn(3) == 0})
+		}
+	}
+	end := sched[len(sched)-1].cycle + 20_000
+
+	var cmds [2][]mem.Command
+	full.Sys.Observer = func(c mem.Command) { cmds[0] = append(cmds[0], c) }
+	skip.Sys.Observer = func(c mem.Command) { cmds[1] = append(cmds[1], c) }
+	state := func(c *Controller, bank int) string {
+		r, w := c.QueueLens()
+		bq := &c.banks[bank]
+		return fmt.Sprintf("writeMode=%v queues %d/%d idleUntil=%d bank %d offers read %+v (ready %d) write %+v (ready %d)",
+			c.writeMode, r, w, c.idleUntil, bank, bq.offer[0], c.readyAt(bq.offer[0]), bq.offer[1], c.readyAt(bq.offer[1]))
+	}
+	var emptied, dormantRead bool
+	wake, next, checked := uint64(0), 0, 0
+	for cycle := uint64(0); cycle < end; cycle++ {
+		arrived := false
+		for ; next < len(sched) && sched[next].cycle == cycle; next++ {
+			a := sched[next]
+			if !a.write {
+				if r, w := full.QueueLens(); r == 0 && w > full.Cfg.WriteQ/4 && cycle > 0 {
+					emptied = true
+				}
+				if skip.idleUntil > cycle {
+					dormantRead = true
+				}
+			}
+			full.enqueue(&Request{}, a.bank, a.row, a.write, cycle)
+			skip.enqueue(&Request{}, a.bank, a.row, a.write, cycle)
+			arrived = true
+		}
+		full.TickFull(cycle)
+		if arrived || cycle >= wake {
+			skip.Tick(cycle)
+			wake = skip.NextEvent(cycle)
+		}
+		for ; checked < max(len(cmds[0]), len(cmds[1])); checked++ {
+			var got [2]string
+			bank := 0
+			for k := range cmds {
+				got[k] = "none"
+				if checked < len(cmds[k]) {
+					c := cmds[k][checked]
+					got[k] = fmt.Sprintf("%c bank %d row %d write=%v at %d", c.Kind, c.Bank, c.Row, c.Write, c.Cycle)
+					bank = c.Bank
+				}
+			}
+			if got[0] != got[1] {
+				t.Fatalf("command %d at cycle %d differs:\n TickFull: %s\n    Tick: %s\n TickFull: %s\n    Tick: %s",
+					checked, cycle, got[0], got[1], state(full, bank), state(skip, bank))
+			}
+		}
+	}
+	if !emptied || !dormantRead {
+		t.Fatalf("schedule lost its edge: read queue emptied for one cycle with writes pending %v, read arrived at a dormant controller %v",
+			emptied, dormantRead)
+	}
+	if !full.Idle() || full.Stats.Refreshes == 0 {
+		t.Fatalf("run too short: idle %v, %d refreshes", full.Idle(), full.Stats.Refreshes)
 	}
 }
 

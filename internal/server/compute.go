@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 
 	"svard/internal/cache"
 	"svard/internal/exec"
@@ -47,7 +49,8 @@ type ComputeResponse struct {
 // a worker serving both a local sweep and fabric dispatch stays within
 // its configured parallelism. Per-cell simulation failures are
 // reported in the cell (the batch continues); config validation
-// failures, shutdown, and ctx cancellation fail the whole batch.
+// failures, shutdown, and ctx cancellation fail the whole batch, and so
+// does a cell whose simulator panics (a *workerFault).
 func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]ComputeCell, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -60,7 +63,12 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
 	}
-	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (ComputeCell, error) {
+	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (_ ComputeCell, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = &workerFault{cell: i, value: v, stack: debug.Stack()}
+			}
+		}()
 		cfg := cfgs[i]
 		res, key, computed, err := s.cell.Run(ctx, cfg, nil)
 		cell := ComputeCell{Key: key}
@@ -80,7 +88,19 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 	})
 }
 
-// handleCompute serves POST /api/v1/compute.
+// workerFault is a compute batch's cell whose simulator panicked: a fault
+// of the worker, not of the request. Its message carries the panic value;
+// the stack goes to the log.
+type workerFault struct {
+	cell  int
+	value any
+	stack []byte
+}
+
+func (f *workerFault) Error() string { return fmt.Sprintf("config %d: panic: %v", f.cell, f.value) }
+
+// handleCompute serves POST /api/v1/compute. A batch the worker could not
+// compute because a cell panicked is a 500; one it refuses is a 400.
 func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 	var req ComputeRequest
 	if !decodeBody(w, r, "compute request", &req) {
@@ -92,9 +112,13 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 	}
 	cells, err := s.sched.ComputeBatch(r.Context(), req.Configs)
 	if err != nil {
+		var fault *workerFault
 		switch {
 		case errors.Is(err, ErrShuttingDown), r.Context().Err() != nil:
 			writeError(w, http.StatusServiceUnavailable, err)
+		case errors.As(err, &fault):
+			log.Printf("compute: %v\n%s", fault, fault.stack)
+			writeError(w, http.StatusInternalServerError, err)
 		default:
 			writeError(w, http.StatusBadRequest, err)
 		}

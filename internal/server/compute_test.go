@@ -7,6 +7,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"log"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,32 @@ func TestComputeBatchSurvivesPanic(t *testing.T) {
 	resp, err := c.Compute(ctx, []sim.Config{good})
 	if err != nil || len(resp.Cells) != 1 || resp.Cells[0].Error != "" || !resp.Cells[0].Computed {
 		t.Fatalf("a valid batch after the panic: %+v, %v", resp, err)
+	}
+}
+
+// TestComputeBatchPanicIs500: a cell whose simulator panics is a fault of
+// the worker, so the batch is a 500 (which a coordinator and a client's
+// retry policy read as one), not a 400. The body names the panic value;
+// the stack goes to the log, not to the caller.
+func TestComputeBatchPanicIs500(t *testing.T) {
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	panicking := func(sim.Config) (sim.Result, error) { panic("simulator exploded") }
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: panicking})
+	cfg := sim.DefaultConfig()
+	cfg.Cores, cfg.Mix = 1, []string{"mcf06"}
+	_, err := c.Compute(context.Background(), []sim.Config{cfg})
+	if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), "simulator exploded") {
+		t.Fatalf("a panicking batch: %v, want a 500 naming the panic", err)
+	}
+	if strings.Contains(err.Error(), "goroutine ") {
+		t.Errorf("the reply carries the stack: %v", err)
+	}
+	if l := logged.String(); !strings.Contains(l, "simulator exploded") || !strings.Contains(l, "goroutine ") {
+		t.Errorf("the log lacks the panic and its stack:\n%s", l)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"svard/internal/mem"
 	"svard/internal/mem/protocheck"
+	"svard/internal/memctrl"
 	"svard/internal/obs"
 )
 
@@ -24,17 +26,26 @@ type protocolTally struct {
 // with the checkers watching. Any command that breaks an enforced rule,
 // or a checker that did not see exactly the commands the controllers
 // counted, is an error. It is a Runner.
-func (p *protocolTally) run(cfg Config) (Result, error) { return p.runRecorded(cfg, nil) }
+func (p *protocolTally) run(cfg Config) (Result, error) { return p.runWatched(cfg, nil, nil) }
 
-// runRecorded is run with flight recorder rec attached (nil for none).
-func (p *protocolTally) runRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
+// runWatched is run with flight recorder rec attached (nil for none) and,
+// when watch is not nil, tells watch every command each channel's
+// controller issues, after the checker has seen it.
+func (p *protocolTally) runWatched(cfg Config, rec *obs.Recorder, watch func(ch int, mc *memctrl.Controller, cmd mem.Command)) (Result, error) {
 	m, err := newMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	chks := make([]*protocheck.Checker, len(m.mcs))
 	for ch, mc := range m.mcs {
-		chks[ch] = protocheck.Attach(mc.Sys)
+		chk := protocheck.Attach(mc.Sys)
+		chks[ch] = chk
+		if watch != nil {
+			mc.Sys.Observer = func(cmd mem.Command) {
+				chk.Observe(cmd)
+				watch(ch, mc, cmd)
+			}
+		}
 	}
 	m.rec = rec
 	res := m.run(cfg)
@@ -100,7 +111,7 @@ func TestGoldenProtocol(t *testing.T) {
 			opt.Runner = run
 			cells, err := RunFig12Ctx(ctx, opt)
 			sameAsGolden(t, "fig12_hbm2_golden.json", cells, err)
-		}, reported{{1580, 56898}, {88, 109050}, {979, 34603}, {1568, 43988}, {496, 496}}},
+		}, reported{{1597, 58107}, {115, 110428}, {1016, 34895}, {1718, 45042}, {496, 496}}},
 		{"fig13", func(t *testing.T, run Runner) {
 			opt := goldenFig13Options()
 			opt.Runner = run

@@ -68,10 +68,12 @@ type Config struct {
 	WindowScale float64
 
 	// NoSkip forces the per-cycle reference loop instead of the
-	// event-driven cycle-skipping engine. Results are bit-identical
-	// either way — the differential tests enforce it — so the reference
-	// loop exists only for those tests and for debugging the engine
-	// itself (see EXPERIMENTS.md, "event-driven engine").
+	// event-driven cycle-skipping engine. Both loops issue the same DRAM
+	// commands on the same cycles, so results are bit-identical either
+	// way: the differential tests compare the two command streams command
+	// for command, and CI fuzzes the configuration. The reference loop
+	// exists for those tests and for debugging the engine itself (see
+	// EXPERIMENTS.md, "event-driven engine").
 	NoSkip bool
 
 	// Temporal, when non-nil, attaches a temporal-variation process
@@ -720,9 +722,12 @@ func (m *machine) runNaive(maxCycles uint64) (uint64, bool) {
 // advances straight to it. Cycles where any component was active
 // advance by one, like the reference loop, because activity (an issued
 // command, a retired instruction, an enqueue) can enable any other
-// component on the very next cycle. The two loops are bit-identical by
-// construction; the differential tests in engine_diff_test.go enforce
-// it across every defense, attack mix, and Svärd setting.
+// component on the very next cycle. No controller decision depends on
+// which cycles were ticked (the write-drain mode moves only with the
+// queue depths), so the two loops issue the same commands: the
+// differential tests in engine_diff_test.go compare the streams command
+// for command across every defense, attack mix, Svärd setting and
+// backend, and FuzzEngineSkipVsNoSkip lets the fuzzer choose the cell.
 func (m *machine) runSkip(maxCycles uint64) (uint64, bool) {
 	remaining := len(m.cores)
 	cycle := uint64(0)
