@@ -37,6 +37,10 @@ import (
 // commands; results moved on the HBM2 backend and on longer DDR4 runs.
 // One version now covers every configuration, temporal or not.
 //
+// v6: the DRAM model enforces every rule mem.Timing carries — tCCD_S and
+// tCCD_L across banks, tWTR_S/L, and tRP before REF — and Hydra counts
+// its own victim refreshes; results moved on every backend.
+//
 // Config.NoSkip participates in the key like every other field, even
 // though the two engines are bit-identical by (test-enforced) contract:
 // a -noskip run therefore recomputes rather than reading entries a
@@ -44,7 +48,7 @@ import (
 // exists to check the engine, and a shared entry would hand it the
 // engine's cached answer, masking exactly the divergence it is there to
 // catch.
-const SchemaVersion = "svard-sim-v5"
+const SchemaVersion = "svard-sim-v6"
 
 // Key returns the canonical content address of one simulation: a hex
 // SHA-256 over the schema version and a stable field-order encoding of

@@ -179,12 +179,12 @@ func TestKeyCoversTemporalFields(t *testing.T) {
 // TestKeyStaticUnchangedByTemporalField pins the exact keys two static
 // configurations hash to. A nil Temporal stays invisible to the encoding:
 // these keys did not move when the field arrived, only at the svard-sim-v5
-// bump, where they were re-pinned. If either ever changes without a
+// and svard-sim-v6 bumps, where they were re-pinned. If either ever changes without a
 // SchemaVersion bump, cached entries are being silently invalidated.
 func TestKeyStaticUnchangedByTemporalField(t *testing.T) {
 	a := sim.DefaultConfig()
 	a.Mix = []string{"mcf06", "lbm06"}
-	const pinA = "668a5063b3575e3a0c09f3e44a2fb90eb72f2a2a447f8638132f4dafe7c7476b"
+	const pinA = "f1ec8edb6c8a4c633410562561c8ad0b7e085f06948124ede001ac38d592cc8e"
 	if got := Key(a); got != pinA {
 		t.Errorf("static key drifted:\n got %s\nwant %s", got, pinA)
 	}
@@ -199,7 +199,7 @@ func TestKeyStaticUnchangedByTemporalField(t *testing.T) {
 	b.Defense = "para"
 	b.Svard = true
 	b.Mix = []string{"mcf06", "ycsb-a"}
-	const pinB = "4ef5548d8e7e5c48e0214ddc62f1af5d3fa3c2f3538cb6b11b749db17772306c"
+	const pinB = "be590f028ef652d496366b3671aa4c0c8604baf7e98d57244562739c90702f46"
 	if got := Key(b); got != pinB {
 		t.Errorf("static key drifted:\n got %s\nwant %s", got, pinB)
 	}
@@ -209,7 +209,7 @@ func TestKeyStaticUnchangedByTemporalField(t *testing.T) {
 // under the one SchemaVersion, and the temporal block still changes the
 // key. Pinned by recomputing both keys against the constant directly.
 func TestKeyOneSchemaVersion(t *testing.T) {
-	if SchemaVersion != "svard-sim-v5" {
+	if SchemaVersion != "svard-sim-v6" {
 		t.Fatalf("SchemaVersion changed to %q: this invalidates every stored result", SchemaVersion)
 	}
 	cfg := sim.DefaultConfig()

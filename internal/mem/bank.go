@@ -8,14 +8,15 @@ type Bank struct {
 	OpenRow   int    // -1 when precharged
 	ActAt     uint64 // cycle of the last ACT (for row on-time accounting)
 	ActReady  uint64 // earliest next ACT: tRC, tRP, tRFC
-	ColReady  uint64 // earliest next RD/WR to the open row: tRCD, tCCD_L
+	ColReady  uint64 // earliest next RD/WR to the open row: tRCD
 	PreReady  uint64 // earliest next PRE: tRAS, tRTP, tWR
 	HitStreak int    // consecutive row-hit column commands (FR-FCFS cap)
 	ActCount  uint64 // statistics
 	PreCount  uint64
 }
 
-// Rank tracks rank-level activation windows shared by its banks.
+// Rank tracks the windows its banks share: activation, column spacing,
+// write-to-read turnaround and the refresh's precharge wait.
 type Rank struct {
 	actTimes [4]uint64 // rolling window of the last four ACT cycles
 	actIdx   int
@@ -24,9 +25,19 @@ type Rank struct {
 	lastBG   int
 	anyAct   bool
 
+	colReady uint64 // earliest next RD/WR: tCCD_S
+	rdReady  uint64 // earliest next RD: tWTR_S after the last write burst
+	refReady uint64 // earliest next REF: tRP after the last PRE
+
 	NextREF    uint64 // next refresh deadline
 	Refreshing bool
 	RefUntil   uint64
+}
+
+// group holds the ready times one bank group's banks share: tCCD_L after
+// the group's last RD/WR, tWTR_L after its last write burst.
+type group struct {
+	colReady, rdReady uint64
 }
 
 // Channel is the shared command/data bus state.
@@ -50,7 +61,8 @@ type System struct {
 	BankGroups  int
 	BanksPerGG  int // banks per bank group
 	Ranks       []Rank
-	Banks       []Bank // [rank*banksPerRank + bank]
+	Banks       []Bank  // [rank*banksPerRank + bank]
+	groups      []group // [rank*BankGroups + group]
 	Chan        Channel
 	RowsPerBank int
 
@@ -97,6 +109,12 @@ func (s *System) Reset(t Timing, ranks, bankGroups, banksPerGroup, rowsPerBank i
 	}
 	for i := range s.Banks {
 		s.Banks[i] = Bank{OpenRow: -1}
+	}
+	if n := ranks * bankGroups; cap(s.groups) >= n {
+		s.groups = s.groups[:n]
+		clear(s.groups)
+	} else {
+		s.groups = make([]group, n)
 	}
 	s.Chan = Channel{}
 	s.RowsPerBank = rowsPerBank
@@ -167,6 +185,7 @@ func (s *System) PRE(bank int, cycle uint64) (row int, onCycles uint64) {
 	b.OpenRow = -1
 	b.ActReady = max(b.ActReady, cycle+s.T.RP)
 	b.PreCount++
+	s.Ranks[s.RankOf(bank)].refReady = cycle + s.T.RP
 	if s.Observer != nil {
 		s.Observer(Command{Kind: 'P', Bank: bank, Row: row, Cycle: cycle})
 	}
@@ -183,18 +202,25 @@ func (s *System) CanColumn(bank, row int, write bool, cycle uint64) bool {
 // at which the data transfer completes.
 func (s *System) Column(bank int, write bool, cycle uint64) uint64 {
 	b := &s.Banks[bank]
-	// Back-to-back columns are spaced by the long CCD on the bank's own
-	// ColReady; cross-bank pairs only share the data bus (CL/CWL
-	// pipelining folded into a single bus-free time).
+	rank := s.RankOf(bank)
+	r := &s.Ranks[rank]
+	g := &s.groups[rank*s.BankGroups+s.GroupOf(bank)]
+	// The next column waits tCCD_S in the rank and tCCD_L in the group (a
+	// bank's own pairs included); a RD also waits tWTR after a write
+	// burst. Its burst then shares the data bus (CL/CWL pipelining folded
+	// into a single bus-free time).
+	r.colReady = cycle + s.T.CCDS
+	g.colReady = cycle + s.T.CCDL
 	var dataEnd uint64
 	if write {
 		dataEnd = cycle + s.T.CWL + s.T.BL
 		b.PreReady = max(b.PreReady, dataEnd+s.T.WR)
+		r.rdReady = dataEnd + s.T.WTRS
+		g.rdReady = dataEnd + s.T.WTRL
 	} else {
 		dataEnd = cycle + s.T.CL + s.T.BL
 		b.PreReady = max(b.PreReady, cycle+s.T.RTP)
 	}
-	b.ColReady = max(b.ColReady, cycle+s.T.CCDL)
 	b.HitStreak++
 	s.Chan.DataFree = dataEnd
 	if s.Observer != nil {
@@ -220,8 +246,9 @@ func (s *System) AllPrecharged(rank int) bool {
 }
 
 // REF starts a refresh on rank at cycle: none of its banks takes an ACT
-// for RFC. The caller must have found the rank AllPrecharged, so an ACT
-// is the only command they could take and ActReady the one field to raise.
+// for RFC. The caller must have found the rank AllPrecharged and
+// RefEarliest passed, so an ACT is the only command its banks could take
+// and ActReady the one field to raise.
 func (s *System) REF(rank int, cycle uint64) {
 	r := &s.Ranks[rank]
 	r.NextREF += s.T.REFI
@@ -285,21 +312,48 @@ func (s *System) RankActEarliest(rank, group int) uint64 {
 	return t
 }
 
+// RefEarliest returns the earliest cycle a REF could issue to rank,
+// assuming its banks stay precharged: tRP after its last PRE and tRFC
+// after its last REF.
+func (s *System) RefEarliest(rank int) uint64 {
+	r := &s.Ranks[rank]
+	return max(r.refReady, r.RefUntil)
+}
+
 // PreEarliest returns the earliest cycle a PRE could issue to bank,
 // assuming its row stays open: tRAS, tRTP, tWR and blocked time.
 func (s *System) PreEarliest(bank int) uint64 { return s.Banks[bank].PreReady }
 
 // ColumnEarliest returns the earliest cycle a RD/WR could issue to the
-// open row of bank, assuming it stays open: the bank's tRCD, tCCD_L and
-// blocked time, and the data bus.
+// open row of bank, assuming it stays open: the bank's tRCD and blocked
+// time, and what its rank admits.
 func (s *System) ColumnEarliest(bank int, write bool) uint64 {
-	return max(s.Banks[bank].ColReady, s.BusEarliest(write))
+	return max(s.Banks[bank].ColReady, s.RankColumnEarliest(s.RankOf(bank), s.GroupOf(bank), write))
 }
 
-// BusEarliest is the part of ColumnEarliest that no single bank owns:
-// the earliest cycle a RD (or WR) may issue for its burst, CL (CWL)
-// later, to start once the previous burst has left the data bus. It moves
-// only when a column command issues.
+// RankColumnEarliest is the part of ColumnEarliest that no single bank
+// owns: the earliest cycle the rank admits a RD (or WR) to any bank of
+// group — the data bus, tCCD_S in the rank, tCCD_L in the group, and for
+// a RD tWTR_S and tWTR_L after the last write bursts. It moves only when
+// a column command issues, so a scheduler can hold it once per (rank,
+// group, direction), like RankActEarliest. Measuring the short rules from
+// the rank's last column or write burst, the group's own included, agrees
+// with measuring them from the other groups' while tCCD_S <= tCCD_L and
+// tWTR_S <= tWTR_L, as in every DDR timing set.
+func (s *System) RankColumnEarliest(rank, group int, write bool) uint64 {
+	r := &s.Ranks[rank]
+	g := &s.groups[rank*s.BankGroups+group]
+	t := max(s.BusEarliest(write), r.colReady, g.colReady)
+	if !write {
+		t = max(t, r.rdReady, g.rdReady)
+	}
+	return t
+}
+
+// BusEarliest is the data bus's part of RankColumnEarliest, the one every
+// rank shares: the earliest cycle a RD (or WR) may issue for its burst,
+// CL (CWL) later, to start once the previous burst has left the bus. It
+// moves only when a column command issues, and never backwards.
 func (s *System) BusEarliest(write bool) uint64 {
 	lat := s.T.CL
 	if write {

@@ -9,16 +9,17 @@ import (
 	"svard/internal/mem/protocheck"
 )
 
-// checkEarliest holds every bank's *Earliest bound to the protocol
-// checker's rules in the system's current state: the command breaks an
-// enforced rule one cycle before the bound and none at it. This is the
+// checkEarliest holds every bank's *Earliest bound, and every precharged
+// rank's RefEarliest, to the protocol checker's rules in the system's
+// current state: the command breaks a rule one cycle before the bound and
+// none at it. This is the
 // property the event engine skips by, checked against a statement of the
 // rules that shares no code with mem.System.
 func checkEarliest(t *testing.T, s *mem.System, chk *protocheck.Checker, step int) {
 	t.Helper()
 	exact := func(cmd mem.Command, earliest uint64) {
 		t.Helper()
-		what := fmt.Sprintf("step %d: %c (write=%v) to bank %d", step, cmd.Kind, cmd.Write, cmd.Bank)
+		what := fmt.Sprintf("step %d: %c (write=%v) to bank (REF: rank) %d", step, cmd.Kind, cmd.Write, cmd.Bank)
 		cmd.Cycle = earliest
 		if broken := chk.Check(cmd); broken != nil {
 			t.Fatalf("%s at its earliest cycle %d breaks %v", what, earliest, broken)
@@ -41,20 +42,31 @@ func checkEarliest(t *testing.T, s *mem.System, chk *protocheck.Checker, step in
 		exact(mem.Command{Kind: 'C', Bank: b, Row: row}, s.ColumnEarliest(b, false))
 		exact(mem.Command{Kind: 'C', Bank: b, Row: row, Write: true}, s.ColumnEarliest(b, true))
 	}
+	for rank := range s.Ranks {
+		if s.AllPrecharged(rank) {
+			exact(mem.Command{Kind: 'R', Bank: rank}, s.RefEarliest(rank))
+		}
+	}
 }
 
 // TestEarliestMatchesCanPredicates drives a deterministic pseudo-random
 // command walk over each backend's timing set and, after every step,
 // cross-checks every bank's earliest-issue bounds — which define the Can*
-// predicates — against the protocol checker; the walk itself must break
-// no enforced rule.
+// predicates — and every precharged rank's REF bound against the protocol
+// checker; the walk itself must break no rule.
 func TestEarliestMatchesCanPredicates(t *testing.T) {
 	ddr4 := mem.CyclesFrom(dram.DDR4Timing(3200), 3.2)
 	// In both presets tRC equals tRAS+tRP to the cycle, so tRC never
-	// binds; a third set stretches it until it does.
+	// binds; a third set stretches it until it does. Likewise tCCD_S
+	// equals the burst, which the data bus already spaces (and tWTR_S
+	// covers a RD after a WR); a fourth set stretches it past both.
 	longRC := ddr4
 	longRC.RC += 8
-	for name, tm := range map[string]mem.Timing{"ddr4": ddr4, "hbm2": mem.CyclesFrom(dram.HBM2Timing(), 3.2), "long-tRC": longRC} {
+	longCCDS := ddr4
+	longCCDS.CCDS = longCCDS.BL + 3
+	longCCDS.CCDL = max(longCCDS.CCDL, longCCDS.CCDS)
+	for name, tm := range map[string]mem.Timing{"ddr4": ddr4, "hbm2": mem.CyclesFrom(dram.HBM2Timing(), 3.2),
+		"long-tRC": longRC, "long-tCCD_S": longCCDS} {
 		t.Run(name, func(t *testing.T) {
 			tm.REFI = 3000 // a refresh every ~150 steps
 			s := mem.NewSystem(tm, 2, 4, 4, 8192)
@@ -75,7 +87,9 @@ func TestEarliestMatchesCanPredicates(t *testing.T) {
 						continue
 					}
 					if s.AllPrecharged(rank) {
-						s.REF(rank, cycle)
+						if s.RefEarliest(rank) <= cycle {
+							s.REF(rank, cycle)
+						}
 						continue
 					}
 					// Close what blocks the refresh, as the controller does.

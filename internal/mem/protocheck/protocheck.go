@@ -5,12 +5,8 @@
 // alone, and knows nothing of mem.System's fields or of the controller, so
 // agreement between the two is evidence and not a tautology.
 //
-// Rules come in two sets. A violation of an enforced rule is a bug in the
-// timing model or the controller, and fails the test that attached the
-// checker. The reported rules are constraints mem.Timing carries but
-// mem.System does not implement; the checker only counts how often the
-// stream breaks them (EXPERIMENTS.md, "DRAM constraints carried in
-// mem.Timing but not enforced").
+// A violation of any rule is a bug in the timing model or the controller,
+// and fails the test that attached the checker.
 //
 // Defenses need no modelling here: a blocked bank or a throttled ACT only
 // delays commands, and every rule is a lower bound on a command's cycle.
@@ -27,7 +23,6 @@ import (
 type Rule uint8
 
 const (
-	// Enforced rules.
 	ActToOpenBank    Rule = iota // ACT to a bank that has a row open
 	TRP                          // PRE to ACT, same bank
 	TRC                          // ACT to ACT, same bank
@@ -41,34 +36,26 @@ const (
 	TWR                          // end of a WR burst to PRE
 	ColumnToWrongRow             // RD/WR to a closed bank or not to its open row
 	TRCD                         // ACT to RD/WR
-	TCCDLSameBank                // RD/WR to RD/WR, same bank
+	TCCDL                        // RD/WR to RD/WR, same bank group
+	TCCDS                        // RD/WR to RD/WR, same rank, different bank groups
+	TWTRL                        // end of a WR burst to RD, same bank group
+	TWTRS                        // end of a WR burst to RD, same rank, different bank group
 	BusOverlap                   // a data burst starts before the previous one ends
 	RefWithOpenBank              // REF to a rank with a row open
 	RefInRefresh                 // REF to a rank inside its tRFC
-
-	// Reported rules: counted, never a failure.
-	TCCDLAcrossBanks // RD/WR to RD/WR, same bank group, different banks
-	TCCDS            // RD/WR to RD/WR, same rank, different bank groups
-	TWTRL            // end of a WR burst to RD, same bank group
-	TWTRS            // end of a WR burst to RD, same rank, different bank group
-	TRPBeforeREF     // PRE to REF, same rank
+	TRPBeforeREF                 // PRE to REF, same rank
 
 	NumRules
-	firstReported = TCCDLAcrossBanks
 )
 
 var ruleNames = [NumRules]string{
 	"ACT to open bank", "tRP", "tRC", "tRRD_S", "tRRD_L", "tFAW", "ACT inside tRFC",
 	"PRE to closed bank", "tRAS", "tRTP", "tWR",
-	"column to wrong row", "tRCD", "tCCD_L same bank", "data bus overlap",
-	"REF with a bank open", "REF inside tRFC",
-	"tCCD_L across banks", "tCCD_S", "tWTR_L", "tWTR_S", "tRP before REF",
+	"column to wrong row", "tRCD", "tCCD_L", "tCCD_S", "tWTR_L", "tWTR_S", "data bus overlap",
+	"REF with a bank open", "REF inside tRFC", "tRP before REF",
 }
 
 func (r Rule) String() string { return ruleNames[r] }
-
-// Enforced reports whether breaking r fails a test.
-func (r Rule) Enforced() bool { return r < firstReported }
 
 // Count is how often a rule applied to a command and how often the
 // command broke it.
@@ -96,15 +83,13 @@ type bank struct {
 	row     int
 	act     stamp // last ACT
 	pre     stamp // last PRE
-	col     stamp // last RD/WR
 	read    stamp // last RD
 	written stamp // end of the last WR burst
 }
 
 type group struct {
 	act     stamp // last ACT to the group
-	col     stamp // last RD/WR to the group, and its bank
-	colBank int
+	col     stamp // last RD/WR to the group
 	written stamp // end of the last WR burst to the group
 }
 
@@ -136,7 +121,7 @@ type Checker struct {
 
 	at       uint64    // cycle of the command being judged
 	verdicts []verdict // its verdicts (scratch)
-	first    []string  // the first few enforced-rule violations, for Err
+	first    []string  // the first few violations, for Err
 }
 
 // New returns a checker for one channel of ranks x groups x banksPerGroup
@@ -232,20 +217,17 @@ func (c *Checker) judge(cmd mem.Command) []verdict {
 	case 'C':
 		c.state(ColumnToWrongRow, !b.open || b.row != cmd.Row)
 		c.gap(TRCD, b.act, t.RCD)
-		c.gap(TCCDLSameBank, b.col, t.CCDL)
+		c.gap(TCCDL, own.col, t.CCDL)
+		c.gap(TCCDS, others.col, t.CCDS)
+		if !cmd.Write {
+			c.gap(TWTRL, own.written, t.WTRL)
+			c.gap(TWTRS, others.written, t.WTRS)
+		}
 		if end := c.burstEnd; end.set {
 			// The burst starts one latency after the command, and not
 			// before the previous burst has left the bus.
 			lat := c.latency(cmd.Write)
 			c.verdicts = append(c.verdicts, verdict{rule: BusOverlap, broken: c.at+lat < end.at, from: end.at - min(end.at, lat)})
-		}
-		if own.colBank != cmd.Bank {
-			c.gap(TCCDLAcrossBanks, own.col, t.CCDL)
-		}
-		c.gap(TCCDS, others.col, t.CCDS)
-		if !cmd.Write {
-			c.gap(TWTRL, own.written, t.WTRL)
-			c.gap(TWTRS, others.written, t.WTRS)
 		}
 	default:
 		panic(fmt.Sprintf("protocheck: unknown command kind %q", cmd.Kind))
@@ -253,13 +235,13 @@ func (c *Checker) judge(cmd mem.Command) []verdict {
 	return c.verdicts
 }
 
-// Check returns the enforced rules cmd would break if it issued now, nil
+// Check returns the rules cmd would break if it issued now, nil
 // when it is legal. It records nothing: the exactness tests ask it about
 // commands that never issue.
 func (c *Checker) Check(cmd mem.Command) []Rule {
 	var broken []Rule
 	for _, v := range c.judge(cmd) {
-		if v.broken && v.rule.Enforced() {
+		if v.broken {
 			broken = append(broken, v.rule)
 		}
 	}
@@ -279,7 +261,7 @@ func (c *Checker) Observe(cmd mem.Command) {
 			continue
 		}
 		n.Broken++
-		if v.rule.Enforced() && len(c.first) < maxRemembered {
+		if len(c.first) < maxRemembered {
 			msg := fmt.Sprintf("%s: %s at cycle %d", v.rule, describe(cmd), cmd.Cycle)
 			if v.from > 0 { // a timing rule
 				msg += fmt.Sprintf(", allowed from cycle %d", v.from)
@@ -307,9 +289,7 @@ func (c *Checker) Observe(cmd mem.Command) {
 		b.open = false
 		b.pre.mark(at)
 	case 'C':
-		b.col.mark(at)
 		own.col.mark(at)
-		own.colBank = cmd.Bank
 		end := stamp{at: at + c.latency(cmd.Write) + c.t.BL, set: true}
 		c.burstEnd.later(end)
 		if cmd.Write {
@@ -344,11 +324,11 @@ func (c *Checker) Commands() (act, pre, col, ref uint64) {
 		c.Counts[ColumnToWrongRow].Checked, c.Counts[RefWithOpenBank].Checked
 }
 
-// Err is nil when the stream broke no enforced rule so far; otherwise it
+// Err is nil when the stream broke no rule so far; otherwise it
 // gives every broken rule's count and spells out the first few violations.
 func (c *Checker) Err() error {
 	var errs []error
-	for r := Rule(0); r < firstReported; r++ {
+	for r := Rule(0); r < NumRules; r++ {
 		if n := c.Counts[r]; n.Broken > 0 {
 			errs = append(errs, fmt.Errorf("%s broken by %d of %d commands", r, n.Broken, n.Checked))
 		}

@@ -11,25 +11,23 @@ import (
 )
 
 // Timing holds DDR4 timing parameters converted to CPU clock cycles.
-// Not every one is enforced by System: the fields say which, and
-// EXPERIMENTS.md ("DRAM constraints carried in mem.Timing but not
-// enforced") says how often the omission shows.
+// System enforces every one of them; REFW only sizes the refresh sweep.
 type Timing struct {
 	RCD  uint64 // ACT to column command
 	RAS  uint64 // ACT to PRE
-	RP   uint64 // PRE to ACT
+	RP   uint64 // PRE to ACT, and to REF of its rank
 	RC   uint64 // ACT to ACT, same bank
 	CL   uint64 // read latency
 	CWL  uint64 // write latency
 	BL   uint64 // data burst occupancy
-	CCDS uint64 // column-to-column, different bank group (not enforced, see EXPERIMENTS.md)
-	CCDL uint64 // column-to-column, same bank group (enforced within one bank only)
+	CCDS uint64 // column-to-column, different bank group
+	CCDL uint64 // column-to-column, same bank group
 	RRDS uint64 // ACT-to-ACT, different bank group
 	RRDL uint64 // ACT-to-ACT, same bank group
 	FAW  uint64 // four-activate window
 	WR   uint64 // write recovery
-	WTRS uint64 // write-to-read, different bank group (not enforced, see EXPERIMENTS.md)
-	WTRL uint64 // write-to-read, same bank group (not enforced, see EXPERIMENTS.md)
+	WTRS uint64 // end of a write burst to read, different bank group
+	WTRL uint64 // end of a write burst to read, same bank group
 	RTP  uint64 // read to precharge
 	RFC  uint64 // refresh latency
 	REFI uint64 // refresh interval

@@ -237,11 +237,13 @@ type offer struct {
 	kind offerKind
 }
 
-// Indices into Controller.terms.
+// Indices into Controller.terms: termNone, then termsPerGroup terms per
+// (rank, bank group), at termsPerGroup*(rank*BankGroups+group) plus:
 const (
-	termNone = 0 // always zero: a PRE waits on nothing but its bank
-	termBus  = 1 // +queue: mem.System.BusEarliest(read / write)
-	termACT  = 3 // +rank*BankGroups+group: mem.System.RankActEarliest
+	termNone      = 0 // always zero: a PRE waits on nothing but its bank
+	termACT       = 1 // mem.System.RankActEarliest
+	termCol       = 2 // +queue: mem.System.RankColumnEarliest(read / write)
+	termsPerGroup = 3
 )
 
 // never is later than any cycle: the ready time of an offer of nothing.
@@ -308,7 +310,7 @@ func (c *Controller) Reset(cfg Config, t mem.Timing, def mitigation.Defense, tr 
 	// fresh mem.System is zero too.
 	c.banks = regrow(c.banks, banks)
 	c.pending = regrow(c.pending, (banks+63)/64)
-	c.terms = regrow(c.terms, termACT+cfg.Ranks*cfg.BankGroups)
+	c.terms = regrow(c.terms, 1+termsPerGroup*cfg.Ranks*cfg.BankGroups)
 	c.ready = regrow(c.ready, banks)
 }
 
@@ -343,28 +345,45 @@ func (c *Controller) recountHits(bank int) {
 func (c *Controller) reoffer(bank int) {
 	b := &c.Sys.Banks[bank]
 	bq := &c.banks[bank]
+	group := int32(termsPerGroup * (c.Sys.RankOf(bank)*c.Cfg.BankGroups + c.Sys.GroupOf(bank)))
 	for dir := range bq.offer {
 		o := offer{at: never}
 		switch {
 		case bq.req[dir] == 0:
 		case b.OpenRow < 0:
-			o = offer{kind: offerACT, at: b.ActReady, term: int32(termACT + bank/c.Cfg.BanksPerGroup)}
+			o = offer{kind: offerACT, at: b.ActReady, term: group + termACT}
 		case bq.hit[dir] == 0:
 			o = offer{kind: offerConflictPRE, at: b.PreReady}
 		case b.HitStreak >= c.Cfg.ColumnCap:
 			o = offer{kind: offerCapPRE, at: b.PreReady}
 		default:
-			o = offer{kind: offerColumn, at: b.ColReady, term: int32(termBus + dir)}
+			o = offer{kind: offerColumn, at: b.ColReady, term: group + termCol + int32(dir)}
 		}
 		bq.offer[dir] = o
 	}
 }
 
-// rankTerms refreshes the ACT terms of rank's bank groups, after an ACT
+// actTerms refreshes the ACT terms of rank's bank groups, after an ACT
 // to the rank (tRRD, tFAW).
-func (c *Controller) rankTerms(rank int) {
+func (c *Controller) actTerms(rank int) {
 	for g := 0; g < c.Cfg.BankGroups; g++ {
-		c.terms[termACT+rank*c.Cfg.BankGroups+g] = c.Sys.RankActEarliest(rank, g)
+		c.terms[termACT+termsPerGroup*(rank*c.Cfg.BankGroups+g)] = c.Sys.RankActEarliest(rank, g)
+	}
+}
+
+// colTerms refreshes the column terms after a RD/WR to rank. For every
+// other rank only the data bus moved, and it only moves forward, so their
+// terms are raised to it; rank's own spacing and turnaround moved too, so
+// its groups' terms are re-derived.
+func (c *Controller) colTerms(rank int) {
+	rd, wr := c.Sys.BusEarliest(false), c.Sys.BusEarliest(true)
+	groups := c.Cfg.BankGroups
+	for i := termCol; i < len(c.terms); i += termsPerGroup {
+		c.terms[i], c.terms[i+1] = max(c.terms[i], rd), max(c.terms[i+1], wr)
+	}
+	for g, i := 0, termCol+termsPerGroup*rank*groups; g < groups; g, i = g+1, i+termsPerGroup {
+		c.terms[i] = c.Sys.RankColumnEarliest(rank, g, false)
+		c.terms[i+1] = c.Sys.RankColumnEarliest(rank, g, true)
 	}
 }
 
@@ -590,6 +609,12 @@ func (c *Controller) tick(cycle uint64) bool {
 		c.Sys.EndRefreshIfDone(rank, cycle)
 		if c.Sys.RefreshDue(rank, cycle) && !c.Sys.Ranks[rank].Refreshing {
 			if c.Sys.AllPrecharged(rank) {
+				// The rank waits out tRP after its last PRE, and nothing
+				// else issues meanwhile: demand would reopen banks in
+				// front of the refresh, which then stalls again.
+				if c.Sys.RefEarliest(rank) > cycle {
+					return false
+				}
 				c.Sys.REF(rank, cycle)
 				for b := rank * c.Sys.BanksPerRank(); b < (rank+1)*c.Sys.BanksPerRank(); b++ {
 					c.reoffer(b)
@@ -753,11 +778,9 @@ func (c *Controller) maintenanceEvent(floor uint64) uint64 {
 	}
 	// Refresh: either the next deadline, or — when one is overdue — the
 	// earliest close of a bank blocking it (REF itself needs every bank
-	// precharged), the REF itself once no bank blocks it, or the end of
-	// the refresh already in flight. The unblocked-overdue case only
-	// arises when NextEvent runs right after an *active* tick (an idle
-	// tick would have issued the REF), e.g. after the PRE that closed
-	// the rank's last open bank.
+	// precharged), the REF itself once no bank blocks it (RefEarliest:
+	// tRP after the rank's last PRE), or the end of the refresh already in
+	// flight.
 	for rank := range c.Sys.Ranks {
 		r := &c.Sys.Ranks[rank]
 		if r.Refreshing && r.RefUntil > cycle && consider(r.RefUntil) {
@@ -782,8 +805,8 @@ func (c *Controller) maintenanceEvent(floor uint64) uint64 {
 				}
 			}
 		}
-		if !blocked {
-			return floor // REF is actionable on the next tick
+		if !blocked && consider(c.Sys.RefEarliest(rank)) {
+			return floor
 		}
 	}
 	// Preventive refreshes: only the head of the backlog (up to the
@@ -1017,7 +1040,7 @@ func (c *Controller) issuePRE(bank int, cycle uint64) {
 func (c *Controller) issueACTRaw(bank, row int, cycle uint64) {
 	c.Sys.ACT(bank, row, cycle)
 	c.recountHits(bank)
-	c.rankTerms(c.Sys.RankOf(bank))
+	c.actTerms(c.Sys.RankOf(bank))
 	c.reoffer(bank)
 	c.Track.OnAct(bank, row, cycle)
 	c.Stats.Acts++
@@ -1087,8 +1110,7 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 	r := (*q)[idx]
 	bank := int(r.bank)
 	dataEnd := c.Sys.Column(bank, writes, cycle)
-	c.terms[termBus] = c.Sys.BusEarliest(false)
-	c.terms[termBus+1] = c.Sys.BusEarliest(true)
+	c.colTerms(c.Sys.RankOf(bank))
 	bq := &c.banks[bank]
 	bq.req[dir]--
 	bq.hit[dir]--

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"svard/internal/dram"
@@ -396,35 +397,14 @@ type arrival struct {
 	write     bool
 }
 
-// TestTickMatchesTickFull feeds two controllers the same enqueue schedule
-// and requires them to issue the same commands: one ticked with TickFull
-// on every cycle (the reference loop), the other with Tick, jumping to
-// the earlier of its NextEvent and the next enqueue (the event engine).
-// The schedule opens with the write-drain edge: a read queue that empties
-// for one cycle while 20 writes (above the low watermark) wait, then a
-// read that arrives while the jumping controller is dormant — the drain
-// mode must not depend on which cycles were ticked. A seeded stream of
-// bursts over a few banks follows, past a refresh.
-func TestTickMatchesTickFull(t *testing.T) {
-	full, skip := newMC1Rank(nil), newMC1Rank(nil)
-	tm := full.Sys.T
-	// The read's column issues at tRCD after its ACT at cycle 0; the
-	// writes target another row of its bank, so the earliest thing they
-	// can do is that bank's PRE, tRAS after the ACT.
-	sched := []arrival{{0, 0, 5, false}}
-	for i := 0; i < 20; i++ {
-		sched = append(sched, arrival{0, 0, 7, true})
-	}
-	sched = append(sched, arrival{tm.RCD + 2, 0, 9, false})
-	rng := rand.New(rand.NewSource(36))
-	total := full.Sys.TotalBanks()
-	for cycle := uint64(2000); cycle < tm.REFI+4000; cycle += 1 + uint64(rng.Intn(40)) {
-		for n := rng.Intn(4); n > 0; n-- {
-			sched = append(sched, arrival{cycle, rng.Intn(total) % 4 * (total / 4), rng.Intn(3), rng.Intn(3) == 0})
-		}
-	}
-	end := sched[len(sched)-1].cycle + 20_000
-
+// tickBoth feeds full and skip the same enqueue schedule (sorted by
+// cycle) up to end and requires them to issue the same commands: full is
+// ticked with TickFull on every cycle (the reference loop), skip with
+// Tick, jumping to the earlier of its NextEvent and the next enqueue (the
+// event engine). arriving, when not nil, sees each arrival before the two
+// controllers do. It returns the command stream.
+func tickBoth(t *testing.T, full, skip *Controller, sched []arrival, end uint64, arriving func(cycle uint64, a arrival)) []mem.Command {
+	t.Helper()
 	var cmds [2][]mem.Command
 	full.Sys.Observer = func(c mem.Command) { cmds[0] = append(cmds[0], c) }
 	skip.Sys.Observer = func(c mem.Command) { cmds[1] = append(cmds[1], c) }
@@ -434,19 +414,13 @@ func TestTickMatchesTickFull(t *testing.T) {
 		return fmt.Sprintf("writeMode=%v queues %d/%d idleUntil=%d bank %d offers read %+v (ready %d) write %+v (ready %d)",
 			c.writeMode, r, w, c.idleUntil, bank, bq.offer[0], c.readyAt(bq.offer[0]), bq.offer[1], c.readyAt(bq.offer[1]))
 	}
-	var emptied, dormantRead bool
 	wake, next, checked := uint64(0), 0, 0
 	for cycle := uint64(0); cycle < end; cycle++ {
 		arrived := false
 		for ; next < len(sched) && sched[next].cycle == cycle; next++ {
 			a := sched[next]
-			if !a.write {
-				if r, w := full.QueueLens(); r == 0 && w > full.Cfg.WriteQ/4 && cycle > 0 {
-					emptied = true
-				}
-				if skip.idleUntil > cycle {
-					dormantRead = true
-				}
+			if arriving != nil {
+				arriving(cycle, a)
 			}
 			full.enqueue(&Request{}, a.bank, a.row, a.write, cycle)
 			skip.enqueue(&Request{}, a.bank, a.row, a.write, cycle)
@@ -474,12 +448,165 @@ func TestTickMatchesTickFull(t *testing.T) {
 			}
 		}
 	}
+	return cmds[0]
+}
+
+// TestTickMatchesTickFull runs two controllers through tickBoth. The
+// schedule opens with the write-drain edge: a read queue that empties for
+// one cycle while 20 writes (above the low watermark) wait, then a read
+// that arrives while the jumping controller is dormant — the drain mode
+// must not depend on which cycles were ticked. A seeded stream of bursts
+// over a few banks follows, past a refresh.
+func TestTickMatchesTickFull(t *testing.T) {
+	full, skip := newMC1Rank(nil), newMC1Rank(nil)
+	tm := full.Sys.T
+	// The read's column issues at tRCD after its ACT at cycle 0; the
+	// writes target another row of its bank, so the earliest thing they
+	// can do is that bank's PRE, tRAS after the ACT.
+	sched := []arrival{{0, 0, 5, false}}
+	for i := 0; i < 20; i++ {
+		sched = append(sched, arrival{0, 0, 7, true})
+	}
+	sched = append(sched, arrival{tm.RCD + 2, 0, 9, false})
+	rng := rand.New(rand.NewSource(36))
+	total := full.Sys.TotalBanks()
+	for cycle := uint64(2000); cycle < tm.REFI+4000; cycle += 1 + uint64(rng.Intn(40)) {
+		for n := rng.Intn(4); n > 0; n-- {
+			sched = append(sched, arrival{cycle, rng.Intn(total) % 4 * (total / 4), rng.Intn(3), rng.Intn(3) == 0})
+		}
+	}
+	var emptied, dormantRead bool
+	tickBoth(t, full, skip, sched, sched[len(sched)-1].cycle+20_000, func(cycle uint64, a arrival) {
+		if a.write {
+			return
+		}
+		if r, w := full.QueueLens(); r == 0 && w > full.Cfg.WriteQ/4 && cycle > 0 {
+			emptied = true
+		}
+		if skip.idleUntil > cycle {
+			dormantRead = true
+		}
+	})
 	if !emptied || !dormantRead {
 		t.Fatalf("schedule lost its edge: read queue emptied for one cycle with writes pending %v, read arrived at a dormant controller %v",
 			emptied, dormantRead)
 	}
 	if !full.Idle() || full.Stats.Refreshes == 0 {
 		t.Fatalf("run too short: idle %v, %d refreshes", full.Idle(), full.Stats.Refreshes)
+	}
+}
+
+// TestClosedFormTiming holds the command streams of small schedules to
+// the service times mem.Timing gives in closed form, on both presets'
+// timing, under both tick loops (tickBoth). The controller has one rank,
+// so tRRD, tFAW and the other rank's refresh stay out of the way; bank 1
+// shares bank 0's group, bank BanksPerGroup is in the next one.
+func TestClosedFormTiming(t *testing.T) {
+	for _, name := range []string{dram.BackendDDR4, dram.BackendHBM2} {
+		be, err := dram.BackendByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ConfigFor(be.Geom, 4096, 3.2)
+		cfg.Ranks = 1
+		preset := dram.DDR4Timing(3200)
+		if be.HBM {
+			preset = dram.HBM2Timing()
+		}
+		tm := mem.CyclesFrom(preset, cfg.CPUGHz)
+		run := func(t *testing.T, sched []arrival, end uint64) []mem.Command {
+			return tickBoth(t, New(cfg, tm, nil, nil), New(cfg, tm, nil, nil), sched, end, nil)
+		}
+		columns := func(cmds []mem.Command) (cols []mem.Command) {
+			for _, c := range cmds {
+				if c.Kind == 'C' {
+					cols = append(cols, c)
+				}
+			}
+			return cols
+		}
+		other := cfg.BanksPerGroup
+		// Reads alternating between two banks: once both are open, each
+		// column waits only on the one before it, mostly one to the other
+		// bank.
+		for _, tc := range []struct {
+			name string
+			bank int
+			gap  uint64
+		}{
+			{"reads in one group", 1, tm.CCDL},
+			{"reads across groups", other, max(tm.CCDS, tm.BL)},
+		} {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				var sched []arrival
+				for i := 0; i < 8; i++ {
+					sched = append(sched, arrival{0, 0, 1, false}, arrival{0, tc.bank, 1, false})
+				}
+				cols := columns(run(t, sched, 2000))
+				if len(cols) != 16 {
+					t.Fatalf("%d columns, want 16", len(cols))
+				}
+				crossed := 0
+				for i := 2; i < len(cols); i++ {
+					if cols[i].Bank != cols[i-1].Bank {
+						crossed++
+					}
+					if got := cols[i].Cycle - cols[i-1].Cycle; got != tc.gap {
+						t.Fatalf("column %d issued %d cycles after the one before, want %d: %v", i, got, tc.gap, cols)
+					}
+				}
+				if crossed < len(cols)/2 {
+					t.Fatalf("only %d consecutive columns went to different banks: %v", crossed, cols)
+				}
+			})
+		}
+		// A RD queued behind a WR to another bank waits for the end of the
+		// write burst plus the turnaround of its group distance.
+		for _, tc := range []struct {
+			name string
+			bank int
+			wtr  uint64
+		}{
+			{"read after write in one group", 1, tm.WTRL},
+			{"read after write across groups", other, tm.WTRS},
+		} {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				cols := columns(run(t, []arrival{{0, 0, 1, true}, {1, tc.bank, 1, false}}, 2000))
+				if len(cols) != 2 || !cols[0].Write || cols[1].Write {
+					t.Fatalf("columns %v, want the WR then the RD", cols)
+				}
+				if got, want := cols[1].Cycle, cols[0].Cycle+tm.CWL+tm.BL+tc.wtr; got != want {
+					t.Fatalf("RD at %d after the WR at %d, want %d (CWL %d + BL %d + tWTR %d)",
+						got, cols[0].Cycle, want, tm.CWL, tm.BL, tc.wtr)
+				}
+			})
+		}
+		// Refresh: an idle rank refreshes at its tREFI deadline. From the
+		// second deadline on, a read 1000 cycles before it leaves bank 0
+		// open, and one arriving just after it asks for bank 1 — which the
+		// controller holds until after the refresh, so bank 1 is open at
+		// the next deadline too. Each open bank is closed at the deadline,
+		// one per cycle, and the REF issues tRP after the last of them.
+		t.Run(name+"/refresh", func(t *testing.T) {
+			const periods = 4
+			var sched []arrival
+			for k := uint64(2); k <= periods; k++ {
+				sched = append(sched, arrival{k*tm.REFI - 1000, 0, int(k), false}, arrival{k*tm.REFI + 1, 1, int(k), false})
+			}
+			var refs []uint64
+			for _, c := range run(t, sched, periods*tm.REFI+tm.RFC) {
+				if c.Kind == 'R' {
+					refs = append(refs, c.Cycle)
+				}
+			}
+			want := []uint64{tm.REFI, 2*tm.REFI + tm.RP}
+			for k := uint64(3); k <= periods; k++ {
+				want = append(want, k*tm.REFI+1+tm.RP)
+			}
+			if !slices.Equal(refs, want) {
+				t.Fatalf("REFs at %v, want %v (tREFI %d, tRP %d)", refs, want, tm.REFI, tm.RP)
+			}
+		})
 	}
 }
 
@@ -574,26 +701,23 @@ func checkBankIndex(t testing.TB, c *Controller) {
 // for the command.
 func checkOffers(t testing.TB, c *Controller) {
 	t.Helper()
-	if len(c.terms) != termACT+c.Cfg.Ranks*c.Cfg.BankGroups || len(c.ready) != len(c.banks) {
+	if len(c.terms) != 1+termsPerGroup*c.Cfg.Ranks*c.Cfg.BankGroups || len(c.ready) != len(c.banks) {
 		t.Fatalf("%d terms, %d ready slots for %d ranks x %d groups, %d banks",
 			len(c.terms), len(c.ready), c.Cfg.Ranks, c.Cfg.BankGroups, len(c.banks))
 	}
 	if c.terms[termNone] != 0 {
 		t.Fatalf("terms[termNone] = %d", c.terms[termNone])
 	}
-	for dir, lat := range [2]uint64{c.Sys.T.CL, c.Sys.T.CWL} {
-		want := uint64(0)
-		if free := c.Sys.Chan.DataFree; free > lat {
-			want = free - lat
-		}
-		if got := c.terms[termBus+dir]; got != want {
-			t.Fatalf("bus term %d = %d, DataFree %d less latency %d = %d", dir, got, c.Sys.Chan.DataFree, lat, want)
-		}
-	}
 	for rank := 0; rank < c.Cfg.Ranks; rank++ {
 		for g := 0; g < c.Cfg.BankGroups; g++ {
-			if got, want := c.terms[termACT+rank*c.Cfg.BankGroups+g], c.Sys.RankActEarliest(rank, g); got != want {
+			at := termsPerGroup * (rank*c.Cfg.BankGroups + g)
+			if got, want := c.terms[at+termACT], c.Sys.RankActEarliest(rank, g); got != want {
 				t.Fatalf("ACT term of rank %d group %d = %d, RankActEarliest = %d", rank, g, got, want)
+			}
+			for dir := 0; dir < 2; dir++ {
+				if got, want := c.terms[at+termCol+dir], c.Sys.RankColumnEarliest(rank, g, dir == 1); got != want {
+					t.Fatalf("column term %d of rank %d group %d = %d, RankColumnEarliest = %d", dir, rank, g, got, want)
+				}
 			}
 		}
 	}
@@ -616,7 +740,7 @@ func checkOffers(t testing.TB, c *Controller) {
 			case !any:
 			case b.OpenRow < 0:
 				want = offer{kind: offerACT, at: b.ActReady,
-					term: int32(termACT + c.Sys.RankOf(bank)*c.Cfg.BankGroups + c.Sys.GroupOf(bank))}
+					term: int32(termACT + termsPerGroup*(c.Sys.RankOf(bank)*c.Cfg.BankGroups+c.Sys.GroupOf(bank)))}
 				ready = c.Sys.ActEarliest(bank)
 			case !hit:
 				want = offer{kind: offerConflictPRE, at: b.PreReady}
@@ -625,7 +749,8 @@ func checkOffers(t testing.TB, c *Controller) {
 				want = offer{kind: offerCapPRE, at: b.PreReady}
 				ready = c.Sys.PreEarliest(bank)
 			default:
-				want = offer{kind: offerColumn, at: b.ColReady, term: int32(termBus + dir)}
+				want = offer{kind: offerColumn, at: b.ColReady,
+					term: int32(termCol + termsPerGroup*(c.Sys.RankOf(bank)*c.Cfg.BankGroups+c.Sys.GroupOf(bank)) + dir)}
 				ready = c.Sys.ColumnEarliest(bank, dir == 1)
 			}
 			if got := c.banks[bank].offer[dir]; got != want || c.readyAt(got) != ready {
@@ -640,10 +765,13 @@ func checkOffers(t testing.TB, c *Controller) {
 // queue state by hand (c.Sys.ACT, BlockBank, Chan.DataFree, ...) instead
 // of through the controller's own commands.
 func rebuildOffers(c *Controller) {
-	c.terms[termBus] = c.Sys.BusEarliest(false)
-	c.terms[termBus+1] = c.Sys.BusEarliest(true)
 	for rank := range c.Sys.Ranks {
-		c.rankTerms(rank)
+		c.actTerms(rank)
+		for g := 0; g < c.Cfg.BankGroups; g++ {
+			for dir := 0; dir < 2; dir++ {
+				c.terms[termCol+termsPerGroup*(rank*c.Cfg.BankGroups+g)+dir] = c.Sys.RankColumnEarliest(rank, g, dir == 1)
+			}
+		}
 	}
 	for bank := range c.banks {
 		c.recountHits(bank)

@@ -97,17 +97,40 @@ func (d *Defense) windowReset(cycle uint64) {
 	}
 }
 
-// OnActivate implements mitigation.Defense.
+// OnActivate implements mitigation.Defense. The victim refreshes an
+// activation triggers are activations too, which the controller issues
+// without consulting the defense, so Hydra counts them here: otherwise
+// the rows beside a refreshed victim (distance 2 from the aggressor)
+// accrue disturbance from the refreshes that no count ever sees — the
+// Half-Double pattern (Kogler et al., USENIX Security 2022). Only the
+// aggressor's own victims are counted, one level deep, so the work per
+// activation stays bounded.
 func (d *Defense) OnActivate(bank, row int, cycle uint64) []mitigation.Directive {
 	d.windowReset(cycle)
+	out := d.count(d.scratch[:0], bank, row)
+	for i, n := 0, len(out); i < n; i++ {
+		if v := out[i]; v.Kind == mitigation.RefreshVictim {
+			out = d.count(out, v.Bank, v.Row)
+		}
+	}
+	d.scratch = out
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// count records one activation of (bank, row) and appends the directives
+// it triggers to out: the counter traffic of a Row Count Cache miss, and
+// the victim refreshes once the row's counter reaches its trigger.
+func (d *Defense) count(out []mitigation.Directive, bank, row int) []mitigation.Directive {
 	g := bank*d.groups + row/GroupSize
 	if d.gct[g] < d.gctThresh {
 		d.gct[g]++
-		return nil
+		return out
 	}
 	// Per-row tracking. An RCC miss fetches the counter line from DRAM
 	// (one read; a dirty eviction adds a writeback).
-	out := d.scratch[:0]
 	key := mitigation.Key(d.si, bank, row)
 	hit, evictedDirty := d.rcc.touch(key)
 	if !hit {
@@ -133,10 +156,6 @@ func (d *Defense) OnActivate(bank, row int, cycle uint64) []mitigation.Directive
 		cnt = 0
 	}
 	d.rct.Set(key, cnt+1)
-	d.scratch = out
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }
 

@@ -93,8 +93,13 @@ const TriggerFraction = 0.25
 
 // VictimRefreshes returns the standard preventive-refresh directive set
 // for an aggressor: its two distance-1 neighbours. Distance-2 victims
-// receive only a few percent of the disturbance and are covered by the
-// periodic refresh sweep within each window.
+// receive only a few percent of the aggressor's disturbance and are
+// covered by the periodic refresh sweep within each window. A refresh is
+// itself an ACT of the victim, which the controller issues without
+// consulting the defense, so it disturbs the victim's other neighbour (the
+// aggressor's distance-2 row) unseen: a defense that refreshes often must
+// count its own refreshes (Hydra does) or a steady hammer flips that row
+// through them — the Half-Double pattern.
 func VictimRefreshes(si SystemInfo, bank, row int) []Directive {
 	return AppendVictimRefreshes(nil, si, bank, row)
 }

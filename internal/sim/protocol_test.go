@@ -85,52 +85,41 @@ func sameAsGolden[T any](t *testing.T, fixture string, cells []T, err error) {
 
 // TestGoldenProtocol runs the three golden sweeps under the protocol
 // checker. The cells must still be the fixtures' (the checker observes, it
-// never steers), no command may break an enforced rule, and the counts of
-// the reported rules — the constraints mem.Timing carries and mem.System
-// does not enforce — are pinned exactly: they are the table in
-// EXPERIMENTS.md ("DRAM constraints carried in mem.Timing but not
-// enforced"), and a change that starts enforcing one shows up here.
+// never steers), no command may break a rule, and the checkers must have
+// seen every command the controllers issued (protocolTally.run fails
+// otherwise).
 func TestGoldenProtocol(t *testing.T) {
 	ctx := context.Background()
-	// {broken, checked} per reported rule, in Rule order: tCCD_L across
-	// banks, tCCD_S, tWTR_L, tWTR_S, tRP before REF.
-	type reported [protocheck.NumRules - protocheck.TCCDLAcrossBanks][2]uint64
 	for _, tc := range []struct {
 		name  string
 		sweep func(t *testing.T, run Runner)
-		want  reported
 	}{
 		{"fig12", func(t *testing.T, run Runner) {
 			opt := goldenFig12Options()
 			opt.Runner = run
 			cells, err := RunFig12Ctx(ctx, opt)
 			sameAsGolden(t, "fig12_golden.json", cells, err)
-		}, reported{{7794, 106047}, {114, 192751}, {1093, 62626}, {1057, 78148}, {430, 430}}},
+		}},
 		{"fig12_hbm2", func(t *testing.T, run Runner) {
 			opt := goldenFig12HBM2Options()
 			opt.Runner = run
 			cells, err := RunFig12Ctx(ctx, opt)
 			sameAsGolden(t, "fig12_hbm2_golden.json", cells, err)
-		}, reported{{1597, 58107}, {115, 110428}, {1016, 34895}, {1718, 45042}, {496, 496}}},
+		}},
 		{"fig13", func(t *testing.T, run Runner) {
 			opt := goldenFig13Options()
 			opt.Runner = run
 			cells, err := RunFig13Ctx(ctx, opt)
 			sameAsGolden(t, "fig13_golden.json", cells, err)
-		}, reported{{33865, 499197}, {4228, 715422}, {11831, 481454}, {25334, 498023}, {1633, 1642}}},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var tally protocolTally
 			tc.sweep(t, tally.run)
-			var got reported
-			for i := range got {
-				n := tally.counts[int(protocheck.TCCDLAcrossBanks)+i]
-				got[i] = [2]uint64{n.Broken, n.Checked}
-			}
-			if got != tc.want {
-				t.Errorf("reported-rule counts moved (EXPERIMENTS.md's table has them too):\n got %v\nwant %v", got, tc.want)
-			}
 			for r, n := range tally.counts {
+				if n.Checked == 0 {
+					t.Errorf("%s never applied: the sweep is too thin to hold the model to it", protocheck.Rule(r))
+				}
 				t.Logf("%-20s %8d / %8d", protocheck.Rule(r), n.Broken, n.Checked)
 			}
 		})
