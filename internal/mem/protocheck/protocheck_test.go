@@ -150,6 +150,45 @@ func TestEnforcedStateRules(t *testing.T) {
 	}
 }
 
+// TestReportedRules: what Observe reports of a timing rule — here the five
+// the model once left out, cross-bank tCCD_L, tCCD_S, tWTR_L, tWTR_S and
+// tRP before REF — is counted per command it applies to, and a broken one
+// is an error that names it.
+func TestReportedRules(t *testing.T) {
+	open := []mem.Command{act(0, 1, 0), act(2, 1, 4), act(1, 1, 8)}
+	for _, tc := range []struct {
+		rule   Rule
+		prefix []mem.Command
+		probe  mem.Command // at the first cycle the rule allows
+	}{
+		{TCCDL, append(open, rd(0, 1, 20)), rd(1, 1, 28)},
+		{TCCDS, append(open, rd(0, 1, 20)), rd(2, 1, 26)},
+		{TWTRL, append(open, wr(0, 1, 20)), rd(1, 1, 38)},
+		{TWTRS, append(open, wr(0, 1, 20)), rd(2, 1, 31)},
+		{TRPBeforeREF, []mem.Command{act(0, 1, 0), pre(0, 30)}, ref(0, 42)},
+	} {
+		for _, early := range []uint64{0, 1} {
+			c := newTest()
+			for _, cmd := range tc.prefix {
+				c.Observe(cmd)
+			}
+			cmd := tc.probe
+			cmd.Cycle -= early
+			c.Observe(cmd)
+			if got, want := c.Counts[tc.rule], (Count{Broken: early, Checked: 1}); got != want {
+				t.Errorf("%s, %d cycles early: counted %+v, want %+v", tc.rule, early, got, want)
+			}
+			err := c.Err()
+			if early == 0 && err != nil {
+				t.Errorf("%s, at its bound: %v", tc.rule, err)
+			}
+			if early == 1 && (err == nil || !strings.Contains(err.Error(), tc.rule.String())) {
+				t.Errorf("%s, one cycle early: Err = %v, want the rule named", tc.rule, err)
+			}
+		}
+	}
+}
+
 func TestCommandsCountsTheStream(t *testing.T) {
 	c := newTest()
 	for _, cmd := range []mem.Command{act(0, 1, 0), rd(0, 1, 10), wr(0, 1, 30), pre(0, 60), ref(0, 80), ref(1, 80)} {
