@@ -114,29 +114,6 @@ func TestBudgetAtLeastMin(t *testing.T) {
 	}
 }
 
-func TestSvardBudgetsExceedWorstCaseForMostRows(t *testing.T) {
-	// The entire point: most activations get budgets well above the
-	// module's worst case (S0's distribution is top-heavy, Fig. 5).
-	s, _, _ := testSvard(t, "S0", 64)
-	min := s.MinBudget()
-	better := 0
-	sum := 0.0
-	const rows = 4096
-	for row := 0; row < rows; row++ {
-		b := s.ActivationBudget(1, row)
-		sum += b
-		if b >= 1.5*min {
-			better++
-		}
-	}
-	if frac := float64(better) / rows; frac < 0.4 {
-		t.Errorf("only %v of rows have budgets >=1.5x worst case; Svärd would not help", frac)
-	}
-	if mean := sum / rows; mean < 1.6*min {
-		t.Errorf("mean budget %v vs worst case %v; Svärd would not help", mean, min)
-	}
-}
-
 func TestBloomStoreConservative(t *testing.T) {
 	sExact, _, _ := testSvard(t, "S0", 1024)
 	sBloom, _, _ := testSvard(t, "S0", 1024, WithBloomStore(1<<17))
@@ -186,32 +163,6 @@ func TestQuickBudgetPositive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTableCostMatchesPaper(t *testing.T) {
-	c := TableImplementation(DefaultCostConfig())
-	if math.Abs(c.PerBankMM2-0.056) > 1e-9 {
-		t.Errorf("per-bank area = %v mm2, want 0.056 (paper §6.4)", c.PerBankMM2)
-	}
-	if math.Abs(c.CPUAreaFrac-0.0086) > 1e-4 {
-		t.Errorf("CPU area fraction = %v, want 0.86%%", c.CPUAreaFrac)
-	}
-	if math.Abs(c.AccessNs-0.47) > 0.01 {
-		t.Errorf("access latency = %v ns, want 0.47", c.AccessNs)
-	}
-	if !c.HiddenByACT {
-		t.Error("table lookup must hide under row activation latency")
-	}
-}
-
-func TestDRAMBitsCostMatchesPaper(t *testing.T) {
-	c := DRAMBitsImplementation(DefaultCostConfig())
-	if math.Abs(c.ArrayOverheadFrac-0.00006103515625) > 1e-12 {
-		t.Errorf("DRAM array overhead = %v, want 4/65536 (0.006%%)", c.ArrayOverheadFrac)
-	}
-	if c.AddedLatencyNs != 0 {
-		t.Error("in-DRAM metadata must add no access latency")
 	}
 }
 

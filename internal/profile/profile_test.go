@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,7 @@ func TestTable5Inventory(t *testing.T) {
 	byMfr := map[Manufacturer]int{}
 	for _, s := range specs {
 		chips += s.Chips
-		designs[string(s.Mfr)+"/"+s.DieRev+"/"+itoa(s.DensityGb)+"/x"+itoa(s.Org)] = true
+		designs[fmt.Sprintf("%s/%s/%d/x%d", s.Mfr, s.DieRev, s.DensityGb, s.Org)] = true
 		byMfr[s.Mfr]++
 		if s.MinHC >= s.AvgHC || s.AvgHC >= s.MaxHC {
 			t.Errorf("%s: min/avg/max not ordered", s.Label)
@@ -37,18 +38,6 @@ func TestTable5Inventory(t *testing.T) {
 	if byMfr[MfrH] != 5 || byMfr[MfrM] != 5 || byMfr[MfrS] != 5 {
 		t.Errorf("modules per manufacturer = %v, want 5 each", byMfr)
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b []byte
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
-	}
-	return string(b)
 }
 
 func TestSpecByLabel(t *testing.T) {

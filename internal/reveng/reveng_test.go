@@ -5,7 +5,6 @@ import (
 
 	"svard/internal/disturb"
 	"svard/internal/dram"
-	"svard/internal/profile"
 	"svard/internal/testbench"
 )
 
@@ -220,40 +219,6 @@ func TestScoreFeaturesDetectsPlantedBit(t *testing.T) {
 	if other > 0.8 {
 		t.Errorf("unrelated feature F1 = %v, want below planted", other)
 	}
-}
-
-func TestStrongFeaturesOnlyForStructuredModules(t *testing.T) {
-	// S4 (subarray-parity structure) must expose a strong feature; M4
-	// (unstructured) must not (Takeaway 6).
-	check := func(label string, wantStrong bool) {
-		spec, _ := profile.SpecByLabel(label)
-		m, err := profile.BuildScaled(spec, 1, 4096, 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := m.NewModel()
-		levels := disturb.HammerLevels()
-		levelOf := func(bank, row int) int {
-			return disturb.LevelIndex(levels, model.HCFirst(bank, row))
-		}
-		banks := profile.TestedBanks()
-		scores := ScoreFeatures(m.Geom, banks, levelOf, len(levels), AllFeatures(m.Geom))
-		strong := StrongFeatures(scores, 0.7)
-		if wantStrong && len(strong) == 0 {
-			t.Errorf("%s: no feature above F1=0.7, expected structured correlation", label)
-		}
-		if !wantStrong && len(strong) > 0 {
-			t.Errorf("%s: unexpected strong features %v", label, strong)
-		}
-		// No feature exceeds ~0.8 (paper: max average F1 is 0.77).
-		for _, s := range scores {
-			if s.F1 > 0.85 {
-				t.Errorf("%s: feature %v F1=%v implausibly high", label, s.Feature, s.F1)
-			}
-		}
-	}
-	check("S4", true)
-	check("M4", false)
 }
 
 func TestFractionAboveMonotone(t *testing.T) {

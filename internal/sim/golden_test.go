@@ -49,6 +49,18 @@ type Fig13GoldenFile struct {
 	Cells    []Fig13Cell
 }
 
+// tinyBase is the fixtures' machine: two cores and small banks, for
+// seconds-scale sweeps.
+func tinyBase() Config {
+	base := DefaultConfig()
+	base.Cores = 2
+	base.RowsPerBank = 2048
+	base.CellsPerRow = 2048
+	base.InstrPerCore = 20_000
+	base.WarmupPerCore = 4_000
+	return base
+}
+
 // goldenFig12Options is the fixture sweep: small enough for seconds-scale
 // runs, wide enough to cover two defenses, two thresholds, both Svärd
 // settings, and a min-max span over two mixes.
@@ -132,63 +144,50 @@ func compareCells[T any](t *testing.T, got, want []T) {
 	}
 }
 
-func TestGoldenFig12(t *testing.T) {
-	opt := goldenFig12Options()
+// checkGolden holds a golden sweep's cells to its fixture under testdata/,
+// or rewrites the fixture under -update. file is the fixture the sweep
+// would write, its Cells left nil: the options it records must be the
+// fixture's, or the fixture pins some other sweep.
+func checkGolden[F any, T any](t *testing.T, name string, file F, cells []T) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		reflect.ValueOf(&file).Elem().FieldByName("Cells").Set(reflect.ValueOf(cells))
+		writeGolden(t, path, file)
+		return
+	}
+	var golden F
+	readGolden(t, path, &golden)
+	recorded := reflect.ValueOf(&golden).Elem().FieldByName("Cells")
+	want := recorded.Interface().([]T)
+	recorded.SetZero()
+	if !reflect.DeepEqual(golden, file) {
+		t.Fatalf("golden fixture swept different options than the test; regenerate with -update\nfixture: %+v\ntest:    %+v", golden, file)
+	}
+	compareCells(t, cells, want)
+}
+
+func checkFig12Golden(t *testing.T, name string, opt Fig12Options) {
+	t.Helper()
 	cells, err := RunFig12Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "fig12_golden.json")
-	if *update {
-		writeGolden(t, path, Fig12GoldenFile{
-			Base: opt.Base, Mixes: opt.Mixes, NRHs: opt.NRHs,
-			Defenses: opt.Defenses, Profiles: opt.Profiles, Cells: cells,
-		})
-		return
-	}
-	var golden Fig12GoldenFile
-	readGolden(t, path, &golden)
-	want := Fig12GoldenFile{
+	checkGolden(t, name, Fig12GoldenFile{
 		Base: opt.Base, Mixes: opt.Mixes, NRHs: opt.NRHs,
 		Defenses: opt.Defenses, Profiles: opt.Profiles,
-	}
-	got := golden
-	got.Cells = nil
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("golden fixture swept different options than the test; regenerate with -update\nfixture: %+v\ntest:    %+v", got, want)
-	}
-	compareCells(t, cells, golden.Cells)
+	}, cells)
+}
+
+func TestGoldenFig12(t *testing.T) {
+	checkFig12Golden(t, "fig12_golden.json", goldenFig12Options())
 }
 
 // TestGoldenFig12HBM2 pins the HBM2 backend's cell values, so backend
 // or routing changes that alter HBM2 results are caught the same way
 // DDR4 regressions are — by fixture, not by eye.
 func TestGoldenFig12HBM2(t *testing.T) {
-	opt := goldenFig12HBM2Options()
-	cells, err := RunFig12Ctx(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("testdata", "fig12_hbm2_golden.json")
-	if *update {
-		writeGolden(t, path, Fig12GoldenFile{
-			Base: opt.Base, Mixes: opt.Mixes, NRHs: opt.NRHs,
-			Defenses: opt.Defenses, Profiles: opt.Profiles, Cells: cells,
-		})
-		return
-	}
-	var golden Fig12GoldenFile
-	readGolden(t, path, &golden)
-	want := Fig12GoldenFile{
-		Base: opt.Base, Mixes: opt.Mixes, NRHs: opt.NRHs,
-		Defenses: opt.Defenses, Profiles: opt.Profiles,
-	}
-	got := golden
-	got.Cells = nil
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("golden fixture swept different options than the test; regenerate with -update\nfixture: %+v\ntest:    %+v", got, want)
-	}
-	compareCells(t, cells, golden.Cells)
+	checkFig12Golden(t, "fig12_hbm2_golden.json", goldenFig12HBM2Options())
 }
 
 func TestGoldenFig13(t *testing.T) {
@@ -197,23 +196,9 @@ func TestGoldenFig13(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "fig13_golden.json")
-	if *update {
-		writeGolden(t, path, Fig13GoldenFile{
-			Base: opt.Base, NRH: opt.NRH, Benign: opt.Benign,
-			Profiles: opt.Profiles, Cells: cells,
-		})
-		return
-	}
-	var golden Fig13GoldenFile
-	readGolden(t, path, &golden)
-	want := Fig13GoldenFile{Base: opt.Base, NRH: opt.NRH, Benign: opt.Benign, Profiles: opt.Profiles}
-	got := golden
-	got.Cells = nil
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("golden fixture swept different options than the test; regenerate with -update\nfixture: %+v\ntest:    %+v", got, want)
-	}
-	compareCells(t, cells, golden.Cells)
+	checkGolden(t, "fig13_golden.json", Fig13GoldenFile{
+		Base: opt.Base, NRH: opt.NRH, Benign: opt.Benign, Profiles: opt.Profiles,
+	}, cells)
 }
 
 // ErosionGolden pins one margin-erosion sweep: the swept options, every

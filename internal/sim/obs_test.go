@@ -239,28 +239,17 @@ func TestRecorderPhases(t *testing.T) {
 	}
 }
 
-// TestGoldenSweepBitIdenticalRecorded runs the golden Fig. 12 sweep
-// twice — plain, and with a fresh Recorder attached to every cell —
-// and requires identical cells. With the golden fixture tests beside
-// it, this proves tracing can be left on for fixture-checked runs.
+// TestGoldenSweepBitIdenticalRecorded runs the golden Fig. 12 sweep with
+// a fresh Recorder attached to every cell and requires the fixture's
+// cells, which proves tracing can be left on for fixture-checked runs.
 func TestGoldenSweepBitIdenticalRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is seconds-scale")
 	}
 	opt := goldenFig12Options()
-	plain, err := RunFig12Ctx(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := opt
-	recorded.Runner = func(cfg Config) (Result, error) {
+	opt.Runner = func(cfg Config) (Result, error) {
 		return PooledRunRecorded(cfg, &obs.Recorder{})
 	}
-	cells, err := RunFig12Ctx(context.Background(), recorded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, cells) {
-		t.Error("recorded golden sweep diverged from the plain sweep")
-	}
+	cells, err := RunFig12Ctx(context.Background(), opt)
+	sameAsGolden(t, "fig12_golden.json", cells, err)
 }
