@@ -41,6 +41,9 @@ import (
 // tCCD_L across banks, tWTR_S/L, and tRP before REF — and Hydra counts
 // its own victim refreshes; results moved on every backend.
 //
+// v7: a rank waiting out tRP before its refresh no longer holds another
+// due rank's REF; results moved on multi-rank DDR4 (HBM2 has one rank).
+//
 // Config.NoSkip participates in the key like every other field, even
 // though the two engines are bit-identical by (test-enforced) contract:
 // a -noskip run therefore recomputes rather than reading entries a
@@ -48,7 +51,7 @@ import (
 // exists to check the engine, and a shared entry would hand it the
 // engine's cached answer, masking exactly the divergence it is there to
 // catch.
-const SchemaVersion = "svard-sim-v6"
+const SchemaVersion = "svard-sim-v7"
 
 // Key returns the canonical content address of one simulation: a hex
 // SHA-256 over the schema version and a stable field-order encoding of

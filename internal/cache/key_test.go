@@ -178,13 +178,13 @@ func TestKeyCoversTemporalFields(t *testing.T) {
 
 // TestKeyStaticUnchangedByTemporalField pins the exact keys two static
 // configurations hash to. A nil Temporal stays invisible to the encoding:
-// these keys did not move when the field arrived, only at the svard-sim-v5
-// and svard-sim-v6 bumps, where they were re-pinned. If either ever changes without a
+// these keys did not move when the field arrived, only at the svard-sim-v5,
+// v6 and v7 bumps, where they were re-pinned. If either ever changes without a
 // SchemaVersion bump, cached entries are being silently invalidated.
 func TestKeyStaticUnchangedByTemporalField(t *testing.T) {
 	a := sim.DefaultConfig()
 	a.Mix = []string{"mcf06", "lbm06"}
-	const pinA = "f1ec8edb6c8a4c633410562561c8ad0b7e085f06948124ede001ac38d592cc8e"
+	const pinA = "498820f96c7b0481feea36997791981577a7e3d6ff6a304ae567be6f24e78581"
 	if got := Key(a); got != pinA {
 		t.Errorf("static key drifted:\n got %s\nwant %s", got, pinA)
 	}
@@ -199,7 +199,7 @@ func TestKeyStaticUnchangedByTemporalField(t *testing.T) {
 	b.Defense = "para"
 	b.Svard = true
 	b.Mix = []string{"mcf06", "ycsb-a"}
-	const pinB = "be590f028ef652d496366b3671aa4c0c8604baf7e98d57244562739c90702f46"
+	const pinB = "2d2d8866b022d21a05a78b8addc76ee1a46b1f24217da6efe68c67831f34e4f1"
 	if got := Key(b); got != pinB {
 		t.Errorf("static key drifted:\n got %s\nwant %s", got, pinB)
 	}
@@ -209,7 +209,7 @@ func TestKeyStaticUnchangedByTemporalField(t *testing.T) {
 // under the one SchemaVersion, and the temporal block still changes the
 // key. Pinned by recomputing both keys against the constant directly.
 func TestKeyOneSchemaVersion(t *testing.T) {
-	if SchemaVersion != "svard-sim-v6" {
+	if SchemaVersion != "svard-sim-v7" {
 		t.Fatalf("SchemaVersion changed to %q: this invalidates every stored result", SchemaVersion)
 	}
 	cfg := sim.DefaultConfig()

@@ -604,36 +604,46 @@ func (c *Controller) TickFull(cycle uint64) bool {
 
 // tick is Tick's body; true when a DRAM command issued.
 func (c *Controller) tick(cycle uint64) bool {
-	// Refresh management.
+	// Refresh management: a due rank that can refresh does, before any
+	// bank of another due rank closes for its own refresh.
+	hold, blocking := false, -1
 	for rank := 0; rank < c.Cfg.Ranks; rank++ {
 		c.Sys.EndRefreshIfDone(rank, cycle)
-		if c.Sys.RefreshDue(rank, cycle) && !c.Sys.Ranks[rank].Refreshing {
-			if c.Sys.AllPrecharged(rank) {
-				// The rank waits out tRP after its last PRE, and nothing
-				// else issues meanwhile: demand would reopen banks in
-				// front of the refresh, which then stalls again.
-				if c.Sys.RefEarliest(rank) > cycle {
-					return false
-				}
-				c.Sys.REF(rank, cycle)
-				for b := rank * c.Sys.BanksPerRank(); b < (rank+1)*c.Sys.BanksPerRank(); b++ {
-					c.reoffer(b)
-				}
-				c.Track.OnRefresh(rank, c.refSlice[rank], c.rowsPerREF)
-				c.refSlice[rank] = (c.refSlice[rank] + c.rowsPerREF) % c.Cfg.RowsPerBank
-				c.Stats.Refreshes++
-				return true // REF consumes the command slot
-			}
-			// Close a bank blocking the refresh.
-			base := rank * c.Sys.BanksPerRank()
-			for b := base; b < base+c.Sys.BanksPerRank(); b++ {
-				if c.Sys.Banks[b].OpenRow >= 0 && c.Sys.CanPRE(b, cycle) {
-					c.Obs.RefreshStalls++
-					c.issuePRE(b, cycle)
-					return true
-				}
-			}
+		if !c.Sys.RefreshDue(rank, cycle) || c.Sys.Ranks[rank].Refreshing {
+			continue
 		}
+		base := rank * c.Sys.BanksPerRank()
+		if !c.Sys.AllPrecharged(rank) {
+			for b := base; b < base+c.Sys.BanksPerRank() && blocking < 0; b++ {
+				if c.Sys.Banks[b].OpenRow >= 0 && c.Sys.CanPRE(b, cycle) {
+					blocking = b
+				}
+			}
+			continue
+		}
+		// The rank waits out tRP after its last PRE, and no demand issues
+		// meanwhile: it would reopen banks in front of the refresh, which
+		// then stalls again.
+		if c.Sys.RefEarliest(rank) > cycle {
+			hold = true
+			continue
+		}
+		c.Sys.REF(rank, cycle)
+		for b := base; b < base+c.Sys.BanksPerRank(); b++ {
+			c.reoffer(b)
+		}
+		c.Track.OnRefresh(rank, c.refSlice[rank], c.rowsPerREF)
+		c.refSlice[rank] = (c.refSlice[rank] + c.rowsPerREF) % c.Cfg.RowsPerBank
+		c.Stats.Refreshes++
+		return true // REF consumes the command slot
+	}
+	if blocking >= 0 { // close a bank blocking a refresh
+		c.Obs.RefreshStalls++
+		c.issuePRE(blocking, cycle)
+		return true
+	}
+	if hold {
+		return false
 	}
 
 	// Preventive victim refreshes have priority over demand traffic:

@@ -610,6 +610,30 @@ func TestClosedFormTiming(t *testing.T) {
 	}
 }
 
+// TestDueRanksRefreshIndependently: a rank waiting to refresh does not
+// hold another due rank's REF. Both ranks share each deadline; a read
+// 1000 cycles before the second leaves bank 0 of rank 0 open. At the
+// deadline the precharged rank 1 refreshes, rank 0 closes its bank on the
+// next cycle and refreshes tRP after that. Both tick loops (tickBoth).
+func TestDueRanksRefreshIndependently(t *testing.T) {
+	cfg := DefaultConfig(4096)
+	if cfg.Ranks != 2 {
+		t.Fatalf("%d ranks, want 2", cfg.Ranks)
+	}
+	tm := mem.CyclesFrom(dram.DDR4Timing(3200), cfg.CPUGHz)
+	deadline := 2 * tm.REFI
+	var refs []mem.Command
+	for _, c := range tickBoth(t, New(cfg, tm, nil, nil), New(cfg, tm, nil, nil), []arrival{{deadline - 1000, 0, 1, false}}, deadline+tm.RFC, nil) {
+		if c.Kind == 'R' && c.Cycle >= deadline {
+			refs = append(refs, c)
+		}
+	}
+	want := []mem.Command{{Kind: 'R', Bank: 1, Cycle: deadline}, {Kind: 'R', Bank: 0, Cycle: deadline + 1 + tm.RP}}
+	if !slices.Equal(refs, want) {
+		t.Fatalf("REFs (Bank = rank) %+v, want %+v", refs, want)
+	}
+}
+
 func TestExtraMemGeneratesTraffic(t *testing.T) {
 	c := newMC(nil, nil)
 	c.execute(mitigation.Directive{Kind: mitigation.ExtraMem, Bank: 0, Row: 5, MemReads: 2, MemWrites: 1}, 0)

@@ -110,7 +110,6 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 			"aqua 64 true [lbm06 tpcc]",
 			"blockhammer 1024 false [mcf06 ycsb-a]", "blockhammer 1024 false [lbm06 tpcc]",
 			"blockhammer 1024 true [mcf06 ycsb-a]", "blockhammer 1024 true [lbm06 tpcc]",
-			"blockhammer 64 true [lbm06 tpcc]",
 			"rrs 1024 false [mcf06 ycsb-a]", "rrs 1024 false [lbm06 tpcc]",
 			"rrs 1024 true [mcf06 ycsb-a]", "rrs 1024 true [lbm06 tpcc]",
 			"rrs 64 true [lbm06 tpcc]",
