@@ -611,15 +611,12 @@ func TestClosedFormTiming(t *testing.T) {
 }
 
 // TestDueRanksRefreshIndependently: a rank waiting to refresh does not
-// hold another due rank's REF. Both ranks share each deadline; a read
-// 1000 cycles before the second leaves bank 0 of rank 0 open. At the
+// hold another due rank's REF. The two DDR4 ranks share each deadline; a
+// read 1000 cycles before the second leaves bank 0 of rank 0 open. At the
 // deadline the precharged rank 1 refreshes, rank 0 closes its bank on the
 // next cycle and refreshes tRP after that. Both tick loops (tickBoth).
 func TestDueRanksRefreshIndependently(t *testing.T) {
 	cfg := DefaultConfig(4096)
-	if cfg.Ranks != 2 {
-		t.Fatalf("%d ranks, want 2", cfg.Ranks)
-	}
 	tm := mem.CyclesFrom(dram.DDR4Timing(3200), cfg.CPUGHz)
 	deadline := 2 * tm.REFI
 	var refs []mem.Command

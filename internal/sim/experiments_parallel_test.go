@@ -3,56 +3,28 @@ package sim
 import (
 	"context"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestRunFig12ParallelMatchesSerial is the determinism contract of the
-// exec-pool refactor: a parallel sweep must be cell-for-cell identical
-// to Workers=1.
+// exec pool: a serial and a parallel sweep both give the golden fixture's
+// cells.
 func TestRunFig12ParallelMatchesSerial(t *testing.T) {
-	opt := Fig12Options{
-		Base:     tinyBase(),
-		Mixes:    [][]string{{"mcf06", "ycsb-a"}, {"lbm06", "tpcc"}},
-		NRHs:     []float64{1024, 64},
-		Defenses: []string{"para", "rrs"},
-		Profiles: []string{"S0"},
-	}
-	opt.Workers = 1
-	serial, err := RunFig12Ctx(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 4
-	parallel, err := RunFig12Ctx(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel cells differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	for _, workers := range []int{1, 4} {
+		opt := goldenFig12Options()
+		opt.Workers = workers
+		cells, err := RunFig12Ctx(context.Background(), opt)
+		sameAsGolden(t, "fig12_golden.json", cells, err)
 	}
 }
 
 func TestRunFig13ParallelMatchesSerial(t *testing.T) {
-	opt := Fig13Options{
-		Base:     tinyBase(),
-		NRH:      64,
-		Benign:   []string{"mcf06"},
-		Profiles: []string{"S0"},
-	}
-	opt.Workers = 1
-	serial, err := RunFig13Ctx(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 4
-	parallel, err := RunFig13Ctx(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel cells differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	for _, workers := range []int{1, 4} {
+		opt := goldenFig13Options()
+		opt.Workers = workers
+		cells, err := RunFig13Ctx(context.Background(), opt)
+		sameAsGolden(t, "fig13_golden.json", cells, err)
 	}
 }
 

@@ -178,15 +178,15 @@ var paperClaims = []struct {
 			v.note(false, "%v", err)
 			return
 		}
-		min, rows, better, sum := s.MinBudget(), m.Geom.RowsPerBank, 0, 0.0
+		worst, rows, better, sum := s.MinBudget(), m.Geom.RowsPerBank, 0, 0.0
 		for row := 0; row < rows; row++ {
 			b := s.ActivationBudget(1, row)
-			if sum += b; b >= 1.5*min {
+			if sum += b; b >= 1.5*worst {
 				better++
 			}
 		}
 		frac, mean := float64(better)/float64(rows), sum/float64(rows)
-		v.note(frac >= 0.4 && mean >= 1.6*min, "%.3f of bank 1's rows at >= 1.5x, mean %.2fx of %v", frac, mean/min, min)
+		v.note(frac >= 0.4 && mean >= 1.6*worst, "%.3f of bank 1's rows at >= 1.5x, mean %.2fx of %v", frac, mean/worst, worst)
 	},
 }, {
 	name: "Cost", ref: "§6.4",
