@@ -166,6 +166,32 @@ func TestQuickBudgetPositive(t *testing.T) {
 	}
 }
 
+func TestTableCostMatchesPaper(t *testing.T) {
+	c := TableImplementation(DefaultCostConfig())
+	if math.Abs(c.PerBankMM2-0.056) > 1e-9 {
+		t.Errorf("per-bank area = %v mm2, want 0.056 (paper §6.4)", c.PerBankMM2)
+	}
+	if math.Abs(c.CPUAreaFrac-0.0086) > 1e-4 {
+		t.Errorf("CPU area fraction = %v, want 0.86%%", c.CPUAreaFrac)
+	}
+	if math.Abs(c.AccessNs-0.47) > 0.01 {
+		t.Errorf("access latency = %v ns, want 0.47", c.AccessNs)
+	}
+	if !c.HiddenByACT {
+		t.Error("table lookup must hide under row activation latency")
+	}
+}
+
+func TestDRAMBitsCostMatchesPaper(t *testing.T) {
+	c := DRAMBitsImplementation(DefaultCostConfig())
+	if math.Abs(c.ArrayOverheadFrac-0.00006103515625) > 1e-12 {
+		t.Errorf("DRAM array overhead = %v, want 4/65536 (0.006%%)", c.ArrayOverheadFrac)
+	}
+	if c.AddedLatencyNs != 0 {
+		t.Error("in-DRAM metadata must add no access latency")
+	}
+}
+
 func TestCostScalesWithRows(t *testing.T) {
 	small := DefaultCostConfig()
 	big := DefaultCostConfig()
