@@ -25,7 +25,7 @@ func (m *Model) DoubleSidedBatch(bank, aggLo, aggHi, pairs int, onTimeNs float64
 		if d < -2 || d > 2 || d == 0 {
 			return 0, false
 		}
-		if victim < 0 || victim >= m.Geom.RowsPerBank || !m.Geom.SameSubarray(agg, victim) {
+		if lo, hi := m.Geom.VictimSpan(agg); victim < lo || victim >= hi {
 			return 0, false
 		}
 		w := 0.5
@@ -97,9 +97,10 @@ func (m *Model) SingleSidedBatch(bank, agg, acts int, onTimeNs float64) {
 		return
 	}
 	tf := m.tempFactor()
+	lo, hi := m.Geom.VictimSpan(agg)
 	for _, d := range [...]int{-2, -1, 1, 2} {
 		v := agg + d
-		if v < 0 || v >= m.Geom.RowsPerBank || !m.Geom.SameSubarray(agg, v) {
+		if v < lo || v >= hi {
 			continue
 		}
 		w := 0.5

@@ -35,9 +35,10 @@ type rowDisturb struct {
 // signal the paper's subarray reverse engineering exploits).
 func (m *Model) RowClosed(bank, aggRow int, onTimeNs float64) {
 	tf := m.tempFactor()
+	lo, hi := m.Geom.VictimSpan(aggRow)
 	for _, d := range [...]int{-2, -1, 1, 2} {
 		v := aggRow + d
-		if v < 0 || v >= m.Geom.RowsPerBank || !m.Geom.SameSubarray(aggRow, v) {
+		if v < lo || v >= hi {
 			continue
 		}
 		w := 0.5

@@ -124,6 +124,17 @@ func (g *Geometry) SameSubarray(a, b int) bool {
 	return g.SubarrayOf(a) == g.SubarrayOf(b)
 }
 
+// VictimSpan returns the [lo, hi) rows a closing of physRow can disturb:
+// its subarray (sense-amplifier stripes isolate read disturbance between
+// subarrays, §5.4.1) clipped to the bank, which a layout set by hand may
+// overrun. For a layout Validate accepts, lo <= v < hi iff
+// 0 <= v < RowsPerBank and SameSubarray(physRow, v), so a neighbour walk
+// pays one search per closing instead of two per neighbour.
+func (g *Geometry) VictimSpan(physRow int) (lo, hi int) {
+	lo, hi = g.SubarrayBounds(g.SubarrayOf(physRow))
+	return lo, min(hi, g.RowsPerBank)
+}
+
 // DistanceToSenseAmps returns the physical row's distance (in rows) to
 // the nearest subarray boundary, i.e., to its local sense amplifiers.
 // Edge rows have distance 0.

@@ -240,20 +240,35 @@ func (p *VulnProfile) NumBins() int {
 // ScaledProfile views a VulnProfile with every threshold multiplied by
 // Factor. The paper evaluates future, more vulnerable chips by scaling
 // all observed HCfirst values so the profile minimum equals the target
-// worst-case HCfirst (§7.1).
+// worst-case HCfirst (§7.1). A view carries its profile's worst-case
+// threshold, taken once by Unscaled, so scaling a view and asking it
+// for its minimum cost O(1); build views with Unscaled or ScaledTo.
 type ScaledProfile struct {
 	P      *VulnProfile
 	Factor float64
+	pMin   float64 // P.MinSafeThreshold(), unscaled
+}
+
+// Unscaled returns the profile's view at Factor 1: the one pass over
+// every row that finds the worst-case threshold. Views scaled from it
+// share that pass.
+func (p *VulnProfile) Unscaled() *ScaledProfile {
+	return &ScaledProfile{P: p, Factor: 1, pMin: p.MinSafeThreshold()}
 }
 
 // ScaledTo returns the profile scaled so its minimum safe threshold
 // equals targetMin.
 func (p *VulnProfile) ScaledTo(targetMin float64) *ScaledProfile {
-	min := p.MinSafeThreshold()
-	if min <= 0 {
-		return &ScaledProfile{P: p, Factor: 1}
+	return p.Unscaled().ScaledTo(targetMin)
+}
+
+// ScaledTo returns a view of the same profile scaled so its minimum safe
+// threshold equals targetMin, whatever s's own Factor.
+func (s *ScaledProfile) ScaledTo(targetMin float64) *ScaledProfile {
+	if s.pMin <= 0 {
+		return &ScaledProfile{P: s.P, Factor: 1, pMin: s.pMin}
 	}
-	return &ScaledProfile{P: p, Factor: targetMin / min}
+	return &ScaledProfile{P: s.P, Factor: targetMin / s.pMin, pMin: s.pMin}
 }
 
 // SafeThreshold returns the scaled per-row threshold.
@@ -263,7 +278,7 @@ func (s *ScaledProfile) SafeThreshold(bank, row int) float64 {
 
 // MinSafeThreshold returns the scaled worst-case threshold.
 func (s *ScaledProfile) MinSafeThreshold() float64 {
-	return s.P.MinSafeThreshold() * s.Factor
+	return s.pMin * s.Factor
 }
 
 // MarshalJSON/UnmarshalJSON round-trip the profile; []uint8 bins encode

@@ -206,7 +206,7 @@ var moduleCache sync.Map // key string -> *moduleEntry
 type moduleEntry struct {
 	once sync.Once
 	mod  *profile.Module
-	prof *profile.VulnProfile
+	prof *profile.ScaledProfile // the captured profile, unscaled: it carries the worst case
 	// Per-row tables the security tracker reads at high rate, derived
 	// once from the disturbance model (they cost an exp/log chain per
 	// row and depend only on the module): the unscaled true HCfirst and
@@ -281,7 +281,7 @@ func buildModule(label string, rows, cells, banks int, seed uint64) (*moduleEntr
 			all[i] = i
 		}
 		e.mod = m
-		e.prof = profile.Capture(m.NewModel(), label, all)
+		e.prof = profile.Capture(m.NewModel(), label, all).Unscaled()
 		model := disturb.NewModel(m.Params, m.Geom)
 		e.hcBase = make([]float64, banks*rows)
 		e.psi = make([]float64, banks*rows)

@@ -133,11 +133,11 @@ func (t *secTracker) OnPre(bank, row int, onCycles uint64) {
 		slot.on, slot.base = onCycles+1, t.model.PressBase(float64(onCycles)/t.cpuGHz)
 	}
 	pressBase := slot.base
-	g := t.model.Geom
+	lo, hi := t.model.Geom.VictimSpan(row)
 	base := bank * t.rows
 	for _, d := range [...]int{-2, -1, 1, 2} {
 		v := row + d
-		if v < 0 || v >= t.rows || !g.SameSubarray(row, v) {
+		if v < lo || v >= hi {
 			continue
 		}
 		w := 0.5

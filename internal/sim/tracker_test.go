@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -175,5 +176,170 @@ func TestLiveDrawsCounter(t *testing.T) {
 	}
 	if decayed, _ := draws(diffTemporal()); decayed < 1000 {
 		t.Errorf("aged process: %d live draws, want thousands (its floor settles nothing)", decayed)
+	}
+}
+
+// TestTrackerClosedForm is the tracker's closed-form oracle. One
+// aggressor closes k times at an on-time at or below PressRefNs, so
+// PressBase is exactly 1 and every closing adds exactly 0.5 to a
+// distance-1 victim in its subarray (float32 sums of 0.5 are exact) and
+// 0.5·BlastDecay to a distance-2 one; a row across a subarray edge, off
+// the bank or further away reads 0. The aggressors sit on both sides of
+// a subarray edge, one and two rows from it, and on both edges of the
+// bank (a victim off the bank would land in the next bank's rows), so
+// widening or narrowing the victim span by one row at either end fails.
+// Then one aggressor closes until the first violation, which must come
+// on closing ⌈2·hcFirst⌉ of its weakest distance-1 victim. The subarray
+// oracle is the layout's start rows, not dram.Geometry's lookups.
+func TestTrackerClosedForm(t *testing.T) {
+	const (
+		banks = 2
+		k     = 100
+	)
+	base := tinyBase()
+	entry, err := buildModule(base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, banks, base.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := disturb.NewModel(entry.mod.Params, entry.mod.Geom)
+	rows := base.RowsPerBank
+	on := uint64(model.P.PressRefNs * base.CPUGHz)
+	if b := model.PressBase(float64(on) / base.CPUGHz); b != 1 {
+		t.Fatalf("PressBase at %d cycles = %v, want exactly 1", on, b)
+	}
+	starts := model.Geom.SubarrayStarts()
+	subarray := func(r int) int {
+		i := 0
+		for i+1 < len(starts) && starts[i+1] <= r {
+			i++
+		}
+		return i
+	}
+	// The first subarray edge with three rows before it and four from it.
+	edge := -1
+	for i := 1; i+1 < len(starts); i++ {
+		if starts[i]-starts[i-1] >= 3 && starts[i+1]-starts[i] >= 4 {
+			edge = starts[i]
+			break
+		}
+	}
+	if edge < 0 {
+		t.Fatalf("no usable subarray edge in %v", starts)
+	}
+	newTracker := func(nRH float64) *secTracker {
+		return newSecTracker(model, entry.hcBase, entry.psi, entry.prof.ScaledTo(nRH).Factor, base.CPUGHz, banks, banks)
+	}
+	closeRow := func(tr *secTracker, bank, row int) {
+		tr.OnAct(bank, row, 1000)
+		tr.OnPre(bank, row, on)
+	}
+
+	var d2 float32 // k closings' accrual at distance 2, summed as the tracker sums it
+	for i := 0; i < k; i++ {
+		d2 += float32(0.5 * model.P.BlastDecay)
+	}
+	for _, agg := range []struct{ bank, row int }{
+		{1, edge - 2}, {1, edge - 1}, {1, edge}, {1, edge + 1},
+		{1, 0}, {0, rows - 1},
+	} {
+		tr := newTracker(1024) // every threshold far above k/2: no violation, no reset
+		for i := 0; i < k; i++ {
+			closeRow(tr, agg.bank, agg.row)
+		}
+		if tr.Violations != 0 {
+			t.Fatalf("aggressor %v: %d violations after %d closings at nRH 1024", agg, tr.Violations, k)
+		}
+		for idx, got := range tr.cur {
+			bank, v := idx/rows, idx%rows
+			var want float32
+			if d := v - agg.row; bank == agg.bank && subarray(v) == subarray(agg.row) {
+				switch d {
+				case -1, 1:
+					want = 0.5 * k
+				case -2, 2:
+					want = d2
+				}
+			}
+			if got != want {
+				t.Errorf("aggressor bank %d row %d (subarray edge at %d): bank %d row %d reads %v, want %v",
+					agg.bank, agg.row, edge, bank, v, got, want)
+			}
+		}
+	}
+
+	// The first violation: aggressor edge+1, distance-1 victims edge and
+	// edge+2, at nRH 64.
+	const nRH = 64
+	tr := newTracker(nRH)
+	agg := edge + 1
+	h1 := min(tr.live.calib.hcFirst(rows+edge), tr.live.calib.hcFirst(rows+edge+2))
+	want := int(math.Ceil(2 * float64(h1)))
+	if h2 := tr.live.calib.hcFirst(rows + edge + 3); float64(h2) <= float64(want)*0.5*model.P.BlastDecay*1.01 {
+		t.Fatalf("distance-2 victim threshold %v could cross before closing %d", h2, want)
+	}
+	n := 0
+	for tr.Violations == 0 && n < 1<<20 {
+		closeRow(tr, 1, agg)
+		n++
+	}
+	if n != want || tr.Violations != 1 {
+		t.Errorf("first violation on closing %d (%d violations), want exactly one on closing ⌈2·%v⌉ = %d", n, tr.Violations, h1, want)
+	}
+}
+
+// BenchmarkTrackerOnPre times one row closing (OnAct, then OnPre) on the
+// benchmark shape's module: the golden fixture's base at nRH 64, every
+// bank of its system, a seeded stream of closings over uniform rows and
+// a few recurring on-times, the clock crossing an epoch edge every 16 384
+// closings (four per pass, as a cell of the erosion workload does). "temporal" attaches the erosion workload's process to the
+// live view; the tracker is re-armed after each pass over the stream so
+// the floor's decay does not depend on b.N.
+func BenchmarkTrackerOnPre(b *testing.B) {
+	cfg := tinyBase()
+	cfg.NRH, cfg.Mix = 64, []string{"mcf06", "ycsb-a"}
+	l, err := newLayout(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	banks, rows := l.nchan*l.banksPerChan, cfg.RowsPerBank
+	type closing struct {
+		bank, row int
+		on        uint64
+	}
+	r := rng.New(1)
+	stream := make([]closing, 1<<16)
+	for i := range stream {
+		stream[i] = closing{r.Intn(banks), r.Intn(rows), uint64(110 + 14*r.Intn(6))}
+	}
+	for _, tc := range []struct {
+		name string
+		spec *temporal.Spec
+	}{
+		{"static", nil},
+		{"temporal", &temporal.Spec{EpochCycles: 65536, Drift: -0.01, Sigma: 0.02}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tr := new(secTracker)
+			arm := func() {
+				tr.reset(l.model, l.entry.hcBase, l.entry.psi, l.factor, cfg.CPUGHz, banks, banks)
+				if tc.spec != nil {
+					tr.startTemporal(temporal.NewProcess(*tc.spec, cfg.Seed), tc.spec.EpochCycles)
+				}
+			}
+			arm()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(stream)
+				if j == 0 && i > 0 {
+					b.StopTimer()
+					arm()
+					b.StartTimer()
+				}
+				c := stream[j]
+				cycle := uint64(j) * 4
+				tr.OnAct(c.bank, c.row, cycle)
+				tr.OnPre(c.bank, c.row, c.on)
+			}
+		})
 	}
 }
