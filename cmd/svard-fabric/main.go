@@ -29,10 +29,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -106,13 +108,9 @@ func main() {
 		return
 	}
 
-	b, err := os.ReadFile(*specFile)
-	if err != nil {
-		fatal(err)
-	}
 	var spec campaign.Spec
-	if err := json.Unmarshal(b, &spec); err != nil {
-		fatal(fmt.Errorf("%s: %w", *specFile, err))
+	if err := readSpec(*specFile, &spec); err != nil {
+		fatal(err)
 	}
 	plan, err := spec.Plan()
 	if err != nil {
@@ -151,4 +149,23 @@ func shutdown(s *http.Server) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// readSpec decodes the campaign spec file at path over spec. A field the
+// spec does not have, such as a misspelling or a base config's Core or
+// NoSkip, is an error naming it, not a silent default.
+func readSpec(path string, spec *campaign.Spec) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%s: data after the spec", path)
+	}
+	return nil
 }

@@ -1,0 +1,62 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"svard/internal/campaign"
+)
+
+// TestReadSpecRefusesUnknownFields: a -spec file whose base sets Core or
+// NoSkip, which the simulator no longer takes, is an error naming the
+// field. The spec CI's fabric smoke builds from the golden fixture's
+// Base reads back whole.
+func TestReadSpecRefusesUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	write := func(body []byte) string {
+		p := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(p, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct{ body, want string }{
+		{`{"base":{"Cores":2,"Core":{"MSHRs":16}}}`, `unknown field "Core"`},
+		{`{"base":{"Cores":2,"NoSkip":false}}`, `unknown field "NoSkip"`},
+	} {
+		var spec campaign.Spec
+		if err := readSpec(write([]byte(tc.body)), &spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error saying %s", tc.body, err, tc.want)
+		}
+	}
+
+	b, err := os.ReadFile("../../internal/sim/testdata/fig12_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Base     json.RawMessage
+		Mixes    [][]string
+		NRHs     []float64
+		Defenses []string
+		Profiles []string
+	}
+	if err := json.Unmarshal(b, &golden); err != nil {
+		t.Fatal(err)
+	}
+	smoke, err := json.Marshal(map[string]any{"figures": []string{"fig12"}, "base": golden.Base, "mixes": golden.Mixes,
+		"nrhs": golden.NRHs, "defenses": golden.Defenses, "profiles": golden.Profiles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec campaign.Spec
+	if err := readSpec(write(smoke), &spec); err != nil {
+		t.Fatalf("the fixture's campaign does not read: %v", err)
+	}
+	if _, err := spec.Plan(); err != nil {
+		t.Fatal(err)
+	}
+}

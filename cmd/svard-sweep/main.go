@@ -20,7 +20,7 @@
 //	            [-population N] [-population-seed S] [-bands-json FILE]
 //	            [-temporal epoch=65536,drift=-0.05,sigma=0.1] [-temporal-intervals 0,16,64]
 //	            [-spec campaign.json] [-print-spec] [-q]
-//	            [-noskip] [-trace FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	            [-trace FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With neither -fig12 nor -fig13, both figures run. Defaults are scaled
 // for minutes-scale runs; raise -mixes/-instr toward the paper's 120
@@ -47,10 +47,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -100,7 +102,6 @@ func run() error {
 		profiles = flag.String("profiles", "", "comma-separated module profiles (default S0,M0,H1)")
 		benign   = flag.String("benign", "", "comma-separated Fig. 13 benign workloads")
 		nrh13    = flag.Float64("nrh13", 0, "Fig. 13 HCfirst (default 64)")
-		noSkip   = flag.Bool("noskip", false, "drive every simulation through the per-cycle reference loop instead of the event-driven engine (same commands, same results, ~2x slower; see EXPERIMENTS.md)")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 
 		popSize  = flag.Int("population", 0, "sweep a synthetic module population of this size (Fig. 12 confidence bands instead of per-profile points)")
@@ -143,12 +144,8 @@ func run() error {
 	spec.Base.RowsPerBank = *rows
 	spec.Base.Seed = *seed
 	if *specFile != "" {
-		b, err := os.ReadFile(*specFile)
-		if err != nil {
+		if err := readSpec(*specFile, &spec); err != nil {
 			return err
-		}
-		if err := json.Unmarshal(b, &spec); err != nil {
-			return fmt.Errorf("%s: %w", *specFile, err)
 		}
 	}
 
@@ -174,7 +171,6 @@ func run() error {
 	applyIf("rows", func() { spec.Base.RowsPerBank = *rows })
 	applyIf("seed", func() { spec.Base.Seed = *seed })
 	applyIf("nrh13", func() { spec.NRH13 = *nrh13 })
-	applyIf("noskip", func() { spec.Base.NoSkip = *noSkip })
 	if len(explicitMixes) > 0 {
 		spec.Mixes = explicitMixes
 	}
@@ -388,4 +384,23 @@ func splitList(s string) []string {
 		parts[i] = strings.TrimSpace(parts[i])
 	}
 	return parts
+}
+
+// readSpec decodes the campaign spec file at path over spec. A field the
+// spec does not have, such as a misspelling or a base config's Core or
+// NoSkip, is an error naming it, not a silent default.
+func readSpec(path string, spec *campaign.Spec) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%s: data after the spec", path)
+	}
+	return nil
 }

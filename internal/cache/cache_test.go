@@ -167,19 +167,19 @@ func TestCorruptEntryRecomputes(t *testing.T) {
 	}
 }
 
-// TestSchemaBumpInvalidatesOldEntries pins the svard-sim-v7 schema bump
-// that came with refreshing each due rank independently (v6 came with
-// enforcing every DRAM timing rule mem.Timing carries, v5 with the
-// write-drain fix, which folded the temporal v4 namespace into the one
-// version). An entry an older binary left on disk
+// TestSchemaBumpInvalidatesOldEntries pins the svard-sim-v8 schema bump
+// that came with Config losing Core and NoSkip (v7 came with refreshing
+// each due rank independently, v6 with enforcing every DRAM timing rule
+// mem.Timing carries, v5 with the write-drain fix, which folded the
+// temporal v4 namespace into the one version). An entry an older binary left on disk
 // — well-formed JSON, matching key, old schema string — must be
 // recomputed and rewritten in place, never served and never surfaced as
 // an error: the same config bytes now describe a different simulation.
 func TestSchemaBumpInvalidatesOldEntries(t *testing.T) {
-	if SchemaVersion != "svard-sim-v7" {
-		t.Fatalf("SchemaVersion = %q, want svard-sim-v7 (if bumping, update this test with the new version)", SchemaVersion)
+	if SchemaVersion != "svard-sim-v8" {
+		t.Fatalf("SchemaVersion = %q, want svard-sim-v8 (if bumping, update this test with the new version)", SchemaVersion)
 	}
-	for _, old := range []string{"svard-sim-v3", "svard-sim-v4", "svard-sim-v5", "svard-sim-v6"} {
+	for _, old := range []string{"svard-sim-v3", "svard-sim-v4", "svard-sim-v5", "svard-sim-v6", "svard-sim-v7"} {
 		t.Run(old, func(t *testing.T) {
 			dir := t.TempDir()
 			s1, err := Open(dir, 0)

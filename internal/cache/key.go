@@ -44,19 +44,15 @@ import (
 // v7: a rank waiting out tRP before its refresh no longer holds another
 // due rank's REF; results moved on multi-rank DDR4 (HBM2 has one rank).
 //
-// Config.NoSkip participates in the key like every other field, even
-// though the two engines are bit-identical by (test-enforced) contract:
-// a -noskip run therefore recomputes rather than reading entries a
-// normal run wrote. That duplication is deliberate — the reference loop
-// exists to check the engine, and a shared entry would hand it the
-// engine's cached answer, masking exactly the divergence it is there to
-// catch.
-const SchemaVersion = "svard-sim-v7"
+// v8: Config lost Core and NoSkip (every core is Table 4's, every cell
+// runs on the event engine). No result moved; the preimage lost eight
+// fields.
+const SchemaVersion = "svard-sim-v8"
 
 // Key returns the canonical content address of one simulation: a hex
 // SHA-256 over the schema version and a stable field-order encoding of
-// cfg. Two Configs differing in any field (including nested Core fields
-// and Mix entries) hash to different keys; the same Config always hashes
+// cfg. Two Configs differing in any field (including nested Temporal
+// fields and Mix entries) hash to different keys; the same Config always hashes
 // to the same key, across processes and runs.
 func Key(cfg sim.Config) string {
 	// An 8-core config encodes to under 1 KB, so the whole derivation stays

@@ -390,29 +390,16 @@ var brokenSpecs = map[string]rejection{
 	"zero-nrh":          {func(s *Spec) { s.NRHs = []float64{64, 0} }, `campaign: nrhs: sim: NRH is 0, want a positive finite threshold`},
 	"nan-nrh":           {func(s *Spec) { s.NRHs = []float64{math.NaN()} }, `campaign: nrhs: sim: NRH is NaN, want a positive finite threshold`},
 	"negative-nrh13":    {func(s *Spec) { s.NRH13 = -64 }, `campaign: nrh13: sim: NRH is -64, want a positive finite threshold`},
-	// A core or geometry Validate did not bound used to panic in a worker
-	// (a zero-way LLC divides by zero, a negative size panics in make),
-	// run to MaxCycles at IPC 0 (a zero issue width, window or MSHR
-	// count), silently change the refresh window (a NaN or infinite
-	// scale), return an empty Result (MaxCycles 0), or allocate whatever
-	// it asked for.
-	"zero-llc-ways":     {func(s *Spec) { s.Base.Core.LLCWays = 0 }, `campaign: base config: sim: Core.LLCWays is 0, want 1..256`},
-	"negative-llc-ways": {func(s *Spec) { s.Base.Core.LLCWays = -4 }, `campaign: base config: sim: Core.LLCWays is -4, want 1..256`},
-	"negative-window":   {func(s *Spec) { s.Base.Core.Window = -1 }, `campaign: base config: sim: Core.Window is -1, want 1..4096`},
-	"negative-mshrs":    {func(s *Spec) { s.Base.Core.MSHRs = -1 }, `campaign: base config: sim: Core.MSHRs is -1, want 1..4096`},
-	"zero-issue-width":  {func(s *Spec) { s.Base.Core.IssueWidth = 0 }, `campaign: base config: sim: Core.IssueWidth is 0, want 1..4096`},
-	"zero-window":       {func(s *Spec) { s.Base.Core.Window = 0 }, `campaign: base config: sim: Core.Window is 0, want 1..4096`},
-	"zero-mshrs":        {func(s *Spec) { s.Base.Core.MSHRs = 0 }, `campaign: base config: sim: Core.MSHRs is 0, want 1..4096`},
-	"nan-window-scale":  {func(s *Spec) { s.Base.WindowScale = math.NaN() }, `campaign: base config: sim: WindowScale is NaN, want a finite scale`},
-	"inf-window-scale":  {func(s *Spec) { s.Base.WindowScale = math.Inf(1) }, `campaign: base config: sim: WindowScale is +Inf, want a finite scale`},
-	"zero-max-cycles":   {func(s *Spec) { s.Base.MaxCycles = 0 }, `campaign: base config: sim: MaxCycles is 0, want at least one cycle`},
-	"llc-below-ways":    {func(s *Spec) { s.Base.Core.LLCBytes = 64*16 - 1 }, `campaign: base config: sim: Core.LLCBytes is 1023, want 1024..67108864`},
-	"huge-llc":          {func(s *Spec) { s.Base.Core.LLCBytes = 1 << 30 }, `campaign: base config: sim: Core.LLCBytes is 1073741824, want 1024..67108864`},
-	"huge-window":       {func(s *Spec) { s.Base.Core.Window = 1 << 20 }, `campaign: base config: sim: Core.Window is 1048576, want 1..4096`},
-	"huge-mshrs":        {func(s *Spec) { s.Base.Core.MSHRs = 1 << 20 }, `campaign: base config: sim: Core.MSHRs is 1048576, want 1..4096`},
-	"few-rows":          {func(s *Spec) { s.Base.RowsPerBank = 32 }, `campaign: base config: sim: RowsPerBank is 32, want 64..262144`},
-	"huge-rows":         {func(s *Spec) { s.Base.RowsPerBank = 1 << 24 }, `campaign: base config: sim: RowsPerBank is 16777216, want 64..262144`},
-	"huge-cells":        {func(s *Spec) { s.Base.CellsPerRow = 1 << 24 }, `campaign: base config: sim: CellsPerRow is 16777216, want 1..1048576`},
+	// A geometry Validate did not bound used to panic in a worker (a
+	// negative size panics in make), silently change the refresh window
+	// (a NaN or infinite scale), return an empty Result (MaxCycles 0), or
+	// allocate whatever it asked for.
+	"nan-window-scale": {func(s *Spec) { s.Base.WindowScale = math.NaN() }, `campaign: base config: sim: WindowScale is NaN, want a finite scale`},
+	"inf-window-scale": {func(s *Spec) { s.Base.WindowScale = math.Inf(1) }, `campaign: base config: sim: WindowScale is +Inf, want a finite scale`},
+	"zero-max-cycles":  {func(s *Spec) { s.Base.MaxCycles = 0 }, `campaign: base config: sim: MaxCycles is 0, want at least one cycle`},
+	"few-rows":         {func(s *Spec) { s.Base.RowsPerBank = 32 }, `campaign: base config: sim: RowsPerBank is 32, want 64..262144`},
+	"huge-rows":        {func(s *Spec) { s.Base.RowsPerBank = 1 << 24 }, `campaign: base config: sim: RowsPerBank is 16777216, want 64..262144`},
+	"huge-cells":       {func(s *Spec) { s.Base.CellsPerRow = 1 << 24 }, `campaign: base config: sim: CellsPerRow is 16777216, want 1..1048576`},
 	// The next four size the default mix draw, which runs before validation:
 	// each used to panic in it or allocate whatever it was asked for.
 	"negative-cores": {func(s *Spec) { s.Base.Cores = -1; s.Mixes = nil }, `campaign: base config: Cores is -1, want 1..1024`},

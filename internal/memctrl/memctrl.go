@@ -591,9 +591,9 @@ func (c *Controller) Tick(cycle uint64) bool {
 }
 
 // TickFull is Tick without the idle fast path: it always evaluates the
-// full per-cycle scheduling pass. The per-cycle reference loop
-// (sim.Config.NoSkip) drives the controller through TickFull so the
-// baseline the differential tests compare against contains none of the
+// full per-cycle scheduling pass. The simulator's per-cycle reference
+// loop (the oracle of its differential tests) drives the controller
+// through TickFull so the baseline the differential tests compare against contains none of the
 // event machinery (the offers are kept by the commands themselves, not
 // by it).
 func (c *Controller) TickFull(cycle uint64) bool {

@@ -7,7 +7,9 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log"
+	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -209,10 +211,13 @@ func TestComputeBatchRejectsBadInput(t *testing.T) {
 // TestUnrunnableConfigsAre400s: a config Validate refuses is a 400 that
 // names the field, whether it arrives as a submitted campaign's base
 // (Spec.Plan) or as a one-cell compute batch, and it never reaches a
-// worker. The service runs the real simulator: a zero-way LLC used to
-// divide by zero inside a worker goroutine and take the daemon down, so
-// the same daemon then computes a valid cell. (A NaN or infinite
-// WindowScale cannot be sent: JSON has no such number.)
+// worker. So is a body that sets a field the config no longer has: Core
+// (the core is Table 4's) or NoSkip (cells run on the event engine); the
+// Core rows send what once failed Validate. The service runs the real
+// simulator: a zero-way LLC used to divide by zero inside a worker
+// goroutine and take the daemon down, so the same daemon then computes a
+// valid cell. (A NaN or infinite WindowScale cannot be sent: JSON has no
+// such number.)
 func TestUnrunnableConfigsAre400s(t *testing.T) {
 	_, c := newService(t, t.TempDir(), server.Config{Workers: 1})
 	ctx := context.Background()
@@ -221,37 +226,48 @@ func TestUnrunnableConfigsAre400s(t *testing.T) {
 	cell.RowsPerBank, cell.CellsPerRow = 2048, 2048
 	cell.InstrPerCore, cell.WarmupPerCore = 2_000, 400
 
+	const removedCore, removedNoSkip = `unknown field "Core"`, `unknown field "NoSkip"`
 	for _, tc := range []struct {
 		name    string
-		breakIt func(*sim.Config)
+		breakIt func(*sim.Config) // nil: member breaks the config
+		member  string            // a JSON member the config's object gains
 		want    string
 	}{
-		{"zero-llc-ways", func(c *sim.Config) { c.Core.LLCWays = 0 }, "Core.LLCWays is 0"},
-		{"negative-llc-ways", func(c *sim.Config) { c.Core.LLCWays = -2 }, "Core.LLCWays is -2"},
-		{"negative-window", func(c *sim.Config) { c.Core.Window = -1 }, "Core.Window is -1"},
-		{"negative-mshrs", func(c *sim.Config) { c.Core.MSHRs = -1 }, "Core.MSHRs is -1"},
-		{"zero-issue-width", func(c *sim.Config) { c.Core.IssueWidth = 0 }, "Core.IssueWidth is 0"},
-		{"zero-window", func(c *sim.Config) { c.Core.Window = 0 }, "Core.Window is 0"},
-		{"zero-mshrs", func(c *sim.Config) { c.Core.MSHRs = 0 }, "Core.MSHRs is 0"},
-		{"llc-below-ways", func(c *sim.Config) { c.Core.LLCBytes = 100 }, "Core.LLCBytes is 100"},
-		{"zero-max-cycles", func(c *sim.Config) { c.MaxCycles = 0 }, "MaxCycles is 0"},
-		{"huge-rows", func(c *sim.Config) { c.RowsPerBank = 1 << 24 }, "RowsPerBank is 16777216"},
-		{"huge-cells", func(c *sim.Config) { c.CellsPerRow = 1 << 24 }, "CellsPerRow is 16777216"},
-		{"huge-llc", func(c *sim.Config) { c.Core.LLCBytes = 1 << 30 }, "Core.LLCBytes is 1073741824"},
-		{"huge-window", func(c *sim.Config) { c.Core.Window = 1 << 20 }, "Core.Window is 1048576"},
-		{"huge-mshrs", func(c *sim.Config) { c.Core.MSHRs = 1 << 20 }, "Core.MSHRs is 1048576"},
-		{"too-many-epochs", func(c *sim.Config) { c.Temporal = &temporal.Spec{EpochCycles: 1000} }, "is 80000 epochs"},
+		{"zero-llc-ways", nil, `"Core":{"LLCWays":0}`, removedCore},
+		{"negative-llc-ways", nil, `"Core":{"LLCWays":-2}`, removedCore},
+		{"negative-window", nil, `"Core":{"Window":-1}`, removedCore},
+		{"negative-mshrs", nil, `"Core":{"MSHRs":-1}`, removedCore},
+		{"zero-issue-width", nil, `"Core":{"IssueWidth":0}`, removedCore},
+		{"zero-window", nil, `"Core":{"Window":0}`, removedCore},
+		{"zero-mshrs", nil, `"Core":{"MSHRs":0}`, removedCore},
+		{"llc-below-ways", nil, `"Core":{"LLCBytes":100}`, removedCore},
+		{"huge-llc", nil, `"Core":{"LLCBytes":1073741824}`, removedCore},
+		{"huge-window", nil, `"Core":{"Window":1048576}`, removedCore},
+		{"huge-mshrs", nil, `"Core":{"MSHRs":1048576}`, removedCore},
+		{"noskip", nil, `"NoSkip":true`, removedNoSkip},
+		{"zero-max-cycles", func(c *sim.Config) { c.MaxCycles = 0 }, "", "MaxCycles is 0"},
+		{"huge-rows", func(c *sim.Config) { c.RowsPerBank = 1 << 24 }, "", "RowsPerBank is 16777216"},
+		{"huge-cells", func(c *sim.Config) { c.CellsPerRow = 1 << 24 }, "", "CellsPerRow is 16777216"},
+		{"too-many-epochs", func(c *sim.Config) { c.Temporal = &temporal.Spec{EpochCycles: 1000} }, "", "is 80000 epochs"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := tinySpec()
-			tc.breakIt(&spec.Base)
-			if _, err := c.Submit(ctx, spec, tc.name, 0); err == nil ||
+			spec, bad := tinySpec(), cell
+			var submit, compute any
+			if tc.breakIt != nil {
+				tc.breakIt(&spec.Base)
+				tc.breakIt(&bad)
+				submit, compute = server.SubmitRequest{Name: tc.name, Spec: spec}, server.ComputeRequest{Configs: []sim.Config{bad}}
+			} else {
+				// A repeated key overrides: the spec's second "base" is the
+				// broken one.
+				submit = map[string]any{"name": tc.name, "spec": withMember(t, spec, `"base":`+string(withMember(t, spec.Base, tc.member)))}
+				compute = map[string]any{"configs": []json.RawMessage{withMember(t, bad, tc.member)}}
+			}
+			if err := c.Call(ctx, http.MethodPost, "/api/v1/jobs", submit, &server.JobInfo{}); err == nil ||
 				!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("submit: %v, want 400 saying %q", err, tc.want)
 			}
-			bad := cell
-			tc.breakIt(&bad)
-			if _, err := c.Compute(ctx, []sim.Config{bad}); err == nil ||
+			if err := c.Call(ctx, http.MethodPost, "/api/v1/compute", compute, &server.ComputeResponse{}); err == nil ||
 				!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("compute: %v, want 400 saying %q", err, tc.want)
 			}
@@ -261,4 +277,15 @@ func TestUnrunnableConfigsAre400s(t *testing.T) {
 	if err != nil || len(resp.Cells) != 1 || resp.Cells[0].Error != "" || !resp.Cells[0].Computed {
 		t.Fatalf("a valid cell after the rejections: %+v, %v", resp, err)
 	}
+}
+
+// withMember is the JSON object v encodes to with member appended, so
+// that it overrides a field of the same name.
+func withMember(t *testing.T, v any, member string) json.RawMessage {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(b[:len(b)-1], ','), member+"}"...)
 }

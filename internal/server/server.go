@@ -109,10 +109,14 @@ type errorBody struct {
 // 4 MiB admits a paper-scale 120-mix spec and a 1024-cell batch.
 const maxRequestBody = 4 << 20
 
-// decodeBody decodes r's size-capped JSON body into v. On failure it
-// answers 413 (body over maxRequestBody) or 400 and returns false.
+// decodeBody decodes r's size-capped JSON body into v. A field v does
+// not have, such as a misspelling or a config's Core or NoSkip, is
+// refused by name, not silently dropped. On failure it answers 413
+// (body over maxRequestBody) or 400 and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}

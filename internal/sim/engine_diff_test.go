@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -70,9 +71,8 @@ func runBothRecorded(t *testing.T, cfg Config, skipRec, naiveRec *obs.Recorder) 
 	t.Helper()
 	var checked protocolTally
 	var streams [2][][]issued // per engine (skip, naive), per channel
-	run := func(engine int, noSkip bool, rec *obs.Recorder) Result {
-		cfg.NoSkip = noSkip
-		res, err := checked.runWatched(cfg, rec, func(ch int, mc *memctrl.Controller, cmd mem.Command) {
+	run := func(engine int, loop engineLoop, rec *obs.Recorder) Result {
+		res, err := checked.runWatched(cfg, loop, rec, func(ch int, mc *memctrl.Controller, cmd mem.Command) {
 			s := &streams[engine]
 			for len(*s) <= ch {
 				*s = append(*s, nil)
@@ -85,7 +85,7 @@ func runBothRecorded(t *testing.T, cfg Config, skipRec, naiveRec *obs.Recorder) 
 		}
 		return res
 	}
-	skip, naive := run(0, false, skipRec), run(1, true, naiveRec)
+	skip, naive := run(0, (*machine).runSkip, skipRec), run(1, (*machine).runNaive, naiveRec)
 	at := func(engine, ch, i int) *issued {
 		if s := streams[engine]; ch < len(s) && i < len(s[ch]) {
 			return &s[ch][i]
@@ -175,6 +175,47 @@ func TestEngineDifferentialHBM2(t *testing.T) {
 	}
 }
 
+// TestEngineIdentity: on the fixture shape with all five defenses, the
+// Fig. 12 and Fig. 13 sweeps fold the same cells under the event engine,
+// on the process-wide arena pool and twin memo as a sweep runs, as under
+// the per-cycle reference loop (watched by the protocol checker), on
+// both backends.
+func TestEngineIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four seconds-scale sweeps")
+	}
+	for _, backend := range []string{"ddr4-3200", "hbm2"} {
+		t.Run(backend, func(t *testing.T) {
+			t.Parallel()
+			fig12, fig13 := goldenFig12Options(), goldenFig13Options()
+			fig12.Defenses = DefenseNames
+			fig12.Backends, fig13.Backends = []string{backend}, []string{backend}
+			ctx := context.Background()
+			engine12, err := RunFig12Ctx(ctx, fig12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine13, err := RunFig13Ctx(ctx, fig13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var checked protocolTally
+			reference := func(cfg Config) (Result, error) { return checked.runWatched(cfg, (*machine).runNaive, nil, nil) }
+			fig12.Runner, fig13.Runner = reference, reference
+			reference12, err := RunFig12Ctx(ctx, fig12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reference13, err := RunFig13Ctx(ctx, fig13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareCells(t, engine12, reference12)
+			compareCells(t, engine13, reference13)
+		})
+	}
+}
+
 // TestEngineDifferentialTruncated pins bit-identity on runs cut off by
 // MaxCycles, including the truncated-IPC accounting.
 func TestEngineDifferentialTruncated(t *testing.T) {
@@ -236,32 +277,26 @@ func TestEngineSkipsCycles(t *testing.T) {
 func TestExactFinishCycle(t *testing.T) {
 	cfg := diffBase()
 	cfg.Mix = []string{"mcf06", "ycsb-a"}
-	for _, noskip := range []bool{false, true} {
+	for name, loop := range map[string]engineLoop{"skip": (*machine).runSkip, "naive": (*machine).runNaive} {
 		m, err := newMachine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cycle uint64
-		var finished bool
-		if noskip {
-			cycle, finished = m.runNaive(cfg.MaxCycles)
-		} else {
-			cycle, finished = m.runSkip(cfg.MaxCycles)
-		}
+		cycle, finished := loop(m, cfg.MaxCycles)
 		if !finished {
-			t.Fatalf("noskip=%v: run did not finish", noskip)
+			t.Fatalf("%s: run did not finish", name)
 		}
 		var last uint64
 		for i, c := range m.cores {
 			if !c.Finished() {
-				t.Fatalf("noskip=%v: core %d not finished at end", noskip, i)
+				t.Fatalf("%s: core %d not finished at end", name, i)
 			}
 			if dc := c.DoneCycle(); dc > last {
 				last = dc
 			}
 		}
 		if cycle != last {
-			t.Errorf("noskip=%v: run ended at cycle %d, last core finished at %d", noskip, cycle, last)
+			t.Errorf("%s: run ended at cycle %d, last core finished at %d", name, cycle, last)
 		}
 	}
 }

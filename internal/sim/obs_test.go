@@ -13,45 +13,59 @@ import (
 // TestRecordedMatchesUnrecorded is the observability no-interference
 // contract: attaching a Recorder must not change a single bit of the
 // Result, across defenses and both engine loops. Counters depend on
-// whether a cell replays its twin, so each case runs with the twin memo
-// pinned: absent (every cell simulates, and the recorder must see its
-// ticks), then holding the case's twin (an eligible cell replays or
-// diverges, and the recorder must say which).
+// whether a cell replays its twin, so each event-engine case runs with
+// the twin memo pinned: absent (every cell simulates, and the recorder
+// must see its ticks), then holding the case's twin (an eligible cell
+// replays or diverges, and the recorder must say which). The reference
+// loop runs without a memo.
 func TestRecordedMatchesUnrecorded(t *testing.T) {
 	for _, defense := range append([]string{"none"}, DefenseNames...) {
-		for _, noSkip := range []bool{false, true} {
-			cfg := diffBase()
-			cfg.Defense = defense
-			cfg.Mix = []string{"mcf06", "ycsb-a"}
-			cfg.Svard = defense != "none"
-			cfg.NoSkip = noSkip
-			held := &twinMemo{}
-			if _, err := runOn(newPoolState(), twinConfig(cfg), nil, held); err != nil {
+		cfg := diffBase()
+		cfg.Defense = defense
+		cfg.Mix = []string{"mcf06", "ycsb-a"}
+		cfg.Svard = defense != "none"
+		held := &twinMemo{}
+		if _, err := runOn(newPoolState(), twinConfig(cfg), nil, held); err != nil {
+			t.Fatal(err)
+		}
+		for _, memo := range []*twinMemo{nil, held} {
+			plain, err := runOn(newPoolState(), cfg, nil, memo)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, memo := range []*twinMemo{nil, held} {
-				plain, err := runOn(newPoolState(), cfg, nil, memo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := &obs.Recorder{}
-				recorded, err := runOn(newPoolState(), cfg, rec, memo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(plain, recorded) {
-					t.Errorf("%s noskip=%v memo=%v: recorded run diverged:\nplain:    %+v\nrecorded: %+v",
-						defense, noSkip, memo != nil, plain, recorded)
-				}
-				c := rec.Counters
-				tried := memo != nil && defense != "none" && !noSkip
-				if got := c.TwinReplays + c.TwinDiverged; got != map[bool]uint64{true: 1}[tried] {
-					t.Errorf("%s noskip=%v memo=%v: twin_replays=%d twin_diverged=%d", defense, noSkip, memo != nil, c.TwinReplays, c.TwinDiverged)
-				}
-				if (c.Ticks == 0) != (c.TwinReplays == 1) {
-					t.Errorf("%s noskip=%v memo=%v: %d ticks with twin_replays=%d", defense, noSkip, memo != nil, c.Ticks, c.TwinReplays)
-				}
+			rec := &obs.Recorder{}
+			recorded, err := runOn(newPoolState(), cfg, rec, memo)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(plain, recorded) {
+				t.Errorf("%s memo=%v: recorded run diverged:\nplain:    %+v\nrecorded: %+v",
+					defense, memo != nil, plain, recorded)
+			}
+			c := rec.Counters
+			tried := memo != nil && defense != "none"
+			if got := c.TwinReplays + c.TwinDiverged; got != map[bool]uint64{true: 1}[tried] {
+				t.Errorf("%s memo=%v: twin_replays=%d twin_diverged=%d", defense, memo != nil, c.TwinReplays, c.TwinDiverged)
+			}
+			if (c.Ticks == 0) != (c.TwinReplays == 1) {
+				t.Errorf("%s memo=%v: %d ticks with twin_replays=%d", defense, memo != nil, c.Ticks, c.TwinReplays)
+			}
+		}
+		var naive protocolTally
+		plain, err := naive.runWatched(cfg, (*machine).runNaive, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &obs.Recorder{}
+		recorded, err := naive.runWatched(cfg, (*machine).runNaive, rec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, recorded) {
+			t.Errorf("%s reference loop: recorded run diverged:\nplain:    %+v\nrecorded: %+v", defense, plain, recorded)
+		}
+		if c := rec.Counters; c.Ticks == 0 || c.TwinReplays+c.TwinDiverged+c.TwinMissed != 0 {
+			t.Errorf("%s reference loop: %d ticks, twin counters %d/%d/%d", defense, c.Ticks, c.TwinReplays, c.TwinDiverged, c.TwinMissed)
 		}
 	}
 }
@@ -68,16 +82,8 @@ func TestRecorderCounterInvariants(t *testing.T) {
 	cfg.Mix = []string{"mcf06", "ycsb-a"}
 	cfg.Svard = true
 
-	skipRec := &obs.Recorder{}
-	if _, err := runOn(newPoolState(), cfg, skipRec, nil); err != nil {
-		t.Fatal(err)
-	}
-	naiveCfg := cfg
-	naiveCfg.NoSkip = true
-	naiveRec := &obs.Recorder{}
-	if _, err := runOn(newPoolState(), naiveCfg, naiveRec, nil); err != nil {
-		t.Fatal(err)
-	}
+	skipRec, naiveRec := &obs.Recorder{}, &obs.Recorder{}
+	runBothRecorded(t, cfg, skipRec, naiveRec)
 
 	s, n := skipRec.Counters, naiveRec.Counters
 	if s.SkipJumps == 0 || s.SkippedCycles == 0 {

@@ -22,16 +22,18 @@ type protocolTally struct {
 	counts [protocheck.NumRules]protocheck.Count
 }
 
-// run is Run(cfg) — a machine from fresh allocations, driven by m.run —
-// with the checkers watching. Any command that breaks an enforced rule,
-// or a checker that did not see exactly the commands the controllers
-// counted, is an error. It is a Runner.
-func (p *protocolTally) run(cfg Config) (Result, error) { return p.runWatched(cfg, nil, nil) }
+// run is Run(cfg) — a machine from fresh allocations, driven by the
+// event engine — with the checkers watching. Any command that breaks an
+// enforced rule, or a checker that did not see exactly the commands the
+// controllers counted, is an error. It is a Runner.
+func (p *protocolTally) run(cfg Config) (Result, error) {
+	return p.runWatched(cfg, (*machine).runSkip, nil, nil)
+}
 
-// runWatched is run with flight recorder rec attached (nil for none) and,
-// when watch is not nil, tells watch every command each channel's
-// controller issues, after the checker has seen it.
-func (p *protocolTally) runWatched(cfg Config, rec *obs.Recorder, watch func(ch int, mc *memctrl.Controller, cmd mem.Command)) (Result, error) {
+// runWatched is run under loop with flight recorder rec attached (nil for
+// none) and, when watch is not nil, tells watch every command each
+// channel's controller issues, after the checker has seen it.
+func (p *protocolTally) runWatched(cfg Config, loop engineLoop, rec *obs.Recorder, watch func(ch int, mc *memctrl.Controller, cmd mem.Command)) (Result, error) {
 	m, err := newMachine(cfg)
 	if err != nil {
 		return Result{}, err
@@ -48,7 +50,7 @@ func (p *protocolTally) runWatched(cfg Config, rec *obs.Recorder, watch func(ch 
 		}
 	}
 	m.rec = rec
-	res := m.run(cfg)
+	res := m.run(cfg, loop)
 	var act, pre, col, ref uint64
 	for ch, chk := range chks {
 		if err := chk.Err(); err != nil {

@@ -38,8 +38,7 @@ var DefenseNames = []string{"aqua", "blockhammer", "hydra", "para", "rrs"}
 // Config describes one simulation.
 type Config struct {
 	CPUGHz float64
-	Cores  int
-	Core   cpu.Config
+	Cores  int // each one Table 4's core (cpu.DefaultConfig)
 
 	// Backend selects the memory-system preset (dram.BackendByName):
 	// "ddr4-3200" — the paper's Table 4 system — or "hbm2". The empty
@@ -67,15 +66,6 @@ type Config struct {
 	// behaviour (see EXPERIMENTS.md, "time scaling"). 1 = unscaled.
 	WindowScale float64
 
-	// NoSkip forces the per-cycle reference loop instead of the
-	// event-driven cycle-skipping engine. Both loops issue the same DRAM
-	// commands on the same cycles, so results are bit-identical either
-	// way: the differential tests compare the two command streams command
-	// for command, and CI fuzzes the configuration. The reference loop
-	// exists for those tests and for debugging the engine itself (see
-	// EXPERIMENTS.md, "event-driven engine").
-	NoSkip bool
-
 	// Temporal, when non-nil, attaches a temporal-variation process
 	// (internal/temporal): the security tracker's ground-truth
 	// thresholds drift per epoch while every defense keeps reading the
@@ -91,7 +81,6 @@ func DefaultConfig() Config {
 	return Config{
 		CPUGHz:        3.2,
 		Cores:         8,
-		Core:          cpu.DefaultConfig(),
 		ModuleLabel:   "S0",
 		RowsPerBank:   8192,
 		CellsPerRow:   4096,
@@ -106,15 +95,10 @@ func DefaultConfig() Config {
 }
 
 // Limits on what one Config makes a build allocate or a run iterate,
-// each above the paper's scale (Table 4: 128K rows of 8 KiB per bank, a
-// 2 MiB 16-way LLC, a 128-entry window and 16 MSHRs per core).
+// each above the paper's scale (Table 4: 128K rows of 8 KiB per bank).
 const (
 	maxRowsPerBank = 1 << 18
 	maxCellsPerRow = 1 << 20
-	maxLLCBytes    = 1 << 26
-	maxLLCWays     = 256 // an LLC access walks its set; one age byte per way
-	maxWindow      = 1 << 12
-	maxMSHRs       = 1 << 12
 	// maxEpochs bounds a temporal run's in-run epochs, MaxCycles over
 	// the epoch length: a live threshold draw costs O(epochs elapsed).
 	maxEpochs = 1 << 16
@@ -123,11 +107,11 @@ const (
 // Validate checks the configuration's named presets — the memory
 // backend and the temporal process — the scalars every cycle conversion
 // and threshold divides by (the CPU clock, nRH, the refresh-window
-// scale), the core's sizes, and the limits above, without building
-// anything. The campaign spec validator, the server's submit and compute
-// paths, and newLayout call it, so an invalid input is a descriptive
-// error (HTTP 400), never a panic inside a worker, a run that cannot
-// progress, or a silently wrong figure.
+// scale), and the limits above, without building anything. The campaign
+// spec validator, the server's submit and compute paths, and newLayout
+// call it, so an invalid input is a descriptive error (HTTP 400), never
+// a panic inside a worker, a run that cannot progress, or a silently
+// wrong figure.
 func (c *Config) Validate() error {
 	if !positiveFinite(c.CPUGHz) {
 		return fmt.Errorf("sim: CPUGHz is %v, want a positive finite clock", c.CPUGHz)
@@ -147,11 +131,6 @@ func (c *Config) Validate() error {
 	}{
 		{"RowsPerBank", c.RowsPerBank, 64, maxRowsPerBank},
 		{"CellsPerRow", c.CellsPerRow, 1, maxCellsPerRow},
-		{"Core.IssueWidth", c.Core.IssueWidth, 1, maxWindow}, // the window bounds issue
-		{"Core.Window", c.Core.Window, 1, maxWindow},
-		{"Core.MSHRs", c.Core.MSHRs, 1, maxMSHRs},
-		{"Core.LLCWays", c.Core.LLCWays, 1, maxLLCWays},
-		{"Core.LLCBytes", c.Core.LLCBytes, 64 * max(c.Core.LLCWays, 1), maxLLCBytes},
 	} {
 		if f.v < f.l || f.v > f.h {
 			return fmt.Errorf("sim: %s is %d, want %d..%d", f.name, f.v, f.l, f.h)
@@ -671,7 +650,7 @@ func (l *layout) assemble(st *poolState) (*machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		coreCfg := cfg.Core
+		coreCfg := cpu.DefaultConfig()
 		coreCfg.Uncached = uncached
 		st.ports[i] = chanPort{m: m, core: i}
 		if c == nil {
@@ -853,16 +832,16 @@ func (m *machine) foldObs() {
 	}
 }
 
-// run drives a built machine to completion and folds the Result.
-func (m *machine) run(cfg Config) Result {
+// engineLoop drives a built machine until its last core finishes or
+// maxCycles: runSkip, or the reference loop runNaive, which only the
+// differential tests run.
+type engineLoop func(m *machine, maxCycles uint64) (cycle uint64, finished bool)
+
+// run drives a built machine to completion under loop and folds the
+// Result.
+func (m *machine) run(cfg Config, loop engineLoop) Result {
 	m.rec.Begin(obs.PhaseWarmup)
-	var cycle uint64
-	var finished bool
-	if cfg.NoSkip {
-		cycle, finished = m.runNaive(cfg.MaxCycles)
-	} else {
-		cycle, finished = m.runSkip(cfg.MaxCycles)
-	}
+	cycle, finished := loop(m, cfg.MaxCycles)
 	m.tracker.endRun(cycle, cfg.MaxCycles)
 	if m.rec != nil {
 		if !m.measuring {
@@ -958,7 +937,7 @@ func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result
 	}
 	memo.record(&cfg, m)
 	defer memo.abandon(m.tracker)
-	res := m.run(cfg)
+	res := m.run(cfg, (*machine).runSkip)
 	memo.finish(m.tracker, res)
 	return res, nil
 }

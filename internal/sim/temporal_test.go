@@ -20,7 +20,7 @@ func diffTemporal() *temporal.Spec {
 	return &temporal.Spec{EpochCycles: 65536, Drift: -0.05, Sigma: 0.1, DipP: 0.01, DipFactor: 0.5, AgeEpochs: 64}
 }
 
-// TestEngineDifferentialTemporal extends the NoSkip differential matrix
+// TestEngineDifferentialTemporal extends the differential matrix
 // with the temporal row: with the live truth drifting at epoch edges,
 // the cycle-skipping engine must still produce a bit-identical Result
 // to the per-cycle reference loop across all five defenses, and the same
@@ -71,7 +71,7 @@ func TestEngineDifferentialTemporal(t *testing.T) {
 			}
 			sc, nc := skipRec.Counters, naiveRec.Counters
 			if sc.EpochAdvances != nc.EpochAdvances || sc.LiveDraws != nc.LiveDraws {
-				t.Errorf("epoch_advances %d, live_draws %d under the event engine; %d, %d under NoSkip",
+				t.Errorf("epoch_advances %d, live_draws %d under the event engine; %d, %d under the reference loop",
 					sc.EpochAdvances, sc.LiveDraws, nc.EpochAdvances, nc.LiveDraws)
 			}
 			if want := min(skip.Cycles, cfg.MaxCycles-1) / cfg.Temporal.EpochCycles; sc.EpochAdvances != want {

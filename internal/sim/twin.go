@@ -45,9 +45,9 @@ import (
 // stream and a twin walks the stream. A log never serves the Config that
 // recorded it: the recorder re-simulates, as a twin does.
 //
-// Eligible cells are on the event engine (NoSkip stays a pure
-// reference). A log still being recorded, evicted, too long to keep or
-// never recorded in this process leaves its cells to simulate in full
+// Only the event engine reads or feeds the memo (the reference loop
+// runs without one). A log still being recorded, evicted, too long to
+// keep or never recorded in this process leaves its cells to simulate in full
 // (twin_missed): the replay never waits for a log and never runs a cell
 // it was not asked for. TestTwinReplay*, FuzzTwinReplay and
 // FuzzTemporalMovesOnlyViolations hold replay to the full simulation bit
@@ -167,12 +167,12 @@ func isNone(defense string) bool { return defense == "" || strings.EqualFold(def
 // sameMachine reports whether a and b agree on every field but Defense,
 // Svard, NRH and Temporal. It allocates nothing.
 func sameMachine(a, b *Config) bool {
-	return a.CPUGHz == b.CPUGHz && a.Cores == b.Cores && a.Core == b.Core &&
+	return a.CPUGHz == b.CPUGHz && a.Cores == b.Cores &&
 		a.Backend == b.Backend && a.ModuleLabel == b.ModuleLabel &&
 		a.RowsPerBank == b.RowsPerBank && a.CellsPerRow == b.CellsPerRow &&
 		slices.Equal(a.Mix, b.Mix) && a.InstrPerCore == b.InstrPerCore &&
 		a.WarmupPerCore == b.WarmupPerCore && a.MaxCycles == b.MaxCycles &&
-		a.Seed == b.Seed && a.WindowScale == b.WindowScale && a.NoSkip == b.NoSkip
+		a.Seed == b.Seed && a.WindowScale == b.WindowScale
 }
 
 // isTwin reports whether a log recorded under cfg is a defense-free twin.
@@ -203,7 +203,7 @@ func sameLeg(a, b *Config) bool {
 // be served at all; an eligible cell with no log held (in flight counts
 // as not) simulates in full.
 func (mm *twinMemo) replayable(cfg *Config) (tw *twin, eligible bool) {
-	if mm == nil || cfg.NoSkip || isTwin(cfg) {
+	if mm == nil || isTwin(cfg) {
 		return nil, false
 	}
 	mm.mu.Lock()
@@ -282,13 +282,12 @@ func (tw *twin) result(violations uint64) Result {
 }
 
 // record attaches a new log to m's tracker, which then logs every
-// command it receives, if cfg runs on the event engine, m did not
-// diverge from a twin, and the memo neither holds nor is already
-// recording cfg's twin or, unless cfg is a twin itself, its family's
-// stream. A static defense cell whose twin is in flight records nothing:
+// command it receives, if m did not diverge from a twin and the memo
+// neither holds nor is already recording cfg's twin or, unless cfg is a
+// twin itself, its family's stream. A static defense cell whose twin is in flight records nothing:
 // its twin will serve its family's static cells.
 func (mm *twinMemo) record(cfg *Config, m *machine) {
-	if mm == nil || cfg.NoSkip || m.obs.TwinDiverged != 0 {
+	if mm == nil || m.obs.TwinDiverged != 0 {
 		return
 	}
 	mm.mu.Lock()

@@ -16,7 +16,7 @@ import (
 // twinConfig is cfg's defense-free twin: the sweeps' baseline of its
 // (module, mix, backend).
 func twinConfig(cfg Config) Config {
-	cfg.Defense, cfg.Svard, cfg.NoSkip = "none", false, false
+	cfg.Defense, cfg.Svard = "none", false
 	return cfg
 }
 
@@ -275,8 +275,6 @@ func TestTwinKeyCoversConfig(t *testing.T) {
 			switch f.Name {
 			case "Mix":
 				cfg.Mix[1] = "tpcc"
-			case "Core":
-				cfg.Core.MSHRs++
 			case "Temporal":
 				if from.Temporal == nil {
 					cfg.Temporal = diffTemporal()
@@ -432,27 +430,22 @@ func trackedMachine() *machine { return &machine{tracker: &secTracker{}} }
 
 // FuzzTwinReplay: for any small configuration fuzzConfig can name, a cell
 // replayed from its twin's log is bit-identical to its full simulation,
-// and a temporal, NoSkip or defense-free cell never replays.
+// and a temporal or defense-free cell never replays.
 func FuzzTwinReplay(f *testing.F) {
 	for d := uint64(0); d <= uint64(len(DefenseNames)); d++ {
 		f.Add(fuzzSeed(fuzzChoices{defense: d, nrh: d % 3, svard: d % 2, hbm2: d & 1, cores: 1, mix: [4]uint64{2, 3}}))
 	}
 	f.Add(fuzzSeed(fuzzChoices{defense: 1, cores: 1, mix: [4]uint64{2, 3}, temporal: 1}))
 	f.Add(fuzzSeed(fuzzChoices{defense: 5, cores: 1, mix: [4]uint64{0, 4}, truncate: 3}))
-	span := uint64(1)
-	for _, r := range fuzzRadix {
-		span *= r
-	}
-	f.Add(span + fuzzSeed(fuzzChoices{defense: 5, cores: 1, mix: [4]uint64{2, 3}})) // NoSkip
+	f.Add(fuzzSeed(fuzzChoices{defense: 5, nrh: 2, cores: 1, mix: [4]uint64{6, 2}})) // rrs under its attack
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		cfg := fuzzConfig(seed)
-		cfg.NoSkip = seed/span%2 == 1
 		memo := &twinMemo{budget: 1 << 30} // holds any twin fuzzConfig names
 		if _, err := runOn(newPoolState(), twinConfig(cfg), nil, memo); err != nil {
 			t.Fatal(err)
 		}
 		c := replayOrFull(t, newPoolState(), memo, cfg)
-		eligible := cfg.Temporal == nil && !cfg.NoSkip && !isNone(cfg.Defense)
+		eligible := cfg.Temporal == nil && !isNone(cfg.Defense)
 		if got := c.TwinReplays + c.TwinDiverged; got != map[bool]uint64{true: 1, false: 0}[eligible] {
 			t.Errorf("eligible=%v but twin_replays=%d twin_diverged=%d", eligible, c.TwinReplays, c.TwinDiverged)
 		}
