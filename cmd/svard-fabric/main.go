@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -48,21 +49,44 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. A -spec is read and planned before the
+// store is opened or the address bound, so a spec it refuses leaves no
+// cache directory behind and never takes the port.
+func run(args []string) error {
+	fs := flag.NewFlagSet("svard-fabric", flag.ExitOnError)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8355", "listen address")
-		cacheDir   = flag.String("cache-dir", ".svard-cache", "result cache directory ('' = memory only; also the object store and journal home)")
-		specFile   = flag.String("spec", "", "campaign spec JSON file to dispatch (e.g. from svard-sweep -print-spec); '' = serve as a standing coordinator")
-		batch      = flag.Int("batch", 0, "cells per lease (0 = 16)")
-		lease      = flag.Duration("lease", 0, "lease TTL; a worker missing heartbeats this long loses its cells (0 = 15s)")
-		minWorkers = flag.Int("min-workers", 1, "live workers to wait for before dispatching")
-		outFile    = flag.String("out", "", "write the folded outcome and dispatch stats as JSON to this file")
-		quiet      = flag.Bool("q", false, "suppress dispatch progress output")
+		addr       = fs.String("addr", "127.0.0.1:8355", "listen address")
+		cacheDir   = fs.String("cache-dir", ".svard-cache", "result cache directory ('' = memory only; also the object store and journal home)")
+		specFile   = fs.String("spec", "", "campaign spec JSON file to dispatch (e.g. from svard-sweep -print-spec); '' = serve as a standing coordinator")
+		batch      = fs.Int("batch", 0, "cells per lease (0 = 16)")
+		lease      = fs.Duration("lease", 0, "lease TTL; a worker missing heartbeats this long loses its cells (0 = 15s)")
+		minWorkers = fs.Int("min-workers", 1, "live workers to wait for before dispatching")
+		outFile    = fs.String("out", "", "write the folded outcome and dispatch stats as JSON to this file")
+		quiet      = fs.Bool("q", false, "suppress dispatch progress output")
 	)
-	flag.Parse()
+	fs.Parse(args)
+
+	var spec campaign.Spec
+	var plan campaign.Plan
+	if *specFile != "" {
+		if err := readSpec(*specFile, &spec); err != nil {
+			return err
+		}
+		var err error
+		if plan, err = spec.Plan(); err != nil {
+			return err
+		}
+	}
 
 	store, err := cache.Open(*cacheDir, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := fabric.Config{
 		Store:      store,
@@ -77,17 +101,22 @@ func main() {
 	}
 	coord, err := fabric.New(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: coord.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: coord.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
+	defer shutdown(httpSrv)
 	where := *cacheDir
 	if where == "" {
 		where = "(memory only)"
 	}
-	fmt.Fprintf(os.Stderr, "svard-fabric: coordinating on %s, cache %s\n", *addr, where)
+	fmt.Fprintf(os.Stderr, "svard-fabric: coordinating on %s, cache %s\n", ln.Addr(), where)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -101,27 +130,18 @@ func main() {
 		// object store until terminated.
 		select {
 		case <-ctx.Done():
+			return nil
 		case err := <-errc:
-			fatal(err)
+			return err
 		}
-		shutdown(httpSrv)
-		return
 	}
 
-	var spec campaign.Spec
-	if err := readSpec(*specFile, &spec); err != nil {
-		fatal(err)
-	}
-	plan, err := spec.Plan()
-	if err != nil {
-		fatal(err)
-	}
 	res, err := coord.RunPlan(ctx, plan)
 	if err != nil {
 		if *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "campaign interrupted (cache %s; re-run the same command to continue): ", *cacheDir)
+			return fmt.Errorf("campaign interrupted (cache %s; re-run the same command to continue): %w", *cacheDir, err)
 		}
-		fatal(err)
+		return err
 	}
 
 	report.Outcome(os.Stdout, spec.Defenses, res.Outcome)
@@ -130,25 +150,20 @@ func main() {
 	if *outFile != "" {
 		b, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*outFile, append(b, '\n'), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "outcome written to %s\n", *outFile)
 	}
-	shutdown(httpSrv)
+	return nil
 }
 
 func shutdown(s *http.Server) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	s.Shutdown(ctx)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }
 
 // readSpec decodes the campaign spec file at path over spec. A field the

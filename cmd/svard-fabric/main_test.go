@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,5 +59,36 @@ func TestReadSpecRefusesUnknownFields(t *testing.T) {
 	}
 	if _, err := spec.Plan(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefusedSpecFailsFirst: a spec the decoder or the planner refuses
+// is the command's error before anything else happens. The cache
+// directory is never created, and the listen address, held by the test
+// throughout, is never tried: a run that bound it first would fail on
+// the bind instead.
+func TestRefusedSpecFailsFirst(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dir := t.TempDir()
+	for _, tc := range []struct{ body, want string }{
+		{`{"base":{"Cores":2,"NoSkip":false}}`, `unknown field "NoSkip"`},
+		{`{"base":{"Cores":-1}}`, "campaign: "},
+	} {
+		spec := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(spec, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store := filepath.Join(dir, "store")
+		err := run([]string{"-addr", ln.Addr().String(), "-cache-dir", store, "-spec", spec, "-q"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error saying %s", tc.body, err, tc.want)
+		}
+		if _, err := os.Stat(store); !os.IsNotExist(err) {
+			t.Errorf("%s: the cache directory was created (%v)", tc.body, err)
+		}
 	}
 }

@@ -38,10 +38,10 @@ import (
 // comfortably.
 const DefaultLRUEntries = 32768
 
-// Stats is a point-in-time snapshot of the store's counters, plus the
-// disk-layer gauges (entry count and bytes, maintained incrementally
-// from the census Open starts — cheap to read, never a directory walk).
-type Stats struct {
+// Counters is a snapshot of the store's lookup counters: what served
+// each lookup, and what the store wrote. Reading them touches nothing
+// but atomics, so every campaign reports them (see Store.Counters).
+type Counters struct {
 	MemHits  uint64 // served from the in-memory LRU
 	DiskHits uint64 // served from a valid on-disk entry
 	Misses   uint64 // computed (no valid entry anywhere)
@@ -56,25 +56,37 @@ type Stats struct {
 	RemoteHits   uint64 // served from the remote backend
 	RemoteMisses uint64 // remote consulted, entry absent
 	RemoteErrors uint64 // remote errors or corrupt responses, degraded to compute
-
-	Entries   uint64 // entries currently on disk (gauge, not a counter)
-	DiskBytes uint64 // bytes those entries occupy (gauge)
 }
 
 // Hits is the total number of lookups served without recomputing.
-func (s Stats) Hits() uint64 { return s.MemHits + s.DiskHits + s.Deduped + s.RemoteHits }
+func (c Counters) Hits() uint64 { return c.MemHits + c.DiskHits + c.Deduped + c.RemoteHits }
 
-func (s Stats) String() string {
-	str := fmt.Sprintf("%d hits (%d mem, %d disk, %d deduped), %d misses, %d corrupt, %d written; %d entries, %s on disk",
-		s.Hits(), s.MemHits, s.DiskHits, s.Deduped, s.Misses, s.Corrupt, s.Writes,
-		s.Entries, humanBytes(s.DiskBytes))
-	if s.RemoteHits+s.RemoteMisses+s.RemoteErrors > 0 {
-		str += fmt.Sprintf("; remote: %d hits, %d misses, %d errors", s.RemoteHits, s.RemoteMisses, s.RemoteErrors)
+func (c Counters) String() string {
+	str := fmt.Sprintf("%d hits (%d mem, %d disk, %d deduped), %d misses, %d corrupt, %d written",
+		c.Hits(), c.MemHits, c.DiskHits, c.Deduped, c.Misses, c.Corrupt, c.Writes)
+	if c.RemoteHits+c.RemoteMisses+c.RemoteErrors > 0 {
+		str += fmt.Sprintf("; remote: %d hits, %d misses, %d errors", c.RemoteHits, c.RemoteMisses, c.RemoteErrors)
 	}
 	return str
 }
 
-// humanBytes renders a byte gauge for the stats footer.
+// Stats is the counters plus the disk-layer gauges: how many entries
+// the store's directory holds and how many bytes they occupy. The
+// gauges come from the census the first Stats call runs (and a rescan
+// every rescanInterval after it), kept exact in between by the writes
+// this process makes; a caller that only wants the counters calls
+// Counters and never waits for a walk of the directory.
+type Stats struct {
+	Counters
+	Entries   uint64 // entries currently on disk (gauge, not a counter)
+	DiskBytes uint64 // bytes those entries occupy (gauge)
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("%s; %d entries, %s on disk", s.Counters, s.Entries, humanBytes(s.DiskBytes))
+}
+
+// humanBytes renders a byte gauge for Stats.String.
 func humanBytes(n uint64) string {
 	switch {
 	case n >= 1<<30:
@@ -95,7 +107,7 @@ func humanBytes(n uint64) string {
 //
 // The store treats the remote as strictly best-effort: a Get error, a
 // response failing integrity checks, or a Put failure degrade to local
-// compute and a Stats counter, never to a failed lookup. Implementations
+// compute and a count in Counters, never to a failed lookup. Implementations
 // own their transport-level retries and timeouts; the store calls them
 // synchronously on the lookup path.
 type Remote interface {
@@ -127,11 +139,11 @@ type Store struct {
 	remoteMisses atomic.Uint64
 	remoteErrors atomic.Uint64
 
-	entries   atomic.Int64  // on-disk entries: the sum of the shards' counts
-	diskBytes atomic.Int64  // bytes those entries occupy
-	lastScan  atomic.Int64  // unix nanos of the last census (rescan pacing)
-	censused  chan struct{} // closed when the census Open started is done
-	shards    [numShards]shard
+	entries    atomic.Int64 // on-disk entries: the sum of the shards' counts
+	diskBytes  atomic.Int64 // bytes those entries occupy
+	lastScan   atomic.Int64 // unix nanos of the last census (rescan pacing)
+	censusOnce sync.Once    // the first census, run by the first Stats call
+	shards     [numShards]shard
 
 	mu     sync.Mutex
 	lru    *list.List // most-recent first; values are *entry
@@ -169,8 +181,8 @@ type shard struct {
 // survives it.
 //
 // Open does not walk dir: the census that sweeps stale temp files and
-// seeds the disk gauges runs in the background, beside the first
-// lookups, and Stats waits for it.
+// seeds the disk gauges runs the first time Stats is called, so a
+// process that only looks cells up never pays for it.
 func Open(dir string, lruEntries int) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -180,23 +192,16 @@ func Open(dir string, lruEntries int) (*Store, error) {
 	if lruEntries <= 0 {
 		lruEntries = DefaultLRUEntries
 	}
-	s := &Store{
-		dir:      dir,
-		lruMax:   lruEntries,
-		lru:      list.New(),
-		idx:      make(map[string]*list.Element),
-		flight:   make(map[string]*call),
-		censused: make(chan struct{}),
-	}
-	s.lastScan.Store(time.Now().UnixNano())
-	go func() {
-		s.census()
-		close(s.censused)
-	}()
-	return s, nil
+	return &Store{
+		dir:    dir,
+		lruMax: lruEntries,
+		lru:    list.New(),
+		idx:    make(map[string]*list.Element),
+		flight: make(map[string]*call),
+	}, nil
 }
 
-// staleTempAge bounds the startup temp-file sweep: a *.tmp younger than
+// staleTempAge bounds the census's temp-file sweep: a *.tmp younger than
 // this may belong to another live process persisting into the same
 // cache directory (svard-served and svard-sweep sharing one store is
 // the intended setup), and deleting it would silently lose that
@@ -340,12 +345,10 @@ func (s *Store) remotePut(key string, res sim.Result) {
 // per Stats call.
 const rescanInterval = 5 * time.Minute
 
-// Stats returns a snapshot of the store's counters. It waits for the
-// census Open started, so the disk gauges it reports are complete.
-func (s *Store) Stats() Stats {
-	<-s.censused
-	s.maybeRescan()
-	return Stats{
+// Counters returns a snapshot of the store's lookup counters. It reads
+// atomics only: this is what a campaign reports when it finishes.
+func (s *Store) Counters() Counters {
+	return Counters{
 		MemHits:      s.memHits.Load(),
 		DiskHits:     s.diskHits.Load(),
 		Misses:       s.misses.Load(),
@@ -355,8 +358,24 @@ func (s *Store) Stats() Stats {
 		RemoteHits:   s.remoteHits.Load(),
 		RemoteMisses: s.remoteMisses.Load(),
 		RemoteErrors: s.remoteErrors.Load(),
-		Entries:      clampUint(s.entries.Load()),
-		DiskBytes:    clampUint(s.diskBytes.Load()),
+	}
+}
+
+// Stats returns the counters and the disk gauges. The first call runs
+// the census (every caller waits for it), so the gauges it reports are
+// complete; later calls rescan at most once per rescanInterval. Only
+// the long-lived processes call it: svard-served's start and bye lines
+// and /metrics.
+func (s *Store) Stats() Stats {
+	s.censusOnce.Do(func() {
+		s.lastScan.Store(time.Now().UnixNano())
+		s.census()
+	})
+	s.maybeRescan()
+	return Stats{
+		Counters:  s.Counters(),
+		Entries:   clampUint(s.entries.Load()),
+		DiskBytes: clampUint(s.diskBytes.Load()),
 	}
 }
 

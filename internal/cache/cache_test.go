@@ -522,8 +522,8 @@ func TestConcurrentOverlappingConfigs(t *testing.T) {
 }
 
 // TestOpenSweepsStaleTempFiles: *.tmp residue from a crash mid-persist
-// is removed by the census the next Open starts (Stats waits for it)
-// once it is old enough to be provably stale; a fresh temp file —
+// is removed by the census the first Stats call runs, once it is old
+// enough to be provably stale; a fresh temp file —
 // possibly another live process's in-flight write into the shared
 // directory — and valid entries are untouched.
 func TestOpenSweepsStaleTempFiles(t *testing.T) {
@@ -552,7 +552,7 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 		t.Errorf("Entries = %d after sweep, want 1", st.Entries)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived Open's census")
+		t.Error("stale temp file survived the census")
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Error("fresh temp file (a possible live writer's) was swept")
@@ -563,7 +563,7 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 }
 
 // TestStatsGauges: entry-count and disk-bytes track writes incrementally
-// and are re-seeded by a fresh Open's scan.
+// and are re-seeded by a fresh store's census.
 func TestStatsGauges(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)

@@ -124,7 +124,9 @@ func TestCensusCountsShardsOnly(t *testing.T) {
 
 // TestReadsDoNotWaitForTheCensus: lookups served from disk take nothing
 // the census holds. The test stands in for a census stuck in its walk by
-// holding every shard while one runs.
+// holding every shard while the census the first Stats call started
+// runs. A second Stats call made meanwhile waits for that census rather
+// than report gauges it has not counted.
 func TestReadsDoNotWaitForTheCensus(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
@@ -134,15 +136,15 @@ func TestReadsDoNotWaitForTheCensus(t *testing.T) {
 	}
 
 	s, _ := Open(dir, 0)
-	<-s.censused
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
-	s.censused = make(chan struct{})
-	go func() {
-		s.census()
-		close(s.censused)
-	}()
+	censused := make(chan Stats, 2)
+	go func() { censused <- s.Stats() }()
+	for s.lastScan.Load() == 0 { // the census has started
+		runtime.Gosched()
+	}
+	go func() { censused <- s.Stats() }()
 
 	served := make(chan error, 1)
 	go func() {
@@ -165,8 +167,13 @@ func TestReadsDoNotWaitForTheCensus(t *testing.T) {
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
 	}
+	for range 2 {
+		if st := <-censused; st.Entries != 1 {
+			t.Errorf("stats while the census ran = %v", st)
+		}
+	}
 	if st := s.Stats(); st.DiskHits != 1 || st.Entries != 1 {
-		t.Errorf("stats after the census = %v", st)
+		t.Errorf("stats after the lookup = %v", st)
 	}
 }
 

@@ -495,12 +495,13 @@ type Outcome struct {
 	Computed int `json:"computed"`
 	Served   int `json:"served"`
 
-	// Stats is the shared store's counter snapshot when the run
+	// Stats is the shared store's lookup counters when the run
 	// finished. The store may be shared with concurrent campaigns (the
 	// svard-served scheduler runs several engines over one store), so
 	// these are global totals, not this campaign's share — Computed and
-	// Served carry the per-campaign attribution.
-	Stats cache.Stats `json:"stats"`
+	// Served carry the per-campaign attribution. The disk gauges are not
+	// here: counting them walks the whole store (see cache.Store.Stats).
+	Stats cache.Counters `json:"stats"`
 }
 
 // Engine executes campaigns. Fields are read-only during a run.

@@ -132,6 +132,83 @@ func TestCampaignColdThenWarmMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestWarmCampaignLeavesTheCensusAlone: a warm campaign over a populated
+// store reads the cells it asks for and nothing else. The store's census
+// (the stale temp-file sweep and the disk gauges) waits for the first
+// Stats call: a crash's two-hour-old temp file outlives the run, and the
+// outcome carries the lookup counters without the gauges. Stats then
+// sweeps the file and reports what the shards hold.
+func TestWarmCampaignLeavesTheCensusAlone(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec()
+	if _, err := (&Engine{Store: newStore(t, dir), Workers: 2, Sim: fakeSim}).RunCtx(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := filepath.Glob(filepath.Join(dir, "[0-9a-f][0-9a-f]"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no shard directories under the populated store (%v)", err)
+	}
+	stale := filepath.Join(shards[0], "crashed.json.tmp1")
+	if err := os.WriteFile(stale, []byte("half-written"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	store := newStore(t, dir)
+	eng := &Engine{Store: store, Workers: 2, Sim: func(sim.Config) (sim.Result, error) {
+		return sim.Result{}, errors.New("a stored cell was simulated")
+	}}
+	out, err := eng.RunCtx(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Served != out.Total || out.Stats.Hits() != uint64(out.Total) || out.Stats.Misses != 0 {
+		t.Errorf("warm run: served %d of %d, stats %v", out.Served, out.Total, out.Stats)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Errorf("a warm campaign swept the store's temp files: %v", err)
+	}
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Stats map[string]json.RawMessage }
+	if err := json.Unmarshal(b, &body); err != nil {
+		t.Fatal(err)
+	}
+	for _, gauge := range []string{"Entries", "DiskBytes"} {
+		if _, ok := body.Stats[gauge]; ok || body.Stats["DiskHits"] == nil {
+			t.Errorf("outcome stats carry %s or lack DiskHits: %s", gauge, b)
+		}
+	}
+
+	st := store.Stats()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("Stats left the stale temp file: %v", err)
+	}
+	var entries, bytes uint64
+	for _, shard := range shards {
+		files, err := filepath.Glob(filepath.Join(shard, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			info, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries++
+			bytes += uint64(info.Size())
+		}
+	}
+	if entries == 0 || st.Entries != entries || st.DiskBytes != bytes {
+		t.Errorf("gauges = %d entries / %d bytes, shards hold %d / %d", st.Entries, st.DiskBytes, entries, bytes)
+	}
+}
+
 // TestCampaignInterruptedThenResumed is the acceptance criterion: a
 // Fig. 12 sweep interrupted mid-run and simply run again completes
 // from cached cells and produces cells bit-identical to a single cold

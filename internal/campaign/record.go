@@ -130,7 +130,7 @@ func (r *Record) Done(key string, computed bool) {
 
 // Outcome folds results — one per plan job, in job order — through the
 // plan's figures and returns them with the run's attribution and the
-// store's counters.
+// store's lookup counters.
 func (r *Record) Outcome(results []sim.Result) *Outcome {
 	r.mu.Lock()
 	out := &Outcome{Total: len(r.plan.Jobs), Computed: r.computed, Resumed: r.resumed}
@@ -140,7 +140,7 @@ func (r *Record) Outcome(results []sim.Result) *Outcome {
 		p.fold(results[:p.n], out)
 		results = results[p.n:]
 	}
-	out.Stats = r.store.Stats()
+	out.Stats = r.store.Counters()
 	return out
 }
 
