@@ -29,12 +29,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -75,7 +73,7 @@ func run(args []string) error {
 	var spec campaign.Spec
 	var plan campaign.Plan
 	if *specFile != "" {
-		if err := readSpec(*specFile, &spec); err != nil {
+		if err := campaign.ReadSpec(*specFile, &spec); err != nil {
 			return err
 		}
 		var err error
@@ -164,23 +162,4 @@ func shutdown(s *http.Server) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	s.Shutdown(ctx)
-}
-
-// readSpec decodes the campaign spec file at path over spec. A field the
-// spec does not have, such as a misspelling or a base config's Core or
-// NoSkip, is an error naming it, not a silent default.
-func readSpec(path string, spec *campaign.Spec) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("%s: data after the spec", path)
-	}
-	return nil
 }

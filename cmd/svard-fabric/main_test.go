@@ -29,7 +29,7 @@ func TestReadSpecRefusesUnknownFields(t *testing.T) {
 		{`{"base":{"Cores":2,"NoSkip":false}}`, `unknown field "NoSkip"`},
 	} {
 		var spec campaign.Spec
-		if err := readSpec(write([]byte(tc.body)), &spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := campaign.ReadSpec(write([]byte(tc.body)), &spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want an error saying %s", tc.body, err, tc.want)
 		}
 	}
@@ -54,7 +54,7 @@ func TestReadSpecRefusesUnknownFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spec campaign.Spec
-	if err := readSpec(write(smoke), &spec); err != nil {
+	if err := campaign.ReadSpec(write(smoke), &spec); err != nil {
 		t.Fatalf("the fixture's campaign does not read: %v", err)
 	}
 	if _, err := spec.Plan(); err != nil {

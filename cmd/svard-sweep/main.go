@@ -47,12 +47,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -144,7 +142,7 @@ func run() error {
 	spec.Base.RowsPerBank = *rows
 	spec.Base.Seed = *seed
 	if *specFile != "" {
-		if err := readSpec(*specFile, &spec); err != nil {
+		if err := campaign.ReadSpec(*specFile, &spec); err != nil {
 			return err
 		}
 	}
@@ -384,23 +382,4 @@ func splitList(s string) []string {
 		parts[i] = strings.TrimSpace(parts[i])
 	}
 	return parts
-}
-
-// readSpec decodes the campaign spec file at path over spec. A field the
-// spec does not have, such as a misspelling or a base config's Core or
-// NoSkip, is an error naming it, not a silent default.
-func readSpec(path string, spec *campaign.Spec) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("%s: data after the spec", path)
-	}
-	return nil
 }

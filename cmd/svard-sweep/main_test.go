@@ -32,7 +32,7 @@ func TestReadSpecRefusesUnknownFields(t *testing.T) {
 		{`{"base":{"Cores":2}} {}`, "data after the spec"},
 	} {
 		spec := campaign.Spec{Base: sim.DefaultConfig()}
-		if err := readSpec(write(tc.body), &spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := campaign.ReadSpec(write(tc.body), &spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want an error saying %s", tc.body, err, tc.want)
 		}
 	}
@@ -48,7 +48,7 @@ func TestReadSpecRefusesUnknownFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back campaign.Spec
-	if err := readSpec(write(string(b)), &back); err != nil {
+	if err := campaign.ReadSpec(write(string(b)), &back); err != nil {
 		t.Fatalf("the printed spec does not read back: %v", err)
 	}
 	if back.Fingerprint() != plan.Spec.Fingerprint() {

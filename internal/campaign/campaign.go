@@ -15,11 +15,14 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"slices"
 	"strings"
 	"time"
@@ -88,6 +91,26 @@ type PopulationSpec struct {
 type TemporalSpec struct {
 	Process   temporal.Spec `json:"process"`
 	Intervals []uint64      `json:"intervals,omitempty"`
+}
+
+// ReadSpec decodes the campaign spec file at path over spec, the one
+// reader behind every -spec flag. A field the spec does not have, such as
+// a misspelling or a base config's Core or NoSkip, is an error naming it,
+// not a silent default, and so is anything after the spec.
+func ReadSpec(path string, spec *Spec) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%s: data after the spec", path)
+	}
+	return nil
 }
 
 // Figures a campaign can regenerate.

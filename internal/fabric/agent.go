@@ -123,9 +123,12 @@ func beatLoop(ctx context.Context, c *client.Client, id string, interval time.Du
 const maxBody = cache.MaxEnvelopeBytes
 
 // decodeJSON decodes r's capped JSON body into out, or answers
-// writeBodyError and returns false.
+// writeBodyError and returns false. A field out does not have is refused
+// by name, as every other decoder of outside input refuses it.
 func decodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(out)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(out)
 	if err != nil {
 		writeBodyError(w, err)
 	}

@@ -1291,6 +1291,31 @@ func TestRegisterRefusesNonHTTPURLs(t *testing.T) {
 	register(t, coordURL, "good", "https://127.0.0.1:1")
 }
 
+// TestControlBodiesRefuseUnknownFields: a register or heartbeat body with
+// a field its type lacks (a misspelling, or a newer worker's extra) is a
+// 400 that names the field, as a submit or compute body is — not a
+// registration under a silent default.
+func TestControlBodiesRefuseUnknownFields(t *testing.T) {
+	coord, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{})
+	for _, in := range []struct{ route, body, field string }{
+		{"/api/v1/workers", `{"name":"w","url":"http://127.0.0.1:1","ur1":"x"}`, "ur1"},
+		{"/api/v1/heartbeat", `{"id":"worker-1","lease":3}`, "lease"},
+	} {
+		resp, err := http.Post(coordURL+in.route, "application/json", strings.NewReader(in.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), in.field) {
+			t.Errorf("POST %s %s: status %d (%s), want 400 naming %q", in.route, in.body, resp.StatusCode, bytes.TrimSpace(msg), in.field)
+		}
+	}
+	if n := coord.LiveWorkers(); n != 0 {
+		t.Errorf("%d workers registered, want 0", n)
+	}
+}
+
 // TestHeartbeatReusesConnection: the agent decodes nothing from a
 // heartbeat's reply, and a reply closed unread costs its keep-alive
 // connection — one new TCP connection per beat per worker, for as long

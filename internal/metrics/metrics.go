@@ -63,7 +63,3 @@ func MaxSlowdown(cores []PerCore) float64 {
 	}
 	return max
 }
-
-// OverheadFromSpeedup converts a normalized weighted speedup into the
-// paper's "performance overhead" percentage: 1 - WS.
-func OverheadFromSpeedup(ws float64) float64 { return 1 - ws }

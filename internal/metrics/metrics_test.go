@@ -43,12 +43,6 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestOverheadFromSpeedup(t *testing.T) {
-	if o := OverheadFromSpeedup(0.6); math.Abs(o-0.4) > 1e-12 {
-		t.Errorf("overhead = %v", o)
-	}
-}
-
 // Property: harmonic speedup never exceeds weighted speedup (AM-HM
 // inequality on normalized IPCs), and both lie in (0, max ratio].
 func TestQuickHarmonicLEWeighted(t *testing.T) {

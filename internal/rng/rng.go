@@ -160,20 +160,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Gumbel returns a standard Gumbel (type-I extreme value) variate with
-// location 0 and scale 1. Gumbel is the limiting distribution of the
-// maximum of many light-tailed variates, which is exactly the role it
-// plays in the weakest-cell model of package disturb (the minimum of many
-// lognormal cell thresholds).
-func (r *Rand) Gumbel() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(-math.Log(u))
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *Rand) ExpFloat64() float64 {
 	for {
@@ -182,50 +168,6 @@ func (r *Rand) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Binomial returns the number of successes in n Bernoulli(p) trials.
-// Small n·p uses exact inversion; large n uses a normal approximation,
-// which is accurate to well under the sampling noise of the simulations
-// that consume it.
-func (r *Rand) Binomial(n int, p float64) int {
-	switch {
-	case n <= 0 || p <= 0:
-		return 0
-	case p >= 1:
-		return n
-	}
-	mean := float64(n) * p
-	if n <= 64 || mean < 16 {
-		// Exact: count successes.
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	sd := math.Sqrt(mean * (1 - p))
-	k := int(math.Round(mean + sd*r.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Zipf samples from a Zipf distribution over [0, n) with exponent s > 0,

@@ -91,84 +91,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestGumbelMean(t *testing.T) {
-	// Standard Gumbel has mean equal to the Euler-Mascheroni constant.
-	const gamma = 0.5772156649
-	r := New(6)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Gumbel()
-	}
-	if got := sum / n; math.Abs(got-gamma) > 0.02 {
-		t.Errorf("gumbel mean = %v, want ~%v", got, gamma)
-	}
-}
-
-func TestBinomialExactSmall(t *testing.T) {
-	r := New(7)
-	const n, p, trials = 20, 0.3, 50000
-	sum := 0
-	for i := 0; i < trials; i++ {
-		k := r.Binomial(n, p)
-		if k < 0 || k > n {
-			t.Fatalf("binomial out of range: %d", k)
-		}
-		sum += k
-	}
-	mean := float64(sum) / trials
-	if math.Abs(mean-n*p) > 0.1 {
-		t.Errorf("binomial mean = %v, want ~%v", mean, n*p)
-	}
-}
-
-func TestBinomialApproxLarge(t *testing.T) {
-	r := New(8)
-	const n, p, trials = 100000, 0.2, 2000
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += float64(r.Binomial(n, p))
-	}
-	mean := sum / trials
-	want := float64(n) * p
-	if math.Abs(mean-want)/want > 0.01 {
-		t.Errorf("binomial mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	r := New(9)
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Errorf("Binomial(0, .5) = %d, want 0", got)
-	}
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Errorf("Binomial(10, 0) = %d, want 0", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Errorf("Binomial(10, 1) = %d, want 10", got)
-	}
-	if got := r.Binomial(10, -0.5); got != 0 {
-		t.Errorf("Binomial(10, -0.5) = %d, want 0", got)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(10)
-	for _, n := range []int{0, 1, 2, 17, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	z := NewZipf(1000, 0.99)
 	r := New(11)

@@ -39,19 +39,6 @@ func (m *ConfusionMatrix) Total() int {
 	return t
 }
 
-// Accuracy returns the fraction of observations on the diagonal.
-func (m *ConfusionMatrix) Accuracy() float64 {
-	t := m.Total()
-	if t == 0 {
-		return 0
-	}
-	diag := 0
-	for c := 0; c < m.classes; c++ {
-		diag += m.counts[c*m.classes+c]
-	}
-	return float64(diag) / float64(t)
-}
-
 // F1 returns the macro-averaged F1 score: the unweighted mean of the
 // per-class harmonic mean of precision and recall, over classes that
 // appear in the data (as actual or predicted). This is the scoring used
@@ -85,37 +72,4 @@ func (m *ConfusionMatrix) F1() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// WeightedF1 returns the support-weighted F1 over classes present as
-// actuals.
-func (m *ConfusionMatrix) WeightedF1() float64 {
-	sum, total := 0.0, 0
-	for c := 0; c < m.classes; c++ {
-		tp := m.counts[c*m.classes+c]
-		fp, fn := 0, 0
-		support := 0
-		for o := 0; o < m.classes; o++ {
-			support += m.counts[c*m.classes+o]
-			if o == c {
-				continue
-			}
-			fp += m.counts[o*m.classes+c]
-			fn += m.counts[c*m.classes+o]
-		}
-		if support == 0 {
-			continue
-		}
-		total += support
-		if tp == 0 {
-			continue
-		}
-		precision := float64(tp) / float64(tp+fp)
-		recall := float64(tp) / float64(tp+fn)
-		sum += float64(support) * 2 * precision * recall / (precision + recall)
-	}
-	if total == 0 {
-		return 0
-	}
-	return sum / float64(total)
 }

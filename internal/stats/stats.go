@@ -122,38 +122,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values contribute as if absent.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// HarmonicMean returns the harmonic mean of xs. Non-positive values
-// contribute as if absent.
-func HarmonicMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += 1 / x
-			n++
-		}
-	}
-	if n == 0 || sum == 0 {
-		return 0
-	}
-	return float64(n) / sum
-}
-
 // Min returns the minimum of xs; +Inf for an empty sample.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -174,27 +142,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired
-// samples xs and ys. It returns 0 when either sample has zero variance
-// or the lengths differ.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // Histogram counts how many values of xs fall on each of the given
@@ -244,18 +191,4 @@ func (h Histogram) Fractions() []float64 {
 		fs[i] = float64(c) / float64(t)
 	}
 	return fs
-}
-
-// ECDF returns the empirical CDF value P(X <= x) of the sample xs at x.
-func ECDF(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
