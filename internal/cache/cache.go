@@ -17,12 +17,10 @@ package cache
 import (
 	"container/list"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,11 +69,9 @@ func (c Counters) String() string {
 }
 
 // Stats is the counters plus the disk-layer gauges: how many entries
-// the store's directory holds and how many bytes they occupy. The
-// gauges come from the census the first Stats call runs (and a rescan
-// every rescanInterval after it), kept exact in between by the writes
-// this process makes; a caller that only wants the counters calls
-// Counters and never waits for a walk of the directory.
+// the store's directory holds and how many bytes they occupy. Each
+// Stats call counts the gauges with one walk of the directory; a caller
+// that only wants the counters calls Counters and walks nothing.
 type Stats struct {
 	Counters
 	Entries   uint64 // entries currently on disk (gauge, not a counter)
@@ -139,12 +135,6 @@ type Store struct {
 	remoteMisses atomic.Uint64
 	remoteErrors atomic.Uint64
 
-	entries    atomic.Int64 // on-disk entries: the sum of the shards' counts
-	diskBytes  atomic.Int64 // bytes those entries occupy
-	lastScan   atomic.Int64 // unix nanos of the last census (rescan pacing)
-	censusOnce sync.Once    // the first census, run by the first Stats call
-	shards     [numShards]shard
-
 	mu     sync.Mutex
 	lru    *list.List // most-recent first; values are *entry
 	idx    map[string]*list.Element
@@ -162,27 +152,14 @@ type call struct {
 	err  error
 }
 
-// numShards is how many key-prefix directories a store can have: one per
-// value of a key's first byte.
-const numShards = 256
-
-// A shard is one key-prefix directory's share of the disk gauges. The
-// census counts it and persist moves it under mu, so a write that races
-// a walk of its directory is counted exactly once.
-type shard struct {
-	mu             sync.Mutex
-	entries, bytes int64
-}
-
 // Open returns a store persisting under dir (created if missing), with
 // an in-memory LRU of at most lruEntries results (<= 0 selects
 // DefaultLRUEntries). An empty dir yields a memory-only store — every
 // result still deduplicates and caches within the process, but nothing
 // survives it.
 //
-// Open does not walk dir: the census that sweeps stale temp files and
-// seeds the disk gauges runs the first time Stats is called, so a
-// process that only looks cells up never pays for it.
+// Open does not walk dir: only Stats does (see walk), so a process that
+// only looks cells up never pays for it.
 func Open(dir string, lruEntries int) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -201,7 +178,7 @@ func Open(dir string, lruEntries int) (*Store, error) {
 	}, nil
 }
 
-// staleTempAge bounds the census's temp-file sweep: a *.tmp younger than
+// staleTempAge bounds walk's temp-file sweep: a *.tmp younger than
 // this may belong to another live process persisting into the same
 // cache directory (svard-served and svard-sweep sharing one store is
 // the intended setup), and deleting it would silently lose that
@@ -209,77 +186,45 @@ func Open(dir string, lruEntries int) (*Store, error) {
 // contrast, only gets older.
 const staleTempAge = time.Hour
 
-// census walks the shard directories: it removes stale *.tmp files
+// walk visits the shard directories once: it removes stale *.tmp files
 // stranded by a crash mid-persist (the atomic write's only failure
-// residue; see staleTempAge for why only old ones) and recounts each
-// shard's entries and bytes. Errors are ignored throughout — the census
-// is hygiene and accounting, and an unreadable directory must not fail
-// the store any more than it fails a lookup.
-func (s *Store) census() {
+// residue; see staleTempAge for why only old ones) and counts the
+// *.json entries and their bytes. Errors are ignored throughout — the
+// walk is hygiene and accounting, and an unreadable directory must not
+// fail the store any more than it fails a lookup.
+func (s *Store) walk() (entries, bytes uint64) {
 	if s.dir == "" {
-		return
+		return 0, 0
 	}
-	dirs, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	// Shard directories are the key prefixes, two lowercase hex digits;
-	// everything else at the top level (campaign journals) is not ours.
-	var listed [numShards]bool
-	for _, d := range dirs {
-		if name := d.Name(); d.IsDir() && len(name) == 2 && lowerHex(name) {
-			listed[shardOf(name)] = true
-		}
-	}
+	dirs, _ := os.ReadDir(s.dir)
 	cutoff := time.Now().Add(-staleTempAge)
-	for i := range s.shards {
-		s.countShard(i, listed[i], cutoff)
-	}
-}
-
-// countShard sets shard i's gauges to what its directory holds now. A
-// shard the listing missed is walked only if it counted something: it
-// was removed, or a write created it after the listing.
-func (s *Store) countShard(i int, listed bool, cutoff time.Time) {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !listed && sh.entries == 0 && sh.bytes == 0 {
-		return
-	}
-	dir := filepath.Join(s.dir, hex.EncodeToString([]byte{byte(i)}))
-	files, err := os.ReadDir(dir)
-	if err != nil && !os.IsNotExist(err) {
-		return // unreadable: keep what the shard last counted
-	}
-	var entries, bytes int64
-	for _, f := range files {
-		if f.IsDir() {
+	for _, d := range dirs {
+		// Shard directories are the key prefixes, two lowercase hex digits;
+		// everything else at the top level (campaign journals) is not ours.
+		if name := d.Name(); !d.IsDir() || len(name) != 2 || !lowerHex(name) {
 			continue
 		}
-		name := f.Name()
-		switch {
-		case strings.Contains(name, ".tmp"):
-			if info, err := f.Info(); err == nil && info.ModTime().Before(cutoff) {
-				os.Remove(filepath.Join(dir, name))
+		dir := filepath.Join(s.dir, d.Name())
+		files, _ := os.ReadDir(dir)
+		for _, f := range files {
+			if f.IsDir() {
+				continue
 			}
-		case strings.HasSuffix(name, ".json"):
-			if info, err := f.Info(); err == nil {
-				entries++
-				bytes += info.Size()
+			name := f.Name()
+			switch {
+			case strings.Contains(name, ".tmp"):
+				if info, err := f.Info(); err == nil && info.ModTime().Before(cutoff) {
+					os.Remove(filepath.Join(dir, name))
+				}
+			case strings.HasSuffix(name, ".json"):
+				if info, err := f.Info(); err == nil {
+					entries++
+					bytes += uint64(info.Size())
+				}
 			}
 		}
 	}
-	s.entries.Add(entries - sh.entries)
-	s.diskBytes.Add(bytes - sh.bytes)
-	sh.entries, sh.bytes = entries, bytes
-}
-
-// shardOf is the index of the shard a key (or a shard directory's name)
-// belongs to: the value of its first two hex digits.
-func shardOf(key string) int {
-	i, _ := strconv.ParseUint(key[:2], 16, 8)
-	return int(i)
+	return entries, bytes
 }
 
 // Dir returns the store's on-disk directory ("" for memory-only stores).
@@ -337,14 +282,6 @@ func (s *Store) remotePut(key string, res sim.Result) {
 	}
 }
 
-// rescanInterval paces how often Stats refreshes the disk gauges with a
-// new census. The gauges track this process's writes exactly,
-// but the directory may be shared with other processes (svard-served
-// plus CLI sweeps over one -cache-dir); the periodic rescan keeps the
-// gauges eventually consistent with their writes too, without a walk
-// per Stats call.
-const rescanInterval = 5 * time.Minute
-
 // Counters returns a snapshot of the store's lookup counters. It reads
 // atomics only: this is what a campaign reports when it finishes.
 func (s *Store) Counters() Counters {
@@ -361,45 +298,15 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// Stats returns the counters and the disk gauges. The first call runs
-// the census (every caller waits for it), so the gauges it reports are
-// complete; later calls rescan at most once per rescanInterval. Only
-// the long-lived processes call it: svard-served's start and bye lines
-// and /metrics.
+// Stats returns the counters and the disk gauges, walking the shard
+// directories once (see walk): the gauges are exact when they are read,
+// entries another process or another Store wrote included. Only the
+// long-lived processes call it: svard-served's start and bye lines and
+// /metrics.
 func (s *Store) Stats() Stats {
-	s.censusOnce.Do(func() {
-		s.lastScan.Store(time.Now().UnixNano())
-		s.census()
-	})
-	s.maybeRescan()
-	return Stats{
-		Counters:  s.Counters(),
-		Entries:   clampUint(s.entries.Load()),
-		DiskBytes: clampUint(s.diskBytes.Load()),
-	}
-}
-
-// clampUint guards the gauges against transient negatives (a concurrent
-// external deletion racing the incremental accounting).
-func clampUint(v int64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
-
-// maybeRescan refreshes the disk gauges if the last census is older
-// than rescanInterval; the CAS elects one census per interval.
-func (s *Store) maybeRescan() {
-	if s.dir == "" {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := s.lastScan.Load()
-	if now-last < int64(rescanInterval) || !s.lastScan.CompareAndSwap(last, now) {
-		return
-	}
-	s.census()
+	st := Stats{Counters: s.Counters()}
+	st.Entries, st.DiskBytes = s.walk()
+	return st
 }
 
 // GetOrCompute returns the stored result for cfg, computing and storing
@@ -661,25 +568,11 @@ func (s *Store) persist(key string, res sim.Result) {
 		os.Remove(tmp.Name())
 		return
 	}
-	// The rename either creates a new entry or replaces a corrupt one;
-	// stat first so the gauges track both cases, and hold the shard so a
-	// census walking its directory counts the rename exactly once.
-	sh := &s.shards[shardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var oldSize, isNew int64 = 0, 1
-	if info, err := os.Stat(p); err == nil {
-		oldSize, isNew = info.Size(), 0
-	}
 	if os.Rename(tmp.Name(), p) != nil {
 		os.Remove(tmp.Name())
 		return
 	}
 	s.writes.Add(1)
-	sh.entries += isNew
-	sh.bytes += int64(len(b)) - oldSize
-	s.entries.Add(isNew)
-	s.diskBytes.Add(int64(len(b)) - oldSize)
 }
 
 // Put inserts a result computed elsewhere under its content-addressed

@@ -521,49 +521,90 @@ func TestConcurrentOverlappingConfigs(t *testing.T) {
 	}
 }
 
-// TestOpenSweepsStaleTempFiles: *.tmp residue from a crash mid-persist
-// is removed by the census the first Stats call runs, once it is old
-// enough to be provably stale; a fresh temp file —
-// possibly another live process's in-flight write into the shared
-// directory — and valid entries are untouched.
+// TestOpenSweepsStaleTempFiles walks persist's write points: each row
+// is the residue a crash at one step leaves for a cell's key — the temp
+// file created empty, half written, complete and synced but not renamed,
+// and (behind the store's back) a renamed entry truncated. A fresh store
+// serves no torn entry: the cell misses and recomputes, the truncated
+// entry counting as corrupt. Stats counts only the names persist
+// publishes, and sweeps a temp file once it is old enough to be provably
+// stale; a young one — possibly another live process's in-flight write
+// into the shared directory — is kept.
 func TestOpenSweepsStaleTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s1, _ := Open(dir, 0)
-	if _, _, err := s1.GetOrCompute(testCfg(64), fakeCompute(nil)); err != nil {
+	cfg := testCfg(64)
+	key := Key(cfg)
+	want, _ := fakeCompute(nil)(cfg)
+	sealed, err := Seal(key, want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key(testCfg(64))
-	shard := filepath.Join(dir, key[:2])
-	stale := filepath.Join(shard, key+".tmp12345")
-	if err := os.WriteFile(stale, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	fresh := filepath.Join(shard, key+".tmp67890")
-	if err := os.WriteFile(fresh, []byte("in flight"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, row := range []struct {
+		name  string
+		file  string // the residue's name in the key's shard directory
+		bytes []byte
+	}{
+		{"created", key + ".tmp1", nil},
+		{"half-written", key + ".tmp2", sealed[:len(sealed)/2]},
+		{"synced", key + ".tmp3", sealed},
+		{"renamed-truncated", key + ".json", sealed[:len(sealed)/2]},
+	} {
+		entry := row.file == key+".json"
+		for _, age := range []time.Duration{2 * staleTempAge, time.Minute} {
+			t.Run(fmt.Sprintf("%s/age=%v", row.name, age), func(t *testing.T) {
+				dir := t.TempDir()
+				p := filepath.Join(dir, key[:2], row.file)
+				if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(p, row.bytes, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				then := time.Now().Add(-age)
+				if err := os.Chtimes(p, then, then); err != nil {
+					t.Fatal(err)
+				}
 
-	s2, _ := Open(dir, 0)
-	if st := s2.Stats(); st.Entries != 1 {
-		t.Errorf("Entries = %d after sweep, want 1", st.Entries)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived the census")
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Error("fresh temp file (a possible live writer's) was swept")
-	}
-	if _, ok := s2.Get(key); !ok {
-		t.Error("valid entry was swept along with the temp file")
+				s, _ := Open(dir, 0)
+				var published, size uint64
+				if entry {
+					published, size = 1, uint64(len(row.bytes))
+				}
+				if st := s.Stats(); st.Entries != published || st.DiskBytes != size {
+					t.Errorf("gauges over the residue = %d / %d bytes, want %d / %d", st.Entries, st.DiskBytes, published, size)
+				}
+				_, err := os.Stat(p)
+				switch swept := os.IsNotExist(err); {
+				case entry && swept:
+					t.Error("Stats removed a published entry")
+				case !entry && age > staleTempAge && !swept:
+					t.Error("a stale temp file survived Stats")
+				case !entry && age < staleTempAge && swept:
+					t.Error("a young temp file (a possible live writer's) was swept")
+				}
+
+				var calls atomic.Int64
+				got, _, err := s.GetOrCompute(cfg, fakeCompute(&calls))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, want, got)
+				var corrupt uint64
+				if entry {
+					corrupt = 1
+				}
+				if st := s.Stats(); calls.Load() != 1 || st.Misses != 1 || st.Corrupt != corrupt ||
+					st.Entries != 1 || st.DiskBytes != uint64(len(sealed)) {
+					t.Errorf("after the lookup: %d computes, stats %v; want 1 compute, 1 miss, %d corrupt, 1 entry of %d bytes",
+						calls.Load(), st, corrupt, len(sealed))
+				}
+			})
+		}
 	}
 }
 
-// TestStatsGauges: entry-count and disk-bytes track writes incrementally
-// and are re-seeded by a fresh store's census.
+// TestStatsGauges: the entry and byte gauges equal what the directory
+// holds whenever Stats is called, entries another Store over the same
+// directory wrote included.
 func TestStatsGauges(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
@@ -580,11 +621,21 @@ func TestStatsGauges(t *testing.T) {
 		t.Errorf("gauges after 2 writes = %+v", st1)
 	}
 
-	// A fresh store over the same directory scans the same footprint.
+	// A fresh store over the same directory counts the same footprint.
 	s2, _ := Open(dir, 0)
 	st2 := s2.Stats()
 	if st2.Entries != st1.Entries || st2.DiskBytes != st1.DiskBytes {
-		t.Errorf("rescan gauges = %+v, incremental said %+v", st2, st1)
+		t.Errorf("second handle's gauges = %+v, first's %+v", st2, st1)
+	}
+
+	// What the second store writes, the first counts at its next call.
+	if _, _, err := s2.GetOrCompute(testCfg(256), fakeCompute(nil)); err != nil {
+		t.Fatal(err)
+	}
+	entries, bytes := diskFootprint(t, dir)
+	if st := s1.Stats(); entries != 3 || st.Entries != entries || st.DiskBytes != bytes {
+		t.Errorf("gauges after another handle's write = %d / %d bytes, directory holds %d / %d",
+			st.Entries, st.DiskBytes, entries, bytes)
 	}
 
 	// Memory-only stores have no disk footprint.

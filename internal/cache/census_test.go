@@ -9,15 +9,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"svard/internal/sim"
 )
 
 // raceEnabled is set by race_test.go in a -race build.
 var raceEnabled bool
 
-// diskFootprint walks dir the way a census counts it: the *.json files
+// diskFootprint walks dir the way Stats counts it: the *.json files
 // in the two-lowercase-hex-digit shard directories.
 func diskFootprint(t *testing.T, dir string) (entries, bytes uint64) {
 	t.Helper()
@@ -43,15 +40,15 @@ func diskFootprint(t *testing.T, dir string) (entries, bytes uint64) {
 	return entries, bytes
 }
 
-// TestGaugesExactWhileRescansRaceWrites: writes landing while a census
-// walks their directory are counted exactly once, so the gauges equal
-// the directory after any mix of the two — a census must not set a count
-// it took before a write it did not see.
+// TestGaugesExactWhileRescansRaceWrites: Stats calls walking the
+// directory while writes land in it leave nothing behind them, so the
+// gauges the next Stats call reads equal the directory after any mix of
+// the two.
 func TestGaugesExactWhileRescansRaceWrites(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, 0)
-	// Rescans run beside the first three quarters of the writes; the last
-	// quarter lands after them, so no later census corrects the count.
+	// Walks run beside the first three quarters of the writes; the last
+	// quarter lands after them.
 	const puts, raced = 400, 300
 	var written atomic.Int64
 	var wg sync.WaitGroup
@@ -59,11 +56,10 @@ func TestGaugesExactWhileRescansRaceWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for written.Load() < raced {
-			s.lastScan.Store(0) // every Stats call walks the directory
 			s.Stats()
 		}
 	}()
-	// Every write goes to one shard, so a census spends its walk of that
+	// Every write goes to one shard, so a walk spends its visit of that
 	// directory racing them.
 	res, _ := fakeCompute(nil)(testCfg(64))
 	for i := 0; i < puts; i++ {
@@ -76,7 +72,6 @@ func TestGaugesExactWhileRescansRaceWrites(t *testing.T) {
 		written.Add(1)
 	}
 
-	s.lastScan.Store(time.Now().UnixNano()) // read the gauges, do not recount
 	st := s.Stats()
 	entries, bytes := diskFootprint(t, dir)
 	if entries != puts || st.Entries != entries || st.DiskBytes != bytes {
@@ -85,10 +80,10 @@ func TestGaugesExactWhileRescansRaceWrites(t *testing.T) {
 	}
 }
 
-// TestCensusCountsShardsOnly: the census counts the key-prefix
-// directories alone — a two-character directory that no key can name is
-// not the store's — and a shard removed behind the store's back leaves
-// the gauges at the next census.
+// TestCensusCountsShardsOnly: Stats counts the key-prefix directories
+// alone — a two-character directory that no key can name is not the
+// store's — and a shard removed behind the store's back leaves the
+// gauges at the next call.
 func TestCensusCountsShardsOnly(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := Open(dir, 0)
@@ -107,73 +102,17 @@ func TestCensusCountsShardsOnly(t *testing.T) {
 	s2, _ := Open(dir, 0)
 	entries, bytes := diskFootprint(t, dir)
 	if st := s2.Stats(); entries != 2 || st.Entries != entries || st.DiskBytes != bytes {
-		t.Errorf("census gauges = %d / %d bytes, shards hold %d / %d", st.Entries, st.DiskBytes, entries, bytes)
+		t.Errorf("gauges = %d / %d bytes, shards hold %d / %d", st.Entries, st.DiskBytes, entries, bytes)
 	}
 
 	gone := Key(testCfg(64))[:2]
 	if err := os.RemoveAll(filepath.Join(dir, gone)); err != nil {
 		t.Fatal(err)
 	}
-	s2.lastScan.Store(0)
 	entries, bytes = diskFootprint(t, dir)
 	if st := s2.Stats(); entries != 1 || st.Entries != entries || st.DiskBytes != bytes {
 		t.Errorf("gauges after shard %s vanished = %d / %d bytes, shards hold %d / %d",
 			gone, st.Entries, st.DiskBytes, entries, bytes)
-	}
-}
-
-// TestReadsDoNotWaitForTheCensus: lookups served from disk take nothing
-// the census holds. The test stands in for a census stuck in its walk by
-// holding every shard while the census the first Stats call started
-// runs. A second Stats call made meanwhile waits for that census rather
-// than report gauges it has not counted.
-func TestReadsDoNotWaitForTheCensus(t *testing.T) {
-	dir := t.TempDir()
-	s1, _ := Open(dir, 0)
-	want, _, err := s1.GetOrCompute(testCfg(64), fakeCompute(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, _ := Open(dir, 0)
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	censused := make(chan Stats, 2)
-	go func() { censused <- s.Stats() }()
-	for s.lastScan.Load() == 0 { // the census has started
-		runtime.Gosched()
-	}
-	go func() { censused <- s.Stats() }()
-
-	served := make(chan error, 1)
-	go func() {
-		got, _, err := s.GetOrCompute(testCfg(64), func(sim.Config) (sim.Result, error) {
-			return sim.Result{}, fmt.Errorf("a stored cell was computed")
-		})
-		if _, held := s.Get(Key(testCfg(64))); err == nil && (got.Cycles != want.Cycles || !held) {
-			err = fmt.Errorf("served %+v, stored %+v", got, want)
-		}
-		served <- err
-	}()
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Error(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Error("a disk lookup waited for the census")
-	}
-	for i := range s.shards {
-		s.shards[i].mu.Unlock()
-	}
-	for range 2 {
-		if st := <-censused; st.Entries != 1 {
-			t.Errorf("stats while the census ran = %v", st)
-		}
-	}
-	if st := s.Stats(); st.DiskHits != 1 || st.Entries != 1 {
-		t.Errorf("stats after the lookup = %v", st)
 	}
 }
 

@@ -91,8 +91,10 @@ func (Nop) OnActivate(int, int, uint64) []Directive { return nil }
 // half the budget, and deployments add a further 2x safety margin.
 const TriggerFraction = 0.25
 
-// VictimRefreshes returns the standard preventive-refresh directive set
-// for an aggressor: its two distance-1 neighbours. Distance-2 victims
+// AppendVictimRefreshes appends the standard preventive-refresh
+// directives for an aggressor to dst and returns the extended slice —
+// allocation-free on every defense's OnActivate scratch path. The
+// directives refresh its two distance-1 neighbours. Distance-2 victims
 // receive only a few percent of the aggressor's disturbance and are
 // covered by the periodic refresh sweep within each window. A refresh is
 // itself an ACT of the victim, which the controller issues without
@@ -100,13 +102,6 @@ const TriggerFraction = 0.25
 // aggressor's distance-2 row) unseen: a defense that refreshes often must
 // count its own refreshes (Hydra does) or a steady hammer flips that row
 // through them — the Half-Double pattern.
-func VictimRefreshes(si SystemInfo, bank, row int) []Directive {
-	return AppendVictimRefreshes(nil, si, bank, row)
-}
-
-// AppendVictimRefreshes appends the standard preventive-refresh
-// directives for an aggressor to dst and returns the extended slice —
-// the allocation-free form every defense's OnActivate scratch path uses.
 func AppendVictimRefreshes(dst []Directive, si SystemInfo, bank, row int) []Directive {
 	for _, d := range [...]int{-1, 1} {
 		v := row + d

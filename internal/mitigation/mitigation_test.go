@@ -76,11 +76,11 @@ func TestWindowCounterResets(t *testing.T) {
 
 func TestVictimRefreshesClamped(t *testing.T) {
 	si := SystemInfo{Banks: 2, RowsPerBank: 100}
-	mid := VictimRefreshes(si, 0, 50)
+	mid := AppendVictimRefreshes(nil, si, 0, 50)
 	if len(mid) != 2 {
 		t.Fatalf("interior refreshes = %d, want 2", len(mid))
 	}
-	edge := VictimRefreshes(si, 0, 0)
+	edge := AppendVictimRefreshes(nil, si, 0, 0)
 	if len(edge) != 1 || edge[0].Row != 1 {
 		t.Fatalf("edge refreshes = %+v", edge)
 	}

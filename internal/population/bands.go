@@ -1,6 +1,9 @@
 package population
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Band summarizes one metric's distribution over a module population:
 // exact mean/min/max plus the p5/p50/p95 confidence band.
@@ -14,102 +17,33 @@ type Band struct {
 	P95  float64 `json:"p95"`
 }
 
-// Acc is a streaming distribution accumulator sized for
-// population-scale sweeps: O(bins) memory no matter how many values
-// stream through, with quantiles read from a fixed-resolution histogram
-// over [lo, hi). Histogram counts commute, so the resulting Band is
-// exactly order-independent — any permutation of the same Add sequence
-// yields bit-identical quantiles, min, and max (the mean is summed in
-// stream order, which the sweeps keep deterministic).
-//
-// Quantiles are bin midpoints clamped into [Min, Max]: quantization
-// error is bounded by the bin width (hi-lo)/bins, far below the
-// sampling noise of any population the accumulator summarizes. Values
-// outside [lo, hi) clamp into the edge bins; Min/Max stay exact.
-type Acc struct {
-	lo, width float64
-	bins      []uint32
-	n         int
-	sum       float64
-	min, max  float64
-}
-
-// NewAcc returns an accumulator over [lo, hi) with the given number of
-// bins. It panics if the range or bin count is empty — accumulator
-// shapes are compile-time decisions of the sweep that owns them.
-func NewAcc(lo, hi float64, bins int) *Acc {
-	if bins <= 0 || hi <= lo {
-		panic("population: NewAcc needs bins >= 1 and hi > lo")
-	}
-	return &Acc{
-		lo:    lo,
-		width: (hi - lo) / float64(bins),
-		bins:  make([]uint32, bins),
-		min:   math.Inf(1),
-		max:   math.Inf(-1),
-	}
-}
-
-// Add folds one value in.
-func (a *Acc) Add(v float64) {
-	a.n++
-	a.sum += v
-	if v < a.min {
-		a.min = v
-	}
-	if v > a.max {
-		a.max = v
-	}
-	i := int((v - a.lo) / a.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(a.bins) {
-		i = len(a.bins) - 1
-	}
-	a.bins[i]++
-}
-
-// N returns how many values have been folded in.
-func (a *Acc) N() int { return a.n }
-
-// Quantile returns the q-quantile (q in [0, 1]) by the nearest-rank
-// rule over the histogram: the midpoint of the bin holding the
-// ceil(q*n)-th smallest value, clamped into [Min, Max].
-func (a *Acc) Quantile(q float64) float64 {
-	if a.n == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q * float64(a.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > a.n {
-		rank = a.n
-	}
-	cum := 0
-	for i, c := range a.bins {
-		cum += int(c)
-		if cum >= rank {
-			mid := a.lo + (float64(i)+0.5)*a.width
-			return clamp(mid, a.min, a.max)
-		}
-	}
-	return a.max
-}
-
-// Band folds the accumulated distribution into its summary.
-func (a *Acc) Band() Band {
-	if a.n == 0 {
+// BandOf summarizes values, one per module in module order. The mean is
+// summed in that order; the quantiles are the nearest-rank order
+// statistics of a sorted copy — the ceil(q*n)-th smallest value, rank
+// clamped into [1, n] — so they do not depend on the order at all. No
+// values give the zero Band.
+func BandOf(values []float64) Band {
+	n := len(values)
+	if n == 0 {
 		return Band{}
 	}
+	sum := 0.0
+	for _, v := range values {
+		sum += v
+	}
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	rank := func(q float64) float64 {
+		r := min(max(int(math.Ceil(q*float64(n))), 1), n)
+		return sorted[r-1]
+	}
 	return Band{
-		N:    a.n,
-		Mean: a.sum / float64(a.n),
-		Min:  a.min,
-		Max:  a.max,
-		P5:   a.Quantile(0.05),
-		P50:  a.Quantile(0.50),
-		P95:  a.Quantile(0.95),
+		N:    n,
+		Mean: sum / float64(n),
+		Min:  sorted[0],
+		Max:  sorted[n-1],
+		P5:   rank(0.05),
+		P50:  rank(0.50),
+		P95:  rank(0.95),
 	}
 }

@@ -3,6 +3,7 @@ package population
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"svard/internal/profile"
@@ -142,69 +143,56 @@ func TestFitRejectsBadInventory(t *testing.T) {
 	}
 }
 
+// TestAccOrderIndependent: the quantiles, min and max are order
+// statistics, so any permutation of the values gives the same ones.
 func TestAccOrderIndependent(t *testing.T) {
 	vals := []float64{0.3, 1.7, 0.9, 1.1, 5.5, 0.3, 2.2, 1.05, 0.99, 1.01}
-	fwd, rev := NewAcc(0, 8, 8192), NewAcc(0, 8, 8192)
-	for _, v := range vals {
-		fwd.Add(v)
+	rev := slices.Clone(vals)
+	slices.Reverse(rev)
+	fwd, bwd := BandOf(vals), BandOf(rev)
+	fwd.Mean, bwd.Mean = 0, 0 // summed in the order given
+	if fwd != bwd {
+		t.Fatalf("bands differ by order:\n%+v\n%+v", fwd, bwd)
 	}
-	for i := len(vals) - 1; i >= 0; i-- {
-		rev.Add(vals[i])
-	}
-	if fwd.Band() != rev.Band() {
-		t.Fatalf("bands differ by insertion order:\n%+v\n%+v", fwd.Band(), rev.Band())
+	if vals[0] != 0.3 || vals[4] != 5.5 {
+		t.Errorf("BandOf reordered its input: %v", vals)
 	}
 }
 
+// TestAccBand: the quantiles are the nearest-rank values themselves.
 func TestAccBand(t *testing.T) {
-	a := NewAcc(0, 8, 8192)
-	for i := 1; i <= 100; i++ {
-		a.Add(float64(i) / 100) // 0.01 .. 1.00
+	vals := make([]float64, 0, 100)
+	for i := 100; i >= 1; i-- {
+		vals = append(vals, float64(i)/100) // 1.00 .. 0.01
 	}
-	b := a.Band()
+	b := BandOf(vals)
 	if b.N != 100 || b.Min != 0.01 || b.Max != 1.00 {
 		t.Fatalf("band shape: %+v", b)
 	}
 	if math.Abs(b.Mean-0.505) > 1e-9 {
 		t.Errorf("mean = %v, want 0.505", b.Mean)
 	}
-	// Nearest-rank quantiles, within one bin width of the exact values.
-	const tol = 8.0 / 8192
 	for _, c := range []struct{ got, want float64 }{
 		{b.P5, 0.05}, {b.P50, 0.50}, {b.P95, 0.95},
 	} {
-		if math.Abs(c.got-c.want) > tol {
-			t.Errorf("quantile = %v, want %v within %v", c.got, c.want, tol)
+		if c.got != c.want {
+			t.Errorf("quantile = %v, want exactly %v", c.got, c.want)
 		}
 	}
 }
 
+// TestAccClampsOutliers: a value far outside any speedup's range keeps
+// its exact rank — of -3 and 100, 100 is the P95 itself, and -3 the P5
+// and P50.
 func TestAccClampsOutliers(t *testing.T) {
-	a := NewAcc(0, 8, 64)
-	a.Add(-3)
-	a.Add(100)
-	b := a.Band()
-	if b.Min != -3 || b.Max != 100 {
-		t.Errorf("exact min/max lost: %+v", b)
-	}
-	// Quantiles clamp into [Min, Max] even though both values sit in
-	// edge bins.
-	if b.P5 < b.Min || b.P95 > b.Max {
-		t.Errorf("quantiles escaped [min, max]: %+v", b)
+	b := BandOf([]float64{100, -3})
+	if b.Min != -3 || b.Max != 100 || b.P5 != -3 || b.P50 != -3 || b.P95 != 100 {
+		t.Errorf("band of -3 and 100 = %+v", b)
 	}
 }
 
 func TestAccEmpty(t *testing.T) {
-	if b := NewAcc(0, 1, 4).Band(); b != (Band{}) {
-		t.Errorf("empty accumulator band = %+v, want zero", b)
+	if b := BandOf(nil); b != (Band{}) {
+		t.Errorf("band of no values = %+v, want zero", b)
 	}
-}
-
-func TestNewAccPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewAcc(1, 1, 0) did not panic")
-		}
-	}()
-	NewAcc(1, 1, 0)
 }

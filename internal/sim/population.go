@@ -79,22 +79,11 @@ func PopulationJobs(opt PopulationOptions) ([]Job, error) {
 	return jobs, nil
 }
 
-// bandAcc accumulates one (defense, nRH, config) cell's distributions.
-type bandAcc struct {
-	ws, hs, ms *population.Acc
+// bandValues collects one (defense, nRH, config) cell's per-module
+// metrics, in module order, for population.BandOf.
+type bandValues struct {
+	ws, hs, ms []float64
 	violations uint64
-}
-
-// Band accumulator shape: Fig. 12's metrics are speedups near 1 and max
-// slowdowns rarely past a few x, so [0, 8) at 8192 bins gives ~1e-3
-// quantile resolution; outliers clamp into the edge bins while their
-// exact min/max still report.
-func newBandAcc() bandAcc {
-	return bandAcc{
-		ws: population.NewAcc(0, 8, 8192),
-		hs: population.NewAcc(0, 8, 8192),
-		ms: population.NewAcc(0, 8, 8192),
-	}
 }
 
 // RunPopulationCtx executes the Monte Carlo sweep and returns band
@@ -123,35 +112,41 @@ func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, e
 // band cells: each module's per-mix results fold into its three
 // per-config metrics (weighted/harmonic speedup and max slowdown against
 // the module's own no-defense baseline, averaged over mixes, exactly like
-// Fig. 12's fold), and the metrics feed order-independent histogram
-// accumulators.
+// Fig. 12's fold), and each cell's per-module metrics summarize into
+// exact bands (population.BandOf).
 func (opt PopulationOptions) Fold(results []Result) []BandCell {
 	opt = opt.fill()
 	nMix := len(opt.Mixes)
 	nCfg := 2 // NoSvard, Svard
-	accs := make([]bandAcc, len(opt.Defenses)*len(opt.NRHs)*nCfg)
-	for i := range accs {
-		accs[i] = newBandAcc()
+	size := opt.Population.Size
+	vals := make([]bandValues, len(opt.Defenses)*len(opt.NRHs)*nCfg)
+	for i := range vals {
+		vals[i] = bandValues{
+			ws: make([]float64, 0, size),
+			hs: make([]float64, 0, size),
+			ms: make([]float64, 0, size),
+		}
 	}
 
 	// Each module's share, in PopulationJobs order: baselines first, then
 	// (defense, nRH, svard, mix).
 	perModule := nMix * (1 + len(opt.Defenses)*len(opt.NRHs)*nCfg)
-	for m := 0; m < opt.Population.Size; m++ {
+	for m := 0; m < size; m++ {
 		module := results[m*perModule:]
 		next := nMix
-		for i := range accs {
+		for i := range vals {
 			cell := foldMixes(module[next:next+nMix], module[:nMix])
 			next += nMix
-			accs[i].violations += cell.Violations
-			accs[i].ws.Add(cell.WS)
-			accs[i].hs.Add(cell.HS)
-			accs[i].ms.Add(cell.MS)
+			v := &vals[i]
+			v.violations += cell.Violations
+			v.ws = append(v.ws, cell.WS)
+			v.hs = append(v.hs, cell.HS)
+			v.ms = append(v.ms, cell.MS)
 		}
 	}
 
-	cells := make([]BandCell, 0, len(accs))
-	acc := 0
+	cells := make([]BandCell, 0, len(vals))
+	i := 0
 	for _, defense := range opt.Defenses {
 		for _, nrh := range opt.NRHs {
 			for cfgIdx := 0; cfgIdx < nCfg; cfgIdx++ {
@@ -159,17 +154,17 @@ func (opt PopulationOptions) Fold(results []Result) []BandCell {
 				if cfgIdx == 1 {
 					name = BandSvard
 				}
-				a := accs[acc]
-				acc++
+				v := vals[i]
+				i++
 				cells = append(cells, BandCell{
 					Defense:    defense,
 					NRH:        nrh,
 					Config:     name,
-					Modules:    a.ws.N(),
-					WS:         a.ws.Band(),
-					HS:         a.hs.Band(),
-					MS:         a.ms.Band(),
-					Violations: a.violations,
+					Modules:    len(v.ws),
+					WS:         population.BandOf(v.ws),
+					HS:         population.BandOf(v.hs),
+					MS:         population.BandOf(v.ms),
+					Violations: v.violations,
 				})
 			}
 		}
