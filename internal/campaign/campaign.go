@@ -94,23 +94,46 @@ type TemporalSpec struct {
 }
 
 // ReadSpec decodes the campaign spec file at path over spec, the one
-// reader behind every -spec flag. A field the spec does not have, such as
-// a misspelling or a base config's Core or NoSkip, is an error naming it,
-// not a silent default, and so is anything after the spec.
+// reader behind every -spec flag, by DecodeJSON's rule.
 func ReadSpec(path string, spec *Spec) error {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(spec); err != nil {
+	defer f.Close()
+	if err := DecodeJSON(f, "spec", spec); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("%s: data after the spec", path)
-	}
 	return nil
+}
+
+// DecodeJSON decodes the one JSON value r holds into v, the rule for
+// every input from outside: spec files, and the request bodies of the
+// service and the fabric coordinator. A field v does not have, such as a
+// misspelling or a base config's Core or NoSkip, is an error naming it,
+// not a silent default, and so is anything but whitespace after the
+// value; what names the value in the error. An error of r's own (a size
+// cap's) comes back wrapped, for the caller to tell apart.
+func DecodeJSON(r io.Reader, what string, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decode %s: %w", what, err)
+	}
+	rest := io.MultiReader(dec.Buffered(), r)
+	var buf [32]byte
+	for {
+		n, err := rest.Read(buf[:])
+		if tail := bytes.TrimLeft(buf[:n], " \t\r\n"); len(tail) > 0 {
+			return fmt.Errorf("data after the %s: %q", what, tail)
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("decode %s: %w", what, err)
+		}
+	}
 }
 
 // Figures a campaign can regenerate.

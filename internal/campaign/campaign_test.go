@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"svard/internal/cache"
@@ -134,10 +136,11 @@ func TestCampaignColdThenWarmMatchesGolden(t *testing.T) {
 
 // TestWarmCampaignLeavesTheCensusAlone: a warm campaign over a populated
 // store reads the cells it asks for and nothing else. The store's census
-// (the stale temp-file sweep and the disk gauges) waits for the first
-// Stats call: a crash's two-hour-old temp file outlives the run, and the
-// outcome carries the lookup counters without the gauges. Stats then
-// sweeps the file and reports what the shards hold.
+// (the stale temp-file sweep and the disk gauges) is a walk that every
+// Stats call makes and neither Open nor a campaign does: a crash's
+// two-hour-old temp file outlives the run, and the outcome carries the
+// lookup counters without the gauges. Stats then sweeps the file and
+// reports what the shards hold.
 func TestWarmCampaignLeavesTheCensusAlone(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec()
@@ -502,6 +505,41 @@ func checkRejections(t *testing.T, valid func() Spec, table map[string]rejection
 				t.Errorf("rejected with %q, want %q", err, r.want)
 			}
 		})
+	}
+}
+
+// TestDecodeJSONReadsOneValue: the decoder of every input from outside
+// takes one JSON value and whitespace, however the reader splits them. An
+// unknown field or anything else after the value is an error naming it,
+// and an error of the reader's own (a size cap's) stays reachable through
+// the wrapping.
+func TestDecodeJSONReadsOneValue(t *testing.T) {
+	type body struct{ ID string }
+	capped := errors.New("over the cap")
+	for _, tc := range []struct {
+		name string
+		in   io.Reader
+		want string // "" = decodes
+	}{
+		{"bare", strings.NewReader(`{"ID":"a"}`), ""},
+		{"whitespace", strings.NewReader(" {\"ID\":\"a\"} \r\n\t" + strings.Repeat(" ", 100)), ""},
+		{"byte-by-byte", iotest.OneByteReader(strings.NewReader(`{"ID":"a"}` + strings.Repeat("\n", 70) + "tail")), `data after the body: "t"`},
+		{"second-value", strings.NewReader(`{"ID":"a"} {"ID":"b"}`), `data after the body: "{\"ID\":\"b\"}"`},
+		{"garbage", strings.NewReader(`{"ID":"a"}x`), `data after the body: "x"`},
+		{"unknown-field", strings.NewReader(`{"ID":"a","Id2":1}`), `decode body: json: unknown field "Id2"`},
+		{"empty", strings.NewReader(""), "decode body: EOF"},
+		{"reader-error", io.MultiReader(strings.NewReader(`{"ID":"a"}  `), iotest.ErrReader(capped)), "over the cap"},
+	} {
+		var v body
+		err := DecodeJSON(tc.in, "body", &v)
+		switch {
+		case tc.want == "" && (err != nil || v.ID != "a"):
+			t.Errorf("%s: %+v, %v; want ID a", tc.name, v, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: %v, want an error saying %s", tc.name, err, tc.want)
+		case tc.name == "reader-error" && !errors.Is(err, capped):
+			t.Errorf("%s: %v does not wrap the reader's error", tc.name, err)
+		}
 	}
 }
 

@@ -26,13 +26,19 @@ func FuzzJournalResume(f *testing.F) {
 	fp := plan.Fingerprint
 	header := journalHeader + " " + fp + " total=10\n"
 	k1, k2 := strings.Repeat("11", 32), strings.Repeat("22", 32)
-	f.Add([]byte(header + k1 + "\n" + k2 + "\n" + k1 + "\n"))
-	f.Add([]byte(header + k1 + "\n" + strings.Repeat("33", 10))) // torn final line
-	f.Add([]byte(header + strings.Repeat("zz", 32) + "\n"))      // right length, not a key
+	torn := strings.Repeat("33", 10)
+	// A crash leaves a prefix of what the record's write points wrote
+	// (record.go); each residue has its seed.
+	f.Add([]byte{})                                             // create: the empty file
+	f.Add([]byte(header[:len(journalHeader)+1+len(fp)/2]))      // header cut mid-fingerprint
+	f.Add([]byte(header[:len(header)-1]))                       // header without its newline
+	f.Add([]byte(header + k1 + "\n" + k2 + "\n" + k1 + "\n"))   // Done appends, a key repeated by a rerun
+	f.Add([]byte(header + k1 + "\n" + torn))                    // Done append cut mid-key
+	f.Add([]byte(header + k1 + "\n" + torn + "\n" + k2 + "\n")) // the reopen's newline ends the torn line
+	f.Add([]byte(header + strings.Repeat("zz", 32) + "\n"))     // foreign: right length, not a key
 	f.Add([]byte(header + strings.Repeat("AB", 32) + "\n  " + k2 + " \r\n"))
 	f.Add([]byte(journalHeader + " " + strings.Repeat("cd", 32) + " total=10\n" + k1 + "\n"))
 	f.Add([]byte(k1 + "\n"))
-	f.Add([]byte{})
 	dir := f.TempDir() // one per fuzz worker process: executions are sequential
 	store, err := cache.Open(dir, 0)
 	if err != nil {

@@ -39,8 +39,8 @@ func Workers(n int) int {
 // If any job fails, jobs not yet started are skipped, and Map returns a
 // nil slice with every observed error joined in job-index order (each
 // wrapped with its index). Jobs already running are allowed to finish.
-// A job that panics fails with an error carrying the panic value and
-// its stack, so one faulty job never takes the process down.
+// A job that panics fails with a *PanicError carrying the panic value
+// and its stack, so one faulty job never takes the process down.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return MapCtx(context.Background(), workers, n, fn)
 }
@@ -102,11 +102,22 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 	return results, nil
 }
 
-// call runs fn(i), recovering a panic into its error.
+// PanicError is a job that panicked: the panic value and the stack of
+// the panicking goroutine. It is the program's one recovered panic, so a
+// caller that tells a fault of its own from a refused input (a server's
+// 500 against its 400) asks errors.As for it.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v\n%s", p.Value, p.Stack) }
+
+// call runs fn(i), recovering a panic into a *PanicError.
 func call[T any](fn func(i int) (T, error), i int) (r T, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+			err = &PanicError{Value: v, Stack: debug.Stack()}
 		}
 	}()
 	return fn(i)

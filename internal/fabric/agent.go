@@ -2,13 +2,10 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
-	"svard/internal/cache"
 	"svard/internal/client"
 )
 
@@ -114,47 +111,4 @@ func beatLoop(ctx context.Context, c *client.Client, id string, interval time.Du
 			logf("fabric-agent: heartbeat: %v", err)
 		}
 	}
-}
-
-// --- shared HTTP helpers ---------------------------------------------
-
-// maxBody caps every request body read: an object PUT carries one
-// envelope, and no registration or heartbeat comes near that bound.
-const maxBody = cache.MaxEnvelopeBytes
-
-// decodeJSON decodes r's capped JSON body into out, or answers
-// writeBodyError and returns false. A field out does not have is refused
-// by name, as every other decoder of outside input refuses it.
-func decodeJSON(w http.ResponseWriter, r *http.Request, out any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(out)
-	if err != nil {
-		writeBodyError(w, err)
-	}
-	return err == nil
-}
-
-// writeBodyError answers a failed body read: 413 over the cap, else 400.
-func writeBodyError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeError(w, status, fmt.Errorf("bad request body: %w", err))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	if v == nil {
-		w.WriteHeader(status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -51,7 +51,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,6 +59,7 @@ import (
 	"svard/internal/campaign"
 	"svard/internal/client"
 	"svard/internal/exec"
+	"svard/internal/server"
 	"svard/internal/sim"
 )
 
@@ -594,20 +594,15 @@ func (c *Coordinator) completeLocked(run *runState, idx int, res sim.Result, com
 }
 
 // computeLocal is the last-resort path: the coordinator runs the cell
-// on its own cell path. A panic there fails the campaign, not the
-// coordinator.
+// on its own cell path, through exec, so a panic there fails the
+// campaign, not the coordinator.
 func (c *Coordinator) computeLocal(run *runState, idx int) {
 	var res sim.Result
 	var computed bool
-	err := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
-			}
-		}()
+	_, err := exec.MapCtx(run.ctx, 1, 1, func(int) (_ struct{}, err error) {
 		res, _, computed, err = c.cell.Run(run.ctx, run.jobs[idx].Config, nil)
-		return err
-	}()
+		return
+	})
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -635,6 +630,10 @@ func (c *Coordinator) computeLocal(run *runState, idx int) {
 
 // --- HTTP surface -----------------------------------------------------
 
+// maxBody caps every request body read: an object PUT carries one
+// envelope, and no registration or heartbeat comes near that bound.
+const maxBody = cache.MaxEnvelopeBytes
+
 // RegisterRequest is the body of POST /api/v1/workers.
 type RegisterRequest struct {
 	Name string `json:"name"`
@@ -657,14 +656,14 @@ type HeartbeatRequest struct {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !decodeJSON(w, r, &req) {
+	if !server.DecodeBody(w, r, maxBody, "register request", &req) {
 		return
 	}
 	// The URL is where every batch of the worker's leases goes: one that
 	// cannot be an svard-served endpoint would fail each send until its
 	// cells fall back to local computes.
 	if u, err := url.Parse(req.URL); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("register request: url %q is not an http(s) base URL", req.URL))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("register request: url %q is not an http(s) base URL", req.URL))
 		return
 	}
 	now := time.Now()
@@ -698,7 +697,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	c.cfg.Logf("fabric: worker %s (%s) registered at %s", wk.name, wk.id, wk.url)
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	server.WriteJSON(w, http.StatusOK, RegisterResponse{
 		ID:               wk.id,
 		HeartbeatSeconds: (c.cfg.LeaseTTL / 3).Seconds(),
 		LeaseSeconds:     c.cfg.LeaseTTL.Seconds(),
@@ -707,7 +706,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeJSON(w, r, &req) {
+	if !server.DecodeBody(w, r, maxBody, "heartbeat request", &req) {
 		return
 	}
 	now := time.Now()
@@ -726,26 +725,26 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown worker %q (re-register)", req.ID))
+		server.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown worker %q (re-register)", req.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !cache.WellFormedKey(key) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed object key %q", key))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed object key %q", key))
 		return
 	}
 	res, ok := c.cfg.Store.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no object %s", key))
+		server.WriteError(w, http.StatusNotFound, fmt.Errorf("no object %s", key))
 		return
 	}
 	b, err := cache.Seal(key, res)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	c.objectsServed.Add(1)
@@ -756,27 +755,27 @@ func (c *Coordinator) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !cache.WellFormedKey(key) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed object key %q", key))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed object key %q", key))
 		return
 	}
 	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeBodyError(w, err)
+		server.WriteError(w, server.StatusOf(r, err), err)
 		return
 	}
 	res, err := cache.OpenEnvelope(key, b)
 	if err != nil {
 		// The envelope failed verification: reject it so a corrupt or
 		// truncated upload can never poison the shared store.
-		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("object %s rejected: %w", key[:8], err))
+		server.WriteError(w, http.StatusUnprocessableEntity, fmt.Errorf("object %s rejected: %w", key[:8], err))
 		return
 	}
 	if err := c.cfg.Store.Put(key, res); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	c.objectsStored.Add(1)
-	writeJSON(w, http.StatusNoContent, nil)
+	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -789,7 +788,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		remaining = c.run.remaining
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":          "ok",
 		"workers":         total,
 		"workers_live":    live,

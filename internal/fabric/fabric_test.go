@@ -1316,6 +1316,62 @@ func TestControlBodiesRefuseUnknownFields(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesAre400s: both daemons decode every request body by one
+// rule, so a valid body followed by anything but whitespace is a 400 whose
+// error names what follows — on the service's submit and compute routes
+// and the coordinator's register and heartbeat routes alike — and trailing
+// whitespace leaves a body valid.
+func TestTrailingBytesAre400s(t *testing.T) {
+	_, coordURL := newCoordinator(t, t.TempDir(), fabric.Config{})
+	worker, _, _ := newWorker(t, fakeSim, nil)
+	jobs, err := tinySpec().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// post answers the status and the error a reply carries, decoding a
+	// 200 into out.
+	post := func(url string, body []byte, out any) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		var e struct{ Error string }
+		json.Unmarshal(b, &e)
+		if resp.StatusCode == http.StatusOK && out != nil {
+			json.Unmarshal(b, out)
+		}
+		return resp.StatusCode, e.Error
+	}
+	var reg fabric.RegisterResponse
+	if status, msg := post(coordURL+"/api/v1/workers", mustJSON(t, fabric.RegisterRequest{Name: "w", URL: worker.URL}), &reg); status != http.StatusOK {
+		t.Fatalf("register: status %d (%s)", status, msg)
+	}
+
+	for _, tc := range []struct {
+		url     string
+		body    any
+		trailer string
+		ok      int
+	}{
+		{worker.URL + "/api/v1/jobs", server.SubmitRequest{Name: "trailing", Spec: tinySpec()}, "{}", http.StatusAccepted},
+		{worker.URL + "/api/v1/compute", server.ComputeRequest{Configs: []sim.Config{jobs[0].Config}}, "null", http.StatusOK},
+		{coordURL + "/api/v1/heartbeat", fabric.HeartbeatRequest{ID: reg.ID}, "\n\tgarbage", http.StatusOK},
+		{coordURL + "/api/v1/workers", fabric.RegisterRequest{Name: "w", URL: worker.URL}, ",", http.StatusOK},
+	} {
+		body := mustJSON(t, tc.body)
+		if status, msg := post(tc.url, append(body, tc.trailer...), nil); status != http.StatusBadRequest ||
+			!strings.Contains(msg, strings.TrimSpace(tc.trailer)) {
+			t.Errorf("POST %s with %q after the body: status %d (%s), want 400 naming it", tc.url, tc.trailer, status, msg)
+		}
+		if status, msg := post(tc.url, append(body, " \r\n\t"...), nil); status != tc.ok {
+			t.Errorf("POST %s with whitespace after the body: status %d (%s), want %d", tc.url, status, msg, tc.ok)
+		}
+	}
+}
+
 // TestHeartbeatReusesConnection: the agent decodes nothing from a
 // heartbeat's reply, and a reply closed unread costs its keep-alive
 // connection — one new TCP connection per beat per worker, for as long

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
-	"runtime/debug"
 
 	"svard/internal/cache"
 	"svard/internal/exec"
@@ -50,7 +48,7 @@ type ComputeResponse struct {
 // its configured parallelism. Per-cell simulation failures are
 // reported in the cell (the batch continues); config validation
 // failures, shutdown, and ctx cancellation fail the whole batch, and so
-// does a cell whose simulator panics (a *workerFault).
+// does a cell whose simulator panics (an *exec.PanicError).
 func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]ComputeCell, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -63,14 +61,8 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
 	}
-	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (_ ComputeCell, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = &workerFault{cell: i, value: v, stack: debug.Stack()}
-			}
-		}()
-		cfg := cfgs[i]
-		res, key, computed, err := s.cell.Run(ctx, cfg, nil)
+	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (ComputeCell, error) {
+		res, key, computed, err := s.cell.Run(ctx, cfgs[i], nil)
 		cell := ComputeCell{Key: key}
 		if err == nil {
 			cell.Entry, err = cache.Seal(key, res)
@@ -88,40 +80,21 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 	})
 }
 
-// workerFault is a compute batch's cell whose simulator panicked: a fault
-// of the worker, not of the request. Its message carries the panic value;
-// the stack goes to the log.
-type workerFault struct {
-	cell  int
-	value any
-	stack []byte
-}
-
-func (f *workerFault) Error() string { return fmt.Sprintf("config %d: panic: %v", f.cell, f.value) }
-
 // handleCompute serves POST /api/v1/compute. A batch the worker could not
-// compute because a cell panicked is a 500; one it refuses is a 400.
+// compute because a cell panicked is a 500 whose body names the panic
+// value; the stack goes to the log.
 func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 	var req ComputeRequest
-	if !decodeBody(w, r, "compute request", &req) {
+	if !DecodeBody(w, r, maxRequestBody, "compute request", &req) {
 		return
 	}
 	if len(req.Configs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("compute request has no configs"))
+		WriteError(w, http.StatusBadRequest, errors.New("compute request has no configs"))
 		return
 	}
 	cells, err := s.sched.ComputeBatch(r.Context(), req.Configs)
 	if err != nil {
-		var fault *workerFault
-		switch {
-		case errors.Is(err, ErrShuttingDown), r.Context().Err() != nil:
-			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.As(err, &fault):
-			log.Printf("compute: %v\n%s", fault, fault.stack)
-			writeError(w, http.StatusInternalServerError, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		WriteError(w, StatusOf(r, err), clientError("compute", err))
 		return
 	}
 	resp := ComputeResponse{Cells: cells}
@@ -130,8 +103,5 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 			resp.Served++
 		}
 	}
-	// Written compact: a sealed entry opens only as the exact bytes Seal
-	// wrote, and writeJSON's indenting encoder would re-indent it.
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

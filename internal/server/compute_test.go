@@ -186,6 +186,38 @@ func TestComputeBatchPanicIs500(t *testing.T) {
 	}
 }
 
+// TestPanickingJobReportsTheValue: a campaign job whose simulator panics
+// fails as a compute batch does: the job's error, as GET and the event
+// stream carry it, names the panic value, and the stack goes to the log.
+func TestPanickingJobReportsTheValue(t *testing.T) {
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	panicking := func(sim.Config) (sim.Result, error) { panic("simulator exploded") }
+	_, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: panicking})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	info, err := c.Submit(ctx, tinySpec(), "panicking", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last server.Event
+	info, err = c.Wait(ctx, info.ID, func(ev server.Event) error { last = ev; return nil })
+	if info.State != server.StateFailed {
+		t.Fatalf("job %s, %v; want failed", info.State, err)
+	}
+	for what, msg := range map[string]string{"job": info.Error, "final event": last.Error} {
+		if !strings.Contains(msg, "simulator exploded") || strings.Contains(msg, "goroutine ") {
+			t.Errorf("%s error %q: want the panic value without the stack", what, msg)
+		}
+	}
+	if l := logged.String(); !strings.Contains(l, "simulator exploded") || !strings.Contains(l, "goroutine ") {
+		t.Errorf("the log lacks the panic and its stack:\n%s", l)
+	}
+}
+
 // TestComputeBatchRejectsBadInput: empty batches and invalid configs
 // are 400s, not half-run batches.
 func TestComputeBatchRejectsBadInput(t *testing.T) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -16,8 +15,7 @@ import (
 // orchestrator (or a curl) sees queue pressure at a glance.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	counts := s.sched.stateCounts()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": int64(time.Since(s.start).Seconds()),
 		"queued":         counts[StateQueued],

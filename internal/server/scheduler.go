@@ -422,7 +422,7 @@ func (s *Scheduler) run(j *job) {
 	case j.ctx.Err() != nil:
 		j.finishLocked(StateCanceled, context.Cause(j.ctx))
 	default:
-		j.finishLocked(StateFailed, err)
+		j.finishLocked(StateFailed, clientError("job "+j.id, err))
 	}
 }
 

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"strconv"
 	"time"
 
 	"svard/internal/cache"
 	"svard/internal/campaign"
+	"svard/internal/exec"
 	"svard/internal/sim"
 )
 
@@ -109,63 +111,82 @@ type errorBody struct {
 // 4 MiB admits a paper-scale 120-mix spec and a 1024-cell batch.
 const maxRequestBody = 4 << 20
 
-// decodeBody decodes r's size-capped JSON body into v. A field v does
-// not have, such as a misspelling or a config's Core or NoSkip, is
-// refused by name, not silently dropped. On failure it answers 413
-// (body over maxRequestBody) or 400 and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		return true
+// DecodeBody decodes r's JSON body, capped at limit bytes, into v by
+// campaign.DecodeJSON's rule: the one decoder of the request bodies of
+// both daemons, the service and the fabric coordinator. On failure it
+// answers StatusOf's class (413 over the cap, else 400 naming what is
+// wrong) and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := campaign.DecodeJSON(http.MaxBytesReader(w, r.Body, limit), what, v)
+	if err != nil {
+		WriteError(w, StatusOf(r, err), err)
 	}
-	status := http.StatusBadRequest
+	return err == nil
+}
+
+// StatusOf is the status class of a request that failed with err: 413
+// for a body over its cap, 503 while the server shuts down or once the
+// request is cancelled, 500 for a panic (a fault of the server, not of
+// the request), and 400 for anything else: the request is wrong.
+func StatusOf(r *http.Request, err error) int {
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
+	var p *exec.PanicError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrShuttingDown), r.Context().Err() != nil:
+		return http.StatusServiceUnavailable
+	case errors.As(err, &p):
+		return http.StatusInternalServerError
 	}
-	writeError(w, status, fmt.Errorf("decode %s: %w", what, err))
-	return false
+	return http.StatusBadRequest
+}
+
+// clientError is err as a client reads it: a panic is reported by its
+// value, and its stack goes to the log under what, for the daemon's
+// operator alone.
+func clientError(what string, err error) error {
+	var p *exec.PanicError
+	if !errors.As(err, &p) {
+		return err
+	}
+	log.Printf("%s: %v", what, err)
+	return fmt.Errorf("a cell panicked: %v", p.Value)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if !decodeBody(w, r, "submit request", &req) {
+	if !DecodeBody(w, r, maxRequestBody, "submit request", &req) {
 		return
 	}
 	info, err := s.sched.Submit(req.Spec, req.Name, req.Priority)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrShuttingDown) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		WriteError(w, StatusOf(r, err), err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, info)
+	WriteJSON(w, http.StatusAccepted, info)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.Jobs())
+	WriteJSON(w, http.StatusOK, s.sched.Jobs())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	info, err := s.sched.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	info, err := s.sched.Cancel(r.PathValue("id"), r.URL.Query().Get("reason"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleEvents streams the job's progress as NDJSON: every line one
@@ -178,14 +199,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("from"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad from=%q: %w", q, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad from=%q: %w", q, err))
 			return
 		}
 		from = v
 	}
 	// Probe for existence before committing the streaming response.
 	if _, err := s.sched.Job(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 
@@ -223,15 +244,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	out, info, err := s.sched.Outcome(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	if out == nil {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; results exist only for %s jobs", info.ID, info.State, StateDone))
 		return
 	}
-	writeJSON(w, http.StatusOK, ResultResponse{Job: info, Outcome: *out})
+	WriteJSON(w, http.StatusOK, ResultResponse{Job: info, Outcome: *out})
 }
 
 // handleTrace serves a job's flight-recorder timeline as Chrome
@@ -241,7 +262,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr, info, err := s.sched.Trace(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -260,26 +281,28 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !cache.WellFormedKey(key) {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("malformed cell key %q: want 64 lowercase hex chars (a cache.Key)", key))
 		return
 	}
 	res, ok := s.store.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no cached cell for key %s", key))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no cached cell for key %s", key))
 		return
 	}
-	writeJSON(w, http.StatusOK, CellResponse{Key: key, Result: res})
+	WriteJSON(w, http.StatusOK, CellResponse{Key: key, Result: res})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as compact JSON: the one encoder of
+// both daemons' replies, so a compute reply's sealed entries go out as
+// the bytes cache.Seal wrote.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
+// WriteError answers status with {"error": err}, every non-2xx JSON body.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorBody{Error: err.Error()})
 }
