@@ -20,8 +20,9 @@ type Cell struct {
 
 	// Sim replaces the simulator a miss falls back to (tests inject
 	// counting or failing runners; they run unrecorded). nil is the one
-	// default: sim.PooledRunRecorded, allocation-flat on the process-wide
-	// arena pool and bit-identical to a run from fresh allocations.
+	// default: sim.PooledRunRecorded, allocation-flat on the default
+	// simulator environment's arena pool and bit-identical to a run from
+	// fresh allocations.
 	Sim sim.Runner
 
 	// Slots, when non-nil, bounds concurrent simulations across everything

@@ -9,6 +9,7 @@ import (
 
 	"svard/internal/cache"
 	"svard/internal/exec"
+	"svard/internal/obs"
 	"svard/internal/sim"
 )
 
@@ -48,7 +49,9 @@ type ComputeResponse struct {
 // its configured parallelism. Per-cell simulation failures are
 // reported in the cell (the batch continues); config validation
 // failures, shutdown, and ctx cancellation fail the whole batch, and so
-// does a cell whose simulator panics (an *exec.PanicError).
+// does a cell whose simulator panics (an *exec.PanicError). Each cell
+// runs under a recorder of its own, and what the batch's cells counted
+// joins the /metrics rollups.
 func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]ComputeCell, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -61,8 +64,10 @@ func (s *Scheduler) ComputeBatch(ctx context.Context, cfgs []sim.Config) ([]Comp
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
 	}
+	recs := make([]obs.Recorder, len(cfgs))
+	defer s.addBatch(recs)
 	return exec.MapCtx(ctx, s.workers, len(cfgs), func(i int) (ComputeCell, error) {
-		res, key, computed, err := s.cell.Run(ctx, cfgs[i], nil)
+		res, key, computed, err := s.cell.Run(ctx, cfgs[i], &recs[i])
 		cell := ComputeCell{Key: key}
 		if err == nil {
 			cell.Entry, err = cache.Seal(key, res)

@@ -96,17 +96,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("svard_uptime_seconds %g", uptime)
 
 	// Flight-recorder rollups: the full obs counter glossary summed
-	// across all retained jobs, plus a compact per-job breakdown (the
-	// full per-cell detail lives behind GET /api/v1/jobs/{id}/trace).
-	rollups := s.sched.traceRollups()
-	var agg obs.Counters
-	for _, r := range rollups {
-		agg.Add(r.totals)
-	}
+	// across all retained jobs and compute batches, plus a compact
+	// per-job breakdown (the full per-cell detail lives behind GET
+	// /api/v1/jobs/{id}/trace).
+	agg, rollups := s.sched.traceRollups()
 	aggMap := agg.Map()
 	for _, info := range obs.Glossary() {
 		name := "svard_obs_" + info.Name + "_total"
-		m("# HELP %s %s (summed over retained jobs).", name, info.Help)
+		m("# HELP %s %s (summed over retained jobs and compute batches).", name, info.Help)
 		m("# TYPE %s counter", name)
 		m("%s %d", name, aggMap[info.Name])
 	}
@@ -161,14 +158,27 @@ type jobRollup struct {
 }
 
 // traceRollups snapshots every retained job's counter totals in
-// submission order.
-func (s *Scheduler) traceRollups() []jobRollup {
+// submission order, and sums them with every compute batch's.
+func (s *Scheduler) traceRollups() (sum obs.Counters, jobs []jobRollup) {
 	s.mu.Lock()
 	order := append([]*job(nil), s.order...)
+	sum = s.batches
 	s.mu.Unlock()
-	out := make([]jobRollup, 0, len(order))
+	jobs = make([]jobRollup, 0, len(order))
 	for _, j := range order {
-		out = append(out, jobRollup{info: j.info(), totals: j.trace.Totals()})
+		r := jobRollup{info: j.info(), totals: j.trace.Totals()}
+		sum.Add(r.totals)
+		jobs = append(jobs, r)
 	}
-	return out
+	return sum, jobs
+}
+
+// addBatch adds the counters of a compute batch's cells to the
+// scheduler's total.
+func (s *Scheduler) addBatch(recs []obs.Recorder) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range recs {
+		s.batches.Add(recs[i].Counters)
+	}
 }

@@ -229,6 +229,7 @@ type Scheduler struct {
 	active  int
 	nextSeq int64
 	closed  bool
+	batches obs.Counters // what every compute batch's cells counted
 
 	wg        sync.WaitGroup
 	cellsDone atomic.Uint64 // completed cells across all jobs, ever

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -14,6 +15,7 @@ import (
 	"svard/internal/campaign"
 	"svard/internal/obs"
 	"svard/internal/server"
+	"svard/internal/sim"
 )
 
 // TestJobTraceEndpoint: a finished job's trace downloads as valid
@@ -130,6 +132,29 @@ func TestMetricsObsRollups(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("metrics body:\n%s", text)
+	}
+
+	// A compute batch on the default simulator — a fabric worker's work —
+	// moves the rollups too.
+	_, w := newService(t, t.TempDir(), server.Config{Workers: 1})
+	cfg := tinySpec().Base
+	cfg.Mix, cfg.Defense, cfg.NRH = []string{"mcf06", "lbm06"}, "para", 64
+	cfg.RowsPerBank, cfg.CellsPerRow, cfg.InstrPerCore, cfg.WarmupPerCore = 1024, 1024, 2_000, 500
+	if _, err := w.Compute(ctx, []sim.Config{cfg}); err != nil {
+		t.Fatal(err)
+	}
+	text = scrapeMetrics(t, w)
+	if !strings.Contains(text, "\nsvard_obs_cells_computed_total 1\n") {
+		t.Error("a computed batch cell is not in svard_obs_cells_computed_total")
+	}
+	var ticks uint64
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, "svard_obs_sim_ticks_total "); ok {
+			ticks, _ = strconv.ParseUint(v, 10, 64)
+		}
+	}
+	if ticks == 0 {
+		t.Error("a computed batch cell ticked no cycles in svard_obs_sim_ticks_total")
 	}
 }
 

@@ -95,7 +95,7 @@ func TestHBM2SpreadsTraffic(t *testing.T) {
 	cfg := diffBase()
 	cfg.Backend = "hbm2"
 	cfg.Mix = []string{"mcf06", "ycsb-a"}
-	m, err := newMachine(cfg)
+	m, err := testEnv(nil).newMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

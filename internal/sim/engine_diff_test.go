@@ -124,7 +124,7 @@ func TestEngineDifferential(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/%s/svard=%v", defense, mixName, svard)
 				t.Run(name, func(t *testing.T) {
-					t.Parallel() // cases share only the concurrency-safe module cache and arena pool
+					t.Parallel() // cases share only the concurrency-safe module table
 					cfg := diffBase()
 					cfg.Defense = defense
 					cfg.Mix = mix
@@ -157,7 +157,7 @@ func TestEngineDifferentialHBM2(t *testing.T) {
 		for mixName, mix := range diffMixes() {
 			name := fmt.Sprintf("%s/%s", defense, mixName)
 			t.Run(name, func(t *testing.T) {
-				t.Parallel() // cases share only the concurrency-safe module cache and arena pool
+				t.Parallel() // cases share only the concurrency-safe module table
 				cfg := diffBase()
 				cfg.Backend = "hbm2"
 				cfg.Defense = defense
@@ -177,7 +177,7 @@ func TestEngineDifferentialHBM2(t *testing.T) {
 
 // TestEngineIdentity: on the fixture shape with all five defenses, the
 // Fig. 12 and Fig. 13 sweeps fold the same cells under the event engine,
-// on the process-wide arena pool and twin memo as a sweep runs, as under
+// on the default env's arenas and twin memo as a sweep runs, as under
 // the per-cycle reference loop (watched by the protocol checker), on
 // both backends.
 func TestEngineIdentity(t *testing.T) {
@@ -244,7 +244,7 @@ func TestEngineDifferentialTruncated(t *testing.T) {
 func TestEngineSkipsCycles(t *testing.T) {
 	cfg := diffBase()
 	cfg.Mix = []string{"mcf06", "ycsb-a"}
-	m, err := newMachine(cfg)
+	m, err := testEnv(nil).newMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestEngineSkipsCycles(t *testing.T) {
 	}
 
 	// The reference loop ticks every cycle by definition.
-	mn, err := newMachine(cfg)
+	mn, err := testEnv(nil).newMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestExactFinishCycle(t *testing.T) {
 	cfg := diffBase()
 	cfg.Mix = []string{"mcf06", "ycsb-a"}
 	for name, loop := range map[string]engineLoop{"skip": (*machine).runSkip, "naive": (*machine).runNaive} {
-		m, err := newMachine(cfg)
+		m, err := testEnv(nil).newMachine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestTruncatedIPCExcludesWarmup(t *testing.T) {
 	cfg.Mix = []string{"mcf06", "ycsb-a"}
 	cfg.InstrPerCore = 1 << 40 // never finishes: always truncated
 	cfg.MaxCycles = 60_000
-	m, err := newMachine(cfg)
+	m, err := testEnv(nil).newMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

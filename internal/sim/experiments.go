@@ -16,8 +16,8 @@ import (
 // work — the campaign engine (internal/campaign) injects a runner that
 // consults the content-addressed result cache before falling back to the
 // simulator. A nil Runner means PooledRun (bit-identical to Run, on the
-// process-wide state pool). A Runner must be deterministic in its Config
-// (Run and PooledRun are) and safe for concurrent use.
+// default environment's arena pool). A Runner must be deterministic in
+// its Config (Run and PooledRun are) and safe for concurrent use.
 type Runner func(Config) (Result, error)
 
 // Job is one simulation of a sweep's flat job list: the full Config it

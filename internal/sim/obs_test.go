@@ -25,16 +25,16 @@ func TestRecordedMatchesUnrecorded(t *testing.T) {
 		cfg.Mix = []string{"mcf06", "ycsb-a"}
 		cfg.Svard = defense != "none"
 		held := &twinMemo{}
-		if _, err := runOn(newPoolState(), twinConfig(cfg), nil, held); err != nil {
+		if _, err := testEnv(held).runOn(newPoolState(), twinConfig(cfg), nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, memo := range []*twinMemo{nil, held} {
-			plain, err := runOn(newPoolState(), cfg, nil, memo)
+			plain, err := testEnv(memo).runOn(newPoolState(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := &obs.Recorder{}
-			recorded, err := runOn(newPoolState(), cfg, rec, memo)
+			recorded, err := testEnv(memo).runOn(newPoolState(), cfg, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,9 +73,8 @@ func TestRecordedMatchesUnrecorded(t *testing.T) {
 // TestRecorderCounterInvariants cross-checks the engine counters
 // against the engine's own contract: the naive loop ticks every cycle,
 // so naive ticks == skip ticks + skipped cycles; and every jump is
-// attributed to exactly one bound source. Both runs simulate (no twin
-// memo): a static cell may replay a stream another test's temporal leg
-// left in the process-wide memo, and a replay ticks nothing.
+// attributed to exactly one bound source. Both runs simulate (each
+// machine is built with no twin memo): a replay ticks nothing.
 func TestRecorderCounterInvariants(t *testing.T) {
 	cfg := diffBase()
 	cfg.Defense = "para"
@@ -145,7 +144,7 @@ func TestPooledRecordedDeterministic(t *testing.T) {
 	cfg.Defense = "rrs"
 	cfg.Mix = []string{"lbm06", "ycsb-a"}
 	held := &twinMemo{}
-	if _, err := runOn(newPoolState(), twinConfig(cfg), nil, held); err != nil {
+	if _, err := testEnv(held).runOn(newPoolState(), twinConfig(cfg), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, memo := range []*twinMemo{nil, held} {
@@ -155,7 +154,7 @@ func TestPooledRecordedDeterministic(t *testing.T) {
 		dirty.Mix = []string{"attack:hydra", "mcf06"}
 		dirty.MaxCycles = 30_000
 		dirtyRec := &obs.Recorder{}
-		if _, err := runOn(st, dirty, dirtyRec, memo); err != nil {
+		if _, err := testEnv(memo).runOn(st, dirty, dirtyRec); err != nil {
 			t.Fatal(err)
 		}
 		if dirtyRec.Counters.Ticks == 0 {
@@ -163,12 +162,12 @@ func TestPooledRecordedDeterministic(t *testing.T) {
 		}
 
 		freshRec := &obs.Recorder{}
-		fresh, err := runOn(newPoolState(), cfg, freshRec, memo)
+		fresh, err := testEnv(memo).runOn(newPoolState(), cfg, freshRec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pooledRec := &obs.Recorder{}
-		pooled, err := runOn(st, cfg, pooledRec, memo)
+		pooled, err := testEnv(memo).runOn(st, cfg, pooledRec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +184,7 @@ func TestPooledRecordedDeterministic(t *testing.T) {
 
 		// A nil recorder on the dirty arena is the disabled path and must
 		// still work.
-		nilRes, err := runOn(st, cfg, nil, memo)
+		nilRes, err := testEnv(memo).runOn(st, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +205,7 @@ func TestRecorderPhases(t *testing.T) {
 	replayed.Defense = "rrs" // never acts at nRH 1024 on this shape
 	replayed.Mix = []string{"mcf06", "ycsb-a"}
 	held := &twinMemo{}
-	if _, err := runOn(newPoolState(), twinConfig(replayed), nil, held); err != nil {
+	if _, err := testEnv(held).runOn(newPoolState(), twinConfig(replayed), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -219,7 +218,7 @@ func TestRecorderPhases(t *testing.T) {
 		{"replayed", replayed, held, []obs.Phase{obs.PhaseBuild, obs.PhaseRun, obs.PhaseFold}},
 	} {
 		rec := &obs.Recorder{}
-		if _, err := runOn(newPoolState(), tc.cfg, rec, tc.memo); err != nil {
+		if _, err := testEnv(tc.memo).runOn(newPoolState(), tc.cfg, rec); err != nil {
 			t.Fatal(err)
 		}
 		if want := map[bool]uint64{true: 1}[tc.memo != nil]; rec.Counters.TwinReplays != want {

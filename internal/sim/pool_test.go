@@ -20,7 +20,7 @@ func TestPooledVsFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pooled differential matrix is seconds-scale")
 	}
-	pool := &arenaPool{}
+	pool := testEnv(defaultEnv.memo)
 	defenses := append([]string{"none"}, DefenseNames...)
 	for _, defense := range defenses {
 		for mixName, mix := range diffMixes() {
@@ -55,12 +55,11 @@ func TestPooledVsFresh(t *testing.T) {
 // truncated run (whose controller queues, in-flight victim refreshes,
 // core windows, and defense counters all stop mid-flight) is followed
 // on the same arena by a different full-length configuration, which must
-// match a fresh run bit for bit. Every run simulates (no twin memo): a
-// static cell may replay a stream another test's temporal leg left in
-// the process-wide memo, and a replay builds no machine on its arena.
+// match a fresh run bit for bit. Every run simulates (an env with no twin
+// memo): a replay builds no machine on its arena.
 func TestPoolDirtyReuse(t *testing.T) {
 	arena := newPoolState()
-	run := func(st *poolState, cfg Config) (Result, error) { return runOn(st, cfg, nil, nil) }
+	run := func(st *poolState, cfg Config) (Result, error) { return testEnv(nil).runOn(st, cfg, nil) }
 
 	dirty := diffBase()
 	dirty.Defense = "hydra"
@@ -111,16 +110,16 @@ func TestPoolDirtyReuse(t *testing.T) {
 	diverging := diffBase()
 	diverging.Defense = "rrs"
 	diverging.Mix = []string{"mcf06", "ycsb-a"}
-	if _, err := runOn(st, twinConfig(diverging), nil, memo); err != nil {
+	if _, err := testEnv(memo).runOn(st, twinConfig(diverging), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{diverging, clean} {
 		var rec obs.Recorder
-		pooled, err := runOn(st, cfg, &rec, memo)
+		pooled, err := testEnv(memo).runOn(st, cfg, &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := runOn(newPoolState(), cfg, nil, nil)
+		fresh, err := testEnv(nil).runOn(newPoolState(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +145,7 @@ func TestPoolDirtyReuse(t *testing.T) {
 	young.AgeEpochs = 0
 	recorder := leg
 	recorder.Temporal = &young
-	if _, err := runOn(st, recorder, nil, memo); err != nil {
+	if _, err := testEnv(memo).runOn(st, recorder, nil); err != nil {
 		t.Fatal(err)
 	}
 	static := leg
@@ -155,11 +154,11 @@ func TestPoolDirtyReuse(t *testing.T) {
 	other.NRH *= 2
 	for _, cfg := range []Config{leg, static, other} {
 		var rec obs.Recorder
-		pooled, err := runOn(st, cfg, &rec, memo)
+		pooled, err := testEnv(memo).runOn(st, cfg, &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := runOn(newPoolState(), cfg, nil, nil)
+		fresh, err := testEnv(nil).runOn(newPoolState(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +177,7 @@ func TestPoolDirtyReuse(t *testing.T) {
 // shrinks back, with a truncated HBM2 run left mid-flight in between —
 // and every cell must match fresh construction bit for bit.
 func TestPoolBackendAlternationHBM2(t *testing.T) {
-	pool := &arenaPool{}
+	pool := testEnv(defaultEnv.memo)
 	base := diffBase()
 	base.Mix = []string{"mcf06", "ycsb-a"}
 	base.Defense = "para"
@@ -229,7 +228,7 @@ func TestPoolGeometryInterleave(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized geometry interleave is seconds-scale")
 	}
-	pool := &arenaPool{}
+	pool := testEnv(defaultEnv.memo)
 	r := rng.New(0xD00DF00D)
 	rows := []int{1024, 2048, 4096}
 	cores := []int{1, 2, 3}
@@ -309,10 +308,10 @@ func TestArenaBuildAllocs(t *testing.T) {
 		cfg.Mix = []string{"mcf06", "ycsb-a"}
 		cfg.InstrPerCore, cfg.WarmupPerCore = 2_000, 500
 		st := newPoolState()
-		if _, err := runOn(st, cfg, nil, nil); err != nil {
+		if _, err := testEnv(nil).runOn(st, cfg, nil); err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(5, func() { runOn(st, cfg, nil, nil) }); n > pinned {
+		if n := testing.AllocsPerRun(5, func() { testEnv(nil).runOn(st, cfg, nil) }); n > pinned {
 			t.Errorf("%s: a warm pooled build and run allocates %v objects, want at most %d", backend, n, pinned)
 		}
 	}

@@ -94,7 +94,7 @@ type bandValues struct {
 // engine's caching runner, cold, warm, or mid-resume.
 //
 // The whole job list runs in one pass, so the sweep holds one Result
-// per cell; the module cache keeps at most maxResidentPopModules
+// per cell; a module table keeps at most maxResidentPopModules
 // calibrated modules, evicting the oldest as new ones are built.
 func RunPopulationCtx(ctx context.Context, opt PopulationOptions) ([]BandCell, error) {
 	jobs, err := PopulationJobs(opt)

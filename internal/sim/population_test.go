@@ -109,25 +109,24 @@ func smallPopulation(n int) PopulationOptions {
 	return opt
 }
 
-// residentPopulationModules lists the synthetic modules the module cache
-// holds.
-func residentPopulationModules() []string {
-	var resident []string
-	moduleCache.Range(func(k, _ any) bool {
-		if strings.HasPrefix(k.(string), population.LabelPrefix) {
-			resident = append(resident, k.(string))
+// residentPopulationModules lists the synthetic modules mods holds.
+func residentPopulationModules(mods *moduleTable) []moduleKey {
+	var resident []moduleKey
+	for k := range mods.entries {
+		if strings.HasPrefix(k.label, population.LabelPrefix) {
+			resident = append(resident, k)
 		}
-		return true
-	})
+	}
 	return resident
 }
 
 // TestPopulationModulesBounded: a population cell reaches the module
-// cache through every route — a sweep, a compute batch, the fabric
+// table through every route — a sweep, a compute batch, the fabric
 // coordinator's local fallback — and each module pins megabytes of
 // per-row tables, so 10K chips must never stay resident. However many
-// distinct modules run, at most maxResidentPopModules remain cached.
-// Four goroutines share the work, as a worker's slots do.
+// distinct modules run, at most maxResidentPopModules remain in the
+// table. Four goroutines share the work, as a worker's slots do, on an
+// env whose table holds nothing else.
 func TestPopulationModulesBounded(t *testing.T) {
 	opt := smallPopulation(3 * maxResidentPopModules)
 	jobs, err := PopulationJobs(opt)
@@ -135,6 +134,7 @@ func TestPopulationModulesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	perModule := len(jobs) / opt.Population.Size
+	e := &env{modules: &moduleTable{}}
 	const slots = 4
 	var wg sync.WaitGroup
 	for s := 0; s < slots; s++ {
@@ -142,7 +142,7 @@ func TestPopulationModulesBounded(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := s * perModule; i < len(jobs); i += slots * perModule {
-				if _, err := PooledRun(jobs[i].Config); err != nil {
+				if _, err := e.run(jobs[i].Config, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -150,7 +150,7 @@ func TestPopulationModulesBounded(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	if resident := residentPopulationModules(); len(resident) > maxResidentPopModules {
+	if resident := residentPopulationModules(e.modules); len(resident) > maxResidentPopModules {
 		t.Fatalf("%d population modules resident after running %d, want <= %d",
 			len(resident), opt.Population.Size, maxResidentPopModules)
 	}
@@ -163,7 +163,7 @@ func TestPopulationSweepEvictsModules(t *testing.T) {
 	if _, err := RunPopulationCtx(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
-	if resident := residentPopulationModules(); len(resident) > maxResidentPopModules {
+	if resident := residentPopulationModules(defaultEnv.modules); len(resident) > maxResidentPopModules {
 		t.Fatalf("%d population modules still cached after the sweep, want <= %d: %v",
 			len(resident), maxResidentPopModules, resident)
 	}

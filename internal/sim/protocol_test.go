@@ -34,7 +34,7 @@ func (p *protocolTally) run(cfg Config) (Result, error) {
 // none) and, when watch is not nil, tells watch every command each
 // channel's controller issues, after the checker has seen it.
 func (p *protocolTally) runWatched(cfg Config, loop engineLoop, rec *obs.Recorder, watch func(ch int, mc *memctrl.Controller, cmd mem.Command)) (Result, error) {
-	m, err := newMachine(cfg)
+	m, err := testEnv(nil).newMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}

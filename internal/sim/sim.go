@@ -173,14 +173,28 @@ type Result struct {
 	Finished   bool
 }
 
-// moduleCache memoizes calibrated modules and captured profiles, which
-// are reused across the hundreds of runs of an experiment sweep. The
-// cache is singleflight-style: each key carries its own sync.Once, so
-// concurrent workers building *distinct* modules calibrate in parallel,
-// while duplicate requests for the same key coalesce onto one build (a
-// single global lock here would serialize the entire parallel sweep
-// behind the expensive BuildScaled+Capture path).
-var moduleCache sync.Map // key string -> *moduleEntry
+// moduleTable memoizes calibrated modules and captured profiles, which
+// are reused across the hundreds of runs of an experiment sweep. It is
+// singleflight-style: each entry carries its own sync.Once and builds
+// outside the table's lock, so concurrent workers building *distinct*
+// modules calibrate in parallel, while duplicate requests for the same
+// key coalesce onto one build (holding the lock across the build would
+// serialize the entire parallel sweep behind the expensive
+// BuildScaled+Capture path). A lookup that finds its entry allocates
+// nothing. The zero value is an empty table.
+type moduleTable struct {
+	mu      sync.Mutex
+	entries map[moduleKey]*moduleEntry
+	pop     []moduleKey // the resident population modules, oldest first
+}
+
+// moduleKey identifies a calibrated module: its label, scaled geometry
+// and seed.
+type moduleKey struct {
+	label              string
+	rows, cells, banks int
+	seed               uint64
+}
 
 type moduleEntry struct {
 	once sync.Once
@@ -193,85 +207,83 @@ type moduleEntry struct {
 	// Deliberate trade: eager (16 B/row — 4 MB per module at the default
 	// 8K rows, ~67 MB at the paper's 128K) in exchange for hundreds of
 	// sweep runs skipping the per-run, per-touched-row rederivation. A
-	// Table 5 module stays for the process; a synthetic population
-	// module is one of many, each run for a few cells, so at most
-	// maxResidentPopModules of those stay (admitPopModule).
+	// Table 5 module stays in its table; a synthetic population module
+	// is one of many, each run for a few cells, so at most
+	// maxResidentPopModules of those stay.
 	hcBase []float64
 	psi    []float64
 	err    error
 }
 
 // maxResidentPopModules caps the synthetic population modules
-// ("pop:<seed>:<index>") the module cache holds, whichever route their
+// ("pop:<seed>:<index>") a module table holds, whichever route their
 // cells arrive by — a population sweep, a compute batch, the fabric
 // coordinator's local fallback. A sweep dispatches its jobs module-major
 // with at most Workers in flight, so only the last few modules it
-// admitted are still being simulated when one is evicted.
+// admitted are still being simulated when one is evicted. Eviction is
+// only a cache hint: an in-flight run holding the entry pointer keeps
+// using it, and a later request for an evicted module rebuilds it.
 const maxResidentPopModules = 16
 
-// popResident lists the cached population modules' keys, oldest first.
-var popResident struct {
-	sync.Mutex
-	keys []string
-}
-
-// admitPopModule records a population module just added to the cache and
-// evicts the oldest beyond maxResidentPopModules. Eviction is only a
-// cache hint: an in-flight run holding the entry pointer keeps using it,
-// and a later request for an evicted module simply rebuilds it.
-func admitPopModule(key string) {
-	popResident.Lock()
-	defer popResident.Unlock()
-	popResident.keys = append(popResident.keys, key)
-	for len(popResident.keys) > maxResidentPopModules {
-		moduleCache.Delete(popResident.keys[0])
-		popResident.keys = popResident.keys[1:]
-	}
-}
-
-func buildModule(label string, rows, cells, banks int, seed uint64) (*moduleEntry, error) {
-	key := fmt.Sprintf("%s/%d/%d/%d/%d", label, rows, cells, banks, seed)
-	v, loaded := moduleCache.LoadOrStore(key, &moduleEntry{})
-	if !loaded && strings.HasPrefix(label, population.LabelPrefix) {
-		admitPopModule(key)
-	}
-	e := v.(*moduleEntry)
-	e.once.Do(func() {
-		spec, ok := profile.SpecByLabel(label)
-		if !ok {
-			// Synthetic population modules ("pop:<seed>:<index>") resolve
-			// through the Monte Carlo sampler; any other unknown label is
-			// an error.
-			spec, ok = population.SpecForLabel(label)
+// get returns the calibrated module of key, building it on first use.
+func (t *moduleTable) get(key moduleKey) (*moduleEntry, error) {
+	t.mu.Lock()
+	e := t.entries[key]
+	if e == nil {
+		if t.entries == nil {
+			t.entries = make(map[moduleKey]*moduleEntry)
 		}
-		if !ok {
-			e.err = fmt.Errorf("sim: unknown module %q", label)
-			return
-		}
-		m, err := profile.BuildScaled(spec, seed, rows, cells)
-		if err != nil {
-			e.err = err
-			return
-		}
-		// Profile every bank the simulated system exposes so Svärd's
-		// per-bank lookups never fall back across banks (security).
-		all := make([]int, banks)
-		for i := range all {
-			all[i] = i
-		}
-		e.mod = m
-		e.prof = profile.Capture(m.NewModel(), label, all).Unscaled()
-		model := disturb.NewModel(m.Params, m.Geom)
-		e.hcBase = make([]float64, banks*rows)
-		e.psi = make([]float64, banks*rows)
-		for b := 0; b < banks; b++ {
-			for r := 0; r < rows; r++ {
-				e.hcBase[b*rows+r] = model.HCFirst(b, r)
-				e.psi[b*rows+r] = model.PressPsi(b, r)
+		e = &moduleEntry{}
+		t.entries[key] = e
+		if strings.HasPrefix(key.label, population.LabelPrefix) {
+			t.pop = append(t.pop, key)
+			for len(t.pop) > maxResidentPopModules {
+				delete(t.entries, t.pop[0])
+				t.pop = t.pop[1:]
 			}
 		}
-	})
+	}
+	t.mu.Unlock()
+	e.once.Do(func() { e.build(key) })
 	return e, e.err
+}
+
+// build calibrates key's module and derives its per-row tables.
+func (e *moduleEntry) build(key moduleKey) {
+	label, rows, banks := key.label, key.rows, key.banks
+	spec, ok := profile.SpecByLabel(label)
+	if !ok {
+		// Synthetic population modules ("pop:<seed>:<index>") resolve
+		// through the Monte Carlo sampler; any other unknown label is
+		// an error.
+		spec, ok = population.SpecForLabel(label)
+	}
+	if !ok {
+		e.err = fmt.Errorf("sim: unknown module %q", label)
+		return
+	}
+	m, err := profile.BuildScaled(spec, key.seed, rows, key.cells)
+	if err != nil {
+		e.err = err
+		return
+	}
+	// Profile every bank the simulated system exposes so Svärd's
+	// per-bank lookups never fall back across banks (security).
+	all := make([]int, banks)
+	for i := range all {
+		all[i] = i
+	}
+	e.mod = m
+	e.prof = profile.Capture(m.NewModel(), label, all).Unscaled()
+	model := disturb.NewModel(m.Params, m.Geom)
+	e.hcBase = make([]float64, banks*rows)
+	e.psi = make([]float64, banks*rows)
+	for b := 0; b < banks; b++ {
+		for r := 0; r < rows; r++ {
+			e.hcBase[b*rows+r] = model.HCFirst(b, r)
+			e.psi[b*rows+r] = model.PressPsi(b, r)
+		}
+	}
 }
 
 // buildDefense constructs the configured defense over thresholds th.
@@ -438,20 +450,6 @@ func (ct *chanThresholds) ActivationBudget(bank, row int) float64 {
 
 func (ct *chanThresholds) MinBudget() float64 { return ct.th.MinBudget() }
 
-// newMachine builds the simulated system of cfg on an empty arena: the
-// build runOn does, with no twin memo.
-func newMachine(cfg Config) (*machine, error) {
-	st := newPoolState()
-	l, err := newLayout(cfg)
-	if err == nil {
-		err = l.arm(st)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return l.assemble(st)
-}
-
 // poolState is one worker's reusable simulation arena: the machine
 // itself, the per-channel controllers (with the DRAM systems, queues,
 // and per-row tables inside), the cores (windows, LLCs, MSHR records),
@@ -516,9 +514,10 @@ type layout struct {
 	th           core.Thresholds
 }
 
-// newLayout validates cfg and derives its layout; it is where a bad
-// input surfaces as an error before any cycle conversion divides by it.
-func newLayout(cfg Config) (layout, error) {
+// newLayout validates cfg and derives its layout over the calibrated
+// modules of mods; it is where a bad input surfaces as an error before
+// any cycle conversion divides by it.
+func newLayout(cfg Config, mods *moduleTable) (layout, error) {
 	if cfg.Cores <= 0 || len(cfg.Mix) != cfg.Cores {
 		return layout{}, fmt.Errorf("sim: mix has %d entries for %d cores", len(cfg.Mix), cfg.Cores)
 	}
@@ -533,7 +532,7 @@ func newLayout(cfg Config) (layout, error) {
 	l.mcCfg = memctrl.ConfigFor(backend.Geom, cfg.RowsPerBank, cfg.CPUGHz)
 	l.banksPerChan = l.mcCfg.Ranks * l.mcCfg.BankGroups * l.mcCfg.BanksPerGroup
 
-	l.entry, err = buildModule(cfg.ModuleLabel, cfg.RowsPerBank, cfg.CellsPerRow, l.nchan*l.banksPerChan, cfg.Seed)
+	l.entry, err = mods.get(moduleKey{cfg.ModuleLabel, cfg.RowsPerBank, cfg.CellsPerRow, l.nchan * l.banksPerChan, cfg.Seed})
 	if err != nil {
 		return layout{}, err
 	}
@@ -859,6 +858,29 @@ func (m *machine) run(cfg Config, loop engineLoop) Result {
 	return res
 }
 
+// env is the simulator's environment: the calibrated modules a build
+// reads, the twin memo a run reads and feeds, and the idle arenas of its
+// pooled runs. Each piece is shared by every run on the env and by
+// nothing else; defaultEnv is the one the exported entry points run on.
+type env struct {
+	modules *moduleTable
+	memo    *twinMemo // nil: no replay and no recording, the forced full simulation
+
+	// arenas holds idle *poolState: a paper-scale sweep rebuilds its
+	// multi-megabyte simulator (LLC arrays, tracker accrual tables,
+	// defense counters, controller queues) hundreds of times, and a
+	// pooled run Reset()s one arena instead, so cells execute
+	// allocation-flat once the arenas are warm. Concurrent runs never
+	// share one, and idle ones stay collectable under memory pressure.
+	arenas sync.Pool
+}
+
+// defaultEnv backs Run, RunRecorded, PooledRun and PooledRunRecorded:
+// every sweep, campaign cell, job and compute batch in the process shares
+// its modules, memo and arenas, so consecutive sweeps (and benchmark
+// iterations) stay warm.
+var defaultEnv = &env{modules: &moduleTable{}, memo: &twinMemo{}}
+
 // runOn is the one body behind every entry point below: build the
 // machine on arena st (an empty one for a fresh run), drive it to
 // completion, fold the Result. rec may be nil — every Recorder
@@ -869,9 +891,8 @@ func (m *machine) run(cfg Config, loop engineLoop) Result {
 // pooled and fresh paths are bit-identical by construction, and the
 // pooled differential tests enforce it.
 //
-// memo is the twin memo the run reads and feeds (nil: neither, the
-// forced full simulation the exactness tests compare against). A cell
-// memo holds a log for is first replayed from it: a static defense cell
+// e.memo is the twin memo the run reads and feeds. A cell the memo
+// holds a log for is first replayed from it: a static defense cell
 // from its defense-free twin's, where at the defense's first throttle or
 // directive the armed half is reset and the cell simulates in full,
 // exactly as without a memo; any cell from another leg's stream of its
@@ -879,13 +900,13 @@ func (m *machine) run(cfg Config, loop engineLoop) Result {
 // armed. A cell that simulates without having diverged is recorded while
 // it runs unless the memo holds or is recording its twin or its family's
 // stream. See twin.go.
-func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result, error) {
+func (e *env) runOn(st *poolState, cfg Config, rec *obs.Recorder) (Result, error) {
 	rec.Begin(obs.PhaseBuild)
-	l, err := newLayout(cfg)
+	l, err := newLayout(cfg, e.modules)
 	var tw *twin
 	eligible, stream := false, false
 	if err == nil {
-		tw, eligible = memo.replayable(&cfg)
+		tw, eligible = e.memo.replayable(&cfg)
 		stream = tw != nil && sameStream(&tw.cfg, &cfg)
 		if stream {
 			l.armTracker(st)
@@ -935,66 +956,44 @@ func runOn(st *poolState, cfg Config, rec *obs.Recorder, memo *twinMemo) (Result
 	} else if eligible && tw == nil {
 		m.obs.TwinMissed = 1
 	}
-	memo.record(&cfg, m)
-	defer memo.abandon(m.tracker)
+	e.memo.record(&cfg, m)
+	defer e.memo.abandon(m.tracker)
 	res := m.run(cfg, (*machine).runSkip)
-	memo.finish(m.tracker, res)
+	e.memo.finish(m.tracker, res)
 	return res, nil
 }
 
+// run is runOn on one of e's idle arenas: allocation-flat once warm, and
+// bit-identical to a fresh arena after any geometry or truncated run
+// (pool_test.go).
+func (e *env) run(cfg Config, rec *obs.Recorder) (Result, error) {
+	st, _ := e.arenas.Get().(*poolState)
+	if st == nil {
+		st = newPoolState()
+	}
+	// The arena stays reusable after a failed build: every Reset fully
+	// reinitializes, regardless of how far the build got.
+	defer e.arenas.Put(st)
+	return e.runOn(st, cfg, rec)
+}
+
 // Run executes one simulation from fresh allocations.
-func Run(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil, &twins) }
+func Run(cfg Config) (Result, error) { return defaultEnv.runOn(newPoolState(), cfg, nil) }
 
 // RunRecorded is Run with a flight recorder attached: the run's engine
 // and controller counters fold into rec.Counters, and the build,
 // warmup, run, and fold phases are stamped onto rec. A nil rec makes
 // this exactly Run.
 func RunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
-	return runOn(newPoolState(), cfg, rec, &twins)
+	return defaultEnv.runOn(newPoolState(), cfg, rec)
 }
 
-// arenaPool executes simulations on reusable state arenas. A paper-scale
-// sweep rebuilds its multi-megabyte simulator (LLC arrays, tracker
-// accrual tables, defense counters, controller queues) hundreds of
-// times; the pool Reset()s one arena per worker instead, so cells
-// execute allocation-flat once the arenas are warm. Results are
-// bit-identical to Run for every configuration — each component's Reset
-// restores the exact state its constructor produces, and the pooled
-// differential tests (pool_test.go) enforce it, including reuse across
-// different geometries and after truncated runs.
-//
-// An arenaPool is safe for concurrent use: arenas are handed out through
-// a sync.Pool, so concurrent runs never share one (idle arenas remain
-// collectable under memory pressure).
-type arenaPool struct {
-	p sync.Pool
-}
+// PooledRun is Run on the default environment's arena pool — the default
+// executor of every sweep and of the campaign cell path (campaign.Cell).
+// Bit-identical to Run.
+func PooledRun(cfg Config) (Result, error) { return defaultEnv.run(cfg, nil) }
 
-// run is RunRecorded on a pooled arena. Allocation-flat: the recorder is
-// caller-owned, the counters are plain fields, and the phase stamps
-// write into a fixed array.
-func (p *arenaPool) run(cfg Config, rec *obs.Recorder) (Result, error) {
-	st, _ := p.p.Get().(*poolState)
-	if st == nil {
-		st = newPoolState()
-	}
-	// The arena stays reusable after a failed build: every Reset fully
-	// reinitializes, regardless of how far the build got.
-	defer p.p.Put(st)
-	return runOn(st, cfg, rec, &twins)
-}
-
-// defaultPool backs PooledRun: one process-wide arena pool shared by
-// every sweep, so consecutive sweeps (and benchmark iterations) stay
-// warm.
-var defaultPool arenaPool
-
-// PooledRun is Run on the process-wide state pool — the default
-// executor of every sweep and of the campaign cell path
-// (campaign.Cell). Bit-identical to Run.
-func PooledRun(cfg Config) (Result, error) { return defaultPool.run(cfg, nil) }
-
-// PooledRunRecorded is RunRecorded on the process-wide state pool.
+// PooledRunRecorded is RunRecorded on the default environment's arena pool.
 func PooledRunRecorded(cfg Config, rec *obs.Recorder) (Result, error) {
-	return defaultPool.run(cfg, rec)
+	return defaultEnv.run(cfg, rec)
 }

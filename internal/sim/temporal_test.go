@@ -52,7 +52,7 @@ func TestEngineDifferentialTemporal(t *testing.T) {
 			name += fmt.Sprintf("/truncated@%d", l.maxCycles)
 		}
 		t.Run(name, func(t *testing.T) {
-			t.Parallel() // cases share only the concurrency-safe module cache and arena pool
+			t.Parallel() // cases share only the concurrency-safe module table
 			cfg := diffBase()
 			cfg.Defense = l.defense
 			cfg.Mix = diffMixes()[l.mix]
@@ -100,12 +100,12 @@ func TestTemporalMovesOnlyViolations(t *testing.T) {
 			cfg.Defense = defense
 			cfg.Mix = mix
 			cfg.Svard = defense != "none"
-			static, err := runOn(newPoolState(), cfg, nil, nil)
+			static, err := testEnv(nil).runOn(newPoolState(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Temporal = diffTemporal()
-			drifted, err := runOn(newPoolState(), cfg, nil, nil)
+			drifted, err := testEnv(nil).runOn(newPoolState(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func FuzzTemporalMovesOnlyViolations(f *testing.F) {
 		}
 		do := func(cfg Config, memo *twinMemo) run {
 			var rec obs.Recorder
-			res, err := runOn(newPoolState(), cfg, &rec, memo)
+			res, err := testEnv(memo).runOn(newPoolState(), cfg, &rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestZeroProcessIsStatic(t *testing.T) {
 			}
 			memo := &twinMemo{budget: 1 << 30} // holds the attacked shape's streams
 			results, err := RunJobs(context.Background(), 0, func(cfg Config) (Result, error) {
-				return runOn(newPoolState(), cfg, nil, memo)
+				return testEnv(memo).runOn(newPoolState(), cfg, nil)
 			}, jobs)
 			if err != nil {
 				t.Fatal(err)
@@ -270,7 +270,7 @@ func TestPoolDirtyTemporalReuse(t *testing.T) {
 	st := newPoolState()
 	run := func(st *poolState, cfg Config) Result {
 		t.Helper()
-		res, err := runOn(st, cfg, nil, nil)
+		res, err := testEnv(nil).runOn(st, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,22 +351,22 @@ func TestErosionMarginShifts(t *testing.T) {
 // gives, extended to the temporal legs whose trajectories must be pure
 // functions of (seed, bank, row, epoch) regardless of which worker
 // samples them. The serial sweep simulates every cell in full (no twin
-// memo); the parallel one records and replays through a private memo,
-// whatever the other tests left in the process-wide one.
+// memo); the parallel one records and replays through an env with a
+// memo of its own, whatever other tests left in the default env's.
 func TestErosionDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("erosion sweep is seconds-scale")
 	}
 	opt := erosionTestOptions()
 	opt.Workers = 1
-	opt.Runner = func(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil, nil) }
+	opt.Runner = func(cfg Config) (Result, error) { return testEnv(nil).runOn(newPoolState(), cfg, nil) }
 	serial, err := RunErosionCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 7
 	memo := &twinMemo{}
-	opt.Runner = func(cfg Config) (Result, error) { return runOn(newPoolState(), cfg, nil, memo) }
+	opt.Runner = func(cfg Config) (Result, error) { return testEnv(memo).runOn(newPoolState(), cfg, nil) }
 	parallel, err := RunErosionCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)

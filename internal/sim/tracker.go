@@ -31,7 +31,7 @@ import (
 type secTracker struct {
 	model  *disturb.Model
 	live   liveView  // ground-truth thresholds (== calibration when static)
-	psi    []float64 // RowPress susceptibility per [bank*rows+row], from buildModule
+	psi    []float64 // RowPress susceptibility per [bank*rows+row], from moduleEntry.build
 	cpuGHz float64
 
 	rows         int

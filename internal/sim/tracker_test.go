@@ -36,7 +36,7 @@ func TestTrackerFloorMatchesExact(t *testing.T) {
 		epoch  = 4096 // cycles
 	)
 	base := tinyBase()
-	entry, err := buildModule(base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, banks, base.Seed)
+	entry, err := defaultEnv.modules.get(moduleKey{base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, banks, base.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTrackerFloorMatchesExact(t *testing.T) {
 func TestTrackerEndRun(t *testing.T) {
 	const epoch = 4096
 	base := tinyBase()
-	entry, err := buildModule(base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, 1, base.Seed)
+	entry, err := defaultEnv.modules.get(moduleKey{base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, 1, base.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTrackerClosedForm(t *testing.T) {
 		k     = 100
 	)
 	base := tinyBase()
-	entry, err := buildModule(base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, banks, base.Seed)
+	entry, err := defaultEnv.modules.get(moduleKey{base.ModuleLabel, base.RowsPerBank, base.CellsPerRow, banks, base.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestTrackerClosedForm(t *testing.T) {
 func BenchmarkTrackerOnPre(b *testing.B) {
 	cfg := tinyBase()
 	cfg.NRH, cfg.Mix = 64, []string{"mcf06", "ycsb-a"}
-	l, err := newLayout(cfg)
+	l, err := newLayout(cfg, defaultEnv.modules)
 	if err != nil {
 		b.Fatal(err)
 	}

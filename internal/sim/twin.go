@@ -47,25 +47,25 @@ import (
 //
 // Only the event engine reads or feeds the memo (the reference loop
 // runs without one). A log still being recorded, evicted, too long to
-// keep or never recorded in this process leaves its cells to simulate in full
+// keep or never recorded in this env leaves its cells to simulate in full
 // (twin_missed): the replay never waits for a log and never runs a cell
 // it was not asked for. TestTwinReplay*, FuzzTwinReplay and
 // FuzzTemporalMovesOnlyViolations hold replay to the full simulation bit
 // for bit.
 
-// twinBudget bounds the bytes of command log the process-wide memo
-// holds; the least recently used log goes first. It is sized from
-// measured logs (EXPERIMENTS.md, "Twin replay"). A twin of the
-// benchmark's Fig. 12 shape (2 cores, 20K+4K instructions) logs 80–175
-// KB, so the ten twins a benchmark process records over its five set-up
-// seeds take ~1.3 MB. A stream of the benchmark's erosion shape (the
-// same sizing) logs 78–330 KiB, and the 16 of one seed take 2.4 MB, so
-// every other leg of a pass finds its stream. A twin of svard-sweep's
-// default shape (8 cores, 150K+30K instructions) logs 5.2–9.5 MB, more
-// than its share, so that sweep simulates every cell as it would without
-// a memo. Holding those twins is a trade the budget declines: at 64 MiB
-// the memo kept 9 of the 12 and saved 15–28 % of the sweep's CPU, but its
-// peak RSS went from 52–54 MB to 212 MB.
+// twinBudget bounds the bytes of command log an env's memo holds; the
+// least recently used log goes first. It is sized from measured logs
+// (EXPERIMENTS.md, "Twin replay"). A twin of the benchmark's Fig. 12
+// shape (2 cores, 20K+4K instructions) logs 80–175 KB, so the ten twins
+// a benchmark process records over its five set-up seeds take ~1.3 MB.
+// A stream of the benchmark's erosion shape (the same sizing) logs
+// 78–330 KiB, and the 16 of one seed take 2.4 MB, so every other leg of
+// a pass finds its stream. A twin of svard-sweep's default shape (8
+// cores, 150K+30K instructions) logs 5.2–9.5 MB, more than its share, so
+// that sweep simulates every cell as it would without a memo. Holding
+// those twins is a trade the budget declines: at 64 MiB the memo kept 9
+// of the 12 and saved 15–28 % of the sweep's CPU, but its peak RSS went
+// from 52–54 MB to 212 MB.
 const twinBudget = 4 << 20
 
 // twinShare caps one log at 1/twinShare of the budget: the memo always
@@ -77,10 +77,6 @@ const twinShare = 8
 // twinOverhead is what a held log is charged beyond its entries: its
 // Config, Result and bookkeeping.
 const twinOverhead = 512
-
-// twins is the process-wide memo every Run* entry point reads and feeds,
-// beside the module cache.
-var twins twinMemo
 
 // twinMemo holds the command logs of recently run defense-free twins and
 // stream recorders. Safe for concurrent use.

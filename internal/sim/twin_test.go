@@ -34,11 +34,11 @@ func replayOrFull(t *testing.T, st *poolState, memo *twinMemo, cfg Config) obs.C
 func replayOrFullResult(t *testing.T, st *poolState, memo *twinMemo, cfg Config) (Result, obs.Counters) {
 	t.Helper()
 	var rec, full obs.Recorder
-	got, err := runOn(st, cfg, &rec, memo)
+	got, err := testEnv(memo).runOn(st, cfg, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runOn(newPoolState(), cfg, &full, nil)
+	want, err := testEnv(nil).runOn(newPoolState(), cfg, &full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 					probe := twinConfig(j.Config)
 					probe.Defense = "para"
 					if tw, _ := memo.replayable(&probe); j.Config.Temporal == nil && tw == nil {
-						if _, err := runOn(newPoolState(), twinConfig(j.Config), nil, memo); err != nil {
+						if _, err := testEnv(memo).runOn(newPoolState(), twinConfig(j.Config), nil); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -208,7 +208,7 @@ func TestTwinMemoConcurrent(t *testing.T) {
 		var replays atomic.Uint64
 		runner := func(cfg Config) (Result, error) {
 			var rec obs.Recorder
-			res, err := runOn(newPoolState(), cfg, &rec, memo)
+			res, err := testEnv(memo).runOn(newPoolState(), cfg, &rec)
 			replays.Add(rec.Counters.TwinReplays)
 			return res, err
 		}
@@ -441,7 +441,7 @@ func FuzzTwinReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		cfg := fuzzConfig(seed)
 		memo := &twinMemo{budget: 1 << 30} // holds any twin fuzzConfig names
-		if _, err := runOn(newPoolState(), twinConfig(cfg), nil, memo); err != nil {
+		if _, err := testEnv(memo).runOn(newPoolState(), twinConfig(cfg), nil); err != nil {
 			t.Fatal(err)
 		}
 		c := replayOrFull(t, newPoolState(), memo, cfg)

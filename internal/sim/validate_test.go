@@ -51,7 +51,7 @@ func FuzzValidatedConfigRuns(f *testing.F) {
 		// A live draw costs O(epochs elapsed): at one cycle per epoch the
 		// cap keeps an input's run near a second.
 		cfg.MaxCycles = min(cfg.MaxCycles, 10_000)
-		if _, err := runOn(newPoolState(), cfg, nil, nil); err != nil {
+		if _, err := testEnv(nil).runOn(newPoolState(), cfg, nil); err != nil {
 			t.Fatalf("validated config did not run: %v\n%+v", err, cfg)
 		}
 	})

@@ -31,7 +31,7 @@ import (
 // unscaled true HCfirst per flat [bank*rows+row] index plus the §7.1
 // profile scaling factor, both fixed at run start.
 type calibrationView struct {
-	hcBase []float64 // unscaled true HCfirst per [bank*rows+row], from buildModule
+	hcBase []float64 // unscaled true HCfirst per [bank*rows+row], from moduleEntry.build
 	factor float64   // profile scaling factor (§7.1 future-chip scaling)
 }
 
