@@ -49,10 +49,13 @@ type Table5Row struct {
 func Table5(m *profile.Module, stride int) Table5Row {
 	model := m.NewModel()
 	levels := disturb.HammerLevels()
+	reg := model.RegularRows(stride)
+	hcs := make([]float64, len(reg))
 	minV, maxV, sum, n := math.Inf(1), 0.0, 0.0, 0
 	for _, b := range profile.TestedBanks() {
-		for row := 0; row < m.Geom.RowsPerBank; row += stride {
-			q := censoredLevel(levels, model.HCFirst(b, row))
+		model.HCFirstBank(hcs, reg, b, stride)
+		for _, hc := range hcs {
+			q := censoredLevel(levels, hc)
 			if q < minV {
 				minV = q
 			}
@@ -168,11 +171,13 @@ func Fig5(m *profile.Module, stride int) []Fig5Level {
 	model := m.NewModel()
 	levels := disturb.HammerLevels()
 	banks := profile.TestedBanks()
+	reg := model.RegularRows(stride)
+	qs := make([]float64, len(reg))
 	perBank := make([][]float64, len(banks))
 	for bi, b := range banks {
-		var qs []float64
-		for row := 0; row < m.Geom.RowsPerBank; row += stride {
-			qs = append(qs, censoredLevel(levels, model.HCFirst(b, row)))
+		model.HCFirstBank(qs, reg, b, stride)
+		for i, hc := range qs {
+			qs[i] = censoredLevel(levels, hc)
 		}
 		perBank[bi] = stats.HistogramDiscrete(qs, levels).Fractions()
 	}
@@ -325,12 +330,16 @@ func Fig10(m *profile.Module, agingDays float64, stride int) []Fig10Cell {
 	after.AgingDays = agingDays
 	levels := disturb.HammerLevels()
 	banks := profile.TestedBanks()
+	reg := before.RegularRows(stride)
+	hcBefore, hcAfter := make([]float64, len(reg)), make([]float64, len(reg))
 	counts := map[[2]float64]int{}
 	totals := map[float64]int{}
 	for _, b := range banks {
-		for row := 0; row < m.Geom.RowsPerBank; row += stride {
-			qb := censoredLevel(levels, before.HCFirst(b, row))
-			qa := censoredLevel(levels, after.HCFirst(b, row))
+		before.HCFirstBank(hcBefore, reg, b, stride)
+		after.HCFirstBank(hcAfter, reg, b, stride)
+		for i := range reg {
+			qb := censoredLevel(levels, hcBefore[i])
+			qa := censoredLevel(levels, hcAfter[i])
 			counts[[2]float64{qb, qa}]++
 			totals[qb]++
 		}

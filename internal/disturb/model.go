@@ -205,12 +205,35 @@ func (m *Model) Regular(row int) float64 {
 	return sum / wsum
 }
 
+// RegularRows returns Regular at rows 0, stride, 2·stride, … of a bank:
+// the bank-independent input of HCFirstBank, drawn once per module.
+func (m *Model) RegularRows(stride int) []float64 {
+	reg := make([]float64, (m.Geom.RowsPerBank+stride-1)/stride)
+	for i := range reg {
+		reg[i] = m.Regular(i * stride)
+	}
+	return reg
+}
+
+// BankTerm returns the bank's offset of ln hcMid: banks look alike up to
+// this small jitter (Obsv. 2). LnHCMid adds it only when BankJitter is
+// positive.
+func (m *Model) BankTerm(bank int) float64 {
+	return m.P.BankJitter * rng.NormalAt(m.P.Seed, domBank, uint64(bank))
+}
+
 // LnHCMid returns ln of the row's median-cell threshold (in double-sided
 // hammers at the reference tAggOn and temperature).
 func (m *Model) LnHCMid(bank, row int) float64 {
-	v := m.P.LnHCMid + m.P.RegAmp*m.Regular(row)
+	return m.lnHCMid(m.Regular(row), m.BankTerm(bank))
+}
+
+// lnHCMid composes ln hcMid from the row's regular field reg (Regular)
+// and the bank term (BankTerm).
+func (m *Model) lnHCMid(reg, bankTerm float64) float64 {
+	v := m.P.LnHCMid + m.P.RegAmp*reg
 	if m.P.BankJitter > 0 {
-		v += m.P.BankJitter * rng.NormalAt(m.P.Seed, domBank, uint64(bank))
+		v += bankTerm
 	}
 	return v
 }
@@ -255,7 +278,11 @@ func (m *Model) structBit(t StructTerm, row int) bool {
 // pattern, and 80°C) at which the row's weakest cell flips. Aging is not
 // applied here; see HCFirst.
 func (m *Model) LnHCFirst(bank, row int) float64 {
-	v := m.LnHCMid(bank, row) - m.lift + m.P.IrrSigma*m.Irregular(bank, row)
+	return m.lnHCFirst(m.Regular(row), m.BankTerm(bank), bank, row)
+}
+
+func (m *Model) lnHCFirst(reg, bankTerm float64, bank, row int) float64 {
+	v := m.lnHCMid(reg, bankTerm) - m.lift + m.P.IrrSigma*m.Irregular(bank, row)
 	if m.P.CapHC > 0 {
 		if cap := math.Log(m.P.CapHC); v > cap {
 			return cap
@@ -267,17 +294,31 @@ func (m *Model) LnHCFirst(bank, row int) float64 {
 // HCFirst returns the row's true HCfirst in double-sided hammers,
 // including the module's aging state.
 func (m *Model) HCFirst(bank, row int) float64 {
-	base := math.Exp(m.LnHCFirst(bank, row))
+	return m.hcFirst(m.Regular(row), m.BankTerm(bank), bank, row)
+}
+
+// HCFirstBank writes HCFirst(bank, i·stride) to dst[i] for every entry
+// of reg, which holds RegularRows(stride): one bank's rows with the
+// bank term drawn once and the regular field drawn once per module
+// instead of once per call. It is HCFirst's one composition, so every
+// value is bit for bit the point query's.
+func (m *Model) HCFirstBank(dst, reg []float64, bank, stride int) {
+	dst = dst[:len(reg)]
+	off := m.BankTerm(bank)
+	for i, r := range reg {
+		dst[i] = m.hcFirst(r, off, bank, i*stride)
+	}
+}
+
+// hcFirst is the one composition of a row's HCfirst: the regular field
+// reg of its row, the term of its bank, its irregular latent, and the
+// module's aging state.
+func (m *Model) hcFirst(reg, bankTerm float64, bank, row int) float64 {
+	base := math.Exp(m.lnHCFirst(reg, bankTerm, bank, row))
 	if m.AgingDays <= 0 {
 		return base
 	}
 	return m.agedHCFirst(bank, row, base)
-}
-
-// QuantizedHCFirst returns the smallest tested hammer level at which the
-// row flips, with ok=false when the row survives even the largest level.
-func (m *Model) QuantizedHCFirst(bank, row int, levels []float64) (float64, bool) {
-	return Quantize(levels, m.HCFirst(bank, row))
 }
 
 // BER returns the fraction of the row's cells that flip under eff

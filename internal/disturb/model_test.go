@@ -1,6 +1,9 @@
 package disturb
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -413,5 +416,75 @@ func TestStructuredTermsShiftHCFirst(t *testing.T) {
 	}
 	if odd/500 >= even/500 {
 		t.Error("RowBit structured term did not weaken bit-set rows")
+	}
+}
+
+// modelVariants are the testModel settings the bank-at-a-time form and
+// the model digest are checked under: with and without the bank jitter,
+// the HCfirst cap, structured terms and aging.
+var modelVariants = []struct {
+	name string
+	set  func(m *Model)
+}{
+	{"default", func(m *Model) {}},
+	{"no-jitter", func(m *Model) { m.P.BankJitter = 0 }},
+	{"capped", func(m *Model) { m.P.CapHC = 60 * K }},
+	{"struct", func(m *Model) {
+		m.P.Struct = []StructTerm{{Kind: SubarrayBit, Bit: 1, Amp: 0.5}, {Kind: DistanceBit, Bit: 2, Amp: 0.3}}
+	}},
+	{"aged", func(m *Model) { m.AgingDays = 68 }},
+}
+
+// TestHCFirstBankMatchesPointQuery: the bank-at-a-time form is the point
+// query bit for bit, strided or not, under every model variant.
+func TestHCFirstBankMatchesPointQuery(t *testing.T) {
+	for _, v := range modelVariants {
+		m := testModel()
+		v.set(m)
+		for _, stride := range []int{1, 3} {
+			reg := m.RegularRows(stride)
+			if want := (m.Geom.RowsPerBank + stride - 1) / stride; len(reg) != want {
+				t.Fatalf("%s: RegularRows(%d) has %d rows, want %d", v.name, stride, len(reg), want)
+			}
+			dst := make([]float64, len(reg))
+			for bank := 0; bank < m.Geom.Banks(); bank++ {
+				m.HCFirstBank(dst, reg, bank, stride)
+				for i, got := range dst {
+					if want := m.HCFirst(bank, i*stride); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s stride %d bank %d row %d: HCFirstBank %v, HCFirst %v", v.name, stride, bank, i*stride, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// modelDigest is the SHA-256 of the float64 bits of HCFirst then
+// PressPsi for every (bank, row) of testGeom, bank-major, under each of
+// modelVariants in turn. It moves with any reordering of the float
+// operations that compose a row's HCfirst, which the simulator's module
+// tables and the profile inherit; only a results-changing model change
+// re-records it.
+const modelDigest = "9bfa5bbae030786569c76b1e645b092e802923f6fbee63d50afb8f17a56097f3"
+
+func TestModelPinned(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, v := range modelVariants {
+		m := testModel()
+		v.set(m)
+		for bank := 0; bank < m.Geom.Banks(); bank++ {
+			for row := 0; row < m.Geom.RowsPerBank; row++ {
+				put(m.HCFirst(bank, row))
+				put(m.PressPsi(bank, row))
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != modelDigest {
+		t.Fatalf("HCFirst/PressPsi digest %s, want %s", got, modelDigest)
 	}
 }

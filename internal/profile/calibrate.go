@@ -6,6 +6,7 @@ import (
 
 	"svard/internal/disturb"
 	"svard/internal/dram"
+	"svard/internal/exec"
 	"svard/internal/rng"
 )
 
@@ -115,20 +116,25 @@ func calibrate(spec ModuleSpec, p disturb.Params, geom *dram.Geometry) (disturb.
 
 	banks := TestedBanks()
 	probe := disturb.NewModel(p, geom)
+	rows := geom.RowsPerBank
 
-	// Sample the latent fields once; calibration then works on arrays.
-	reg := make([]float64, geom.RowsPerBank)
-	for row := range reg {
-		reg[row] = probe.Regular(row)
-	}
-	irr := make([]float64, 0, len(banks)*geom.RowsPerBank)
-	bankOff := make([]float64, 0, len(banks)*geom.RowsPerBank)
-	for _, b := range banks {
-		off := p.BankJitter * rng.NormalAt(p.Seed, 0x12 /* domBank */, uint64(b))
-		for row := 0; row < geom.RowsPerBank; row++ {
-			irr = append(irr, probe.Irregular(b, row))
-			bankOff = append(bankOff, off)
+	// Sample the latent fields once; calibration then works on arrays:
+	// the regular field per row, the bank term per tested bank and the
+	// irregular latent per (bank, row), row-major, the banks in
+	// parallel. buf is the one scratch table of the whole calibration.
+	reg := probe.RegularRows(1)
+	offs := make([]float64, len(banks))
+	irr := make([]float64, len(banks)*rows)
+	buf := make([]float64, len(irr))
+	if _, err := exec.Map(0, len(banks), func(i int) (struct{}, error) {
+		offs[i] = probe.BankTerm(banks[i])
+		z := irr[i*rows : (i+1)*rows]
+		for row := range z {
+			z[row] = probe.Irregular(banks[i], row)
 		}
+		return struct{}{}, nil
+	}); err != nil {
+		return p, err
 	}
 	meanOf := func(xs []float64) float64 {
 		s := 0.0
@@ -147,6 +153,15 @@ func calibrate(spec ModuleSpec, p disturb.Params, geom *dram.Geometry) (disturb.
 	}
 	meanReg, stdReg := meanOf(reg), stdOf(reg)
 	meanIrr := meanOf(irr)
+	// The mean bank term over every (bank, row) sample, summed in
+	// sample order.
+	offSum := 0.0
+	for _, off := range offs {
+		for row := 0; row < rows; row++ {
+			offSum += off
+		}
+	}
+	meanOff := offSum / float64(len(irr))
 
 	const hc128 = 128 * K
 	x := disturb.PhiInv(spec.BER128 / p.BERSat) // standardized BER@128K position
@@ -182,9 +197,9 @@ func calibrate(spec ModuleSpec, p disturb.Params, geom *dram.Geometry) (disturb.
 
 			// IrrSigma: bisect so the sampled minimum hits the target.
 			target := math.Log(minTc) - lnHCMid + lift
-			irrSigma = bisectMin(reg, irr, bankOff, geom.RowsPerBank, regAmp, target)
+			irrSigma = bisectMin(buf, reg, offs, irr, regAmp, target)
 
-			rm = regAmp*meanReg + meanOf(bankOff) + irrSigma*meanIrr
+			rm = regAmp*meanReg + meanOff + irrSigma*meanIrr
 		}
 
 		out = p
@@ -194,21 +209,29 @@ func calibrate(spec ModuleSpec, p disturb.Params, geom *dram.Geometry) (disturb.
 		out.IrrSigma = irrSigma
 
 		// Correct the continuous average so the *quantized* average hits
-		// the Table 5 value (censored rows count as 128K, as in the paper).
+		// the Table 5 value (censored rows count as 128K, as in the paper):
+		// the banks quantize in parallel, the sum runs in (bank, row)
+		// order.
 		model := disturb.NewModel(out, geom)
-		sum := 0.0
-		n := 0
-		for _, b := range banks {
-			for row := 0; row < geom.RowsPerBank; row += 1 {
-				q, ok := model.QuantizedHCFirst(b, row, levels)
+		if _, err := exec.Map(0, len(banks), func(i int) (struct{}, error) {
+			qs := buf[i*rows : (i+1)*rows]
+			model.HCFirstBank(qs, reg, banks[i], 1)
+			for row, hc := range qs {
+				q, ok := disturb.Quantize(levels, hc)
 				if !ok {
 					q = 128 * K
 				}
-				sum += q
-				n++
+				qs[row] = q
 			}
+			return struct{}{}, nil
+		}); err != nil {
+			return p, err
 		}
-		qAvg := sum / float64(n)
+		sum := 0.0
+		for _, q := range buf {
+			sum += q
+		}
+		qAvg := sum / float64(len(buf))
 		adj := spec.AvgHC / qAvg
 		if math.Abs(adj-1) < 0.01 {
 			break
@@ -219,16 +242,24 @@ func calibrate(spec ModuleSpec, p disturb.Params, geom *dram.Geometry) (disturb.
 }
 
 // bisectMin finds s >= 0 such that
-// min over samples of (regAmp·reg[row] + bankOff[i] + s·irr[i]) = target,
+// min over samples of (regAmp·reg[row] + offs[bank] + s·irr[i]) = target,
 // where i indexes (bank, row) pairs row-major. The minimum is monotone
 // non-increasing in s, and target is below the s=0 minimum in all
-// calibrated modules.
-func bisectMin(reg, irr, bankOff []float64, rowsPerBank int, regAmp, target float64) float64 {
+// calibrated modules. base, as long as irr, is scratch: it holds the
+// s-independent regAmp·reg[row] + offs[bank] of every sample, summed
+// once instead of once per probe of s.
+func bisectMin(base, reg, offs, irr []float64, regAmp, target float64) float64 {
+	rows := len(reg)
+	for b, off := range offs {
+		for row, r := range reg {
+			base[b*rows+row] = regAmp*r + off
+		}
+	}
+	irr = irr[:len(base)]
 	minAt := func(s float64) float64 {
 		m := math.Inf(1)
-		for i := range irr {
-			v := regAmp*reg[i%rowsPerBank] + bankOff[i] + s*irr[i]
-			if v < m {
+		for i, c := range base {
+			if v := c + s*irr[i]; v < m {
 				m = v
 			}
 		}

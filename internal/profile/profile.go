@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"svard/internal/disturb"
+	"svard/internal/exec"
 )
 
 // VulnProfile is a captured per-row read disturbance vulnerability
@@ -57,32 +58,33 @@ func validateBanks(banks []int) error {
 // Capture profiles the given banks of a module under model m: for every
 // row, the analytic equivalent of sweeping Alg. 1's hammer counts and
 // recording the largest level with no bitflip. Censored rows (no flip
-// even at the top level) record the top level as safe. It panics on an
-// empty bank list or a level grid the uint8 bin encoding cannot hold —
-// both are programmer errors, never data.
+// even at the top level) record the top level as safe. The banks run in
+// parallel, each from its HCFirstBank table. It panics on an empty bank
+// list or a level grid the uint8 bin encoding cannot hold — both are
+// programmer errors, never data.
 func Capture(m *disturb.Model, label string, banks []int) *VulnProfile {
-	levels := disturb.HammerLevels()
-	if err := validateGrid(levels); err != nil {
+	rows := m.Geom.RowsPerBank
+	p := NewEmpty(label, rows, banks, disturb.HammerLevels())
+	reg := m.RegularRows(1)
+	if _, err := exec.Map(0, len(banks), func(i int) (struct{}, error) {
+		hc := make([]float64, rows)
+		m.HCFirstBank(hc, reg, banks[i], 1)
+		p.SetHCFirst(i, hc)
+		return struct{}{}, nil
+	}); err != nil {
 		panic(err)
-	}
-	if err := validateBanks(banks); err != nil {
-		panic(err)
-	}
-	p := &VulnProfile{
-		Label:       label,
-		RowsPerBank: m.Geom.RowsPerBank,
-		Banks:       append([]int(nil), banks...),
-		Levels:      levels,
-		Bins:        make([][]uint8, len(banks)),
-	}
-	for i, b := range banks {
-		bins := make([]uint8, m.Geom.RowsPerBank)
-		for row := 0; row < m.Geom.RowsPerBank; row++ {
-			bins[row] = safeIdx(levels, m.HCFirst(b, row))
-		}
-		p.Bins[i] = bins
 	}
 	return p
+}
+
+// SetHCFirst records the bins of the characterized bank at bankPos from
+// its rows' true HCfirst, hcFirst[row]: each row's safe level, as
+// Capture measures it. Calls for distinct banks may run concurrently.
+func (p *VulnProfile) SetHCFirst(bankPos int, hcFirst []float64) {
+	bins := p.Bins[bankPos]
+	for row, hc := range hcFirst {
+		bins[row] = safeIdx(p.Levels, hc)
+	}
 }
 
 func safeIdx(levels []float64, hcFirst float64) uint8 {

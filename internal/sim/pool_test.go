@@ -300,7 +300,7 @@ func TestArenaBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const pinned = 15
+	const pinned = 9
 	for _, backend := range []string{"ddr4-3200", "hbm2"} {
 		cfg := diffBase()
 		cfg.Backend = backend

@@ -17,6 +17,7 @@ import (
 	"svard/internal/cpu"
 	"svard/internal/disturb"
 	"svard/internal/dram"
+	"svard/internal/exec"
 	"svard/internal/mem"
 	"svard/internal/memctrl"
 	"svard/internal/mitigation"
@@ -180,7 +181,7 @@ type Result struct {
 // modules calibrate in parallel, while duplicate requests for the same
 // key coalesce onto one build (holding the lock across the build would
 // serialize the entire parallel sweep behind the expensive
-// BuildScaled+Capture path). A lookup that finds its entry allocates
+// calibration and table pass). A lookup that finds its entry allocates
 // nothing. The zero value is an empty table.
 type moduleTable struct {
 	mu      sync.Mutex
@@ -196,6 +197,12 @@ type moduleKey struct {
 	seed               uint64
 }
 
+// moduleEntry is one calibrated module and what build derives from it
+// in one pass over its banks, fanned out over exec.Map: each bank's
+// HCfirst from the model's bank-at-a-time form (the regular field drawn
+// once per module, the bank term once per bank), its psi, and its
+// profile bins binned from that HCfirst. Every value is bit for bit the
+// scalar model's (TestModuleTablesMatchModel).
 type moduleEntry struct {
 	once sync.Once
 	mod  *profile.Module
@@ -248,7 +255,8 @@ func (t *moduleTable) get(key moduleKey) (*moduleEntry, error) {
 	return e, e.err
 }
 
-// build calibrates key's module and derives its per-row tables.
+// build calibrates key's module, then fills its per-row tables and
+// profile in one parallel pass over the banks.
 func (e *moduleEntry) build(key moduleKey) {
 	label, rows, banks := key.label, key.rows, key.banks
 	spec, ok := profile.SpecByLabel(label)
@@ -274,16 +282,24 @@ func (e *moduleEntry) build(key moduleKey) {
 		all[i] = i
 	}
 	e.mod = m
-	e.prof = profile.Capture(m.NewModel(), label, all).Unscaled()
-	model := disturb.NewModel(m.Params, m.Geom)
+	model := m.NewModel()
+	prof := profile.NewEmpty(label, rows, all, disturb.HammerLevels())
+	reg := model.RegularRows(1)
 	e.hcBase = make([]float64, banks*rows)
 	e.psi = make([]float64, banks*rows)
-	for b := 0; b < banks; b++ {
-		for r := 0; r < rows; r++ {
-			e.hcBase[b*rows+r] = model.HCFirst(b, r)
-			e.psi[b*rows+r] = model.PressPsi(b, r)
+	if _, err := exec.Map(0, banks, func(b int) (struct{}, error) {
+		hc, psi := e.hcBase[b*rows:(b+1)*rows], e.psi[b*rows:(b+1)*rows]
+		model.HCFirstBank(hc, reg, b, 1)
+		for r := range psi {
+			psi[r] = model.PressPsi(b, r)
 		}
+		prof.SetHCFirst(b, hc)
+		return struct{}{}, nil
+	}); err != nil {
+		e.err = err
+		return
 	}
+	e.prof = prof.Unscaled()
 }
 
 // buildDefense constructs the configured defense over thresholds th.
