@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -662,6 +663,45 @@ func TestJournalTornLineAndResume(t *testing.T) {
 	defer r2.Close()
 	if n := loaded(r2); n != 3 || !r2.seen[k3] {
 		t.Errorf("resumed = %d, want 3 (key after torn line must survive)", n)
+	}
+}
+
+// TestJournalForeignHeaderStartsOver: a journal under this campaign's
+// name whose header is another campaign's (or torn) is replaced, not
+// appended to, so the keys this run notes are there for the next one.
+func TestJournalForeignHeaderStartsOver(t *testing.T) {
+	plan, err := tinySpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := strings.Repeat("11", 32), strings.Repeat("22", 32)
+	for _, foreign := range []string{
+		journalHeader + " " + strings.Repeat("cd", 32) + " total=10\n" + k1 + "\n",
+		journalHeader + " " + plan.Fingerprint[:8],
+	} {
+		dir := t.TempDir()
+		store := newStore(t, dir)
+		path := journalPath(dir, plan.Fingerprint)
+		if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenRecord(store, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := loaded(r); n != 0 {
+			t.Errorf("journal %q: resumed %d keys, want 0", foreign, n)
+		}
+		r.Done(k2, true)
+		r.Close()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%s %s total=%d\n%s\n", journalHeader, plan.Fingerprint, len(plan.Jobs), k2)
+		if string(b) != want {
+			t.Errorf("journal %q rewritten as %q, want %q", foreign, b, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -63,37 +64,44 @@ func OpenRecord(store *cache.Store, plan Plan) (*Record, error) {
 	if store.Dir() == "" {
 		return r, nil
 	}
-	path := journalPath(store.Dir(), fp)
-
-	if b, err := os.ReadFile(path); err == nil {
-		lines := strings.Split(string(b), "\n")
-		if len(lines) > 0 && strings.HasPrefix(lines[0], journalHeader+" "+fp) {
-			for _, line := range lines[1:] {
-				line = strings.TrimSpace(line)
-				if cache.WellFormedKey(line) { // anything else: torn write or foreign bytes
-					r.seen[line] = true
-				}
-			}
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: reopen journal: %w", err)
-			}
-			// A crash mid-append can leave the file without a trailing
-			// newline; terminate the torn line so the next key is not
-			// glued onto it (and lost with it when the next run loads the file).
-			if len(b) > 0 && b[len(b)-1] != '\n' {
-				fmt.Fprintln(f)
-			}
-			r.f = f
-			return r, nil
-		}
-		// Header mismatch: a different (or corrupt) campaign's file
-		// under a colliding name — start over rather than miscount.
-	}
-
-	f, err := os.Create(path)
+	// One open serves the load and every later append.
+	f, err := os.OpenFile(journalPath(store.Dir(), fp), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: create journal: %w", err)
+		return nil, fmt.Errorf("campaign: open journal: %w", err)
+	}
+	// Read it in one buffer sized by its length, as os.ReadFile does.
+	var buf bytes.Buffer
+	if info, err := f.Stat(); err == nil {
+		buf.Grow(int(info.Size()) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: read journal: %w", err)
+	}
+	b := buf.Bytes()
+	if first, rest, _ := strings.Cut(string(b), "\n"); strings.HasPrefix(first, journalHeader+" "+fp) {
+		for rest != "" {
+			var line string
+			line, rest, _ = strings.Cut(rest, "\n")
+			line = strings.TrimSpace(line)
+			if cache.WellFormedKey(line) { // anything else: torn write or foreign bytes
+				r.seen[line] = true
+			}
+		}
+		// A crash mid-append can leave the file without a trailing
+		// newline; terminate the torn line so the next key is not
+		// glued onto it (and lost with it when the next run loads the file).
+		if b[len(b)-1] != '\n' {
+			fmt.Fprintln(f)
+		}
+		r.f = f
+		return r, nil
+	}
+	// No journal, or a different (or corrupt) campaign's file under a
+	// colliding name: start over rather than miscount.
+	if err := f.Truncate(0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: truncate journal: %w", err)
 	}
 	if _, err := fmt.Fprintf(f, "%s %s total=%d\n", journalHeader, fp, len(plan.Jobs)); err != nil {
 		f.Close()

@@ -148,8 +148,8 @@ func (c *Client) Events(ctx context.Context, id string, from int, fn func(server
 		if len(line) == 0 {
 			continue
 		}
-		var ev server.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
+		ev, err := server.ParseEvent(line)
+		if err != nil {
 			return fmt.Errorf("client: bad event line %q: %w", line, err)
 		}
 		if err := fn(ev); err != nil {

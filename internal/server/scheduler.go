@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,23 +41,6 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
-// Event is one record of a job's progress stream: a state transition or
-// a completed cell. Seq is the event's index in the job's stream, so a
-// reconnecting client resumes from where it stopped (?from=Seq). Key is
-// the completed cell's content address — its unambiguous identity,
-// resolvable via GET /api/v1/cells/{key} (Label is human-oriented).
-type Event struct {
-	Seq   int       `json:"seq"`
-	Time  time.Time `json:"time"`
-	Type  string    `json:"type"` // "state" or "cell"
-	State State     `json:"state,omitempty"`
-	Label string    `json:"label,omitempty"` // completed cell's label (type "cell")
-	Key   string    `json:"key,omitempty"`   // completed cell's cache key (type "cell")
-	Done  int       `json:"done,omitempty"`  // cells completed so far
-	Total int       `json:"total"`
-	Error string    `json:"error,omitempty"`
 }
 
 // JobInfo is the API view of a job.
@@ -103,11 +87,18 @@ type job struct {
 	err      error
 	events   []Event
 	eventSeq int           // next Event.Seq; monotonic even after compaction
-	changed  chan struct{} // closed and replaced on every append
+	changed  chan struct{} // made by a waiting follower, closed by the next append
 	outcome  *campaign.Outcome
 	sub      time.Time
 	started  *time.Time
 	finished *time.Time
+}
+
+// isTerminal reads the job's state under its lock.
+func (j *job) isTerminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.Terminal()
 }
 
 // info snapshots the job under its lock.
@@ -141,8 +132,10 @@ func (j *job) append(ev Event) {
 	ev.Time = time.Now().UTC()
 	ev.Total = j.total
 	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // maxRetainedCellEvents bounds a terminal job's event log. While a job
@@ -189,14 +182,16 @@ func (j *job) finishLocked(state State, err error) {
 }
 
 // stop cancels the job's context; a job that was never admitted has no
-// run to finalize it, so it turns terminal here.
-func (j *job) stop(cause error) {
+// run to finalize it, so it turns terminal here, and stop reports it.
+func (j *job) stop(cause error) (finished bool) {
 	j.cancel(cause)
 	j.mu.Lock()
-	if j.state == StateQueued {
-		j.finishLocked(StateCanceled, cause)
+	defer j.mu.Unlock()
+	if j.state != StateQueued {
+		return false
 	}
-	j.mu.Unlock()
+	j.finishLocked(StateCanceled, cause)
+	return true
 }
 
 // The job table's two bounds. At most maxActiveJobs jobs are admitted at
@@ -222,14 +217,15 @@ type Scheduler struct {
 	cell    campaign.Cell
 	workers int
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []*job // submission order, for listing
-	queue   []*job // admission queue (popped by priority, then seq)
-	active  int
-	nextSeq int64
-	closed  bool
-	batches obs.Counters // what every compute batch's cells counted
+	mu       sync.Mutex
+	jobs     map[string]*job
+	order    []*job // submission order, for listing
+	queue    []*job // admission queue (popped by priority, then seq)
+	active   int
+	terminal int // terminal jobs in order, counted as each turns terminal
+	nextSeq  int64
+	closed   bool
+	batches  obs.Counters // what every compute batch's cells counted
 
 	wg        sync.WaitGroup
 	cellsDone atomic.Uint64 // completed cells across all jobs, ever
@@ -272,13 +268,10 @@ func (s *Scheduler) Submit(spec campaign.Spec, name string, priority int) (JobIn
 		if existing.plan.Fingerprint != plan.Fingerprint {
 			continue
 		}
-		existing.mu.Lock()
-		terminal := existing.state.Terminal()
-		existing.mu.Unlock()
 		// A cancelled job counts as terminal here even before its
 		// in-flight cell drains: cancel-then-resubmit is the documented
 		// resume flow, and it must get a fresh job, not the dying one.
-		if !terminal && existing.ctx.Err() == nil {
+		if !existing.isTerminal() && existing.ctx.Err() == nil {
 			// The duplicate's priority still counts: resubmitting a
 			// queued spec at higher priority expedites the shared job
 			// (priority only ever rises — a low-priority duplicate
@@ -304,7 +297,6 @@ func (s *Scheduler) Submit(spec campaign.Spec, name string, priority int) (JobIn
 		cancel:   cancel,
 		trace:    obs.NewTraceLimit(maxRetainedTraceCells),
 		state:    StateQueued,
-		changed:  make(chan struct{}),
 		sub:      time.Now().UTC(),
 	}
 	j.mu.Lock()
@@ -326,28 +318,21 @@ func (s *Scheduler) Submit(spec campaign.Spec, name string, priority int) (JobIn
 // evicted, so a deep queue backlog cannot push a just-completed job
 // (and its not-yet-fetched result) out from under its client. An
 // evicted job's ID becomes a 404; its cells live on in the cache.
+//
+// The count is s.terminal, kept as jobs turn terminal, so a prune under
+// the cap reads no job. A job counts only after its state turned
+// terminal, so the count never exceeds the terminal jobs in order, and
+// the search for the oldest finds one; the oldest jobs are the likeliest
+// finished, so it usually stops at the first.
 func (s *Scheduler) pruneLocked() {
-	terminal := 0
-	for _, j := range s.order {
-		j.mu.Lock()
-		t := j.state.Terminal()
-		j.mu.Unlock()
-		if t {
-			terminal++
+	for s.terminal > retainJobs {
+		i := slices.IndexFunc(s.order, (*job).isTerminal)
+		if i < 0 {
+			return
 		}
-	}
-	for terminal > retainJobs {
-		for i, j := range s.order {
-			j.mu.Lock()
-			t := j.state.Terminal()
-			j.mu.Unlock()
-			if t {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				delete(s.jobs, j.id)
-				terminal--
-				break
-			}
-		}
+		delete(s.jobs, s.order[i].id)
+		s.order = slices.Delete(s.order, i, i+1)
+		s.terminal--
 	}
 }
 
@@ -374,10 +359,14 @@ func (s *Scheduler) dispatchLocked() {
 // next queued one.
 func (s *Scheduler) run(j *job) {
 	defer s.wg.Done()
+	finished := false // whether this run, not a cancel, ended the job
 	defer func() {
 		s.mu.Lock()
 		s.active--
-		s.pruneLocked() // this job just turned terminal; enforce retention
+		if finished {
+			s.terminal++
+			s.pruneLocked() // this job just turned terminal; enforce retention
+		}
 		s.dispatchLocked()
 		s.mu.Unlock()
 	}()
@@ -415,6 +404,7 @@ func (s *Scheduler) run(j *job) {
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	finished = true
 	switch {
 	case err == nil:
 		j.outcome = out
@@ -453,7 +443,9 @@ func (s *Scheduler) Cancel(id, reason string) (JobInfo, error) {
 	if reason == "" {
 		reason = "by client"
 	}
-	j.stop(fmt.Errorf("canceled %s (%w)", reason, context.Canceled))
+	if j.stop(fmt.Errorf("canceled %s (%w)", reason, context.Canceled)) {
+		s.countTerminal(1)
+	}
 	return j.info(), nil
 }
 
@@ -510,18 +502,27 @@ func (s *Scheduler) Events(id string, from int) ([]Event, <-chan struct{}, error
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var evs []Event
-	for _, ev := range j.events {
-		if ev.Seq >= from {
-			evs = append(evs, ev)
-		}
-	}
+	// Seqs ascend, so the wanted events are a tail of the log, copied
+	// out: compaction rewrites the log in place.
+	i, _ := slices.BinarySearchFunc(j.events, from, func(ev Event, seq int) int { return ev.Seq - seq })
+	evs := slices.Clone(j.events[i:])
 	if j.state.Terminal() {
 		// The terminal event is appended in the same critical section
 		// that sets the state, so a terminal job's log is complete.
 		return evs, nil, nil
 	}
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
 	return evs, j.changed, nil
+}
+
+// countTerminal counts n queued jobs a cancel just ended (a run counts
+// its own job).
+func (s *Scheduler) countTerminal(n int) {
+	s.mu.Lock()
+	s.terminal += n
+	s.mu.Unlock()
 }
 
 // lookup finds a job by ID.
@@ -563,9 +564,13 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 
 	cause := fmt.Errorf("server shutting down (%w)", context.Canceled)
+	stopped := 0
 	for _, j := range all {
-		j.stop(cause)
+		if j.stop(cause) {
+			stopped++
+		}
 	}
+	s.countTerminal(stopped)
 
 	done := make(chan struct{})
 	go func() {

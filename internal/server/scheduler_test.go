@@ -127,6 +127,53 @@ func TestTerminalJobReleasesJobList(t *testing.T) {
 	}
 }
 
+// TestCancelledQueuedJobsCountTowardRetention: a job cancelled while
+// queued turns terminal without a run, and counts against retainJobs
+// like a finished one: past the cap, the next submission evicts the
+// oldest.
+func TestCancelledQueuedJobsCountTowardRetention(t *testing.T) {
+	store, err := cache.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	park := make(chan struct{})
+	s := newScheduler(store, func(cfg sim.Config) (sim.Result, error) {
+		<-park
+		return sim.Result{IPC: make([]float64, cfg.Cores), Finished: true}, nil
+	}, 1)
+	defer s.Shutdown(context.Background())
+	defer close(park) // before Shutdown waits for the parked runs
+
+	seed := uint64(1)
+	submit := func() JobInfo {
+		t.Helper()
+		info, err := s.Submit(gridSpec(seed), "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed++
+		return info
+	}
+	for range maxActiveJobs { // parked: every later submission queues
+		submit()
+	}
+	var cancelled []JobInfo
+	for range retainJobs + 1 {
+		info := submit()
+		if _, err := s.Cancel(info.ID, ""); err != nil {
+			t.Fatal(err)
+		}
+		cancelled = append(cancelled, info)
+	}
+	submit()
+	if _, err := s.Job(cancelled[0].ID); !errors.Is(err, errNotFound) {
+		t.Errorf("oldest cancelled job survived past the retention cap: %v", err)
+	}
+	if _, err := s.Job(cancelled[1].ID); err != nil {
+		t.Errorf("second-oldest cancelled job evicted too: %v", err)
+	}
+}
+
 // TestWarmServedCellDerivesOneKey is the served route's "derived once"
 // (see campaign.TestWarmCellDerivesOneKey): a warm job — plan, engine,
 // journal, one progress event per cell — runs cache.Key exactly once per

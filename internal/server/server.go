@@ -214,18 +214,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 
+	// Each wake-up's events go out as one write of one reused buffer,
+	// every line the bytes json.Encoder would write (Event.AppendJSON).
+	var buf []byte
 	for {
 		evs, more, err := s.sched.Events(id, from)
 		if err != nil {
 			return // job vanished mid-stream: just end it
 		}
-		for _, ev := range evs {
-			if enc.Encode(ev) != nil {
-				return // client hung up
+		buf = buf[:0]
+		for i := range evs {
+			if buf, err = evs[i].AppendJSON(buf); err != nil {
+				break
 			}
-			from = ev.Seq + 1
+			buf = append(buf, '\n')
+			from = evs[i].Seq + 1
+		}
+		if _, werr := w.Write(buf); werr != nil || err != nil {
+			return // client hung up, or an event json cannot encode
 		}
 		if flusher != nil {
 			flusher.Flush()

@@ -6,8 +6,10 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -758,6 +760,57 @@ func TestEventStreamResumesFromOffset(t *testing.T) {
 	}
 	if len(tail) != len(all)-3 || tail[0].Seq != 3 {
 		t.Fatalf("tail from=3: %d events starting at %d", len(tail), tail[0].Seq)
+	}
+}
+
+// TestEventBodyIsEncoderBytes: a finished job's /events body is byte for
+// byte json.Encoder's encoding of the scheduler's events, for a job that
+// completes and for one whose failure puts quotes, HTML characters,
+// control bytes and non-ASCII into an event's error (strings json
+// escapes).
+func TestEventBodyIsEncoderBytes(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		sim  func(sim.Config) (sim.Result, error)
+		want server.State
+	}{
+		{"done", fakeSim, server.StateDone},
+		{"failed", func(sim.Config) (sim.Result, error) {
+			return sim.Result{}, errors.New("cell \"a<b>&c\" \\ \t\x01 é \u2028 \xff")
+		}, server.StateFailed},
+	} {
+		svc, c := newService(t, t.TempDir(), server.Config{Workers: 1, Sim: tc.sim})
+		info, err := c.Submit(ctx, tinySpec(), tc.name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final, err := c.Wait(ctx, info.ID, nil); err != nil || final.State != tc.want {
+			t.Fatalf("%s: job ended %s (%v), want %s", tc.name, final.State, err, tc.want)
+		}
+		evs, more, err := svc.Scheduler().Events(info.ID, 0)
+		if err != nil || more != nil {
+			t.Fatalf("%s: events of a finished job: more=%v err=%v", tc.name, more, err)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for _, ev := range evs {
+			if err := enc.Encode(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.Get(c.BaseURL + "/api/v1/jobs/" + info.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: /events body\n%s\njson.Encoder\n%s", tc.name, body, want.Bytes())
+		}
 	}
 }
 
