@@ -7,7 +7,11 @@
 // and a full window stalls issue.
 package cpu
 
-import "math"
+import (
+	"math"
+	"slices"
+	"unsafe"
+)
 
 // Config sizes a core.
 type Config struct {
@@ -43,9 +47,13 @@ type Generator interface {
 
 // MemPort is the core's connection to the memory controller.
 type MemPort interface {
-	// Read requests a cache line; done fires with the completion cycle.
-	// False means the controller queue was full (retry next cycle).
-	Read(addr uint64, done func(cycle uint64), cycle uint64) bool
+	// Read requests a cache line for miss register mshr; the memory
+	// system answers with the core's Complete(mshr, cycle). False means
+	// the controller queue was full (retry next cycle). A request names
+	// its register instead of carrying a callback, so a queued request
+	// stays valid when its controller's state is copied to another
+	// machine (a resumed simulation).
+	Read(addr uint64, mshr int, cycle uint64) bool
 	// Write posts a writeback; false when the queue is full.
 	Write(addr uint64, cycle uint64) bool
 }
@@ -54,9 +62,7 @@ const pendingMem = math.MaxUint64
 
 // fetchSlot is one in-flight line fetch's bookkeeping: the window entry
 // to wake (-1 for stores) and the line being installed. Slots are
-// preallocated per MSHR so issuing a fetch allocates nothing — the
-// completion callbacks handed to the memory port are built once per
-// slot at construction and reused for the core's lifetime.
+// preallocated per MSHR so issuing a fetch allocates nothing.
 type fetchSlot struct {
 	rob   int
 	addr  uint64
@@ -72,24 +78,30 @@ type Core struct {
 	port MemPort
 	llc  *llc
 
-	rob   []uint64 // completion cycle per entry; pendingMem = in flight
-	head  int
-	count int
+	rob       []uint64    // completion cycle per entry; pendingMem = in flight
+	fetch     []fetchSlot // per-MSHR in-flight fetch records
+	fetchFree []int32     // free fetch-slot indices (stack)
+
+	regs
+}
+
+// regs is the core's scalar state, in one value so that Save and Restore
+// copy it whole and Reset zeroes it whole.
+type regs struct {
+	head  int // the window's oldest entry
+	count int // entries in the window
 
 	gap      int
 	haveMem  bool
 	memAddr  uint64
 	memWrite bool
 
-	inflight  int
-	fetch     []fetchSlot    // per-MSHR in-flight fetch records
-	fetchFree []int32        // free fetch-slot indices (stack)
-	doneFns   []func(uint64) // per-MSHR completion callbacks, built once
+	inflight int
 
 	// missMemo caches one negative LLC lookup: a back-pressured core
 	// retries its pending access every tick, and a miss both mutates
 	// nothing and can only turn into a hit through an install — so the
-	// repeated lookups are skipped until completeFetch installs a line.
+	// repeated lookups are skipped until Complete installs a line.
 	missMemoAddr  uint64
 	missMemoValid bool
 
@@ -130,25 +142,60 @@ func (c *Core) Reset(id int, cfg Config, gen Generator, port MemPort) {
 	if len(c.fetch) != cfg.MSHRs {
 		c.fetch = make([]fetchSlot, cfg.MSHRs)
 		c.fetchFree = make([]int32, 0, cfg.MSHRs)
-		c.doneFns = make([]func(uint64), cfg.MSHRs)
-		for i := range c.doneFns {
-			i := i
-			c.doneFns[i] = func(done uint64) { c.completeFetch(i, done) }
-		}
 	}
 	c.fetchFree = c.fetchFree[:0]
 	for i := cfg.MSHRs - 1; i >= 0; i-- {
 		c.fetchFree = append(c.fetchFree, int32(i))
 	}
 	c.Cfg = cfg
-	c.head, c.count = 0, 0
-	c.gap, c.haveMem, c.memAddr, c.memWrite = 0, false, 0, false
-	c.inflight = 0
-	c.missMemoAddr, c.missMemoValid = 0, false
-	c.Retired, c.WarmupTarget, c.MeasureTarget = 0, 0, 0
-	c.startCycle, c.doneCycle = 0, 0
-	c.started, c.finished = false, false
-	c.DroppedWB = 0
+	c.regs = regs{}
+}
+
+// State is a core's saved state, as Save copied it for a later Restore:
+// its scalar state, the live entries of its window, its miss registers,
+// and the valid lines of its LLC. The generator's position is not part
+// of it: whoever resumes the core seeks its generator (trace.Seeker).
+type State struct {
+	regs      regs
+	window    []uint64 // the count live window entries, oldest first
+	fetch     []fetchSlot
+	fetchFree []int32
+	llc       llcState
+}
+
+// Save copies c's state into st, reusing st's slices, and reports
+// whether it could (llc.save says what an LLC must fit).
+func (c *Core) Save(st *State) bool {
+	st.regs = c.regs
+	st.window = slices.Grow(st.window[:0], c.count)
+	for i := 0; i < c.count; i++ {
+		st.window = append(st.window, c.rob[(c.head+i)%len(c.rob)])
+	}
+	st.fetch = append(st.fetch[:0], c.fetch...)
+	st.fetchFree = append(st.fetchFree[:0], c.fetchFree...)
+	return c.llc.save(&st.llc)
+}
+
+// Restore sets c's state to st. c must be freshly Reset to the Config
+// st was saved under; its ID, generator and port stay its own. It
+// allocates nothing.
+func (c *Core) Restore(st *State) {
+	if len(st.fetch) != len(c.fetch) || len(st.window) > len(c.rob) || len(st.llc.fill) != c.llc.sets {
+		panic("cpu: Restore of a state saved under another Config")
+	}
+	c.regs = st.regs
+	for i, at := range st.window {
+		c.rob[(c.head+i)%len(c.rob)] = at
+	}
+	copy(c.fetch, st.fetch)
+	c.fetchFree = append(c.fetchFree[:0], st.fetchFree...)
+	c.llc.restore(&st.llc)
+}
+
+// Bytes is the memory st's saved state occupies.
+func (st *State) Bytes() int {
+	return int(unsafe.Sizeof(*st)) + 8*len(st.window) + int(unsafe.Sizeof(fetchSlot{}))*len(st.fetch) +
+		4*len(st.fetchFree) + len(st.llc.fill) + 3*len(st.llc.lines)
 }
 
 // Finished reports whether the core has retired its measurement target.
@@ -283,13 +330,13 @@ func (c *Core) issueMem(cycle uint64) bool {
 // fetchLine requests a line from memory; on completion it installs the
 // line (emitting a writeback for a dirty eviction) and wakes the window
 // slot (slot < 0 for stores). The fetch's record lives in a
-// preallocated MSHR slot and the completion callback is reused, so the
-// per-access path allocates nothing. A free slot always exists here:
-// issueMem bounds inflight by Cfg.MSHRs before calling.
+// preallocated MSHR slot, so the per-access path allocates nothing. A
+// free slot always exists here: issueMem bounds inflight by Cfg.MSHRs
+// before calling.
 func (c *Core) fetchLine(addr uint64, dirty bool, cycle uint64, slot int) bool {
 	i := c.fetchFree[len(c.fetchFree)-1]
 	c.fetch[i] = fetchSlot{rob: slot, addr: addr, dirty: dirty}
-	if !c.port.Read(addr, c.doneFns[i], cycle) {
+	if !c.port.Read(addr, int(i), cycle) {
 		return false
 	}
 	c.fetchFree = c.fetchFree[:len(c.fetchFree)-1]
@@ -297,8 +344,10 @@ func (c *Core) fetchLine(addr uint64, dirty bool, cycle uint64, slot int) bool {
 	return true
 }
 
-// completeFetch is the body of the per-MSHR completion callbacks.
-func (c *Core) completeFetch(i int, done uint64) {
+// Complete answers the read of miss register i, which the memory
+// system finished at cycle done: the line is installed and its window
+// entry woken.
+func (c *Core) Complete(i int, done uint64) {
 	f := c.fetch[i]
 	c.inflight--
 	c.fetchFree = append(c.fetchFree, int32(i))
@@ -348,6 +397,76 @@ func (l *llc) reset() {
 	clear(l.tags)
 	clear(l.dirty)
 	clear(l.lru)
+}
+
+// llcState is an LLC's valid lines, as save listed them. A set's valid
+// ways are a prefix of it (install fills the first invalid way, and
+// nothing but reset invalidates one), so each set is its count of valid
+// ways and then, per way, the line and its LRU age. A line is its tag
+// over the set count (the set is implied) less the lowest such value,
+// base, with the dirty bit on top: a core caches only its own footprint,
+// so the offsets of the catalog's workloads span 4 096 values at most.
+type llcState struct {
+	fill  []uint8 // valid ways per set
+	base  uint64
+	lines []uint16
+	ages  []uint8
+}
+
+// savedDirty is a saved line's dirty bit.
+const savedDirty = 1 << 15
+
+// save lists the valid lines into st, reusing its slices, and reports
+// whether they fit: at most 255 ways, and lines whose offsets from base
+// fit 15 bits (a footprint under 4 GiB at the default geometry).
+func (l *llc) save(st *llcState) bool {
+	if l.ways > math.MaxUint8 {
+		return false
+	}
+	lo, hi, valid := uint64(math.MaxUint64), uint64(0), 0
+	for _, tag := range l.tags {
+		if tag != 0 {
+			lo, hi, valid = min(lo, l.savedTag(tag)), max(hi, l.savedTag(tag)), valid+1
+		}
+	}
+	if lo <= hi && hi-lo >= savedDirty {
+		return false
+	}
+	st.fill, st.base = slices.Grow(st.fill[:0], l.sets), lo
+	st.lines, st.ages = slices.Grow(st.lines[:0], valid), slices.Grow(st.ages[:0], valid)
+	for set := 0; set < l.sets; set++ {
+		base, n := set*l.ways, 0
+		for ; n < l.ways && l.tags[base+n] != 0; n++ {
+			line := uint16(l.savedTag(l.tags[base+n]) - lo)
+			if l.dirty[base+n] {
+				line |= savedDirty
+			}
+			st.lines = append(st.lines, line)
+			st.ages = append(st.ages, l.age(set, n))
+		}
+		st.fill = append(st.fill, uint8(n))
+	}
+	return true
+}
+
+// savedTag is a valid tag's line number over the set count.
+func (l *llc) savedTag(tag uint64) uint64 { return (tag &^ (1 << 63)) / uint64(l.sets) }
+
+// restore fills an empty cache with the lines of st. The ages of invalid
+// ways stay zero: install never reads one (it takes the first invalid
+// way before comparing ages), and touch zeroes it on the fill.
+func (l *llc) restore(st *llcState) {
+	i := 0
+	for set, n := range st.fill {
+		base := set * l.ways
+		for w := 0; w < int(n); w++ {
+			line := st.lines[i]
+			l.tags[base+w] = (st.base+uint64(line&^savedDirty))*uint64(l.sets) + uint64(set) | 1<<63
+			l.dirty[base+w] = line&savedDirty != 0
+			l.lru[set*l.lruWords+w/8] |= uint64(st.ages[i]) << (uint(w%8) * 8)
+			i++
+		}
+	}
 }
 
 // age returns way's LRU age within set.

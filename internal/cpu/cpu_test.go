@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -18,19 +19,26 @@ func (g *scriptGen) Next() (int, uint64, bool) {
 	return g.gap, a, false
 }
 
-// instantPort satisfies every read after a fixed latency.
+// instantPort satisfies every read of its core after a fixed latency.
 type instantPort struct {
+	core    *Core
 	latency uint64
-	pending []func(uint64)
+	pending []int // miss registers
 	at      []uint64
 	refused bool
 }
 
-func (p *instantPort) Read(addr uint64, done func(uint64), cycle uint64) bool {
+// newCore builds a core over p and makes it the core p answers.
+func newCore(cfg Config, gen Generator, p *instantPort) *Core {
+	p.core = New(0, cfg, gen, p)
+	return p.core
+}
+
+func (p *instantPort) Read(addr uint64, mshr int, cycle uint64) bool {
 	if p.refused {
 		return false
 	}
-	p.pending = append(p.pending, done)
+	p.pending = append(p.pending, mshr)
 	p.at = append(p.at, cycle+p.latency)
 	return true
 }
@@ -40,7 +48,7 @@ func (p *instantPort) Write(addr uint64, cycle uint64) bool { return !p.refused 
 func (p *instantPort) tick(cycle uint64) {
 	for i := 0; i < len(p.pending); {
 		if cycle >= p.at[i] {
-			p.pending[i](cycle)
+			p.core.Complete(p.pending[i], cycle)
 			p.pending = append(p.pending[:i], p.pending[i+1:]...)
 			p.at = append(p.at[:i], p.at[i+1:]...)
 		} else {
@@ -64,7 +72,7 @@ func TestComputeBoundIPCNearWidth(t *testing.T) {
 	// width.
 	cfg := DefaultConfig()
 	p := &instantPort{latency: 100}
-	c := New(0, cfg, &scriptGen{gap: 40, step: 64}, p) // footprint cycles inside the LLC after warmup
+	c := newCore(cfg, &scriptGen{gap: 40, step: 64}, p) // footprint cycles inside the LLC after warmup
 	gen := c.gen.(*scriptGen)
 	gen.next = 0
 	gen.step = 0 // always the same line: all hits after the first fill
@@ -83,7 +91,7 @@ func TestMemoryBoundIPCLow(t *testing.T) {
 	cfg := DefaultConfig()
 	p := &instantPort{latency: 400}
 	// Every access a new line far apart: all misses, gap 0.
-	c := New(0, cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
+	c := newCore(cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
 	c.WarmupTarget = 100
 	c.MeasureTarget = 5_000
 	runCore(c, p, 10_000_000)
@@ -98,7 +106,7 @@ func TestMemoryBoundIPCLow(t *testing.T) {
 func TestBackPressureStallsWithoutLoss(t *testing.T) {
 	cfg := DefaultConfig()
 	p := &instantPort{latency: 10, refused: true}
-	c := New(0, cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
+	c := newCore(cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
 	c.WarmupTarget = 0
 	c.MeasureTarget = 1000
 	for cyc := uint64(0); cyc < 2000; cyc++ {
@@ -121,7 +129,7 @@ func TestWindowLimitsOutstanding(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MSHRs = 1000 // remove the MSHR limit; the window must bind
 	p := &instantPort{latency: 1 << 40}
-	c := New(0, cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
+	c := newCore(cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
 	c.MeasureTarget = 1 << 40
 	for cyc := uint64(0); cyc < 10_000; cyc++ {
 		c.Tick(cyc)
@@ -146,6 +154,7 @@ func TestLLCEvictionsWriteBack(t *testing.T) {
 	// Make every access a write so lines are dirty.
 	c2 := New(0, cfg, &writeGen{step: 64 * 4}, wp)
 	c2.MeasureTarget = 1 << 40
+	p.core = c2
 	for cyc := uint64(0); cyc < 300_000; cyc++ {
 		p.tick(cyc)
 		c2.Tick(cyc)
@@ -164,7 +173,7 @@ func TestLLCEvictionsWriteBack(t *testing.T) {
 func TestTickReportsProgress(t *testing.T) {
 	cfg := DefaultConfig()
 	p := &instantPort{latency: 1 << 40} // reads never complete
-	c := New(0, cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
+	c := newCore(cfg, &scriptGen{gap: 0, step: 1 << 20}, p)
 	c.MeasureTarget = 1 << 40
 	active, idle := 0, 0
 	wasIdle := false
@@ -209,7 +218,7 @@ func TestEventDrivenCoreMatchesNaive(t *testing.T) {
 	mk := func() (*Core, *instantPort) {
 		cfg := DefaultConfig()
 		p := &instantPort{latency: 137}
-		c := New(0, cfg, &scriptGen{gap: 3, step: 1 << 14}, p)
+		c := newCore(cfg, &scriptGen{gap: 3, step: 1 << 14}, p)
 		c.WarmupTarget = 500
 		c.MeasureTarget = 10_000
 		return c, p
@@ -284,10 +293,71 @@ type countingPort struct {
 	writes *int
 }
 
-func (p *countingPort) Read(addr uint64, done func(uint64), cycle uint64) bool {
-	return p.inner.Read(addr, done, cycle)
+func (p *countingPort) Read(addr uint64, mshr int, cycle uint64) bool {
+	return p.inner.Read(addr, mshr, cycle)
 }
 func (p *countingPort) Write(addr uint64, cycle uint64) bool {
 	*p.writes++
 	return p.inner.Write(addr, cycle)
+}
+
+// loopGen walks a footprint of lines twice the LLC's, writing every third
+// access, so a run fills sets, evicts and writes dirty lines back.
+type loopGen struct{ i uint64 }
+
+func (g *loopGen) Next() (int, uint64, bool) {
+	g.i++
+	return int(g.i % 5), (g.i * 7919 % (1 << 16)) * 64, g.i%3 == 0
+}
+
+// TestSaveRestoreContinues: a core saved between two ticks, with reads in
+// flight, and restored into a freshly Reset core continues exactly as the
+// original: the same retirements at the same cycles, the same writebacks,
+// the same cache contents.
+func TestSaveRestoreContinues(t *testing.T) {
+	cfg := DefaultConfig()
+	wbA, wbB := 0, 0
+	pA := &instantPort{latency: 90}
+	a := New(0, cfg, &loopGen{}, &countingPort{inner: pA, writes: &wbA})
+	pA.core = a
+	a.WarmupTarget, a.MeasureTarget = 1000, 300_000
+	const half = 60_000
+	for cyc := uint64(0); cyc < half; cyc++ {
+		pA.tick(cyc)
+		a.Tick(cyc)
+	}
+	var st State
+	if !a.Save(&st) {
+		t.Fatal("a core refused to save")
+	}
+	if a.inflight == 0 || len(st.llc.lines) == 0 {
+		t.Fatalf("degenerate save: %d reads in flight, %d lines cached", a.inflight, len(st.llc.lines))
+	}
+	gen := *a.gen.(*loopGen)
+	pB := &instantPort{latency: 90, pending: slices.Clone(pA.pending), at: slices.Clone(pA.at)}
+	b := New(0, cfg, &gen, &countingPort{inner: pB, writes: &wbB})
+	pB.core = b
+	b.Restore(&st)
+	wbA = 0
+	for cyc := uint64(half); !a.Finished() || !b.Finished(); cyc++ {
+		pA.tick(cyc)
+		pB.tick(cyc)
+		if ta, tb := a.Tick(cyc), b.Tick(cyc); ta != tb || a.Retired != b.Retired {
+			t.Fatalf("cycle %d: the restored core ticked %v to %d retired, the original %v to %d", cyc, tb, b.Retired, ta, a.Retired)
+		}
+		if cyc > 10_000_000 {
+			t.Fatal("no finish")
+		}
+	}
+	if a.DoneCycle() != b.DoneCycle() || a.IPC() != b.IPC() || wbA != wbB || wbA == 0 {
+		t.Errorf("finished at %d with %d writebacks, the original at %d with %d", b.DoneCycle(), wbB, a.DoneCycle(), wbA)
+	}
+	for set := 0; set < a.llc.sets; set++ {
+		for w := 0; w < a.llc.ways; w++ {
+			i := set*a.llc.ways + w
+			if a.llc.tags[i] != b.llc.tags[i] || a.llc.dirty[i] != b.llc.dirty[i] || a.llc.tags[i] != 0 && a.llc.age(set, w) != b.llc.age(set, w) {
+				t.Fatalf("set %d way %d differs after the run", set, w)
+			}
+		}
+	}
 }

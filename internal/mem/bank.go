@@ -1,5 +1,7 @@
 package mem
 
+import "unsafe"
+
 // Bank is the cycle-level state of one DRAM bank: the open row and the
 // earliest cycles at which each command class may issue. A window in which
 // the bank takes no command (BlockBank, REF) is written into those ready
@@ -370,4 +372,40 @@ func (s *System) BlockBank(bank int, cycle, busyCycles uint64) {
 	b.ActReady = max(b.ActReady, until)
 	b.ColReady = max(b.ColReady, until)
 	b.PreReady = max(b.PreReady, until)
+}
+
+// State is a System's device state — its ranks, banks, bank groups and
+// data bus — as Save copied it, for a later Restore.
+type State struct {
+	ranks  []Rank
+	banks  []Bank
+	groups []group
+	ch     Channel
+}
+
+// Save copies s's device state into st, reusing st's slices.
+func (s *System) Save(st *State) {
+	st.ranks = append(st.ranks[:0], s.Ranks...)
+	st.banks = append(st.banks[:0], s.Banks...)
+	st.groups = append(st.groups[:0], s.groups...)
+	st.ch = s.Chan
+}
+
+// Restore sets s's device state to st. s must have been Reset to the
+// organization st was saved from; its timing, geometry and Observer stay
+// its own. It allocates nothing.
+func (s *System) Restore(st *State) {
+	if len(st.ranks) != len(s.Ranks) || len(st.banks) != len(s.Banks) || len(st.groups) != len(s.groups) {
+		panic("mem: Restore of a state saved from another organization")
+	}
+	copy(s.Ranks, st.ranks)
+	copy(s.Banks, st.banks)
+	copy(s.groups, st.groups)
+	s.Chan = st.ch
+}
+
+// Bytes is the memory st's saved state occupies.
+func (st *State) Bytes() int {
+	return len(st.ranks)*int(unsafe.Sizeof(Rank{})) + len(st.banks)*int(unsafe.Sizeof(Bank{})) +
+		len(st.groups)*int(unsafe.Sizeof(group{})) + int(unsafe.Sizeof(*st))
 }

@@ -215,3 +215,39 @@ func TestResetClearsObserver(t *testing.T) {
 		t.Errorf("observer saw %d commands, want the 2 issued while it was attached", seen)
 	}
 }
+
+// TestSaveRestoreBounds: a system restored from another's saved state
+// bounds every command class exactly as the original does, at every
+// bank, rank and bank group — after a mix of ACTs, column reads and
+// writes, PREs and a REF that leaves each window open.
+func TestSaveRestoreBounds(t *testing.T) {
+	a := testSystem()
+	cycle := uint64(1000)
+	for i, b := range []int{0, 5, 17, 22, 31} {
+		a.ACT(b, 10+i, cycle)
+		cycle += a.T.RCD
+		a.Column(b, i%2 == 0, cycle)
+		cycle += 3
+	}
+	a.PRE(0, cycle+a.T.RAS)
+	a.REF(1, cycle+a.T.RAS+a.T.RP)
+	var st State
+	a.Save(&st)
+	b := testSystem()
+	b.Restore(&st)
+	for bank := range a.Banks {
+		for _, write := range []bool{false, true} {
+			if a.ColumnEarliest(bank, write) != b.ColumnEarliest(bank, write) {
+				t.Errorf("bank %d: column (write %v) at %d, restored %d", bank, write, a.ColumnEarliest(bank, write), b.ColumnEarliest(bank, write))
+			}
+		}
+		if a.ActEarliest(bank) != b.ActEarliest(bank) || a.PreEarliest(bank) != b.PreEarliest(bank) || a.Banks[bank] != b.Banks[bank] {
+			t.Errorf("bank %d: ACT/PRE bounds or state differ after the restore", bank)
+		}
+	}
+	for rank := range a.Ranks {
+		if a.RefEarliest(rank) != b.RefEarliest(rank) || a.Ranks[rank] != b.Ranks[rank] {
+			t.Errorf("rank %d differs after the restore", rank)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package memctrl
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"svard/internal/dram"
 	"svard/internal/mem"
@@ -87,13 +88,24 @@ type Request struct {
 	Done    func(cycle uint64) // read completion callback (may be nil)
 	arrive  uint64
 	retryAt uint64
-	Core    int
+	Core    int32
+	fill    int32 // 1 + the miss register Fills completes (ReadFill); 0: none
 	bank    int32 // global bank
 	row     int32 // MC-visible row (pre-remap)
 	phys    int32 // physical row after migration indirection
 	Write   bool
 	// The layout keeps a Request at 56 bytes, within one cache line per
 	// queue entry the FR-FCFS walk examines.
+}
+
+// Filler completes the reads ReadFill enqueued: Complete(core, mshr,
+// cycle) answers core's miss register mshr with the read's completion
+// cycle. Unlike a Done callback, which names the requester by a closure,
+// a (core, mshr) pair stays meaningful in another machine, so a queue
+// saved by Save serves a Restore on any controller whose Fills is that
+// machine's.
+type Filler interface {
+	Complete(core, mshr int, cycle uint64)
 }
 
 // victimOp is an in-flight preventive refresh (ACT+PRE of one row).
@@ -138,6 +150,7 @@ type Controller struct {
 	Sys   *mem.System
 	Def   mitigation.Defense
 	Track Tracker
+	Fills Filler // completes ReadFill's reads; nil after New and Reset
 	Stats Stats
 
 	// Obs carries the flight-recorder counters (scan lengths, refresh
@@ -282,6 +295,7 @@ func (c *Controller) Reset(cfg Config, t mem.Timing, def mitigation.Defense, tr 
 	c.Cfg = cfg
 	c.Def = def
 	c.Track = tr
+	c.Fills = nil
 	c.Stats = Stats{}
 	c.Obs = obs.ControllerCounters{}
 	c.readQ = c.readQ[:0]
@@ -423,13 +437,19 @@ func (c *Controller) rowKey(bank, row int) int64 {
 // allocation (the value lands directly in the queue's retained backing
 // array).
 func (c *Controller) Read(addr uint64, core int, done func(cycle uint64), cycle uint64) bool {
-	return c.EnqueueRead(&Request{Addr: addr, Core: core, Done: done}, cycle)
+	return c.EnqueueRead(&Request{Addr: addr, Core: int32(core), Done: done}, cycle)
+}
+
+// ReadFill is Read completed through c.Fills: the read answers core's
+// miss register mshr.
+func (c *Controller) ReadFill(addr uint64, core, mshr int, cycle uint64) bool {
+	return c.EnqueueRead(&Request{Addr: addr, Core: int32(core), fill: int32(mshr) + 1}, cycle)
 }
 
 // Write enqueues a posted write transaction; false when the queue is
 // full.
 func (c *Controller) Write(addr uint64, core int, cycle uint64) bool {
-	return c.EnqueueWrite(&Request{Addr: addr, Core: core}, cycle)
+	return c.EnqueueWrite(&Request{Addr: addr, Core: int32(core)}, cycle)
 }
 
 // Decode applies the MOP address mapping: consecutive cache blocks fill
@@ -1144,5 +1164,76 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 	}
 	if r.Done != nil {
 		r.Done(dataEnd)
+	} else if r.fill != 0 {
+		c.Fills.Complete(int(r.Core), int(r.fill-1), dataEnd)
 	}
+}
+
+// State is a controller's saved state, as Save copied it for a later
+// Restore: its DRAM device array, both queues, the queue index and its
+// device-wide terms, each rank's refresh position, the write-drain mode,
+// the cached idle bound, Stats and Obs.
+type State struct {
+	sys           mem.State
+	readQ, writeQ []Request
+	banks         []bankQueued
+	pending       []uint64
+	terms         []uint64
+	refSlice      []int
+	writeMode     bool
+	idleUntil     uint64
+	stats         Stats
+	obs           obs.ControllerCounters
+}
+
+// Save copies c's state into st, reusing st's slices, between two ticks,
+// and reports whether it could. A controller whose defense has acted — a
+// preventive refresh pending or rows migrated — is not saved (those
+// tables span every row), and neither is one holding a read that
+// completes through a Done callback rather than through Fills.
+func (c *Controller) Save(st *State) bool {
+	if len(c.victims) != 0 || c.remapped {
+		return false
+	}
+	for i := range c.readQ {
+		if c.readQ[i].Done != nil {
+			return false
+		}
+	}
+	c.Sys.Save(&st.sys)
+	st.readQ = append(st.readQ[:0], c.readQ...)
+	st.writeQ = append(st.writeQ[:0], c.writeQ...)
+	st.banks = append(st.banks[:0], c.banks...)
+	st.pending = append(st.pending[:0], c.pending...)
+	st.terms = append(st.terms[:0], c.terms...)
+	st.refSlice = append(st.refSlice[:0], c.refSlice...)
+	st.writeMode, st.idleUntil = c.writeMode, c.idleUntil
+	st.stats, st.obs = c.Stats, c.Obs
+	return true
+}
+
+// Restore sets c's state to st. c must be freshly Reset to the Config
+// and timing st was saved under; its defense, tracker and Fills stay its
+// own, and its queues' reads complete through its Fills. It allocates
+// nothing once c's queues have held as many requests.
+func (c *Controller) Restore(st *State) {
+	if len(st.banks) != len(c.banks) || len(st.terms) != len(c.terms) || len(st.refSlice) != len(c.refSlice) {
+		panic("memctrl: Restore of a state saved under another Config")
+	}
+	c.Sys.Restore(&st.sys)
+	c.readQ = append(c.readQ[:0], st.readQ...)
+	c.writeQ = append(c.writeQ[:0], st.writeQ...)
+	copy(c.banks, st.banks)
+	copy(c.pending, st.pending)
+	copy(c.terms, st.terms)
+	copy(c.refSlice, st.refSlice)
+	c.writeMode, c.idleUntil = st.writeMode, st.idleUntil
+	c.Stats, c.Obs = st.stats, st.obs
+}
+
+// Bytes is the memory st's saved state occupies.
+func (st *State) Bytes() int {
+	return int(unsafe.Sizeof(*st)) + st.sys.Bytes() - int(unsafe.Sizeof(st.sys)) +
+		int(unsafe.Sizeof(Request{}))*(len(st.readQ)+len(st.writeQ)) +
+		int(unsafe.Sizeof(bankQueued{}))*len(st.banks) + 8*(len(st.pending)+len(st.terms)+len(st.refSlice))
 }

@@ -1300,3 +1300,103 @@ func FuzzNextEventByBank(f *testing.F) {
 		driveNextEvent(t, newMC(nil, nil), seed, int(steps), nil)
 	})
 }
+
+// fills records the completions a controller's Fills receives.
+type fills [][3]uint64
+
+func (f *fills) Complete(core, mshr int, cycle uint64) {
+	*f = append(*f, [3]uint64{uint64(core), uint64(mshr), cycle})
+}
+
+// trackLog records every call a controller makes to its tracker.
+type trackLog [][4]uint64
+
+func (l *trackLog) OnAct(bank, row int, cycle uint64) {
+	*l = append(*l, [4]uint64{'A', uint64(bank), uint64(row), cycle})
+}
+func (l *trackLog) OnPre(bank, row int, on uint64) {
+	*l = append(*l, [4]uint64{'P', uint64(bank), uint64(row), on})
+}
+func (l *trackLog) OnRefresh(rank, first, count int) {
+	*l = append(*l, [4]uint64{'R', uint64(rank), uint64(first), uint64(count)})
+}
+func (l *trackLog) OnRowsSwapped(bank, a, b int) {
+	*l = append(*l, [4]uint64{'S', uint64(bank), uint64(a), uint64(b)})
+}
+
+// TestSaveRestoreContinues: a controller saved between two ticks and
+// restored into a freshly Reset one continues exactly as the original —
+// the same commands at the same cycles, the same read completions through
+// the restored controller's own Fills, the same tracker calls (refresh
+// slices included), the same Stats and counters. A queue holding a read
+// that completes through a Done callback is not saved.
+func TestSaveRestoreContinues(t *testing.T) {
+	type stimulus struct {
+		read, write bool
+		addr        uint64
+		mshr        int
+	}
+	rng := rand.New(rand.NewSource(7))
+	const half, cycles = 50_000, 100_000
+	stim := make([]stimulus, cycles)
+	for i := range stim {
+		stim[i] = stimulus{read: rng.Intn(32) == 0, write: rng.Intn(64) == 0,
+			addr: uint64(rng.Intn(1<<14)) * 64, mshr: rng.Intn(16)}
+	}
+	drive := func(c *Controller, from, to uint64) {
+		for cyc := from; cyc < to; cyc++ {
+			s := stim[cyc]
+			if s.read {
+				c.ReadFill(s.addr, int(cyc%2), s.mshr, cyc)
+			}
+			if s.write {
+				c.Write(s.addr^1<<20, 0, cyc)
+			}
+			c.Tick(cyc)
+		}
+	}
+	watch := func(c *Controller) (*[]mem.Command, *fills) {
+		var cmds []mem.Command
+		var f fills
+		c.Sys.Observer = func(cmd mem.Command) { cmds = append(cmds, cmd) }
+		c.Fills = &f
+		return &cmds, &f
+	}
+
+	var trA, trB trackLog
+	a := newMC(nil, &trA)
+	watch(a)
+	drive(a, 0, half)
+	var st State
+	if !a.Save(&st) {
+		t.Fatal("a controller with no defense action refused to save")
+	}
+	if r, w := a.QueueLens(); r+w == 0 {
+		t.Fatal("nothing queued at the save: the test saves no queue")
+	}
+	b := newMC(nil, &trB)
+	b.Restore(&st)
+	cmdsA, fillsA := watch(a)
+	cmdsB, fillsB := watch(b)
+	trA = nil
+	drive(a, half, cycles)
+	drive(b, half, cycles)
+	if !slices.Equal(trA, trB) || !slices.ContainsFunc(trA, func(e [4]uint64) bool { return e[0] == 'R' }) {
+		t.Errorf("after the restore: %d tracker calls, the original made %d (refreshes included)", len(trB), len(trA))
+	}
+	if len(*cmdsA) == 0 || !slices.Equal(*cmdsA, *cmdsB) {
+		t.Errorf("after the restore: %d commands, the original issued %d", len(*cmdsB), len(*cmdsA))
+	}
+	if len(*fillsA) == 0 || !slices.Equal(*fillsA, *fillsB) {
+		t.Errorf("after the restore: %d completions, the original made %d", len(*fillsB), len(*fillsA))
+	}
+	if a.Stats != b.Stats || a.Obs != b.Obs {
+		t.Errorf("stats diverged:\noriginal %+v %+v\nrestored %+v %+v", a.Stats, a.Obs, b.Stats, b.Obs)
+	}
+
+	c := newMC(nil, nil)
+	c.Read(0, 0, func(uint64) {}, 0)
+	if c.Save(&st) {
+		t.Error("a queue holding a Done callback was saved")
+	}
+}

@@ -74,9 +74,11 @@ type EngineCounters struct {
 	EpochAdvances uint64 // temporal epoch edges crossed by the live view
 	LiveDraws     uint64 // live thresholds drawn from the temporal process (comparisons its floor could not settle)
 
-	TwinReplays  uint64 // cells answered from a held command log: their defense-free twin's or another leg's stream
-	TwinDiverged uint64 // twin replays abandoned for a full simulation at the defense's first action
-	TwinMissed   uint64 // cells that could have replayed a log but found none held
+	TwinReplays   uint64 // cells answered from a held command log: their defense-free twin's or another leg's stream
+	TwinDiverged  uint64 // twin replays abandoned for a full simulation at the defense's first action
+	TwinMissed    uint64 // cells that could have replayed a log but found none held
+	TwinResumed   uint64 // diverged cells that resumed from a twin's checkpoint instead of cycle 0
+	ResumedCycles uint64 // cycles those cells took from the checkpoint instead of simulating
 }
 
 // Add accumulates o into c.
@@ -93,6 +95,8 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.TwinReplays += o.TwinReplays
 	c.TwinDiverged += o.TwinDiverged
 	c.TwinMissed += o.TwinMissed
+	c.TwinResumed += o.TwinResumed
+	c.ResumedCycles += o.ResumedCycles
 }
 
 // ControllerCounters are the memory-controller counters, embedded by
@@ -179,6 +183,8 @@ func Glossary() []CounterInfo {
 		{"twin_replays", "cells answered from a held command log instead of simulated: a static cell's defense-free twin's (the defense never throttled or acted) or another leg's stream of the cell's family (the same cell under another temporal process, or none)", func(c *Counters) uint64 { return c.TwinReplays }},
 		{"twin_diverged", "twin replays abandoned for a full simulation at the defense's first throttle or directive", func(c *Counters) uint64 { return c.TwinDiverged }},
 		{"twin_missed", "cells that could have replayed a twin's or another leg's command log but found none held (evicted, still being recorded, over its share or never run) and simulated in full", func(c *Counters) uint64 { return c.TwinMissed }},
+		{"twin_resumed", "diverged cells that restored their twin's last checkpoint before the divergence and simulated from there instead of from cycle 0", func(c *Counters) uint64 { return c.TwinResumed }},
+		{"resumed_cycles", "cycles the resumed cells took from their twin's checkpoint: with sim_ticks and skipped_cycles they add up to the cycles a full run covers", func(c *Counters) uint64 { return c.ResumedCycles }},
 		{"scan_passes", "FR-FCFS scheduler passes over a non-empty queue", func(c *Counters) uint64 { return c.ScanPasses }},
 		{"scan_entries", "queue entries examined by the scheduler's first-match walks: the position of each pass's pick, nothing for a pass that found no bank ready", func(c *Counters) uint64 { return c.ScanEntries }},
 		{"next_event_calls", "controller wake-up bounds evaluated in full (cached answers not counted)", func(c *Counters) uint64 { return c.NextEventCalls }},

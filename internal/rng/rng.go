@@ -70,6 +70,13 @@ func (r *Rand) Reseed(seed uint64) {
 	}
 }
 
+// State returns the stream's position: SetState(State()) on any Rand
+// continues this stream exactly.
+func (r *Rand) State() [4]uint64 { return r.s }
+
+// SetState moves the stream to a position State returned.
+func (r *Rand) SetState(s [4]uint64) { r.s = s }
+
 // At returns a stream whose seed is the stable hash of the coordinate
 // tuple. Streams for distinct tuples are independent.
 func At(parts ...uint64) *Rand {

@@ -72,8 +72,9 @@ func TestRecordedMatchesUnrecorded(t *testing.T) {
 
 // TestRecorderCounterInvariants cross-checks the engine counters
 // against the engine's own contract: the naive loop ticks every cycle,
-// so naive ticks == skip ticks + skipped cycles; and every jump is
-// attributed to exactly one bound source. Both runs simulate (each
+// so naive ticks == skip ticks + skipped cycles (+ the cycles a resumed
+// cell took from its twin's checkpoint); and every jump is attributed
+// to exactly one bound source. The skip and naive runs simulate (each
 // machine is built with no twin memo): a replay ticks nothing.
 func TestRecorderCounterInvariants(t *testing.T) {
 	cfg := diffBase()
@@ -129,6 +130,32 @@ func TestRecorderCounterInvariants(t *testing.T) {
 	// para under attack mixes issues neighbor refreshes.
 	if s.DirRefreshVictim == 0 {
 		t.Errorf("para recorded no refresh-victim directives: %+v", s.ControllerCounters)
+	}
+
+	// A cell resumed from its twin's checkpoint ticks only what follows
+	// the checkpoint, and its jumps are attributed as before.
+	cell := resumedCell()
+	memo := &twinMemo{}
+	if _, err := testEnv(memo).runOn(newPoolState(), twinConfig(cell), nil); err != nil {
+		t.Fatal(err)
+	}
+	resumedRec, cellNaiveRec := &obs.Recorder{}, &obs.Recorder{}
+	if _, err := testEnv(memo).runOn(newPoolState(), cell, resumedRec); err != nil {
+		t.Fatal(err)
+	}
+	var naive protocolTally
+	if _, err := naive.runWatched(cell, (*machine).runNaive, cellNaiveRec, nil); err != nil {
+		t.Fatal(err)
+	}
+	r, cn := resumedRec.Counters, cellNaiveRec.Counters
+	if r.TwinResumed != 1 || r.ResumedCycles == 0 {
+		t.Fatalf("%s did not resume: twin_resumed=%d resumed_cycles=%d", cell.Defense, r.TwinResumed, r.ResumedCycles)
+	}
+	if r.Ticks+r.SkippedCycles+r.ResumedCycles != cn.Ticks {
+		t.Errorf("resumed: skip ticks %d + skipped %d + resumed %d != naive ticks %d", r.Ticks, r.SkippedCycles, r.ResumedCycles, cn.Ticks)
+	}
+	if bounds := r.BoundController + r.BoundCore + r.BoundHorizon; bounds != r.SkipJumps {
+		t.Errorf("resumed: bound attribution %d != jumps %d", bounds, r.SkipJumps)
 	}
 }
 

@@ -355,9 +355,9 @@ type chanPort struct {
 	core int
 }
 
-func (p *chanPort) Read(addr uint64, done func(uint64), cycle uint64) bool {
+func (p *chanPort) Read(addr uint64, mshr int, cycle uint64) bool {
 	ch, a := p.m.route(addr)
-	return p.m.mcs[ch].Read(a, p.core, done, cycle)
+	return p.m.mcs[ch].ReadFill(a, p.core, mshr, cycle)
 }
 
 func (p *chanPort) Write(addr uint64, cycle uint64) bool {
@@ -370,7 +370,7 @@ func (p *chanPort) Write(addr uint64, cycle uint64) bool {
 // nchan is the system's (pseudo) channel count — it widens the stride
 // between consecutive rows of one bank in the interleaved address
 // space.
-func (c *Config) generatorFor(mcCfg memctrl.Config, nchan, slot int, name string) (gen cpu.Generator, uncached bool, err error) {
+func (c *Config) generatorFor(mcCfg memctrl.Config, nchan, slot int, name string) (gen generator, uncached bool, err error) {
 	base := uint64(slot) << 34
 	// One MC row spans this many bytes of the MOP-interleaved address
 	// space before the row index increments within a bank.
@@ -394,6 +394,13 @@ func (c *Config) generatorFor(mcCfg memctrl.Config, nchan, slot int, name string
 	}
 }
 
+// generator is a core's trace: the stream the core draws, and its
+// position in it, which a twin's checkpoint saves (twin.go).
+type generator interface {
+	cpu.Generator
+	trace.Seeker
+}
+
 // machine is one assembled simulation — the per-channel controllers,
 // the cores, and the security tracker — ready to be driven to
 // completion by either engine loop. Tests reach into it to assert
@@ -402,8 +409,16 @@ func (c *Config) generatorFor(mcCfg memctrl.Config, nchan, slot int, name string
 type machine struct {
 	mcs     []*memctrl.Controller // one per (pseudo) channel
 	cores   []*cpu.Core
+	gens    []generator // each core's trace
 	tracker *secTracker
 	ticks   uint64 // simulated cycles actually ticked by the driver loop
+
+	// Checkpoints (twin.go). start is the cycle runSkip begins at: 0, or
+	// the checkpoint a diverged cell resumed from. saveAt is the next
+	// cycle boundary at which a recording twin saves its machine;
+	// math.MaxUint64 when it records none.
+	start  uint64
+	saveAt uint64
 
 	// Flight-recorder state. The engine counters are plain fields on the
 	// per-run machine (zeroed by construction), incremented only on the
@@ -419,6 +434,10 @@ type machine struct {
 	mopWidth   uint64
 	chanStride uint64 // banks per channel: BankGroups*BanksPerGroup*Ranks
 }
+
+// Complete implements memctrl.Filler: a read a core's port enqueued
+// completes through the machine the controller belongs to.
+func (m *machine) Complete(core, mshr int, cycle uint64) { m.cores[core].Complete(mshr, cycle) }
 
 // route maps a flat physical address to its (pseudo) channel and the
 // channel-local address that channel's controller decodes. The channel
@@ -482,6 +501,7 @@ type poolState struct {
 	m        machine
 	mcs      []*memctrl.Controller
 	cores    []*cpu.Core
+	gens     []generator
 	tracker  *secTracker
 	defenses map[defenseKey]mitigation.Defense
 	defs     []mitigation.Defense // the current cell's defense per channel (layout.arm)
@@ -644,6 +664,7 @@ func (l *layout) assemble(st *poolState) (*machine, error) {
 	*m = machine{
 		mcs:        st.mcs,
 		tracker:    st.tracker,
+		saveAt:     math.MaxUint64,
 		nchan:      uint64(l.nchan),
 		mopWidth:   uint64(l.mcCfg.MOPWidth),
 		chanStride: uint64(l.banksPerChan),
@@ -653,18 +674,22 @@ func (l *layout) assemble(st *poolState) (*machine, error) {
 		if mc != nil {
 			mc.Reset(l.mcCfg, l.timing, st.defs[ch], &st.trs[ch])
 		} else {
-			m.mcs[ch] = memctrl.New(l.mcCfg, l.timing, st.defs[ch], &st.trs[ch])
+			mc = memctrl.New(l.mcCfg, l.timing, st.defs[ch], &st.trs[ch])
+			m.mcs[ch] = mc
 		}
+		mc.Fills = m
 	}
 
 	st.cores = resize(st.cores, cfg.Cores)
+	st.gens = resize(st.gens, cfg.Cores)
 	st.ports = resize(st.ports, cfg.Cores)
-	m.cores = st.cores
+	m.cores, m.gens = st.cores, st.gens
 	for i, c := range m.cores {
 		gen, uncached, err := cfg.generatorFor(l.mcCfg, l.nchan, i, cfg.Mix[i])
 		if err != nil {
 			return nil, err
 		}
+		m.gens[i] = gen
 		coreCfg := cpu.DefaultConfig()
 		coreCfg.Uncached = uncached
 		st.ports[i] = chanPort{m: m, core: i}
@@ -722,10 +747,22 @@ func (m *machine) runNaive(maxCycles uint64) (uint64, bool) {
 // differential tests in engine_diff_test.go compare the streams command
 // for command across every defense, attack mix, Svärd setting and
 // backend, and FuzzEngineSkipVsNoSkip lets the fuzzer choose the cell.
+//
+// It starts at m.start: cycle 0, or the checkpoint a diverged cell
+// resumed from. While a twin records, it saves the machine at the top of
+// the first iteration at or past each checkpoint boundary (twin.go).
 func (m *machine) runSkip(maxCycles uint64) (uint64, bool) {
-	remaining := len(m.cores)
-	cycle := uint64(0)
+	remaining := 0
+	for _, c := range m.cores {
+		if !c.Finished() {
+			remaining++
+		}
+	}
+	cycle := m.start
 	for cycle < maxCycles {
+		if cycle >= m.saveAt {
+			m.save(cycle)
+		}
 		m.ticks++
 		active := false
 		for _, mc := range m.mcs {
@@ -935,10 +972,11 @@ func (e *env) runOn(st *poolState, cfg Config, rec *obs.Recorder) (Result, error
 		return Result{}, err
 	}
 	diverged := false
+	var from *checkpoint
 	if tw != nil {
 		rec.End(obs.PhaseBuild)
 		rec.Begin(obs.PhaseRun)
-		ok := l.replay(st, tw)
+		d, ok := l.replay(st, tw)
 		rec.End(obs.PhaseRun)
 		if ok {
 			rec.Begin(obs.PhaseFold)
@@ -954,13 +992,21 @@ func (e *env) runOn(st *poolState, cfg Config, rec *obs.Recorder) (Result, error
 		}
 		// The build phase absorbs the abandoned replay: its end is
 		// stamped again below, and the run phase's start again when the
-		// measurement region begins.
+		// measurement region begins. The twin's last checkpoint before
+		// entry d holds the machine the cell has there too: the re-armed
+		// half is walked to it and the machine restored from it.
 		diverged = true
 		err = l.arm(st)
+		if from = tw.resumePoint(d); from != nil && err == nil {
+			l.walk(st, tw, from.n)
+		}
 	}
 	var m *machine
 	if err == nil {
 		m, err = l.assemble(st)
+	}
+	if err == nil && from != nil {
+		m.restore(from)
 	}
 	rec.End(obs.PhaseBuild)
 	if err != nil {

@@ -1,11 +1,16 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
+	"svard/internal/cpu"
+	"svard/internal/memctrl"
 	"svard/internal/mitigation"
+	"svard/internal/trace"
 )
 
 // Twin replay. A defense reaches the machine only through its answers to
@@ -28,6 +33,18 @@ import (
 // row, cycle), and issues no other ACT (victim refreshes come only from
 // directives).
 //
+// Resume from a checkpoint. A diverged cell follows its twin exactly up
+// to the cycle of the ACT its defense first answered differently, so the
+// twin's machine at any earlier cycle is the cell's too. While a twin
+// records it saves its machine — controllers, DRAM state, cores, trace
+// positions — at cycle boundaries (checkpoint), each tagged with the log
+// length at that tick. A diverged cell re-arms, walks the log up to the
+// last checkpoint taken before the diverging entry, restores that
+// checkpoint into its own freshly assembled machine and runs the event
+// engine from there. A read queued at the checkpoint names its core's
+// miss register rather than a callback (memctrl.Filler), so the copied
+// queue completes into the cell's own cores.
+//
 // Stream replay. A temporal process moves only the tracker's ground
 // truth (views.go): defenses read the frozen calibration view, and the
 // event engine's jumps are bounded by the controllers and the cores
@@ -49,15 +66,17 @@ import (
 // runs without one). A log still being recorded, evicted, too long to
 // keep or never recorded in this env leaves its cells to simulate in full
 // (twin_missed): the replay never waits for a log and never runs a cell
-// it was not asked for. TestTwinReplay*, FuzzTwinReplay and
-// FuzzTemporalMovesOnlyViolations hold replay to the full simulation bit
-// for bit.
+// it was not asked for. TestTwinReplay*, FuzzTwinReplay, FuzzTwinResume
+// and FuzzTemporalMovesOnlyViolations hold replay and resume to the full
+// simulation bit for bit.
 
-// twinBudget bounds the bytes of command log an env's memo holds; the
-// least recently used log goes first. It is sized from measured logs
+// twinBudget bounds the bytes of command log and checkpoints an env's
+// memo holds; the least recently used log goes first, with its
+// checkpoints. It is sized from measured logs
 // (EXPERIMENTS.md, "Twin replay"). A twin of the benchmark's Fig. 12
-// shape (2 cores, 20K+4K instructions) logs 80–175 KB, so the ten twins
-// a benchmark process records over its five set-up seeds take ~1.3 MB.
+// shape (2 cores, 20K+4K instructions) logs 80–175 KB and checkpoints
+// 113–312 KB, so the ten twins a benchmark process records over its five
+// set-up seeds hold ~1.3 MB of log and ~2.0 MB of checkpoints.
 // A stream of the benchmark's erosion shape (the same sizing) logs
 // 78–330 KiB, and the 16 of one seed take 2.4 MB, so every other leg of
 // a pass finds its stream. A twin of svard-sweep's default shape (8
@@ -68,10 +87,10 @@ import (
 // from 52–54 MB to 212 MB.
 const twinBudget = 4 << 20
 
-// twinShare caps one log at 1/twinShare of the budget: the memo always
-// has room for that many logs, and a log too long to keep is dropped
-// once it outgrows its share, so recording it costs at most that much
-// memory.
+// twinShare caps one log at 1/twinShare of the budget, and a twin's
+// checkpoints at another: the memo always has room for half that many
+// twins, and a log too long to keep is dropped once it outgrows its
+// share, so recording it costs at most that much memory.
 const twinShare = 8
 
 // twinOverhead is what a held log is charged beyond its entries: its
@@ -86,6 +105,7 @@ type twinMemo struct {
 	bytes  int
 	clock  uint64 // LRU clock: bumped on every insert and hit
 	budget int    // bytes; 0 means twinBudget (tests set their own)
+	every  uint64 // checkpoint spacing in cycles; 0 means checkpointEvery (tests set their own)
 }
 
 // limit is the memo's byte budget.
@@ -98,7 +118,8 @@ func (mm *twinMemo) limit() int {
 
 // twin is one held run: a defense-free twin (static, Defense "none") or
 // a stream recorder. Until ready it is being recorded, by the run's
-// tracker alone; once ready, log, n and res are never written again.
+// tracker alone; once ready, log, n, res and its checkpoints are never
+// written again.
 type twin struct {
 	cfg   Config // the recording run's config (Mix and Temporal owned)
 	log   [][]twinEvent
@@ -108,6 +129,111 @@ type twin struct {
 	res   Result
 	used  uint64
 	ready bool
+
+	// A defense-free twin's checkpoints, in cycle order: its machine at
+	// boundaries every cycles apart. Their bytes never exceed ckMax, its
+	// checkpoint share: the first that would is not kept, and the twin
+	// takes no more.
+	ckpts   []*checkpoint
+	every   uint64
+	ckBytes int
+	ckMax   int
+}
+
+// checkpointEvery is the spacing, in cycles, at which a recording twin
+// starts saving its machine. A diverged cell resumes from the last
+// checkpoint before its divergence, so it re-simulates at most about this
+// many cycles of the prefix it shares with its twin. On the benchmark's
+// shape a checkpoint takes 18–42 KB, so a 334 000-cycle twin's ten fit
+// its share (EXPERIMENTS.md, "Twin replay", has the sizing); a longer
+// twin keeps its first checkpoints up to the share.
+const checkpointEvery = 1 << 15
+
+// checkpoint is a recording twin's machine between two ticks: at the top
+// of the engine loop's iteration for cycle at, the first at or past a
+// multiple of the twin's spacing, after the log's first n entries. It holds what a resume
+// restores into a freshly assembled machine: each controller's state
+// (its DRAM device array inside), each core's, and each core's position
+// in its trace. The security half is not in it: a resume replays the
+// log's first n entries into the cell's own armed tracker and defenses.
+type checkpoint struct {
+	at    uint64
+	n     int
+	mcs   []memctrl.State
+	cores []cpu.State
+	gens  []trace.Pos
+	bytes int
+}
+
+// save checkpoints the machine of a recording twin at cycle and sets the
+// next boundary. A machine it cannot save (memctrl.Controller.Save and
+// cpu.Core.Save say when), or a checkpoint past the twin's share, ends
+// its checkpoints.
+func (m *machine) save(cycle uint64) {
+	tw := m.tracker.log
+	m.saveAt = math.MaxUint64
+	if tw.lost {
+		return
+	}
+	ck := &checkpoint{
+		at: cycle, n: tw.n,
+		mcs:   make([]memctrl.State, len(m.mcs)),
+		cores: make([]cpu.State, len(m.cores)),
+		gens:  make([]trace.Pos, len(m.cores)),
+	}
+	ck.bytes = int(unsafe.Sizeof(*ck)) + len(ck.gens)*int(unsafe.Sizeof(trace.Pos{}))
+	for i, mc := range m.mcs {
+		if !mc.Save(&ck.mcs[i]) {
+			return
+		}
+		ck.bytes += ck.mcs[i].Bytes()
+	}
+	for i, c := range m.cores {
+		if !c.Save(&ck.cores[i]) {
+			return
+		}
+		ck.gens[i] = m.gens[i].Pos()
+		ck.bytes += ck.cores[i].Bytes()
+	}
+	if tw.ckBytes+ck.bytes > tw.ckMax {
+		return
+	}
+	tw.ckpts = append(tw.ckpts, ck)
+	tw.ckBytes += ck.bytes
+	if next := (cycle/tw.every + 1) * tw.every; next > cycle {
+		m.saveAt = next
+	}
+}
+
+// resumePoint is the last checkpoint of tw a cell that diverged at log
+// entry d can resume from: the latest taken before entry d was logged,
+// or nil.
+func (tw *twin) resumePoint(d int) *checkpoint {
+	var last *checkpoint
+	for _, ck := range tw.ckpts {
+		if ck.n > d {
+			break
+		}
+		last = ck
+	}
+	return last
+}
+
+// restore sets a freshly assembled machine to checkpoint ck: its
+// controllers and cores, each core's trace position, and the cycle
+// runSkip starts at. It allocates nothing once the arena's queues are
+// warm.
+func (m *machine) restore(ck *checkpoint) {
+	for i, mc := range m.mcs {
+		mc.Restore(&ck.mcs[i])
+	}
+	for i, c := range m.cores {
+		c.Restore(&ck.cores[i])
+		m.gens[i].Seek(ck.gens[i])
+	}
+	m.start = ck.at
+	m.obs.TwinResumed = 1
+	m.obs.ResumedCycles = ck.at
 }
 
 // twinEvent is one command of a log packed into 8 bytes, low bits first:
@@ -229,31 +355,46 @@ func (mm *twinMemo) replayable(cfg *Config) (tw *twin, eligible bool) {
 
 // replay feeds tw's log to arena st's armed tracker and, on a twin
 // replay, drives its armed defenses too (each on its channel's slice of
-// the banks), reporting false at their first answer Nop would not give —
-// the armed half is then dirty and must be re-armed. A stream walk
-// always completes.
-func (l *layout) replay(st *poolState, tw *twin) bool {
+// the banks). It reports false at their first answer Nop would not give,
+// with the index of the entry that drew it — the armed half is then
+// dirty and must be re-armed. A stream walk always completes.
+func (l *layout) replay(st *poolState, tw *twin) (diverged int, ok bool) {
+	if d := l.walk(st, tw, tw.n); d < tw.n {
+		return d, false
+	}
+	st.tracker.endRun(tw.res.Cycles, l.cfg.MaxCycles)
+	return tw.n, true
+}
+
+// walk is replay's loop over the first limit entries of tw's log: it
+// returns limit, or the index of the entry whose ACT the defense did not
+// answer as Nop would.
+func (l *layout) walk(st *poolState, tw *twin, limit int) int {
 	tr := st.tracker
 	var defs []mitigation.Defense
 	if !sameStream(&tw.cfg, &l.cfg) {
 		defs = st.defs
 	}
+	i := 0
 	for _, block := range tw.log {
 		for _, e := range block {
+			if i == limit {
+				return i
+			}
 			bank, row, at := e.bank(), e.row(), e.at()
 			switch e.kind() {
 			case evACT:
 				if defs == nil {
 					tr.OnAct(bank, row, at)
-					continue
+					break
 				}
 				def, local := defs[bank/l.banksPerChan], bank%l.banksPerChan
 				if ok, _ := def.CanActivate(local, row, at); !ok {
-					return false
+					return i
 				}
 				tr.OnAct(bank, row, at)
 				if len(def.OnActivate(local, row, at)) != 0 {
-					return false
+					return i
 				}
 			case evPRE:
 				tr.OnPre(bank, row, at)
@@ -262,10 +403,10 @@ func (l *layout) replay(st *poolState, tw *twin) bool {
 			case evSWAP:
 				tr.OnRowsSwapped(bank, row, int(at))
 			}
+			i++
 		}
 	}
-	tr.endRun(tw.res.Cycles, l.cfg.MaxCycles)
-	return true
+	return i
 }
 
 // result is the recorded Result as the replayed cell's: its own copy of
@@ -301,6 +442,13 @@ func (mm *twinMemo) record(cfg *Config, m *machine) {
 	}
 	mm.held = append(mm.held, tw)
 	m.tracker.log = tw
+	if isTwin(cfg) {
+		tw.every, tw.ckMax = checkpointEvery, mm.limit()/twinShare
+		if mm.every > 0 {
+			tw.every = mm.every
+		}
+		m.saveAt = tw.every
+	}
 }
 
 // finish detaches the log tr was recording, if any, and hands it with
@@ -364,9 +512,9 @@ func (mm *twinMemo) drop(t *twin) {
 }
 
 // size is what a held log is charged against the budget: its entries
-// (the last block's unused tail, under 8 KiB, is not charged) and its
-// overhead.
-func (t *twin) size() int { return t.n*8 + twinOverhead }
+// (the last block's unused tail, under 8 KiB, is not charged), its
+// checkpoints and its overhead.
+func (t *twin) size() int { return t.n*8 + t.ckBytes + twinOverhead }
 
 // add logs one command, or marks the log lost if it does not fit.
 func (tw *twin) add(kind, bank, row int, at uint64) {
@@ -376,6 +524,7 @@ func (tw *twin) add(kind, bank, row int, at uint64) {
 	e, ok := packEvent(kind, bank, row, at)
 	if !ok || tw.n == tw.max {
 		tw.lost, tw.log = true, nil
+		tw.ckpts, tw.ckBytes = nil, 0
 		return
 	}
 	if tw.n%twinBlock == 0 {

@@ -21,9 +21,10 @@ func twinConfig(cfg Config) Config {
 }
 
 // replayOrFull runs cfg through memo — the replay path when memo holds a
-// log that serves it — and through a forced full simulation, requires the
-// two Results to be bit-identical and the temporal counters equal, and
-// returns the replay path's counters.
+// log that serves it, or the resume from its twin's checkpoint — and
+// through a forced full simulation, requires the two Results to be
+// bit-identical, the temporal counters equal and a resumed run to cover
+// the full run's cycles, and returns the replay path's counters.
 func replayOrFull(t *testing.T, st *poolState, memo *twinMemo, cfg Config) obs.Counters {
 	t.Helper()
 	_, c := replayOrFullResult(t, st, memo, cfg)
@@ -47,6 +48,10 @@ func replayOrFullResult(t *testing.T, st *poolState, memo *twinMemo, cfg Config)
 			cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix, cfg.Temporal, got, want)
 	}
 	r, f := rec.Counters, full.Counters
+	if r.TwinResumed == 1 && r.Ticks+r.SkippedCycles+r.ResumedCycles != f.Ticks+f.SkippedCycles {
+		t.Errorf("%s nRH=%v svard=%v mix=%v: resumed at cycle %d, then ticked %d and skipped %d cycles; the full run covers %d",
+			cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix, r.ResumedCycles, r.Ticks, r.SkippedCycles, f.Ticks+f.SkippedCycles)
+	}
 	if r.EpochAdvances != f.EpochAdvances || r.LiveDraws != f.LiveDraws {
 		t.Errorf("%s nRH=%v svard=%v mix=%v temporal=%v: epoch_advances %d, live_draws %d on the replay path; %d, %d in the full run",
 			cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix, cfg.Temporal, r.EpochAdvances, r.LiveDraws, f.EpochAdvances, f.LiveDraws)
@@ -71,7 +76,8 @@ func benchFig12Options() Fig12Options {
 // leg misses and records its point's stream, and every temporal leg
 // replays it. Defense-free static cells are never served. It also pins
 // which cells replay to the end — the benchmark's Fig. 12 cells by name,
-// the erosion sweeps' temporal legs by count — so a change that silently
+// the erosion sweeps' temporal legs by count — and which diverged Fig. 12
+// cells resume from their twin's checkpoint, so a change that silently
 // disables a fast path fails here.
 func TestTwinReplayMatchesFullRun(t *testing.T) {
 	must := func(jobs []Job, err error) []Job {
@@ -100,6 +106,7 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 		jobs    []Job
 		budget  int      // 0: twinBudget
 		want    []string // static cells replayed to the end; nil: not pinned
+		resumed []string // diverged static cells resumed from a checkpoint; nil: not pinned
 		streams int      // temporal legs replayed from another leg's stream
 		violent bool     // every replayed temporal leg counts violations
 		twins   bool     // run the twins into the memo first
@@ -113,14 +120,23 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 			"rrs 1024 false [mcf06 ycsb-a]", "rrs 1024 false [lbm06 tpcc]",
 			"rrs 1024 true [mcf06 ycsb-a]", "rrs 1024 true [lbm06 tpcc]",
 			"rrs 64 true [lbm06 tpcc]",
+		}, []string{
+			"aqua 64 false [mcf06 ycsb-a]", "aqua 64 false [lbm06 tpcc]",
+			"aqua 64 true [mcf06 ycsb-a]",
+			"blockhammer 64 false [mcf06 ycsb-a]", "blockhammer 64 false [lbm06 tpcc]",
+			"blockhammer 64 true [mcf06 ycsb-a]", "blockhammer 64 true [lbm06 tpcc]",
+			"hydra 1024 false [mcf06 ycsb-a]", "hydra 1024 false [lbm06 tpcc]",
+			"hydra 1024 true [mcf06 ycsb-a]", "hydra 1024 true [lbm06 tpcc]",
+			"rrs 64 false [mcf06 ycsb-a]", "rrs 64 false [lbm06 tpcc]",
+			"rrs 64 true [mcf06 ycsb-a]",
 		}, 0, false, true},
-		{"fig12_hbm2", Fig12Jobs(goldenFig12HBM2Options()), 0, nil, 0, false, true},
-		{"fig13", must(Fig13Jobs(goldenFig13Options())), roomy, nil, 0, false, true},
-		{"erosion", erosion(bench), 0, nil, 32, false, true},
-		{"erosion_attacked", erosion(attacked), roomy, nil, 8, true, true},
-		{"erosion_hbm2", erosion(hbm2), 0, nil, 32, false, true},
-		{"erosion_streams", erosion(bench), 0, nil, 48, false, false},
-		{"erosion_streams_hbm2", erosion(hbm2), 0, nil, 48, false, false},
+		{"fig12_hbm2", Fig12Jobs(goldenFig12HBM2Options()), 0, nil, nil, 0, false, true},
+		{"fig13", must(Fig13Jobs(goldenFig13Options())), roomy, nil, nil, 0, false, true},
+		{"erosion", erosion(bench), 0, nil, nil, 32, false, true},
+		{"erosion_attacked", erosion(attacked), roomy, nil, nil, 8, true, true},
+		{"erosion_hbm2", erosion(hbm2), 0, nil, nil, 32, false, true},
+		{"erosion_streams", erosion(bench), 0, nil, nil, 48, false, false},
+		{"erosion_streams_hbm2", erosion(hbm2), 0, nil, nil, 48, false, false},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -138,7 +154,7 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 				}
 			}
 			st := newPoolState()
-			var replayed []string
+			var replayed, resumed []string
 			attempts, streams, legs, recorders := 0, 0, 0, 0
 			for _, j := range sh.jobs {
 				cfg := j.Config
@@ -176,14 +192,24 @@ func TestTwinReplayMatchesFullRun(t *testing.T) {
 					t.Errorf("%s nRH=%v: twin_replays=%d twin_diverged=%d twin_missed=%d, want a replay or a divergence",
 						cfg.Defense, cfg.NRH, c.TwinReplays, c.TwinDiverged, c.TwinMissed)
 				}
+				name := fmt.Sprintf("%s %v %v %v", cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix)
 				if c.TwinReplays == 1 {
-					replayed = append(replayed, fmt.Sprintf("%s %v %v %v", cfg.Defense, cfg.NRH, cfg.Svard, cfg.Mix))
+					replayed = append(replayed, name)
+				}
+				if c.TwinResumed == 1 {
+					resumed = append(resumed, name)
+					if c.TwinDiverged != 1 || c.ResumedCycles == 0 {
+						t.Errorf("%s: twin_resumed=1 with twin_diverged=%d resumed_cycles=%d", name, c.TwinDiverged, c.ResumedCycles)
+					}
 				}
 			}
-			t.Logf("%d of %d eligible static cells replayed to the end; %d static legs recorded; %d of %d temporal legs replayed another leg's stream",
-				len(replayed), attempts, recorders, streams, legs)
+			t.Logf("%d of %d eligible static cells replayed to the end, %d resumed from a checkpoint; %d static legs recorded; %d of %d temporal legs replayed another leg's stream",
+				len(replayed), attempts, len(resumed), recorders, streams, legs)
 			if sh.want != nil && !slices.Equal(replayed, sh.want) {
 				t.Errorf("replayed cells:\n got %q\nwant %q", replayed, sh.want)
+			}
+			if sh.resumed != nil && !slices.Equal(resumed, sh.resumed) {
+				t.Errorf("resumed cells:\n got %q\nwant %q", resumed, sh.resumed)
 			}
 			if streams != sh.streams {
 				t.Errorf("%d temporal legs replayed another leg's stream, want %d", streams, sh.streams)
@@ -321,7 +347,8 @@ func TestTwinKeyCoversConfig(t *testing.T) {
 // TestTwinMemoBounded: the memo never holds more log than its budget,
 // evicts the least recently used twin first, records a twin it holds
 // only once, and drops a twin whose log outgrows its share of the budget
-// while it is recorded.
+// while it is recorded. A twin's checkpoints are charged with its log,
+// byte for byte, and stop at their own share.
 func TestTwinMemoBounded(t *testing.T) {
 	memo := &twinMemo{budget: 8 << 10}
 	const n = twinShare + 1
@@ -396,6 +423,40 @@ func TestTwinMemoBounded(t *testing.T) {
 		memo.replayable(&cell)
 	}); got != 0 {
 		t.Errorf("memo lookup allocates %v times", got)
+	}
+
+	// A real twin at a spacing its checkpoint share cannot hold: it keeps
+	// checkpoints in order, one per spacing at most, up to the share and
+	// takes none after, and the memo charges exactly its entries,
+	// checkpoints and overhead.
+	const every = 1 << 12
+	small := &twinMemo{budget: 1 << 20, every: every}
+	twin := twinConfig(tinyBase())
+	twin.Mix = []string{"lbm06", "tpcc"}
+	if _, err := testEnv(small).runOn(newPoolState(), twin, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(small.held) != 1 {
+		t.Fatalf("the memo holds %d twins after recording one", len(small.held))
+	}
+	st := small.held[0]
+	sum := 0
+	for i, ck := range st.ckpts {
+		sum += ck.bytes
+		if ck.at < every || i > 0 && (ck.at/every <= st.ckpts[i-1].at/every || ck.n < st.ckpts[i-1].n) {
+			t.Errorf("checkpoint %d at cycle %d (entry %d) is off the spacing %d or out of order", i, ck.at, ck.n, every)
+		}
+		if c := ck.cores[0].Bytes(); c <= 0 || c >= ck.bytes {
+			t.Errorf("checkpoint %d: a core's %d bytes against the checkpoint's %d", i, c, ck.bytes)
+		}
+	}
+	if len(st.ckpts) == 0 || sum != st.ckBytes || st.ckBytes > st.ckMax || st.ckMax != small.budget/twinShare {
+		t.Errorf("%d checkpoints, %d bytes counted, %d charged, share %d", len(st.ckpts), sum, st.ckBytes, st.ckMax)
+	} else if last := st.ckpts[len(st.ckpts)-1].at; last+2*every > st.res.Cycles {
+		t.Errorf("the share held every checkpoint up to cycle %d of %d: the test no longer reaches it", last, st.res.Cycles)
+	}
+	if want := st.n*8 + sum + twinOverhead; small.bytes != want {
+		t.Errorf("memo charged %d bytes for a twin of %d entries and %d checkpoint bytes, want %d", small.bytes, st.n, sum, want)
 	}
 }
 
@@ -489,5 +550,114 @@ func TestTwinEventPacking(t *testing.T) {
 		if _, ok := packEvent(f.kind, f.bank, f.row, f.at); ok {
 			t.Errorf("packEvent(%+v) accepted a field past its width", f)
 		}
+	}
+}
+
+// FuzzTwinResume: for any small static configuration fuzzConfig can name
+// — defense, nRH, Svärd, backend, attack mixes — and any checkpoint
+// spacing, a cell that diverges from its twin resumes from the twin's
+// last checkpoint before the divergence exactly when there is one, and
+// is then bit for bit its forced full simulation, covering the same
+// cycles.
+func FuzzTwinResume(f *testing.F) {
+	for d := uint64(1); d <= uint64(len(DefenseNames)); d++ {
+		f.Add(fuzzSeed(fuzzChoices{defense: d, nrh: 2, svard: d % 2, hbm2: d & 1, cores: 1, mix: [4]uint64{2, 3}}), uint8(d))
+	}
+	f.Add(fuzzSeed(fuzzChoices{defense: 3, nrh: 1, cores: 1, mix: [4]uint64{5, 2}}), uint8(2))          // hydra under its attack
+	f.Add(fuzzSeed(fuzzChoices{defense: 5, nrh: 1, hbm2: 1, cores: 1, mix: [4]uint64{6, 0}}), uint8(1)) // rrs under its attack, HBM2
+	f.Add(fuzzSeed(fuzzChoices{defense: 2, nrh: 2, svard: 1, cores: 3, mix: [4]uint64{0, 2, 3, 4}}), uint8(3))
+	f.Add(fuzzSeed(fuzzChoices{defense: 1, nrh: 2, cores: 1, mix: [4]uint64{2, 3}, truncate: 4}), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, spacing uint8) {
+		cfg := fuzzConfig(seed)
+		cfg.Temporal = nil
+		if isNone(cfg.Defense) {
+			return
+		}
+		memo := &twinMemo{budget: 1 << 30, every: 256 << (spacing % 10)}
+		if _, err := testEnv(memo).runOn(newPoolState(), twinConfig(cfg), nil); err != nil {
+			t.Fatal(err)
+		}
+		c := replayOrFull(t, newPoolState(), memo, cfg)
+
+		l, err := newLayout(cfg, defaultEnv.modules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newPoolState()
+		if err := l.arm(st); err != nil {
+			t.Fatal(err)
+		}
+		tw, _ := memo.replayable(&cfg)
+		d, ok := l.replay(st, tw)
+		var from *checkpoint
+		if !ok {
+			from = tw.resumePoint(d)
+		}
+		want := map[bool]uint64{true: 1}
+		if c.TwinReplays != want[ok] || c.TwinDiverged != want[!ok] || c.TwinResumed != want[from != nil] {
+			t.Errorf("diverged at entry %d (replayed %v, a checkpoint before it %v): twin_replays=%d twin_diverged=%d twin_resumed=%d",
+				d, ok, from != nil, c.TwinReplays, c.TwinDiverged, c.TwinResumed)
+		}
+		if from != nil && c.ResumedCycles != from.at {
+			t.Errorf("resumed_cycles=%d, want the checkpoint's cycle %d", c.ResumedCycles, from.at)
+		}
+	})
+}
+
+// resumedCell is a benchmark-shape cell whose defense first acts near
+// cycle 87 000 of its twin's 334 000: it resumes from the twin's
+// checkpoint at cycle 65 536.
+func resumedCell() Config {
+	cfg := tinyBase()
+	cfg.Defense, cfg.NRH = "hydra", 1024
+	cfg.Mix = []string{"mcf06", "ycsb-a"}
+	return cfg
+}
+
+// TestTwinResumeAllocs: on a warm arena, a cell resumed from its twin's
+// checkpoint allocates exactly what its forced full simulation does — the
+// abandoned replay, the re-armed walk to the checkpoint and the restore
+// allocate nothing, and neither do the last two alone.
+func TestTwinResumeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	cfg := resumedCell()
+	withMemo, full := testEnv(&twinMemo{}), testEnv(nil)
+	if _, err := withMemo.runOn(newPoolState(), twinConfig(cfg), nil); err != nil {
+		t.Fatal(err)
+	}
+	st := newPoolState()
+	var rec obs.Recorder
+	if _, err := withMemo.runOn(st, cfg, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Counters.TwinResumed != 1 || rec.Counters.ResumedCycles != 65536 {
+		t.Fatalf("twin_resumed=%d resumed_cycles=%d, want a resume at cycle 65536", rec.Counters.TwinResumed, rec.Counters.ResumedCycles)
+	}
+	resumed := testing.AllocsPerRun(3, func() { withMemo.runOn(st, cfg, nil) })
+	simulated := testing.AllocsPerRun(3, func() { full.runOn(st, cfg, nil) })
+	if resumed != simulated {
+		t.Errorf("a warm resumed cell allocates %v times, its full simulation %v", resumed, simulated)
+	}
+
+	// The resume's own steps, on the warm arena: the walk to the
+	// checkpoint and the restore (which sets the same state again).
+	l, err := newLayout(cfg, defaultEnv.modules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, _ := withMemo.memo.replayable(&cfg)
+	ck := tw.resumePoint(tw.n)
+	if err := l.arm(st); err != nil {
+		t.Fatal(err)
+	}
+	m, err := l.assemble(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.restore(ck)
+	if n := testing.AllocsPerRun(10, func() { l.walk(st, tw, ck.n); m.restore(ck) }); n != 0 {
+		t.Errorf("the walk to a checkpoint and its restore allocate %v times", n)
 	}
 }

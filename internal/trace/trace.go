@@ -171,6 +171,27 @@ func (s *Synth) Next() (gap int, addr uint64, write bool) {
 	return gap, s.base + s.cur*64, s.r.Bool(s.w.WriteFrac)
 }
 
+// Pos is a generator's position in its stream. Seek(Pos()) on a
+// generator built the same way (workload, base and seed, or the same
+// pattern fields) continues the stream exactly: that is how a simulation
+// resumed from a checkpoint picks each core's trace up where it was.
+type Pos struct {
+	rng [4]uint64
+	cur uint64
+}
+
+// Seeker is a generator whose position can be read and set.
+type Seeker interface {
+	Pos() Pos
+	Seek(Pos)
+}
+
+// Pos implements Seeker.
+func (s *Synth) Pos() Pos { return Pos{rng: s.r.State(), cur: s.cur} }
+
+// Seek implements Seeker.
+func (s *Synth) Seek(p Pos) { s.r.SetState(p.rng); s.cur = p.cur }
+
 // RowCycler is Fig. 13's Hydra-adversarial pattern: it walks a large set
 // of distinct rows (stride apart) so every access activates a new row
 // and thrashes any row-granular cache.
@@ -188,6 +209,12 @@ func (a *RowCycler) Next() (int, uint64, bool) {
 	return 0, addr, false
 }
 
+// Pos implements Seeker.
+func (a *RowCycler) Pos() Pos { return Pos{cur: a.i} }
+
+// Seek implements Seeker.
+func (a *RowCycler) Seek(p Pos) { a.i = p.cur }
+
 // PairHammer is Fig. 13's RRS-adversarial pattern: it alternates two
 // conflicting rows in one bank, maximizing one row's activation rate
 // (and thus the defense's swap rate).
@@ -204,3 +231,9 @@ func (a *PairHammer) Next() (int, uint64, bool) {
 	}
 	return 0, a.B, false
 }
+
+// Pos implements Seeker.
+func (a *PairHammer) Pos() Pos { return Pos{cur: a.i} }
+
+// Seek implements Seeker.
+func (a *PairHammer) Seek(p Pos) { a.i = p.cur }

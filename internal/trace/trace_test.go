@@ -173,3 +173,36 @@ func TestQuickSynthAddressesInRange(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSeekContinuesStream: a generator built the same way and moved to
+// another's Pos continues that stream exactly, for every generator the
+// simulator builds — zipfian and uniform synthetic workloads and both
+// attack patterns.
+func TestSeekContinuesStream(t *testing.T) {
+	type generator interface {
+		Next() (int, uint64, bool)
+		Seeker
+	}
+	ycsb, _ := ByName("ycsb-a")
+	lbm, _ := ByName("lbm06")
+	for name, build := range map[string]func() generator{
+		"ycsb-a":    func() generator { return NewSynth(ycsb, 1<<34, 5) },
+		"lbm06":     func() generator { return NewSynth(lbm, 0, 9) },
+		"rowcycler": func() generator { return &RowCycler{Base: 64, Stride: 1 << 20, Count: 7} },
+		"pair":      func() generator { return &PairHammer{A: 0, B: 1 << 22} },
+	} {
+		orig := build()
+		for range 1001 {
+			orig.Next()
+		}
+		resumed := build()
+		resumed.Seek(orig.Pos())
+		for i := range 1000 {
+			g1, a1, w1 := orig.Next()
+			g2, a2, w2 := resumed.Next()
+			if g1 != g2 || a1 != a2 || w1 != w2 {
+				t.Fatalf("%s: access %d after the seek is (%d, %#x, %v), the original stream's (%d, %#x, %v)", name, i, g2, a2, w2, g1, a1, w1)
+			}
+		}
+	}
+}
