@@ -13,8 +13,6 @@ type Bank struct {
 	ColReady  uint64 // earliest next RD/WR to the open row: tRCD
 	PreReady  uint64 // earliest next PRE: tRAS, tRTP, tWR
 	HitStreak int    // consecutive row-hit column commands (FR-FCFS cap)
-	ActCount  uint64 // statistics
-	PreCount  uint64
 }
 
 // Rank tracks the windows its banks share: activation, column spacing,
@@ -161,7 +159,6 @@ func (s *System) ACT(bank, row int, cycle uint64) {
 	b.PreReady = cycle + s.T.RAS
 	b.ActReady = cycle + s.T.RC
 	b.HitStreak = 0
-	b.ActCount++
 	r := &s.Ranks[s.RankOf(bank)]
 	r.actTimes[r.actIdx] = cycle
 	r.actIdx = (r.actIdx + 1) % 4
@@ -186,7 +183,6 @@ func (s *System) PRE(bank int, cycle uint64) (row int, onCycles uint64) {
 	onCycles = cycle - b.ActAt
 	b.OpenRow = -1
 	b.ActReady = max(b.ActReady, cycle+s.T.RP)
-	b.PreCount++
 	s.Ranks[s.RankOf(bank)].refReady = cycle + s.T.RP
 	if s.Observer != nil {
 		s.Observer(Command{Kind: 'P', Bank: bank, Row: row, Cycle: cycle})

@@ -79,31 +79,24 @@ func (nopTracker) OnPre(int, int, uint64)      {}
 func (nopTracker) OnRefresh(int, int, int)     {}
 func (nopTracker) OnRowsSwapped(int, int, int) {}
 
-// Request is one memory transaction. Enqueueing copies the request into
-// the controller's queues (which store values contiguously: the FR-FCFS
-// pick walks them in arrival order), so callers must not expect
-// post-enqueue mutations to be observed.
-type Request struct {
-	Addr    uint64
-	Done    func(cycle uint64) // read completion callback (may be nil)
-	arrive  uint64
-	retryAt uint64
-	Core    int32
-	fill    int32 // 1 + the miss register Fills completes (ReadFill); 0: none
+// request is one queued memory transaction, held by value in its queue
+// (the FR-FCFS pick walks them in arrival order); which queue it sits in
+// says whether it is a read or a write. Its 32 bytes are only what the
+// controller reads.
+type request struct {
+	retryAt uint64 // a defense throttled its ACT until this cycle
+	core    int32
+	fill    int32 // 1 + the miss register Fills completes; 0: none
 	bank    int32 // global bank
 	row     int32 // MC-visible row (pre-remap)
 	phys    int32 // physical row after migration indirection
-	Write   bool
-	// The layout keeps a Request at 56 bytes, within one cache line per
-	// queue entry the FR-FCFS walk examines.
 }
 
 // Filler completes the reads ReadFill enqueued: Complete(core, mshr,
 // cycle) answers core's miss register mshr with the read's completion
-// cycle. Unlike a Done callback, which names the requester by a closure,
-// a (core, mshr) pair stays meaningful in another machine, so a queue
-// saved by Save serves a Restore on any controller whose Fills is that
-// machine's.
+// cycle. A (core, mshr) pair stays meaningful in another machine, so a
+// queue saved by Save serves a Restore on any controller whose Fills is
+// that machine's.
 type Filler interface {
 	Complete(core, mshr int, cycle uint64)
 }
@@ -161,8 +154,8 @@ type Controller struct {
 	// unconditionally (an uint64 add is cheaper than a branch here).
 	Obs obs.ControllerCounters
 
-	readQ   []Request
-	writeQ  []Request
+	readQ   []request
+	writeQ  []request
 	victims []victimOp
 	// victimSet deduplicates pending preventive refreshes: a flat bitset
 	// over the (bank, row) key space.
@@ -405,7 +398,7 @@ func (c *Controller) colTerms(rank int) {
 func (c *Controller) readyAt(o offer) uint64 { return max(o.at, c.terms[o.term]) }
 
 // queue returns the read (0) or write (1) queue.
-func (c *Controller) queue(dir int) []Request {
+func (c *Controller) queue(dir int) []request {
 	if dir == 0 {
 		return c.readQ
 	}
@@ -414,7 +407,7 @@ func (c *Controller) queue(dir int) []Request {
 
 // countHits counts q's requests to (bank, row), given that exactly
 // queued of q's requests target bank.
-func countHits(q []Request, bank, row int, queued int32) int32 {
+func countHits(q []request, bank, row int, queued int32) int32 {
 	n := int32(0)
 	for i := 0; queued > 0; i++ {
 		if int(q[i].bank) == bank {
@@ -432,24 +425,37 @@ func (c *Controller) rowKey(bank, row int) int64 {
 	return int64(bank)*int64(c.Cfg.RowsPerBank) + int64(row)
 }
 
-// Read enqueues a read transaction; false when the queue is full.
-// Equivalent to EnqueueRead with a fresh Request, with no per-access
-// allocation (the value lands directly in the queue's retained backing
-// array).
-func (c *Controller) Read(addr uint64, core int, done func(cycle uint64), cycle uint64) bool {
-	return c.EnqueueRead(&Request{Addr: addr, Core: int32(core), Done: done}, cycle)
-}
-
-// ReadFill is Read completed through c.Fills: the read answers core's
-// miss register mshr.
+// ReadFill enqueues a read that answers core's miss register mshr
+// through c.Fills; false when the queue is full.
 func (c *Controller) ReadFill(addr uint64, core, mshr int, cycle uint64) bool {
-	return c.EnqueueRead(&Request{Addr: addr, Core: int32(core), fill: int32(mshr) + 1}, cycle)
+	bank, row := c.Decode(addr)
+	return c.enqueue(0, bank, row, int32(core), int32(mshr)+1, cycle)
 }
 
-// Write enqueues a posted write transaction; false when the queue is
-// full.
+// Write enqueues a posted write, one the issuer never waits for; false
+// when the queue is full.
 func (c *Controller) Write(addr uint64, core int, cycle uint64) bool {
-	return c.EnqueueWrite(&Request{Addr: addr, Core: int32(core)}, cycle)
+	bank, row := c.Decode(addr)
+	return c.enqueue(1, bank, row, int32(core), 0, cycle)
+}
+
+// Read enqueues a read whose completion calls done (nil: nothing); false
+// when the queue is full. It installs done as c.Fills, so every queued
+// read completes through the last done given. It is ROADMAP item 6(j)'s
+// last remnant, kept only for the benchmark's controller probe; the
+// simulator reads through ReadFill.
+func (c *Controller) Read(addr uint64, core int, done func(cycle uint64), cycle uint64) bool {
+	c.Fills = doneFiller(done)
+	return c.ReadFill(addr, core, 0, cycle)
+}
+
+// doneFiller is Read's Filler: it completes every read through one func.
+type doneFiller func(cycle uint64)
+
+func (f doneFiller) Complete(_, _ int, cycle uint64) {
+	if f != nil {
+		f(cycle)
+	}
 }
 
 // Decode applies the MOP address mapping: consecutive cache blocks fill
@@ -499,7 +505,7 @@ func (c *Controller) swapRows(bank, physA, physB int) {
 	c.physToLog.Set(c.rowKey(bank, physB), int32(la)+1)
 	c.physToLog.Set(c.rowKey(bank, physA), int32(lb)+1)
 	// Repair the cached physical rows of queued requests (rare path).
-	for _, q := range [2][]Request{c.readQ, c.writeQ} {
+	for _, q := range [2][]request{c.readQ, c.writeQ} {
 		for i := range q {
 			if int(q[i].bank) == bank {
 				q[i].phys = int32(c.physOf(bank, int(q[i].row)))
@@ -509,39 +515,23 @@ func (c *Controller) swapRows(bank, physA, physB int) {
 	c.recountHits(bank)
 }
 
-// EnqueueRead adds a copy of the read to the queue; false when the
-// queue is full.
-func (c *Controller) EnqueueRead(r *Request, cycle uint64) bool {
-	bank, row := c.Decode(r.Addr)
-	return c.enqueue(r, bank, row, false, cycle)
-}
-
-// EnqueueWrite adds a copy of the write to the queue; false when the
-// queue is full. Writes are posted: the issuer never waits for them.
-func (c *Controller) EnqueueWrite(r *Request, cycle uint64) bool {
-	bank, row := c.Decode(r.Addr)
-	return c.enqueue(r, bank, row, true, cycle)
-}
-
-// enqueue adds a copy of r, resolved to (bank, row), to its queue; false
-// when the queue is full.
-func (c *Controller) enqueue(r *Request, bank, row int, write bool, cycle uint64) bool {
-	q, limit, dir := &c.readQ, c.Cfg.ReadQ, 0
-	if write {
-		q, limit, dir = &c.writeQ, c.Cfg.WriteQ, 1
+// enqueue adds a request for (bank, row) to queue dir — 0 the read
+// queue, 1 the write queue — for core, completing through Fills' miss
+// register fill-1 when fill is not 0; false when the queue is full.
+func (c *Controller) enqueue(dir, bank, row int, core, fill int32, cycle uint64) bool {
+	q, limit := &c.readQ, c.Cfg.ReadQ
+	if dir == 1 {
+		q, limit = &c.writeQ, c.Cfg.WriteQ
 	}
 	if len(*q) >= limit {
 		return false
 	}
-	r.arrive = cycle
-	r.bank, r.row = int32(bank), int32(row)
-	r.phys = int32(c.physOf(bank, row))
-	r.Write = write
-	*q = append(*q, *r)
+	phys := c.physOf(bank, row)
+	*q = append(*q, request{core: core, fill: fill, bank: int32(bank), row: int32(row), phys: int32(phys)})
 	bq := &c.banks[bank]
 	bq.req[dir]++
 	c.pending[bank>>6] |= 1 << (bank & 63)
-	if c.Sys.Banks[bank].OpenRow == int(r.phys) {
+	if c.Sys.Banks[bank].OpenRow == phys {
 		bq.hit[dir]++
 	}
 	c.reoffer(bank)
@@ -754,7 +744,7 @@ func (c *Controller) bankEventByRequest(bank int, floor uint64) uint64 {
 	b := &c.Sys.Banks[bank]
 	bq := &c.banks[bank]
 	at, latest := never, uint64(0)
-	for write, q := range [2][]Request{c.readQ, c.writeQ} {
+	for write, q := range [2][]request{c.readQ, c.writeQ} {
 		hit, other := never, never // earliest stamp among the open row's requests, and the rest
 		for i, left := 0, bq.req[write]; left > 0; i++ {
 			r := &q[i]
@@ -1039,7 +1029,7 @@ func (c *Controller) offerByRequest(bank, dir int, cycle uint64) offer {
 // tryACT opens the row of r, schedule's ACT candidate, unless the
 // defense throttles it: then the request is stamped with the cycle it
 // may next be considered and no command issues.
-func (c *Controller) tryACT(r *Request, cycle uint64) bool {
+func (c *Controller) tryACT(r *request, cycle uint64) bool {
 	ok, retry := c.Def.CanActivate(int(r.bank), int(r.phys), cycle)
 	if ok {
 		c.issueACT(int(r.bank), int(r.phys), cycle)
@@ -1107,13 +1097,13 @@ func (c *Controller) execute(dir mitigation.Directive, cycle uint64) {
 		c.Obs.DirExtraMem++
 		for i := 0; i < dir.MemReads; i++ {
 			bank, row := c.metaRow(dir.Bank, dir.Row, i)
-			if c.enqueue(&Request{}, bank, row, false, cycle) {
+			if c.enqueue(0, bank, row, 0, 0, cycle) {
 				c.Stats.MetaReads++
 			}
 		}
 		for i := 0; i < dir.MemWrites; i++ {
 			bank, row := c.metaRow(dir.Bank, dir.Row, dir.MemReads+i)
-			if c.enqueue(&Request{}, bank, row, true, cycle) {
+			if c.enqueue(1, bank, row, 0, 0, cycle) {
 				c.Stats.MetaWr++
 			}
 		}
@@ -1148,8 +1138,8 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 		c.pending[bank>>6] &^= 1 << (bank & 63)
 	}
 	c.reoffer(bank)
-	// Remove before invoking the completion: the callback may enqueue (a
-	// dirty-eviction writeback), which must see the freed slot.
+	// Remove before the completion: Fills may enqueue (a dirty-eviction
+	// writeback), which must see the freed slot.
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
 	c.setMode()
 	if writes {
@@ -1162,10 +1152,8 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 	} else {
 		c.Stats.RowMisses++
 	}
-	if r.Done != nil {
-		r.Done(dataEnd)
-	} else if r.fill != 0 {
-		c.Fills.Complete(int(r.Core), int(r.fill-1), dataEnd)
+	if r.fill != 0 {
+		c.Fills.Complete(int(r.core), int(r.fill-1), dataEnd)
 	}
 }
 
@@ -1175,7 +1163,7 @@ func (c *Controller) issueColumn(idx int, cycle uint64, writes bool) {
 // the cached idle bound, Stats and Obs.
 type State struct {
 	sys           mem.State
-	readQ, writeQ []Request
+	readQ, writeQ []request
 	banks         []bankQueued
 	pending       []uint64
 	terms         []uint64
@@ -1188,17 +1176,11 @@ type State struct {
 
 // Save copies c's state into st, reusing st's slices, between two ticks,
 // and reports whether it could. A controller whose defense has acted — a
-// preventive refresh pending or rows migrated — is not saved (those
-// tables span every row), and neither is one holding a read that
-// completes through a Done callback rather than through Fills.
+// preventive refresh pending or rows migrated — is not saved: those
+// tables span every row.
 func (c *Controller) Save(st *State) bool {
 	if len(c.victims) != 0 || c.remapped {
 		return false
-	}
-	for i := range c.readQ {
-		if c.readQ[i].Done != nil {
-			return false
-		}
 	}
 	c.Sys.Save(&st.sys)
 	st.readQ = append(st.readQ[:0], c.readQ...)
@@ -1234,6 +1216,6 @@ func (c *Controller) Restore(st *State) {
 // Bytes is the memory st's saved state occupies.
 func (st *State) Bytes() int {
 	return int(unsafe.Sizeof(*st)) + st.sys.Bytes() - int(unsafe.Sizeof(st.sys)) +
-		int(unsafe.Sizeof(Request{}))*(len(st.readQ)+len(st.writeQ)) +
+		int(unsafe.Sizeof(request{}))*(len(st.readQ)+len(st.writeQ)) +
 		int(unsafe.Sizeof(bankQueued{}))*len(st.banks) + 8*(len(st.pending)+len(st.terms)+len(st.refSlice))
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"svard/internal/dram"
 	"svard/internal/mem"
@@ -12,11 +13,18 @@ import (
 	"svard/internal/mitigation"
 )
 
+// newMC builds a Table 4 controller whose reads complete into a fills
+// recorder (completions reads it back).
 func newMC(def mitigation.Defense, tr Tracker) *Controller {
 	cfg := DefaultConfig(4096)
 	t := mem.CyclesFrom(dram.DDR4Timing(3200), cfg.CPUGHz)
-	return New(cfg, t, def, tr)
+	c := New(cfg, t, def, tr)
+	c.Fills = &fills{}
+	return c
 }
+
+// completions returns what c's fills recorder has received.
+func completions(c *Controller) fills { return *c.Fills.(*fills) }
 
 func runCycles(c *Controller, from, n uint64) uint64 {
 	for cyc := from; cyc < from+n; cyc++ {
@@ -49,10 +57,12 @@ func TestDecodeMOPLocality(t *testing.T) {
 	}
 }
 
+// TestReadCompletes drives Read, the benchmark's entry point: its done
+// func answers the read, and a nil one completes it to nothing.
 func TestReadCompletes(t *testing.T) {
 	c := newMC(nil, nil)
 	doneAt := uint64(0)
-	ok := c.EnqueueRead(&Request{Addr: 0x1000, Done: func(cyc uint64) { doneAt = cyc }}, 0)
+	ok := c.Read(0x1000, 0, func(cyc uint64) { doneAt = cyc }, 0)
 	if !ok {
 		t.Fatal("enqueue failed")
 	}
@@ -63,27 +73,35 @@ func TestReadCompletes(t *testing.T) {
 	if c.Stats.Reads != 1 || c.Stats.Acts != 1 {
 		t.Errorf("stats: %+v", c.Stats)
 	}
+	if !c.Read(0x1000, 0, nil, 2000) {
+		t.Fatal("enqueue failed")
+	}
+	runCycles(c, 2000, 2000)
+	if c.Stats.Reads != 2 {
+		t.Errorf("a read with a nil done did not complete: %+v", c.Stats)
+	}
 }
 
 func TestRowHitsServedBeforeConflicts(t *testing.T) {
 	c := newMC(nil, nil)
-	var order []int
-	mk := func(id int, addr uint64) *Request {
-		return &Request{Addr: addr, Done: func(uint64) { order = append(order, id) }}
-	}
 	// Request 0 opens a row; requests 1 and 2 are a conflict (same bank,
-	// different row) and a hit (same row).
-	c.EnqueueRead(mk(0, 0), 0)
+	// different row) and a hit (same row). Each answers the miss register
+	// of its number.
+	c.ReadFill(0, 0, 0, 0)
 	runCycles(c, 0, 300)
 	conflictAddr := uint64(4096) * 64 * 4 // jumps the row bits
 	b0, r0 := c.Decode(0)
 	bC, rC := c.Decode(conflictAddr)
 	if b0 != bC || r0 == rC {
-		// ensure it's truly a same-bank conflict
+		t.Fatalf("setup: %d/%d and %d/%d are not a same-bank conflict", b0, r0, bC, rC)
 	}
-	c.EnqueueRead(mk(1, conflictAddr), 300)
-	c.EnqueueRead(mk(2, 64), 300) // same row as request 0 (MOP block 1)
+	c.ReadFill(conflictAddr, 0, 1, 300)
+	c.ReadFill(64, 0, 2, 300) // same row as request 0 (MOP block 1)
 	runCycles(c, 300, 4000)
+	var order []int
+	for _, f := range completions(c) {
+		order = append(order, int(f[1]))
+	}
 	if len(order) != 3 {
 		t.Fatalf("completed %d of 3", len(order))
 	}
@@ -96,7 +114,7 @@ func TestQueueCapacity(t *testing.T) {
 	c := newMC(nil, nil)
 	n := 0
 	for i := 0; i < 200; i++ {
-		if c.EnqueueRead(&Request{Addr: uint64(i) * 64 * 1024}, 0) {
+		if c.ReadFill(uint64(i)*64*1024, 0, 0, 0) {
 			n++
 		}
 	}
@@ -108,7 +126,7 @@ func TestQueueCapacity(t *testing.T) {
 func TestWritesDrain(t *testing.T) {
 	c := newMC(nil, nil)
 	for i := 0; i < 50; i++ {
-		if !c.EnqueueWrite(&Request{Addr: uint64(i) * 64 * 257}, 0) {
+		if !c.Write(uint64(i)*64*257, 0, 0) {
 			t.Fatalf("write %d rejected", i)
 		}
 	}
@@ -151,12 +169,13 @@ func (d *throttleDefense) OnActivate(bank, row int, cycle uint64) []mitigation.D
 func TestDefenseThrottleDelaysActivation(t *testing.T) {
 	def := &throttleDefense{}
 	c := newMC(def, nil)
-	doneAt := uint64(0)
-	c.EnqueueRead(&Request{Addr: 0, Done: func(cyc uint64) { doneAt = cyc }}, 0)
+	c.ReadFill(0, 0, 0, 0)
 	runCycles(c, 0, 3000)
-	if doneAt == 0 {
+	done := completions(c)
+	if len(done) != 1 {
 		t.Fatal("throttled read never completed")
 	}
+	doneAt := done[0][2]
 	if doneAt < 500 {
 		t.Errorf("read completed at %d despite 500-cycle throttle", doneAt)
 	}
@@ -196,7 +215,7 @@ func (r *recTracker) OnRowsSwapped(int, int, int)    {}
 func TestVictimRefreshExecutes(t *testing.T) {
 	tr := &recTracker{}
 	c := newMC(&refreshDefense{}, tr)
-	c.EnqueueRead(&Request{Addr: 0}, 0)
+	c.ReadFill(0, 0, 0, 0)
 	runCycles(c, 0, 5000)
 	if c.Stats.VictimRefreshes != 1 {
 		t.Fatalf("victim refreshes = %d", c.Stats.VictimRefreshes)
@@ -224,14 +243,14 @@ func TestRowSwapRemapsFutureAccesses(t *testing.T) {
 	tr := &recTracker{}
 	c := newMC(&swapDefense{}, tr)
 	b, r := c.Decode(0)
-	c.EnqueueRead(&Request{Addr: 0}, 0)
+	c.ReadFill(0, 0, 0, 0)
 	runCycles(c, 0, 10_000)
 	if c.Stats.Migrations != 1 {
 		t.Fatalf("migrations = %d", c.Stats.Migrations)
 	}
 	// A second access to the same address must activate the new
 	// physical location.
-	c.EnqueueRead(&Request{Addr: 0}, 10_000)
+	c.ReadFill(0, 0, 0, 10_000)
 	runCycles(c, 10_000, 10_000)
 	if !tr.restored[[2]int{b, r + 100}] {
 		t.Error("post-swap access did not reach the migrated physical row")
@@ -244,7 +263,9 @@ func newMC1Rank(def mitigation.Defense) *Controller {
 	cfg := DefaultConfig(4096)
 	cfg.Ranks = 1
 	t := mem.CyclesFrom(dram.DDR4Timing(3200), cfg.CPUGHz)
-	return New(cfg, t, def, nil)
+	c := New(cfg, t, def, nil)
+	c.Fills = &fills{}
+	return c
 }
 
 // TestNextEventRefreshEdges covers the refresh components of NextEvent:
@@ -351,8 +372,8 @@ func TestNextEventWriteDrainWatermark(t *testing.T) {
 	}
 	c.Sys.BlockBank(b0, 0, 10_000)
 	c.Sys.BlockBank(b1, 0, 5_000)
-	c.EnqueueRead(&Request{Addr: 0}, 0)
-	c.EnqueueWrite(&Request{Addr: 4 * 64}, 0)
+	c.ReadFill(0, 0, 0, 0)
+	c.Write(4*64, 0, 0)
 	if c.Tick(0) {
 		t.Fatal("blocked queues issued a command")
 	}
@@ -370,9 +391,9 @@ func TestNextEventWriteDrainWatermark(t *testing.T) {
 		{DefaultConfig(4096).WriteQ * 3 / 4, true},
 	} {
 		c := newMC1Rank(nil)
-		c.EnqueueRead(&Request{Addr: 0}, 0)
+		c.ReadFill(0, 0, 0, 0)
 		for i := 0; i < tc.writes; i++ {
-			if !c.EnqueueWrite(&Request{Addr: 4*64 + uint64(i)<<20}, 0) {
+			if !c.Write(4*64+uint64(i)<<20, 0, 0) {
 				t.Fatalf("write %d rejected", i)
 			}
 		}
@@ -422,8 +443,12 @@ func tickBoth(t *testing.T, full, skip *Controller, sched []arrival, end uint64,
 			if arriving != nil {
 				arriving(cycle, a)
 			}
-			full.enqueue(&Request{}, a.bank, a.row, a.write, cycle)
-			skip.enqueue(&Request{}, a.bank, a.row, a.write, cycle)
+			dir := 0
+			if a.write {
+				dir = 1
+			}
+			full.enqueue(dir, a.bank, a.row, 0, 0, cycle)
+			skip.enqueue(dir, a.bank, a.row, 0, 0, cycle)
 			arrived = true
 		}
 		full.TickFull(cycle)
@@ -650,7 +675,7 @@ func TestExtraMemGeneratesTraffic(t *testing.T) {
 func nextEventByRequest(c *Controller, cycle uint64) uint64 {
 	floor := cycle + 1
 	next := c.maintenanceEvent(floor)
-	for _, q := range [2][]Request{c.readQ, c.writeQ} {
+	for dir, q := range [2][]request{c.readQ, c.writeQ} {
 		for i := range q {
 			r := &q[i]
 			bank := int(r.bank)
@@ -658,7 +683,7 @@ func nextEventByRequest(c *Controller, cycle uint64) uint64 {
 			var at uint64
 			switch {
 			case b.OpenRow == int(r.phys) && b.HitStreak < c.Cfg.ColumnCap:
-				at = max(c.Sys.ColumnEarliest(bank, r.Write), r.retryAt)
+				at = max(c.Sys.ColumnEarliest(bank, dir == 1), r.retryAt)
 			case b.OpenRow == int(r.phys):
 				at = max(c.Sys.PreEarliest(bank), r.retryAt)
 			case b.OpenRow >= 0:
@@ -691,7 +716,7 @@ func checkBankIndex(t testing.TB, c *Controller) {
 		t.Fatalf("index sized %d banks, %d pending words for %d banks", len(c.banks), len(c.pending), banks)
 	}
 	want := make([]bankQueued, banks)
-	for dir, q := range [2][]Request{c.readQ, c.writeQ} {
+	for dir, q := range [2][]request{c.readQ, c.writeQ} {
 		for i := range q {
 			r := &q[i]
 			want[r.bank].req[dir]++
@@ -747,7 +772,7 @@ func checkOffers(t testing.TB, c *Controller) {
 			continue
 		}
 		b := &c.Sys.Banks[bank]
-		for dir, q := range [2][]Request{c.readQ, c.writeQ} {
+		for dir, q := range [2][]request{c.readQ, c.writeQ} {
 			any, hit := false, false
 			for i := range q {
 				if int(q[i].bank) == bank {
@@ -987,7 +1012,11 @@ func driveNextEvent(t testing.TB, c *Controller, seed uint64, steps int, cov *pi
 				row = rng.Intn(rows)
 			}
 			bank := banks[rng.Intn(len(banks))]
-			c.enqueue(&Request{}, bank, row, rng.Intn(3) == 0, cycle)
+			dir := 0
+			if rng.Intn(3) == 0 {
+				dir = 1
+			}
+			c.enqueue(dir, bank, row, 0, 0, cycle)
 		}
 		checkBankIndex(t, c)
 		checkOffers(t, c)
@@ -1088,8 +1117,8 @@ func TestNextEventMatchesReference(t *testing.T) {
 // is what separates the outcomes.
 func TestNextEventRetryEdges(t *testing.T) {
 	c := newMC1Rank(nil)
-	c.Read(0, 0, nil, 0)     // bank 0, row 0: the hit
-	c.Read(1<<20, 0, nil, 0) // bank 0, another row: the conflict
+	c.ReadFill(0, 0, 0, 0)     // bank 0, row 0: the hit
+	c.ReadFill(1<<20, 0, 0, 0) // bank 0, another row: the conflict
 	if c.readQ[0].bank != c.readQ[1].bank || c.readQ[0].row == c.readQ[1].row {
 		t.Fatalf("setup: requests at %d/%d and %d/%d", c.readQ[0].bank, c.readQ[0].row, c.readQ[1].bank, c.readQ[1].row)
 	}
@@ -1123,8 +1152,8 @@ func TestNextEventRetryEdges(t *testing.T) {
 // passed must not hold the row open, one whose stamp has passed must.
 func TestPickRetryEdges(t *testing.T) {
 	c := newMC1Rank(nil)
-	c.Read(0, 0, nil, 0)     // entry 0, bank 0 row 0: the hit
-	c.Read(1<<20, 0, nil, 0) // entry 1, bank 0 another row: the conflict
+	c.ReadFill(0, 0, 0, 0)     // entry 0, bank 0 row 0: the hit
+	c.ReadFill(1<<20, 0, 0, 0) // entry 1, bank 0 another row: the conflict
 	bank := int(c.readQ[0].bank)
 	c.Sys.ACT(bank, int(c.readQ[0].phys), 0)
 	pre := c.Sys.PreEarliest(bank)
@@ -1170,8 +1199,8 @@ func TestPickRetryEdges(t *testing.T) {
 // the conflict closes the row, as on any bank).
 func TestPickColumnCap(t *testing.T) {
 	c := newMC1Rank(nil)
-	c.Read(0, 0, nil, 0)    // entry 0: bank 0 row 0, the capped hit
-	c.Read(4*64, 0, nil, 0) // entry 1: another bank, a plain conflict once opened
+	c.ReadFill(0, 0, 0, 0)    // entry 0: bank 0 row 0, the capped hit
+	c.ReadFill(4*64, 0, 0, 0) // entry 1: another bank, a plain conflict once opened
 	capped, other := int(c.readQ[0].bank), int(c.readQ[1].bank)
 	if capped == other {
 		t.Fatalf("setup: both requests on bank %d", capped)
@@ -1194,7 +1223,7 @@ func TestPickColumnCap(t *testing.T) {
 	c.Sys.ACT(other, int(c.readQ[1].phys), cycle) // entry 1 now hits, but its column is tRCD away
 	rebuildOffers(c)
 	expect("capped bank, no conflicts", offerCapPRE, 0)
-	c.Read(1<<20, 0, nil, cycle) // entry 2: a conflict on the capped bank itself
+	c.ReadFill(1<<20, 0, 0, cycle) // entry 2: a conflict on the capped bank itself
 	checkOffers(t, c)
 	expect("capped bank with its own conflict", offerCapPRE, 0)
 	c.readQ[0].retryAt = cycle + 1
@@ -1224,7 +1253,7 @@ func TestDeniedACTThenReadPass(t *testing.T) {
 	for i := 0; i < c.Cfg.WriteQ*3/4; i++ {
 		c.Write(4*64+uint64(i)<<20, 0, 0) // one bank, distinct rows
 	}
-	c.Read(0, 0, nil, 0)
+	c.ReadFill(0, 0, 0, 0)
 	writeBank, readBank := int(c.writeQ[0].bank), int(c.readQ[0].bank)
 	if writeBank == readBank {
 		t.Fatalf("setup: reads and writes share bank %d", readBank)
@@ -1262,7 +1291,7 @@ func TestResetClearsBankIndex(t *testing.T) {
 	tm := c.Sys.T
 	dirty := func() {
 		for i := 0; i < 200; i++ {
-			c.Read(uint64(i)*64*4, 0, nil, 0)
+			c.ReadFill(uint64(i)*64*4, 0, 0, 0)
 			c.Write(uint64(i)*64*4, 0, 0)
 		}
 		c.tryACT(&c.readQ[0], 0) // throttled: stamps a retry
@@ -1328,8 +1357,7 @@ func (l *trackLog) OnRowsSwapped(bank, a, b int) {
 // restored into a freshly Reset one continues exactly as the original —
 // the same commands at the same cycles, the same read completions through
 // the restored controller's own Fills, the same tracker calls (refresh
-// slices included), the same Stats and counters. A queue holding a read
-// that completes through a Done callback is not saved.
+// slices included), the same Stats and counters.
 func TestSaveRestoreContinues(t *testing.T) {
 	type stimulus struct {
 		read, write bool
@@ -1393,10 +1421,19 @@ func TestSaveRestoreContinues(t *testing.T) {
 	if a.Stats != b.Stats || a.Obs != b.Obs {
 		t.Errorf("stats diverged:\noriginal %+v %+v\nrestored %+v %+v", a.Stats, a.Obs, b.Stats, b.Obs)
 	}
+}
 
-	c := newMC(nil, nil)
-	c.Read(0, 0, func(uint64) {}, 0)
-	if c.Save(&st) {
-		t.Error("a queue holding a Done callback was saved")
+// TestCheckpointedSizes pins the sizes of what every twin checkpoint
+// copies per queued request and per bank: a queue entry holds only the
+// fields the controller reads, and a bank only its state.
+func TestCheckpointedSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(request{}); got != 32 {
+		t.Errorf("a queue entry is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(mem.Bank{}); got != 48 {
+		t.Errorf("a mem.Bank is %d bytes, want 48", got)
 	}
 }

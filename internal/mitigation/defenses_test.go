@@ -1,15 +1,19 @@
 package mitigation_test
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"svard/internal/core"
+	"svard/internal/disturb"
 	"svard/internal/mitigation"
 	"svard/internal/mitigation/aqua"
 	"svard/internal/mitigation/blockhammer"
 	"svard/internal/mitigation/hydra"
 	"svard/internal/mitigation/para"
 	"svard/internal/mitigation/rrs"
+	"svard/internal/profile"
 )
 
 func testSI() mitigation.SystemInfo {
@@ -193,5 +197,97 @@ func TestDefensesUseSvardBudgets(t *testing.T) {
 	}
 	if w, s := countSwaps(weak), countSwaps(strong); s >= w {
 		t.Errorf("strong threshold swaps (%d) not below weak (%d)", s, w)
+	}
+}
+
+// TestUniformProfileIsFixed is ROADMAP item 4(b)'s first metamorphic
+// property at the defense level: a profile that puts every row in one
+// bin, scaled to that bin's own level L (a factor of exactly 1), gives
+// Svärd the budgets of the profile-oblivious nRH = L, bit for bit, and
+// so every defense the same answers with Svärd as without. Each defense
+// is driven twice, once per threshold source, through one seeded ACT
+// sequence; every CanActivate answer and every directive must agree.
+func TestUniformProfileIsFixed(t *testing.T) {
+	si := testSI()
+	levels := disturb.HammerLevels()
+	const bin = 0
+	level := levels[bin]
+	banks := make([]int, si.Banks)
+	for b := range banks {
+		banks[b] = b
+	}
+	p := profile.NewEmpty("uniform", si.RowsPerBank, banks, levels)
+	for pos := range banks {
+		for row := 0; row < si.RowsPerBank; row++ {
+			p.SetBin(pos, row, bin+1) // first flip at the next level: safe at L
+		}
+	}
+	view := p.ScaledTo(level)
+	if view.Factor != 1 {
+		t.Fatalf("uniform profile scaled to its own level %v: factor %v, want 1", level, view.Factor)
+	}
+	sv, err := core.New(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := core.Fixed(level)
+	if sv.MinBudget() != fixed.MinBudget() {
+		t.Fatalf("MinBudget: Svärd %v, fixed %v", sv.MinBudget(), fixed.MinBudget())
+	}
+	for bank := 0; bank < si.Banks; bank++ {
+		for row := 0; row < si.RowsPerBank; row++ {
+			if got, want := sv.ActivationBudget(bank, row), fixed.ActivationBudget(bank, row); got != want {
+				t.Fatalf("ActivationBudget(%d, %d): Svärd %v, fixed %v", bank, row, got, want)
+			}
+		}
+	}
+
+	builds := []struct {
+		name string
+		make func(core.Thresholds) mitigation.Defense
+	}{
+		{"para", func(th core.Thresholds) mitigation.Defense { return para.New(si, th) }},
+		{"blockhammer", func(th core.Thresholds) mitigation.Defense { return blockhammer.New(si, th) }},
+		{"hydra", func(th core.Thresholds) mitigation.Defense { return hydra.New(si, th) }},
+		{"rrs", func(th core.Thresholds) mitigation.Defense { return rrs.New(si, th, 3.2) }},
+		{"aqua", func(th core.Thresholds) mitigation.Defense { return aqua.New(si, th, 3.2) }},
+	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			with, without := b.make(sv), b.make(fixed)
+			r := rand.New(rand.NewSource(11))
+			hot := []int{7, 8, 500, 501, 2047, 4095}
+			cycle := uint64(0)
+			var denies, directives int
+			for step := 0; step < 40_000; step++ {
+				cycle += uint64(r.Intn(64))
+				bank, row := r.Intn(si.Banks), r.Intn(si.RowsPerBank)
+				if r.Intn(4) != 0 {
+					row = hot[r.Intn(len(hot))]
+				}
+				okW, retryW := with.CanActivate(bank, row, cycle)
+				okF, retryF := without.CanActivate(bank, row, cycle)
+				if okW != okF || retryW != retryF {
+					t.Fatalf("step %d: CanActivate(%d, %d, %d) = %v, %d with Svärd, %v, %d without",
+						step, bank, row, cycle, okW, retryW, okF, retryF)
+				}
+				if !okW {
+					denies++
+					continue
+				}
+				dirW, dirF := with.OnActivate(bank, row, cycle), without.OnActivate(bank, row, cycle)
+				if !slices.Equal(dirW, dirF) {
+					t.Fatalf("step %d: OnActivate(%d, %d, %d) = %+v with Svärd, %+v without",
+						step, bank, row, cycle, dirW, dirF)
+				}
+				directives += len(dirW)
+			}
+			// The comparison is only worth what the sequence made the
+			// defense do.
+			if directives == 0 && denies == 0 {
+				t.Errorf("the ACT sequence never made %s act", b.name)
+			}
+			t.Logf("%s: %d directives, %d denied ACTs", b.name, directives, denies)
+		})
 	}
 }
